@@ -97,11 +97,9 @@ type Options struct {
 	// RetryAfter is the backoff (seconds) advertised on shed responses
 	// (default 1).
 	RetryAfter int
-	// StreamQueue bounds each stream connection's frame queue and
-	// StreamHeartbeat sets its idle-heartbeat interval; zero values take
-	// the evtstream defaults (64 frames, 5s), negative StreamHeartbeat
-	// disables heartbeats.
-	StreamQueue     int
+	// StreamHeartbeat sets each stream connection's idle-heartbeat
+	// interval; zero takes the evtstream default (5s), negative disables
+	// heartbeats. The frame queue is the evtstream default (64 frames).
 	StreamHeartbeat time.Duration
 	// Metrics receives gateway_requests_total, gateway_errors_total,
 	// gateway_shed_total, the gateway_requests_inflight gauge, and the
@@ -621,7 +619,6 @@ func (g *Gateway) stream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p := evtstream.NewPublisher(evtstream.Options{
-		MaxQueue:  g.opts.StreamQueue,
 		Heartbeat: g.opts.StreamHeartbeat,
 		Metrics:   g.opts.Metrics,
 	})

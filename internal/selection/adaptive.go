@@ -124,8 +124,11 @@ func (a *Adaptive) Choose(q []string, dbs []*DB, ctx *Context) ([]summary.View, 
 	views := make([]summary.View, len(dbs))
 	decisions := make([]Decision, len(dbs))
 	anyShrunk := false
+	// One set of distribution buffers serves every database in turn.
+	words := UniqueWords(q)
+	dists := make([]dfDist, len(words))
 	for i, db := range dbs {
-		d := a.decide(q, db, ctx, opts, int64(i))
+		d := a.decide(q, words, db, ctx, opts, int64(i), dists)
 		decisions[i] = d
 		if d.Shrinkage && db.Shrunk != nil {
 			views[i] = db.Shrunk
@@ -180,9 +183,9 @@ func (a *Adaptive) Rank(q []string, dbs []*DB, global summary.View) ([]Ranked, [
 }
 
 // decide estimates the score distribution of one database and applies
-// the std > mean rule.
-func (a *Adaptive) decide(q []string, db *DB, ctx *Context, opts AdaptiveOptions, stream int64) Decision {
-	words := UniqueWords(q)
+// the std > mean rule. words are q's unique words; dists is scratch,
+// one distribution per word, rebuilt here.
+func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts AdaptiveOptions, stream int64, dists []dfDist) Decision {
 	n := db.size()
 	if n < 1 || len(words) == 0 || db.Shrunk == nil {
 		return Decision{}
@@ -191,9 +194,8 @@ func (a *Adaptive) decide(q []string, db *DB, ctx *Context, opts AdaptiveOptions
 	if gamma == 0 {
 		gamma = -2
 	}
-	dists := make([]*dfDist, len(words))
 	for i, w := range words {
-		dists[i] = newDFDist(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, opts.GridMax, opts.AbsentPrior)
+		dists[i].fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, opts.GridMax, opts.AbsentPrior)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ int64(uint64(stream)*0x9e3779b97f4a7c15)))
@@ -266,22 +268,30 @@ func relClose(a, b, tol float64) bool {
 type dfDist struct {
 	ds  []int
 	cdf []float64
+	// The buffers ds and cdf are views of; slot 0 is the d = 0 point, in
+	// view only for words the sample never saw. Kept so fill can reuse
+	// them: Choose builds |q| distributions per database, one database
+	// at a time.
+	dsBuf  []int
+	cdfBuf []float64
 }
 
 func newDFDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) *dfDist {
+	d := &dfDist{}
+	d.fill(n, sampleSize, sk, gamma, gridMax, absentPrior)
+	return d
+}
+
+// fill rebuilds d for one (word, database) pair in its own buffers.
+func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) {
 	if sampleSize > n {
 		sampleSize = n
 	}
-	// Support grid over d = 1..n; d = 0 is appended afterwards for
-	// words the sample never saw.
-	var ds []int
-	var widths []float64
+	// Support grid over d = 1..n, after the d = 0 slot.
+	ds := append(d.dsBuf[:0], 0)
 	if n <= gridMax {
-		ds = make([]int, n)
-		widths = make([]float64, n)
-		for i := range ds {
-			ds[i] = i + 1
-			widths[i] = 1
+		for v := 1; v <= n; v++ {
+			ds = append(ds, v)
 		}
 	} else {
 		// Geometric grid: exact low values, then multiplicative steps.
@@ -292,27 +302,27 @@ func newDFDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior fl
 		prev := 0
 		x := 1.0
 		for prev < n {
-			d := int(x)
-			if d <= prev {
-				d = prev + 1
+			v := int(x)
+			if v <= prev {
+				v = prev + 1
 			}
-			if d > n {
-				d = n
+			if v > n {
+				v = n
 			}
-			ds = append(ds, d)
-			widths = append(widths, float64(d-prev))
-			prev = d
+			ds = append(ds, v)
+			prev = v
 			x *= ratio
 		}
 	}
-	// Log-density at each grid point.
-	logp := make([]float64, len(ds))
+	// Log-density at each grid point (the interval a point stands for is
+	// the gap to its predecessor), held in cdf until normalized below.
+	lps := append(d.cdfBuf[:0], math.Inf(-1))
 	maxLP := math.Inf(-1)
 	fn := float64(n)
 	fs := float64(sampleSize)
 	fsk := float64(sk)
-	for i, d := range ds {
-		fd := float64(d)
+	for i := 1; i < len(ds); i++ {
+		fd := float64(ds[i])
 		frac := fd / fn
 		var lp float64
 		if sk > 0 {
@@ -327,46 +337,47 @@ func newDFDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior fl
 			}
 		}
 		if !math.IsInf(lp, -1) {
-			lp += gamma*math.Log(fd) + math.Log(widths[i])
+			lp += gamma*math.Log(fd) + math.Log(float64(ds[i]-ds[i-1]))
 		}
-		logp[i] = lp
+		lps = append(lps, lp)
 		if lp > maxLP {
 			maxLP = lp
 		}
 	}
+	d.dsBuf, d.cdfBuf = ds, lps
 	// A word never seen in the sample may be absent from the database
 	// altogether: give d = 0 prior mass proportional to d = 1's density
 	// (its binomial miss-likelihood is exactly 1).
-	if sk == 0 && absentPrior > 0 && len(logp) > 0 && !math.IsInf(logp[0], -1) {
-		ds = append([]int{0}, ds...)
-		logp = append([]float64{logp[0] + math.Log(absentPrior)}, logp...)
-		if logp[0] > maxLP {
-			maxLP = logp[0]
+	lo := 1
+	if sk == 0 && absentPrior > 0 && len(ds) > 1 && !math.IsInf(lps[1], -1) {
+		lo = 0
+		lps[0] = lps[1] + math.Log(absentPrior)
+		if lps[0] > maxLP {
+			maxLP = lps[0]
 		}
 	}
-	dist := &dfDist{ds: ds, cdf: make([]float64, len(ds))}
+	d.ds, d.cdf = ds[lo:], lps[lo:]
 	var sum float64
-	for i, lp := range logp {
+	for i, lp := range d.cdf {
 		var p float64
 		if !math.IsInf(lp, -1) {
 			p = math.Exp(lp - maxLP)
 		}
 		sum += p
-		dist.cdf[i] = sum
+		d.cdf[i] = sum
 	}
 	if sum <= 0 {
 		// Degenerate; fall back to uniform.
-		for i := range dist.cdf {
-			dist.cdf[i] = float64(i+1) / float64(len(dist.cdf))
+		for i := range d.cdf {
+			d.cdf[i] = float64(i+1) / float64(len(d.cdf))
 		}
-		return dist
+		return
 	}
 	inv := 1 / sum
-	for i := range dist.cdf {
-		dist.cdf[i] *= inv
+	for i := range d.cdf {
+		d.cdf[i] *= inv
 	}
-	dist.cdf[len(dist.cdf)-1] = 1
-	return dist
+	d.cdf[len(d.cdf)-1] = 1
 }
 
 // sample draws one document-frequency value.

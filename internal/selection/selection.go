@@ -136,8 +136,22 @@ func aboveDefault(score, def float64) bool {
 }
 
 // UniqueWords deduplicates a query's words preserving order; scorers
-// treat queries as word sets.
+// treat queries as word sets. A query without duplicates is returned as
+// is (scorers call this once per Monte-Carlo draw), so the result must
+// not be modified.
 func UniqueWords(q []string) []string {
+	dup := false
+	for i := 1; i < len(q) && !dup; i++ {
+		for _, w := range q[:i] {
+			if w == q[i] {
+				dup = true
+				break
+			}
+		}
+	}
+	if !dup {
+		return q
+	}
 	seen := make(map[string]bool, len(q))
 	out := make([]string, 0, len(q))
 	for _, w := range q {

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
-	"repro/internal/hierarchy"
 	"repro/internal/summary"
 )
 
@@ -74,13 +73,12 @@ type persistLambda struct {
 
 // Save writes the built summaries. BuildSummaries must have succeeded.
 func (m *Metasearcher) Save(w io.Writer) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.built {
+	st := m.state.Load()
+	if !st.built {
 		return errors.New("repro: nothing to save; run BuildSummaries first")
 	}
-	env := persistEnvelope{Version: persistVersion, Training: m.training.Len()}
-	for _, r := range m.dbs {
+	env := persistEnvelope{Version: persistVersion, Training: st.trainingDocs}
+	for _, r := range st.dbs {
 		var buf bytes.Buffer
 		if err := r.unshrunk.Encode(&buf); err != nil {
 			return fmt.Errorf("repro: encoding %s: %w", r.name, err)
@@ -185,7 +183,10 @@ func (m *Metasearcher) Load(r io.Reader) error {
 // query fan-out are what sharding actually divides.
 //
 // Like Load, LoadFiltered bumps the cache generation — each shard keeps
-// its own caches, so the bump is naturally scoped to this shard.
+// its own caches, so the bump is naturally scoped to this shard. The
+// file is decoded, verified and shrunk into a complete new store before
+// anything is published: queries answer from the previous summaries
+// until then, and a rejected file changes nothing.
 func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) error {
 	var env persistEnvelope
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&env); err != nil {
@@ -206,20 +207,9 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 			return fmt.Errorf("repro: load: checksum mismatch (file says %s, content is %s) — save file is corrupted or was torn mid-write", env.Checksum, sum)
 		}
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	// Databases already registered with live handles keep them when the
-	// loaded state names them: a deployment can dial its remote nodes,
-	// then Load offline-built summaries, and Search immediately.
-	handles := make(map[string]SearchableDatabase, len(m.dbs))
-	for _, r := range m.dbs {
-		if r.db != nil {
-			handles[r.name] = r.db
-		}
-	}
 
 	dbs := make([]*registeredDB, 0, len(env.Databases))
+	persisted := make([]*BuildTelemetry, 0, len(env.Databases))
 	seen := make(map[string]bool, len(env.Databases))
 	for _, pd := range env.Databases {
 		if pd.Name == "" || seen[pd.Name] {
@@ -234,9 +224,8 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		if err != nil {
 			return fmt.Errorf("repro: database %q: %w", pd.Name, err)
 		}
-		rdb := &registeredDB{
+		dbs = append(dbs, &registeredDB{
 			name:      pd.Name,
-			db:        handles[pd.Name],
 			category:  cat,
 			fixedCat:  true,
 			assigned:  cat,
@@ -244,18 +233,18 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 			sizeEst:   pd.SizeEst,
 			gamma:     pd.Gamma,
 			sampleLen: pd.Sample,
-		}
+		})
+		var prov *BuildTelemetry
 		if pd.Telemetry != nil {
-			prov := &BuildTelemetry{
+			prov = &BuildTelemetry{
 				SampleQueries: pd.Telemetry.SampleQueries,
 				EMIterations:  pd.Telemetry.EMIterations,
 			}
 			for _, l := range pd.Telemetry.Lambdas {
 				prov.Lambdas = append(prov.Lambdas, core.Lambda{Component: l.Component, Weight: l.Weight})
 			}
-			rdb.prov = prov
 		}
-		dbs = append(dbs, rdb)
+		persisted = append(persisted, prov)
 	}
 	if len(dbs) == 0 {
 		return errors.New("repro: save file contains no databases")
@@ -270,8 +259,6 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		for _, r := range dbs {
 			if keep(r.name) {
 				scope[r.name] = true
-			} else {
-				r.db = nil
 			}
 		}
 		if len(scope) == 0 {
@@ -279,21 +266,22 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		}
 	}
 
-	classified := make([]core.Classified, len(dbs))
-	for i, r := range dbs {
-		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
-	}
-	cats := core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, r := range dbs {
-		r.shrunk = core.Shrink(cats, classified[i], core.ShrinkOptions{Metrics: m.reg})
-	}
-	m.dbs = dbs
-	m.cats = cats
-	m.global = cats.Summary(hierarchy.Root)
-	m.scope = scope
-	m.built = true
-	// The summaries every cached selection was computed from are gone;
-	// stale entries must not outlive them.
-	m.InvalidateCaches()
-	return nil
+	return m.update(func(cur *store) (*store, error) {
+		// Databases already registered with live handles keep them when
+		// the loaded state names them: a deployment can dial its remote
+		// nodes, then Load offline-built summaries, and Search
+		// immediately.
+		for _, r := range dbs {
+			if live := cur.byName[r.name]; live != nil && (scope == nil || scope[r.name]) {
+				r.db = live.db
+			}
+		}
+		st := m.deriveStore(dbs, scope, m.seedLexicon(), nil)
+		// The persisted provenance is that of the deployed summaries,
+		// even though the EM re-run above converges equally.
+		for i, r := range dbs {
+			r.prov = persisted[i]
+		}
+		return st, nil
+	})
 }

@@ -62,22 +62,18 @@ type selEntry struct {
 // a hit skips the entire adaptive-selection path (scoring every
 // candidate plus the per-database Monte-Carlo uncertainty estimate); a
 // miss runs selectExplained once, with concurrent identical misses
-// collapsed onto that one run. The returned slices are shared with the
-// cache and must not be modified.
-func (m *Metasearcher) selectCached(ctx context.Context, parent *telemetry.Span, query string, k int) (sels []Selection, ex *selectionExplain, hit bool, err error) {
-	if m.selCache == nil {
-		sels, ex, err = m.selectExplained(parent, query, k)
-		return sels, ex, false, err
-	}
-	terms := m.analyze(query)
-	if len(terms) == 0 {
-		// Not cacheable; selectExplained produces the canonical error.
-		sels, ex, err = m.selectExplained(parent, query, k)
+// collapsed onto that one run. terms are the analyzed query. The
+// returned slices are shared with the cache and must not be modified.
+func (m *Metasearcher) selectCached(ctx context.Context, parent *telemetry.Span, terms []string, k int) (sels []Selection, ex *selectionExplain, hit bool, err error) {
+	if m.selCache == nil || len(terms) == 0 {
+		// Uncached, or not cacheable: selectExplained produces the
+		// canonical no-terms error.
+		sels, ex, err = m.selectExplained(parent, terms, k)
 		return sels, ex, false, err
 	}
 	key := selectionKey(terms, m.scorerKey(), k)
 	v, hit, _, err := m.selCache.Do(ctx, key, func() (interface{}, error) {
-		s, e, err := m.selectExplained(parent, query, k)
+		s, e, err := m.selectExplained(parent, terms, k)
 		if err != nil {
 			return nil, err
 		}

@@ -6,24 +6,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/freqest"
-	"repro/internal/hierarchy"
-	"repro/internal/sampling"
 	"repro/internal/summary"
 	"repro/internal/telemetry"
-	"repro/internal/zipf"
 )
 
 // This file implements refresh.Target: the hooks the background
 // summary-refresh manager (internal/refresh) uses to keep content
 // summaries tracking the live collections. The split of labor: the
 // manager owns scheduling, drift decisions, and observability; the
-// metasearcher owns sampling and the atomic swap, because only it knows
-// the build pipeline and holds the lock the serving path reads under.
+// metasearcher owns sampling and the swap, because only it knows the
+// build pipeline and how a new summary store is published (store.go).
 
 // RefreshableDatabases lists the databases the refresh manager may
 // re-sample: those with a live connection, within this process's search
@@ -31,29 +25,22 @@ import (
 // shard's nodes would fork the collection-wide statistics the cluster
 // merge identity rests on), sorted by name.
 func (m *Metasearcher) RefreshableDatabases() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	st := m.state.Load()
 	var out []string
-	for _, r := range m.dbs {
-		if r.db == nil {
-			continue
+	for _, r := range st.dbs {
+		if r.db != nil && (st.scope == nil || st.scope[r.name]) {
+			out = append(out, r.name)
 		}
-		if m.scope != nil && !m.scope[r.name] {
-			continue
-		}
-		out = append(out, r.name)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // StoredSummary returns a database's current unshrunk content summary.
-// Summaries are immutable once built (a rebuild swaps in a new one), so
-// the returned pointer is safe to read without the metasearcher's lock.
+// Summaries are immutable once built (a rebuild publishes a new one), so
+// the returned pointer is safe to read indefinitely.
 func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r := m.findLocked(name)
+	r := m.state.Load().byName[name]
 	if r == nil {
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
@@ -70,33 +57,24 @@ func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
 // pipeline's seed, so the resample is an independent draw from the
 // node's contents while staying deterministic run to run.
 func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs int) (*summary.Summary, error) {
-	m.mu.Lock()
-	r := m.findLocked(name)
+	st := m.state.Load()
+	r := st.byName[name]
 	if r == nil {
-		m.mu.Unlock()
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
-	db := r.db
-	lexicon := m.refreshLexiconLocked()
-	m.mu.Unlock()
-	if db == nil {
+	if r.db == nil {
 		return nil, fmt.Errorf("repro: database %q has no live connection", name)
+	}
+	if !st.built {
+		return nil, errors.New("repro: BuildSummaries has not been run")
 	}
 	if docs <= 0 {
 		docs = 50
 	}
-
 	span := m.tracer.Span("refresh.resample",
 		telemetry.String("db", name), telemetry.Int("docs", docs))
 	defer span.End()
-	sctx := telemetry.ContextWithSpan(ctx, span)
-	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: db, ctx: sctx}, sampling.QBSConfig{
-		TargetDocs:  docs,
-		SeedLexicon: lexicon,
-		Seed:        refreshSeed(m.opts.Seed, name),
-		Span:        span,
-		Metrics:     m.reg,
-	})
+	sample, err := m.sampleQBS(m.searcher(ctx, span, r.db), span, st.lexicon, docs, refreshSeed(m.opts.Seed, name))
 	if err != nil {
 		return nil, fmt.Errorf("resampling %s: %w", name, err)
 	}
@@ -105,124 +83,50 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 
 // RebuildSummary re-samples one database at full build size and swaps
 // the result into the serving state: the node's unshrunk summary is
-// replaced, the category summaries it feeds are recomputed, every
-// database is re-shrunk against them (shrinkage ancestors share
-// statistics, so one node's drift moves its siblings' shrunk summaries
-// too), and both query-cache tiers are invalidated. Sampling — the slow,
-// latency-bound part — runs outside the metasearcher's lock, so queries
-// keep serving from the old state until the swap; the swap itself holds
-// the lock exactly as BuildSummaries does, which is what makes it atomic
-// under traffic. The database keeps its assigned category: contents
-// drift, classification is re-probed only by a full offline rebuild.
+// replaced and everything derived from the summary set is recomputed
+// (deriveStore) into a new store, published with the cache-generation
+// bump. Queries keep serving from the old store until then — the
+// sampling, the slow, latency-bound part, blocks only other writers —
+// and a query sees either the old store or the new one whole, never a
+// mixture of old and new statistics. The database keeps its assigned
+// category: contents drift, classification is re-probed only by a full
+// offline rebuild.
 func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
-	m.mu.Lock()
-	if !m.built {
-		m.mu.Unlock()
-		return errors.New("repro: BuildSummaries has not been run")
-	}
-	var idx int
-	r := m.findLocked(name)
-	for i, d := range m.dbs {
-		if d.name == name {
-			idx = i
+	return m.update(func(cur *store) (*store, error) {
+		if !cur.built {
+			return nil, errors.New("repro: BuildSummaries has not been run")
 		}
-	}
-	if r == nil {
-		m.mu.Unlock()
-		return fmt.Errorf("repro: unknown database %q", name)
-	}
-	db := r.db
-	lexicon := m.refreshLexiconLocked()
-	m.mu.Unlock()
-	if db == nil {
-		return fmt.Errorf("repro: database %q has no live connection", name)
-	}
+		dbs := make([]*registeredDB, len(cur.dbs))
+		idx := -1
+		for i, d := range cur.dbs {
+			r := *d
+			dbs[i] = &r
+			if d.name == name {
+				idx = i
+			}
+		}
+		if idx < 0 {
+			return nil, fmt.Errorf("repro: unknown database %q", name)
+		}
+		r := dbs[idx]
+		if r.db == nil {
+			return nil, fmt.Errorf("repro: database %q has no live connection", name)
+		}
 
-	t0 := time.Now()
-	span := m.tracer.Span("refresh.rebuild", telemetry.String("db", name))
-	defer span.End()
-	sctx := telemetry.ContextWithSpan(ctx, span)
-	sample, err := sampling.QBS(sctx, &dbSearcher{m: m, db: db, ctx: sctx}, sampling.QBSConfig{
-		TargetDocs:  m.opts.SampleSize,
-		SeedLexicon: lexicon,
-		Seed:        refreshSeed(m.opts.Seed+int64(idx), name),
-		Span:        span,
-		Metrics:     m.reg,
+		t0 := time.Now()
+		span := m.tracer.Span("refresh.rebuild", telemetry.String("db", name))
+		defer span.End()
+		sample, err := m.sampleQBS(m.searcher(ctx, span, r.db), span, cur.lexicon, m.opts.SampleSize, refreshSeed(m.opts.Seed+int64(idx), name))
+		if err != nil {
+			return nil, fmt.Errorf("rebuild sampling %s: %w", name, err)
+		}
+		m.summarizeSample(r, sample)
+		st := m.deriveStore(dbs, cur.scope, cur.lexicon, nil)
+		m.logInfo("summary rebuilt after drift",
+			"db", name, "docs", len(sample.Docs), "vocab", r.unshrunk.Len(),
+			"elapsed", time.Since(t0))
+		return st, nil
 	})
-	if err != nil {
-		return fmt.Errorf("rebuild sampling %s: %w", name, err)
-	}
-	raw := summary.FromSample(sample.Docs)
-	est, errFit := freqest.FitCheckpoints(sample.Checkpoints)
-	size, errSize := freqest.EstimateSize(sample, raw)
-	if errFit != nil || errSize != nil {
-		size = raw.NumDocs
-	}
-	unshrunk := raw
-	if !m.opts.DisableFrequencyEstimation && errFit == nil {
-		unshrunk = freqest.Apply(raw, est, size)
-	}
-	gamma := zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
-
-	// The swap: recompute everything derived from the summary set under
-	// the lock, then stale both cache tiers so no query serves a ranking
-	// mixing old and new statistics.
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r = m.findLocked(name)
-	if r == nil {
-		return fmt.Errorf("repro: database %q disappeared during rebuild", name)
-	}
-	r.unshrunk = unshrunk
-	r.sampleLen = raw.SampleSize
-	r.sizeEst = size
-	r.gamma = gamma
-	if r.prov == nil {
-		r.prov = &BuildTelemetry{}
-	}
-	r.prov.SampleQueries = sample.Queries
-	if strings.EqualFold(m.opts.Scorer, "redde") {
-		r.sampleDocs = sample.Docs
-	}
-	classified := make([]core.Classified, len(m.dbs))
-	for i, d := range m.dbs {
-		classified[i] = core.Classified{Name: d.name, Category: d.assigned, Sum: d.unshrunk}
-	}
-	m.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, d := range m.dbs {
-		d.shrunk = core.Shrink(m.cats, classified[i], core.ShrinkOptions{Metrics: m.reg})
-		if d.prov != nil {
-			d.prov.EMIterations = d.shrunk.EMIterations()
-			d.prov.Lambdas = d.shrunk.Lambdas()
-		}
-	}
-	m.global = m.cats.Summary(hierarchy.Root)
-	m.InvalidateCaches()
-	m.logInfo("summary rebuilt after drift",
-		"db", name, "docs", len(sample.Docs), "vocab", raw.Len(),
-		"elapsed", time.Since(t0))
-	return nil
-}
-
-// findLocked returns the registered database by name; m.mu must be
-// held.
-func (m *Metasearcher) findLocked(name string) *registeredDB {
-	for _, r := range m.dbs {
-		if r.name == name {
-			return r
-		}
-	}
-	return nil
-}
-
-// refreshLexiconLocked resolves the QBS bootstrap lexicon exactly as
-// BuildSummariesContext does; m.mu must be held.
-func (m *Metasearcher) refreshLexiconLocked() []string {
-	if m.opts.SeedLexicon != nil {
-		return m.opts.SeedLexicon
-	}
-	lexicon := defaultLexicon()
-	return append(lexicon, m.training.TopWords(300)...)
 }
 
 // refreshSeed derives a refresh sampler's seed: the configured base

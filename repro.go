@@ -39,16 +39,13 @@ import (
 	"repro/internal/cache"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/freqest"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
-	"repro/internal/summary"
 	"repro/internal/telemetry"
 	"repro/internal/textproc"
-	"repro/internal/zipf"
 )
 
 // SearchableDatabase is the interface a remote text database must
@@ -95,9 +92,6 @@ type Options struct {
 	// estimates relevant-document counts; it bypasses the shrinkage
 	// machinery and retains the raw samples in memory).
 	Scorer string
-	// FrequencyEstimation enables the Appendix A absolute-frequency
-	// refinement (default true; set DisableFrequencyEstimation to turn off).
-	DisableFrequencyEstimation bool
 	// Adaptive applies shrinkage per query/database only under score
 	// uncertainty (default true; set UniversalShrinkage to always use
 	// shrunk summaries instead).
@@ -201,36 +195,22 @@ type ResilienceOptions struct {
 	// HedgeAfter is the latency threshold past which a node call is
 	// hedged with a second identical request (first success wins, loser
 	// cancelled). 0 = auto: the observed p95 of recent wire requests
-	// (wire_request_latency_window), floored at HedgeFloor. Negative
+	// (wire_request_latency_window), floored at hedgeFloor. Negative
 	// disables hedging.
 	HedgeAfter time.Duration
-	// HedgeFloor is the minimum auto-derived hedge threshold (default
-	// 250ms): with too few observations the p95 is noise, and hedging
-	// below the floor would double traffic for no tail to cut.
-	HedgeFloor time.Duration
-	// Concurrency bounds how many node queries run at once (0 = all
-	// selected databases in parallel).
-	Concurrency int
 	// DisableBreakers turns the per-node circuit breakers off: every
 	// selected database is always tried.
 	DisableBreakers bool
-	// DisableRetryBudget turns the cluster-wide retry/hedge budget off:
-	// retries and hedges launch whenever their own logic wants them,
-	// with no cap on amplification.
-	DisableRetryBudget bool
-	// RetryBudgetRatio is the fraction of recent successful volume that
-	// may be spent on retries and hedges (default 0.2);
-	// RetryBudgetBurst is the bucket's cap and starting balance
-	// (default 10). See resilience.BudgetOptions.
-	RetryBudgetRatio float64
-	RetryBudgetBurst float64
 	// Breaker tuning (zero values select the resilience package
-	// defaults: window 20, threshold 0.5, min samples 3, cooldown 5s).
-	BreakerWindow           int
-	BreakerFailureThreshold float64
-	BreakerMinSamples       int
-	BreakerCooldown         time.Duration
+	// defaults: min samples 3, cooldown 5s).
+	BreakerMinSamples int
+	BreakerCooldown   time.Duration
 }
+
+// hedgeFloor is the minimum auto-derived hedge threshold: with too few
+// observations the p95 is noise, and hedging below the floor would
+// double traffic for no tail to cut.
+const hedgeFloor = 250 * time.Millisecond
 
 // CategorySpec mirrors a topic-hierarchy node for Options.
 type CategorySpec struct {
@@ -274,53 +254,25 @@ type Selection struct {
 }
 
 // Metasearcher is the end-to-end system of the paper. Methods are safe
-// for concurrent use after BuildSummaries has returned.
+// for concurrent use: queries read the published summary store without
+// locking while a rebuild, load, or topology swap prepares the next one
+// (see store.go).
 type Metasearcher struct {
 	opts     Options
 	tree     *hierarchy.Tree
 	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
-	logger   *slog.Logger    // nil = logging disabled
+	logger   *slog.Logger       // nil = logging disabled
 	audit    *audit.Log         // nil = query auditing disabled
 	breakers *resilience.Set    // nil = breakers disabled
-	budget   *resilience.Budget // nil = retry/hedge budget disabled
+	budget   *resilience.Budget // process-wide retry/hedge budget
 	selCache *cache.Cache       // selection tier; nil = caching disabled
 	resCache *cache.Cache       // merged-result tier; nil = caching disabled
 
 	proberMu sync.Mutex
 	prober   *resilience.Prober // live health prober; retargeted on topology swaps
 
-	mu       sync.Mutex
-	training *classify.TrainingSet
-	dbs      []*registeredDB
-	// scope, when non-nil, is the set of database names this process
-	// actually queries during Search (a cluster shard's slice). Every
-	// database still participates in selection — the shrinkage and
-	// scoring statistics are collection-wide — but out-of-scope fan-out
-	// is skipped. Nil means unscoped (query everything). Set by
-	// LoadFiltered.
-	scope map[string]bool
-
-	// built state
-	classifier *classify.Classifier
-	cats       *core.CategorySummaries
-	global     *summary.Summary
-	built      bool
-}
-
-type registeredDB struct {
-	name       string
-	db         SearchableDatabase // nil when state was loaded from disk
-	category   hierarchy.NodeID   // classification to use; -1 = probe
-	fixedCat   bool
-	unshrunk   *summary.Summary
-	shrunk     *core.ShrunkSummary
-	assigned   hierarchy.NodeID
-	sizeEst    float64
-	gamma      float64
-	sampleLen  int
-	sampleDocs [][]string      // retained only for the ReDDE scorer
-	prov       *BuildTelemetry // how the summary was built (persisted)
+	published // the summary store and its writers' state (store.go)
 }
 
 // BuildTelemetry records the provenance of one database's content
@@ -361,19 +313,9 @@ func New(opts Options) *Metasearcher {
 	var breakers *resilience.Set
 	if !opts.Resilience.DisableBreakers {
 		breakers = resilience.NewSet(resilience.BreakerOptions{
-			Window:           opts.Resilience.BreakerWindow,
-			FailureThreshold: opts.Resilience.BreakerFailureThreshold,
-			MinSamples:       opts.Resilience.BreakerMinSamples,
-			Cooldown:         opts.Resilience.BreakerCooldown,
+			MinSamples: opts.Resilience.BreakerMinSamples,
+			Cooldown:   opts.Resilience.BreakerCooldown,
 		}, reg)
-	}
-	var budget *resilience.Budget
-	if !opts.Resilience.DisableRetryBudget {
-		budget = resilience.NewBudget(resilience.BudgetOptions{
-			Ratio:   opts.Resilience.RetryBudgetRatio,
-			Burst:   opts.Resilience.RetryBudgetBurst,
-			Metrics: reg,
-		})
 	}
 	m := &Metasearcher{
 		opts:     opts,
@@ -383,9 +325,11 @@ func New(opts Options) *Metasearcher {
 		logger:   opts.Logger,
 		audit:    alog,
 		breakers: breakers,
-		budget:   budget,
-		training: &classify.TrainingSet{},
+		budget:   resilience.NewBudget(resilience.BudgetOptions{Metrics: reg}),
+
+		published: published{training: &classify.TrainingSet{}},
 	}
+	m.state.Store(newStore(nil, nil))
 	if !opts.Cache.Disable {
 		m.selCache = cache.New(cache.Options{
 			Name:     "selection_cache",
@@ -430,21 +374,18 @@ func (m *Metasearcher) Breakers() *resilience.Set { return m.breakers }
 // RetryBudget returns the process-wide retry/hedge budget. Pass it to
 // the wire clients of remote databases (RemoteDatabaseOptions.Budget)
 // so their retries draw from the same bucket as the fan-out's hedges.
-// Nil when Options.Resilience.DisableRetryBudget is set — and every
-// resilience.Budget method is nil-safe, so callers need no guard.
 func (m *Metasearcher) RetryBudget() *resilience.Budget { return m.budget }
 
 // SearchScope returns the database names this process queries during
 // Search (sorted), or nil when unscoped — i.e. when it is not a
 // cluster shard restricted by LoadFiltered.
 func (m *Metasearcher) SearchScope() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.scope == nil {
+	scope := m.state.Load().scope
+	if scope == nil {
 		return nil
 	}
-	out := make([]string, 0, len(m.scope))
-	for name := range m.scope {
+	out := make([]string, 0, len(scope))
+	for name := range scope {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -465,9 +406,7 @@ func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
 	if m.breakers == nil {
 		return func() {}
 	}
-	m.mu.Lock()
-	targets := m.probeTargetsLocked()
-	m.mu.Unlock()
+	targets := m.state.Load().probeTargets()
 	if len(targets) == 0 {
 		return func() {}
 	}
@@ -489,64 +428,32 @@ func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
 	}
 }
 
-// probeTargetsLocked derives the current probe-target list from the
-// registered databases (m.mu held). Called at prober start and again
-// after every topology swap, so swapped-in replicas are probed and
-// swapped-out ones are not.
-func (m *Metasearcher) probeTargetsLocked() []resilience.ProbeTarget {
-	var targets []resilience.ProbeTarget
-	for _, r := range m.dbs {
-		switch db := r.db.(type) {
-		case *RemoteDatabase:
-			targets = append(targets, resilience.ProbeTarget{
-				Name: r.name,
-				Ping: db.Ping,
-			})
-		case *ReplicatedDatabase:
-			targets = append(targets, resilience.ProbeTarget{
-				Name: r.name,
-				Ping: db.Ping,
-			})
-			targets = append(targets, db.ProbeTargets()...)
-		}
-	}
-	return targets
-}
-
-// refreshProbeTargets re-derives the prober's target list (no-op when
-// no prober is running).
+// refreshProbeTargets re-derives the prober's target list after a
+// topology swap, so swapped-in replicas are probed and swapped-out ones
+// are not (no-op when no prober is running).
 func (m *Metasearcher) refreshProbeTargets() {
 	m.proberMu.Lock()
 	p := m.prober
 	m.proberMu.Unlock()
-	if p == nil {
-		return
+	if p != nil {
+		p.SetTargets(m.state.Load().probeTargets())
 	}
-	m.mu.Lock()
-	targets := m.probeTargetsLocked()
-	m.mu.Unlock()
-	p.SetTargets(targets)
 }
 
 // hedgeThreshold resolves the hedge-latency threshold for one search:
 // the configured HedgeAfter, or (when 0) the observed p95 of recent
-// wire requests floored at HedgeFloor. Negative disables hedging.
+// wire requests floored at hedgeFloor. Negative disables hedging.
 func (m *Metasearcher) hedgeThreshold() time.Duration {
-	r := m.opts.Resilience
-	if r.HedgeAfter != 0 {
-		if r.HedgeAfter < 0 {
+	if after := m.opts.Resilience.HedgeAfter; after != 0 {
+		if after < 0 {
 			return 0
 		}
-		return r.HedgeAfter
-	}
-	floor := r.HedgeFloor
-	if floor <= 0 {
-		floor = 250 * time.Millisecond
+		return after
 	}
 	p95 := m.reg.Window("wire_request_latency_window", 0).Quantile(0.95)
 	d := time.Duration(p95 * float64(time.Second))
-	if d < floor {
-		return floor
+	if d < hedgeFloor {
+		return hedgeFloor
 	}
 	return d
 }
@@ -679,13 +586,16 @@ func (m *Metasearcher) Train(category string, docs []string) error {
 	if !ok {
 		return fmt.Errorf("repro: unknown category %q", category)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, d := range docs {
-		m.training.Add(id, m.analyze(d))
+	analyzed := make([][]string, len(docs))
+	for i, d := range docs {
+		analyzed[i] = m.analyze(d)
 	}
-	m.built = false
-	return nil
+	return m.update(func(cur *store) (*store, error) {
+		for _, d := range analyzed {
+			m.training.Add(id, d)
+		}
+		return newStore(cur.dbs, cur.scope), nil
+	})
 }
 
 // AddDatabase registers a database. category may name a hierarchy node
@@ -702,16 +612,12 @@ func (m *Metasearcher) AddDatabase(db SearchableDatabase, category string) error
 		r.category = id
 		r.fixedCat = true
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, existing := range m.dbs {
-		if existing.name == db.Name() {
-			return fmt.Errorf("repro: database %q already registered", db.Name())
+	return m.update(func(cur *store) (*store, error) {
+		if cur.byName[r.name] != nil {
+			return nil, fmt.Errorf("repro: database %q already registered", r.name)
 		}
-	}
-	m.dbs = append(m.dbs, r)
-	m.built = false
-	return nil
+		return newStore(append(cur.dbs[:len(cur.dbs):len(cur.dbs)], r), cur.scope), nil
+	})
 }
 
 // analyze runs the configured text pipeline.
@@ -744,151 +650,103 @@ func (m *Metasearcher) BuildSummaries() error {
 // BuildSummariesContext is BuildSummaries under a context. Cancelling
 // ctx aborts the build: samplers stop between probes, and databases
 // implementing ContextSearchableDatabase have their in-flight remote
-// calls cancelled too.
+// calls cancelled too. Queries keep being answered from the previous
+// summaries until the build publishes; a build that fails part-way
+// publishes nothing.
 func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.dbs) == 0 {
-		return errors.New("repro: no databases registered")
-	}
-	t0 := time.Now()
-	buildSpan := m.tracer.Span("build", telemetry.Int("databases", len(m.dbs)))
-	defer buildSpan.End()
-	defer m.reg.Histogram("build_latency", nil).ObserveSince(t0)
-	m.reg.Counter("build_runs_total").Inc()
-	m.reg.Gauge("build_databases").Set(float64(len(m.dbs)))
-
-	needProbing := false
-	for _, r := range m.dbs {
-		if !r.fixedCat {
-			needProbing = true
+	return m.update(func(cur *store) (*store, error) {
+		if len(cur.dbs) == 0 {
+			return nil, errors.New("repro: no databases registered")
 		}
-	}
-	useFPS := strings.EqualFold(m.opts.Sampler, "fps")
-	if needProbing || useFPS {
-		if m.training.Len() == 0 {
-			return errors.New("repro: probe classification requires Train examples")
-		}
-		cls, err := classify.Train(m.tree, m.training, classify.Options{})
-		if err != nil {
-			return err
-		}
-		m.classifier = cls
-	}
+		t0 := time.Now()
+		buildSpan := m.tracer.Span("build", telemetry.Int("databases", len(cur.dbs)))
+		defer buildSpan.End()
+		defer m.reg.Histogram("build_latency", nil).ObserveSince(t0)
+		m.reg.Counter("build_runs_total").Inc()
+		m.reg.Gauge("build_databases").Set(float64(len(cur.dbs)))
 
-	lexicon := m.opts.SeedLexicon
-	if lexicon == nil {
-		// Bootstrap words: the built-in common-English list plus the
-		// most frequent training-set words, which provably occur in
-		// on-topic text.
-		lexicon = defaultLexicon()
-		lexicon = append(lexicon, m.training.TopWords(300)...)
-	}
-
-	if useFPS && m.classifier == nil {
-		return errors.New("repro: FPS requires Train examples")
-	}
-
-	// buildOne samples and summarizes one database. Each database's
-	// randomness is derived from its own seed, so results are identical
-	// under any Parallelism setting. Sampling a remote database is
-	// latency-bound, which is where the concurrency pays off.
-	buildOne := func(i int) error {
-		r := m.dbs[i]
-		var sample *sampling.Sample
-		var probed hierarchy.NodeID
-		var err error
-		samplerName := "qbs"
-		if useFPS {
-			samplerName = "fps"
-		}
-		sampleSpan := buildSpan.Child("sample",
-			telemetry.String("db", r.name), telemetry.String("sampler", samplerName))
-		// Remote probes issued under sctx carry the build trace on the
-		// wire, so a dbnode's sampling-time spans join this build's trace.
-		sctx := telemetry.ContextWithSpan(ctx, sampleSpan)
-		searcher := &dbSearcher{m: m, db: r.db, ctx: sctx}
-		if useFPS {
-			sample, probed, err = sampling.FPS(sctx, searcher, sampling.FPSConfig{
-				Classifier: m.classifier,
-				Span:       sampleSpan,
-				Metrics:    m.reg,
-			})
-			sampleSpan.End(queriesDocsAttrs(sample)...)
-		} else {
-			sample, err = sampling.QBS(sctx, searcher, sampling.QBSConfig{
-				TargetDocs:  m.opts.SampleSize,
-				SeedLexicon: lexicon,
-				Seed:        m.opts.Seed + int64(i),
-				Span:        sampleSpan,
-				Metrics:     m.reg,
-			})
-			sampleSpan.End(queriesDocsAttrs(sample)...)
-			if err == nil && !r.fixedCat {
-				classifySpan := buildSpan.Child("classify", telemetry.String("db", r.name))
-				probed = m.classifier.ClassifyTraced(searcher, classifySpan, m.reg)
-				classifySpan.End(telemetry.String("category", m.tree.PathString(probed)))
+		needProbing := false
+		for _, r := range cur.dbs {
+			if !r.fixedCat {
+				needProbing = true
 			}
 		}
-		if err != nil {
-			return fmt.Errorf("sampling %s: %w", r.name, err)
+		var classifier *classify.Classifier
+		if needProbing || m.useFPS() {
+			if m.training.Len() == 0 {
+				return nil, errors.New("repro: probe classification requires Train examples")
+			}
+			var err error
+			if classifier, err = classify.Train(m.tree, m.training, classify.Options{}); err != nil {
+				return nil, err
+			}
 		}
+		lexicon := m.seedLexicon()
 
-		raw := summary.FromSample(sample.Docs)
-		r.sampleLen = raw.SampleSize
-		r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
-		m.reg.Gauge("sampling_vocab_size").Set(float64(raw.Len()))
-		m.logInfo("sampled database",
-			"db", r.name, "sampler", samplerName,
-			"queries", sample.Queries, "docs", len(sample.Docs), "vocab", raw.Len())
-		if strings.EqualFold(m.opts.Scorer, "redde") {
-			r.sampleDocs = sample.Docs
-		}
-		est, errFit := freqest.FitCheckpoints(sample.Checkpoints)
-		size, errSize := freqest.EstimateSize(sample, raw)
-		if errFit != nil || errSize != nil {
-			size = raw.NumDocs
-		}
-		r.sizeEst = size
-		r.gamma = zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
-		if !m.opts.DisableFrequencyEstimation && errFit == nil {
-			r.unshrunk = freqest.Apply(raw, est, size)
-		} else {
-			r.unshrunk = raw
-		}
-		if r.fixedCat {
-			r.assigned = r.category
-		} else {
-			r.assigned = probed
-		}
-		return nil
-	}
-	if err := forEachConcurrently(len(m.dbs), m.opts.Parallelism, m.reg, buildOne); err != nil {
-		return err
-	}
-
-	classified := make([]core.Classified, len(m.dbs))
-	for i, r := range m.dbs {
-		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
-	}
-	m.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	for i, r := range m.dbs {
-		shrinkSpan := buildSpan.Child("shrink", telemetry.String("db", r.name))
-		r.shrunk = core.Shrink(m.cats, classified[i], core.ShrinkOptions{
-			Span:    shrinkSpan,
-			Metrics: m.reg,
+		// Each database's randomness is derived from its own seed, so
+		// results are identical under any Parallelism setting. Sampling a
+		// remote database is latency-bound, which is where the
+		// concurrency pays off.
+		dbs := make([]*registeredDB, len(cur.dbs))
+		err := forEachConcurrently(len(dbs), m.opts.Parallelism, m.reg, func(i int) (err error) {
+			dbs[i], err = m.sampleDatabase(ctx, buildSpan, cur.dbs[i], m.opts.Seed+int64(i), classifier, lexicon)
+			return err
 		})
-		shrinkSpan.End(telemetry.Int("em_iterations", r.shrunk.EMIterations()))
-		r.prov.EMIterations = r.shrunk.EMIterations()
-		r.prov.Lambdas = r.shrunk.Lambdas()
+		if err != nil {
+			return nil, err
+		}
+		st := m.deriveStore(dbs, cur.scope, lexicon, buildSpan)
+		m.logInfo("summaries built", "databases", len(dbs), "elapsed", time.Since(t0))
+		return st, nil
+	})
+}
+
+func (m *Metasearcher) useFPS() bool { return strings.EqualFold(m.opts.Sampler, "fps") }
+
+// sampleDatabase is the per-database offline stage: sample reg's
+// database (QBS, or FPS which classifies as it samples), classify it by
+// probing unless its category was given, and summarize the sample. It
+// returns a fresh entry; reg is not modified.
+func (m *Metasearcher) sampleDatabase(ctx context.Context, buildSpan *telemetry.Span, reg *registeredDB, seed int64, classifier *classify.Classifier, lexicon []string) (*registeredDB, error) {
+	r := *reg
+	samplerName := "qbs"
+	if m.useFPS() {
+		samplerName = "fps"
 	}
-	m.global = m.cats.Summary(hierarchy.Root)
-	m.built = true
-	// Fresh summaries: any cached selection or result was derived from
-	// the previous ones and must not outlive them.
-	m.InvalidateCaches()
-	m.logInfo("summaries built", "databases", len(m.dbs), "elapsed", time.Since(t0))
-	return nil
+	sampleSpan := buildSpan.Child("sample",
+		telemetry.String("db", r.name), telemetry.String("sampler", samplerName))
+	searcher := m.searcher(ctx, sampleSpan, r.db)
+	var sample *sampling.Sample
+	var probed hierarchy.NodeID
+	var err error
+	if m.useFPS() {
+		sample, probed, err = sampling.FPS(searcher.ctx, searcher, sampling.FPSConfig{
+			Classifier: classifier,
+			Span:       sampleSpan,
+			Metrics:    m.reg,
+		})
+	} else {
+		sample, err = m.sampleQBS(searcher, sampleSpan, lexicon, m.opts.SampleSize, seed)
+	}
+	sampleSpan.End(queriesDocsAttrs(sample)...)
+	if err != nil {
+		return nil, fmt.Errorf("sampling %s: %w", r.name, err)
+	}
+	if !m.useFPS() && !r.fixedCat {
+		classifySpan := buildSpan.Child("classify", telemetry.String("db", r.name))
+		probed = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
+		classifySpan.End(telemetry.String("category", m.tree.PathString(probed)))
+	}
+	m.summarizeSample(&r, sample)
+	m.reg.Gauge("sampling_vocab_size").Set(float64(r.unshrunk.Len()))
+	m.logInfo("sampled database",
+		"db", r.name, "sampler", samplerName,
+		"queries", sample.Queries, "docs", len(sample.Docs), "vocab", r.unshrunk.Len())
+	r.assigned = probed
+	if r.fixedCat {
+		r.assigned = r.category
+	}
+	return &r, nil
 }
 
 // queriesDocsAttrs annotates a sample span's end event (nil-tolerant:
@@ -921,7 +779,7 @@ func (m *Metasearcher) scorer() selection.Scorer {
 // for the same terms, scorer, and k are served from the selection cache
 // until the summaries change (see CacheConfig).
 func (m *Metasearcher) Select(query string, k int) ([]Selection, error) {
-	sels, _, _, err := m.selectCached(context.Background(), nil, query, k)
+	sels, _, _, err := m.selectCached(context.Background(), nil, m.analyze(query), k)
 	if err != nil {
 		return nil, err
 	}
@@ -939,18 +797,17 @@ type selectionExplain struct {
 	candidates []audit.Candidate
 }
 
-// selectExplained is selectSpanned plus the audit evidence: the
-// analyzed terms, the scorer used, and one audit.Candidate per
-// registered database (in registration order) carrying the score,
-// the shrinkage verdict with its Monte-Carlo statistics, and — when
-// shrinkage fired — the λ mixture the shrunk summary was built with.
-func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k int) ([]Selection, *selectionExplain, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.built {
+// selectExplained is the online selection stage (Figure 3) over one
+// loaded store, with its audit evidence: the analyzed terms, the scorer
+// used, and one audit.Candidate per registered database (in
+// registration order) carrying the score, the shrinkage verdict with
+// its Monte-Carlo statistics, and — when shrinkage fired — the λ
+// mixture the shrunk summary was built with.
+func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k int) ([]Selection, *selectionExplain, error) {
+	st := m.state.Load()
+	if !st.built {
 		return nil, nil, errors.New("repro: BuildSummaries has not been run")
 	}
-	terms := m.analyze(query)
 	if len(terms) == 0 {
 		return nil, nil, errors.New("repro: query has no indexable terms")
 	}
@@ -964,20 +821,29 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	defer m.reg.Histogram("select_latency", nil).ObserveSince(t0)
 	defer m.reg.Window("select_latency_window", 0).ObserveSince(t0)
 
-	if strings.EqualFold(m.opts.Scorer, "redde") {
-		out, err := m.selectReDDE(terms, k)
-		span.End(telemetry.Int("selected", len(out)))
-		if err != nil {
-			return nil, nil, err
+	if m.scorerKey() == "redde" {
+		// ReDDE (Si & Callan) ranks over the pooled sample documents —
+		// the selection baseline the paper names as future work to
+		// combine with shrinkage. It bypasses the summary machinery:
+		// audit evidence is the selected set's scores only (no shrinkage
+		// verdicts to explain).
+		if st.reddeErr != nil {
+			span.End(telemetry.Int("selected", 0))
+			return nil, nil, st.reddeErr
 		}
-		// ReDDE bypasses the summary machinery: audit evidence is the
-		// selected set's scores only (no shrinkage verdicts to explain).
+		ranked := st.redde.Rank(terms)
+		if k > len(ranked) {
+			k = len(ranked)
+		}
+		out := make([]Selection, 0, k)
 		ex := &selectionExplain{terms: terms, scorer: "ReDDE"}
-		for _, s := range out {
+		for _, r := range ranked[:k] {
+			out = append(out, Selection{Database: r.Name, Score: r.Score})
 			ex.candidates = append(ex.candidates, audit.Candidate{
-				Database: s.Database, Score: s.Score, Selected: true,
+				Database: r.Name, Score: r.Score, Selected: true,
 			})
 		}
+		span.End(telemetry.Int("selected", len(out)))
 		return out, ex, nil
 	}
 
@@ -985,36 +851,22 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	var ranked []selection.Ranked
 	var decisions []selection.Decision
 	if m.opts.UniversalShrinkage {
-		entries := make([]selection.Entry, len(m.dbs))
-		for i, r := range m.dbs {
-			entries[i] = selection.Entry{Name: r.name, View: r.shrunk}
-		}
-		ctx := selection.NewContext(terms, entries, m.global)
+		ctx := selection.NewContext(terms, st.shrunk, st.global)
 		var scores []float64
-		ranked, scores = selection.RankWithScores(base, terms, entries, ctx)
-		decisions = make([]selection.Decision, len(m.dbs))
-		m.reg.Counter("adaptive_shrinkage_applied_total").Add(int64(len(m.dbs)))
+		ranked, scores = selection.RankWithScores(base, terms, st.shrunk, ctx)
+		decisions = make([]selection.Decision, len(st.dbs))
+		m.reg.Counter("adaptive_shrinkage_applied_total").Add(int64(len(st.dbs)))
 		for i := range decisions {
 			decisions[i].Shrinkage = true
 			decisions[i].Score = scores[i]
 		}
 	} else {
-		adbs := make([]*selection.DB, len(m.dbs))
-		for i, r := range m.dbs {
-			adbs[i] = &selection.DB{
-				Name:     r.name,
-				Unshrunk: r.unshrunk,
-				Shrunk:   r.shrunk,
-				Gamma:    r.gamma,
-				Size:     int(r.sizeEst),
-			}
-		}
 		adaptive := &selection.Adaptive{Base: base, Opts: selection.AdaptiveOptions{
 			Seed:    m.opts.Seed,
 			Span:    span,
 			Metrics: m.reg,
 		}}
-		ranked, decisions = adaptive.Rank(terms, adbs, m.global)
+		ranked, decisions = adaptive.Rank(terms, st.adaptive, st.global)
 	}
 
 	if k > len(ranked) {
@@ -1033,9 +885,9 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	ex := &selectionExplain{
 		terms:      terms,
 		scorer:     base.Name(),
-		candidates: make([]audit.Candidate, len(m.dbs)),
+		candidates: make([]audit.Candidate, len(st.dbs)),
 	}
-	for i, r := range m.dbs {
+	for i, r := range st.dbs {
 		d := decisions[i]
 		c := audit.Candidate{
 			Database:  r.name,
@@ -1055,35 +907,6 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, query string, k i
 	}
 	span.End(telemetry.Int("selected", len(out)))
 	return out, ex, nil
-}
-
-// selectReDDE ranks with the ReDDE algorithm (Si & Callan) over the
-// pooled sample documents — the selection baseline the paper names as
-// future work to combine with shrinkage. Requires summaries built with
-// Options.Scorer == "redde" (so sample documents were retained) and a
-// metasearcher that was built (not loaded: Save does not persist raw
-// sample documents).
-func (m *Metasearcher) selectReDDE(terms []string, k int) ([]Selection, error) {
-	samples := make([]selection.ReDDESample, len(m.dbs))
-	for i, r := range m.dbs {
-		if r.sampleDocs == nil && r.sampleLen > 0 {
-			return nil, errors.New(`repro: ReDDE needs retained samples; build with Options.Scorer = "redde" (Load-ed state cannot be used)`)
-		}
-		samples[i] = selection.ReDDESample{Name: r.name, Docs: r.sampleDocs, Size: r.sizeEst}
-	}
-	redde, err := selection.NewReDDE(samples, 0)
-	if err != nil {
-		return nil, err
-	}
-	ranked := redde.Rank(terms)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	out := make([]Selection, 0, k)
-	for _, r := range ranked[:k] {
-		out = append(out, Selection{Database: r.Name, Score: r.Score})
-	}
-	return out, nil
 }
 
 // DatabaseInfo describes one registered database after BuildSummaries.
@@ -1107,43 +930,40 @@ type DatabaseInfo struct {
 
 // Info reports the built state of a database.
 func (m *Metasearcher) Info(name string) (DatabaseInfo, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, r := range m.dbs {
-		if r.name != name {
-			continue
-		}
-		if !m.built {
-			return DatabaseInfo{}, errors.New("repro: BuildSummaries has not been run")
-		}
-		info := DatabaseInfo{
-			Name:          name,
-			Category:      m.tree.PathString(r.assigned),
-			EstimatedSize: r.sizeEst,
-			SampleSize:    r.sampleLen,
-			SummaryWords:  r.unshrunk.Len(),
-		}
-		lambdas := r.shrunk.Lambdas()
-		if r.prov != nil {
-			info.SampleQueries = r.prov.SampleQueries
-			info.EMIterations = r.prov.EMIterations
-			// Prefer the persisted λ vector: it is the provenance of the
-			// deployed summaries even if a re-run would converge equally.
-			if len(r.prov.Lambdas) > 0 {
-				lambdas = r.prov.Lambdas
-			}
-		} else {
-			info.EMIterations = r.shrunk.EMIterations()
-		}
-		for _, l := range lambdas {
-			info.MixtureWeights = append(info.MixtureWeights, struct {
-				Component string
-				Weight    float64
-			}{l.Component, l.Weight})
-		}
-		return info, nil
+	st := m.state.Load()
+	r := st.byName[name]
+	if r == nil {
+		return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
 	}
-	return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
+	if !st.built {
+		return DatabaseInfo{}, errors.New("repro: BuildSummaries has not been run")
+	}
+	info := DatabaseInfo{
+		Name:          name,
+		Category:      m.tree.PathString(r.assigned),
+		EstimatedSize: r.sizeEst,
+		SampleSize:    r.sampleLen,
+		SummaryWords:  r.unshrunk.Len(),
+	}
+	lambdas := r.shrunk.Lambdas()
+	if r.prov != nil {
+		info.SampleQueries = r.prov.SampleQueries
+		info.EMIterations = r.prov.EMIterations
+		// Prefer the persisted λ vector: it is the provenance of the
+		// deployed summaries even if a re-run would converge equally.
+		if len(r.prov.Lambdas) > 0 {
+			lambdas = r.prov.Lambdas
+		}
+	} else {
+		info.EMIterations = r.shrunk.EMIterations()
+	}
+	for _, l := range lambdas {
+		info.MixtureWeights = append(info.MixtureWeights, struct {
+			Component string
+			Weight    float64
+		}{l.Component, l.Weight})
+	}
+	return info, nil
 }
 
 // dbSearcher adapts a SearchableDatabase to the internal sampling and

@@ -124,8 +124,8 @@ type SearchStages struct {
 // queries collapse onto a single upstream fan-out (singleflight) — each
 // still gets its own audit record and trace, flagged CacheHit or
 // Collapsed. The fan-out itself queries all selected databases in
-// parallel (bounded by Options.Resilience.Concurrency), each under the
-// shared deadline budget; slow nodes are hedged and persistently
+// parallel, each under the shared deadline budget; slow nodes are
+// hedged and persistently
 // failing nodes are short-circuited by their breakers. The merged
 // ranking is deterministic regardless of arrival order.
 func (m *Metasearcher) SearchExplained(ctx context.Context, query string, maxDBs, perDB int) (*SearchResponse, error) {
@@ -206,13 +206,13 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 		key := resultKey(selectionKey(terms, m.scorerKey(), maxDBs), perDB)
 		var v interface{}
 		v, hit, collapsed, err = m.resCache.Do(ctx, key, func() (interface{}, error) {
-			return m.searchUncached(ctx, span, query, maxDBs, perDB, obs)
+			return m.searchUncached(ctx, span, terms, maxDBs, perDB, obs)
 		})
 		if v != nil {
 			e = v.(*searchEntry)
 		}
 	} else {
-		e, err = m.searchUncached(ctx, span, query, maxDBs, perDB, obs)
+		e, err = m.searchUncached(ctx, span, terms, maxDBs, perDB, obs)
 	}
 	// A cache hit or collapsed query never ran this caller's fan-out
 	// (and so never narrated anything): replay the selection from the
@@ -314,12 +314,13 @@ type searchEntry struct {
 // selection cache), parallel fan-out, merge. It always returns a
 // non-nil entry carrying whatever evidence was gathered before a
 // failure, so failed queries still produce explanatory audit records.
-// The span stays open — the caller owns its lifecycle. obs, when
-// non-nil, narrates the search as it progresses (see SearchEvents).
-func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span, query string, maxDBs, perDB int, obs SearchEvents) (*searchEntry, error) {
+// The span stays open — the caller owns its lifecycle. terms are the
+// analyzed query; obs, when non-nil, narrates the search as it
+// progresses (see SearchEvents).
+func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span, terms []string, maxDBs, perDB int, obs SearchEvents) (*searchEntry, error) {
 	e := &searchEntry{}
 	tSel := time.Now()
-	sels, explain, selHit, err := m.selectCached(ctx, span, query, maxDBs)
+	sels, explain, selHit, err := m.selectCached(ctx, span, terms, maxDBs)
 	e.stages.Selection = time.Since(tSel).Seconds()
 	m.reg.Histogram("search_stage_selection_latency", nil).Observe(e.stages.Selection)
 	e.selCacheHit = selHit
@@ -342,16 +343,10 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		return e, nil
 	}
 
-	m.mu.Lock()
-	terms := m.analyze(query)
-	handles := make(map[string]SearchableDatabase, len(m.dbs))
-	for _, r := range m.dbs {
-		if r.db != nil {
-			handles[r.name] = r.db
-		}
-	}
-	scope := m.scope
-	m.mu.Unlock()
+	// The live handles and the shard scope, as of now: a topology swap
+	// publishes a new store, and this fan-out finishes on the handles it
+	// loaded here.
+	st := m.state.Load()
 
 	// Normalize selection scores to [0, 1] so the discounting is
 	// comparable across scorers.
@@ -376,27 +371,27 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		defer cancel()
 	}
 	hedgeAfter := m.hedgeThreshold()
-	workers := m.opts.Resilience.Concurrency
-	if workers <= 0 {
-		workers = len(sels)
-	}
 	outcomes := make([]nodeOutcome, len(sels))
 	em := newSearchEmitter(obs, sels, maxScore)
 	tFan := time.Now()
-	forEachCollect(len(sels), workers, m.reg, func(i int) {
+	forEachCollect(len(sels), len(sels), m.reg, func(i int) {
 		name := sels[i].Database
 		// A shard-scoped metasearcher ranks every database (selection
 		// needs the collection-wide statistics) but queries only its own
 		// slice; the databases it skips here are served by the shards
 		// that own them and merged back together by the router.
-		if scope != nil && !scope[name] {
+		if st.scope != nil && !st.scope[name] {
 			m.reg.Counter("search_out_of_scope_total").Inc()
 			span.Event("search.out_of_scope", telemetry.String("db", name))
 			outcomes[i] = nodeOutcome{call: audit.NodeCall{Database: name, OutOfScope: true}}
 			em.record(i, outcomes[i])
 			return
 		}
-		outcomes[i] = m.searchNode(fanCtx, span, handles[name], name, terms, perDB, hedgeAfter)
+		var db SearchableDatabase
+		if r := st.byName[name]; r != nil {
+			db = r.db
+		}
+		outcomes[i] = m.searchNode(fanCtx, span, db, name, terms, perDB, hedgeAfter)
 		em.record(i, outcomes[i])
 	})
 	e.stages.Fanout = time.Since(tFan).Seconds()

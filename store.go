@@ -1,0 +1,261 @@
+package repro
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/classify"
+	"repro/internal/core"
+	"repro/internal/freqest"
+	"repro/internal/hierarchy"
+	"repro/internal/resilience"
+	"repro/internal/sampling"
+	"repro/internal/selection"
+	"repro/internal/summary"
+	"repro/internal/telemetry"
+	"repro/internal/zipf"
+)
+
+// The paper splits the system into an offline phase (sample → classify
+// → shrink; the λ weights are "computed offline", §3.2) and an online
+// phase that only reads summaries (Figure 3). This file is that split,
+// and the root package's one concurrency rule:
+//
+//   - Everything the online phase reads lives in one immutable store,
+//     published through Metasearcher.state. A reader loads the pointer
+//     once and takes no lock; what it loaded never changes under it.
+//   - Metasearcher.mu serializes writers only, and only update takes
+//     it. A writer builds the next store from the current one (copying
+//     whatever it changes), and update publishes it together with the
+//     cache-generation bump. An error anywhere before the publish
+//     leaves the served store untouched.
+//
+// The publish precedes the bump, and cache loaders read the store
+// inside the load (after the cache captured its generation), so an
+// entry stamped with the new generation was computed from the new
+// store.
+
+// published is the Metasearcher's only mutable state (embedded).
+type published struct {
+	state    atomic.Pointer[store] // what every reader serves from; never nil
+	mu       sync.Mutex            // writers only; taken by update alone
+	training *classify.TrainingSet // classifier examples; touched only inside update
+}
+
+// store is one published state of the metasearcher. Nothing reachable
+// from a published store is ever modified.
+type store struct {
+	dbs    []*registeredDB          // registration order
+	byName map[string]*registeredDB // the same entries, by name
+	// scope, when non-nil, is the set of database names this process
+	// actually queries during Search (a cluster shard's slice). Every
+	// database still participates in selection — the shrinkage and
+	// scoring statistics are collection-wide — but out-of-scope fan-out
+	// is skipped. Nil means unscoped (query everything).
+	scope map[string]bool
+
+	// Set by deriveStore; a store that Train or AddDatabase published
+	// has none of it and fails Select, Info and Save.
+	built        bool
+	trainingDocs int      // informational, for Save
+	lexicon      []string // QBS bootstrap words the summaries were sampled with
+	cats         *core.CategorySummaries
+	global       *summary.Summary // the root category summary
+	// The selection inputs, fixed per build: adaptive selection reads
+	// both summaries of every database, universal shrinkage the shrunk
+	// ones, ReDDE its pooled-sample index (reddeErr when the samples
+	// were not retained).
+	adaptive []*selection.DB
+	shrunk   []selection.Entry
+	redde    *selection.ReDDE
+	reddeErr error
+}
+
+type registeredDB struct {
+	name       string
+	db         SearchableDatabase // nil when state was loaded from disk
+	category   hierarchy.NodeID   // classification to use; -1 = probe
+	fixedCat   bool
+	unshrunk   *summary.Summary
+	shrunk     *core.ShrunkSummary
+	assigned   hierarchy.NodeID
+	sizeEst    float64
+	gamma      float64
+	sampleLen  int
+	sampleDocs [][]string      // retained only for the ReDDE scorer
+	prov       *BuildTelemetry // how the summary was built (persisted)
+}
+
+// newStore is an unbuilt store over dbs.
+func newStore(dbs []*registeredDB, scope map[string]bool) *store {
+	return &store{dbs: dbs, scope: scope, byName: indexByName(dbs)}
+}
+
+func indexByName(dbs []*registeredDB) map[string]*registeredDB {
+	byName := make(map[string]*registeredDB, len(dbs))
+	for _, r := range dbs {
+		byName[r.name] = r
+	}
+	return byName
+}
+
+// withHandles returns a copy of st whose databases are dbs — the same
+// summaries entry for entry, different live handles — under scope.
+// Everything derived from the summaries carries over.
+func (st *store) withHandles(dbs []*registeredDB, scope map[string]bool) *store {
+	next := *st
+	next.dbs, next.scope, next.byName = dbs, scope, indexByName(dbs)
+	return &next
+}
+
+// update is the only way the served store changes: fn runs with the
+// writers' mutex held, derives the next store from the current one, and
+// a nil error publishes it and stales both query-cache tiers.
+func (m *Metasearcher) update(fn func(cur *store) (*store, error)) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next, err := fn(m.state.Load())
+	if err != nil {
+		return err
+	}
+	m.state.Store(next)
+	m.InvalidateCaches()
+	return nil
+}
+
+// seedLexicon resolves the QBS bootstrap words (called from inside
+// update: it reads the training set).
+func (m *Metasearcher) seedLexicon() []string {
+	if m.opts.SeedLexicon != nil {
+		return m.opts.SeedLexicon
+	}
+	// The built-in common-English list plus the most frequent
+	// training-set words, which provably occur in on-topic text.
+	return append(defaultLexicon(), m.training.TopWords(300)...)
+}
+
+// searcher adapts db for the samplers and the classifier. Remote probes
+// issued through it carry span's trace on the wire, so a dbnode's
+// sampling-time spans join it.
+func (m *Metasearcher) searcher(ctx context.Context, span *telemetry.Span, db SearchableDatabase) *dbSearcher {
+	return &dbSearcher{m: m, db: db, ctx: telemetry.ContextWithSpan(ctx, span)}
+}
+
+// sampleQBS draws a query-based sample of about docs documents.
+func (m *Metasearcher) sampleQBS(s *dbSearcher, span *telemetry.Span, lexicon []string, docs int, seed int64) (*sampling.Sample, error) {
+	return sampling.QBS(s.ctx, s, sampling.QBSConfig{
+		TargetDocs:  docs,
+		SeedLexicon: lexicon,
+		Seed:        seed,
+		Span:        span,
+		Metrics:     m.reg,
+	})
+}
+
+// summarizeSample turns a document sample into what the store keeps of
+// it, on r (a copy not yet published): the content summary Ŝ(D) with
+// the Appendix A absolute-frequency refinement when the checkpoint fit
+// succeeds, the sample–resample size estimate |D̂|, and the power-law
+// exponent γ the adaptive uncertainty model uses.
+func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample) {
+	raw := summary.FromSample(sample.Docs)
+	est, errFit := freqest.FitCheckpoints(sample.Checkpoints)
+	size, errSize := freqest.EstimateSize(sample, raw)
+	if errFit != nil || errSize != nil {
+		size = raw.NumDocs
+	}
+	r.unshrunk = raw
+	if errFit == nil {
+		r.unshrunk = freqest.Apply(raw, est, size)
+	}
+	r.sampleLen = raw.SampleSize
+	r.sizeEst = size
+	r.gamma = zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
+	r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
+	if m.scorerKey() == "redde" {
+		r.sampleDocs = sample.Docs
+	}
+}
+
+// deriveStore computes everything that is a function of the whole
+// summary set: the category summaries, every database's shrunk summary
+// (shrinkage ancestors share statistics, so one changed summary moves
+// its siblings' too), the root summary, and the selection inputs. dbs
+// are the caller's own copies with unshrunk summaries and categories
+// set; called from inside update.
+func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, lexicon []string, span *telemetry.Span) *store {
+	st := newStore(dbs, scope)
+	st.built = true
+	st.trainingDocs = m.training.Len()
+	st.lexicon = lexicon
+	classified := make([]core.Classified, len(dbs))
+	for i, r := range dbs {
+		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
+	}
+	st.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
+	st.global = st.cats.Summary(hierarchy.Root)
+	st.adaptive = make([]*selection.DB, len(dbs))
+	st.shrunk = make([]selection.Entry, len(dbs))
+	for i, r := range dbs {
+		shrinkSpan := span.Child("shrink", telemetry.String("db", r.name))
+		r.shrunk = core.Shrink(st.cats, classified[i], core.ShrinkOptions{
+			Span:    shrinkSpan,
+			Metrics: m.reg,
+		})
+		shrinkSpan.End(telemetry.Int("em_iterations", r.shrunk.EMIterations()))
+		if r.prov != nil {
+			// The EM just run is this summary's provenance (Load, which
+			// prefers the persisted one, attaches it afterwards).
+			r.prov = &BuildTelemetry{
+				SampleQueries: r.prov.SampleQueries,
+				EMIterations:  r.shrunk.EMIterations(),
+				Lambdas:       r.shrunk.Lambdas(),
+			}
+		}
+		st.adaptive[i] = &selection.DB{
+			Name:     r.name,
+			Unshrunk: r.unshrunk,
+			Shrunk:   r.shrunk,
+			Gamma:    r.gamma,
+			Size:     int(r.sizeEst),
+		}
+		st.shrunk[i] = selection.Entry{Name: r.name, View: r.shrunk}
+	}
+	if m.scorerKey() == "redde" {
+		st.redde, st.reddeErr = pooledSampleIndex(dbs)
+	}
+	return st
+}
+
+// pooledSampleIndex builds ReDDE's centralized index over the retained
+// sample documents. Save does not persist raw sample documents, so a
+// Load-ed store has none.
+func pooledSampleIndex(dbs []*registeredDB) (*selection.ReDDE, error) {
+	samples := make([]selection.ReDDESample, len(dbs))
+	for i, r := range dbs {
+		if r.sampleDocs == nil && r.sampleLen > 0 {
+			return nil, errors.New(`repro: ReDDE needs retained samples; build with Options.Scorer = "redde" (Load-ed state cannot be used)`)
+		}
+		samples[i] = selection.ReDDESample{Name: r.name, Docs: r.sampleDocs, Size: r.sizeEst}
+	}
+	return selection.NewReDDE(samples, 0)
+}
+
+// probeTargets derives the health prober's target list from the
+// registered databases: one per remote database, plus one per replica
+// of a ReplicatedDatabase.
+func (st *store) probeTargets() []resilience.ProbeTarget {
+	var targets []resilience.ProbeTarget
+	for _, r := range st.dbs {
+		switch db := r.db.(type) {
+		case *RemoteDatabase:
+			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
+		case *ReplicatedDatabase:
+			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
+			targets = append(targets, db.ProbeTargets()...)
+		}
+	}
+	return targets
+}

@@ -1,0 +1,523 @@
+package repro
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/audit"
+)
+
+// Tests of the summary store's contract (store.go): a query sees one
+// published store whole, readers never wait for writers, every way of
+// building a store goes through the one deriveStore, and a writer that
+// fails publishes nothing.
+
+var (
+	storeMedical = []string{"heart", "cancer", "patient", "drug", "clinic", "therapy", "nurse", "dose"}
+	storeSpace   = []string{"galaxy", "star", "planet", "orbit", "telescope", "comet", "nebula", "cosmos"}
+	storeSports  = []string{"football", "league", "goal", "match", "coach", "season", "striker", "stadium"}
+	storeQueries = []string{
+		"heart cancer patient",
+		"galaxy telescope",
+		"football stadium goal",
+		"clinic orbit league",
+	}
+)
+
+// newStoreWorld builds a four-database metasearcher whose "drifty"
+// database can have its corpus replaced (swappableDB) and its calls
+// held at a gate (gatedDB).
+func newStoreWorld(t *testing.T, opts Options) (*Metasearcher, *gatedDB) {
+	t.Helper()
+	opts.SampleSize = 40
+	opts.SeedLexicon = append(append(append([]string{}, storeMedical...), storeSpace...), storeSports...)
+	opts.Seed = 1
+	opts.KeepStopwords = true
+	opts.NoStemming = true
+	m := New(opts)
+	drifty := &gatedDB{
+		swappableDB: &swappableDB{name: "drifty", db: NewLocalDatabaseFromTerms("drifty", corpus(storeMedical, 80))},
+		entered:     make(chan struct{}, 1),
+	}
+	for _, d := range []struct {
+		db  SearchableDatabase
+		cat string
+	}{
+		{drifty, "Health"},
+		{NewLocalDatabaseFromTerms("ward", corpus(storeMedical[2:], 60)), "Health"},
+		{NewLocalDatabaseFromTerms("stable", corpus(storeSpace, 80)), "Science"},
+		{NewLocalDatabaseFromTerms("arena", corpus(storeSports[:6], 70)), "Sports"},
+	} {
+		if err := m.AddDatabase(d.db, d.cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	return m, drifty
+}
+
+// gatedDB holds every Query at a gate while one is armed.
+type gatedDB struct {
+	*swappableDB
+	gate    atomic.Pointer[chan struct{}]
+	entered chan struct{} // signalled (without blocking) by each held call
+}
+
+func (g *gatedDB) arm() (open func()) {
+	ch := make(chan struct{})
+	g.gate.Store(&ch)
+	return func() {
+		g.gate.Store(nil)
+		close(ch)
+	}
+}
+
+func (g *gatedDB) Query(terms []string, limit int) (int, []int) {
+	if ch := g.gate.Load(); ch != nil {
+		select {
+		case g.entered <- struct{}{}:
+		default:
+		}
+		<-*ch
+	}
+	return g.swappableDB.Query(terms, limit)
+}
+
+// selectionPrint is the bit-exact fingerprint of a selection.
+func selectionPrint(sels []Selection) string {
+	var sb strings.Builder
+	for _, s := range sels {
+		fmt.Fprintf(&sb, "%s/%016x/%v;", s.Database, math.Float64bits(s.Score), s.Shrinkage)
+	}
+	return sb.String()
+}
+
+// candidatesPrint is the bit-exact fingerprint of an audit record's
+// selection evidence, λ vectors included.
+func candidatesPrint(cands []audit.Candidate) string {
+	var sb strings.Builder
+	for _, c := range cands {
+		fmt.Fprintf(&sb, "%s/%016x/%v/%v/%016x/%016x/%d[", c.Database, math.Float64bits(c.Score),
+			c.Selected, c.Shrinkage, math.Float64bits(c.MCMean), math.Float64bits(c.MCStdDev), c.MCSamples)
+		for _, l := range c.Lambdas {
+			fmt.Fprintf(&sb, "%s=%016x,", l.Component, math.Float64bits(l.Weight))
+		}
+		sb.WriteString("];")
+	}
+	return sb.String()
+}
+
+// answers maps each query to its (reply, audit record) fingerprints
+// under the currently served store.
+func answers(t *testing.T, m *Metasearcher) map[string][2]string {
+	t.Helper()
+	out := make(map[string][2]string, len(storeQueries))
+	for _, q := range storeQueries {
+		resp, err := m.SearchExplained(context.Background(), q, 3, 3)
+		if err != nil {
+			t.Fatalf("search %q: %v", q, err)
+		}
+		out[q] = [2]string{selectionPrint(resp.Selections), candidatesPrint(m.Audit().Last().Candidates)}
+	}
+	return out
+}
+
+// recordChecker is an audit sink that checks every record's evidence
+// against the allowed answers as it is written.
+type recordChecker struct {
+	mu      sync.Mutex
+	allowed map[string]map[string]bool // query → allowed candidate fingerprints (nil = not checking yet)
+	seen    int
+	bad     []string
+}
+
+func (rc *recordChecker) Write(b []byte) (int, error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.allowed == nil {
+		return len(b), nil
+	}
+	var rec audit.QueryRecord
+	if err := json.Unmarshal(b, &rec); err != nil {
+		rc.bad = append(rc.bad, "undecodable record: "+err.Error())
+		return len(b), nil
+	}
+	rc.seen++
+	if !rc.allowed[rec.Query][candidatesPrint(rec.Candidates)] && len(rc.bad) < 5 {
+		rc.bad = append(rc.bad, fmt.Sprintf("record %d for %q mixes stores: %s", rec.ID, rec.Query, candidatesPrint(rec.Candidates)))
+	}
+	return len(b), nil
+}
+
+// TestStoreSwapAtomicity: while queries run, the store is swapped by
+// RebuildSummary and LoadFile between two known states. Every reply and
+// every audit record must be one state's answer or the other's — bit
+// for bit, λ vectors included — never a mixture, and once the swaps
+// stop the served answers are exactly the last state's (no cache entry
+// from an older store survives under the new generation).
+func TestStoreSwapAtomicity(t *testing.T) {
+	sink := &recordChecker{}
+	m, drifty := newStoreWorld(t, Options{AuditLog: sink}) // caches stay on
+	dir := t.TempDir()
+	fileA, fileB := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	if err := m.SaveFile(fileA); err != nil {
+		t.Fatal(err)
+	}
+	// The live collection changes; state A keeps the medical summary,
+	// state B is the rebuild over the sports contents.
+	drifty.swap(NewLocalDatabaseFromTerms("drifty", corpus(storeSports, 80)))
+	stateA := answers(t, m)
+	if err := m.RebuildSummary(context.Background(), "drifty"); err != nil {
+		t.Fatal(err)
+	}
+	stateB := answers(t, m)
+	if err := m.SaveFile(fileB); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(stateA, stateB) {
+		t.Fatal("the rebuild changed no answer; the test cannot tell the two stores apart")
+	}
+	allowedSel := make(map[string]map[string]bool)
+	allowedRec := make(map[string]map[string]bool)
+	for _, q := range storeQueries {
+		allowedSel[q] = map[string]bool{stateA[q][0]: true, stateB[q][0]: true}
+		allowedRec[q] = map[string]bool{stateA[q][1]: true, stateB[q][1]: true}
+	}
+	sink.mu.Lock()
+	sink.allowed = allowedRec
+	sink.mu.Unlock()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var replies atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := storeQueries[i%len(storeQueries)]
+				resp, err := m.SearchExplained(context.Background(), q, 3, 3)
+				if err != nil {
+					t.Errorf("search %q during a swap: %v", q, err)
+					return
+				}
+				replies.Add(1)
+				if got := selectionPrint(resp.Selections); !allowedSel[q][got] {
+					t.Errorf("reply for %q is neither store's answer: %s", q, got)
+					return
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 5; round++ {
+		for _, swap := range []func() error{
+			func() error { return m.LoadFile(fileA) },
+			func() error { return m.RebuildSummary(context.Background(), "drifty") }, // → B
+			func() error { return m.LoadFile(fileA) },
+			func() error { return m.LoadFile(fileB) },
+		} {
+			if err := swap(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			// Let the readers answer a few queries from each store.
+			for target, deadline := replies.Load()+8, time.Now().Add(10*time.Second); replies.Load() < target && !t.Failed() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+		}
+	}
+	if err := m.LoadFile(fileA); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	if replies.Load() == 0 {
+		t.Fatal("no query completed during the swaps")
+	}
+	if got := answers(t, m); !reflect.DeepEqual(got, stateA) {
+		t.Errorf("after the last swap (to state A) the served answers are not state A's:\n got %v\nwant %v", got, stateA)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if sink.seen == 0 {
+		t.Error("the audit sink saw no record")
+	}
+	t.Logf("%d replies and %d audit records checked across 21 swaps", replies.Load(), sink.seen)
+	for _, b := range sink.bad {
+		t.Error(b)
+	}
+}
+
+// TestReadersDoNotWaitForWriters: a rebuild whose database hangs holds
+// the writers' mutex for as long as it likes; Select must keep
+// answering from the published store meanwhile, a build that then fails
+// must publish nothing, and one that succeeds must be served as soon as
+// it returns.
+func TestReadersDoNotWaitForWriters(t *testing.T) {
+	m, drifty := newStoreWorld(t, Options{})
+	const q = "football stadium goal"
+	selectNow := func() string {
+		t.Helper()
+		type res struct {
+			sels []Selection
+			err  error
+		}
+		done := make(chan res, 1)
+		go func() {
+			sels, err := m.Select(q, 3)
+			done <- res{sels, err}
+		}()
+		select {
+		case r := <-done:
+			if r.err != nil {
+				t.Fatalf("Select: %v", r.err)
+			}
+			return selectionPrint(r.sels)
+		case <-time.After(10 * time.Second):
+			t.Fatal("Select waited for the in-progress build")
+			return ""
+		}
+	}
+	gatedBuild := func(ctx context.Context) (open func(), result chan error) {
+		open = drifty.arm()
+		result = make(chan error, 1)
+		go func() { result <- m.BuildSummariesContext(ctx) }()
+		select {
+		case <-drifty.entered: // the build is inside, holding the writers' mutex
+		case <-time.After(10 * time.Second):
+			t.Fatal("the build never reached the gated database")
+		}
+		return open, result
+	}
+	before := selectNow()
+	served := m.state.Load()
+	drifty.swap(NewLocalDatabaseFromTerms("drifty", corpus(storeSports, 80)))
+
+	// A build that fails part-way: the previous store keeps serving.
+	ctx, cancel := context.WithCancel(context.Background())
+	open, result := gatedBuild(ctx)
+	m.InvalidateCaches() // make the next Select compute, not hit
+	if got := selectNow(); got != before {
+		t.Errorf("Select during the build = %s, want the previous store's %s", got, before)
+	}
+	cancel()
+	open()
+	if err := <-result; err == nil {
+		t.Fatal("the cancelled build reported success")
+	}
+	if m.state.Load() != served {
+		t.Error("a failed build published a store")
+	}
+	if got := selectNow(); got != before {
+		t.Errorf("Select after the failed build = %s, want %s", got, before)
+	}
+
+	// A build that succeeds: old answers until it returns, new after.
+	open, result = gatedBuild(context.Background())
+	m.InvalidateCaches()
+	if got := selectNow(); got != before {
+		t.Errorf("Select during the build = %s, want the previous store's %s", got, before)
+	}
+	open()
+	if err := <-result; err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if m.state.Load() == served {
+		t.Fatal("the build published nothing")
+	}
+	if got := selectNow(); got == before {
+		t.Errorf("Select after the build still answers from the previous store: %s", got)
+	}
+}
+
+// TestOneDeriveStore: every way a built store comes to be — the
+// offline build, Save→Load, RebuildSummary — shrinks through the one
+// deriveStore, so the same summaries give bit-identical selections
+// whichever path produced the store; and Load still reports the
+// persisted λ/EM provenance, not the re-run's.
+func TestOneDeriveStore(t *testing.T) {
+	built, drifty := newStoreWorld(t, Options{})
+	loadedFrom := func(src *Metasearcher, edit func(env map[string]interface{})) *Metasearcher {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := src.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if edit != nil {
+			var env map[string]interface{}
+			if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+				t.Fatal(err)
+			}
+			edit(env)
+			delete(env, "checksum") // checksum-less files still load
+			buf.Reset()
+			if err := json.NewEncoder(&buf).Encode(env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m := New(Options{Seed: 1, KeepStopwords: true, NoStemming: true})
+		if err := m.Load(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	selections := func(m *Metasearcher) string {
+		t.Helper()
+		var sb strings.Builder
+		for _, q := range storeQueries {
+			sels, err := m.Select(q, 4)
+			if err != nil {
+				t.Fatalf("Select %q: %v", q, err)
+			}
+			sb.WriteString(selectionPrint(sels) + "|")
+		}
+		return sb.String()
+	}
+
+	wantBuilt := selections(built)
+	const sentinel = 0.123456789
+	loaded := loadedFrom(built, func(env map[string]interface{}) {
+		tel := env["databases"].([]interface{})[0].(map[string]interface{})["telemetry"].(map[string]interface{})
+		tel["em_iterations"] = 77
+		tel["lambdas"].([]interface{})[0].(map[string]interface{})["weight"] = sentinel
+	})
+	drifty.swap(NewLocalDatabaseFromTerms("drifty", corpus(storeSports, 80)))
+	if err := built.RebuildSummary(context.Background(), "drifty"); err != nil {
+		t.Fatal(err)
+	}
+	wantRebuilt := selections(built)
+	if wantRebuilt == wantBuilt {
+		t.Fatal("the rebuild changed no selection")
+	}
+	for _, tc := range []struct {
+		path string
+		m    *Metasearcher
+		want string
+	}{
+		{"Save→Load of the built store", loaded, wantBuilt},
+		{"Save→Load of the rebuilt store", loadedFrom(built, nil), wantRebuilt},
+	} {
+		if got := selections(tc.m); got != tc.want {
+			t.Errorf("%s: selections differ from the store it was saved from:\n got %s\nwant %s", tc.path, got, tc.want)
+		}
+	}
+	info, err := loaded.Info("drifty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.EMIterations != 77 || len(info.MixtureWeights) == 0 || info.MixtureWeights[0].Weight != sentinel {
+		t.Errorf("Info after Load = %d EM iterations, λ %v; want the persisted provenance (77, first weight %v)",
+			info.EMIterations, info.MixtureWeights, sentinel)
+	}
+}
+
+// TestApplyReplicaAssignmentsAllOrNothing: a topology whose list holds
+// one bad assignment is rejected whole — the scope, the prober's
+// targets, the live handles and their replica sets are what they were.
+func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
+	m, _ := newStoreWorld(t, Options{})
+	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
+		{Database: "drifty", Replicas: []string{"127.0.0.1:1", "127.0.0.1:2"}},
+		{Database: "ward", Replicas: []string{"127.0.0.1:3"}},
+	}, RemoteDatabaseOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		store   *store
+		scope   []string
+		targets []string
+		handles map[string]SearchableDatabase
+		addrs   []string
+	}
+	take := func() snapshot {
+		st := m.state.Load()
+		s := snapshot{store: st, scope: m.SearchScope(), handles: make(map[string]SearchableDatabase)}
+		for _, p := range st.probeTargets() {
+			s.targets = append(s.targets, p.Name)
+		}
+		for _, r := range st.dbs {
+			s.handles[r.name] = r.db
+		}
+		s.addrs = st.byName["drifty"].db.(*ReplicatedDatabase).ReplicaAddrs()
+		return s
+	}
+	before := take()
+	if want := []string{"drifty", "ward"}; !reflect.DeepEqual(before.scope, want) {
+		t.Fatalf("scope after the first swap = %v, want %v", before.scope, want)
+	}
+
+	rep, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
+		{Database: "drifty", Replicas: []string{"127.0.0.1:2", "127.0.0.1:9"}}, // a valid replica swap
+		{Database: "ward"}, // no replicas: invalid
+		{Database: "stable", Replicas: []string{"127.0.0.1:4"}}, // a valid attach
+	}, RemoteDatabaseOptions{})
+	if err == nil {
+		t.Fatalf("the bad assignment was accepted: %+v", rep)
+	}
+	if after := take(); !reflect.DeepEqual(after, before) {
+		t.Errorf("a rejected swap changed the served state:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestUnbuiltStoreErrors pins what an unbuilt store answers: before
+// BuildSummaries, and again after AddDatabase or Train without a
+// rebuild.
+func TestUnbuiltStoreErrors(t *testing.T) {
+	check := func(when string, m *Metasearcher) {
+		t.Helper()
+		_, errSelect := m.Select("heart cancer", 2)
+		_, errInfo := m.Info("drifty")
+		errSave := m.Save(&bytes.Buffer{})
+		for _, c := range []struct {
+			call string
+			err  error
+			want string
+		}{
+			{"Select", errSelect, "repro: BuildSummaries has not been run"},
+			{"Info", errInfo, "repro: BuildSummaries has not been run"},
+			{"Save", errSave, "repro: nothing to save; run BuildSummaries first"},
+		} {
+			if c.err == nil || c.err.Error() != c.want {
+				t.Errorf("%s %s: error %v, want %q", c.call, when, c.err, c.want)
+			}
+		}
+	}
+	fresh := New(Options{})
+	if err := fresh.AddDatabase(NewLocalDatabaseFromTerms("drifty", corpus(storeMedical, 10)), "Health"); err != nil {
+		t.Fatal(err)
+	}
+	check("before BuildSummaries", fresh)
+
+	m, _ := newStoreWorld(t, Options{})
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("late", corpus(storeSpace, 10)), "Science"); err != nil {
+		t.Fatal(err)
+	}
+	check("after AddDatabase", m)
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Train("Health", []string{"heart cancer patient"}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Train", m)
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("late", nil), ""); err == nil || err.Error() != `repro: database "late" already registered` {
+		t.Errorf("duplicate AddDatabase: error %v", err)
+	}
+}

@@ -152,11 +152,17 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Kill one of the two Heart databases' handles.
-	for _, r := range m.dbs {
-		if r.name == "cardio" {
-			r.db = nil
+	m.update(func(cur *store) (*store, error) {
+		dbs := append([]*registeredDB(nil), cur.dbs...)
+		for i, r := range dbs {
+			if r.name == "cardio" {
+				dead := *r
+				dead.db = nil
+				dbs[i] = &dead
+			}
 		}
-	}
+		return cur.withHandles(dbs, cur.scope), nil
+	})
 	cap.Reset()
 	results, err := m.Search("blood pressure hypertension", 2, 5)
 	if err != nil {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"sort"
 )
 
@@ -56,9 +57,14 @@ type TopologySwapReport struct {
 // drain and close in the background, their breakers leave the set, and
 // they revert to selection-only participation (exactly like an
 // out-of-scope database at load time). In-flight searches finish on the
-// handles they hold. When the scope changes the query caches are
-// invalidated (a cached merged result describes the old scope); the
-// health prober, if running, is retargeted either way.
+// handles of the store they loaded.
+//
+// The swap is all-or-nothing: every assignment is validated before
+// anything is touched, the new handles and scope go into a copy of the
+// store, and that copy is published once (staling the query caches — a
+// cached merged result describes the old scope). A rejected assignment
+// list leaves the scope, the handles and the prober's targets as they
+// were. The health prober, if running, is retargeted after the publish.
 //
 // client configures the wire clients of replicas created by this swap;
 // its Budget defaults to the process's retry budget.
@@ -66,106 +72,99 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 	if client.Budget == nil {
 		client.Budget = m.budget
 	}
-	rep := &TopologySwapReport{}
-
-	m.mu.Lock()
-	byName := make(map[string]*registeredDB, len(m.dbs))
-	for _, r := range m.dbs {
-		byName[r.name] = r
-	}
-	assigned := make(map[string]bool, len(assigns))
-	newScope := make(map[string]bool, len(assigns))
 	for _, a := range assigns {
-		assigned[a.Database] = true
-		r, ok := byName[a.Database]
-		if !ok {
-			rep.Unknown = append(rep.Unknown, a.Database)
-			continue
+		if len(a.Replicas) == 0 {
+			return nil, fmt.Errorf("repro: topology assigns database %q an empty replica set (remove the database instead)", a.Database)
 		}
-		newScope[a.Database] = true
-		opts := ReplicatedDatabaseOptions{
-			Preferred: a.Preferred,
-			Breakers:  m.breakers,
-			Metrics:   m.reg,
-			Client:    client,
-		}
-		if rd, ok := r.db.(*ReplicatedDatabase); ok {
-			added, removed, err := rd.UpdateReplicas(a.Replicas, a.Preferred)
+	}
+	rep := &TopologySwapReport{}
+	var detached []SearchableDatabase
+	err := m.update(func(cur *store) (*store, error) {
+		// changed maps a database to its new handle (nil = detached). The
+		// replica lists were checked above, so neither UpdateReplicas nor
+		// NewReplicatedDatabase has anything left to reject.
+		changed := make(map[string]SearchableDatabase)
+		newScope := make(map[string]bool, len(assigns))
+		for _, a := range assigns {
+			r := cur.byName[a.Database]
+			if r == nil {
+				rep.Unknown = append(rep.Unknown, a.Database)
+				continue
+			}
+			newScope[a.Database] = true
+			if rd, ok := r.db.(*ReplicatedDatabase); ok {
+				added, removed, err := rd.UpdateReplicas(a.Replicas, a.Preferred)
+				if err != nil {
+					return nil, err
+				}
+				if len(added) > 0 {
+					if rep.ReplicasAdded == nil {
+						rep.ReplicasAdded = make(map[string][]string)
+					}
+					rep.ReplicasAdded[a.Database] = added
+				}
+				if len(removed) > 0 {
+					if rep.ReplicasRemoved == nil {
+						rep.ReplicasRemoved = make(map[string][]string)
+					}
+					rep.ReplicasRemoved[a.Database] = removed
+				}
+				continue
+			}
+			// Newly in scope (or a non-replicated handle being promoted):
+			// attach a lazy replicated handle.
+			rd, err := NewReplicatedDatabase(a.Database, a.Category, 0, a.Replicas, ReplicatedDatabaseOptions{
+				Preferred: a.Preferred,
+				Breakers:  m.breakers,
+				Metrics:   m.reg,
+				Client:    client,
+			})
 			if err != nil {
-				m.mu.Unlock()
-				return rep, err
+				return nil, err
 			}
-			if len(added) > 0 {
-				if rep.ReplicasAdded == nil {
-					rep.ReplicasAdded = make(map[string][]string)
-				}
-				rep.ReplicasAdded[a.Database] = added
-			}
-			if len(removed) > 0 {
-				if rep.ReplicasRemoved == nil {
-					rep.ReplicasRemoved = make(map[string][]string)
-				}
-				rep.ReplicasRemoved[a.Database] = removed
-			}
-			continue
+			changed[a.Database] = rd
+			rep.Attached = append(rep.Attached, a.Database)
 		}
-		// Newly in scope (or a non-replicated handle being promoted):
-		// attach a lazy replicated handle.
-		rd, err := NewReplicatedDatabase(a.Database, a.Category, 0, a.Replicas, opts)
-		if err != nil {
-			m.mu.Unlock()
-			return rep, err
-		}
-		r.db = rd
-		rep.Attached = append(rep.Attached, a.Database)
-	}
 
-	// The old effective scope: the explicit scope set when present
-	// (cluster shards after LoadFiltered), otherwise every database with
-	// a live handle (an unscoped process adopting a topology).
-	oldScope := make(map[string]bool)
-	for _, r := range m.dbs {
-		if m.scope != nil {
-			if m.scope[r.name] {
-				oldScope[r.name] = true
+		// The old effective scope is the explicit scope set when present
+		// (cluster shards after LoadFiltered), otherwise every database
+		// with a live handle (an unscoped process adopting a topology).
+		// What left it is detached.
+		dbs := make([]*registeredDB, len(cur.dbs))
+		for i, old := range cur.dbs {
+			in := old.db != nil
+			if cur.scope != nil {
+				in = cur.scope[old.name]
 			}
-		} else if r.db != nil {
-			oldScope[r.name] = true
+			if in != newScope[old.name] {
+				rep.ScopeChanged = true
+			}
+			if in && !newScope[old.name] && old.db != nil {
+				changed[old.name] = nil
+				detached = append(detached, old.db)
+				rep.Detached = append(rep.Detached, old.name)
+			}
+			dbs[i] = old
+			if db, ok := changed[old.name]; ok {
+				r := *old
+				r.db = db
+				dbs[i] = &r
+			}
 		}
+		return cur.withHandles(dbs, newScope), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Detach databases that left this process's slice: drain and close
-	// their handles, drop their database-level breakers.
-	for _, r := range m.dbs {
-		if r.db == nil || assigned[r.name] || !oldScope[r.name] {
-			continue
-		}
-		if rd, ok := r.db.(*ReplicatedDatabase); ok {
+	for _, db := range detached {
+		if rd, ok := db.(*ReplicatedDatabase); ok {
 			rd.Close()
 		}
-		r.db = nil
-		m.breakers.Remove(r.name)
-		rep.Detached = append(rep.Detached, r.name)
+		m.breakers.Remove(db.Name())
 	}
-
-	rep.ScopeChanged = len(newScope) != len(oldScope)
-	for name := range newScope {
-		if !oldScope[name] {
-			rep.ScopeChanged = true
-		}
-	}
-	m.scope = newScope
-	m.mu.Unlock()
-
 	sort.Strings(rep.Attached)
 	sort.Strings(rep.Detached)
 	sort.Strings(rep.Unknown)
-	if rep.ScopeChanged {
-		// Cached selections survive (selection statistics are
-		// collection-wide and unchanged), but cached merged results
-		// describe the old scope.
-		m.InvalidateCaches()
-	}
 	m.refreshProbeTargets()
 	m.logInfo("topology swap applied",
 		"attached", len(rep.Attached), "detached", len(rep.Detached),
