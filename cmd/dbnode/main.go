@@ -50,10 +50,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro"
@@ -140,27 +138,11 @@ func main() {
 
 	// Graceful shutdown: on SIGINT/SIGTERM, fail /v1/health first (so
 	// probes and breakers steer new traffic away), then drain in-flight
-	// requests via http.Server.Shutdown under the -drain-timeout
-	// deadline before the listener closes.
-	srv := &http.Server{Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
+	// requests under the -drain-timeout deadline before the listener
+	// closes.
+	if err := wire.ServeUntilSignal(&http.Server{Handler: mux}, ln, srvNode.Gate, *drainFor); err != nil {
 		log.Fatal(err)
-	case <-ctx.Done():
 	}
-	stop()
-	srvNode.SetDraining(true)
-	log.Printf("draining (up to %v, %d in flight)", *drainFor, srvNode.Inflight())
-	sctx, cancel := context.WithTimeout(context.Background(), *drainFor)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		log.Fatalf("drain deadline exceeded: %v", err)
-	}
-	log.Print("drained, exiting")
 }
 
 // buildBackend assembles the database to serve from either a corpus

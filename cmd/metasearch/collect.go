@@ -1,8 +1,6 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"expvar"
 	"log"
 	"log/slog"
@@ -10,13 +8,12 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/obscollector"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // collectConfig is the -collect flag bundle.
@@ -120,24 +117,5 @@ func runCollect(cfg collectConfig) error {
 	log.Printf("cluster observability on http://%s/debug/cluster/metrics (traces /debug/cluster/traces, %d members)",
 		ln.Addr(), len(c.Targets()))
 
-	srv := &http.Server{Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-	case <-ctx.Done():
-	}
-	stop()
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.DrainFor)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return err
-	}
-	log.Print("collector stopped")
-	return nil
+	return wire.ServeUntilSignal(&http.Server{Handler: mux}, ln, nil, cfg.DrainFor)
 }

@@ -59,7 +59,7 @@
 // trace context (X-Trace-Id / X-Parent-Span), so a dbnode started with
 // -trace logs spans that join this process's traces.
 //
-// Cluster modes (see DESIGN.md §14 and the README runbook):
+// Cluster modes (see DESIGN.md §9.5 and the README runbook):
 //
 //	metasearch -shard-id shard-00 -topology topo.json -load state.json -serve :8091
 //	metasearch -route -topology topo.json -serve :8090
@@ -75,7 +75,7 @@
 // gateway API; /v1/healthz reports the build version and (for shards)
 // the shard id; the router's additionally reports every shard's breaker
 // state and last health-probe result. -collect runs the cluster
-// observability plane (see DESIGN.md §15): it scrapes every topology
+// observability plane (see DESIGN.md §12): it scrapes every topology
 // member's metrics, recent spans, and audit records, and serves the
 // fleet rollup at /debug/cluster/metrics, stitched cross-process traces
 // at /debug/cluster/trace/{id}, and — with -profile-dir — a continuous-
@@ -130,11 +130,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro"
@@ -738,9 +736,9 @@ func debugMux(d debugBundle, tracker *slo.Tracker) *http.ServeMux {
 // the debug endpoints on the same listener — or on their own private
 // listener when debugAddr is set, so /debug/pprof and friends are not
 // exposed wherever the API is. SIGINT/SIGTERM fails /v1/healthz first
-// (so load balancers steer away), then drains in-flight requests via
-// http.Server.Shutdown under the drain timeout before the listener
-// closes — the same shutdown contract as dbnode.
+// (so load balancers steer away), then drains in-flight requests under
+// the drain timeout before the listener closes — wire.ServeUntilSignal,
+// the same shutdown dbnode and the collector run.
 func serve(s gateway.Searcher, w *experiments.World, addr, debugAddr string, gopts gateway.Options, tracker *slo.Tracker, drainFor time.Duration, dbg debugBundle) error {
 	gw := gateway.New(s, gopts)
 	var mux *http.ServeMux
@@ -769,26 +767,7 @@ func serve(s gateway.Searcher, w *experiments.World, addr, debugAddr string, gop
 		ln.Addr(), gateway.PathSearch, gateway.PathHealthz)
 	printExampleWords(w)
 
-	srv := &http.Server{Handler: mux}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	gw.SetDraining(true)
-	log.Printf("draining (up to %v, %d in flight)", drainFor, gw.Inflight())
-	sctx, cancel := context.WithTimeout(context.Background(), drainFor)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("drain deadline exceeded: %w", err)
-	}
-	log.Print("drained, exiting")
-	return nil
+	return wire.ServeUntilSignal(&http.Server{Handler: mux}, ln, gw.Gate, drainFor)
 }
 
 // printExampleWords shows a few topical words the user (or a smoke

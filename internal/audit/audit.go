@@ -50,12 +50,35 @@ type Candidate struct {
 	Lambdas []Lambda `json:"lambdas,omitempty"`
 }
 
-// NodeCall is what evaluating the query at one selected database cost.
-type NodeCall struct {
+// NodeOutcome is how the call to one selected database ended: the part
+// of a node's record that a streaming client is told as it happens
+// (repro.NodeEvent, the node_result frame) and that the audit trail
+// keeps (NodeCall). The field order is the frame's wire order.
+type NodeOutcome struct {
 	Database string `json:"database"`
+	// Results is how many documents the database returned.
+	Results int `json:"results"`
 	// LatencySeconds is the wall time of the query call, including any
 	// client retries.
 	LatencySeconds float64 `json:"latency_seconds"`
+	// Error is set when the call failed.
+	Error string `json:"error,omitempty"`
+	// OutOfScope marks databases the selection ranked but this process
+	// deliberately did not query because they live on another shard of
+	// the cluster (see the shard-scoped load path). Not a failure: the
+	// router merges their results from the shards that own them.
+	OutOfScope bool `json:"out_of_scope,omitempty"`
+	// BreakerOpen marks calls the breaker short-circuited without
+	// touching the node — distinct from Unavailable, which means the
+	// node was actually tried and unreachable (or had no live handle).
+	BreakerOpen bool `json:"breaker_open,omitempty"`
+	Unavailable bool `json:"unavailable,omitempty"`
+}
+
+// NodeCall is what evaluating the query at one selected database cost:
+// its outcome plus the transport-level evidence only the audit keeps.
+type NodeCall struct {
+	NodeOutcome
 	// Attempts and Retries are the wire-level transport cost (zero for
 	// in-process databases).
 	Attempts int64 `json:"attempts,omitempty"`
@@ -63,8 +86,6 @@ type NodeCall struct {
 	// Sheds is how many of those attempts the node's admission gate
 	// rejected with 429 (backpressure, not failure).
 	Sheds int64 `json:"sheds,omitempty"`
-	// Results is how many documents the database returned.
-	Results int `json:"results"`
 	// Hedged reports that a hedge request was launched against this
 	// node (its primary attempt outlived the hedge threshold); HedgeWon
 	// that the hedge, not the primary, produced the answer.
@@ -72,27 +93,23 @@ type NodeCall struct {
 	HedgeWon bool `json:"hedge_won,omitempty"`
 	// BreakerState is the node's circuit-breaker state when the call
 	// was admitted ("closed", "half_open", "open"; empty when breakers
-	// are disabled). BreakerOpen marks calls the breaker short-circuited
-	// without touching the node — distinct from Unavailable, which means
-	// the node was actually tried (or had no handle at all).
+	// are disabled).
 	BreakerState string `json:"breaker_state,omitempty"`
-	BreakerOpen  bool   `json:"breaker_open,omitempty"`
-	// Error is set when the call failed; Unavailable marks databases
-	// skipped because no live handle (or no reachable node) existed.
-	Error       string `json:"error,omitempty"`
-	Unavailable bool   `json:"unavailable,omitempty"`
-	// OutOfScope marks databases the selection ranked but this process
-	// deliberately did not query because they live on another shard of
-	// the cluster (see the shard-scoped load path). Not a failure: the
-	// router merges their results from the shards that own them.
-	OutOfScope bool `json:"out_of_scope,omitempty"`
 }
 
-// Hit is one merged result's provenance.
+// Hit is one merged document hit: an entry of a search reply's ranking
+// (repro.Result is this type) and of a record's TopHits.
 type Hit struct {
-	Database string  `json:"database"`
-	DocID    int     `json:"doc_id"`
-	Score    float64 `json:"score"`
+	// Database names the source database.
+	Database string `json:"database"`
+	// DocID is the document's id within that database.
+	DocID int `json:"doc_id"`
+	// Score is the merged ranking score: the database's selection
+	// score, normalized across the selected databases, discounted by
+	// the document's rank in its database's result list. Uncooperative
+	// databases expose only ranked ids — no comparable document scores
+	// — so rank-based merging is what a metasearcher actually has.
+	Score float64 `json:"score"`
 }
 
 // QueryRecord is the full audit trail of one metasearch query.

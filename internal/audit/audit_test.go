@@ -195,8 +195,8 @@ func TestFormat(t *testing.T) {
 		},
 		Selected: []string{"env"},
 		Nodes: []NodeCall{
-			{Database: "env", LatencySeconds: 0.012, Attempts: 2, Retries: 1, Results: 5},
-			{Database: "offline", Unavailable: true},
+			{NodeOutcome: NodeOutcome{Database: "env", LatencySeconds: 0.012, Results: 5}, Attempts: 2, Retries: 1},
+			{NodeOutcome: NodeOutcome{Database: "offline", Unavailable: true}},
 		},
 		Merged:  5,
 		TopHits: []Hit{{Database: "env", DocID: 42, Score: 0.9}},

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/selection"
@@ -294,36 +293,6 @@ func TestBuildSummariesParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestForEachDatabasePropagatesError(t *testing.T) {
-	calls := 0
-	err := forEachDatabase(10, 1, func(i int) error {
-		calls++
-		if i == 3 {
-			return errSentinel
-		}
-		return nil
-	})
-	if err != errSentinel {
-		t.Errorf("err = %v", err)
-	}
-	if calls != 4 {
-		t.Errorf("sequential run did not stop at the error: %d calls", calls)
-	}
-	if err := forEachDatabase(20, 4, func(i int) error {
-		if i == 7 {
-			return errSentinel
-		}
-		return nil
-	}); err != errSentinel {
-		t.Errorf("parallel err = %v", err)
-	}
-	if err := forEachDatabase(0, 4, func(int) error { return errSentinel }); err != nil {
-		t.Errorf("n=0 err = %v", err)
-	}
-}
-
-var errSentinel = errors.New("sentinel")
 
 func TestCompareRk(t *testing.T) {
 	w := getTRECWorld(t)

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/freqest"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/summary"
 	"repro/internal/synth"
-	"repro/internal/zipf"
 )
 
 // SamplerKind selects the content-summary construction strategy.
@@ -147,24 +144,15 @@ func (w *World) BuildSummaries(cfg Config) (*DBSummaries, error) {
 		if cfg.KeepSampleDocs {
 			out.SampleDocs[i] = sample.Docs
 		}
-		raw := summary.FromSample(sample.Docs)
-		est, errFit := freqest.FitCheckpoints(sample.Checkpoints)
-		size, errSize := freqest.EstimateSize(sample, raw)
-		if errFit != nil || errSize != nil {
-			// Degenerate (e.g. empty) database: keep the raw summary.
-			size = raw.NumDocs
-		}
-		out.SizeEst[i] = size
-		out.Gamma[i] = zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
-		if cfg.FreqEst && errFit == nil {
-			out.Unshrunk[i] = freqest.Apply(raw, est, size)
-		} else {
-			out.Unshrunk[i] = raw
-		}
+		out.Unshrunk[i], out.SizeEst[i], out.Gamma[i] = freqest.Summarize(sample, cfg.FreqEst)
 		out.Class[i] = class
 		return nil
 	}
-	if err := forEachDatabase(n, w.Scale.Workers, one); err != nil {
+	workers := w.Scale.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if err := sampling.ForEachDatabase(n, workers, nil, one); err != nil {
 		return nil, err
 	}
 
@@ -183,58 +171,6 @@ func (w *World) BuildSummaries(cfg Config) (*DBSummaries, error) {
 		out.Shrunk[i] = core.Shrink(out.Cats, classified[i], core.ShrinkOptions{Metrics: w.Metrics})
 	}
 	return out, nil
-}
-
-// forEachDatabase runs fn(i) for i in [0, n), fanning out over a
-// bounded worker pool. workers <= 1 runs sequentially (and 0 selects
-// GOMAXPROCS). Indexed writes into pre-sized slices need no locking.
-// After the first error no new indices are dispatched (in-flight calls
-// finish) and the first error is reported.
-func forEachDatabase(n, workers int, fn func(i int) error) error {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg    sync.WaitGroup
-		next  int64 = -1
-		stop  atomic.Bool
-		errMu sync.Mutex
-		first error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					stop.Store(true)
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return first
 }
 
 // Classified returns the classified-summary slice (used by callers that

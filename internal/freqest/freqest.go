@@ -210,3 +210,25 @@ func Refine(s *summary.Summary, sample *sampling.Sample) (*summary.Summary, erro
 	}
 	return Apply(s, est, size), nil
 }
+
+// Summarize is the offline stage between a document sample and the
+// shrinkage step, for product and evaluation alike: the sample's
+// content summary Ŝ(D), the sample–resample size estimate |D̂|, and the
+// power-law exponent γ the adaptive uncertainty model uses. With refine
+// set the summary carries the Appendix A absolute-frequency refinement
+// (when the checkpoint fit succeeds); without it, the raw sample
+// frequencies. A degenerate sample (nothing to fit, or no usable
+// resample probe) keeps the raw summary and |D̂| = |S|.
+func Summarize(sample *sampling.Sample, refine bool) (sum *summary.Summary, size, gamma float64) {
+	sum = summary.FromSample(sample.Docs)
+	est, errFit := FitCheckpoints(sample.Checkpoints)
+	size, errSize := EstimateSize(sample, sum)
+	if errFit != nil || errSize != nil {
+		size = sum.NumDocs
+	}
+	gamma = zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
+	if refine && errFit == nil {
+		sum = Apply(sum, est, size)
+	}
+	return sum, size, gamma
+}

@@ -22,10 +22,11 @@
 // are rejected with a 400 naming the parameter, on both endpoints.
 //
 // The gateway borrows the operational conventions of the wire protocol
-// (internal/wire): errors are the same ErrorEnvelope shape, overload is
-// shed with 429 + Retry-After (code "overloaded") by the same
-// admission-gate pattern a database node uses, and graceful shutdown
-// flips /v1/healthz to 503 while in-flight requests drain.
+// (internal/wire): errors are the same ErrorEnvelope shape, and the
+// admission gate, drain flag and health body are the wire.Gate a
+// database node uses — overload is shed with 429 + Retry-After (code
+// "overloaded"), and graceful shutdown flips /v1/healthz to 503 while
+// in-flight requests drain.
 package gateway
 
 import (
@@ -135,20 +136,16 @@ type Options struct {
 }
 
 // Gateway serves the query API over a Searcher. Like wire.Node it
-// exposes drain/inflight controls so cmd/metasearch can shut it down
-// gracefully.
+// embeds the shared gate, whose drain/inflight controls let
+// cmd/metasearch shut it down gracefully.
 type Gateway struct {
+	*wire.Gate
 	searcher Searcher
 	opts     Options
 	mux      http.Handler
 
-	inflightN atomic.Int64
-	draining  atomic.Bool
-
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
-	shed     *telemetry.Counter
-	inflight *telemetry.Gauge
 }
 
 // New builds a Gateway over s.
@@ -159,17 +156,14 @@ func New(s Searcher, opts Options) *Gateway {
 	if opts.DefaultPerDB <= 0 {
 		opts.DefaultPerDB = 10
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 1
-	}
 	if opts.Version == "" {
 		opts.Version = buildinfo.Version()
 	}
 	g := &Gateway{searcher: s, opts: opts,
+		Gate: wire.NewGate("gateway", opts.MaxInflight, opts.RetryAfter,
+			opts.Metrics.Counter("gateway_shed_total"), opts.Metrics.Gauge("gateway_requests_inflight")),
 		requests: opts.Metrics.Counter("gateway_requests_total"),
 		errors:   opts.Metrics.Counter("gateway_errors_total"),
-		shed:     opts.Metrics.Counter("gateway_shed_total"),
-		inflight: opts.Metrics.Gauge("gateway_requests_inflight"),
 	}
 	// Pre-create the latency series so /metrics shows the full schema
 	// (at zero) before traffic arrives.
@@ -189,25 +183,12 @@ func New(s Searcher, opts Options) *Gateway {
 	}
 	evtstream.RegisterMetrics(opts.Metrics)
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+PathSearch, g.search)
-	mux.HandleFunc("POST "+PathSearch, g.search)
-	mux.HandleFunc("GET "+PathSearchStream, g.stream)
+	mux.HandleFunc("GET "+PathSearch, g.serve(g.search))
+	mux.HandleFunc("POST "+PathSearch, g.serve(g.search))
+	mux.HandleFunc("GET "+PathSearchStream, g.serve(g.stream, "format"))
 	g.mux = mux
 	return g
 }
-
-// SetDraining marks the gateway as draining (or not). A draining
-// gateway keeps serving in-flight requests — http.Server.Shutdown waits
-// for them — but answers /v1/healthz with 503 so load balancers steer
-// new traffic elsewhere before the listener closes.
-func (g *Gateway) SetDraining(v bool) { g.draining.Store(v) }
-
-// Draining reports whether the gateway is draining.
-func (g *Gateway) Draining() bool { return g.draining.Load() }
-
-// Inflight reports how many search requests are being served right now
-// (health checks excluded).
-func (g *Gateway) Inflight() int64 { return g.inflightN.Load() }
 
 // errSeq feeds errorTraceID; the process-unique prefix keeps ids from
 // two gateways distinct without coordination.
@@ -233,67 +214,37 @@ func errorTraceID(r *http.Request) string {
 	return fmt.Sprintf("%016x", errBase+errSeq.Add(1))
 }
 
-// statusWriter records the response status so request accounting can
-// tell successes from sheds and errors.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer's
-// Flusher, which per-frame stream flushing depends on.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // ServeHTTP counts requests, applies the admission gate, converts
 // handler panics into 500 envelopes, and records the outcome: latency
 // into the success or error histogram by final status, and the verdict
 // into the SLO tracker.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == PathHealthz {
-		g.healthz(w, r)
+		resp := wire.HealthResponse{Version: g.opts.Version, ShardID: g.opts.ShardID}
+		if g.opts.ShardHealth != nil {
+			resp.Shards = g.opts.ShardHealth()
+		}
+		if g.opts.Topology != nil {
+			resp.Topology = g.opts.Topology()
+		}
+		g.ServeHealth(w, resp)
 		return
 	}
 	g.requests.Inc()
 	start := time.Now()
-	sw := &statusWriter{ResponseWriter: w}
-	cur := g.inflightN.Add(1)
-	g.inflight.Add(1)
+	sw := &wire.StatusWriter{ResponseWriter: w}
+	cur, admitted := g.Enter()
 	defer func() {
-		g.inflightN.Add(-1)
-		g.inflight.Add(-1)
+		g.Leave()
 		g.record(sw, start)
 	}()
-	if g.opts.MaxInflight > 0 && cur > int64(g.opts.MaxInflight) {
-		g.shed.Inc()
+	if !admitted {
 		// A shed request never reaches the search pipeline, so no trace
 		// exists yet; stamp one anyway (echoing the caller's when the
 		// request arrived traced) so a client-reported 429 is greppable
 		// in the access log like any other answer.
 		sw.Header().Set("X-Trace-Id", errorTraceID(r))
-		sw.Header().Set("Retry-After", strconv.Itoa(g.opts.RetryAfter))
-		wire.WriteError(sw, http.StatusTooManyRequests, wire.CodeOverloaded,
-			fmt.Sprintf("gateway at capacity (%d in flight, max %d)", cur, g.opts.MaxInflight))
+		g.Shed(sw, cur)
 		return
 	}
 	defer func() {
@@ -312,8 +263,8 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // along as a histogram exemplar, so the latency tail links straight to
 // assembled traces. The SLO verdict counts sheds and server errors as
 // bad; 4xx client errors are correct behavior, not unavailability.
-func (g *Gateway) record(sw *statusWriter, start time.Time) {
-	status := sw.status()
+func (g *Gateway) record(sw *wire.StatusWriter, start time.Time) {
+	status := sw.Status()
 	trace := sw.Header().Get("X-Trace-Id")
 	elapsed := time.Since(start)
 	sec := elapsed.Seconds()
@@ -336,50 +287,29 @@ func (g *Gateway) fail(w http.ResponseWriter, r *http.Request, status int, code,
 	wire.WriteError(w, status, code, msg)
 }
 
-func (g *Gateway) healthz(w http.ResponseWriter, r *http.Request) {
-	resp := wire.HealthResponse{
-		Status:      "ok",
-		Inflight:    g.inflightN.Load(),
-		MaxInflight: g.opts.MaxInflight,
-		Version:     g.opts.Version,
-		ShardID:     g.opts.ShardID,
-	}
-	if g.opts.ShardHealth != nil {
-		resp.Shards = g.opts.ShardHealth()
-	}
-	if g.opts.Topology != nil {
-		resp.Topology = g.opts.Topology()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if g.draining.Load() {
-		resp.Status = "draining"
-		resp.Draining = true
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	json.NewEncoder(w).Encode(resp)
-}
-
 // searchRequest is the decoded form of either request shape.
 type searchRequest struct {
 	Query   string `json:"query"`
 	K       int    `json:"k"`
 	PerDB   int    `json:"per_db"`
 	Timeout string `json:"timeout"`
+
+	deadline time.Duration // Timeout resolved against the gateway's default and cap; 0 = none
 }
 
-// Selection is one selected database in the reply.
-type Selection struct {
-	Database  string  `json:"database"`
-	Score     float64 `json:"score"`
-	Shrinkage bool    `json:"shrinkage,omitempty"`
-}
-
-// Result is one merged hit in the reply.
-type Result struct {
-	Database string  `json:"database"`
-	DocID    int     `json:"doc_id"`
-	Score    float64 `json:"score"`
-}
+// The reply's building blocks are the search pipeline's own types: the
+// JSON tags on them are this API's wire format, so nothing is copied
+// between what a search returns and what a client reads.
+type (
+	// Selection is one selected database in the reply.
+	Selection = repro.Selection
+	// Result is one merged hit in the reply.
+	Result = repro.Result
+	// StageSeconds is the per-stage latency decomposition of one answer:
+	// cache lookup → selection → fan-out → merge (each in seconds). For a
+	// cached or collapsed answer only the cache stage is nonzero.
+	StageSeconds = repro.SearchStages
+)
 
 // SearchReply is the JSON body of a successful search response.
 type SearchReply struct {
@@ -406,108 +336,79 @@ type SearchReply struct {
 	Stages         *StageSeconds `json:"stages_seconds,omitempty"`
 }
 
-// StageSeconds is the per-stage latency decomposition of one answer:
-// cache lookup → selection → fan-out → merge (each in seconds). For a
-// cached or collapsed answer only the cache stage is nonzero.
-type StageSeconds struct {
-	Cache     float64 `json:"cache"`
-	Selection float64 `json:"selection"`
-	Fanout    float64 `json:"fanout"`
-	Merge     float64 `json:"merge"`
+// serve is the prologue the blocking and the streaming endpoint share:
+// parse the request (a 400 names what is wrong with it), join the
+// caller's trace when the request arrived traced (the cluster router
+// propagates its fan-out span: the searcher roots its "search" span
+// under the remote parent, so one trace covers router, shard, and dbnode
+// spans end to end), and run h under the request's deadline. The context
+// is cancelled when h returns, which is what releases a stream's fan-out
+// workers once the client is gone.
+func (g *Gateway) serve(h func(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest), extraParams ...string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := g.parseRequest(r, extraParams...)
+		if err != nil {
+			g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
+			return
+		}
+		ctx := telemetry.ContextWithRemote(r.Context(), telemetry.Extract(r.Header))
+		var cancel context.CancelFunc
+		if req.deadline > 0 {
+			ctx, cancel = context.WithTimeout(ctx, req.deadline)
+		} else {
+			ctx, cancel = context.WithCancel(ctx)
+		}
+		defer cancel()
+		h(ctx, w, r, req)
+	}
 }
 
-func (g *Gateway) search(w http.ResponseWriter, r *http.Request) {
-	req, err := g.parseRequest(r)
-	if err != nil {
-		g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
+// searchFailure maps a failed search to the status, code and message
+// both endpoints report it with (the stream in-band, without the
+// status).
+func searchFailure(err error) (status int, code, msg string) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, CodeDeadline, fmt.Sprintf("search exceeded its deadline: %v", err)
+	case errors.Is(err, context.Canceled):
+		// The client went away; the status is for the access log.
+		return http.StatusServiceUnavailable, wire.CodeUnavailable, "request canceled"
+	default:
+		return http.StatusServiceUnavailable, wire.CodeUnavailable, err.Error()
 	}
+}
 
-	// Join the caller's trace when the request arrived traced (the
-	// cluster router propagates its fan-out span): the searcher roots
-	// its "search" span under the remote parent, so one trace covers
-	// router, shard, and dbnode spans end to end.
-	ctx := telemetry.ContextWithRemote(r.Context(), telemetry.Extract(r.Header))
-	timeout, err := g.resolveTimeout(req.Timeout)
-	if err != nil {
-		g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
+func (g *Gateway) search(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest) {
 	resp, err := g.searcher.SearchExplained(ctx, req.Query, req.K, req.PerDB)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			g.fail(w, r, http.StatusGatewayTimeout, CodeDeadline,
-				fmt.Sprintf("search exceeded its deadline: %v", err))
-		case errors.Is(err, context.Canceled):
-			// The client went away; the status is for the access log.
-			g.fail(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "request canceled")
-		default:
-			g.fail(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, err.Error())
-		}
+		status, code, msg := searchFailure(err)
+		g.fail(w, r, status, code, msg)
 		return
 	}
-
-	reply := buildReply(resp)
 	if resp.TraceID != "" {
 		w.Header().Set("X-Trace-Id", resp.TraceID)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(reply)
+	json.NewEncoder(w).Encode(buildReply(resp))
 }
 
-// buildReply converts a search outcome into the wire reply. The stream
+// buildReply is a search outcome as the wire reply. The stream
 // endpoint's final frame and the blocking endpoint both go through this
 // one function, which is what makes them bit-identical.
 func buildReply(resp *repro.SearchResponse) SearchReply {
-	reply := SearchReply{
+	return SearchReply{
 		TraceID:        resp.TraceID,
 		Query:          resp.Query,
 		Terms:          resp.Terms,
 		Scorer:         resp.Scorer,
+		Selections:     resp.Selections,
+		Results:        resp.Results,
 		ResultHit:      resp.CacheHit,
 		SelectionHit:   resp.SelectionCacheHit,
 		Collapsed:      resp.Collapsed,
 		ElapsedSeconds: resp.Elapsed.Seconds(),
-		Stages: &StageSeconds{
-			Cache:     resp.Stages.Cache,
-			Selection: resp.Stages.Selection,
-			Fanout:    resp.Stages.Fanout,
-			Merge:     resp.Stages.Merge,
-		},
+		Stages:         &resp.Stages,
 	}
-	for _, s := range resp.Selections {
-		reply.Selections = append(reply.Selections, Selection{
-			Database: s.Database, Score: s.Score, Shrinkage: s.Shrinkage})
-	}
-	for _, h := range resp.Results {
-		reply.Results = append(reply.Results, Result{
-			Database: h.Database, DocID: h.DocID, Score: h.Score})
-	}
-	return reply
-}
-
-// resolveTimeout turns a request's timeout parameter into the deadline
-// to apply: the gateway default when absent, capped by MaxDeadline.
-func (g *Gateway) resolveTimeout(s string) (time.Duration, error) {
-	timeout := g.opts.DefaultDeadline
-	if s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return 0, fmt.Errorf("timeout must be a positive duration like 500ms or 2s, got %q", s)
-		}
-		if g.opts.MaxDeadline > 0 && d > g.opts.MaxDeadline {
-			d = g.opts.MaxDeadline
-		}
-		timeout = d
-	}
-	return timeout, nil
 }
 
 // StreamSelection is the payload of a stream's selection frame: the
@@ -519,19 +420,8 @@ type StreamSelection struct {
 	Selections []Selection `json:"selections"`
 }
 
-// StreamNodeResult is the payload of a node_result frame: one fan-out
+// The payload of a node_result frame is repro.NodeEvent: one fan-out
 // node's outcome, with completed/total progress.
-type StreamNodeResult struct {
-	Database       string  `json:"database"`
-	Results        int     `json:"results"`
-	LatencySeconds float64 `json:"latency_seconds"`
-	Error          string  `json:"error,omitempty"`
-	OutOfScope     bool    `json:"out_of_scope,omitempty"`
-	BreakerOpen    bool    `json:"breaker_open,omitempty"`
-	Unavailable    bool    `json:"unavailable,omitempty"`
-	Completed      int     `json:"completed"`
-	Total          int     `json:"total"`
-}
 
 // StreamMergeUpdate is the payload of a merge_update frame: the merged
 // ranking over the fan-out slots completed so far, in final order.
@@ -554,35 +444,18 @@ type framePublisher struct {
 }
 
 func (f framePublisher) Selection(sels []repro.Selection, terms []string, scorer string) {
-	out := StreamSelection{Terms: terms, Scorer: scorer}
-	for _, s := range sels {
-		out.Selections = append(out.Selections, Selection{
-			Database: s.Database, Score: s.Score, Shrinkage: s.Shrinkage})
-	}
-	f.p.Publish(evtstream.TypeSelection, out)
+	f.p.Publish(evtstream.TypeSelection, StreamSelection{Terms: terms, Scorer: scorer, Selections: sels})
 }
 
 func (f framePublisher) NodeResult(ev repro.NodeEvent) {
-	f.p.Publish(evtstream.TypeNodeResult, StreamNodeResult{
-		Database:       ev.Database,
-		Results:        ev.Results,
-		LatencySeconds: ev.LatencySeconds,
-		Error:          ev.Error,
-		OutOfScope:     ev.OutOfScope,
-		BreakerOpen:    ev.BreakerOpen,
-		Unavailable:    ev.Unavailable,
-		Completed:      ev.Completed,
-		Total:          ev.Total,
-	})
+	f.p.Publish(evtstream.TypeNodeResult, ev)
 }
 
 func (f framePublisher) MergeUpdate(results []repro.Result) {
-	out := StreamMergeUpdate{Results: []Result{}}
-	for _, h := range results {
-		out.Results = append(out.Results, Result{
-			Database: h.Database, DocID: h.DocID, Score: h.Score})
+	if results == nil {
+		results = []repro.Result{} // an empty partial merge is [], not null, on the wire
 	}
-	f.p.Publish(evtstream.TypeMergeUpdate, out)
+	f.p.Publish(evtstream.TypeMergeUpdate, StreamMergeUpdate{Results: results})
 }
 
 // stream serves /v1/search/stream: the same search as the blocking
@@ -590,34 +463,13 @@ func (f framePublisher) MergeUpdate(results []repro.Result) {
 // before the search runs, so failures arrive as terminal error frames.
 // When the client hangs up, the request context's cancellation releases
 // the fan-out workers.
-func (g *Gateway) stream(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) stream(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest) {
 	streamer, ok := g.searcher.(StreamSearcher)
 	if !ok {
 		g.fail(w, r, http.StatusNotImplemented, wire.CodeBadRequest,
 			"streaming is not supported by this searcher")
 		return
 	}
-	req, err := g.parseRequest(r, "format")
-	if err != nil {
-		g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	timeout, err := g.resolveTimeout(req.Timeout)
-	if err != nil {
-		g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
-		return
-	}
-	format := evtstream.Negotiate(r)
-
-	ctx := telemetry.ContextWithRemote(r.Context(), telemetry.Extract(r.Header))
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // client gone or stream done: release the fan-out
-	if timeout > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, timeout)
-		defer tcancel()
-	}
-
 	p := evtstream.NewPublisher(evtstream.Options{
 		Heartbeat: g.opts.StreamHeartbeat,
 		Metrics:   g.opts.Metrics,
@@ -626,22 +478,14 @@ func (g *Gateway) stream(w http.ResponseWriter, r *http.Request) {
 		resp, err := streamer.SearchExplainedObserved(ctx, req.Query, req.K, req.PerDB, framePublisher{p})
 		if err != nil {
 			g.errors.Inc()
-			code := wire.CodeUnavailable
-			msg := err.Error()
-			switch {
-			case errors.Is(err, context.DeadlineExceeded):
-				code = CodeDeadline
-				msg = fmt.Sprintf("search exceeded its deadline: %v", err)
-			case errors.Is(err, context.Canceled):
-				msg = "request canceled"
-			}
+			_, code, msg := searchFailure(err)
 			p.Publish(evtstream.TypeError, StreamError{Code: code, Message: msg})
 		} else {
 			p.Publish(evtstream.TypeFinal, buildReply(resp))
 		}
 		p.Close()
 	}()
-	p.Serve(ctx, w, format)
+	p.Serve(ctx, w, evtstream.Negotiate(r))
 }
 
 // parseRequest decodes a search request from either shape: GET query
@@ -705,6 +549,19 @@ func (g *Gateway) parseRequest(r *http.Request, extraParams ...string) (searchRe
 	}
 	if req.PerDB <= 0 {
 		return req, fmt.Errorf("perdb must be positive, got %d", req.PerDB)
+	}
+	// The deadline to apply: the gateway default when the request names
+	// none, capped by MaxDeadline.
+	req.deadline = g.opts.DefaultDeadline
+	if req.Timeout != "" {
+		d, err := time.ParseDuration(req.Timeout)
+		if err != nil || d <= 0 {
+			return req, fmt.Errorf("timeout must be a positive duration like 500ms or 2s, got %q", req.Timeout)
+		}
+		if g.opts.MaxDeadline > 0 && d > g.opts.MaxDeadline {
+			d = g.opts.MaxDeadline
+		}
+		req.deadline = d
 	}
 	return req, nil
 }

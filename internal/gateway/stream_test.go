@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/audit"
 	"repro/internal/evtstream"
 	"repro/internal/telemetry"
 )
@@ -28,7 +29,7 @@ func (f *fakeStreamSearcher) SearchExplainedObserved(ctx context.Context, query 
 		f.events(obs)
 	} else if obs != nil {
 		obs.Selection([]repro.Selection{{Database: "db-a", Score: 2, Shrinkage: true}}, []string{"whale"}, "cori")
-		obs.NodeResult(repro.NodeEvent{Database: "db-a", Results: 1, Completed: 1, Total: 1})
+		obs.NodeResult(repro.NodeEvent{NodeOutcome: audit.NodeOutcome{Database: "db-a", Results: 1}, Completed: 1, Total: 1})
 		obs.MergeUpdate([]repro.Result{{Database: "db-a", DocID: 3, Score: 0.5}})
 	}
 	return f.fakeSearcher.SearchExplained(ctx, query, maxDBs, perDB)
@@ -71,7 +72,7 @@ func TestStreamSSE(t *testing.T) {
 	if sel.Scorer != "cori" || len(sel.Selections) != 1 || sel.Selections[0].Database != "db-a" {
 		t.Errorf("selection payload = %+v", sel)
 	}
-	var nr StreamNodeResult
+	var nr repro.NodeEvent
 	if err := json.Unmarshal(frames[1].Data, &nr); err != nil {
 		t.Fatalf("node_result payload: %v", err)
 	}

@@ -7,12 +7,14 @@
 //
 // The paper's metasearcher fronts autonomous hidden-web databases that
 // are slow, overloaded, or down; none of that may stall the merged
-// answer. Everything in this package is mechanism only — the search
-// fan-out (search.go) decides policy: what counts as a failure, what a
-// shed response means, and how outcomes are audited.
+// answer. The one policy this package owns is what a call's outcome
+// says about its target's health (Breaker.RecordCall); when to call,
+// hedge or skip, and how outcomes are audited, is the callers'.
 package resilience
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"time"
 )
@@ -88,8 +90,9 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 // conditionals at call sites.
 //
 // The contract is Allow-then-Record: every call the breaker admits must
-// report its outcome with exactly one Record or RecordNeutral, or a
-// half-open breaker would leak its single trial slot.
+// report its outcome exactly once — RecordCall for query traffic, Record
+// for a health probe — or a half-open breaker would leak its single
+// trial slot.
 type Breaker struct {
 	opts     BreakerOptions
 	onChange func(from, to State) // called with mu held; must not re-enter
@@ -199,6 +202,27 @@ func (b *Breaker) RecordNeutral() {
 	defer b.mu.Unlock()
 	if b.state == HalfOpen {
 		b.probing = false
+	}
+}
+
+// RecordCall reports how an admitted call ended, and is the one place
+// a call's error becomes a health verdict: nil is a success; an error
+// after ctx — the context the call ran under — was cancelled (the
+// client hung up, or the call was a hedge that lost its race) is
+// neutral, and so is a shed (an error exposing Shed() == true: the
+// target answered 429, alive but at capacity); anything else is a
+// failure. A deadline that ran out on a target that had not answered is
+// a failure whoever set it — the fan-out's budget or the request's own
+// deadline: only a hang-up says nothing about the target.
+func (b *Breaker) RecordCall(ctx context.Context, err error) {
+	var shed interface{ Shed() bool }
+	switch {
+	case err == nil:
+		b.Record(true)
+	case errors.Is(ctx.Err(), context.Canceled), errors.As(err, &shed) && shed.Shed():
+		b.RecordNeutral()
+	default:
+		b.Record(false)
 	}
 }
 

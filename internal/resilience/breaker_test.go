@@ -125,6 +125,56 @@ func TestBreakerNeutralReleasesTrial(t *testing.T) {
 	}
 }
 
+// shedErr is an error that reports itself as a shed, the way
+// wire.ProtocolError does for a 429.
+type shedErr struct{}
+
+func (shedErr) Error() string { return "overloaded" }
+func (shedErr) Shed() bool    { return true }
+
+// TestRecordCallVerdicts pins the one outcome → health-verdict rule:
+// success on nil; neutral on a shed (however wrapped) or when the call's
+// context was cancelled; failure otherwise — including a deadline
+// running out, whether the call's own context carried it or not.
+func TestRecordCallVerdicts(t *testing.T) {
+	live := context.Background()
+	gone, cancel := context.WithCancel(live)
+	cancel()
+	late, cancelLate := context.WithDeadline(live, time.Now().Add(-time.Second))
+	defer cancelLate()
+	// A deadline set below a cancelled context reports the cancellation.
+	goneFirst, cancelGoneFirst := context.WithTimeout(gone, time.Hour)
+	defer cancelGoneFirst()
+	boom := errors.New("connection refused")
+	for _, tc := range []struct {
+		name              string
+		ctx               context.Context
+		err               error
+		samples, failures int
+	}{
+		{"success", live, nil, 1, 0},
+		{"failure", live, boom, 1, 1},
+		{"deadline below the call", live, context.DeadlineExceeded, 1, 1},
+		{"deadline on the call's context", late, context.DeadlineExceeded, 1, 1},
+		{"deadline surfacing as a transport error", late, boom, 1, 1},
+		{"shed", live, shedErr{}, 0, 0},
+		{"wrapped shed", live, errors.Join(errors.New("replica a"), shedErr{}), 0, 0},
+		{"cancelled", gone, boom, 0, 0},
+		{"cancelled, cancellation surfacing", gone, context.Canceled, 0, 0},
+		{"cancelled above a derived deadline", goneFirst, context.Canceled, 0, 0},
+	} {
+		b := NewBreaker(BreakerOptions{MinSamples: 10})
+		b.Allow()
+		b.RecordCall(tc.ctx, tc.err)
+		if snap := b.Snapshot(); snap.Samples != tc.samples || snap.Failures != tc.failures {
+			t.Errorf("%s: window holds %d samples / %d failures, want %d / %d",
+				tc.name, snap.Samples, snap.Failures, tc.samples, tc.failures)
+		}
+	}
+	var none *Breaker
+	none.RecordCall(live, boom) // nil-safe, like every Breaker method
+}
+
 func TestNilBreakerAndSet(t *testing.T) {
 	var b *Breaker
 	if !b.Allow() {

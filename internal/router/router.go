@@ -11,10 +11,11 @@
 // identical collection-wide statistics, so the per-document merged
 // scores (selection score normalized over the selected set, discounted
 // by in-database rank) are bit-identical across shards. The router then
-// only has to concatenate, sort by the fan-out's exact tie-break
-// (score descending, database ascending, doc id ascending), and drop
-// duplicate (database, doc id) pairs — duplicates exist precisely when
-// the topology's replication places one database on several shards.
+// only has to concatenate the shard rankings and hand them to
+// repro.MergeResults — the very function every shard's own merge ends
+// in — which orders them and drops duplicate (database, doc id) pairs;
+// duplicates exist precisely when the topology's replication places one
+// database on several shards.
 //
 // Shards are peers of the wire protocol's operational conventions: each
 // has a circuit breaker (keyed by shard ID, on the router's
@@ -493,39 +494,27 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 		go func(i int, s shardmap.Shard, b *resilience.Breaker) {
 			defer wg.Done()
 			r.shardCalls.Inc()
-			var reply *gateway.SearchReply
-			var err error
-			if sm != nil {
-				// Streamed scatter: progress frames re-merge as they
-				// arrive. No budget retry — replaying half a consumed
-				// stream would double-narrate the shard's progress; a
-				// failed shard costs coverage exactly as a blocking
-				// failure after retry would.
-				reply, err = r.callShardStream(ctx, span, i, s, query, maxDBs, perDB, sm)
-			} else {
-				reply, err = r.callShard(ctx, span, s, query, maxDBs, perDB)
-				if err != nil && r.budget != nil && ctx.Err() == nil && !wire.IsShed(err) && r.budget.TrySpend() {
-					// One budget-funded retry against the same shard; the
-					// breaker records only the final outcome.
-					r.shardRetries.Inc()
-					span.Event("router.shard_retry", telemetry.String("shard", s.ID))
-					reply, err = r.callShard(ctx, span, s, query, maxDBs, perDB)
-				}
+			// A streamed scatter (sm != nil) re-merges progress frames as
+			// they arrive and gets no budget retry — replaying half a
+			// consumed stream would double-narrate the shard's progress; a
+			// failed shard costs coverage exactly as a blocking failure
+			// after retry would.
+			reply, err := r.callShard(ctx, span, i, s, query, maxDBs, perDB, sm)
+			if err != nil && sm == nil && r.budget != nil && ctx.Err() == nil && !wire.IsShed(err) && r.budget.TrySpend() {
+				// One budget-funded retry against the same shard; the
+				// breaker records only the final outcome.
+				r.shardRetries.Inc()
+				span.Event("router.shard_retry", telemetry.String("shard", s.ID))
+				reply, err = r.callShard(ctx, span, i, s, query, maxDBs, perDB, nil)
 			}
 			if err == nil {
 				r.budget.RecordSuccess()
 			}
 			replies[i].reply, replies[i].err = reply, err
-			switch {
-			case err == nil:
-				b.Record(true)
-			case ctx.Err() != nil || wire.IsShed(err):
-				// The caller gave up, or the shard shed under load:
-				// neither is evidence the shard is down.
-				b.RecordNeutral()
-			default:
-				b.Record(false)
-			}
+			// The client hanging up, or the shard shedding under load, is
+			// not evidence the shard is down; a deadline running out on it
+			// is.
+			b.RecordCall(ctx, err)
 			if err != nil {
 				r.shardErrors.Inc()
 				span.Event("router.shard_error",
@@ -565,8 +554,12 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 	return resp, nil
 }
 
-// callShard runs one shard's /v1/search call and decodes the reply.
-func (r *Router) callShard(ctx context.Context, span *telemetry.Span, s shardmap.Shard, query string, maxDBs, perDB int) (*gateway.SearchReply, error) {
+// callShard runs one shard's search and returns its reply. Without a
+// merger that is one /v1/search call; with one it is the shard's
+// /v1/search/stream in NDJSON, whose progress frames feed the merger and
+// whose terminal frame carries the byte-identical payload /v1/search
+// would have answered with.
+func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s shardmap.Shard, query string, maxDBs, perDB int, sm *streamMerger) (*gateway.SearchReply, error) {
 	q := url.Values{}
 	q.Set("q", query)
 	if maxDBs > 0 {
@@ -575,8 +568,12 @@ func (r *Router) callShard(ctx context.Context, span *telemetry.Span, s shardmap
 	if perDB > 0 {
 		q.Set("perdb", strconv.Itoa(perDB))
 	}
-	u := "http://" + s.Addr + gateway.PathSearch + "?" + q.Encode()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	path := gateway.PathSearch
+	if sm != nil {
+		path = gateway.PathSearchStream
+		q.Set("format", "ndjson")
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+s.Addr+path+"?"+q.Encode(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -588,6 +585,9 @@ func (r *Router) callShard(ctx context.Context, span *telemetry.Span, s shardmap
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, wire.DecodeError(resp)
+	}
+	if sm != nil {
+		return sm.consume(idx, s.ID, resp.Body)
 	}
 	var reply gateway.SearchReply
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
@@ -615,10 +615,7 @@ func (r *Router) merge(replies []shardReply, query string) (*repro.SearchRespons
 			resp.TraceID = rep.TraceID
 			resp.Terms = rep.Terms
 			resp.Scorer = rep.Scorer
-			for _, s := range rep.Selections {
-				resp.Selections = append(resp.Selections, repro.Selection{
-					Database: s.Database, Score: s.Score, Shrinkage: s.Shrinkage})
-			}
+			resp.Selections = rep.Selections
 			if rep.Stages != nil {
 				resp.Stages.Cache = rep.Stages.Cache
 				resp.Stages.Selection = rep.Stages.Selection
@@ -630,52 +627,19 @@ func (r *Router) merge(replies []shardReply, query string) (*repro.SearchRespons
 		resp.CacheHit = resp.CacheHit && rep.ResultHit
 		resp.SelectionCacheHit = resp.SelectionCacheHit && rep.SelectionHit
 		resp.Collapsed = resp.Collapsed && rep.Collapsed
-		for _, h := range rep.Results {
-			results = append(results, repro.Result{Database: h.Database, DocID: h.DocID, Score: h.Score})
-		}
+		results = append(results, rep.Results...)
 	}
 	if answered == 0 {
 		return nil, false
 	}
-	resp.Results = sortDedup(results, r.dedupDrops)
+	// Replicated databases are owned by several shards and arrive once
+	// per owner with identical scores; only this, the final merge, counts
+	// the duplicates it drops (re-merging the same replicas per progress
+	// frame must not inflate the counter).
+	var dups int
+	resp.Results, dups = repro.MergeResults(results)
+	r.dedupDrops.Add(int64(dups))
 	return resp, true
-}
-
-// sortDedup applies the cluster merge's tail in place: the in-process
-// merge's exact tie-break (score descending, then database name, then
-// doc id), then first-wins deduplication of (database, doc id) pairs —
-// replicated databases are owned by several shards and arrive once per
-// owner with identical scores. drops, when non-nil, counts the
-// duplicates removed (the final merge feeds router_dedup_dropped_total;
-// streamed partial merges pass nil so re-merging the same replicas per
-// progress frame does not inflate the counter).
-func sortDedup(results []repro.Result, drops *telemetry.Counter) []repro.Result {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		if results[i].Database != results[j].Database {
-			return results[i].Database < results[j].Database
-		}
-		return results[i].DocID < results[j].DocID
-	})
-	seen := make(map[resultKey]bool, len(results))
-	merged := results[:0]
-	for _, h := range results {
-		k := resultKey{h.Database, h.DocID}
-		if seen[k] {
-			drops.Inc()
-			continue
-		}
-		seen[k] = true
-		merged = append(merged, h)
-	}
-	return merged
-}
-
-type resultKey struct {
-	db string
-	id int
 }
 
 // streamMerger re-merges per-shard progress frames into cluster-wide
@@ -684,8 +648,9 @@ type resultKey struct {
 // node_result frames are deduplicated by database (replicas report the
 // same node) and out-of-scope frames dropped (the owning shard reports
 // the real outcome); each shard merge_update replaces that shard's
-// partial, and the cluster partial — concat, sort, dedup, exactly the
-// final merge's tail — is re-emitted after every change.
+// partial, and the cluster partial — the shards' partials through
+// repro.MergeResults, exactly the final merge — is re-emitted after
+// every change.
 type streamMerger struct {
 	obs repro.SearchEvents
 
@@ -717,15 +682,10 @@ func (sm *streamMerger) onSelection(sel gateway.StreamSelection) {
 	}
 	sm.selected = true
 	sm.total = len(sel.Selections)
-	sels := make([]repro.Selection, 0, len(sel.Selections))
-	for _, s := range sel.Selections {
-		sels = append(sels, repro.Selection{
-			Database: s.Database, Score: s.Score, Shrinkage: s.Shrinkage})
-	}
-	sm.obs.Selection(sels, sel.Terms, sel.Scorer)
+	sm.obs.Selection(sel.Selections, sel.Terms, sel.Scorer)
 }
 
-func (sm *streamMerger) onNodeResult(nr gateway.StreamNodeResult) {
+func (sm *streamMerger) onNodeResult(nr repro.NodeEvent) {
 	if nr.OutOfScope {
 		return
 	}
@@ -735,64 +695,31 @@ func (sm *streamMerger) onNodeResult(nr gateway.StreamNodeResult) {
 		return
 	}
 	sm.nodeSeen[nr.Database] = true
-	sm.obs.NodeResult(repro.NodeEvent{
-		Database:       nr.Database,
-		Results:        nr.Results,
-		LatencySeconds: nr.LatencySeconds,
-		Error:          nr.Error,
-		BreakerOpen:    nr.BreakerOpen,
-		Unavailable:    nr.Unavailable,
-		Completed:      len(sm.nodeSeen),
-		Total:          sm.total,
-	})
+	// The shard counted progress over its own slots; the cluster's is
+	// over the selected databases.
+	nr.Completed, nr.Total = len(sm.nodeSeen), sm.total
+	sm.obs.NodeResult(nr)
 }
 
 // onPartial replaces one shard's latest partial merge and re-emits the
 // cluster partial over every shard's current state.
-func (sm *streamMerger) onPartial(shard int, results []gateway.Result) {
+func (sm *streamMerger) onPartial(shard int, results []repro.Result) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	part := make([]repro.Result, 0, len(results))
-	for _, h := range results {
-		part = append(part, repro.Result{Database: h.Database, DocID: h.DocID, Score: h.Score})
-	}
-	sm.partials[shard] = part
+	sm.partials[shard] = results
 	var all []repro.Result
 	for _, p := range sm.partials {
 		all = append(all, p...)
 	}
-	sm.obs.MergeUpdate(sortDedup(all, nil))
+	all, _ = repro.MergeResults(all)
+	sm.obs.MergeUpdate(all)
 }
 
-// callShardStream runs one shard's /v1/search/stream call in NDJSON,
-// feeding progress frames through the merger and returning the reply
-// carried by the shard's terminal frame — the byte-identical payload
-// callShard would have decoded from /v1/search.
-func (r *Router) callShardStream(ctx context.Context, span *telemetry.Span, idx int, s shardmap.Shard, query string, maxDBs, perDB int, sm *streamMerger) (*gateway.SearchReply, error) {
-	q := url.Values{}
-	q.Set("q", query)
-	if maxDBs > 0 {
-		q.Set("k", strconv.Itoa(maxDBs))
-	}
-	if perDB > 0 {
-		q.Set("perdb", strconv.Itoa(perDB))
-	}
-	q.Set("format", "ndjson")
-	u := "http://" + s.Addr + gateway.PathSearchStream + "?" + q.Encode()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.Inject(span.Context(), req.Header)
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, wire.DecodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
+// consume reads one shard's NDJSON event stream to its end, feeding
+// progress frames through the merger, and returns the reply carried by
+// the terminal frame.
+func (sm *streamMerger) consume(idx int, shard string, body io.Reader) (*gateway.SearchReply, error) {
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxStreamFrame)
 	var final *gateway.SearchReply
 	for sc.Scan() {
@@ -802,7 +729,7 @@ func (r *Router) callShardStream(ctx context.Context, span *telemetry.Span, idx 
 		}
 		var f evtstream.Frame
 		if err := json.Unmarshal(line, &f); err != nil {
-			return nil, fmt.Errorf("shard %s stream: malformed frame: %w", s.ID, err)
+			return nil, fmt.Errorf("shard %s stream: malformed frame: %w", shard, err)
 		}
 		switch f.Type {
 		case evtstream.TypeSelection:
@@ -811,7 +738,7 @@ func (r *Router) callShardStream(ctx context.Context, span *telemetry.Span, idx 
 				sm.onSelection(sel)
 			}
 		case evtstream.TypeNodeResult:
-			var nr gateway.StreamNodeResult
+			var nr repro.NodeEvent
 			if err := json.Unmarshal(f.Data, &nr); err == nil {
 				sm.onNodeResult(nr)
 			}
@@ -823,25 +750,25 @@ func (r *Router) callShardStream(ctx context.Context, span *telemetry.Span, idx 
 		case evtstream.TypeFinal:
 			var reply gateway.SearchReply
 			if err := json.Unmarshal(f.Data, &reply); err != nil {
-				return nil, fmt.Errorf("shard %s stream: malformed final frame: %w", s.ID, err)
+				return nil, fmt.Errorf("shard %s stream: malformed final frame: %w", shard, err)
 			}
 			final = &reply
 			sm.onPartial(idx, reply.Results)
 		case evtstream.TypeError:
 			var se gateway.StreamError
 			if err := json.Unmarshal(f.Data, &se); err != nil {
-				return nil, fmt.Errorf("shard %s stream: malformed error frame: %w", s.ID, err)
+				return nil, fmt.Errorf("shard %s stream: malformed error frame: %w", shard, err)
 			}
-			return nil, fmt.Errorf("shard %s stream error (%s): %s", s.ID, se.Code, se.Message)
+			return nil, fmt.Errorf("shard %s stream error (%s): %s", shard, se.Code, se.Message)
 		}
 		// Heartbeats and unknown (newer-schema droppable) frames are
 		// skipped: the stream contract keys on the critical types.
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("shard %s stream: %w", s.ID, err)
+		return nil, fmt.Errorf("shard %s stream: %w", shard, err)
 	}
 	if final == nil {
-		return nil, fmt.Errorf("shard %s stream ended without a terminal frame", s.ID)
+		return nil, fmt.Errorf("shard %s stream ended without a terminal frame", shard)
 	}
 	return final, nil
 }

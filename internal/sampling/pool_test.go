@@ -1,4 +1,4 @@
-package repro
+package sampling
 
 import (
 	"errors"
@@ -9,11 +9,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-func TestForEachConcurrentlySequentialStopsAtError(t *testing.T) {
+func TestForEachDatabaseSequentialStopsAtError(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	boom := errors.New("boom")
 	var calls int
-	err := forEachConcurrently(10, 1, reg, func(i int) error {
+	err := ForEachDatabase(10, 1, reg, func(i int) error {
 		calls++
 		if i == 3 {
 			return boom
@@ -35,12 +35,12 @@ func TestForEachConcurrentlySequentialStopsAtError(t *testing.T) {
 	}
 }
 
-func TestForEachConcurrentlyStopsDispatchAfterError(t *testing.T) {
+func TestForEachDatabaseStopsDispatchAfterError(t *testing.T) {
 	const n = 10000
 	reg := telemetry.NewRegistry()
 	boom := errors.New("boom")
 	var started atomic.Int64
-	err := forEachConcurrently(n, 4, reg, func(i int) error {
+	err := ForEachDatabase(n, 4, reg, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			return boom
@@ -67,9 +67,9 @@ func TestForEachConcurrentlyStopsDispatchAfterError(t *testing.T) {
 	}
 }
 
-func TestForEachConcurrentlyCompletesAll(t *testing.T) {
+func TestForEachDatabaseCompletesAll(t *testing.T) {
 	var done atomic.Int64
-	if err := forEachConcurrently(100, 8, nil, func(i int) error {
+	if err := ForEachDatabase(100, 8, nil, func(i int) error {
 		done.Add(1)
 		return nil
 	}); err != nil {
@@ -77,5 +77,8 @@ func TestForEachConcurrentlyCompletesAll(t *testing.T) {
 	}
 	if done.Load() != 100 {
 		t.Errorf("completed %d of 100 tasks", done.Load())
+	}
+	if err := ForEachDatabase(0, 8, nil, func(int) error { return errors.New("ran") }); err != nil {
+		t.Errorf("n = 0 ran a task: %v", err)
 	}
 }

@@ -46,20 +46,9 @@ type AdaptiveOptions struct {
 	// per database (default 400; the paper reports convergence "after
 	// examining just a few hundred").
 	MaxCombos int
-	// Batch is how many combinations are drawn between convergence
-	// checks (default 50).
-	Batch int
 	// RelTol is the relative mean/stddev stability required to stop
 	// early (default 0.02).
 	RelTol float64
-	// GridMax bounds the support grid of each word's document-frequency
-	// distribution (default 256); larger databases use a geometric grid.
-	GridMax int
-	// AbsentPrior is the prior weight of d = 0 (the query word absent
-	// from the database altogether) relative to d = 1, for words that
-	// never appeared in the sample (default 3: in a typical collection
-	// the words absent from a database outnumber its singletons).
-	AbsentPrior float64
 	// Seed drives the Monte-Carlo draws.
 	Seed int64
 	// Span receives one adaptive.decide trace event per database
@@ -73,20 +62,25 @@ func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 	if o.MaxCombos == 0 {
 		o.MaxCombos = 400
 	}
-	if o.Batch == 0 {
-		o.Batch = 50
-	}
 	if o.RelTol == 0 {
 		o.RelTol = 0.02
 	}
-	if o.GridMax == 0 {
-		o.GridMax = 256
-	}
-	if o.AbsentPrior == 0 {
-		o.AbsentPrior = 3
-	}
 	return o
 }
+
+const (
+	// mcBatch is how many combinations are drawn between convergence
+	// checks.
+	mcBatch = 50
+	// gridMax bounds the support grid of each word's document-frequency
+	// distribution; larger databases use a geometric grid.
+	gridMax = 256
+	// absentPrior is the prior weight of d = 0 (the query word absent
+	// from the database altogether) relative to d = 1, for words that
+	// never appeared in the sample: in a typical collection the words
+	// absent from a database outnumber its singletons.
+	absentPrior = 3.0
+)
 
 // Adaptive implements the Figure 3 algorithm: for each database it
 // estimates the uncertainty of the selection score under the posterior
@@ -195,7 +189,7 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts Adaptive
 		gamma = -2
 	}
 	for i, w := range words {
-		dists[i].fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, opts.GridMax, opts.AbsentPrior)
+		dists[i].fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed ^ int64(uint64(stream)*0x9e3779b97f4a7c15)))
@@ -204,7 +198,7 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts Adaptive
 	prevMean, prevStd := math.Inf(1), math.Inf(1)
 	combos := 0
 	for combos < opts.MaxCombos {
-		for b := 0; b < opts.Batch && combos < opts.MaxCombos; b++ {
+		for b := 0; b < mcBatch && combos < opts.MaxCombos; b++ {
 			for i, w := range words {
 				dk := dists[i].sample(rng)
 				over.p[w] = float64(dk) / float64(n)

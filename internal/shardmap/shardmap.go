@@ -49,7 +49,7 @@ import (
 // bump it, additive changes extend the JSON objects.
 const TopologyVersion = 1
 
-// Defaults applied by Validate when a field is zero.
+// Defaults in effect when a topology leaves a field zero.
 const (
 	// DefaultVirtualNodes is the virtual nodes per shard. More vnodes
 	// smooth the partition (each shard's arc becomes many small arcs)
@@ -119,30 +119,47 @@ type Assignment struct {
 	Preferred int
 }
 
-// Validate checks the topology and fills defaulted fields in place.
+// virtualNodes, loadFactor and replication resolve the ring parameters,
+// a zero field meaning its default. They are read through these
+// accessors and never written back: topologies are shared between
+// goroutines (watcher subscribers, shards booting side by side), so
+// nothing that reads one may modify it.
+func (t *Topology) virtualNodes() int {
+	if t.VirtualNodes == 0 {
+		return DefaultVirtualNodes
+	}
+	return t.VirtualNodes
+}
+
+func (t *Topology) loadFactor() float64 {
+	if t.LoadFactor == 0 {
+		return DefaultLoadFactor
+	}
+	return t.LoadFactor
+}
+
+func (t *Topology) replication() int {
+	if t.Replication == 0 {
+		return 1
+	}
+	return t.Replication
+}
+
+// Validate checks the topology. It does not modify it.
 func (t *Topology) Validate() error {
 	if t.Version != TopologyVersion {
 		return fmt.Errorf("shardmap: unsupported topology version %d (want %d)", t.Version, TopologyVersion)
 	}
-	if t.VirtualNodes == 0 {
-		t.VirtualNodes = DefaultVirtualNodes
-	}
-	if t.VirtualNodes < 1 {
+	if t.virtualNodes() < 1 {
 		return fmt.Errorf("shardmap: virtual_nodes must be positive, got %d", t.VirtualNodes)
 	}
-	if t.LoadFactor == 0 {
-		t.LoadFactor = DefaultLoadFactor
-	}
-	if t.LoadFactor < 1 {
+	if t.loadFactor() < 1 {
 		return fmt.Errorf("shardmap: load_factor must be >= 1, got %g", t.LoadFactor)
 	}
 	if len(t.Shards) == 0 {
 		return errors.New("shardmap: topology has no shards")
 	}
-	if t.Replication == 0 {
-		t.Replication = 1
-	}
-	if t.Replication < 1 {
+	if t.replication() < 1 {
 		return fmt.Errorf("shardmap: replication must be positive, got %d", t.Replication)
 	}
 	if t.Replication > len(t.Shards) {
@@ -311,14 +328,15 @@ func (t *Topology) Owners() (map[string][]string, error) {
 	}
 	sort.Strings(keys)
 
-	r := buildRing(shardIDs, t.VirtualNodes)
+	rep := t.replication()
+	r := buildRing(shardIDs, t.virtualNodes())
 	n := len(shardIDs)
-	cap_ := int(math.Ceil(t.LoadFactor * float64(len(keys)*t.Replication) / float64(n)))
+	cap_ := int(math.Ceil(t.loadFactor() * float64(len(keys)*rep) / float64(n)))
 	load := make([]int, n)
 
 	owners := make(map[string][]string, len(keys))
 	for _, key := range keys {
-		chosen := make([]int, 0, t.Replication)
+		chosen := make([]int, 0, rep)
 		taken := make([]bool, n)
 		r.walk(key, func(shard int) bool {
 			if taken[shard] || load[shard] >= cap_ {
@@ -326,16 +344,16 @@ func (t *Topology) Owners() (map[string][]string, error) {
 			}
 			taken[shard] = true
 			chosen = append(chosen, shard)
-			return len(chosen) < t.Replication
+			return len(chosen) < rep
 		})
-		if len(chosen) < t.Replication {
+		if len(chosen) < rep {
 			r.walk(key, func(shard int) bool {
 				if taken[shard] {
 					return true
 				}
 				taken[shard] = true
 				chosen = append(chosen, shard)
-				return len(chosen) < t.Replication
+				return len(chosen) < rep
 			})
 		}
 		ids := make([]string, len(chosen))

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -175,7 +176,7 @@ func TestBoundedLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		limit := int(math.Ceil(tp.LoadFactor * float64(tc.k*tc.rep) / float64(tc.n)))
+		limit := int(math.Ceil(DefaultLoadFactor * float64(tc.k*tc.rep) / float64(tc.n)))
 		load := map[string]int{}
 		for _, ids := range owners {
 			for _, id := range ids {
@@ -268,8 +269,44 @@ func TestTopologyValidate(t *testing.T) {
 	if err := tp.Validate(); err != nil {
 		t.Fatalf("valid topology rejected: %v", err)
 	}
-	if tp.VirtualNodes != DefaultVirtualNodes || tp.LoadFactor != DefaultLoadFactor {
-		t.Fatalf("defaults not applied: vnodes=%d load=%g", tp.VirtualNodes, tp.LoadFactor)
+	if tp.VirtualNodes != 0 || tp.LoadFactor != 0 {
+		t.Fatalf("Validate wrote defaults into the topology: vnodes=%d load=%g", tp.VirtualNodes, tp.LoadFactor)
+	}
+}
+
+// TestTopologySharedAcrossGoroutines: one topology value is handed to
+// every watcher subscriber and to shards booting side by side, so
+// reading it — validating, computing owners or a shard's assignments —
+// must not write to it. Run under -race; a zero-valued field (defaults
+// in effect) is the case that used to be filled in place.
+func TestTopologySharedAcrossGoroutines(t *testing.T) {
+	tp := topo(2, 12, 0, 2)
+	ids := []string{"shard-00", "shard-01", "shard-00", "shard-01"}
+	got := make([][]Assignment, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			var err error
+			if got[i], err = tp.ShardAssignments(id); err != nil {
+				t.Error(err)
+			}
+		}(i, id)
+	}
+	wg.Wait()
+	if tp.VirtualNodes != 0 || tp.LoadFactor != 0 || tp.Replication != 0 {
+		t.Errorf("reading the topology modified it: vnodes=%d load=%g replication=%d",
+			tp.VirtualNodes, tp.LoadFactor, tp.Replication)
+	}
+	for i, id := range ids {
+		want, err := tp.ShardAssignments(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("concurrent ShardAssignments(%s) disagrees with the sequential answer", id)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/cache"
 	"repro/internal/telemetry"
 )
 
@@ -73,7 +74,8 @@ type ClientOptions struct {
 	// wire_request_errors_total, wire_client_retries_total,
 	// wire_client_inflight, wire_request_latency (histogram),
 	// wire_request_latency_window (p50/p95/p99 of recent requests), and
-	// wire_doc_cache_{hits,misses}_total. May be nil.
+	// the doc cache's wire_doc_cache_* series (see internal/cache). May
+	// be nil.
 	Metrics *telemetry.Registry
 	// randFloat overrides the jitter source (tests).
 	randFloat func() float64
@@ -118,25 +120,29 @@ func (o ClientOptions) withDefaults() ClientOptions {
 // Client speaks the wire protocol to one database node. It is safe for
 // concurrent use.
 type Client struct {
-	base  string
-	hc    *http.Client
-	opts  ClientOptions
-	cache *docCache
+	base string
+	hc   *http.Client
+	opts ClientOptions
+	// cache is the LRU of document id → analyzed terms (nil when
+	// disabled). Sampling re-fetches the top-ranked documents of popular
+	// words across QBS rounds, so a small cache absorbs a large share of
+	// /v1/doc round trips.
+	cache *cache.Cache
 
 	// metric pointers resolved once (all nil-safe no-ops without a
 	// registry).
-	requests    *telemetry.Counter
-	reqInfo     *telemetry.Counter
-	reqQuery    *telemetry.Counter
-	reqDoc      *telemetry.Counter
-	attempts    *telemetry.Counter
-	reqErrors   *telemetry.Counter
-	retries     *telemetry.Counter
-	sheds       *telemetry.Counter
-	healthReqs  *telemetry.Counter
-	inflight    *telemetry.Gauge
-	latency     *telemetry.Histogram
-	latencyWin  *telemetry.Window
+	requests   *telemetry.Counter
+	reqInfo    *telemetry.Counter
+	reqQuery   *telemetry.Counter
+	reqDoc     *telemetry.Counter
+	attempts   *telemetry.Counter
+	reqErrors  *telemetry.Counter
+	retries    *telemetry.Counter
+	sheds      *telemetry.Counter
+	healthReqs *telemetry.Counter
+	inflight   *telemetry.Gauge
+	latency    *telemetry.Histogram
+	latencyWin *telemetry.Window
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -152,24 +158,33 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		base = "http://" + base
 	}
 	reg := opts.Metrics
+	// One shard: a client's cache is small, and exact LRU order over
+	// the whole capacity is what keeps the hottest documents in. The
+	// series are registered either way, so the exposition schema does
+	// not depend on configuration — but a disabled cache is dropped and
+	// counts nothing: no cache, no misses.
+	docCache := cache.New(cache.Options{Name: "wire_doc_cache", Capacity: opts.CacheSize, Shards: 1, Metrics: reg})
+	if opts.CacheSize < 0 {
+		docCache = nil
+	}
 	c := &Client{
 		base:  base,
 		hc:    &http.Client{Transport: opts.Transport},
 		opts:  opts,
-		cache: newDocCache(opts.CacheSize, reg),
+		cache: docCache,
 
-		requests:    reg.Counter("wire_requests_total"),
-		reqInfo:     reg.Counter("wire_requests_info_total"),
-		reqQuery:    reg.Counter("wire_requests_query_total"),
-		reqDoc:      reg.Counter("wire_requests_doc_total"),
-		attempts:    reg.Counter("wire_client_attempts_total"),
-		reqErrors:   reg.Counter("wire_request_errors_total"),
-		retries:     reg.Counter("wire_client_retries_total"),
-		sheds:       reg.Counter("wire_client_sheds_total"),
-		healthReqs:  reg.Counter("wire_health_probes_total"),
-		inflight:    reg.Gauge("wire_client_inflight"),
-		latency:     reg.Histogram("wire_request_latency", nil),
-		latencyWin:  reg.Window("wire_request_latency_window", 0),
+		requests:   reg.Counter("wire_requests_total"),
+		reqInfo:    reg.Counter("wire_requests_info_total"),
+		reqQuery:   reg.Counter("wire_requests_query_total"),
+		reqDoc:     reg.Counter("wire_requests_doc_total"),
+		attempts:   reg.Counter("wire_client_attempts_total"),
+		reqErrors:  reg.Counter("wire_request_errors_total"),
+		retries:    reg.Counter("wire_client_retries_total"),
+		sheds:      reg.Counter("wire_client_sheds_total"),
+		healthReqs: reg.Counter("wire_health_probes_total"),
+		inflight:   reg.Gauge("wire_client_inflight"),
+		latency:    reg.Histogram("wire_request_latency", nil),
+		latencyWin: reg.Window("wire_request_latency_window", 0),
 	}
 	for _, d := range []struct{ name, help string }{
 		{"wire_requests_total", "Wire-protocol calls issued by this client (all endpoints)."},
@@ -232,19 +247,20 @@ func (c *Client) Query(ctx context.Context, terms []string, limit int) (int, []i
 // fetches from the in-client LRU. The returned slice is shared with the
 // cache and must not be modified.
 func (c *Client) Doc(ctx context.Context, id int) ([]string, error) {
-	if terms, ok := c.cache.get(id); ok {
-		return terms, nil
+	key := strconv.Itoa(id)
+	if terms, ok := c.cache.Get(key); ok {
+		return terms.([]string), nil
 	}
 	var out DocResponse
-	if err := c.do(ctx, http.MethodGet, PathDocPrefix+strconv.Itoa(id), nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, PathDocPrefix+key, nil, &out); err != nil {
 		return nil, err
 	}
-	c.cache.put(id, out.Terms)
+	c.cache.Put(key, out.Terms)
 	return out.Terms, nil
 }
 
 // CachedDocs reports how many documents the LRU currently holds.
-func (c *Client) CachedDocs() int { return c.cache.len() }
+func (c *Client) CachedDocs() int { return c.cache.Len() }
 
 // Health checks the node's /v1/health in a single attempt — no
 // retries, because a probe exists to measure the node as it is right

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/buildinfo"
 	"repro/internal/telemetry"
@@ -35,8 +34,8 @@ type ServerOptions struct {
 	// Zero or negative means unlimited. /v1/health is exempt — an
 	// overloaded node must still answer "am I alive".
 	MaxInflight int
-	// RetryAfter is the backoff advertised on shed responses
-	// (default 1s).
+	// RetryAfter is the backoff, in seconds, advertised on shed
+	// responses (default 1).
 	RetryAfter int
 	// Metrics receives wire_server_requests_total,
 	// wire_server_errors_total, wire_server_inflight, and
@@ -57,22 +56,18 @@ func NewServer(db Backend, opts ServerOptions) http.Handler {
 	return NewNode(db, opts)
 }
 
-// Node is one database node's HTTP server state: the /v1 protocol
-// endpoints over a Backend, an admission gate that sheds load past
-// MaxInflight, and a draining flag that fails /v1/health during
-// graceful shutdown so probes route away before the listener closes.
+// Node is one database node's HTTP server: the /v1 protocol endpoints
+// over a Backend behind the shared Gate, which sheds load past
+// MaxInflight and fails /v1/health during graceful shutdown so probes
+// route away before the listener closes.
 type Node struct {
+	*Gate
 	db   Backend
 	opts ServerOptions
 	mux  http.Handler
 
-	inflightN atomic.Int64
-	draining  atomic.Bool
-
 	requests *telemetry.Counter
 	errors   *telemetry.Counter
-	shed     *telemetry.Counter
-	inflight *telemetry.Gauge
 }
 
 // NewNode builds a database node over db: an http.Handler with panic
@@ -81,14 +76,11 @@ func NewNode(db Backend, opts ServerOptions) *Node {
 	if opts.MaxLimit <= 0 {
 		opts.MaxLimit = 1000
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = 1
-	}
 	n := &Node{db: db, opts: opts,
+		Gate: NewGate("node", opts.MaxInflight, opts.RetryAfter,
+			opts.Metrics.Counter("wire_server_shed_total"), opts.Metrics.Gauge("wire_server_inflight")),
 		requests: opts.Metrics.Counter("wire_server_requests_total"),
 		errors:   opts.Metrics.Counter("wire_server_errors_total"),
-		shed:     opts.Metrics.Counter("wire_server_shed_total"),
-		inflight: opts.Metrics.Gauge("wire_server_inflight"),
 	}
 	for _, d := range []struct{ name, help string }{
 		{"wire_server_requests_total", "Wire-protocol requests served by this node."},
@@ -106,19 +98,6 @@ func NewNode(db Backend, opts ServerOptions) *Node {
 	return n
 }
 
-// SetDraining marks the node as draining (or not). A draining node
-// keeps serving in-flight protocol requests — http.Server.Shutdown
-// waits for them — but answers /v1/health with 503 so health probes
-// and breakers steer new traffic elsewhere.
-func (n *Node) SetDraining(v bool) { n.draining.Store(v) }
-
-// Draining reports whether the node is draining.
-func (n *Node) Draining() bool { return n.draining.Load() }
-
-// Inflight reports how many protocol requests are being served right
-// now (health checks excluded).
-func (n *Node) Inflight() int64 { return n.inflightN.Load() }
-
 // ServeHTTP counts requests, applies the admission gate, opens the
 // per-request trace span (joined to the caller's propagated trace
 // context), and converts handler panics into 500 envelopes.
@@ -127,21 +106,14 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// must see through overload, and their volume must not distort the
 	// node's request rate.
 	if r.URL.Path == PathHealth {
-		n.health(w, r)
+		n.ServeHealth(w, HealthResponse{Version: buildinfo.Version()})
 		return
 	}
 	n.requests.Inc()
-	cur := n.inflightN.Add(1)
-	n.inflight.Add(1)
-	defer func() {
-		n.inflightN.Add(-1)
-		n.inflight.Add(-1)
-	}()
-	if n.opts.MaxInflight > 0 && cur > int64(n.opts.MaxInflight) {
-		n.shed.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(n.opts.RetryAfter))
-		WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
-			fmt.Sprintf("node at capacity (%d in flight, max %d)", cur, n.opts.MaxInflight))
+	cur, admitted := n.Enter()
+	defer n.Leave()
+	if !admitted {
+		n.Shed(w, cur)
 		return
 	}
 	span := n.opts.Tracer.SpanWithRemoteParent("wire.serve",
@@ -149,27 +121,16 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		telemetry.String("method", r.Method),
 		telemetry.String("path", r.URL.Path),
 		telemetry.String("request_id", r.Header.Get(telemetry.HeaderRequestID)))
-	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	sw := &StatusWriter{ResponseWriter: w}
 	defer func() {
 		if p := recover(); p != nil {
 			n.errors.Inc()
 			WriteError(sw, http.StatusInternalServerError, CodeInternal,
 				fmt.Sprintf("panic serving %s: %v", r.URL.Path, p))
 		}
-		span.End(telemetry.Int("status", sw.status))
+		span.End(telemetry.Int("status", sw.Status()))
 	}()
 	n.mux.ServeHTTP(sw, r)
-}
-
-// statusWriter records the response status for the request span.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	w.status = status
-	w.ResponseWriter.WriteHeader(status)
 }
 
 func (n *Node) fail(w http.ResponseWriter, status int, code, msg string) {
@@ -180,24 +141,6 @@ func (n *Node) fail(w http.ResponseWriter, status int, code, msg string) {
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-func (n *Node) health(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		Status:      "ok",
-		Inflight:    n.inflightN.Load(),
-		MaxInflight: n.opts.MaxInflight,
-		Version:     buildinfo.Version(),
-	}
-	if n.draining.Load() {
-		resp.Status = "draining"
-		resp.Draining = true
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(resp)
-		return
-	}
-	writeJSON(w, resp)
 }
 
 func (n *Node) info(w http.ResponseWriter, r *http.Request) {

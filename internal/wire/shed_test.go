@@ -3,7 +3,13 @@ package wire
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -177,5 +183,82 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServeUntilSignal: SIGTERM flips the gate to draining, lets the
+// in-flight request finish, and returns nil once the server has drained.
+func TestServeUntilSignal(t *testing.T) {
+	gate := NewGate("test", 0, 0, nil, nil)
+	inHandler, finish := make(chan struct{}), make(chan struct{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cur, admitted := gate.Enter()
+		defer gate.Leave()
+		if !admitted {
+			gate.Shed(w, cur)
+			return
+		}
+		close(inHandler)
+		<-finish
+		io.WriteString(w, "done")
+	})}
+	served := make(chan error, 1)
+	go func() { served <- ServeUntilSignal(srv, ln, gate, 5*time.Second) }()
+
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			body <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		body <- string(b)
+	}()
+	<-inHandler // the server is up (so its signal handler is installed) and one request is in flight
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	for !gate.Draining() {
+		runtime.Gosched()
+	}
+	if n := gate.Inflight(); n != 1 {
+		t.Errorf("draining with %d requests in flight, want 1", n)
+	}
+	close(finish)
+	if got := <-body; got != "done" {
+		t.Errorf("in-flight request answered %q, want it to finish", got)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("ServeUntilSignal = %v, want nil after a clean drain", err)
+	}
+}
+
+// TestStatusWriterRecordsWhatTheClientGot: the first of WriteHeader and
+// Write decides the status; a handler that fails after its body started
+// cannot turn a delivered 200 into a recorded 500.
+func TestStatusWriterRecordsWhatTheClientGot(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handler func(w http.ResponseWriter)
+		want    int
+	}{
+		{"nothing written", func(http.ResponseWriter) {}, http.StatusOK},
+		{"explicit status", func(w http.ResponseWriter) { w.WriteHeader(http.StatusTeapot) }, http.StatusTeapot},
+		{"body commits 200", func(w http.ResponseWriter) {
+			io.WriteString(w, "partial")
+			w.WriteHeader(http.StatusInternalServerError) // too late: net/http ignores it as well
+		}, http.StatusOK},
+	} {
+		sw := &StatusWriter{ResponseWriter: httptest.NewRecorder()}
+		tc.handler(sw)
+		if got := sw.Status(); got != tc.want {
+			t.Errorf("%s: recorded status %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -285,6 +285,38 @@ func TestDocCacheLRU(t *testing.T) {
 	}
 }
 
+// TestDisabledDocCacheKeepsSchema pins that the exposition schema does
+// not vary with configuration: a client with caching off registers the
+// same wire_doc_cache_* series as one with it on, and counts nothing.
+func TestDisabledDocCacheKeepsSchema(t *testing.T) {
+	srv := httptest.NewServer(NewServer(testDB(), ServerOptions{}))
+	defer srv.Close()
+	on, off := telemetry.NewRegistry(), telemetry.NewRegistry()
+	NewClient(srv.URL, fastOpts(on))
+	opts := fastOpts(off)
+	opts.CacheSize = -1
+	c := NewClient(srv.URL, opts)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Doc(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.CachedDocs(); n != 0 {
+		t.Errorf("disabled cache holds %d documents", n)
+	}
+	want, got := on.Snapshot(), off.Snapshot()
+	for name := range want.Help {
+		if _, ok := got.Help[name]; !ok {
+			t.Errorf("series %s missing with the doc cache disabled", name)
+		}
+	}
+	for name, v := range got.Counters {
+		if strings.HasPrefix(name, "wire_doc_cache_") && v != 0 {
+			t.Errorf("disabled cache counted %s = %d", name, v)
+		}
+	}
+}
+
 func TestBackoffBoundsAndGrowth(t *testing.T) {
 	opts := ClientOptions{BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
 	opts.randFloat = func() float64 { return 0.999 }

@@ -1,6 +1,10 @@
 package repro
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/audit"
+)
 
 // SearchEvents observes one search's incremental progress: the
 // selection as soon as the CORI+shrinkage ranking lands, each fan-out
@@ -28,28 +32,16 @@ type SearchEvents interface {
 	MergeUpdate(results []Result)
 }
 
-// NodeEvent is one fan-out node's outcome as streamed to observers —
-// the streaming twin of audit.NodeCall.
+// NodeEvent is one fan-out node's outcome as streamed to observers:
+// the outcome the audit record keeps (database, result count, latency,
+// error, and the out-of-scope / breaker-open / unavailable marks) plus
+// progress. It is the payload of a stream's node_result frame.
 type NodeEvent struct {
-	// Database names the selected database.
-	Database string
-	// Results is how many documents the node returned.
-	Results int
-	// LatencySeconds is the node call's wall time.
-	LatencySeconds float64
-	// Error is the node failure, if any ("" = success).
-	Error string
-	// OutOfScope: the database is owned by another cluster shard.
-	// BreakerOpen: the call was short-circuited by its breaker.
-	// Unavailable: the node was tried and unreachable (or had no
-	// live handle).
-	OutOfScope  bool
-	BreakerOpen bool
-	Unavailable bool
+	audit.NodeOutcome
 	// Completed of Total fan-out slots have finished (this one
 	// included), so clients can render progress.
-	Completed int
-	Total     int
+	Completed int `json:"completed"`
+	Total     int `json:"total"`
 }
 
 // searchEmitter serializes observer callbacks from concurrent fan-out
@@ -89,18 +81,7 @@ func (em *searchEmitter) record(i int, o nodeOutcome) {
 	defer em.mu.Unlock()
 	em.outcomes[i] = o
 	em.done++
-	c := o.call
-	em.obs.NodeResult(NodeEvent{
-		Database:       c.Database,
-		Results:        c.Results,
-		LatencySeconds: c.LatencySeconds,
-		Error:          c.Error,
-		OutOfScope:     c.OutOfScope,
-		BreakerOpen:    c.BreakerOpen,
-		Unavailable:    c.Unavailable,
-		Completed:      em.done,
-		Total:          len(em.outcomes),
-	})
+	em.obs.NodeResult(NodeEvent{NodeOutcome: o.call.NodeOutcome, Completed: em.done, Total: len(em.outcomes)})
 	// Zero-value slots are ok=false, so scoring the whole array merges
 	// exactly the completed prefix — in the final answer's order.
 	em.obs.MergeUpdate(scoreOutcomes(em.sels, em.maxScore, em.outcomes))

@@ -33,9 +33,13 @@ type persistEnvelope struct {
 	// Checksum is "sha256:<hex>" over the canonical JSON encoding of
 	// Databases, verified by Load so a torn or corrupted save file is
 	// rejected loudly instead of silently loading garbage summaries.
-	// Empty in files from before the field existed (still loadable).
 	Checksum string `json:"checksum,omitempty"`
 }
+
+// ErrNoChecksum is Load's error for a save file without a content
+// checksum: there is nothing to verify the summaries against, so the
+// file is refused rather than trusted. Every Save writes one.
+var ErrNoChecksum = errors.New("repro: load: save file carries no content checksum")
 
 // databasesChecksum computes the envelope's content checksum.
 func databasesChecksum(dbs []persistDB) (string, error) {
@@ -155,8 +159,8 @@ func (m *Metasearcher) LoadFileFiltered(path string, keep func(name string) bool
 // (category names are matched by name). A database already registered
 // under a name the save file mentions keeps its live handle, so a
 // deployment can dial remote nodes first, Load offline-built
-// summaries second, and Search immediately. Files carrying a content
-// checksum are verified; checksum-less files (older saves) still load.
+// summaries second, and Search immediately. The file's content checksum
+// is verified; a file without one is refused (ErrNoChecksum).
 func (m *Metasearcher) Load(r io.Reader) error {
 	return m.LoadFiltered(r, nil)
 }
@@ -195,17 +199,18 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 	if env.Version != persistVersion {
 		return fmt.Errorf("repro: unsupported save version %d", env.Version)
 	}
-	if env.Checksum != "" {
-		// Decode→re-encode round-trips canonically (RawMessage passes
-		// through verbatim), so the recomputed sum matches Save's unless
-		// the content was corrupted.
-		sum, err := databasesChecksum(env.Databases)
-		if err != nil {
-			return fmt.Errorf("repro: load: %w", err)
-		}
-		if sum != env.Checksum {
-			return fmt.Errorf("repro: load: checksum mismatch (file says %s, content is %s) — save file is corrupted or was torn mid-write", env.Checksum, sum)
-		}
+	if env.Checksum == "" {
+		return ErrNoChecksum
+	}
+	// Decode→re-encode round-trips canonically (RawMessage passes
+	// through verbatim), so the recomputed sum matches Save's unless
+	// the content was corrupted.
+	sum, err := databasesChecksum(env.Databases)
+	if err != nil {
+		return fmt.Errorf("repro: load: %w", err)
+	}
+	if sum != env.Checksum {
+		return fmt.Errorf("repro: load: checksum mismatch (file says %s, content is %s) — save file is corrupted or was torn mid-write", env.Checksum, sum)
 	}
 
 	dbs := make([]*registeredDB, 0, len(env.Databases))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -87,7 +88,7 @@ func TestSaveLoadBuildTelemetry(t *testing.T) {
 		"size_estimate": 10, "sample_size": 5,
 		"summary": {"version":1,"num_docs":10,"words":[{"w":"blood","p":0.5}]}}]}`
 	m3 := New(Options{})
-	if err := m3.Load(strings.NewReader(legacy)); err != nil {
+	if err := m3.Load(bytes.NewReader(sealed(t, []byte(legacy)))); err != nil {
 		t.Fatal(err)
 	}
 	info, err := m3.Info("x")
@@ -107,19 +108,49 @@ func TestSaveRequiresBuild(t *testing.T) {
 	}
 }
 
+// sealed returns save-file JSON with its content checksum (re)computed
+// the way Save writes it, for tests that hand-write or edit a save file
+// and mean to get past the integrity check.
+func sealed(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var env persistEnvelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := databasesChecksum(env.Databases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Checksum = sum
+	out, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLoadRejectsBadInput(t *testing.T) {
 	m := New(Options{})
+	for name, in := range map[string]string{
+		"garbage":       "not json at all",
+		"wrong version": `{"version": 9, "databases": [{"name": "x"}]}`,
+	} {
+		if err := m.Load(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// Content the integrity check cannot catch: intact files saying
+	// something invalid.
 	cases := map[string]string{
-		"garbage":          "not json at all",
-		"wrong version":    `{"version": 9, "databases": [{"name": "x"}]}`,
 		"empty":            `{"version": 1, "databases": []}`,
 		"unknown category": `{"version": 1, "databases": [{"name": "x", "category": "Bogus", "summary": {"version":1,"num_docs":1,"words":[]}}]}`,
 		"dup name":         `{"version": 1, "databases": [{"name": "x", "category": "Heart", "summary": {"version":1,"num_docs":1,"words":[]}}, {"name": "x", "category": "Heart", "summary": {"version":1,"num_docs":1,"words":[]}}]}`,
 		"bad summary":      `{"version": 1, "databases": [{"name": "x", "category": "Heart", "summary": {"version":7}}]}`,
 	}
 	for name, in := range cases {
-		if err := m.Load(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+		err := m.Load(bytes.NewReader(sealed(t, []byte(in))))
+		if err == nil || errors.Is(err, ErrNoChecksum) || strings.Contains(err.Error(), "checksum") {
+			t.Errorf("%s: err = %v, want a content rejection", name, err)
 		}
 	}
 }
@@ -176,14 +207,15 @@ func TestLoadRejectsCorruptedFile(t *testing.T) {
 	}
 }
 
-func TestLoadAcceptsChecksumlessFile(t *testing.T) {
+// TestLoadRejectsChecksumlessFile: a save file without a content
+// checksum cannot be verified, so it is refused with ErrNoChecksum and
+// nothing is published.
+func TestLoadRejectsChecksumlessFile(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 37})
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// A save from before the checksum field existed: same content, no
-	// checksum key. It must still load.
 	var env map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
 		t.Fatal(err)
@@ -192,16 +224,16 @@ func TestLoadAcceptsChecksumlessFile(t *testing.T) {
 		t.Fatal("save output carries no checksum to strip")
 	}
 	delete(env, "checksum")
-	legacy, err := json.Marshal(env)
+	stripped, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2 := New(Options{})
-	if err := m2.Load(bytes.NewReader(legacy)); err != nil {
-		t.Fatalf("checksum-less save rejected: %v", err)
+	if err := m2.Load(bytes.NewReader(stripped)); !errors.Is(err, ErrNoChecksum) {
+		t.Fatalf("checksum-less save: err = %v, want ErrNoChecksum", err)
 	}
-	if _, err := m2.Select("blood pressure hypertension", 2); err != nil {
-		t.Fatal(err)
+	if _, err := m2.Select("blood pressure hypertension", 2); err == nil {
+		t.Fatal("a refused load still published summaries")
 	}
 }
 

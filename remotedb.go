@@ -2,59 +2,20 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"sync"
-	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
-// RemoteDatabaseOptions configures the HTTP client behind a
-// RemoteDatabase. The zero value is usable.
-type RemoteDatabaseOptions struct {
-	// Timeout bounds each HTTP attempt, dial to last body byte
-	// (default 5s).
-	Timeout time.Duration
-	// MaxRetries is how many times a failed attempt is retried on
-	// transient errors — network failures, timeouts, 5xx, 429 —
-	// before the call fails (default 3; negative disables retries).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the jittered exponential backoff
-	// between retries (defaults 50ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// CacheSize is the capacity of the in-client LRU document cache;
-	// repeat Fetches of the same document are served without a round
-	// trip (default 1024; negative disables caching).
-	CacheSize int
-	// Metrics receives the wire client series (wire_requests_total,
-	// wire_client_retries_total, wire_request_latency, ...); pass the
-	// metasearcher's registry (Metasearcher.Metrics) to expose remote
-	// traffic alongside the pipeline series. May be nil.
-	Metrics *telemetry.Registry
-	// Budget, when non-nil, bounds the client's retry volume (see
-	// wire.ClientOptions.Budget). Share one budget across every remote
-	// database in the process.
-	Budget wire.RetryBudget
-	// Transport overrides the shared keep-alive HTTP transport (tests).
-	Transport http.RoundTripper
-}
-
-func (o RemoteDatabaseOptions) clientOptions() wire.ClientOptions {
-	return wire.ClientOptions{
-		Timeout:     o.Timeout,
-		MaxRetries:  o.MaxRetries,
-		BackoffBase: o.BackoffBase,
-		BackoffMax:  o.BackoffMax,
-		CacheSize:   o.CacheSize,
-		Transport:   o.Transport,
-		Metrics:     o.Metrics,
-		Budget:      o.Budget,
-	}
-}
+// RemoteDatabaseOptions configures the wire client behind a
+// RemoteDatabase: per-attempt timeout, retries and backoff, the
+// in-client document cache, the transport, the retry budget (share
+// Metasearcher.RetryBudget across every remote database in the process)
+// and the registry that receives the wire_* series (pass
+// Metasearcher.Metrics to expose remote traffic alongside the pipeline
+// series). The zero value is usable.
+type RemoteDatabaseOptions = wire.ClientOptions
 
 // RemoteDatabase is a SearchableDatabase served by a dbnode process over
 // the wire protocol. It implements ContextSearchableDatabase, so the
@@ -82,7 +43,7 @@ var _ ContextSearchableDatabase = (*RemoteDatabase)(nil)
 // client and, if still failing, treated by the pipeline like a missing
 // database).
 func DialRemoteDatabase(ctx context.Context, addr string, opts RemoteDatabaseOptions) (*RemoteDatabase, error) {
-	client := wire.NewClient(addr, opts.clientOptions())
+	client := wire.NewClient(addr, opts)
 	info, err := client.Info(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("repro: dialing remote database at %s: %w", addr, err)
@@ -112,7 +73,7 @@ func DialRemoteDatabase(ctx context.Context, addr string, opts RemoteDatabaseOpt
 // node earns traffic when it starts answering.
 func NewLazyRemoteDatabase(addr, name, category string, numDocs int, opts RemoteDatabaseOptions) *RemoteDatabase {
 	return &RemoteDatabase{
-		client:   wire.NewClient(addr, opts.clientOptions()),
+		client:   wire.NewClient(addr, opts),
 		name:     name,
 		category: category,
 		numDocs:  numDocs,
@@ -170,18 +131,12 @@ func (d *RemoteDatabase) BaseURL() string { return d.client.BaseURL() }
 
 // Ping verifies the node is still reachable and accepting traffic,
 // via /v1/health (a single attempt, no retries — health probes measure
-// the node as it is now). Nodes from before the health endpoint answer
-// 404; Ping falls back to /v1/info for those, so probing still works
-// against an old fleet.
+// the node as it is now).
 func (d *RemoteDatabase) Ping(ctx context.Context) error {
 	if err := d.ensureVerified(ctx); err != nil {
 		return err
 	}
 	_, err := d.client.Health(ctx)
-	var pe *wire.ProtocolError
-	if errors.As(err, &pe) && pe.Status == http.StatusNotFound {
-		_, err = d.client.Info(ctx)
-	}
 	return err
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // ReplicatedDatabaseOptions configures a ReplicatedDatabase.
@@ -352,15 +351,14 @@ func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase
 	var errs []error
 	tried := 0
 	for _, i := range d.order(set) {
+		if err := ctx.Err(); err != nil {
+			// The call is over (deadline, hang-up, or a hedge that lost
+			// its race): the remaining replicas are not touched.
+			return err
+		}
 		b := d.breakers.Get(set.keys[i])
 		if !b.Allow() {
 			continue // short-circuited; another replica can serve
-		}
-		if err := ctx.Err(); err != nil {
-			// The caller gave up (deadline, or a hedge lost its race):
-			// not this replica's fault.
-			b.RecordNeutral()
-			return err
 		}
 		if tried > 0 {
 			d.failovers.Inc()
@@ -369,22 +367,12 @@ func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase
 		set.inflight[i].Add(1)
 		err := fn(set.replicas[i])
 		set.inflight[i].Add(-1)
-		if err == nil {
-			b.Record(true)
-			return nil
+		b.RecordCall(ctx, err)
+		if err == nil || ctx.Err() != nil {
+			return err // answered, or cancellation surfacing as a transport error
 		}
-		switch {
-		case ctx.Err() != nil:
-			// Cancellation surfacing as a transport error.
-			b.RecordNeutral()
-			return err
-		case wire.IsShed(err):
-			// Backpressure, not failure: do not trip the breaker, but do
-			// try the next replica — it may have capacity.
-			b.RecordNeutral()
-		default:
-			b.Record(false)
-		}
+		// A failure, or a shed (backpressure: the breaker stays put, but
+		// the next replica may have capacity).
 		errs = append(errs, fmt.Errorf("%s: %w", set.keys[i], err))
 	}
 	d.exhausted.Inc()

@@ -242,15 +242,17 @@ func ParseHierarchy(r io.Reader) (*CategorySpec, error) {
 	return build(hierarchy.Root), nil
 }
 
-// Selection is one ranked database.
+// Selection is one ranked database, in Select's result and — as is, the
+// tags are the wire format — in a search reply and a stream's selection
+// frame.
 type Selection struct {
 	// Database is the database's name.
-	Database string
+	Database string `json:"database"`
 	// Score is the selection algorithm's s(q, D).
-	Score float64
+	Score float64 `json:"score"`
 	// Shrinkage reports whether the shrunk summary was used to score
 	// this database for this query.
-	Shrinkage bool
+	Shrinkage bool `json:"shrinkage,omitempty"`
 }
 
 // Metasearcher is the end-to-end system of the paper. Methods are safe
@@ -688,7 +690,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		// remote database is latency-bound, which is where the
 		// concurrency pays off.
 		dbs := make([]*registeredDB, len(cur.dbs))
-		err := forEachConcurrently(len(dbs), m.opts.Parallelism, m.reg, func(i int) (err error) {
+		err := sampling.ForEachDatabase(len(dbs), m.opts.Parallelism, m.reg, func(i int) (err error) {
 			dbs[i], err = m.sampleDatabase(ctx, buildSpan, cur.dbs[i], m.opts.Seed+int64(i), classifier, lexicon)
 			return err
 		})

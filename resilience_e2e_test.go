@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -383,5 +384,141 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	}
 	if call.Retries != call.Attempts-1 {
 		t.Errorf("victim: %d retries for %d attempts", call.Retries, call.Attempts)
+	}
+}
+
+// TestClientHangupsDoNotTripBreaker: a caller that gives up mid-fan-out
+// (a /v1/search/stream client hanging up cancels every fan-out worker)
+// says nothing about the node it was waiting on. Five searches are
+// cancelled while a slow but healthy node holds their query; with the
+// default breaker (three samples, half of them failures, trip it) its
+// breaker must stay closed with no failure on record, and the node must
+// serve the next search. The fan-out's own deadline budget running out
+// on a node is the opposite case — a failure — and is pinned by
+// TestSearchSurvivesChaos.
+func TestClientHangupsDoNotTripBreaker(t *testing.T) {
+	shards, lexicon := testbedShards(t, 2)
+	opts := testbedOptions(lexicon)
+	opts.Resilience.HedgeAfter = -1
+	opts.Cache.Disable = true
+	m := New(opts)
+	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	slow := nodes[1]
+	entered := make(chan struct{})
+	release := make(chan struct{}) // the slow node answers only once this closes
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // a failed test must not leave handlers holding the server open
+	slow.sw.Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == wire.PathQuery {
+			entered <- struct{}{}
+			<-release
+		}
+		slow.healthy.ServeHTTP(w, r)
+	}))
+	query := sharedWord(t, shards)
+
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := m.SearchContext(ctx, query, 2, 5)
+			errc <- err
+		}()
+		select {
+		case <-entered: // the slow node holds this search's query
+		case err := <-errc:
+			cancel()
+			t.Fatalf("search %d finished (err %v) without calling the healthy node; its breaker is %s after %d hang-ups",
+				i, err, m.Breakers().Get(slow.shard.name).State(), i)
+		}
+		cancel()
+		if err := <-errc; err != context.Canceled {
+			t.Fatalf("cancelled search %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	b := m.Breakers().Get(slow.shard.name)
+	if snap := b.Snapshot(); snap.State != "closed" || snap.Failures != 0 {
+		t.Fatalf("after 5 client hang-ups the healthy node's breaker is %s with %d failures on record, want closed with none",
+			snap.State, snap.Failures)
+	}
+
+	unblock()
+	slow.sw.Set(slow.healthy)
+	if _, err := m.Search(query, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	if call := nodeCall(t, m.Audit().Last(), slow.shard.name); call.BreakerOpen || call.Unavailable || call.Results == 0 {
+		t.Errorf("the healthy node did not serve the search after the hang-ups: %+v", call)
+	}
+}
+
+// TestRequestDeadlineTripsHungNodeBreaker is the other side of the
+// verdict rule, in the shipped serving configuration: `metasearch -serve
+// -deadline D` gives every request the deadline D and the fan-out the
+// budget D, so the request's own deadline is the one that fires on a
+// hung node. That is still a deadline running out on a node that did not
+// answer — a failure, not a hang-up: after three such searches (the
+// default breaker) the hung node is short-circuited and the searches
+// that follow answer at once from the healthy node.
+func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
+	shards, lexicon := testbedShards(t, 2)
+	const deadline = 200 * time.Millisecond
+	opts := testbedOptions(lexicon)
+	opts.Resilience = ResilienceOptions{
+		DeadlineBudget:  deadline,
+		HedgeAfter:      -1,
+		BreakerCooldown: time.Minute,
+	}
+	opts.Cache.Disable = true
+	m := New(opts)
+	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	hung := nodes[1]
+	release := make(chan struct{})
+	defer close(release) // handlers must not hold the server open past the test
+	hung.sw.Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	query := sharedWord(t, shards)
+	search := func() ([]Result, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		return m.SearchContext(ctx, query, 2, 5)
+	}
+
+	b := m.Breakers().Get(hung.shard.name)
+	for i := 0; i < 3; i++ {
+		if state := b.State(); state != resilience.Closed {
+			t.Fatalf("breaker is %s after %d searches, want closed until the third", state, i)
+		}
+		if _, err := search(); err != context.DeadlineExceeded {
+			t.Fatalf("search %d against the hung node: err = %v, want context.DeadlineExceeded", i, err)
+		}
+	}
+	if snap := b.Snapshot(); snap.State != "open" {
+		t.Fatalf("after 3 searches timed out on the hung node its breaker is %s (%d samples, %d failures), want open",
+			snap.State, snap.Samples, snap.Failures)
+	}
+	for i := 3; i < 5; i++ {
+		start := time.Now()
+		results, err := search()
+		if err != nil || len(results) == 0 {
+			t.Fatalf("search %d with the hung node short-circuited: %d results, err %v", i, len(results), err)
+		}
+		if elapsed := time.Since(start); elapsed >= deadline {
+			t.Errorf("search %d took %v: the hung node still cost the whole deadline", i, elapsed)
+		}
+		if call := nodeCall(t, m.Audit().Last(), hung.shard.name); !call.BreakerOpen {
+			t.Errorf("search %d: hung node's call not short-circuited: %+v", i, call)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/resilience"
+	"repro/internal/sampling"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -21,19 +22,9 @@ const auditTopHits = 10
 // and merge the results into one answer. Select covers step one; Search
 // is the full loop.
 
-// Result is one merged document hit.
-type Result struct {
-	// Database names the source database.
-	Database string
-	// DocID is the document's id within that database.
-	DocID int
-	// Score is the merged ranking score: the database's selection
-	// score, normalized across the selected databases, discounted by
-	// the document's rank in its database's result list. Uncooperative
-	// databases expose only ranked ids — no comparable document scores
-	// — so rank-based merging is what a metasearcher actually has.
-	Score float64
-}
+// Result is one merged document hit — the entry of a reply's ranking,
+// of a stream's merge_update frame, and of an audit record's top hits.
+type Result = audit.Hit
 
 // Search performs the complete metasearch: select up to maxDBs
 // databases for the query (Figure 3's adaptive selection under the
@@ -100,17 +91,18 @@ type SearchResponse struct {
 // hit or a collapsed request the whole latency is Cache time (the other
 // stages were paid by the request that fanned out). Each stage is also
 // recorded in its search_stage_* latency histogram, whose percentiles
-// are exported via telemetry.HistogramSnapshot.Quantile.
+// are exported via telemetry.HistogramSnapshot.Quantile. It is also the
+// reply's "stages_seconds" object on the wire.
 type SearchStages struct {
 	// Cache is time spent in cache lookup and bookkeeping.
-	Cache float64
+	Cache float64 `json:"cache"`
 	// Selection is the database-selection stage (through the selection
 	// cache: a selection-tier hit makes this small but nonzero).
-	Selection float64
+	Selection float64 `json:"selection"`
 	// Fanout is the parallel query evaluation across selected databases.
-	Fanout float64
+	Fanout float64 `json:"fanout"`
 	// Merge is result merging and ranking.
-	Merge float64
+	Merge float64 `json:"merge"`
 }
 
 // SearchExplained is SearchContext plus provenance: the selection set,
@@ -374,7 +366,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	outcomes := make([]nodeOutcome, len(sels))
 	em := newSearchEmitter(obs, sels, maxScore)
 	tFan := time.Now()
-	forEachCollect(len(sels), len(sels), m.reg, func(i int) {
+	sampling.ForEachDatabase(len(sels), len(sels), m.reg, func(i int) error {
 		name := sels[i].Database
 		// A shard-scoped metasearcher ranks every database (selection
 		// needs the collection-wide statistics) but queries only its own
@@ -383,16 +375,17 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		if st.scope != nil && !st.scope[name] {
 			m.reg.Counter("search_out_of_scope_total").Inc()
 			span.Event("search.out_of_scope", telemetry.String("db", name))
-			outcomes[i] = nodeOutcome{call: audit.NodeCall{Database: name, OutOfScope: true}}
-			em.record(i, outcomes[i])
-			return
+			outcomes[i].call.OutOfScope = true
+		} else {
+			var db SearchableDatabase
+			if r := st.byName[name]; r != nil {
+				db = r.db
+			}
+			outcomes[i] = m.searchNode(fanCtx, span, db, name, terms, perDB, hedgeAfter)
 		}
-		var db SearchableDatabase
-		if r := st.byName[name]; r != nil {
-			db = r.db
-		}
-		outcomes[i] = m.searchNode(fanCtx, span, db, name, terms, perDB, hedgeAfter)
+		outcomes[i].call.Database = name
 		em.record(i, outcomes[i])
+		return nil
 	})
 	e.stages.Fanout = time.Since(tFan).Seconds()
 	m.reg.Histogram("search_stage_fanout_latency", nil).Observe(e.stages.Fanout)
@@ -433,12 +426,8 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	e.results = out
 	e.merged = len(out)
 	e.queried = queried
-	for i, r := range out {
-		if i >= auditTopHits {
-			break
-		}
-		e.topHits = append(e.topHits, audit.Hit{Database: r.Database, DocID: r.DocID, Score: r.Score})
-	}
+	n := min(len(out), auditTopHits)
+	e.topHits = out[:n:n] // shares the entry's ranking; capped so an append cannot reach into it
 	e.stages.Merge = time.Since(tMerge).Seconds()
 	m.reg.Histogram("search_stage_merge_latency", nil).Observe(e.stages.Merge)
 	return e, nil
@@ -451,24 +440,41 @@ type nodeOutcome struct {
 	ok   bool
 }
 
-// sortResults applies the merge's deterministic order in place: score
-// descending, then database name, then document id. Arrival order never
-// shows through.
-func sortResults(out []Result) {
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+// MergeResults is the merge step's one rule, applied in place: hits are
+// ordered by score descending, then database name, then document id —
+// so arrival order never shows through — and repeats of a (database,
+// doc id) pair are dropped, first one kept. Repeats exist exactly when
+// several cluster shards own a replicated database and each returned
+// its documents — with identical scores, by the shrinkage invariant on
+// LoadFiltered, so the order puts them next to each other and one pass
+// over neighbours finds them. The final merge, every streamed partial
+// merge, and the cluster router's merge of shard rankings all go
+// through here, which is why they agree bit for bit. It also reports
+// how many repeats it dropped.
+func MergeResults(hits []Result) (merged []Result, dropped int) {
+	sort.Slice(hits, func(a, b int) bool {
+		if hits[a].Score != hits[b].Score {
+			return hits[a].Score > hits[b].Score
 		}
-		if out[a].Database != out[b].Database {
-			return out[a].Database < out[b].Database
+		if hits[a].Database != hits[b].Database {
+			return hits[a].Database < hits[b].Database
 		}
-		return out[a].DocID < out[b].DocID
+		return hits[a].DocID < hits[b].DocID
 	})
+	merged = hits[:0]
+	for _, h := range hits {
+		if n := len(merged); n > 0 && merged[n-1] == h {
+			dropped++
+			continue
+		}
+		merged = append(merged, h)
+	}
+	return merged, dropped
 }
 
 // scoreOutcomes merges the completed fan-out slots into the ranked
 // result list: each document scored by its database's normalized
-// selection score discounted by rank, then sorted deterministically.
+// selection score discounted by rank, then put in the merge order.
 // Slots not yet completed (ok=false) contribute nothing, so scoring a
 // partially-filled outcome array yields the completed prefix of the
 // eventual answer — which is what streaming merge_update frames carry.
@@ -486,120 +492,112 @@ func scoreOutcomes(sels []Selection, maxScore float64, outcomes []nodeOutcome) [
 			})
 		}
 	}
-	sortResults(out)
+	out, _ = MergeResults(out)
 	return out
 }
 
 // searchNode evaluates the query at one selected database: breaker
 // admission, the (possibly hedged) call, breaker verdict, and the audit
-// record of what it all cost. It never fails the search — every path
-// returns an outcome.
+// record of what it all cost (the caller names the database on it). It
+// never fails the search — every path returns an outcome. ctx is the
+// fan-out's context: the search's own, bounded by the deadline budget.
 func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db SearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration) nodeOutcome {
 	unavailable := m.reg.Counter("search_db_unavailable_total")
+	var call audit.NodeCall
 	if db == nil {
 		unavailable.Inc()
 		span.Event("search.db_unavailable", telemetry.String("db", name))
 		m.logWarn("search: selected database has no live connection, skipping",
 			"db", name, "query", terms)
-		return nodeOutcome{call: audit.NodeCall{Database: name, Unavailable: true}}
+		call.Unavailable = true
+		return nodeOutcome{call: call}
+	}
+	unreachable := func(dbSpan *telemetry.Span, err error) nodeOutcome {
+		call.Error = err.Error()
+		call.Unavailable = true
+		unavailable.Inc()
+		dbSpan.End(telemetry.String("error", err.Error()))
+		span.Event("search.db_unavailable",
+			telemetry.String("db", name), telemetry.String("error", err.Error()))
+		m.logWarn("search: selected database unreachable, skipping",
+			"db", name, "error", err)
+		return nodeOutcome{call: call}
+	}
+	if err := ctx.Err(); err != nil {
+		// The fan-out was over before it reached this node (an expired
+		// request, a client already gone): the node is not touched, and
+		// that is no verdict on it either way.
+		return unreachable(nil, err)
 	}
 
-	var b *resilience.Breaker
-	call := audit.NodeCall{Database: name}
-	if m.breakers != nil {
-		b = m.breakers.Get(name)
-		if !b.Allow() {
-			// Short-circuited: the node is known-bad and was not touched.
-			// Audited as BreakerOpen, distinct from Unavailable (which
-			// means the node was actually tried, or had no handle).
-			m.reg.Counter("search_breaker_open_total").Inc()
-			span.Event("search.breaker_open", telemetry.String("db", name))
-			call.BreakerState = b.State().String()
-			call.BreakerOpen = true
-			return nodeOutcome{call: call}
-		}
+	b := m.breakers.Get(name) // nil (admits everything) with breakers disabled
+	if !b.Allow() {
+		// Short-circuited: the node is known-bad and was not touched.
+		// Audited as BreakerOpen, distinct from Unavailable (which
+		// means the node was actually tried, or had no handle).
+		m.reg.Counter("search_breaker_open_total").Inc()
+		span.Event("search.breaker_open", telemetry.String("db", name))
+		call.BreakerState = b.State().String()
+		call.BreakerOpen = true
+		return nodeOutcome{call: call}
+	}
+	if b != nil {
 		// Post-Allow state: an admitted call on a cooled-down breaker is
 		// the half-open trial, and the audit should say so.
 		call.BreakerState = b.State().String()
 	}
 
 	dbSpan := span.Child("search.db", telemetry.String("db", name))
-	dbLatency := m.reg.Histogram("search_db_latency", nil)
 	dbStart := time.Now()
-	defer dbLatency.ObserveSince(dbStart)
+	defer m.reg.Histogram("search_db_latency", nil).ObserveSince(dbStart)
 
-	cdb, isCtx := db.(ContextSearchableDatabase)
-	if !isCtx {
+	var ids []int
+	var err error
+	if cdb, remote := db.(ContextSearchableDatabase); remote {
+		ids, err = m.queryHedged(ctx, span, dbSpan, cdb, name, terms, perDB, hedgeAfter, &call)
+	} else {
 		// In-process database: infallible, nothing to hedge or retry.
-		if err := ctx.Err(); err != nil {
-			b.RecordNeutral()
-			call.LatencySeconds = time.Since(dbStart).Seconds()
-			call.Error = err.Error()
-			call.Unavailable = true
-			unavailable.Inc()
-			dbSpan.End(telemetry.String("error", err.Error()))
-			return nodeOutcome{call: call}
-		}
-		_, ids := db.Query(terms, perDB)
-		b.Record(true)
-		call.LatencySeconds = time.Since(dbStart).Seconds()
-		call.Results = len(ids)
-		dbSpan.End(telemetry.Int("results", len(ids)))
-		return nodeOutcome{call: call, ids: ids, ok: true}
+		_, ids = db.Query(terms, perDB)
 	}
+	b.RecordCall(ctx, err)
+	call.LatencySeconds = time.Since(dbStart).Seconds()
+	if err != nil {
+		return unreachable(dbSpan, err)
+	}
+	call.Results = len(ids)
+	dbSpan.End(telemetry.Int("results", len(ids)))
+	return nodeOutcome{call: call, ids: ids, ok: true}
+}
 
-	// Remote call, hedged: if the primary attempt outlives hedgeAfter,
-	// a second identical request races it and the first success wins.
-	// Per-attempt result and stats slots keep the loser (possibly still
-	// in flight when Hedged returns) from racing the winner.
+// queryHedged is one remote node call: if the primary attempt outlives
+// hedgeAfter, a second identical request races it and the first success
+// wins. Per-attempt result and stats slots keep the loser (possibly
+// still in flight when Hedged returns) from racing the winner. The
+// transport cost of both attempts lands on call.
+func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.Span, cdb ContextSearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration, call *audit.NodeCall) ([]int, error) {
 	stats := [2]*wire.CallStats{{}, {}}
 	var ids [2][]int
-	winner, hedged, qerr := resilience.HedgedWithBudget(ctx, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
+	winner, hedged, err := resilience.HedgedWithBudget(ctx, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
 		actx = telemetry.ContextWithSpan(actx, dbSpan)
 		actx = wire.ContextWithCallStats(actx, stats[attempt])
 		_, res, err := cdb.QueryContext(actx, terms, perDB)
-		if err != nil {
-			return err
-		}
 		ids[attempt] = res
-		return nil
+		return err
 	})
 	if hedged {
 		m.reg.Counter("search_hedges_total").Inc()
 		call.Hedged = true
-		if winner == 1 && qerr == nil {
+		if winner == 1 && err == nil {
 			m.reg.Counter("search_hedge_wins_total").Inc()
 			call.HedgeWon = true
 		}
 		span.Event("search.hedged", telemetry.String("db", name), telemetry.Int("winner", winner))
 	}
-	call.LatencySeconds = time.Since(dbStart).Seconds()
 	call.Attempts = stats[0].Attempts() + stats[1].Attempts()
 	call.Retries = stats[0].Retries() + stats[1].Retries()
 	call.Sheds = stats[0].Sheds() + stats[1].Sheds()
 	if call.Sheds > 0 {
 		m.reg.Counter("search_sheds_total").Add(call.Sheds)
 	}
-	if qerr != nil {
-		// Feed the breaker: a shed-only failure is backpressure, not
-		// node failure — neither closes nor trips the breaker.
-		if wire.IsShed(qerr) {
-			b.RecordNeutral()
-		} else {
-			b.Record(false)
-		}
-		call.Error = qerr.Error()
-		call.Unavailable = true
-		unavailable.Inc()
-		dbSpan.End(telemetry.String("error", qerr.Error()))
-		span.Event("search.db_unavailable",
-			telemetry.String("db", name), telemetry.String("error", qerr.Error()))
-		m.logWarn("search: selected database unreachable, skipping",
-			"db", name, "error", qerr)
-		return nodeOutcome{call: call}
-	}
-	b.Record(true)
-	call.Results = len(ids[winner])
-	dbSpan.End(telemetry.Int("results", len(ids[winner])))
-	return nodeOutcome{call: call, ids: ids[winner], ok: true}
+	return ids[winner], err
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/selection"
 	"repro/internal/summary"
 	"repro/internal/telemetry"
-	"repro/internal/zipf"
 )
 
 // The paper splits the system into an offline phase (sample → classify
@@ -155,24 +154,13 @@ func (m *Metasearcher) sampleQBS(s *dbSearcher, span *telemetry.Span, lexicon []
 }
 
 // summarizeSample turns a document sample into what the store keeps of
-// it, on r (a copy not yet published): the content summary Ŝ(D) with
-// the Appendix A absolute-frequency refinement when the checkpoint fit
-// succeeds, the sample–resample size estimate |D̂|, and the power-law
-// exponent γ the adaptive uncertainty model uses.
+// it, on r (a copy not yet published): freqest.Summarize's refined
+// content summary Ŝ(D), size estimate |D̂| and exponent γ — the same
+// function the evaluation harness builds its summaries with — plus the
+// build provenance.
 func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample) {
-	raw := summary.FromSample(sample.Docs)
-	est, errFit := freqest.FitCheckpoints(sample.Checkpoints)
-	size, errSize := freqest.EstimateSize(sample, raw)
-	if errFit != nil || errSize != nil {
-		size = raw.NumDocs
-	}
-	r.unshrunk = raw
-	if errFit == nil {
-		r.unshrunk = freqest.Apply(raw, est, size)
-	}
-	r.sampleLen = raw.SampleSize
-	r.sizeEst = size
-	r.gamma = zipf.FreqPowerLawGamma(est.LawAt(size).Alpha)
+	r.unshrunk, r.sizeEst, r.gamma = freqest.Summarize(sample, true)
+	r.sampleLen = r.unshrunk.SampleSize
 	r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
 	if m.scorerKey() == "redde" {
 		r.sampleDocs = sample.Docs

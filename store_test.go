@@ -366,11 +366,13 @@ func TestOneDeriveStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			edit(env)
-			delete(env, "checksum") // checksum-less files still load
-			buf.Reset()
-			if err := json.NewEncoder(&buf).Encode(env); err != nil {
+			edited, err := json.Marshal(env)
+			if err != nil {
 				t.Fatal(err)
 			}
+			buf.Reset()
+			buf.Write(sealed(t, edited)) // a consistent edit, not a torn file
+
 		}
 		m := New(Options{Seed: 1, KeepStopwords: true, NoStemming: true})
 		if err := m.Load(&buf); err != nil {
