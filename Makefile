@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench smoke smoke-remote smoke-gateway smoke-loadtest smoke-cluster loadtest check clean
+.PHONY: all vet build test race bench smoke smoke-remote smoke-gateway smoke-cluster check clean
 
 all: vet build test
 
@@ -18,14 +18,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every benchmark: catches bit-rot in the bench
-# harness without paying for a full measurement run.
+# One iteration of every micro-benchmark: a bit-rot check, not a
+# measurement (performance numbers come from `go run ./benchmark`).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 smoke: vet build
 	$(GO) test -race ./internal/telemetry/ .
-	$(GO) test -run='^$$' -bench=BenchmarkTable2 -benchtime=1x .
 
 # End-to-end wire-protocol smoke: build dbnode, serve the sample corpus
 # on an ephemeral port, run one remote query, tear down.
@@ -38,25 +37,14 @@ smoke-remote:
 smoke-gateway:
 	GO="$(GO)" sh scripts/smoke_gateway.sh
 
-# End-to-end workload-engine smoke: drive the loopback gateway at a
-# modest rate for a few seconds and check the serving report lands in
-# a (throwaway) BENCH file.
-smoke-loadtest:
-	QPS=40 DURATION=3s GO="$(GO)" sh scripts/loadtest.sh "$$(mktemp -u).json"
-
 # End-to-end cluster smoke: replicated dbnodes behind two
 # consistent-hash shards behind the scatter-gather router; queries keep
 # succeeding while every preferred replica is killed mid-stream.
 smoke-cluster:
 	GO="$(GO)" sh scripts/smoke_cluster.sh
 
-# A full measured load run into the PR's BENCH file (see
-# scripts/loadtest.sh for the QPS/DURATION/RAMP/DRIVER knobs).
-loadtest:
-	GO="$(GO)" sh scripts/loadtest.sh
-
 # The full pre-merge gate.
-check: vet build test race smoke-remote smoke-gateway smoke-loadtest smoke-cluster
+check: vet build test race smoke-remote smoke-gateway smoke-cluster
 
 clean:
 	$(GO) clean ./...

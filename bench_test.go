@@ -1,10 +1,10 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus micro-benchmarks of the core machinery. Each
-// table/figure benchmark runs the corresponding experiment pipeline on
-// a compact testbed and reports the headline metric via b.ReportMetric,
-// so `go test -bench=.` both exercises and summarizes the reproduction.
-// (The full-scale numbers come from `go run ./cmd/experiments -all`;
-// these benches use reduced testbeds to keep the run minutes-long.)
+// Micro-benchmarks of the core machinery: EM convergence, the adaptive
+// decision, selection and search through the public API, summary
+// construction and shrunk-summary materialization, on a compact
+// testbed. `make bench` runs each once as a bit-rot check. Performance
+// numbers come from the repo benchmark (go run ./benchmark); the
+// paper's tables and figures from `go run ./cmd/experiments -all`,
+// with their shape asserted by the tests in internal/experiments.
 package repro
 
 import (
@@ -19,9 +19,9 @@ import (
 	"repro/internal/summary"
 )
 
-// benchScale is the compact testbed used by the table/figure benches:
-// bigger than TestScale (so the phenomena are visible) but far below
-// the full evaluation scale.
+// benchScale is the compact testbed the benches share: bigger than
+// TestScale (so the phenomena are visible) but far below the full
+// evaluation scale.
 func benchScale() experiments.Scale {
 	sc := experiments.TestScale()
 	sc.WebPerLeaf = 2
@@ -89,102 +89,6 @@ func benchSummaries(b *testing.B, kind experiments.BedKind, cfg experiments.Conf
 	benchWorlds.sums[key] = s
 	return s
 }
-
-// BenchmarkTable2MixtureWeights measures the EM computation of the λ
-// mixture weights (Table 2) across all Web databases.
-func BenchmarkTable2MixtureWeights(b *testing.B) {
-	w := benchWorld(b, experiments.Web)
-	sums := benchSummaries(b, experiments.Web, experiments.Config{Sampler: experiments.QBS, FreqEst: true})
-	classified := sums.Classified(w)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range classified {
-			core.Shrink(sums.Cats, classified[j], core.ShrinkOptions{})
-		}
-	}
-	b.ReportMetric(float64(len(classified)), "databases/op")
-}
-
-// qualityBench runs the Tables 4-9 pipeline once per iteration and
-// reports the shrunk-vs-unshrunk values of one metric.
-func qualityBench(b *testing.B, metric string) {
-	w := benchWorld(b, experiments.Web)
-	b.ResetTimer()
-	var row experiments.QualityRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		row, err = w.Quality(experiments.QBS, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	cell := map[string][2]float64{
-		"wr":   {row.WR.Shrunk, row.WR.Unshrunk},
-		"ur":   {row.UR.Shrunk, row.UR.Unshrunk},
-		"wp":   {row.WP.Shrunk, row.WP.Unshrunk},
-		"up":   {row.UP.Shrunk, row.UP.Unshrunk},
-		"srcc": {row.SRCC.Shrunk, row.SRCC.Unshrunk},
-		"kl":   {row.KL.Shrunk, row.KL.Unshrunk},
-	}[metric]
-	b.ReportMetric(cell[0], metric+"-shrunk")
-	b.ReportMetric(cell[1], metric+"-plain")
-}
-
-// BenchmarkTable4WeightedRecall regenerates the Table 4 metric.
-func BenchmarkTable4WeightedRecall(b *testing.B) { qualityBench(b, "wr") }
-
-// BenchmarkTable5UnweightedRecall regenerates the Table 5 metric.
-func BenchmarkTable5UnweightedRecall(b *testing.B) { qualityBench(b, "ur") }
-
-// BenchmarkTable6WeightedPrecision regenerates the Table 6 metric.
-func BenchmarkTable6WeightedPrecision(b *testing.B) { qualityBench(b, "wp") }
-
-// BenchmarkTable7UnweightedPrecision regenerates the Table 7 metric.
-func BenchmarkTable7UnweightedPrecision(b *testing.B) { qualityBench(b, "up") }
-
-// BenchmarkTable8SRCC regenerates the Table 8 metric.
-func BenchmarkTable8SRCC(b *testing.B) { qualityBench(b, "srcc") }
-
-// BenchmarkTable9KL regenerates the Table 9 metric.
-func BenchmarkTable9KL(b *testing.B) { qualityBench(b, "kl") }
-
-// BenchmarkTable10AdaptiveRate measures the adaptive algorithm's
-// shrinkage-application decision over the whole workload and reports
-// the Table 10 rate.
-func BenchmarkTable10AdaptiveRate(b *testing.B) {
-	w := benchWorld(b, experiments.TREC4)
-	sums := benchSummaries(b, experiments.TREC4, experiments.Config{Sampler: experiments.QBS, FreqEst: true})
-	b.ResetTimer()
-	var res experiments.AccuracyResult
-	for i := 0; i < b.N; i++ {
-		res = w.SelectionAccuracy(sums, selection.BGloss{}, experiments.Shrinkage, 10)
-	}
-	b.ReportMetric(100*res.ShrinkRate, "%shrinkage")
-}
-
-// figureBench runs one selection-accuracy comparison and reports mean
-// Rk at k=5 for the three strategies of Figures 4-5.
-func figureBench(b *testing.B, scorer selection.Scorer) {
-	w := benchWorld(b, experiments.TREC4)
-	sums := benchSummaries(b, experiments.TREC4, experiments.Config{Sampler: experiments.QBS, FreqEst: true})
-	b.ResetTimer()
-	var shrink, hier, plain experiments.AccuracyResult
-	for i := 0; i < b.N; i++ {
-		shrink = w.SelectionAccuracy(sums, scorer, experiments.Shrinkage, 10)
-		hier = w.SelectionAccuracy(sums, scorer, experiments.Hierarchical, 10)
-		plain = w.SelectionAccuracy(sums, scorer, experiments.Plain, 10)
-	}
-	b.ReportMetric(shrink.Rk[4], "R5-shrinkage")
-	b.ReportMetric(hier.Rk[4], "R5-hierarchical")
-	b.ReportMetric(plain.Rk[4], "R5-plain")
-}
-
-// BenchmarkFigure4CORISelection regenerates the Figure 4 comparison.
-func BenchmarkFigure4CORISelection(b *testing.B) { figureBench(b, selection.CORI{}) }
-
-// BenchmarkFigure5BGlossLM regenerates the Figure 5 comparison (bGlOSS
-// panel; the LM panel is exercised by the cmd/experiments harness).
-func BenchmarkFigure5BGlossLM(b *testing.B) { figureBench(b, selection.BGloss{}) }
 
 // BenchmarkEMConvergence is the DESIGN.md ablation: EM cost as a
 // function of the convergence tolerance.

@@ -19,9 +19,9 @@
 //
 // The default -listen 127.0.0.1:0 picks an ephemeral port; the chosen
 // address is logged as "serving <name> (<n> docs) on http://host:port".
-// The same listener also exposes /metrics, /debug/vars, and
-// /debug/pprof for operations, plus GET /v1/health (200 ok while
-// serving, 503 once draining). -max-inflight bounds concurrent protocol
+// The same listener also exposes /metrics and /debug/pprof for
+// operations, plus GET /v1/health (200 ok while serving, 503 once
+// draining). -max-inflight bounds concurrent protocol
 // requests — excess load is shed with 429 + Retry-After instead of
 // queueing — and SIGINT/SIGTERM triggers a graceful drain: health goes
 // 503, in-flight requests finish (up to -drain-timeout), then the
@@ -41,11 +41,9 @@ package main
 import (
 	"bufio"
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -76,7 +74,6 @@ func main() {
 		scale    = flag.String("scale", "small", "testbed scale: small | default")
 		seed     = flag.Int64("seed", 1, "testbed seed (must match the metasearcher's)")
 		list     = flag.Bool("list", false, "list the testbed's shard names and exit")
-		trace    = flag.Bool("trace", false, "log one wire.serve span per request to stderr, joined to the caller's propagated trace (X-Trace-Id / X-Parent-Span)")
 		node     = flag.String("node", "", "client mode: address of a running dbnode")
 		query    = flag.String("query", "", "client mode: evaluate this query at -node")
 		info     = flag.Bool("info", false, "client mode: print the -node description")
@@ -99,27 +96,18 @@ func main() {
 	}
 
 	reg := telemetry.NewRegistry()
-	reg.PublishExpvar("dbnode")
-	// Every serve always traces into a bounded ring so the cluster
-	// collector can join this node's wire.serve spans to the callers'
-	// traces; -trace additionally logs every event to stderr.
+	// Every serve traces into a bounded ring so the cluster collector
+	// can join this node's wire.serve spans to the callers' traces.
 	ring := telemetry.NewRingCapture(0)
-	obs := telemetry.Observer(ring)
-	if *trace {
-		h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})
-		obs = telemetry.MultiObserver(ring, telemetry.NewLogObserver(slog.New(h)))
-	}
-	tracer := telemetry.NewTracer(obs)
 	mux := http.NewServeMux()
 	srvNode := wire.NewNode(db, wire.ServerOptions{
 		Category:    cat,
 		MaxInflight: *maxInfl,
 		Metrics:     reg,
-		Tracer:      tracer,
+		Tracer:      telemetry.NewTracer(ring),
 	})
 	mux.Handle("/v1/", srvNode)
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

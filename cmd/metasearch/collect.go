@@ -1,32 +1,18 @@
 package main
 
 import (
-	"expvar"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"time"
 
 	"repro/internal/obscollector"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
-
-// collectConfig is the -collect flag bundle.
-type collectConfig struct {
-	TopologyFile string
-	TopologyPoll time.Duration
-	RouterAddr   string
-	ServeAddr    string
-	Interval     time.Duration
-	DrainFor     time.Duration
-	Verbose      bool
-	Profiles     obscollector.ProfileOptions
-}
 
 // runCollect runs the process as the cluster's observability collector:
 // it owns no testbed, no summaries, and answers no queries — it scrapes
@@ -39,35 +25,35 @@ type collectConfig struct {
 //	/debug/cluster/instances   scrape status per member
 //	/debug/cluster/profiles    continuous-profiling captures (-profile-dir)
 //
-// plus its own /metrics, /debug/vars, and /debug/pprof.
-func runCollect(cfg collectConfig) error {
-	if cfg.TopologyFile == "" {
-		log.Fatal("-collect requires -topology: the scrape set comes from the cluster topology")
-	}
-	if cfg.ServeAddr == "" {
-		log.Fatal("-collect requires -serve: the collector's only job is its HTTP surface")
-	}
+// plus its own /metrics and /debug/pprof.
+func runCollect(f *flags) error {
 	reg := telemetry.NewRegistry()
-	reg.PublishExpvar("metasearch")
 	var logger *slog.Logger
-	if cfg.Verbose {
+	if f.verbose {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	watcher, err := shardmap.NewWatcher(cfg.TopologyFile, shardmap.WatcherOptions{
-		Interval: cfg.TopologyPoll,
+	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
+		Interval: f.topoPoll,
 		Metrics:  reg,
 		Logger:   logger,
 	})
 	if err != nil {
 		return err
 	}
+	profiles := obscollector.ProfileOptions{
+		Enable:     f.profileDir != "",
+		Dir:        f.profileDir,
+		Interval:   f.profileEvery,
+		CPUSeconds: f.profileCPU,
+		Keep:       f.profileKeep,
+	}
 	c, err := obscollector.New(
-		obscollector.TargetsFromTopology(watcher.Snapshot().Topology, cfg.RouterAddr),
+		obscollector.TargetsFromTopology(watcher.Snapshot().Topology, f.collectRouter),
 		obscollector.Options{
-			Interval: cfg.Interval,
+			Interval: f.scrapeEvery,
 			Metrics:  reg,
 			Logger:   logger,
-			Profiles: cfg.Profiles,
+			Profiles: profiles,
 		})
 	if err != nil {
 		return err
@@ -77,11 +63,11 @@ func runCollect(cfg collectConfig) error {
 	// the next sweep, departed members' state is dropped.
 	c.SetTargets(c.Targets(), watcher.Generation())
 	watcher.Subscribe(func(snap *shardmap.Snapshot) {
-		targets := obscollector.TargetsFromTopology(snap.Topology, cfg.RouterAddr)
+		targets := obscollector.TargetsFromTopology(snap.Topology, f.collectRouter)
 		c.SetTargets(targets, snap.Generation)
 		log.Printf("topology generation %d applied: scraping %d members", snap.Generation, len(targets))
 	})
-	if cfg.TopologyPoll > 0 {
+	if f.topoPoll > 0 {
 		watcher.Start()
 		defer watcher.Stop()
 	}
@@ -92,9 +78,9 @@ func runCollect(cfg collectConfig) error {
 			log.Printf("scraping %s (%s)", t.BaseURL, t.Identity.Role)
 		}
 	}
-	if cfg.Profiles.Enable {
+	if profiles.Enable {
 		log.Printf("continuous profiling into %s (every %v, keep %d per kind)",
-			cfg.Profiles.Dir, cfg.Profiles.Interval, cfg.Profiles.Keep)
+			profiles.Dir, profiles.Interval, profiles.Keep)
 	}
 	c.Start()
 	defer c.Stop()
@@ -103,19 +89,18 @@ func runCollect(cfg collectConfig) error {
 	mux.Handle("/debug/cluster/", c.Handler())
 	mux.Handle("/debug/topology", watcher.Handler())
 	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	ln, err := net.Listen("tcp", cfg.ServeAddr)
+	ln, err := net.Listen("tcp", f.serveAddr)
 	if err != nil {
 		return err
 	}
 	log.Printf("cluster observability on http://%s/debug/cluster/metrics (traces /debug/cluster/traces, %d members)",
 		ln.Addr(), len(c.Targets()))
 
-	return wire.ServeUntilSignal(&http.Server{Handler: mux}, ln, nil, cfg.DrainFor)
+	return wire.ServeUntilSignal(&http.Server{Handler: mux}, ln, nil, f.drainFor)
 }

@@ -10,13 +10,11 @@
 //	metasearch [-scale small|default] [-scorer cori|bgloss|lm] [-k 5] \
 //	           [-serve :8090] [-listen :8080] [-remote host:port,...] \
 //	           [-debug-addr :6060] [-slo-latency 500ms] [-slo-target 0.99] \
-//	           [-v] [-trace] [-explain] [-audit queries.jsonl] \
+//	           [-v] [-explain] [-audit queries.jsonl] \
 //	           [-save state.json] [-load state.json] \
 //	           [-deadline 2s] [-hedge-after 100ms] [-probe-interval 2s] \
 //	           [-cache-size 1024] [-cache-ttl 10m] [-max-inflight 64] \
 //	           [-drain-timeout 5s] \
-//	           [-loadtest -lt-qps 100 -lt-duration 30s -lt-ramp 50:5s,500:2s:20 \
-//	            -lt-driver http|inproc -lt-trace trace.json -lt-out BENCH.json] \
 //	           [query ...]
 //
 // With no query arguments, queries are read one per line from stdin.
@@ -42,22 +40,15 @@
 // (-slo-latency, -slo-target); /debug/slo reports multi-window
 // error-budget burn rates.
 //
-// With -loadtest, the process instead measures its own serving path:
-// it generates (or replays, with -lt-trace) a deterministic open-loop
-// workload — Poisson arrivals at the configured QPS profile, Zipfian
-// query popularity over the testbed's query set — drives the gateway
-// over a loopback HTTP listener (-lt-driver http, the default) or
-// SearchExplained directly (inproc), and prints achieved QPS, latency
-// percentiles measured from scheduled arrival times, shed/hedge/cache
-// rates, per-stage latency percentiles, and the SLO report. -lt-out
-// merges the run into a BENCH JSON file's serving section.
+// Performance is measured by the repo benchmark (go run ./benchmark,
+// see benchmark/README.md), not by this command.
 //
 // With -remote, the metasearcher talks to dbnode servers over the wire
 // protocol instead of registering in-process databases; the nodes must
 // serve shards of the same testbed (same dbnode -scale and -seed) for
 // the term spaces to line up. Every wire request carries the query's
-// trace context (X-Trace-Id / X-Parent-Span), so a dbnode started with
-// -trace logs spans that join this process's traces.
+// trace context (X-Trace-Id / X-Parent-Span), so a dbnode's spans join
+// this process's traces (both export them at /debug/export/spans).
 //
 // Cluster modes (see DESIGN.md §9.5 and the README runbook):
 //
@@ -95,14 +86,13 @@
 //	/metrics           pipeline counters/gauges/histograms and p50/p95/p99
 //	                   latency windows (Prometheus text; ?format=json for
 //	                   a JSON snapshot)
-//	/debug/vars        the same registry as an expvar under "metasearch"
 //	/debug/queries     recent per-query audit records (?n=50 for more);
 //	                   /debug/queries/{id} returns one record by id
 //	/debug/breakers    every node's circuit-breaker state (state, window,
 //	                   trips, short-circuits)
 //	/debug/slo         serving-objective report: burn rate and remaining
-//	                   error budget per objective and window (with -serve
-//	                   or -loadtest; 404 otherwise)
+//	                   error budget per objective and window (with
+//	                   -serve; 404 otherwise)
 //	/debug/refresh     summary-refresh state: swap generation and each
 //	                   node's last divergence, drift count, and swaps
 //	                   (with -refresh-interval)
@@ -121,7 +111,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
@@ -141,7 +130,6 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
-	"repro/internal/obscollector"
 	"repro/internal/refresh"
 	"repro/internal/resilience"
 	"repro/internal/shardmap"
@@ -158,101 +146,107 @@ func sanitize(w string) string { return experiments.Sanitize(w) }
 
 func sanitizeAll(ws []string) []string { return experiments.SanitizeAll(ws) }
 
+// flags holds the value of every command-line flag. registerFlags is the
+// only place a flag is defined, which is what lets the docs-vs-flags test
+// enumerate them.
+type flags struct {
+	scale, scorerName, listen, remote, auditFile, saveFile, loadFile string
+	serveAddr, debugAddr, topologyFile, shardID                      string
+	collectRouter, profileDir                                        string
+
+	k, perDB, cacheSize, maxInfl, refreshDocs, profileCPU, profileKeep int
+	seed                                                               int64
+	sloTarget, driftThresh                                             float64
+	verbose, explain, routeMode, collectMode                           bool
+
+	deadline, hedgeAfter, probeEvery, cacheTTL, drainFor, sloLatency time.Duration
+	refreshEvery, topoPoll, scrapeEvery, profileEvery                time.Duration
+}
+
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{}
+	fs.StringVar(&f.scale, "scale", "small", "testbed scale: small | default")
+	fs.StringVar(&f.scorerName, "scorer", "cori", "selection algorithm: cori | bgloss | lm")
+	fs.IntVar(&f.k, "k", 5, "databases to select per query")
+	fs.IntVar(&f.perDB, "perdb", 3, "documents to retrieve per selected database")
+	fs.Int64Var(&f.seed, "seed", 1, "synthetic world seed")
+	fs.StringVar(&f.listen, "listen", "", "serve /metrics, /debug/* and /debug/pprof on this address (e.g. :8080)")
+	fs.StringVar(&f.remote, "remote", "", "comma-separated dbnode addresses (host:port,...); metasearch over these remote nodes instead of in-process databases (start them with: dbnode -testbed <name> -scale ... -seed ...)")
+	fs.BoolVar(&f.verbose, "v", false, "log pipeline progress to stderr")
+	fs.BoolVar(&f.explain, "explain", false, "print each query's selection audit record (scores, shrinkage verdicts, per-node costs)")
+	fs.StringVar(&f.auditFile, "audit", "", "append every query's audit record to this file as JSONL")
+	fs.StringVar(&f.saveFile, "save", "", "after building summaries, save them to this file (atomic write + checksum)")
+	fs.StringVar(&f.loadFile, "load", "", "load summaries from this file instead of sampling (pairs with -remote for live handles)")
+	fs.DurationVar(&f.deadline, "deadline", 0, "overall per-query fan-out deadline budget (0 = none); with -serve, also the default per-request deadline")
+	fs.DurationVar(&f.hedgeAfter, "hedge-after", 0, "hedge a node query after this latency (0 = auto from observed p95, negative = off)")
+	fs.DurationVar(&f.probeEvery, "probe-interval", 0, "background health-probe interval for tripped nodes (0 = off)")
+	fs.StringVar(&f.serveAddr, "serve", "", "run as a query service: the gateway API (/v1/search, /v1/healthz) plus the debug endpoints on this address, until SIGINT/SIGTERM")
+	fs.IntVar(&f.cacheSize, "cache-size", 1024, "entries per query-cache tier; 0 disables the selection and result caches")
+	fs.DurationVar(&f.cacheTTL, "cache-ttl", 0, "selection-cache TTL (0 = default 10m; the result tier keeps its shorter default)")
+	fs.IntVar(&f.maxInfl, "max-inflight", 0, "shed query-API requests past this many in flight with 429 + Retry-After (0 = unlimited)")
+	fs.DurationVar(&f.drainFor, "drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests to drain")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "with -serve: move the debug endpoints (/metrics, /debug/*) to their own listener on this address, keeping the public listener API-only")
+	fs.DurationVar(&f.sloLatency, "slo-latency", 500*time.Millisecond, "latency-SLO threshold: requests slower than this count against the latency objective")
+	fs.Float64Var(&f.sloTarget, "slo-target", 0.99, "latency-SLO target: required fraction of requests under -slo-latency")
+
+	fs.DurationVar(&f.refreshEvery, "refresh-interval", 0, "re-probe every database's live contents at this interval and rebuild drifted summaries in place (0 = off; incompatible with -shard-id)")
+	fs.Float64Var(&f.driftThresh, "drift-threshold", 0.3, "Jensen-Shannon divergence (nats, max ln 2 ≈ 0.69) between the stored summary and a fresh probe beyond which the summary is rebuilt")
+	fs.IntVar(&f.refreshDocs, "refresh-docs", 50, "documents per drift probe; small keeps checks cheap, the full -scale sample size is used only for an actual rebuild")
+
+	fs.StringVar(&f.topologyFile, "topology", "", "cluster topology file (shardmap JSON); required by -shard-id, -route, and -collect")
+	fs.DurationVar(&f.topoPoll, "topology-poll", 2*time.Second, "with a cluster mode: poll -topology for version bumps and apply them live — replica sets swap under traffic, the router's ring follows, the collector rescrapes (0 disables live reconfiguration)")
+	fs.StringVar(&f.shardID, "shard-id", "", "serve one topology shard: dial this shard's replicated dbnodes and scope the search fan-out to its databases (requires -topology and -load)")
+	fs.BoolVar(&f.routeMode, "route", false, "run as the cluster's scatter-gather router: fan /v1/search out to every shard in -topology and merge the rankings (no summaries are loaded in this process; requires -topology and -serve)")
+
+	fs.BoolVar(&f.collectMode, "collect", false, "run as the cluster observability collector: scrape every member of -topology (plus -collect-router) and serve /debug/cluster/* on -serve")
+	fs.StringVar(&f.collectRouter, "collect-router", "", "with -collect: the router's address, added to the scrape set with role \"router\"")
+	fs.DurationVar(&f.scrapeEvery, "scrape-interval", 5*time.Second, "with -collect: how often every fleet member is scraped")
+	fs.StringVar(&f.profileDir, "profile-dir", "", "with -collect: enable continuous profiling, storing pprof captures in this directory")
+	fs.DurationVar(&f.profileEvery, "profile-interval", 30*time.Second, "with -collect: pause between profile captures (each tick profiles one member, rotating through the fleet)")
+	fs.IntVar(&f.profileCPU, "profile-cpu-seconds", 5, "with -collect: length of each CPU profile capture")
+	fs.IntVar(&f.profileKeep, "profile-keep", 32, "with -collect: retained profiles per kind (cpu, heap); oldest deleted first")
+	return f
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("metasearch: ")
-	var (
-		scale      = flag.String("scale", "small", "testbed scale: small | default")
-		scorerName = flag.String("scorer", "cori", "selection algorithm: cori | bgloss | lm")
-		k          = flag.Int("k", 5, "databases to select per query")
-		perDB      = flag.Int("perdb", 3, "documents to retrieve per selected database")
-		seed       = flag.Int64("seed", 1, "synthetic world seed")
-		listen     = flag.String("listen", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :8080)")
-		remote     = flag.String("remote", "", "comma-separated dbnode addresses (host:port,...); metasearch over these remote nodes instead of in-process databases (start them with: dbnode -testbed <name> -scale ... -seed ...)")
-		verbose    = flag.Bool("v", false, "log pipeline progress to stderr")
-		trace      = flag.Bool("trace", false, "log structured trace events (spans, EM convergence, adaptive decisions) to stderr")
-		explain    = flag.Bool("explain", false, "print each query's selection audit record (scores, shrinkage verdicts, per-node costs)")
-		auditFile  = flag.String("audit", "", "append every query's audit record to this file as JSONL")
-		saveFile   = flag.String("save", "", "after building summaries, save them to this file (atomic write + checksum)")
-		loadFile   = flag.String("load", "", "load summaries from this file instead of sampling (pairs with -remote for live handles)")
-		deadline   = flag.Duration("deadline", 0, "overall per-query fan-out deadline budget (0 = none); with -serve, also the default per-request deadline")
-		hedgeAfter = flag.Duration("hedge-after", 0, "hedge a node query after this latency (0 = auto from observed p95, negative = off)")
-		probeEvery = flag.Duration("probe-interval", 0, "background health-probe interval for tripped nodes (0 = off)")
-		serveAddr  = flag.String("serve", "", "run as a query service: the gateway API (/v1/search, /v1/healthz) plus the debug endpoints on this address, until SIGINT/SIGTERM")
-		cacheSize  = flag.Int("cache-size", 1024, "entries per query-cache tier; 0 disables the selection and result caches")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "selection-cache TTL (0 = default 10m; the result tier keeps its shorter default)")
-		maxInfl    = flag.Int("max-inflight", 0, "shed query-API requests past this many in flight with 429 + Retry-After (0 = unlimited)")
-		drainFor   = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown waits for in-flight requests to drain")
-		debugAddr  = flag.String("debug-addr", "", "with -serve: move the debug endpoints (/metrics, /debug/*) to their own listener on this address, keeping the public listener API-only")
-		sloLatency = flag.Duration("slo-latency", 500*time.Millisecond, "latency-SLO threshold: requests slower than this count against the latency objective")
-		sloTarget  = flag.Float64("slo-target", 0.99, "latency-SLO target: required fraction of requests under -slo-latency")
-
-		refreshEvery = flag.Duration("refresh-interval", 0, "re-probe every database's live contents at this interval and rebuild drifted summaries in place (0 = off; incompatible with -shard-id)")
-		driftThresh  = flag.Float64("drift-threshold", 0.3, "Jensen-Shannon divergence (nats, max ln 2 ≈ 0.69) between the stored summary and a fresh probe beyond which the summary is rebuilt")
-		refreshDocs  = flag.Int("refresh-docs", 50, "documents per drift probe; small keeps checks cheap, the full -scale sample size is used only for an actual rebuild")
-
-		topologyFile = flag.String("topology", "", "cluster topology file (shardmap JSON); required by -shard-id, -route, and -collect")
-		topoPoll     = flag.Duration("topology-poll", 2*time.Second, "with a cluster mode: poll -topology for version bumps and apply them live — replica sets swap under traffic, the router's ring follows, the collector rescrapes (0 disables live reconfiguration)")
-		shardID      = flag.String("shard-id", "", "serve one topology shard: dial this shard's replicated dbnodes and scope the search fan-out to its databases (requires -topology and -load)")
-		routeMode    = flag.Bool("route", false, "run as the cluster's scatter-gather router: fan /v1/search out to every shard in -topology and merge the rankings (no summaries are loaded in this process)")
-
-		collectMode   = flag.Bool("collect", false, "run as the cluster observability collector: scrape every member of -topology (plus -collect-router) and serve /debug/cluster/* on -serve")
-		collectRouter = flag.String("collect-router", "", "with -collect: the router's address, added to the scrape set with role \"router\"")
-		scrapeEvery   = flag.Duration("scrape-interval", 5*time.Second, "with -collect: how often every fleet member is scraped")
-		profileDir    = flag.String("profile-dir", "", "with -collect: enable continuous profiling, storing pprof captures in this directory")
-		profileEvery  = flag.Duration("profile-interval", 30*time.Second, "with -collect: pause between profile captures (each tick profiles one member, rotating through the fleet)")
-		profileCPU    = flag.Int("profile-cpu-seconds", 5, "with -collect: length of each CPU profile capture")
-		profileKeep   = flag.Int("profile-keep", 32, "with -collect: retained profiles per kind (cpu, heap); oldest deleted first")
-
-		loadtest   = flag.Bool("loadtest", false, "run a load test against this process's own serving path instead of a REPL, print the report, then exit")
-		ltQPS      = flag.Float64("lt-qps", 50, "load test: steady offered rate (ignored when -lt-ramp is set)")
-		ltDuration = flag.Duration("lt-duration", 10*time.Second, "load test: steady-phase length (ignored when -lt-ramp is set)")
-		ltRamp     = flag.String("lt-ramp", "", "load test: QPS profile as qps:duration[:burst] segments, e.g. 50:5s,500:2s:20,50:5s")
-		ltDriver   = flag.String("lt-driver", "http", "load test: http (loopback gateway, the full serving path) | inproc (direct SearchExplained calls)")
-		ltZipf     = flag.Float64("lt-zipf", 1.1, "load test: Zipf exponent of query popularity")
-		ltQueries  = flag.Int("lt-queries", 0, "load test: distinct queries in the workload (0 = the testbed's whole query set)")
-		ltTrace    = flag.String("lt-trace", "", "load test: trace file; replayed if it exists, else generated and saved for replay")
-		ltOut      = flag.String("lt-out", "", "load test: merge the run report into this BENCH JSON file's serving section")
-		ltName     = flag.String("lt-name", "", "load test: run label in reports (default derived from the profile)")
-		ltMaxOut   = flag.Int("lt-max-outstanding", 0, "load test: client-side cap on in-flight requests; excess scheduled requests are dropped, not deferred (0 = unlimited)")
-		ltStream   = flag.Bool("lt-stream", false, "load test: after the run, measure streaming delivery — /v1/search/stream time-to-first-frame vs blocking /v1/search latency — and merge a streaming section into -lt-out (http driver only)")
-		ltStreamN  = flag.Int("lt-stream-samples", 40, "load test: timed requests in the -lt-stream stage, split between the blocking and streaming halves")
-	)
+	f := registerFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *refreshEvery > 0 && *shardID != "" {
+	// Mode misuse that the flags alone decide is refused here, before the
+	// testbed build that every mode but -collect pays for.
+	switch {
+	case f.collectMode && f.topologyFile == "":
+		log.Fatal("-collect requires -topology: the scrape set comes from the cluster topology")
+	case f.collectMode && f.serveAddr == "":
+		log.Fatal("-collect requires -serve: the collector's only job is its HTTP surface")
+	case f.refreshEvery > 0 && f.shardID != "":
 		log.Fatal("-refresh-interval cannot be combined with -shard-id: shards serve a shared offline summary store; rebuild it centrally and reload")
+	case f.shardID != "" && f.topologyFile == "":
+		log.Fatal("-shard-id requires -topology")
+	case f.shardID != "" && f.loadFile == "":
+		log.Fatal("-shard-id requires -load: shards serve offline-built summaries, they do not sample")
+	case f.routeMode && f.topologyFile == "":
+		log.Fatal("-route requires -topology")
+	case f.routeMode && f.serveAddr == "":
+		log.Fatal("-route requires -serve: a router has no REPL")
 	}
 
-	if *collectMode {
+	if f.collectMode {
 		// The collector owns no testbed and answers no queries; it is
 		// dispatched before the world is built.
-		if err := runCollect(collectConfig{
-			TopologyFile: *topologyFile,
-			TopologyPoll: *topoPoll,
-			RouterAddr:   *collectRouter,
-			ServeAddr:    *serveAddr,
-			Interval:     *scrapeEvery,
-			DrainFor:     *drainFor,
-			Verbose:      *verbose,
-			Profiles: obscollector.ProfileOptions{
-				Enable:     *profileDir != "",
-				Dir:        *profileDir,
-				Interval:   *profileEvery,
-				CPUSeconds: *profileCPU,
-				Keep:       *profileKeep,
-			},
-		}); err != nil {
+		if err := runCollect(f); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
 	sc := experiments.TestScale()
-	if *scale == "default" {
+	if f.scale == "default" {
 		sc = experiments.DefaultScale()
 	}
-	sc.Seed = *seed
+	sc.Seed = f.seed
 
 	log.Print("building Web testbed...")
 	w, err := experiments.BuildWorld(experiments.Web, sc)
@@ -261,134 +255,93 @@ func main() {
 	}
 	log.Printf("%d databases, %d documents", len(w.Bed.Databases), w.Bed.TotalDocs())
 
-	if *routeMode {
+	if f.routeMode {
 		// The router owns no summaries and no metasearcher; it fans out
 		// to the topology's shards and merges. Everything it needs is
 		// assembled in route.go.
-		if err := runRoute(w, routeConfig{
-			TopologyFile: *topologyFile,
-			TopologyPoll: *topoPoll,
-			ServeAddr:    *serveAddr,
-			DebugAddr:    *debugAddr,
-			Deadline:     *deadline,
-			ProbeEvery:   *probeEvery,
-			DrainFor:     *drainFor,
-			MaxDBs:       *k,
-			PerDB:        *perDB,
-			MaxInflight:  *maxInfl,
-			SLOLatency:   *sloLatency,
-			SLOTarget:    *sloTarget,
-			Trace:        *trace,
-			Loadtest:     *loadtest,
-			LT: loadtestConfig{
-				QPS:            *ltQPS,
-				Duration:       *ltDuration,
-				Ramp:           *ltRamp,
-				Driver:         *ltDriver,
-				Zipf:           *ltZipf,
-				NumQueries:     *ltQueries,
-				TraceFile:      *ltTrace,
-				OutFile:        *ltOut,
-				Name:           *ltName,
-				Seed:           *seed,
-				MaxDBs:         *k,
-				PerDB:          *perDB,
-				MaxOutstanding: *ltMaxOut,
-				Section:        "cluster_serving",
-				Stream:         *ltStream,
-				StreamSamples:  *ltStreamN,
-			},
-		}); err != nil {
+		if err := runRoute(w, f); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	// Observability wiring: a logger for -v, a trace observer for
-	// -trace, and the metrics registry that the HTTP endpoints serve.
+	// Observability wiring: a logger for -v, the span ring, and the
+	// metrics registry that the HTTP endpoints serve.
 	opts := repro.Options{
 		SampleSize:  sc.SampleTarget,
-		Scorer:      *scorerName,
+		Scorer:      f.scorerName,
 		SeedLexicon: sanitizeAll(w.Lexicon),
-		Seed:        *seed,
+		Seed:        f.seed,
 		Parallelism: runtime.GOMAXPROCS(0),
 		// The synthetic vocabulary is not English: stemming or stopword
 		// removal would mangle its token space.
 		KeepStopwords: true,
 		NoStemming:    true,
 		Resilience: repro.ResilienceOptions{
-			DeadlineBudget: *deadline,
-			HedgeAfter:     *hedgeAfter,
+			DeadlineBudget: f.deadline,
+			HedgeAfter:     f.hedgeAfter,
 		},
 		Cache: repro.CacheConfig{
-			Disable: *cacheSize == 0,
-			Size:    *cacheSize,
-			TTL:     *cacheTTL,
+			Disable: f.cacheSize == 0,
+			Size:    f.cacheSize,
+			TTL:     f.cacheTTL,
 		},
 	}
-	if *verbose {
+	if f.verbose {
 		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	// Tracing is always on into a bounded ring, so the cluster collector
-	// can assemble this process's recent spans via /debug/export/spans;
-	// -trace additionally logs every event to stderr.
+	// can assemble this process's recent spans via /debug/export/spans.
 	ring := telemetry.NewRingCapture(0)
 	opts.Observer = ring
-	if *trace {
-		h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})
-		opts.Observer = telemetry.MultiObserver(ring, telemetry.NewLogObserver(slog.New(h)))
-	}
-	if *auditFile != "" {
-		f, err := os.OpenFile(*auditFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if f.auditFile != "" {
+		af, err := os.OpenFile(f.auditFile, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			log.Fatalf("audit log: %v", err)
 		}
-		defer f.Close()
-		opts.AuditLog = f
+		defer af.Close()
+		opts.AuditLog = af
 	}
 	m := repro.New(opts)
 
 	// The process's identity stamped on its span and audit exports;
 	// shards carry their shard id so fleet views can slice by it.
-	selfAddr := *serveAddr
+	selfAddr := f.serveAddr
 	if selfAddr == "" {
-		selfAddr = *listen
+		selfAddr = f.listen
 	}
 	if selfAddr == "" {
 		selfAddr = fmt.Sprintf("metasearch-pid%d", os.Getpid())
 	}
 	selfRole := "metasearch"
-	if *shardID != "" {
+	if f.shardID != "" {
 		selfRole = "shard"
 	}
-	self := telemetry.Identity{Instance: selfAddr, Role: selfRole, Shard: *shardID}
+	self := telemetry.Identity{Instance: selfAddr, Role: selfRole, Shard: f.shardID}
 
 	// The SLO tracker judges every gateway request against the serving
 	// objectives; /debug/slo reports multi-window error-budget burn.
 	var tracker *slo.Tracker
-	if *serveAddr != "" || *loadtest {
-		objectives := slo.DefaultObjectives(*sloLatency)
-		objectives[0].Target = *sloTarget
+	if f.serveAddr != "" {
+		objectives := slo.DefaultObjectives(f.sloLatency)
+		objectives[0].Target = f.sloTarget
 		tracker = slo.New(slo.Config{Objectives: objectives, Registry: m.Metrics()})
 	}
 
-	if *listen != "" || *serveAddr != "" {
-		m.Metrics().PublishExpvar("metasearch")
-	}
 	// In REPL mode, -listen serves the debug endpoints on their own
 	// listener; it is shut down gracefully when the REPL ends. (In -serve
 	// mode the gateway listener carries the debug endpoints itself unless
 	// -debug-addr moves them.)
-	if *listen != "" && *serveAddr == "" {
-		srv := &http.Server{Addr: *listen, Handler: debugMux(metasearcherDebug(m, self, ring), tracker)}
+	if f.listen != "" && f.serveAddr == "" {
+		srv := &http.Server{Addr: f.listen, Handler: debugMux(metasearcherDebug(m, self, ring), tracker)}
 		go func() {
-			log.Printf("telemetry on http://%s/metrics (and /debug/vars, /debug/pprof)", *listen)
+			log.Printf("telemetry on http://%s/metrics (and /debug/queries, /debug/pprof)", f.listen)
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Fatalf("telemetry server: %v", err)
 			}
 		}()
 		defer func() {
-			sctx, cancel := context.WithTimeout(context.Background(), *drainFor)
+			sctx, cancel := context.WithTimeout(context.Background(), f.drainFor)
 			defer cancel()
 			srv.Shutdown(sctx)
 		}()
@@ -404,15 +357,9 @@ func main() {
 	var shardScope map[string]bool
 	var topoWatcher *shardmap.Watcher
 	var topoGen, topoSwapMs atomic.Int64
-	if *shardID != "" {
-		if *topologyFile == "" {
-			log.Fatal("-shard-id requires -topology")
-		}
-		if *loadFile == "" {
-			log.Fatal("-shard-id requires -load: shards serve offline-built summaries, they do not sample")
-		}
-		topoWatcher, err = shardmap.NewWatcher(*topologyFile, shardmap.WatcherOptions{
-			Interval: *topoPoll,
+	if f.shardID != "" {
+		topoWatcher, err = shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
+			Interval: f.topoPoll,
 			Metrics:  m.Metrics(),
 		})
 		if err != nil {
@@ -420,7 +367,7 @@ func main() {
 		}
 		topo := topoWatcher.Snapshot().Topology
 		topoGen.Store(topoWatcher.Generation())
-		assigns, err := topo.ShardAssignments(*shardID)
+		assigns, err := topo.ShardAssignments(f.shardID)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -436,15 +383,15 @@ func main() {
 				log.Fatal(err)
 			}
 			log.Printf("shard %s: %s (%d docs, category %q, %d replicas, preferred #%d)",
-				*shardID, rdb.Name(), rdb.NumDocs(), rdb.Category(), rdb.Replicas(), rdb.Preferred())
+				f.shardID, rdb.Name(), rdb.NumDocs(), rdb.Category(), rdb.Replicas(), rdb.Preferred())
 			if err := m.AddDatabase(rdb, rdb.Category()); err != nil {
 				log.Fatal(err)
 			}
 			shardScope[a.Database] = true
 		}
-		log.Printf("shard %s owns %d of the topology's %d databases", *shardID, len(assigns), len(topo.Databases))
-	} else if *remote != "" {
-		for _, addr := range strings.Split(*remote, ",") {
+		log.Printf("shard %s owns %d of the topology's %d databases", f.shardID, len(assigns), len(topo.Databases))
+	} else if f.remote != "" {
+		for _, addr := range strings.Split(f.remote, ",") {
 			addr = strings.TrimSpace(addr)
 			if addr == "" {
 				continue
@@ -474,15 +421,15 @@ func main() {
 			}
 		}
 	}
-	if *loadFile != "" {
-		log.Printf("loading summaries from %s...", *loadFile)
+	if f.loadFile != "" {
+		log.Printf("loading summaries from %s...", f.loadFile)
 		if shardScope != nil {
 			// Shard-scoped load: the full summary store (selection is a
 			// function of collection-wide statistics) with the fan-out
 			// restricted to this shard's slice.
-			err = m.LoadFileFiltered(*loadFile, func(name string) bool { return shardScope[name] })
+			err = m.LoadFileFiltered(f.loadFile, func(name string) bool { return shardScope[name] })
 		} else {
-			err = m.LoadFile(*loadFile)
+			err = m.LoadFile(f.loadFile)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -493,14 +440,14 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if *saveFile != "" {
-		if err := m.SaveFile(*saveFile); err != nil {
+	if f.saveFile != "" {
+		if err := m.SaveFile(f.saveFile); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("summaries saved to %s", *saveFile)
+		log.Printf("summaries saved to %s", f.saveFile)
 	}
-	if *probeEvery > 0 {
-		stop := m.StartHealthProbes(*probeEvery)
+	if f.probeEvery > 0 {
+		stop := m.StartHealthProbes(f.probeEvery)
 		defer stop()
 	}
 
@@ -512,25 +459,25 @@ func main() {
 	// on — so the flag is refused there; refresh the offline store and
 	// roll it out with -load instead.
 	var refresher *refresh.Manager
-	if *refreshEvery > 0 {
+	if f.refreshEvery > 0 {
 		refresher = refresh.NewManager(m, refresh.Options{
-			Interval:   *refreshEvery,
-			Threshold:  *driftThresh,
-			SampleDocs: *refreshDocs,
+			Interval:   f.refreshEvery,
+			Threshold:  f.driftThresh,
+			SampleDocs: f.refreshDocs,
 			Metrics:    m.Metrics(),
 			Logger:     opts.Logger,
 		})
 		refresher.Start()
 		defer refresher.Stop()
 		log.Printf("summary refresh every %v (JS drift threshold %.3g, %d-doc probes)",
-			*refreshEvery, *driftThresh, *refreshDocs)
+			f.refreshEvery, f.driftThresh, f.refreshDocs)
 	}
 
 	// Live reconfiguration: once summaries are loaded, topology version
 	// bumps swap this shard's replica sets and scope under traffic.
 	if topoWatcher != nil {
 		topoWatcher.Subscribe(func(snap *shardmap.Snapshot) {
-			assigns, err := snap.Topology.ShardAssignments(*shardID)
+			assigns, err := snap.Topology.ShardAssignments(f.shardID)
 			if err != nil {
 				log.Printf("topology generation %d: %v; keeping current assignments", snap.Generation, err)
 				return
@@ -554,20 +501,20 @@ func main() {
 			log.Printf("topology generation %d applied: attached %d, detached %d, unknown %d, scope_changed %v",
 				snap.Generation, len(rep.Attached), len(rep.Detached), len(rep.Unknown), rep.ScopeChanged)
 		})
-		if *topoPoll > 0 {
+		if f.topoPoll > 0 {
 			topoWatcher.Start()
 			defer topoWatcher.Stop()
 		}
 	}
 
 	gopts := gateway.Options{
-		DefaultMaxDBs:   *k,
-		DefaultPerDB:    *perDB,
-		DefaultDeadline: *deadline,
-		MaxInflight:     *maxInfl,
+		DefaultMaxDBs:   f.k,
+		DefaultPerDB:    f.perDB,
+		DefaultDeadline: f.deadline,
+		MaxInflight:     f.maxInfl,
 		Metrics:         m.Metrics(),
 		SLO:             tracker,
-		ShardID:         *shardID,
+		ShardID:         f.shardID,
 	}
 	if topoWatcher != nil {
 		// /v1/healthz reports the generation this shard has APPLIED (and
@@ -581,32 +528,7 @@ func main() {
 		}
 	}
 
-	if *loadtest {
-		if err := runLoadtest(m, m.Metrics(), w, loadtestConfig{
-			QPS:            *ltQPS,
-			Duration:       *ltDuration,
-			Ramp:           *ltRamp,
-			Driver:         *ltDriver,
-			Zipf:           *ltZipf,
-			NumQueries:     *ltQueries,
-			TraceFile:      *ltTrace,
-			OutFile:        *ltOut,
-			Name:           *ltName,
-			Seed:           *seed,
-			MaxDBs:         *k,
-			PerDB:          *perDB,
-			MaxOutstanding: *ltMaxOut,
-			Stream:         *ltStream,
-			StreamSamples:  *ltStreamN,
-			Gateway:        gopts,
-			Tracker:        tracker,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *serveAddr != "" {
+	if f.serveAddr != "" {
 		dbg := metasearcherDebug(m, self, ring)
 		if topoWatcher != nil {
 			dbg.topology = topoWatcher.Handler()
@@ -614,7 +536,7 @@ func main() {
 		if refresher != nil {
 			dbg.refresh = refresher.Handler()
 		}
-		if err := serve(m, w, *serveAddr, *debugAddr, gopts, tracker, *drainFor, dbg); err != nil {
+		if err := serve(m, w, f.serveAddr, f.debugAddr, gopts, tracker, f.drainFor, dbg); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -624,7 +546,7 @@ func main() {
 		if strings.TrimSpace(query) == "" {
 			return
 		}
-		sels, err := m.Select(query, *k)
+		sels, err := m.Select(query, f.k)
 		if err != nil {
 			fmt.Printf("%-40s -> %v\n", query, err)
 			return
@@ -642,10 +564,10 @@ func main() {
 			info, _ := m.Info(s.Database)
 			fmt.Printf("  %2d.%s %-34s score %-12.4g %s\n", i+1, mark, s.Database, s.Score, info.Category)
 		}
-		results, err := m.Search(query, *k, *perDB)
+		results, err := m.Search(query, f.k, f.perDB)
 		if err != nil {
 			fmt.Printf("  search: %v\n", err)
-			if *explain {
+			if f.explain {
 				m.Audit().Last().Format(os.Stdout)
 			}
 			return
@@ -656,7 +578,7 @@ func main() {
 		for _, res := range results {
 			fmt.Printf("     doc %s/%d  %.4f\n", res.Database, res.DocID, res.Score)
 		}
-		if *explain {
+		if f.explain {
 			m.Audit().Last().Format(os.Stdout)
 		}
 	}
@@ -704,12 +626,11 @@ func metasearcherDebug(m *repro.Metasearcher, id telemetry.Identity, ring *telem
 }
 
 // debugMux assembles the operational endpoints every serving mode
-// exposes: metrics, expvar, recent audit records, breaker states, the
-// SLO report, and the pprof profilers.
+// exposes: metrics, recent audit records, breaker states, the SLO
+// report, and the pprof profilers.
 func debugMux(d debugBundle, tracker *slo.Tracker) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", d.reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/queries", d.audit.Handler())
 	mux.Handle("/debug/queries/", d.audit.Handler())
 	mux.Handle("/debug/breakers", d.breakers.Handler())

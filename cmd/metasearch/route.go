@@ -2,9 +2,6 @@ package main
 
 import (
 	"log"
-	"log/slog"
-	"os"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/gateway"
@@ -15,60 +12,30 @@ import (
 	"repro/internal/telemetry"
 )
 
-// routeConfig is the -route flag bundle.
-type routeConfig struct {
-	TopologyFile string
-	TopologyPoll time.Duration
-	ServeAddr    string
-	DebugAddr    string
-	Deadline     time.Duration
-	ProbeEvery   time.Duration
-	DrainFor     time.Duration
-	MaxDBs       int
-	PerDB        int
-	MaxInflight  int
-	SLOLatency   time.Duration
-	SLOTarget    float64
-	Trace        bool
-	Loadtest     bool
-	LT           loadtestConfig
-}
-
 // runRoute runs the process as the cluster's scatter-gather router: no
 // summaries, no selection — every query fans out to the topology's
 // shards (each a metasearch -shard-id process) and the per-shard
 // rankings merge into the single-process answer. The router serves the
 // same gateway API and debug endpoints as a standalone metasearcher,
 // with /debug/breakers showing per-shard breakers.
-func runRoute(w *experiments.World, cfg routeConfig) error {
-	if cfg.TopologyFile == "" {
-		log.Fatal("-route requires -topology")
-	}
-
+func runRoute(w *experiments.World, f *flags) error {
 	reg := telemetry.NewRegistry()
-	reg.PublishExpvar("metasearch")
 	// The router always traces into a bounded ring so the cluster
-	// collector can stitch its fan-out spans into cross-process traces;
-	// -trace additionally logs every event to stderr.
+	// collector can stitch its fan-out spans into cross-process traces.
 	ring := telemetry.NewRingCapture(0)
-	obs := telemetry.Observer(ring)
-	if cfg.Trace {
-		h := slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug})
-		obs = telemetry.MultiObserver(ring, telemetry.NewLogObserver(slog.New(h)))
-	}
-	tracer := telemetry.NewTracer(obs)
+	tracer := telemetry.NewTracer(ring)
 	breakers := resilience.NewSet(resilience.BreakerOptions{}, reg)
 	budget := resilience.NewBudget(resilience.BudgetOptions{Metrics: reg})
 
-	watcher, err := shardmap.NewWatcher(cfg.TopologyFile, shardmap.WatcherOptions{
-		Interval: cfg.TopologyPoll,
+	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
+		Interval: f.topoPoll,
 		Metrics:  reg,
 	})
 	if err != nil {
 		return err
 	}
 	rt, err := router.New(watcher.Snapshot().Topology, router.Options{
-		Timeout:  cfg.Deadline,
+		Timeout:  f.deadline,
 		Breakers: breakers,
 		Metrics:  reg,
 		Tracer:   tracer,
@@ -80,8 +47,8 @@ func runRoute(w *experiments.World, cfg routeConfig) error {
 	for _, s := range rt.Shards() {
 		log.Printf("routing to shard %s at %s", s.ID, s.Addr)
 	}
-	if cfg.ProbeEvery > 0 {
-		prober := rt.StartHealthProbes(resilience.ProberOptions{Interval: cfg.ProbeEvery})
+	if f.probeEvery > 0 {
+		prober := rt.StartHealthProbes(resilience.ProberOptions{Interval: f.probeEvery})
 		defer prober.Stop()
 	}
 	// Live reconfiguration: topology version bumps swap the fan-out ring
@@ -95,20 +62,20 @@ func runRoute(w *experiments.World, cfg routeConfig) error {
 		log.Printf("topology generation %d applied: shards +%d -%d moved %d",
 			rec.Generation, len(rec.ShardsAdded), len(rec.ShardsRemoved), len(rec.ShardsMoved))
 	})
-	if cfg.TopologyPoll > 0 {
+	if f.topoPoll > 0 {
 		watcher.Start()
 		defer watcher.Stop()
 	}
 
-	objectives := slo.DefaultObjectives(cfg.SLOLatency)
-	objectives[0].Target = cfg.SLOTarget
+	objectives := slo.DefaultObjectives(f.sloLatency)
+	objectives[0].Target = f.sloTarget
 	tracker := slo.New(slo.Config{Objectives: objectives, Registry: reg})
 
 	gopts := gateway.Options{
-		DefaultMaxDBs:   cfg.MaxDBs,
-		DefaultPerDB:    cfg.PerDB,
-		DefaultDeadline: cfg.Deadline,
-		MaxInflight:     cfg.MaxInflight,
+		DefaultMaxDBs:   f.k,
+		DefaultPerDB:    f.perDB,
+		DefaultDeadline: f.deadline,
+		MaxInflight:     f.maxInfl,
 		Metrics:         reg,
 		SLO:             tracker,
 		// /v1/healthz reports every shard's breaker state and last
@@ -120,21 +87,12 @@ func runRoute(w *experiments.World, cfg routeConfig) error {
 	dbg := debugBundle{
 		reg:      reg,
 		breakers: breakers,
-		identity: telemetry.Identity{Instance: cfg.ServeAddr, Role: "router"},
+		identity: telemetry.Identity{Instance: f.serveAddr, Role: "router"},
 		ring:     ring,
 		// The router's /debug/topology is the live ring view: active
 		// generation, fan-out targets, and the swap audit trail.
 		topology: rt.TopologyHandler(),
 	}
 
-	if cfg.Loadtest {
-		lt := cfg.LT
-		lt.Gateway = gopts
-		lt.Tracker = tracker
-		return runLoadtest(rt, reg, w, lt)
-	}
-	if cfg.ServeAddr == "" {
-		log.Fatal("-route needs -serve (or -loadtest): a router has no REPL")
-	}
-	return serve(rt, w, cfg.ServeAddr, cfg.DebugAddr, gopts, tracker, cfg.DrainFor, dbg)
+	return serve(rt, w, f.serveAddr, f.debugAddr, gopts, tracker, f.drainFor, dbg)
 }

@@ -23,6 +23,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,6 +79,27 @@ func e2eOptions(lexicon []string, ring *telemetry.RingCapture) repro.Options {
 	}
 }
 
+// failFirstAttempts, while armed, answers every first wire attempt
+// (request ID "r<seq>.0") with a transient 503 and serves retries
+// untouched. A single-shot fault is the wrong tool under a 1µs hedge:
+// the hedge twin usually wins and cancels the attempt that drew the
+// 503 before it retries. Failing each twin's first attempt means
+// whichever twin answers has retried.
+type failFirstAttempts struct {
+	next     http.Handler
+	armed    atomic.Bool
+	injected atomic.Int64
+}
+
+func (f *failFirstAttempts) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if f.armed.Load() && strings.HasSuffix(r.Header.Get(telemetry.HeaderRequestID), ".0") {
+		f.injected.Add(1)
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "injected transient failure (armed)")
+		return
+	}
+	f.next.ServeHTTP(w, r)
+}
+
 // member serves one process's debug surface next to its payload routes,
 // the way cmd/metasearch and cmd/dbnode assemble their muxes.
 func member(t *testing.T, id telemetry.Identity, reg *telemetry.Registry, ring *telemetry.RingCapture, auditLog *audit.Log, payload map[string]http.Handler) (*httptest.Server, obscollector.Target) {
@@ -118,9 +140,9 @@ func TestCollectorClusterE2E(t *testing.T) {
 	var targets []obscollector.Target
 
 	// One dbnode process per database; the first one can be armed to
-	// fail exactly one wire request with a transient 503, forcing the
-	// calling shard's wire client into a retry.
-	var armed *wire.FailOnceHandler
+	// fail first attempts with a transient 503, forcing the calling
+	// shard's wire client into a retry.
+	var armed *failFirstAttempts
 	replicaAddrs := map[string][]string{}
 	for i, d := range dbs {
 		reg := telemetry.NewRegistry()
@@ -130,7 +152,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 			repro.NewLocalDatabaseFromTerms(d.name, d.docs),
 			wire.ServerOptions{Category: d.category, Metrics: reg, Tracer: telemetry.NewTracer(ring)})
 		if i == 0 {
-			armed = wire.FailOnce(payload)
+			armed = &failFirstAttempts{next: payload}
 			payload = armed
 		}
 		srv, target := member(t, id, reg, ring, nil, map[string]http.Handler{"/v1/": payload})
@@ -212,8 +234,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 	targets = append(targets, routerTarget)
 
 	// Drive queries through the router's gateway. The last one runs with
-	// the first dbnode armed to 503 exactly once, so its trace includes
-	// a retried wire call.
+	// the first dbnode armed, so its trace includes a retried wire call.
 	ask := func(q string) gateway.SearchReply {
 		t.Helper()
 		resp, err := http.Get(routerSrv.URL + gateway.PathSearch + "?q=" +
@@ -237,9 +258,10 @@ func TestCollectorClusterE2E(t *testing.T) {
 	for _, d := range dbs {
 		ask(d.docs[0][0] + " " + d.docs[0][1])
 	}
-	armed.Arm()
+	armed.armed.Store(true)
 	retried := ask(dbs[0].docs[0][0] + " " + dbs[0].docs[0][1])
-	if armed.Injected() == 0 {
+	armed.armed.Store(false)
+	if armed.injected.Load() == 0 {
 		t.Fatal("armed failure was never injected; the retry path is not exercised")
 	}
 
@@ -354,6 +376,30 @@ func TestCollectorClusterE2E(t *testing.T) {
 	tr := assertAssembled(retried.TraceID, "retried query")
 	if len(tr.Queries) == 0 {
 		t.Error("retried query's trace carries no audit records")
+	}
+	// The tree shows the retry itself: some wire call's attempt 0
+	// followed by its attempt 1 (request IDs r<seq>.0 then r<seq>.1).
+	attempts := map[string]bool{}
+	var collect func(spans []*obscollector.TraceSpan)
+	collect = func(spans []*obscollector.TraceSpan) {
+		for _, s := range spans {
+			for _, e := range s.Events {
+				if id, ok := e.Attrs["request_id"].(string); ok && e.Name == "wire.attempt" {
+					attempts[id] = true
+				}
+			}
+			collect(s.Children)
+		}
+	}
+	collect(tr.Roots)
+	sawRetry := false
+	for id := range attempts {
+		if base, ok := strings.CutSuffix(id, ".1"); ok && attempts[base+".0"] {
+			sawRetry = true
+		}
+	}
+	if !sawRetry {
+		t.Errorf("retried query's trace shows no r<seq>.0 then r<seq>.1 wire call: %v", attempts)
 	}
 
 	// (3) A latency exemplar in the aggregated snapshot resolves to the

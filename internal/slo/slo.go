@@ -23,7 +23,6 @@ package slo
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -278,22 +277,4 @@ func (t *Tracker) Handler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(t.Report())
 	})
-}
-
-// Format renders the report as an aligned human-readable table, for
-// loadtest summaries.
-func (r Report) Format() string {
-	out := ""
-	for _, o := range r.Objectives {
-		out += fmt.Sprintf("slo %-14s target=%.4g", o.Name, o.Target)
-		if o.LatencyThresholdSeconds > 0 {
-			out += fmt.Sprintf(" threshold=%s", time.Duration(o.LatencyThresholdSeconds*float64(time.Second)))
-		}
-		out += "\n"
-		for _, w := range o.Windows {
-			out += fmt.Sprintf("  %-8s total=%-7d bad=%-6d burn=%.3g budget_remaining=%.3g\n",
-				w.Window, w.Total, w.Bad, w.BurnRate, w.BudgetRemaining)
-		}
-	}
-	return out
 }

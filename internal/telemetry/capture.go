@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"context"
-	"log/slog"
 	"sync"
 	"time"
 )
@@ -108,41 +106,4 @@ func (c *Capture) Find(name string) *SpanNode {
 		return nil
 	}
 	return dfs(c.Tree())
-}
-
-// logObserver forwards trace events to a slog.Logger: span ends at
-// Debug with their duration, point events at Debug.
-type logObserver struct {
-	l *slog.Logger
-}
-
-// NewLogObserver builds an Observer that logs every span end and point
-// event through l (nil l yields a nil Observer, disabling tracing).
-func NewLogObserver(l *slog.Logger) Observer {
-	if l == nil {
-		return nil
-	}
-	return logObserver{l: l}
-}
-
-// Observe implements Observer.
-func (o logObserver) Observe(e Event) {
-	if e.Kind == KindSpanStart {
-		return // the end event carries the same name plus the duration
-	}
-	args := make([]interface{}, 0, 2*len(e.Attrs)+8)
-	if e.Trace != "" {
-		args = append(args, "trace", e.Trace)
-	}
-	args = append(args, "span", e.Span)
-	if e.Parent != 0 {
-		args = append(args, "parent", e.Parent)
-	}
-	if e.Kind == KindSpanEnd {
-		args = append(args, "duration", e.Duration)
-	}
-	for _, a := range e.Attrs {
-		args = append(args, a.Key, a.Value)
-	}
-	o.l.LogAttrs(context.Background(), slog.LevelDebug, e.Name, slog.Group("", args...))
 }

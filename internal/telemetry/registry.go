@@ -435,46 +435,6 @@ type HistogramSnapshot struct {
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) from the bucket
-// counts, interpolating linearly within the bucket the rank falls in
-// (the Prometheus histogram_quantile model). The +Inf bucket yields the
-// last finite bound — a histogram cannot say more. An empty histogram
-// yields 0. Fixed buckets make this an estimate; for exact order
-// statistics over recent observations use a Window instead.
-func (h HistogramSnapshot) Quantile(q float64) float64 {
-	if h.Count == 0 || len(h.Bounds) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	var cum int64
-	for i, n := range h.Counts {
-		prev := cum
-		cum += n
-		if float64(cum) < rank {
-			continue
-		}
-		if i >= len(h.Bounds) {
-			return h.Bounds[len(h.Bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.Bounds[i-1]
-		}
-		hi := h.Bounds[i]
-		if n == 0 {
-			return hi
-		}
-		return lo + (hi-lo)*(rank-float64(prev))/float64(n)
-	}
-	return h.Bounds[len(h.Bounds)-1]
-}
-
 // WindowSnapshot is one sliding window's frozen quantiles.
 type WindowSnapshot struct {
 	// Count is the total number of observations (including ones that

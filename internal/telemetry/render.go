@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -178,17 +177,6 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		snap.WritePrometheus(w)
 	})
-}
-
-// PublishExpvar exposes the registry's snapshot under the given name in
-// the process-wide expvar namespace (served at /debug/vars). expvar
-// panics on duplicate names, so publishing an already-taken name is
-// silently skipped.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} { return r.Snapshot() }))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

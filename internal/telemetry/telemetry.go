@@ -1,7 +1,6 @@
 // Package telemetry instruments the metasearch pipeline with
 // structured traces and runtime metrics, using only the standard
-// library (log/slog for logging observers, expvar for /debug/vars
-// exposition, net/http for the /metrics handler).
+// library (net/http for the /metrics handler).
 //
 // Two complementary facilities:
 //
@@ -12,9 +11,10 @@
 //   - A Tracer emitting span and point events to a pluggable Observer,
 //     so the pipeline's phases (sampling, classification probing, EM
 //     shrinkage, adaptive selection, search fan-out) are visible as a
-//     span tree. Tests capture events with Capture; deployments log
-//     them with NewLogObserver or drop them (nil Observer costs
-//     nothing: a nil *Tracer and nil *Span no-op on every method).
+//     span tree. Tests capture events with Capture; deployments keep
+//     the recent ones in a RingCapture or drop them (nil Observer
+//     costs nothing: a nil *Tracer and nil *Span no-op on every
+//     method).
 //
 // The probe queries a metasearcher sends are its operating cost — a
 // federated search system budgets them per backend — so sampling and
@@ -102,26 +102,4 @@ func (e Event) Attr(key string) interface{} {
 // concurrent use: BuildSummaries samples databases in parallel.
 type Observer interface {
 	Observe(Event)
-}
-
-// MultiObserver fans one event stream out to several observers.
-func MultiObserver(obs ...Observer) Observer {
-	flat := make(multi, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			flat = append(flat, o)
-		}
-	}
-	if len(flat) == 1 {
-		return flat[0]
-	}
-	return flat
-}
-
-type multi []Observer
-
-func (m multi) Observe(e Event) {
-	for _, o := range m {
-		o.Observe(e)
-	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -85,25 +84,6 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	for _, c := range b.Children {
 		if len(c.Events) != 1 || !c.Ended() {
 			t.Errorf("child incomplete: %+v", c)
-		}
-	}
-}
-
-func TestMultiObserverAndLogObserver(t *testing.T) {
-	var cap Capture
-	var logged strings.Builder
-	logger := slog.New(slog.NewTextHandler(&logged, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	tr := NewTracer(MultiObserver(&cap, NewLogObserver(logger), nil))
-	s := tr.Span("search", String("query", "blood pressure"))
-	s.Event("search.db_unavailable", String("db", "dead"))
-	s.End(Int("results", 3))
-	if len(cap.Events()) != 3 {
-		t.Errorf("capture saw %d events, want 3", len(cap.Events()))
-	}
-	out := logged.String()
-	for _, want := range []string{"search.db_unavailable", "db=dead", "duration="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -113,7 +113,7 @@ type Options struct {
 	// Observer receives structured trace events from the whole pipeline
 	// (sampling rounds, classification probing, EM convergence, adaptive
 	// decisions, search fan-out). Nil disables tracing at zero cost; see
-	// telemetry.Capture (tests) and telemetry.NewLogObserver (slog).
+	// telemetry.Capture (tests) and telemetry.RingCapture (serving).
 	Observer telemetry.Observer
 	// Logger, when non-nil, receives pipeline progress and warnings
 	// (databases sampled, dead backends skipped during Search).
@@ -518,8 +518,7 @@ func registerPipelineMetrics(reg *telemetry.Registry) {
 		{"search_latency", "End-to-end search latency, seconds."},
 		{"search_db_latency", "Per-database query-call latency inside the fan-out, seconds."},
 		// Per-stage decomposition of search_latency: cache lookup →
-		// selection → fan-out → merge. Percentiles export via
-		// telemetry.HistogramSnapshot.Quantile.
+		// selection → fan-out → merge.
 		{"search_stage_cache_latency", "Search time spent in cache lookup and bookkeeping, seconds."},
 		{"search_stage_selection_latency", "Search time spent in database selection, seconds."},
 		{"search_stage_fanout_latency", "Search time spent in the parallel database fan-out, seconds."},

@@ -6,22 +6,15 @@
 # then kill every database's preferred replica mid-stream and assert
 # the cluster keeps answering (replica failover, not an outage).
 #
-# Usage: scripts/smoke_cluster.sh [bench-file]
-#
-# With a bench-file argument (or $BENCH_OUT), a measured open-loop load
-# run is driven through the router while the cluster is healthy and
-# merged into the file's "cluster_serving" section — the cluster
-# counterpart of scripts/loadtest.sh. $QPS and $DURATION tune it.
+# Usage: scripts/smoke_cluster.sh
 #
 # A -collect observability collector is always booted against the full
 # topology (all nine processes): the smoke asserts the fleet metrics
 # rollup and one assembled cross-process trace. With $COLLECTOR_OUT
-# set, the aggregated cluster snapshot is saved there (a CI artifact
-# alongside the BENCH file).
+# set, the aggregated cluster snapshot is saved there (a CI artifact).
 set -eu
 
 GO="${GO:-go}"
-OUT="${1:-${BENCH_OUT:-}}"
 TMP="$(mktemp -d)"
 PIDS=""
 
@@ -33,10 +26,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-echo "smoke-cluster: building dbnode, metasearch, and chaosproxy..."
+echo "smoke-cluster: building dbnode and metasearch..."
 "$GO" build -o "$TMP/dbnode" ./cmd/dbnode
 "$GO" build -o "$TMP/metasearch" ./cmd/metasearch
-"$GO" build -o "$TMP/chaosproxy" ./cmd/chaosproxy
 
 # Three databases keep the bounded-load ring honest: with cap
 # ceil(1.25 * 3 / 2) = 2 neither shard can own everything, so both
@@ -308,55 +300,6 @@ for field in results selections; do
 done
 echo "smoke-cluster: stream carried selection/node_result/final, final ranking == blocking"
 
-# Optional measured run: a second router process in -loadtest mode fans
-# the open-loop workload out to the same (healthy) shards and merges
-# the report into the BENCH file's cluster_serving section.
-if [ -n "$OUT" ]; then
-    echo "smoke-cluster: measured cluster serving run into $OUT..."
-    "$TMP/metasearch" -route -topology "$TMP/topo.json" -loadtest \
-        -lt-qps "${QPS:-50}" -lt-duration "${DURATION:-5s}" -lt-out "$OUT"
-    if ! grep -q '"cluster_serving"' "$OUT"; then
-        echo "smoke-cluster: $OUT has no cluster_serving section" >&2
-        exit 1
-    fi
-
-    # Streaming bench: front shard-01 with a 120ms chaos proxy so the
-    # fan-out dominates, then measure time-to-first-frame against full
-    # blocking latency through a stream-only router loadtest (-lt-qps 0
-    # keeps the degraded run out of the cluster_serving section). The
-    # selection frame must reach the client in under half the blocking
-    # round trip — that is what progressive delivery buys.
-    echo "smoke-cluster: streaming bench against a chaos-delayed shard..."
-    "$TMP/chaosproxy" -target "http://$SHARD1" \
-        -faults '{"latency_ms":120}' >"$TMP/chaos.log" 2>&1 &
-    PIDS="$PIDS $!"
-    CHAOS=""
-    for _ in $(seq 1 100); do
-        CHAOS="$(sed -n 's|.*on http://||p' "$TMP/chaos.log" | head -n 1 | cut -d' ' -f1)"
-        [ -n "$CHAOS" ] && break
-        sleep 0.1
-    done
-    if [ -z "$CHAOS" ]; then
-        echo "smoke-cluster: chaosproxy never came up" >&2
-        cat "$TMP/chaos.log" >&2
-        exit 1
-    fi
-    sed "s|\"addr\": \"$SHARD1\"|\"addr\": \"$CHAOS\"|" "$TMP/topo.json" >"$TMP/topo-stream.json"
-    "$TMP/metasearch" -route -topology "$TMP/topo-stream.json" -loadtest \
-        -lt-qps 0 -lt-stream -lt-stream-samples "${STREAM_SAMPLES:-12}" \
-        -lt-name stream-vs-blocking -lt-out "$OUT"
-    if ! grep -q '"streaming"' "$OUT"; then
-        echo "smoke-cluster: $OUT has no streaming section" >&2
-        exit 1
-    fi
-    RATIO="$(sed -n 's/.*"ttff_p50_over_blocking_p50":[[:space:]]*\([0-9.eE+-]*\).*/\1/p' "$OUT" | tail -n 1)"
-    if [ -z "$RATIO" ] || ! awk -v r="$RATIO" 'BEGIN{exit !(r > 0 && r < 0.5)}'; then
-        echo "smoke-cluster: TTFF/blocking p50 ratio '$RATIO' not in (0, 0.5)" >&2
-        exit 1
-    fi
-    echo "smoke-cluster: streaming TTFF is ${RATIO}x the blocking p50"
-fi
-
 # Kill every database's replica 0 — the preferred copy on every shard —
 # while the cluster keeps serving. The next queries must fail over to
 # replica 1 without a single failed request.
@@ -459,7 +402,7 @@ echo "smoke-cluster: topology swap applied under load (router gen $RGEN->$NEWRGE
 
 # The router's swap audit trail records the reconfiguration. With
 # $SWAP_OUT set, the trail is saved there (a CI artifact alongside the
-# BENCH and COLLECTOR files).
+# COLLECTOR file).
 TRAIL="$(curl -fsS "http://$ROUTER/debug/topology")"
 case "$TRAIL" in
 *'"swaps":'*) ;;

@@ -90,8 +90,7 @@ type SearchResponse struct {
 // computation and cache bookkeeping around the real work; for a cache
 // hit or a collapsed request the whole latency is Cache time (the other
 // stages were paid by the request that fanned out). Each stage is also
-// recorded in its search_stage_* latency histogram, whose percentiles
-// are exported via telemetry.HistogramSnapshot.Quantile. It is also the
+// recorded in its search_stage_* latency histogram. It is also the
 // reply's "stages_seconds" object on the wire.
 type SearchStages struct {
 	// Cache is time spent in cache lookup and bookkeeping.
