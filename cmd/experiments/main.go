@@ -34,7 +34,7 @@ func main() {
 		all     = flag.Bool("all", false, "regenerate every table and figure")
 		table   = flag.Int("table", 0, "regenerate one table (1-10)")
 		figure  = flag.Int("figure", 0, "regenerate one figure (4 or 5)")
-		extra   = flag.String("extra", "", "extra analysis: adaptive-vs-universal | freqest-effect | category-weighting | redde | mc-stability")
+		extra   = flag.String("extra", "", "extra analysis: adaptive-vs-universal | freqest-effect | category-weighting | redde")
 		scale   = flag.String("scale", "default", "testbed scale: default | small")
 		seed    = flag.Int64("seed", 1, "synthetic world seed")
 		maxK    = flag.Int("maxk", experiments.MaxK, "largest k for Rk curves")
@@ -88,7 +88,6 @@ func main() {
 		r.extras("freqest-effect")
 		r.extras("category-weighting")
 		r.extras("redde")
-		r.extras("mc-stability")
 	case *table >= 1 && *table <= 3:
 		r.showcase()
 	case *table >= 4 && *table <= 9:
@@ -325,11 +324,6 @@ func (r *runner) extras(name string) {
 			w.SelectionAccuracy(sums, selection.CORI{}, experiments.Plain, r.maxK),
 		}
 		fmt.Println(experiments.FormatRkSeries("ReDDE vs CORI over TREC4 (QBS summaries)", results))
-	case "mc-stability":
-		fmt.Println("Extra: Monte-Carlo sample count vs adaptive decision stability (Section 4)")
-		w := r.world(experiments.TREC4)
-		sums := r.summaries(experiments.TREC4, experiments.Config{Sampler: experiments.QBS, FreqEst: true})
-		experiments.MCStability(os.Stdout, w, sums)
 	default:
 		log.Fatalf("unknown extra %q", name)
 	}

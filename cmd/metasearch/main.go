@@ -76,7 +76,7 @@
 //
 // With -explain, each query is followed by its selection audit record:
 // every candidate database's score, the shrink-or-not verdict with the
-// Monte-Carlo mean/σ behind it and the λ mixture used, per-node call
+// score mean/σ behind it and the λ mixture used, per-node call
 // costs, and merged-result provenance. -audit appends the same records
 // as JSONL to a file.
 //

@@ -1,6 +1,6 @@
 // Package audit records per-query selection evidence: for every
 // metasearch query, one QueryRecord captures what the selection
-// algorithm saw (per-database scores, Monte-Carlo score uncertainty,
+// algorithm saw (per-database scores, the score's posterior uncertainty,
 // the shrink-or-not verdict with the λ mixture actually used), which
 // databases were selected and queried, what each node call cost
 // (latency, retries), and where the merged results came from. Records
@@ -39,12 +39,10 @@ type Candidate struct {
 	// Shrinkage reports the adaptive verdict: whether the shrunk
 	// summary was used for this query/database.
 	Shrinkage bool `json:"shrinkage"`
-	// MCMean and MCStdDev describe the Monte-Carlo estimated score
-	// distribution the verdict was derived from (Section 4).
-	MCMean   float64 `json:"mc_mean"`
-	MCStdDev float64 `json:"mc_stddev"`
-	// MCSamples is the number of d1..dn combinations examined.
-	MCSamples int `json:"mc_samples"`
+	// ScoreMean and ScoreStdDev describe the score distribution the
+	// verdict was derived from (Section 4).
+	ScoreMean   float64 `json:"score_mean"`
+	ScoreStdDev float64 `json:"score_stddev"`
 	// Lambdas is the shrinkage mixture actually used (nil when the
 	// unshrunk summary was chosen).
 	Lambdas []Lambda `json:"lambdas,omitempty"`

@@ -189,9 +189,9 @@ func TestFormat(t *testing.T) {
 		Terms: []string{"oil", "spill"}, Scorer: "CORI", MaxDBs: 2, PerDB: 5,
 		Candidates: []Candidate{
 			{Database: "env", Score: 0.61, Selected: true, Shrinkage: true,
-				MCMean: 0.55, MCStdDev: 0.7, MCSamples: 100,
+				ScoreMean: 0.55, ScoreStdDev: 0.7,
 				Lambdas: []Lambda{{Component: "category", Weight: 0.4}, {Component: "db", Weight: 0.6}}},
-			{Database: "sports", Score: 0.11, MCMean: 0.12, MCStdDev: 0.01, MCSamples: 100},
+			{Database: "sports", Score: 0.11, ScoreMean: 0.12, ScoreStdDev: 0.01},
 		},
 		Selected: []string{"env"},
 		Nodes: []NodeCall{

@@ -49,8 +49,8 @@ func (r *QueryRecord) Format(w io.Writer) {
 			if c.Selected {
 				mark = "*"
 			}
-			fmt.Fprintf(w, "   %s %-24s score=%-12.6g mc mean=%.6g sd=%.6g n=%d",
-				mark, c.Database, c.Score, c.MCMean, c.MCStdDev, c.MCSamples)
+			fmt.Fprintf(w, "   %s %-24s score=%-12.6g mean=%.6g sd=%.6g",
+				mark, c.Database, c.Score, c.ScoreMean, c.ScoreStdDev)
 			if c.Shrinkage {
 				fmt.Fprintf(w, "  SHRUNK %s", formatLambdas(c.Lambdas))
 			} else {

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/selection"
 	"repro/internal/stats"
-	"repro/internal/synth"
 )
 
 // CategoryWeightingAblation compares the two category-summary
@@ -41,60 +39,4 @@ func CategoryWeightingAblation(out io.Writer, w *World, sums *DBSummaries) {
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equation 1 (by size)", wrSize, urSize)
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equal weights (fn. 5)", wrEq, urEq)
 	fmt.Fprintf(out, "difference: wr %+0.4f, ur %+0.4f\n", wrEq-wrSize, urEq-urSize)
-}
-
-// MCStability quantifies Section 4's claim that "after examining just a
-// few hundred random d1..dn combinations, mean and variance converge":
-// it compares the adaptive shrink/don't-shrink decisions at several
-// Monte-Carlo budgets against a high-budget reference and reports the
-// agreement rate.
-func MCStability(out io.Writer, w *World, sums *DBSummaries) {
-	mkDBs := func() []*selection.DB {
-		dbs := make([]*selection.DB, len(w.Bed.Databases))
-		for i, db := range w.Bed.Databases {
-			dbs[i] = &selection.DB{
-				Name: db.Name, Unshrunk: sums.Unshrunk[i], Shrunk: sums.Shrunk[i],
-				Gamma: sums.Gamma[i], Size: int(sums.SizeEst[i]),
-			}
-		}
-		return dbs
-	}
-	decide := func(combos int) [][]bool {
-		a := &selection.Adaptive{Base: selection.CORI{}, Opts: selection.AdaptiveOptions{
-			MaxCombos: combos,
-			RelTol:    -1, // disable early stop: isolate the budget effect
-			Seed:      synth.SubSeed(w.Scale.Seed, 99),
-		}}
-		dbs := mkDBs()
-		var all [][]bool
-		for _, q := range w.Bed.Queries {
-			entries := make([]selection.Entry, len(dbs))
-			for i, db := range dbs {
-				entries[i] = selection.Entry{Name: db.Name, View: db.Unshrunk}
-			}
-			ctx := selection.NewContext(q.Terms, entries, sums.GlobalSummary())
-			_, decisions := a.Choose(q.Terms, dbs, ctx)
-			row := make([]bool, len(decisions))
-			for i, d := range decisions {
-				row[i] = d.Shrinkage
-			}
-			all = append(all, row)
-		}
-		return all
-	}
-	ref := decide(2000)
-	fmt.Fprintf(out, "%-8s %12s\n", "combos", "agreement")
-	for _, combos := range []int{25, 50, 100, 200, 400, 800} {
-		got := decide(combos)
-		var agree, total int
-		for qi := range ref {
-			for di := range ref[qi] {
-				total++
-				if got[qi][di] == ref[qi][di] {
-					agree++
-				}
-			}
-		}
-		fmt.Fprintf(out, "%-8d %11.1f%%\n", combos, 100*float64(agree)/float64(total))
-	}
 }

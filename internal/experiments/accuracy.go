@@ -7,7 +7,6 @@ import (
 	"repro/internal/selection"
 	"repro/internal/stats"
 	"repro/internal/summary"
-	"repro/internal/synth"
 )
 
 // Strategy is a database selection strategy of Section 6.2.
@@ -105,13 +104,7 @@ func (w *World) SelectionAccuracy(sums *DBSummaries, scorer selection.Scorer, st
 	var adaptive *selection.Adaptive
 	var adbs []*selection.DB
 	if strategy == Shrinkage {
-		adaptive = &selection.Adaptive{
-			Base: scorer,
-			Opts: selection.AdaptiveOptions{
-				Seed:    synth.SubSeed(w.Scale.Seed, 77),
-				Metrics: w.Metrics,
-			},
-		}
+		adaptive = &selection.Adaptive{Base: scorer, Metrics: w.Metrics}
 		adbs = make([]*selection.DB, n)
 		for i, db := range w.Bed.Databases {
 			adbs[i] = &selection.DB{

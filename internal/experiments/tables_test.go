@@ -174,29 +174,3 @@ func TestFormatRkCSV(t *testing.T) {
 		t.Errorf("row = %q", lines[2])
 	}
 }
-
-func TestMCStabilityOutput(t *testing.T) {
-	w := getTRECWorld(t)
-	sums, err := w.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	MCStability(&sb, w, sums)
-	out := sb.String()
-	if !strings.Contains(out, "combos") || !strings.Contains(out, "%") {
-		t.Errorf("mc-stability output malformed:\n%s", out)
-	}
-	// Six budget rows plus the header.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 7 {
-		t.Errorf("lines = %d:\n%s", len(lines), out)
-	}
-	// Agreement percentages parse as 0..100 and the largest budget is
-	// the most faithful to the reference.
-	for _, line := range lines[1:] {
-		if !strings.HasSuffix(line, "%") {
-			t.Errorf("row %q missing %%", line)
-		}
-	}
-}

@@ -45,36 +45,6 @@ type Searcher interface {
 	Fetch(ctx context.Context, id index.DocID) ([]string, error)
 }
 
-// PlainSearcher is the pre-context Searcher shape: infallible,
-// synchronous, no cancellation. Kept as a compatibility shim for
-// in-process databases; adapt one with Plain.
-type PlainSearcher interface {
-	Query(terms []string, limit int) (matches int, top []index.DocID)
-	Fetch(id index.DocID) []string
-}
-
-// Plain adapts a PlainSearcher to the context-aware Searcher interface.
-// The adapter honors cancellation between calls (a canceled context
-// fails the next call before it reaches the database).
-func Plain(db PlainSearcher) Searcher { return plainAdapter{db} }
-
-type plainAdapter struct{ db PlainSearcher }
-
-func (a plainAdapter) Query(ctx context.Context, terms []string, limit int) (int, []index.DocID, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, nil, err
-	}
-	matches, top := a.db.Query(terms, limit)
-	return matches, top, nil
-}
-
-func (a plainAdapter) Fetch(ctx context.Context, id index.DocID) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.db.Fetch(id), nil
-}
-
 // IndexSearcher adapts an index.Index to Searcher.
 type IndexSearcher struct {
 	Ix *index.Index

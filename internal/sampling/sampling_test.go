@@ -322,52 +322,6 @@ func TestIndexSearcherAdapters(t *testing.T) {
 	}
 }
 
-// plainIndex exposes an index through the pre-context PlainSearcher
-// shape, standing in for legacy Searcher implementations.
-type plainIndex struct{ ix *index.Index }
-
-func (p plainIndex) Query(terms []string, limit int) (int, []index.DocID) {
-	matches, top := p.ix.Search(terms, limit)
-	ids := make([]index.DocID, len(top))
-	for i, r := range top {
-		ids[i] = r.Doc
-	}
-	return matches, ids
-}
-
-func (p plainIndex) Fetch(id index.DocID) []string { return p.ix.Doc(id) }
-
-func TestPlainShimSamplesLikeNative(t *testing.T) {
-	_, g := testWorld(t, 30)
-	db := buildDB(t, g, "Heart", 300, 31)
-	cfg := QBSConfig{TargetDocs: 50, SeedLexicon: seedLexicon(g, 100), Seed: 5}
-	native, err := QBS(context.Background(), IndexSearcher{db}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shimmed, err := QBS(context.Background(), Plain(plainIndex{db}), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(native.Docs) != len(shimmed.Docs) || native.Queries != shimmed.Queries {
-		t.Errorf("shim diverged: %d/%d docs, %d/%d queries",
-			len(native.Docs), len(shimmed.Docs), native.Queries, shimmed.Queries)
-	}
-}
-
-func TestPlainShimHonorsCancellation(t *testing.T) {
-	_, g := testWorld(t, 32)
-	db := buildDB(t, g, "Heart", 300, 33)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := QBS(ctx, Plain(plainIndex{db}), QBSConfig{
-		TargetDocs: 50, SeedLexicon: seedLexicon(g, 100), Seed: 5,
-	})
-	if err != context.Canceled {
-		t.Fatalf("QBS under canceled ctx = %v, want context.Canceled", err)
-	}
-}
-
 // flakySearcher fails every n-th Query with a transient error.
 type flakySearcher struct {
 	Searcher

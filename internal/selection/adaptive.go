@@ -2,10 +2,7 @@ package selection
 
 import (
 	"math"
-	"math/rand"
-	"sort"
 
-	"repro/internal/stats"
 	"repro/internal/summary"
 	"repro/internal/telemetry"
 )
@@ -40,38 +37,7 @@ func (db *DB) size() int {
 	return int(db.Unshrunk.NumDocs)
 }
 
-// AdaptiveOptions tunes the Monte-Carlo score-distribution estimation.
-type AdaptiveOptions struct {
-	// MaxCombos caps the number of random d1..dn combinations examined
-	// per database (default 400; the paper reports convergence "after
-	// examining just a few hundred").
-	MaxCombos int
-	// RelTol is the relative mean/stddev stability required to stop
-	// early (default 0.02).
-	RelTol float64
-	// Seed drives the Monte-Carlo draws.
-	Seed int64
-	// Span receives one adaptive.decide trace event per database
-	// (score mean/σ, combinations examined, the shrink-or-not verdict);
-	// Metrics receives the adaptive_* counters. Both may be nil.
-	Span    *telemetry.Span
-	Metrics *telemetry.Registry
-}
-
-func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
-	if o.MaxCombos == 0 {
-		o.MaxCombos = 400
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 0.02
-	}
-	return o
-}
-
 const (
-	// mcBatch is how many combinations are drawn between convergence
-	// checks.
-	mcBatch = 50
 	// gridMax bounds the support grid of each word's document-frequency
 	// distribution; larger databases use a geometric grid.
 	gridMax = 256
@@ -83,13 +49,15 @@ const (
 )
 
 // Adaptive implements the Figure 3 algorithm: for each database it
-// estimates the uncertainty of the selection score under the posterior
+// computes the uncertainty of the selection score under the posterior
 // distribution of the query words' true document frequencies
 // (Appendix B) and uses the shrunk summary only when the score's
-// standard deviation exceeds its mean.
+// standard deviation exceeds its mean. The decision is a pure function
+// of the summaries, the query and the base scorer.
 type Adaptive struct {
 	Base Scorer
-	Opts AdaptiveOptions
+	// Metrics receives the adaptive_* counters; may be nil.
+	Metrics *telemetry.Registry
 }
 
 // Decision records the outcome of the content-summary selection step
@@ -97,10 +65,8 @@ type Adaptive struct {
 type Decision struct {
 	// Shrinkage reports whether the shrunk summary was chosen.
 	Shrinkage bool
-	// Mean and StdDev describe the estimated score distribution.
+	// Mean and StdDev describe the score distribution.
 	Mean, StdDev float64
-	// Combos is the number of d1..dn combinations examined.
-	Combos int
 	// Score is s(q, D) under the chosen summary view — the score the
 	// final ranking used (filled by Rank, zero after Choose alone).
 	Score float64
@@ -111,44 +77,36 @@ type Decision struct {
 // built over the unshrunk summaries (the information available before
 // any choice is made).
 func (a *Adaptive) Choose(q []string, dbs []*DB, ctx *Context) ([]summary.View, []Decision) {
-	opts := a.Opts.withDefaults()
-	applied := opts.Metrics.Counter("adaptive_shrinkage_applied_total")
-	skipped := opts.Metrics.Counter("adaptive_shrinkage_skipped_total")
-	mcSamples := opts.Metrics.Counter("adaptive_mc_samples_total")
+	applied := a.Metrics.Counter("adaptive_shrinkage_applied_total")
+	skipped := a.Metrics.Counter("adaptive_shrinkage_skipped_total")
 	views := make([]summary.View, len(dbs))
 	decisions := make([]Decision, len(dbs))
 	anyShrunk := false
-	// One set of distribution buffers serves every database in turn.
 	words := UniqueWords(q)
-	dists := make([]dfDist, len(words))
+	// One set of distribution buffers serves every word of every
+	// database in turn.
+	var dist dfDist
 	for i, db := range dbs {
-		d := a.decide(q, words, db, ctx, opts, int64(i), dists)
+		d := a.decide(q, words, db, ctx, &dist)
 		decisions[i] = d
 		if d.Shrinkage && db.Shrunk != nil {
 			views[i] = db.Shrunk
 		} else {
 			views[i] = db.Unshrunk
 		}
-		mcSamples.Add(int64(d.Combos))
 		if d.Shrinkage {
 			applied.Inc()
 			anyShrunk = true
 		} else {
 			skipped.Inc()
 		}
-		opts.Span.Event("adaptive.decide",
-			telemetry.String("db", db.Name),
-			telemetry.Float("mean", d.Mean),
-			telemetry.Float("stddev", d.StdDev),
-			telemetry.Int("combos", d.Combos),
-			telemetry.Bool("shrinkage", d.Shrinkage))
 	}
 	// Per-query application rate (the paper's adaptive criterion fires
 	// per query-database pair; operators also want "how many queries saw
 	// shrinkage at all").
-	opts.Metrics.Counter("adaptive_queries_total").Inc()
+	a.Metrics.Counter("adaptive_queries_total").Inc()
 	if anyShrunk {
-		opts.Metrics.Counter("adaptive_queries_shrunk_total").Inc()
+		a.Metrics.Counter("adaptive_queries_shrunk_total").Inc()
 	}
 	return views, decisions
 }
@@ -176,10 +134,14 @@ func (a *Adaptive) Rank(q []string, dbs []*DB, global summary.View) ([]Ranked, [
 	return ranked, decisions
 }
 
-// decide estimates the score distribution of one database and applies
-// the std > mean rule. words are q's unique words; dists is scratch,
-// one distribution per word, rebuilt here.
-func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts AdaptiveOptions, stream int64, dists []dfDist) Decision {
+// decide computes the score distribution's mean and standard deviation
+// for one database and applies the std > mean rule. The query words'
+// document frequencies are independent under the posterior and every
+// scorer separates into per-word terms (Scorer.Term), so the score's
+// moments follow exactly from each term's mean and variance over its
+// word's distribution. words are q's unique words; dist is scratch,
+// rebuilt here for each word.
+func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, dist *dfDist) Decision {
 	n := db.size()
 	if n < 1 || len(words) == 0 || db.Shrunk == nil {
 		return Decision{}
@@ -188,48 +150,52 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts Adaptive
 	if gamma == 0 {
 		gamma = -2
 	}
-	for i, w := range words {
-		dists[i].fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior)
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed ^ int64(uint64(stream)*0x9e3779b97f4a7c15)))
-	over := &overrideView{base: db.Unshrunk, p: make(map[string]float64, len(words))}
-	var welford stats.Welford
-	prevMean, prevStd := math.Inf(1), math.Inf(1)
-	combos := 0
-	for combos < opts.MaxCombos {
-		for b := 0; b < mcBatch && combos < opts.MaxCombos; b++ {
-			for i, w := range words {
-				dk := dists[i].sample(rng)
-				over.p[w] = float64(dk) / float64(n)
-			}
-			welford.Add(a.Base.Score(q, over, ctx))
-			combos++
+	additive := isAdditive(a.Base)
+	// sum adds the terms' means and variances (an additive scorer);
+	// prod and logRel multiply the means and accumulate
+	// log Π(1 + Var[t]/E[t]²) = log(E[s²]/E[s]²) (a product scorer).
+	var sumMean, sumVar, logRel float64
+	prod := 1.0
+	for _, w := range words {
+		dist.fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior)
+		m, v := dist.moments(n, a.Base.Term(w, db.Unshrunk, ctx))
+		sumMean += m
+		sumVar += v
+		prod *= m
+		if m > 0 {
+			logRel += math.Log1p(v / m / m)
 		}
-		mean, std := welford.Mean(), welford.StdDev()
-		if relClose(mean, prevMean, opts.RelTol) && relClose(std, prevStd, opts.RelTol) {
-			break
-		}
-		prevMean, prevStd = mean, std
 	}
-	mean, std := welford.Mean(), welford.StdDev()
+	var mean, std float64
+	if additive {
+		k := float64(len(words))
+		mean, std = sumMean/k, math.Sqrt(sumVar)/k
+	} else {
+		// A long query's product score is minuscule (1e-80 for 25
+		// words of p̂ ≈ 0.001), so the deviation is formed relative to the
+		// mean, never as E[s²] − E[s]². The empty query's score is
+		// the product's constant factor.
+		mean = a.Base.Score(nil, db.Unshrunk, ctx) * prod
+		std = mean * math.Sqrt(math.Expm1(logRel))
+	}
 	// Figure 3's rule: shrink when the standard deviation of the score
 	// distribution exceeds its mean. The rule must be applied net of
 	// the scorer's information-free baseline:
 	//
-	//   - For product scorers (bGlOSS, LM) the baseline is a
-	//     multiplicative constant (1 and Π(1−λ)p̂G respectively), under
+	//   - For a product scorer the baseline is a multiplicative
+	//     constant (the smoothing-only product Π(1−λ)p̂G, say), under
 	//     which std > mean is already scale-invariant: the raw rule.
-	//   - For CORI the baseline 0.4 enters additively, so it is
-	//     subtracted first — otherwise scores bounded below by 0.4
-	//     could never satisfy the rule at all.
+	//   - For an additive scorer the baseline (a 0.4 belief floor, say)
+	//     enters additively, so it is subtracted first — otherwise
+	//     scores bounded below by it could never satisfy the rule at
+	//     all.
 	//
-	// A distribution collapsed onto the baseline itself (every sampled
+	// A distribution collapsed onto the baseline itself (every
 	// d1..dn combination yields the default score) means the unshrunk
 	// summary cannot discriminate the database for this query at all —
 	// maximum uncertainty — so shrinkage applies.
 	baseline := 0.0
-	if ab, ok := a.Base.(AdditiveBaseline); ok && ab.AdditiveBaseline() {
+	if additive {
 		baseline = a.Base.DefaultScore(q, db.Unshrunk, ctx)
 	}
 	info := mean - baseline
@@ -237,21 +203,22 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, opts Adaptive
 	if std == 0 && info <= 0 {
 		uncertain = true
 	}
-	return Decision{Shrinkage: uncertain, Mean: mean, StdDev: std, Combos: combos}
+	return Decision{Shrinkage: uncertain, Mean: mean, StdDev: std}
 }
 
-// AdditiveBaseline is implemented by scorers whose default score is an
-// additive offset carrying no query evidence (CORI's 0.4 belief floor);
-// the adaptive rule subtracts it before comparing std against mean.
+// AdditiveBaseline is implemented by scorers whose score is the mean of
+// their per-word terms rather than the terms' product, so that the
+// default score is an additive offset carrying no query evidence (a
+// belief floor); the adaptive rule adds the terms' moments instead of
+// multiplying them and subtracts the offset before comparing std
+// against mean.
 type AdditiveBaseline interface {
 	AdditiveBaseline() bool
 }
 
-func relClose(a, b, tol float64) bool {
-	if math.IsInf(b, 0) {
-		return false
-	}
-	return math.Abs(a-b) <= tol*(math.Abs(a)+1e-9)
+func isAdditive(s Scorer) bool {
+	ab, ok := s.(AdditiveBaseline)
+	return ok && ab.AdditiveBaseline()
 }
 
 // dfDist is the posterior distribution of a query word's true document
@@ -260,20 +227,15 @@ func relClose(a, b, tol float64) bool {
 // sampling likelihood times the power-law prior p(d) ∝ d^γ, evaluated
 // on a (possibly geometric) support grid with interval weights.
 type dfDist struct {
-	ds  []int
-	cdf []float64
-	// The buffers ds and cdf are views of; slot 0 is the d = 0 point, in
+	// ds is the support and pr the probability of each of its points;
+	// pr sums to 1.
+	ds []int
+	pr []float64
+	// The buffers ds and pr are views of; slot 0 is the d = 0 point, in
 	// view only for words the sample never saw. Kept so fill can reuse
-	// them: Choose builds |q| distributions per database, one database
-	// at a time.
-	dsBuf  []int
-	cdfBuf []float64
-}
-
-func newDFDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) *dfDist {
-	d := &dfDist{}
-	d.fill(n, sampleSize, sk, gamma, gridMax, absentPrior)
-	return d
+	// them: Choose builds |q| distributions per database, one at a time.
+	dsBuf []int
+	prBuf []float64
 }
 
 // fill rebuilds d for one (word, database) pair in its own buffers.
@@ -309,8 +271,8 @@ func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentP
 		}
 	}
 	// Log-density at each grid point (the interval a point stands for is
-	// the gap to its predecessor), held in cdf until normalized below.
-	lps := append(d.cdfBuf[:0], math.Inf(-1))
+	// the gap to its predecessor), held in pr until normalized below.
+	lps := append(d.prBuf[:0], math.Inf(-1))
 	maxLP := math.Inf(-1)
 	fn := float64(n)
 	fs := float64(sampleSize)
@@ -338,7 +300,7 @@ func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentP
 			maxLP = lp
 		}
 	}
-	d.dsBuf, d.cdfBuf = ds, lps
+	d.dsBuf, d.prBuf = ds, lps
 	// A word never seen in the sample may be absent from the database
 	// altogether: give d = 0 prior mass proportional to d = 1's density
 	// (its binomial miss-likelihood is exactly 1).
@@ -350,87 +312,43 @@ func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentP
 			maxLP = lps[0]
 		}
 	}
-	d.ds, d.cdf = ds[lo:], lps[lo:]
+	d.ds, d.pr = ds[lo:], lps[lo:]
 	var sum float64
-	for i, lp := range d.cdf {
+	for i, lp := range d.pr {
 		var p float64
 		if !math.IsInf(lp, -1) {
 			p = math.Exp(lp - maxLP)
 		}
 		sum += p
-		d.cdf[i] = sum
+		d.pr[i] = p
 	}
 	if sum <= 0 {
 		// Degenerate; fall back to uniform.
-		for i := range d.cdf {
-			d.cdf[i] = float64(i+1) / float64(len(d.cdf))
+		for i := range d.pr {
+			d.pr[i] = 1 / float64(len(d.pr))
 		}
 		return
 	}
 	inv := 1 / sum
-	for i := range d.cdf {
-		d.cdf[i] *= inv
+	for i := range d.pr {
+		d.pr[i] *= inv
 	}
-	d.cdf[len(d.cdf)-1] = 1
 }
 
-// sample draws one document-frequency value.
-func (d *dfDist) sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(d.cdf, u)
-	if i >= len(d.ds) {
-		i = len(d.ds) - 1
-	}
-	return d.ds[i]
-}
-
-// mean returns the distribution's expected document frequency (used in
-// tests and diagnostics).
-func (d *dfDist) mean() float64 {
-	var m, prev float64
-	for i, c := range d.cdf {
-		m += float64(d.ds[i]) * (c - prev)
-		prev = c
-	}
-	return m
-}
-
-// overrideView scores a database under a hypothesized document
-// frequency assignment for the query words: P is replaced outright and
-// Ptf is scaled proportionally (or set directly when the base had no
-// estimate), leaving all other words untouched.
-type overrideView struct {
-	base summary.View
-	p    map[string]float64
-}
-
-func (v *overrideView) DocCount() float64  { return v.base.DocCount() }
-func (v *overrideView) WordCount() float64 { return v.base.WordCount() }
-
-func (v *overrideView) P(w string) float64 {
-	if p, ok := v.p[w]; ok {
-		return p
-	}
-	return v.base.P(w)
-}
-
-func (v *overrideView) Ptf(w string) float64 {
-	p, ok := v.p[w]
-	if !ok {
-		return v.base.Ptf(w)
-	}
-	baseP := v.base.P(w)
-	if baseP <= 0 {
-		// No base estimate to scale: convert the hypothesized document
-		// fraction to the term-frequency scale. A word in d of |D|
-		// documents occurs at least d times among cw(D) tokens, so
-		// ptf ≈ d/cw = p·|D|/cw. Returning p itself would be a
-		// document-fraction value (orders of magnitude too large for a
-		// term fraction) and would wildly inflate LM score variance.
-		if cw := v.base.WordCount(); cw > 0 {
-			return p * v.base.DocCount() / cw
+// moments returns the mean and variance of term(d/n) over the
+// distribution. The weighted running update keeps the variance of a
+// constant term exactly zero — the collapsed case of the adaptive rule.
+func (d *dfDist) moments(n int, term func(p float64) float64) (mean, variance float64) {
+	var sum, m2 float64
+	for i, pr := range d.pr {
+		if pr == 0 {
+			continue
 		}
-		return p
+		t := term(float64(d.ds[i]) / float64(n))
+		sum += pr
+		delta := t - mean
+		mean += delta * (pr / sum)
+		m2 += pr * delta * (t - mean)
 	}
-	return v.base.Ptf(w) * p / baseP
+	return mean, m2 / sum
 }

@@ -45,8 +45,8 @@ func TestDFDistZeroSampleCount(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	zeros := 0
-	for i := 0; i < 500; i++ {
-		if d.sample(rng) == 0 {
+	for i, s := 0, d.sampler(); i < 500; i++ {
+		if s.sample(rng) == 0 {
 			zeros++
 		}
 	}
@@ -64,8 +64,8 @@ func TestDFDistFullSampleSaturates(t *testing.T) {
 	// Word in every document of a fully sampled database: d must be n.
 	d := newDFDist(300, 300, 300, -2, 512, 3)
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		if got := d.sample(rng); got < 295 {
+	for i, s := 0, d.sampler(); i < 50; i++ {
+		if got := s.sample(rng); got < 295 {
 			t.Fatalf("sampled d = %d, want ≈ 300", got)
 		}
 	}
@@ -74,8 +74,8 @@ func TestDFDistFullSampleSaturates(t *testing.T) {
 func TestDFDistNoAbsentMassForSeenWords(t *testing.T) {
 	d := newDFDist(1000, 100, 3, -2, 256, 3)
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 500; i++ {
-		if d.sample(rng) == 0 {
+	for i, s := 0, d.sampler(); i < 500; i++ {
+		if s.sample(rng) == 0 {
 			t.Fatal("d = 0 sampled for a word present in the sample")
 		}
 	}
@@ -84,8 +84,8 @@ func TestDFDistNoAbsentMassForSeenWords(t *testing.T) {
 func TestDFDistSamplesWithinSupport(t *testing.T) {
 	d := newDFDist(100000, 300, 7, -1.8, 128, 3)
 	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		got := d.sample(rng)
+	for i, s := 0, d.sampler(); i < 1000; i++ {
+		got := s.sample(rng)
 		if got < 0 || got > 100000 {
 			t.Fatalf("sample out of support: %d", got)
 		}
@@ -164,20 +164,50 @@ func TestAdaptiveNoShrunkSummaryAvailable(t *testing.T) {
 	}
 }
 
+// TestAdaptiveDeterministic: the decision is a pure function of the
+// summaries, the query and the scorer — repeating a call, or presenting
+// the databases in another order under the same Context, yields the
+// same decisions bit for bit.
 func TestAdaptiveDeterministic(t *testing.T) {
-	unshrunk := sampleSummary(10000, 300, map[string]int{"a": 3, "b": 0})
-	shrunk := mkView(10000, 1e6, map[string]float64{"a": 0.01, "b": 0.005})
-	mk := func() ([]summary.View, []Decision) {
-		db := &DB{Name: "d", Unshrunk: unshrunk, Shrunk: shrunk}
-		a := &Adaptive{Base: CORI{}, Opts: AdaptiveOptions{Seed: 7}}
-		q := []string{"a", "b"}
-		ctx := NewContext(q, []Entry{{View: unshrunk}}, nil)
-		return a.Choose(q, []*DB{db}, ctx)
+	q := []string{"a", "b", "c"}
+	var dbs []*DB
+	var entries []Entry
+	for i := 0; i < 7; i++ {
+		unshrunk := sampleSummary(float64(500*(i+1)), 100+30*i, map[string]int{"a": 1 + 9*i, "b": i % 3, "c": 60})
+		shrunk := mkView(unshrunk.NumDocs, unshrunk.CW, map[string]float64{"a": 0.01, "b": 0.005, "c": 0.5})
+		dbs = append(dbs, &DB{Name: string(rune('a' + i)), Unshrunk: unshrunk, Shrunk: shrunk, Gamma: -1.5 - 0.1*float64(i)})
+		entries = append(entries, Entry{View: unshrunk})
 	}
-	_, d1 := mk()
-	_, d2 := mk()
-	if d1[0] != d2[0] {
-		t.Errorf("nondeterministic decision: %+v vs %+v", d1[0], d2[0])
+	reversed := make([]*DB, len(dbs))
+	for i, db := range dbs {
+		reversed[len(dbs)-1-i] = db
+	}
+	global := mkView(1e6, 1e8, map[string]float64{"a": 0.01, "b": 0.002, "c": 0.3})
+	ctx := NewContext(q, entries, global)
+	bits := func(d Decision) [3]uint64 {
+		var s uint64
+		if d.Shrinkage {
+			s = 1
+		}
+		return [3]uint64{s, math.Float64bits(d.Mean), math.Float64bits(d.StdDev)}
+	}
+	for _, s := range []Scorer{BGloss{}, CORI{}, LM{}} {
+		a := &Adaptive{Base: s}
+		_, forward := a.Choose(q, dbs, ctx)
+		_, again := a.Choose(q, dbs, ctx)
+		_, backward := a.Choose(q, reversed, ctx)
+		for i := range dbs {
+			if forward[i].StdDev == 0 {
+				t.Errorf("%s db %d: σ = 0, the fixture should carry uncertainty", s.Name(), i)
+			}
+			if bits(forward[i]) != bits(again[i]) {
+				t.Errorf("%s db %d: repeated call differs: %+v vs %+v", s.Name(), i, forward[i], again[i])
+			}
+			if bits(forward[i]) != bits(backward[len(dbs)-1-i]) {
+				t.Errorf("%s db %d: decision depends on slice position: %+v vs %+v",
+					s.Name(), i, forward[i], backward[len(dbs)-1-i])
+			}
+		}
 	}
 }
 
@@ -206,18 +236,6 @@ func TestAdaptiveRankEndToEnd(t *testing.T) {
 	ctx := NewContext([]string{"rare"}, entries, nil)
 	if plain := Rank(BGloss{}, []string{"rare"}, entries, ctx); len(plain) != 0 {
 		t.Errorf("plain rank = %v, want empty", plain)
-	}
-}
-
-func TestRelClose(t *testing.T) {
-	if !relClose(100, 101, 0.02) {
-		t.Error("1% change should be close at 2% tol")
-	}
-	if relClose(100, 110, 0.02) {
-		t.Error("10% change should not be close")
-	}
-	if relClose(1, math.Inf(1), 0.5) {
-		t.Error("infinite previous value can never be close")
 	}
 }
 

@@ -27,6 +27,11 @@ func (BGloss) Score(q []string, v summary.View, _ *Context) float64 {
 	return s
 }
 
+// Term implements Scorer: a word's factor is p̂(w|D) itself.
+func (BGloss) Term(string, summary.View, *Context) func(float64) float64 {
+	return func(p float64) float64 { return p }
+}
+
 // DefaultScore implements Scorer: with no information, some p̂(w|D) is
 // zero and the product collapses, so any positive score means the
 // database was genuinely matched.
@@ -50,10 +55,17 @@ func (CORI) Score(q []string, v summary.View, ctx *Context) float64 {
 		return 0
 	}
 	var s float64
+	k := coriK(v, ctx)
 	for _, w := range words {
-		s += 0.4 + 0.6*coriT(w, v, ctx)*coriI(w, ctx)
+		s += 0.4 + 0.6*coriT(v.P(w)*v.DocCount(), k)*coriI(w, ctx)
 	}
 	return s / float64(len(words))
+}
+
+// Term implements Scorer: a word's belief with df = p·|D|.
+func (CORI) Term(w string, v summary.View, ctx *Context) func(float64) float64 {
+	docs, k, i := v.DocCount(), coriK(v, ctx), coriI(w, ctx)
+	return func(p float64) float64 { return 0.4 + 0.6*coriT(p*docs, k)*i }
 }
 
 // DefaultScore implements Scorer: a database containing no query word
@@ -64,16 +76,21 @@ func (CORI) DefaultScore(q []string, _ summary.View, _ *Context) float64 { retur
 // additive, evidence-free offset (see the adaptive selection rule).
 func (CORI) AdditiveBaseline() bool { return true }
 
-func coriT(w string, v summary.View, ctx *Context) float64 {
-	df := v.P(w) * v.DocCount()
-	if df <= 0 {
-		return 0
-	}
+// coriK is the collection-length part of T's denominator,
+// 150·cw(D)/mcw.
+func coriK(v summary.View, ctx *Context) float64 {
 	mcw := ctx.MeanCW
 	if mcw <= 0 {
 		mcw = 1
 	}
-	return df / (df + 50 + 150*v.WordCount()/mcw)
+	return 150 * v.WordCount() / mcw
+}
+
+func coriT(df, k float64) float64 {
+	if df <= 0 {
+		return 0
+	}
+	return df / (df + 50 + k)
 }
 
 func coriI(w string, ctx *Context) float64 {
@@ -105,16 +122,21 @@ func (lm LM) lambda() float64 {
 	return lm.Lambda
 }
 
+// smoothing returns (1−λ)·p̂(w|G), the evidence-free part of a word's
+// factor.
+func (lm LM) smoothing(w string, ctx *Context) float64 {
+	if ctx.Global == nil {
+		return 0
+	}
+	return (1 - lm.lambda()) * ctx.Global.Ptf(w)
+}
+
 // Score implements Scorer.
 func (lm LM) Score(q []string, v summary.View, ctx *Context) float64 {
 	l := lm.lambda()
 	s := 1.0
 	for _, w := range UniqueWords(q) {
-		var pg float64
-		if ctx.Global != nil {
-			pg = ctx.Global.Ptf(w)
-		}
-		s *= l*v.Ptf(w) + (1-l)*pg
+		s *= l*v.Ptf(w) + lm.smoothing(w, ctx)
 		if s == 0 {
 			return 0
 		}
@@ -122,17 +144,30 @@ func (lm LM) Score(q []string, v summary.View, ctx *Context) float64 {
 	return s
 }
 
+// Term implements Scorer. The term fraction follows the hypothesised
+// document fraction proportionally. A word the summary has no estimate
+// to scale is converted to the term-frequency scale instead: a word in
+// d of |D| documents occurs at least d times among cw(D) tokens, so
+// ptf ≈ d/cw = p·|D|/cw. Using p itself would be a document-fraction
+// value (orders of magnitude too large for a term fraction) and would
+// wildly inflate the score variance.
+func (lm LM) Term(w string, v summary.View, ctx *Context) func(float64) float64 {
+	ptfPerP := 1.0
+	if baseP := v.P(w); baseP > 0 {
+		ptfPerP = v.Ptf(w) / baseP
+	} else if cw := v.WordCount(); cw > 0 {
+		ptfPerP = v.DocCount() / cw
+	}
+	slope, smooth := lm.lambda()*ptfPerP, lm.smoothing(w, ctx)
+	return func(p float64) float64 { return slope*p + smooth }
+}
+
 // DefaultScore implements Scorer: the score of a database whose summary
 // has p̂(w|D) = 0 for every query word, i.e. pure global smoothing.
 func (lm LM) DefaultScore(q []string, _ summary.View, ctx *Context) float64 {
-	l := lm.lambda()
 	s := 1.0
 	for _, w := range UniqueWords(q) {
-		var pg float64
-		if ctx.Global != nil {
-			pg = ctx.Global.Ptf(w)
-		}
-		s *= (1 - l) * pg
+		s *= lm.smoothing(w, ctx)
 	}
 	return s
 }

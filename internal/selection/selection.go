@@ -74,6 +74,13 @@ type Scorer interface {
 	Name() string
 	// Score computes s(q, D).
 	Score(q []string, v summary.View, ctx *Context) float64
+	// Term returns what query word w contributes to Score, as a function
+	// of a hypothesised document fraction p = d/|D| standing in for
+	// v.P(w). A score is the empty query's score times the product of
+	// its words' terms — or, for an AdditiveBaseline scorer, the terms'
+	// mean — so the adaptive algorithm can integrate each word's term
+	// over that word's document-frequency posterior separately.
+	Term(w string, v summary.View, ctx *Context) func(p float64) float64
 	// DefaultScore is the score a database receives when its summary
 	// carries no information about any query word. Following the paper
 	// (Section 6.2), a database whose score does not exceed this
@@ -137,8 +144,7 @@ func aboveDefault(score, def float64) bool {
 
 // UniqueWords deduplicates a query's words preserving order; scorers
 // treat queries as word sets. A query without duplicates is returned as
-// is (scorers call this once per Monte-Carlo draw), so the result must
-// not be modified.
+// is, so the result must not be modified.
 func UniqueWords(q []string) []string {
 	dup := false
 	for i := 1; i < len(q) && !dup; i++ {

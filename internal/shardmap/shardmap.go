@@ -400,13 +400,3 @@ func (t *Topology) ShardAssignments(shardID string) ([]Assignment, error) {
 	sort.Slice(out, func(a, b int) bool { return out[a].Database < out[b].Database })
 	return out, nil
 }
-
-// ShardAddr returns the gateway address of the given shard.
-func (t *Topology) ShardAddr(shardID string) (string, error) {
-	for _, s := range t.Shards {
-		if s.ID == shardID {
-			return s.Addr, nil
-		}
-	}
-	return "", fmt.Errorf("shardmap: topology has no shard %q", shardID)
-}

@@ -326,10 +326,4 @@ func TestTopologyFileRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("owners diverge after a file round trip")
 	}
-	if _, err := tp.ShardAddr("shard-01"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tp.ShardAddr("nope"); err == nil {
-		t.Fatal("unknown shard addr lookup did not error")
-	}
 }

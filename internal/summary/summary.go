@@ -152,18 +152,6 @@ func FromSample(docs [][]string) *Summary {
 	return s
 }
 
-// SampleDFs returns the per-word sample document frequencies, which the
-// frequency-estimation fits (Appendix A) consume.
-func (s *Summary) SampleDFs() map[string]int {
-	out := make(map[string]int, len(s.Words))
-	for w, st := range s.Words {
-		if st.SampleDF > 0 {
-			out[w] = st.SampleDF
-		}
-	}
-	return out
-}
-
 // TopWords returns the n highest-p̂ words, for display. Ties are broken
 // alphabetically for determinism.
 func (s *Summary) TopWords(n int) []string {

@@ -86,15 +86,6 @@ func TestFromSampleEmpty(t *testing.T) {
 	}
 }
 
-func TestSampleDFs(t *testing.T) {
-	s := FromSample([][]string{{"x", "y"}, {"x"}})
-	dfs := s.SampleDFs()
-	want := map[string]int{"x": 2, "y": 1}
-	if !reflect.DeepEqual(dfs, want) {
-		t.Errorf("SampleDFs = %v", dfs)
-	}
-}
-
 func TestTopWords(t *testing.T) {
 	s := FromSample([][]string{
 		{"common", "rare"},

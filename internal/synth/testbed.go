@@ -38,16 +38,6 @@ type Testbed struct {
 	Queries   []Query
 }
 
-// DatabaseByName returns the named database, or nil.
-func (t *Testbed) DatabaseByName(name string) *Database {
-	for _, d := range t.Databases {
-		if d.Name == name {
-			return d
-		}
-	}
-	return nil
-}
-
 // TotalDocs returns the number of documents across all databases.
 func (t *Testbed) TotalDocs() int {
 	var n int

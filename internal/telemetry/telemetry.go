@@ -18,9 +18,9 @@
 //
 // The probe queries a metasearcher sends are its operating cost — a
 // federated search system budgets them per backend — so sampling and
-// classification report every query issued, and the EM/Monte-Carlo
-// machinery reports its convergence behavior, making the paper's
-// Figures 2-3 observable at runtime.
+// classification report every query issued, the EM reports its
+// convergence behavior and the adaptive rule its verdicts, making the
+// paper's Figures 2-3 observable at runtime.
 package telemetry
 
 import (

@@ -129,11 +129,6 @@ func Fit(points []RankFreq) (Mandelbrot, error) {
 	return Mandelbrot{Alpha: slope, Beta: math.Exp(intercept)}, nil
 }
 
-// FitCounts is a convenience wrapper fitting directly from word counts.
-func FitCounts(counts map[string]int) (Mandelbrot, error) {
-	return Fit(RankFrequencies(counts))
-}
-
 // FitBalanced fits the law on a logarithmically subsampled set of rank
 // points: every rank up to 10, then geometrically spaced ranks (ratio
 // 1.25). An ordinary least-squares fit over all ranks is dominated by

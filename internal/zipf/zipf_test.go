@@ -160,7 +160,7 @@ func TestFitCountsOnGeneratedCorpus(t *testing.T) {
 	for i := 0; i < 300000; i++ {
 		counts[fmt.Sprintf("w%d", s.Sample(rng))]++
 	}
-	fit, err := FitCounts(counts)
+	fit, err := Fit(RankFrequencies(counts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,8 +175,7 @@ func (m *Metasearcher) Load(r io.Reader) error {
 // shrinkage invariant the cluster tier rests on: selection scores are
 // functions of collection-wide statistics (the CORI context's mean
 // document counts and collection frequencies, the category summaries
-// every shrunk summary was EM-fit against, the LM root model, and the
-// per-database-index Monte-Carlo random streams of adaptive selection).
+// every shrunk summary was EM-fit against, and the LM root model).
 // Every shard therefore computes bit-identical selections from the
 // identical file, and the router can merge per-shard rankings into
 // exactly the single-process answer. What a shard does NOT do is dial,

@@ -8,8 +8,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The selection decision (Figure 3's adaptive choice, including its
-// Monte-Carlo sampling over the document-frequency posterior) is a pure
+// The selection decision (Figure 3's adaptive choice, including the
+// score moments over the document-frequency posterior) is a pure
 // function of the analyzed query terms, the scorer, k, and the current
 // summaries — between summary rebuilds it is safe to cache. This file
 // holds the cache keys and the cached selection step; the cached search
@@ -60,7 +60,7 @@ type selEntry struct {
 
 // selectCached is the selection step through the selection cache:
 // a hit skips the entire adaptive-selection path (scoring every
-// candidate plus the per-database Monte-Carlo uncertainty estimate); a
+// candidate plus the per-database score-uncertainty moments); a
 // miss runs selectExplained once, with concurrent identical misses
 // collapsed onto that one run. terms are the analyzed query. The
 // returned slices are shared with the cache and must not be modified.

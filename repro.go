@@ -108,7 +108,8 @@ type Options struct {
 	// 0 or 1 samples sequentially. Results are independent of the
 	// setting: every database derives its own random stream.
 	Parallelism int
-	// Seed drives sampling and Monte-Carlo randomness.
+	// Seed drives the sampling of the databases (BuildSummaries).
+	// Selection does not depend on it.
 	Seed int64
 	// Observer receives structured trace events from the whole pipeline
 	// (sampling rounds, classification probing, EM convergence, adaptive
@@ -144,9 +145,9 @@ type Options struct {
 
 // CacheConfig tunes the Metasearcher's two query-path cache tiers.
 //
-// The selection tier caches the expensive adaptive-selection decision
-// (per-database Monte-Carlo sampling over the score posterior), keyed
-// by the analyzed query terms, the scorer, and k. Selection depends
+// The selection tier caches the adaptive-selection decision (every
+// database's score moments over its document-frequency posteriors),
+// keyed by the analyzed query terms, the scorer, and k. Selection depends
 // only on those inputs and the current summaries, so entries stay valid
 // until the summaries change — Save, Load, and BuildSummaries bump the
 // cache generation, staling every entry at once.
@@ -462,7 +463,7 @@ func (m *Metasearcher) hedgeThreshold() time.Duration {
 
 // Audit returns the per-query audit trail: one audit.QueryRecord per
 // Search call, newest last, holding the selection evidence (scores,
-// shrinkage verdicts with λ mixtures, Monte-Carlo statistics), per-node
+// shrinkage verdicts with λ mixtures, score mean and σ), per-node
 // call costs, and merged-result provenance. Serve it over HTTP with
 // Audit().Handler() (the /debug/queries endpoints), or inspect it with
 // Last/Get/Recent. Nil when Options.AuditSize is negative — and every
@@ -483,7 +484,6 @@ func registerPipelineMetrics(reg *telemetry.Registry) {
 		{"em_iterations_total", "Total EM iterations across all shrinkage runs."},
 		{"adaptive_shrinkage_applied_total", "Per-query decisions that used the shrunk summary."},
 		{"adaptive_shrinkage_skipped_total", "Per-query decisions that kept the unshrunk summary."},
-		{"adaptive_mc_samples_total", "Monte-Carlo samples drawn for adaptive shrinkage decisions."},
 		{"adaptive_queries_total", "Queries that went through the adaptive shrinkage decision."},
 		{"adaptive_queries_shrunk_total", "Queries whose selection used at least one shrunk summary."},
 		{"select_requests_total", "Database-selection requests (Select and the search pipeline)."},
@@ -802,7 +802,7 @@ type selectionExplain struct {
 // loaded store, with its audit evidence: the analyzed terms, the scorer
 // used, and one audit.Candidate per registered database (in
 // registration order) carrying the score, the shrinkage verdict with
-// its Monte-Carlo statistics, and — when shrinkage fired — the λ
+// the score mean and σ behind it, and — when shrinkage fired — the λ
 // mixture the shrunk summary was built with.
 func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k int) ([]Selection, *selectionExplain, error) {
 	st := m.state.Load()
@@ -862,11 +862,7 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 			decisions[i].Score = scores[i]
 		}
 	} else {
-		adaptive := &selection.Adaptive{Base: base, Opts: selection.AdaptiveOptions{
-			Seed:    m.opts.Seed,
-			Span:    span,
-			Metrics: m.reg,
-		}}
+		adaptive := &selection.Adaptive{Base: base, Metrics: m.reg}
 		ranked, decisions = adaptive.Rank(terms, st.adaptive, st.global)
 	}
 
@@ -891,13 +887,12 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 	for i, r := range st.dbs {
 		d := decisions[i]
 		c := audit.Candidate{
-			Database:  r.name,
-			Score:     d.Score,
-			Selected:  selected[r.name],
-			Shrinkage: d.Shrinkage,
-			MCMean:    d.Mean,
-			MCStdDev:  d.StdDev,
-			MCSamples: d.Combos,
+			Database:    r.name,
+			Score:       d.Score,
+			Selected:    selected[r.name],
+			Shrinkage:   d.Shrinkage,
+			ScoreMean:   d.Mean,
+			ScoreStdDev: d.StdDev,
 		}
 		if d.Shrinkage && r.shrunk != nil {
 			for _, l := range r.shrunk.Lambdas() {

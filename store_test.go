@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -110,8 +111,8 @@ func selectionPrint(sels []Selection) string {
 func candidatesPrint(cands []audit.Candidate) string {
 	var sb strings.Builder
 	for _, c := range cands {
-		fmt.Fprintf(&sb, "%s/%016x/%v/%v/%016x/%016x/%d[", c.Database, math.Float64bits(c.Score),
-			c.Selected, c.Shrinkage, math.Float64bits(c.MCMean), math.Float64bits(c.MCStdDev), c.MCSamples)
+		fmt.Fprintf(&sb, "%s/%016x/%v/%v/%016x/%016x[", c.Database, math.Float64bits(c.Score),
+			c.Selected, c.Shrinkage, math.Float64bits(c.ScoreMean), math.Float64bits(c.ScoreStdDev))
 		for _, l := range c.Lambdas {
 			fmt.Fprintf(&sb, "%s=%016x,", l.Component, math.Float64bits(l.Weight))
 		}
@@ -427,6 +428,55 @@ func TestOneDeriveStore(t *testing.T) {
 	if info.EMIterations != 77 || len(info.MixtureWeights) == 0 || info.MixtureWeights[0].Weight != sentinel {
 		t.Errorf("Info after Load = %d EM iterations, λ %v; want the persisted provenance (77, first weight %v)",
 			info.EMIterations, info.MixtureWeights, sentinel)
+	}
+}
+
+// TestSelectionIndependentOfSeed: selection is a pure function of the
+// summaries, the query and the scorer. Two metasearchers that load one
+// state under different Options.Seed give the same selections and the
+// same audit evidence (score mean and σ included), bit for bit.
+func TestSelectionIndependentOfSeed(t *testing.T) {
+	built, _ := newStoreWorld(t, Options{})
+	var state bytes.Buffer
+	if err := built.Save(&state); err != nil {
+		t.Fatal(err)
+	}
+	vocab := append(append(append([]string{}, storeMedical...), storeSpace...), storeSports...)
+	rng := rand.New(rand.NewSource(20))
+	var queries []string
+	for len(queries) < 60 {
+		words := make([]string, 1+rng.Intn(4))
+		for i := range words {
+			words[i] = vocab[rng.Intn(len(vocab))]
+		}
+		queries = append(queries, strings.Join(words, " "))
+	}
+	for _, scorer := range []string{"bgloss", "cori", "lm"} {
+		var loaded [2]*Metasearcher
+		for i, seed := range []int64{1, 987654321} {
+			loaded[i] = New(Options{Seed: seed, Scorer: scorer, KeepStopwords: true, NoStemming: true})
+			if err := loaded[i].Load(bytes.NewReader(state.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		uncertain := false
+		for _, q := range queries {
+			var got [2]string
+			for i, m := range loaded {
+				sels, ex, err := m.selectExplained(nil, m.analyze(q), 3)
+				if err != nil {
+					t.Fatalf("%s %q: %v", scorer, q, err)
+				}
+				got[i] = selectionPrint(sels) + " " + candidatesPrint(ex.candidates)
+			}
+			if got[0] != got[1] {
+				t.Errorf("%s %q: the answer depends on Options.Seed:\n%s\n%s", scorer, q, got[0], got[1])
+			}
+			uncertain = uncertain || strings.Contains(got[0], "/true;")
+		}
+		if !uncertain {
+			t.Errorf("%s: no query applied shrinkage; the fixture decides nothing", scorer)
+		}
 	}
 }
 

@@ -201,8 +201,9 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	}
 
 	// The recorded shrinkage verdicts must match what the selection code
-	// decides for this query: Monte Carlo sampling is seeded, so an
-	// independent Select reproduces the adaptive criterion exactly.
+	// decides for this query: selection is a pure function of the
+	// summaries, so an independent Select reproduces the adaptive
+	// criterion exactly.
 	sels, err := m.Select(query, len(shards))
 	if err != nil {
 		t.Fatal(err)
