@@ -1,6 +1,7 @@
 // Micro-benchmarks of the core machinery: EM convergence, the adaptive
 // decision, selection and search through the public API, summary
-// construction and shrunk-summary materialization, on a compact
+// construction and shrunk-summary materialization, and the whole-store
+// passes after sampling (deriveStore, Save, Load), on a compact
 // testbed. `make bench` runs each once as a bit-rot check. Performance
 // numbers come from the repo benchmark (go run ./benchmark); the
 // paper's tables and figures from `go run ./cmd/experiments -all`,
@@ -8,13 +9,16 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/index"
 	"repro/internal/selection"
 	"repro/internal/summary"
 )
@@ -38,10 +42,12 @@ func benchScale() experiments.Scale {
 }
 
 var benchWorlds struct {
-	mu   sync.Mutex
-	web  *experiments.World
-	trec *experiments.World
-	sums map[string]*experiments.DBSummaries
+	mu    sync.Mutex
+	web   *experiments.World
+	trec  *experiments.World
+	sums  map[string]*experiments.DBSummaries
+	built *Metasearcher // over web, see benchStore
+	state []byte        // its Save output
 }
 
 func benchWorld(b *testing.B, kind experiments.BedKind) *experiments.World {
@@ -257,4 +263,96 @@ func BenchmarkMaterializeShrunk(b *testing.B) {
 		s = sums.Shrunk[i%len(sums.Shrunk)].Materialize(1)
 	}
 	b.ReportMetric(float64(s.Len()), "words")
+}
+
+// benchStore is a metasearcher built over benchWorld(Web) the way the
+// repo benchmark's build workload builds one (sanitized vocabulary kept
+// verbatim, directory categories, GOMAXPROCS sampling workers), its
+// options, and its saved state.
+func benchStore(b *testing.B) (*Metasearcher, Options, []byte) {
+	b.Helper()
+	w := benchWorld(b, experiments.Web)
+	opts := Options{
+		SampleSize:    w.Scale.SampleTarget,
+		SeedLexicon:   experiments.SanitizeAll(w.Lexicon),
+		Seed:          1,
+		Parallelism:   runtime.GOMAXPROCS(0),
+		KeepStopwords: true,
+		NoStemming:    true,
+		Cache:         CacheConfig{Disable: true},
+	}
+	benchWorlds.mu.Lock()
+	defer benchWorlds.mu.Unlock()
+	if benchWorlds.built == nil {
+		m := New(opts)
+		for _, db := range w.Bed.Databases {
+			docs := make([][]string, db.Index.NumDocs())
+			for id := range docs {
+				docs[id] = experiments.SanitizeAll(db.Index.Doc(index.DocID(id)))
+			}
+			if err := m.AddDatabase(NewLocalDatabaseFromTerms(db.Name, docs), w.Bed.Tree.Node(db.Category).Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := m.BuildSummaries(); err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		benchWorlds.built, benchWorlds.state = m, buf.Bytes()
+	}
+	return benchWorlds.built, opts, benchWorlds.state
+}
+
+// The three whole-store passes after sampling, each over the benchmark
+// world's 118 databases; MB/s is in bytes of saved state. The numbers
+// of record are the repo benchmark's persist.save_s, persist.load_s,
+// build.db_per_s and core.shrink_ms_per_db.
+
+// BenchmarkDeriveStore measures category aggregation plus one EM fit
+// per database: what every build, load and refresh swap ends with.
+func BenchmarkDeriveStore(b *testing.B) {
+	m, _, state := benchStore(b)
+	st := m.state.Load()
+	b.SetBytes(int64(len(state)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dbs := make([]*registeredDB, len(st.dbs))
+		for j, r := range st.dbs {
+			cp := *r
+			dbs[j] = &cp
+		}
+		if next := m.deriveStore(dbs, nil, st.lexicon, st.trainingDocs, nil); len(next.adaptive) != len(dbs) {
+			b.Fatal("deriveStore dropped a database")
+		}
+	}
+	b.ReportMetric(float64(len(st.dbs)), "databases/op")
+}
+
+func BenchmarkSave(b *testing.B) {
+	m, _, state := benchStore(b)
+	var buf bytes.Buffer
+	b.SetBytes(int64(len(state)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := m.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(m.state.Load().dbs)), "databases/op")
+}
+
+func BenchmarkLoad(b *testing.B) {
+	m, opts, state := benchStore(b)
+	b.SetBytes(int64(len(state)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := New(opts).Load(bytes.NewReader(state)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(m.state.Load().dbs)), "databases/op")
 }

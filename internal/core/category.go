@@ -15,7 +15,10 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/hierarchy"
+	"repro/internal/pool"
 	"repro/internal/summary"
 )
 
@@ -71,20 +74,34 @@ type CategorySummaries struct {
 // BuildCategorySummaries aggregates the classified database summaries
 // up the hierarchy. A database classified under C contributes to C and
 // to every ancestor of C, per Definition 3.
+//
+// The aggregation fans out over category nodes (GOMAXPROCS workers: it
+// is CPU-bound), one node's aggregate per task, and every node adds its
+// databases in the order dbs lists them. Each float sum is therefore
+// performed in the same order whatever the worker count, and the
+// summaries — and the λ vectors EM fits against them — are
+// bit-identical to a sequential build's.
 func BuildCategorySummaries(tree *hierarchy.Tree, dbs []Classified, w Weighting) *CategorySummaries {
 	cs := &CategorySummaries{
 		tree:      tree,
 		weighting: w,
 		aggs:      make([]*catAgg, tree.Len()),
 	}
-	for i := range cs.aggs {
-		cs.aggs[i] = newCatAgg()
-	}
+	members := make([][]*summary.Summary, tree.Len()) // db(C) per node, in dbs order
 	for _, db := range dbs {
 		for _, anc := range tree.Path(db.Category) {
-			cs.addTo(cs.aggs[anc], db.Sum)
+			members[anc] = append(members[anc], db.Sum)
 		}
 	}
+	// The root, the largest aggregate, is node 0 and so starts first.
+	pool.ForEach(len(cs.aggs), runtime.GOMAXPROCS(0), nil, func(c int) error {
+		agg := newCatAgg()
+		for _, s := range members[c] {
+			cs.addTo(agg, s)
+		}
+		cs.aggs[c] = agg
+		return nil
+	})
 	cs.vocab = len(cs.aggs[hierarchy.Root].sumPW)
 	return cs
 }

@@ -16,8 +16,7 @@ type ShrinkOptions struct {
 	MaxIter int
 	// Span receives a shrink.em trace event per run (iterations to
 	// convergence, λ extremes, overlap-subtraction stats); Metrics
-	// receives the EM counters and the em_iterations gauge. Both may be
-	// nil.
+	// receives the EM counters. Both may be nil.
 	Span    *telemetry.Span
 	Metrics *telemetry.Registry
 }
@@ -180,7 +179,6 @@ func Shrink(cs *CategorySummaries, db Classified, opts ShrinkOptions) *ShrunkSum
 	if opts.Metrics != nil {
 		opts.Metrics.Counter("em_runs_total").Inc()
 		opts.Metrics.Counter("em_iterations_total").Add(int64(iters))
-		opts.Metrics.Gauge("em_iterations").Set(float64(iters))
 	}
 	if opts.Span != nil {
 		emptyLevels := 0

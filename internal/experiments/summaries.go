@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/freqest"
 	"repro/internal/hierarchy"
+	"repro/internal/pool"
 	"repro/internal/sampling"
 	"repro/internal/summary"
 	"repro/internal/synth"
@@ -152,7 +153,7 @@ func (w *World) BuildSummaries(cfg Config) (*DBSummaries, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if err := sampling.ForEachDatabase(n, workers, nil, one); err != nil {
+	if err := pool.ForEach(n, workers, nil, one); err != nil {
 		return nil, err
 	}
 

@@ -1,7 +1,8 @@
-package sampling
+package pool
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,11 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-func TestForEachDatabaseSequentialStopsAtError(t *testing.T) {
+func TestForEachSequentialStopsAtError(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	boom := errors.New("boom")
 	var calls int
-	err := ForEachDatabase(10, 1, reg, func(i int) error {
+	err := ForEach(10, 1, reg, func(i int) error {
 		calls++
 		if i == 3 {
 			return boom
@@ -35,12 +36,12 @@ func TestForEachDatabaseSequentialStopsAtError(t *testing.T) {
 	}
 }
 
-func TestForEachDatabaseStopsDispatchAfterError(t *testing.T) {
+func TestForEachStopsDispatchAfterError(t *testing.T) {
 	const n = 10000
 	reg := telemetry.NewRegistry()
 	boom := errors.New("boom")
 	var started atomic.Int64
-	err := ForEachDatabase(n, 4, reg, func(i int) error {
+	err := ForEach(n, 4, reg, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			return boom
@@ -67,9 +68,9 @@ func TestForEachDatabaseStopsDispatchAfterError(t *testing.T) {
 	}
 }
 
-func TestForEachDatabaseCompletesAll(t *testing.T) {
+func TestForEachCompletesAll(t *testing.T) {
 	var done atomic.Int64
-	if err := ForEachDatabase(100, 8, nil, func(i int) error {
+	if err := ForEach(100, 8, nil, func(i int) error {
 		done.Add(1)
 		return nil
 	}); err != nil {
@@ -78,7 +79,27 @@ func TestForEachDatabaseCompletesAll(t *testing.T) {
 	if done.Load() != 100 {
 		t.Errorf("completed %d of 100 tasks", done.Load())
 	}
-	if err := ForEachDatabase(0, 8, nil, func(int) error { return errors.New("ran") }); err != nil {
+	if err := ForEach(0, 8, nil, func(int) error { return errors.New("ran") }); err != nil {
 		t.Errorf("n = 0 ran a task: %v", err)
+	}
+}
+
+// TestForEachReportsLowestFailedIndex: when several indices fail, the
+// error is the lowest one's — what a sequential loop would report —
+// even though here the higher indices fail first.
+func TestForEachReportsLowestFailedIndex(t *testing.T) {
+	const n = 8
+	returning := make([]chan struct{}, n+1)
+	for i := range returning {
+		returning[i] = make(chan struct{})
+	}
+	close(returning[n])
+	err := ForEach(n, n, nil, func(i int) error {
+		<-returning[i+1] // index i+1 is past its work and about to fail
+		close(returning[i])
+		return fmt.Errorf("index %d", i)
+	})
+	if err == nil || err.Error() != "index 0" {
+		t.Errorf("err = %v, want index 0's", err)
 	}
 }

@@ -44,7 +44,8 @@ func (s *Summary) Encode(w io.Writer) error {
 		SampleSize: s.SampleSize,
 		Words:      make([]jsonWord, 0, len(s.Words)),
 	}
-	// Deterministic output: alphabetical word order.
+	// Deterministic output: TopWords order (descending p̂, ties
+	// alphabetical).
 	for _, word := range s.TopWords(len(s.Words)) {
 		st := s.Words[word]
 		js.Words = append(js.Words, jsonWord{W: word, P: st.P, Ptf: st.Ptf, SampleDF: st.SampleDF})

@@ -15,7 +15,9 @@
 package summary
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"repro/internal/index"
 )
@@ -155,19 +157,28 @@ func FromSample(docs [][]string) *Summary {
 // TopWords returns the n highest-p̂ words, for display. Ties are broken
 // alphabetically for determinism.
 func (s *Summary) TopWords(n int) []string {
-	words := make([]string, 0, len(s.Words))
-	for w := range s.Words {
-		words = append(words, w)
+	// Sort (word, p̂) pairs gathered once: the comparator runs
+	// O(|V| log |V|) times and must not go back to the map.
+	type wordP struct {
+		w string
+		p float64
 	}
-	sort.Slice(words, func(i, j int) bool {
-		pi, pj := s.Words[words[i]].P, s.Words[words[j]].P
-		if pi != pj {
-			return pi > pj
+	pairs := make([]wordP, 0, len(s.Words))
+	for w, st := range s.Words {
+		pairs = append(pairs, wordP{w, st.P})
+	}
+	slices.SortFunc(pairs, func(a, b wordP) int {
+		if a.p != b.p {
+			return cmp.Compare(b.p, a.p)
 		}
-		return words[i] < words[j]
+		return strings.Compare(a.w, b.w)
 	})
-	if n < len(words) {
-		words = words[:n]
+	if n < len(pairs) {
+		pairs = pairs[:n]
+	}
+	words := make([]string, len(pairs))
+	for i, pr := range pairs {
+		words[i] = pr.w
 	}
 	return words
 }

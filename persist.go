@@ -8,11 +8,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
+	"runtime"
 
 	"repro/internal/atomicfile"
 	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/summary"
 )
 
@@ -26,14 +29,22 @@ import (
 // persistVersion guards the on-disk format.
 const persistVersion = 1
 
+// The save file is one JSON object,
+//
+//	{"version":1,"databases":[…],"training_docs":N,"checksum":"sha256:…"}
+//
+// whose checksum is the sha256 of the canonical (encoding/json, compact)
+// encoding of the databases array. Save writes the array in that form,
+// so it hashes the bytes as they stream out; Load re-encodes what it
+// decoded, so a re-indented file still verifies and a torn or corrupted
+// one is rejected loudly instead of loading garbage summaries. Both
+// work database by database on GOMAXPROCS workers (encoding and
+// decoding are CPU-bound) and put the pieces together in file order.
 type persistEnvelope struct {
 	Version   int         `json:"version"`
 	Databases []persistDB `json:"databases"`
 	Training  int         `json:"training_docs"` // informational
-	// Checksum is "sha256:<hex>" over the canonical JSON encoding of
-	// Databases, verified by Load so a torn or corrupted save file is
-	// rejected loudly instead of silently loading garbage summaries.
-	Checksum string `json:"checksum,omitempty"`
+	Checksum  string      `json:"checksum"`
 }
 
 // ErrNoChecksum is Load's error for a save file without a content
@@ -41,14 +52,24 @@ type persistEnvelope struct {
 // file is refused rather than trusted. Every Save writes one.
 var ErrNoChecksum = errors.New("repro: load: save file carries no content checksum")
 
-// databasesChecksum computes the envelope's content checksum.
-func databasesChecksum(dbs []persistDB) (string, error) {
-	b, err := json.Marshal(dbs)
-	if err != nil {
-		return "", err
+// writeDatabases writes the canonical JSON array whose elements are
+// pieces, letting go of each piece once it is written. It is handed a
+// hash, which cannot fail, and a bufio.Writer, whose Flush reports the
+// first failed write; so it returns nothing.
+func writeDatabases(w io.Writer, pieces [][]byte) {
+	io.WriteString(w, "[")
+	for i, p := range pieces {
+		if i > 0 {
+			io.WriteString(w, ",")
+		}
+		w.Write(p)
+		pieces[i] = nil
 	}
-	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:]), nil
+	io.WriteString(w, "]")
+}
+
+func checksumString(h hash.Hash) string {
+	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
 type persistDB struct {
@@ -81,49 +102,59 @@ func (m *Metasearcher) Save(w io.Writer) error {
 	if !st.built {
 		return errors.New("repro: nothing to save; run BuildSummaries first")
 	}
-	env := persistEnvelope{Version: persistVersion, Training: st.trainingDocs}
-	for _, r := range st.dbs {
-		var buf bytes.Buffer
-		if err := r.unshrunk.Encode(&buf); err != nil {
-			return fmt.Errorf("repro: encoding %s: %w", r.name, err)
-		}
-		pd := persistDB{
-			Name:     r.name,
-			Category: m.tree.Node(r.assigned).Name,
-			SizeEst:  r.sizeEst,
-			Gamma:    r.gamma,
-			Sample:   r.sampleLen,
-			Summary:  json.RawMessage(buf.Bytes()),
-		}
-		if r.prov != nil {
-			pt := &persistTelemetry{
-				SampleQueries: r.prov.SampleQueries,
-				EMIterations:  r.prov.EMIterations,
-			}
-			for _, l := range r.prov.Lambdas {
-				pt.Lambdas = append(pt.Lambdas, persistLambda{Component: l.Component, Weight: l.Weight})
-			}
-			pd.Telemetry = pt
-		}
-		env.Databases = append(env.Databases, pd)
-	}
-	sum, err := databasesChecksum(env.Databases)
-	if err != nil {
-		return fmt.Errorf("repro: save: %w", err)
-	}
-	env.Checksum = sum
-	bw := bufio.NewWriter(w)
-	if err := json.NewEncoder(bw).Encode(env); err != nil {
-		return fmt.Errorf("repro: save: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	pieces := make([][]byte, len(st.dbs))
+	err := pool.ForEach(len(st.dbs), runtime.GOMAXPROCS(0), m.reg, func(i int) (err error) {
+		pieces[i], err = m.encodeDB(st.dbs[i])
 		return err
+	})
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	h := sha256.New()
+	fmt.Fprintf(bw, `{"version":%d,"databases":`, persistVersion)
+	writeDatabases(io.MultiWriter(bw, h), pieces)
+	fmt.Fprintf(bw, `,"training_docs":%d,"checksum":"%s"}`+"\n", st.trainingDocs, checksumString(h))
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("repro: save: %w", err)
 	}
 	// A save marks a summary state the operator may re-Load or ship to
 	// other processes; bumping the generation here keeps "what the cache
 	// answers from" never older than "what is on disk".
 	m.InvalidateCaches()
 	return nil
+}
+
+// encodeDB is one database's element of the save file's databases
+// array, in canonical form.
+func (m *Metasearcher) encodeDB(r *registeredDB) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := r.unshrunk.Encode(&buf); err != nil {
+		return nil, fmt.Errorf("repro: encoding %s: %w", r.name, err)
+	}
+	pd := persistDB{
+		Name:     r.name,
+		Category: m.tree.Node(r.assigned).Name,
+		SizeEst:  r.sizeEst,
+		Gamma:    r.gamma,
+		Sample:   r.sampleLen,
+		Summary:  json.RawMessage(buf.Bytes()),
+	}
+	if r.prov != nil {
+		pt := &persistTelemetry{
+			SampleQueries: r.prov.SampleQueries,
+			EMIterations:  r.prov.EMIterations,
+		}
+		for _, l := range r.prov.Lambdas {
+			pt.Lambdas = append(pt.Lambdas, persistLambda{Component: l.Component, Weight: l.Weight})
+		}
+		pd.Telemetry = pt
+	}
+	piece, err := json.Marshal(pd)
+	if err != nil {
+		return nil, fmt.Errorf("repro: save: %w", err)
+	}
+	return piece, nil
 }
 
 // SaveFile writes the built summaries to path crash-safely: the bytes
@@ -201,56 +232,45 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 	if env.Checksum == "" {
 		return ErrNoChecksum
 	}
-	// Decode→re-encode round-trips canonically (RawMessage passes
-	// through verbatim), so the recomputed sum matches Save's unless
-	// the content was corrupted.
-	sum, err := databasesChecksum(env.Databases)
+
+	// Per database: re-encode canonically for the checksum (the summary,
+	// a RawMessage, passes through compacted), decode the summary, and
+	// let the file's bytes go. What is wrong with a database's content
+	// (invalid) is held back until the checksum has verified — a
+	// corrupted file is reported as corrupted — and then reported for
+	// the first database in file order.
+	n := len(env.Databases)
+	dbs := make([]*registeredDB, n)
+	persisted := make([]*BuildTelemetry, n)
+	invalid := make([]error, n)
+	canonical := make([][]byte, n)
+	err := pool.ForEach(n, runtime.GOMAXPROCS(0), m.reg, func(i int) (err error) {
+		if canonical[i], err = json.Marshal(env.Databases[i]); err != nil {
+			return fmt.Errorf("repro: load: %w", err)
+		}
+		dbs[i], persisted[i], invalid[i] = m.decodeDB(env.Databases[i])
+		env.Databases[i].Summary = nil
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("repro: load: %w", err)
+		return err
 	}
-	if sum != env.Checksum {
+	h := sha256.New()
+	writeDatabases(h, canonical)
+	if sum := checksumString(h); sum != env.Checksum {
 		return fmt.Errorf("repro: load: checksum mismatch (file says %s, content is %s) — save file is corrupted or was torn mid-write", env.Checksum, sum)
 	}
-
-	dbs := make([]*registeredDB, 0, len(env.Databases))
-	persisted := make([]*BuildTelemetry, 0, len(env.Databases))
-	seen := make(map[string]bool, len(env.Databases))
-	for _, pd := range env.Databases {
+	seen := make(map[string]bool, n)
+	for i, pd := range env.Databases {
 		if pd.Name == "" || seen[pd.Name] {
 			return fmt.Errorf("repro: invalid or duplicate database name %q", pd.Name)
 		}
 		seen[pd.Name] = true
-		cat, ok := m.tree.Lookup(pd.Category)
-		if !ok {
-			return fmt.Errorf("repro: database %q references unknown category %q", pd.Name, pd.Category)
+		if invalid[i] != nil {
+			return invalid[i]
 		}
-		sum, err := summary.Decode(bytes.NewReader(pd.Summary))
-		if err != nil {
-			return fmt.Errorf("repro: database %q: %w", pd.Name, err)
-		}
-		dbs = append(dbs, &registeredDB{
-			name:      pd.Name,
-			category:  cat,
-			fixedCat:  true,
-			assigned:  cat,
-			unshrunk:  sum,
-			sizeEst:   pd.SizeEst,
-			gamma:     pd.Gamma,
-			sampleLen: pd.Sample,
-		})
-		var prov *BuildTelemetry
-		if pd.Telemetry != nil {
-			prov = &BuildTelemetry{
-				SampleQueries: pd.Telemetry.SampleQueries,
-				EMIterations:  pd.Telemetry.EMIterations,
-			}
-			for _, l := range pd.Telemetry.Lambdas {
-				prov.Lambdas = append(prov.Lambdas, core.Lambda{Component: l.Component, Weight: l.Weight})
-			}
-		}
-		persisted = append(persisted, prov)
 	}
-	if len(dbs) == 0 {
+	if n == 0 {
 		return errors.New("repro: save file contains no databases")
 	}
 
@@ -280,7 +300,7 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 				r.db = live.db
 			}
 		}
-		st := m.deriveStore(dbs, scope, m.seedLexicon(), nil)
+		st := m.deriveStore(dbs, scope, m.seedLexicon(), env.Training, nil)
 		// The persisted provenance is that of the deployed summaries,
 		// even though the EM re-run above converges equally.
 		for i, r := range dbs {
@@ -288,4 +308,39 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		}
 		return st, nil
 	})
+}
+
+// decodeDB turns one element of the save file into a registered
+// database (no live handle) and its persisted provenance, or says what
+// is wrong with its content.
+func (m *Metasearcher) decodeDB(pd persistDB) (*registeredDB, *BuildTelemetry, error) {
+	cat, ok := m.tree.Lookup(pd.Category)
+	if !ok {
+		return nil, nil, fmt.Errorf("repro: database %q references unknown category %q", pd.Name, pd.Category)
+	}
+	sum, err := summary.Decode(bytes.NewReader(pd.Summary))
+	if err != nil {
+		return nil, nil, fmt.Errorf("repro: database %q: %w", pd.Name, err)
+	}
+	r := &registeredDB{
+		name:      pd.Name,
+		category:  cat,
+		fixedCat:  true,
+		assigned:  cat,
+		unshrunk:  sum,
+		sizeEst:   pd.SizeEst,
+		gamma:     pd.Gamma,
+		sampleLen: pd.Sample,
+	}
+	if pd.Telemetry == nil {
+		return r, nil, nil
+	}
+	prov := &BuildTelemetry{
+		SampleQueries: pd.Telemetry.SampleQueries,
+		EMIterations:  pd.Telemetry.EMIterations,
+	}
+	for _, l := range pd.Telemetry.Lambdas {
+		prov.Lambdas = append(prov.Lambdas, core.Lambda{Component: l.Component, Weight: l.Weight})
+	}
+	return r, prov, nil
 }

@@ -3,12 +3,15 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -100,6 +103,66 @@ func TestSaveLoadBuildTelemetry(t *testing.T) {
 	}
 }
 
+// TestSaveLoadSaveIsIdentity: saving what was loaded writes the file
+// that was loaded, byte for byte — training_docs included, which a
+// loaded store has no training set of its own to count.
+func TestSaveLoadSaveIsIdentity(t *testing.T) {
+	m := buildTestMetasearcher(t, Options{Seed: 39})
+	var first, second bytes.Buffer
+	if err := m.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(first.String(), `"training_docs":60,`) {
+		t.Fatal("the built store counts no training documents; the round trip would not show losing them")
+	}
+	m2 := New(Options{})
+	if err := m2.Load(bytes.NewReader(first.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("Save(Load(Save(m))) differs from Save(m):\nfirst  %s\nsecond %s", tail(first.Bytes()), tail(second.Bytes()))
+	}
+}
+
+// tail is the end of a save file: the last λ, training_docs, checksum.
+func tail(b []byte) []byte {
+	if len(b) > 160 {
+		b = b[len(b)-160:]
+	}
+	return b
+}
+
+// TestSaveBytesGolden pins the save format. testdata/state_golden.json
+// was written by the commit before Save and Load went parallel (Save of
+// buildTestMetasearcher at seed 38): it must load, saving the loaded
+// store must reproduce it, and so must the same seeded build.
+func TestSaveBytesGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "state_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := New(Options{})
+	if err := loaded.Load(bytes.NewReader(golden)); err != nil {
+		t.Fatalf("a save file written before this change no longer loads: %v", err)
+	}
+	for from, m := range map[string]*Metasearcher{
+		"the loaded store":      loaded,
+		"the same seeded build": buildTestMetasearcher(t, Options{Seed: 38}),
+	} {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("Save of %s is not the golden file (sha256 %x, want %x):\n got %s\nwant %s",
+				from, sha256.Sum256(buf.Bytes()), sha256.Sum256(golden), tail(buf.Bytes()), tail(golden))
+		}
+	}
+}
+
 func TestSaveRequiresBuild(t *testing.T) {
 	m := New(Options{})
 	var buf bytes.Buffer
@@ -109,19 +172,28 @@ func TestSaveRequiresBuild(t *testing.T) {
 }
 
 // sealed returns save-file JSON with its content checksum (re)computed
-// the way Save writes it, for tests that hand-write or edit a save file
-// and mean to get past the integrity check.
+// for tests that hand-write or edit a save file and mean to get past
+// the integrity check. It computes the checksum by its definition —
+// sha256 over encoding/json's encoding of the decoded databases — not
+// the way Save and Load stream it, so it also checks that they agree.
 func sealed(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	var env persistEnvelope
+	var env map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	sum, err := databasesChecksum(env.Databases)
+	var dbs []persistDB
+	if err := json.Unmarshal(env["databases"], &dbs); err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := json.Marshal(dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Checksum = sum
+	sum := sha256.Sum256(canonical)
+	if env["checksum"], err = json.Marshal("sha256:" + hex.EncodeToString(sum[:])); err != nil {
+		t.Fatal(err)
+	}
 	out, err := json.Marshal(env)
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +223,20 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		err := m.Load(bytes.NewReader(sealed(t, []byte(in))))
 		if err == nil || errors.Is(err, ErrNoChecksum) || strings.Contains(err.Error(), "checksum") {
 			t.Errorf("%s: err = %v, want a content rejection", name, err)
+		}
+	}
+	// Several bad databases: the one reported is the first in file
+	// order, not whichever a decoding worker got to first.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	okSummary := `{"version":1,"num_docs":1,"words":[]}`
+	several := sealed(t, []byte(`{"version": 1, "databases": [
+		{"name": "a", "category": "Heart", "summary": `+okSummary+`},
+		{"name": "b", "category": "Bogus", "summary": `+okSummary+`},
+		{"name": "c", "category": "Heart", "summary": {"version":7}},
+		{"name": "a", "category": "Nowhere", "summary": {"version":8}}]}`))
+	for i := 0; i < 20; i++ {
+		if err := m.Load(bytes.NewReader(several)); err == nil || !strings.Contains(err.Error(), `"b" references unknown category "Bogus"`) {
+			t.Fatalf("several bad databases: err = %v, want the first one's (b, unknown category)", err)
 		}
 	}
 }

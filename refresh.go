@@ -121,7 +121,7 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 			return nil, fmt.Errorf("rebuild sampling %s: %w", name, err)
 		}
 		m.summarizeSample(r, sample)
-		st := m.deriveStore(dbs, cur.scope, cur.lexicon, nil)
+		st := m.deriveStore(dbs, cur.scope, cur.lexicon, cur.trainingDocs, nil)
 		m.logInfo("summary rebuilt after drift",
 			"db", name, "docs", len(sample.Docs), "vocab", r.unshrunk.Len(),
 			"elapsed", time.Since(t0))

@@ -41,6 +41,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
+	"repro/internal/pool"
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
@@ -104,9 +105,13 @@ type Options struct {
 	KeepStopwords bool
 	NoStemming    bool
 	// Parallelism bounds how many databases BuildSummaries samples
-	// concurrently (sampling a remote database is latency-bound).
-	// 0 or 1 samples sequentially. Results are independent of the
-	// setting: every database derives its own random stream.
+	// concurrently (sampling a remote database is latency-bound, so
+	// the useful width is the caller's to choose). 0 or 1 samples
+	// sequentially. It is the sampling width only: the CPU-bound
+	// passes over the whole store (shrinkage, Save, Load) use
+	// GOMAXPROCS workers regardless. Results are independent of
+	// both: every database derives its own random stream, and no
+	// pass changes the order of a float sum.
 	Parallelism int
 	// Seed drives the sampling of the databases (BuildSummaries).
 	// Selection does not depend on it.
@@ -506,7 +511,6 @@ func registerPipelineMetrics(reg *telemetry.Registry) {
 	for _, g := range []struct{ name, help string }{
 		{"build_databases", "Databases covered by the latest BuildSummaries run."},
 		{"search_inflight", "Search requests currently inside SearchExplained."},
-		{"em_iterations", "EM iterations of the most recent shrinkage run."},
 		{"sampling_vocab_size", "Distinct terms in the most recently sampled vocabulary."},
 	} {
 		reg.Gauge(g.name)
@@ -689,14 +693,14 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		// remote database is latency-bound, which is where the
 		// concurrency pays off.
 		dbs := make([]*registeredDB, len(cur.dbs))
-		err := sampling.ForEachDatabase(len(dbs), m.opts.Parallelism, m.reg, func(i int) (err error) {
+		err := pool.ForEach(len(dbs), m.opts.Parallelism, m.reg, func(i int) (err error) {
 			dbs[i], err = m.sampleDatabase(ctx, buildSpan, cur.dbs[i], m.opts.Seed+int64(i), classifier, lexicon)
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		st := m.deriveStore(dbs, cur.scope, lexicon, buildSpan)
+		st := m.deriveStore(dbs, cur.scope, lexicon, m.training.Len(), buildSpan)
 		m.logInfo("summaries built", "databases", len(dbs), "elapsed", time.Since(t0))
 		return st, nil
 	})

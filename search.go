@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/pool"
 	"repro/internal/resilience"
-	"repro/internal/sampling"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -365,7 +365,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	outcomes := make([]nodeOutcome, len(sels))
 	em := newSearchEmitter(obs, sels, maxScore)
 	tFan := time.Now()
-	sampling.ForEachDatabase(len(sels), len(sels), m.reg, func(i int) error {
+	pool.ForEach(len(sels), len(sels), m.reg, func(i int) error {
 		name := sels[i].Database
 		// A shard-scoped metasearcher ranks every database (selection
 		// needs the collection-wide statistics) but queries only its own

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/freqest"
 	"repro/internal/hierarchy"
+	"repro/internal/pool"
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
@@ -58,7 +60,7 @@ type store struct {
 	// Set by deriveStore; a store that Train or AddDatabase published
 	// has none of it and fails Select, Info and Save.
 	built        bool
-	trainingDocs int      // informational, for Save
+	trainingDocs int      // informational, for Save: classifier examples at build time
 	lexicon      []string // QBS bootstrap words the summaries were sampled with
 	cats         *core.CategorySummaries
 	global       *summary.Summary // the root category summary
@@ -173,10 +175,16 @@ func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample)
 // its siblings' too), the root summary, and the selection inputs. dbs
 // are the caller's own copies with unshrunk summaries and categories
 // set; called from inside update.
-func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, lexicon []string, span *telemetry.Span) *store {
+//
+// Both passes are CPU-bound and fan out on GOMAXPROCS workers whatever
+// Options.Parallelism says: the category aggregation per node
+// (core.BuildCategorySummaries), the EM fits per database into their
+// own slots. Neither changes the order of any float sum, so the store
+// is bit-identical at any worker count.
+func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, lexicon []string, trainingDocs int, span *telemetry.Span) *store {
 	st := newStore(dbs, scope)
 	st.built = true
-	st.trainingDocs = m.training.Len()
+	st.trainingDocs = trainingDocs
 	st.lexicon = lexicon
 	classified := make([]core.Classified, len(dbs))
 	for i, r := range dbs {
@@ -186,7 +194,8 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 	st.global = st.cats.Summary(hierarchy.Root)
 	st.adaptive = make([]*selection.DB, len(dbs))
 	st.shrunk = make([]selection.Entry, len(dbs))
-	for i, r := range dbs {
+	pool.ForEach(len(dbs), runtime.GOMAXPROCS(0), m.reg, func(i int) error {
+		r := dbs[i]
 		shrinkSpan := span.Child("shrink", telemetry.String("db", r.name))
 		r.shrunk = core.Shrink(st.cats, classified[i], core.ShrinkOptions{
 			Span:    shrinkSpan,
@@ -210,7 +219,8 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 			Size:     int(r.sizeEst),
 		}
 		st.shrunk[i] = selection.Entry{Name: r.name, View: r.shrunk}
-	}
+		return nil
+	})
 	if m.scorerKey() == "redde" {
 		st.redde, st.reddeErr = pooledSampleIndex(dbs)
 	}

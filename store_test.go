@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/hierarchy"
 )
 
 // Tests of the summary store's contract (store.go): a query sees one
@@ -168,8 +169,13 @@ func (rc *recordChecker) Write(b []byte) (int, error) {
 // every audit record must be one state's answer or the other's — bit
 // for bit, λ vectors included — never a mixture, and once the swaps
 // stop the served answers are exactly the last state's (no cache entry
-// from an older store survives under the new generation).
+// from an older store survives under the new generation). GOMAXPROCS is
+// raised so that every swap's deriveStore (and the LoadFile before it)
+// really fans out while the readers read, whatever the machine; run
+// under -race this is the check that the fork-join shares nothing with
+// them.
 func TestStoreSwapAtomicity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	sink := &recordChecker{}
 	m, drifty := newStoreWorld(t, Options{AuditLog: sink}) // caches stay on
 	dir := t.TempDir()
@@ -428,6 +434,123 @@ func TestOneDeriveStore(t *testing.T) {
 	if info.EMIterations != 77 || len(info.MixtureWeights) == 0 || info.MixtureWeights[0].Weight != sentinel {
 		t.Errorf("Info after Load = %d EM iterations, λ %v; want the persisted provenance (77, first weight %v)",
 			info.EMIterations, info.MixtureWeights, sentinel)
+	}
+}
+
+// storePrint is the bit-exact fingerprint of what deriveStore computed:
+// every database's λ vector and EM iteration count, and every category
+// summary's probabilities.
+func storePrint(m *Metasearcher) string {
+	st := m.state.Load()
+	var sb strings.Builder
+	for _, r := range st.dbs {
+		fmt.Fprintf(&sb, "%s/%d[", r.name, r.shrunk.EMIterations())
+		for _, l := range r.shrunk.Lambdas() {
+			fmt.Fprintf(&sb, "%s=%016x,", l.Component, math.Float64bits(l.Weight))
+		}
+		sb.WriteString("];")
+	}
+	for c := 0; c < m.tree.Len(); c++ {
+		sum := st.cats.Summary(hierarchy.NodeID(c))
+		if len(sum.Words) == 0 {
+			continue
+		}
+		fmt.Fprintf(&sb, "\n%s/%016x/%016x:", m.tree.Node(hierarchy.NodeID(c)).Name,
+			math.Float64bits(sum.NumDocs), math.Float64bits(sum.CW))
+		for _, w := range sum.TopWords(len(sum.Words)) {
+			fmt.Fprintf(&sb, "%s=%016x/%016x,", w, math.Float64bits(sum.Words[w].P), math.Float64bits(sum.Words[w].Ptf))
+		}
+	}
+	return sb.String()
+}
+
+// TestDeriveStoreParallelEqualsSerial: deriveStore, Save and Load fan
+// out over GOMAXPROCS workers, and the worker count changes nothing.
+// One seeded nine-database world is built, saved and loaded with one
+// worker and with four: the λ vectors and the category summaries are
+// equal bit for bit (between the two runs, and between each built store
+// and the one loaded from it), the save files are the same bytes, and
+// CORI, bGlOSS and LM select the same from all four stores.
+func TestDeriveStoreParallelEqualsSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	world := []struct {
+		name, cat string
+		docs      [][]string
+	}{
+		{"heart-1", "Heart", corpus(storeMedical, 80)},
+		{"heart-2", "Heart", corpus(storeMedical[1:], 50)},
+		{"onco", "Cancer", corpus(storeMedical[:5], 60)},
+		{"ward", "Health", corpus(append(storeMedical[2:], storeSports[:2]...), 70)},
+		{"stable", "Science", corpus(storeSpace, 80)},
+		{"comet", "Science", corpus(append(storeSpace[3:], storeMedical[0]), 40)},
+		{"arena", "Sports", corpus(storeSports[:6], 70)},
+		{"pitch", "Soccer", corpus(storeSports[2:], 90)},
+		{"derby", "Soccer", corpus(append(storeSports, storeSpace[0]), 55)},
+	}
+	type stores struct {
+		built, loaded       string // storePrint
+		builtSel, loadedSel string // selectionPrint of every query
+		saved               []byte
+	}
+	for _, scorer := range []string{"cori", "bgloss", "lm"} {
+		var serial stores
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			opts := Options{
+				Scorer: scorer, SampleSize: 40, Seed: 1, Parallelism: procs, KeepStopwords: true, NoStemming: true,
+				SeedLexicon: append(append(append([]string{}, storeMedical...), storeSpace...), storeSports...),
+			}
+			built := New(opts)
+			for _, d := range world {
+				if err := built.AddDatabase(NewLocalDatabaseFromTerms(d.name, d.docs), d.cat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := built.BuildSummaries(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := built.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			got := stores{built: storePrint(built), saved: buf.Bytes()}
+			loaded := New(opts)
+			if err := loaded.Load(bytes.NewReader(got.saved)); err != nil {
+				t.Fatal(err)
+			}
+			got.loaded = storePrint(loaded)
+			for _, q := range storeQueries {
+				fromBuilt, err := built.Select(q, 4)
+				if err != nil {
+					t.Fatalf("%s, %d workers: Select %q: %v", scorer, procs, q, err)
+				}
+				fromLoaded, err := loaded.Select(q, 4)
+				if err != nil {
+					t.Fatalf("%s, %d workers: Select %q after Load: %v", scorer, procs, q, err)
+				}
+				got.builtSel += selectionPrint(fromBuilt) + "|"
+				got.loadedSel += selectionPrint(fromLoaded) + "|"
+			}
+			if got.loaded != got.built {
+				t.Errorf("%s, %d workers: the loaded store's λ vectors or category summaries differ from the built one's", scorer, procs)
+			}
+			if got.loadedSel != got.builtSel {
+				t.Errorf("%s, %d workers: the loaded store selects differently from the built one:\n got %s\nwant %s", scorer, procs, got.loadedSel, got.builtSel)
+			}
+			if procs == 1 {
+				serial = got
+				continue
+			}
+			if got.built != serial.built {
+				t.Errorf("%s: λ vectors or category summaries at %d workers differ from the serial build's", scorer, procs)
+			}
+			if !bytes.Equal(got.saved, serial.saved) {
+				t.Errorf("%s: Save at %d workers wrote different bytes from the serial Save", scorer, procs)
+			}
+			if got.builtSel != serial.builtSel {
+				t.Errorf("%s: selections at %d workers differ from the serial ones:\n got %s\nwant %s", scorer, procs, got.builtSel, serial.builtSel)
+			}
+		}
 	}
 }
 
