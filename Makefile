@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench smoke smoke-remote smoke-gateway smoke-cluster check clean
+.PHONY: all vet build test race bench docs count smoke smoke-remote smoke-gateway smoke-cluster check clean
 
 all: vet build test
 
@@ -22,6 +22,26 @@ race:
 # measurement (performance numbers come from `go run ./benchmark`).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# Regenerate the two catalogues that are emitted from the code: the
+# per-mode flag tables (docs/flags.md, from cmd/metasearch's flag sets)
+# and DESIGN.md §8's metric tables (from Registry.Describe). `go test`
+# fails on a stale copy of either.
+docs:
+	cd cmd/metasearch && $(GO) test -run TestFlagDocsCurrent -update .
+	cd internal/telemetry && $(GO) test -run TestMetricCatalogueCurrent -update .
+
+# The three size figures every ROADMAP re-anchor quotes: non-test Go
+# lines outside benchmark/, metasearch flags per mode, and the exported
+# fields of the three option structs.
+count:
+	@printf 'non-test Go lines outside benchmark/: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@sed -n 's/^## \(metasearch .*\)/\1/p; s/^\([0-9]* distinct flags\)/metasearch: \1/p' docs/flags.md
+	@for f in repro.go internal/gateway/gateway.go internal/router/router.go; do \
+		awk -v f=$$f '/^type Options struct/ {on=1; next} on && /^}/ {print f ": " n " exported Options fields"; exit} \
+			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $$f; \
+	done
 
 smoke: vet build
 	$(GO) test -race ./internal/telemetry/ .

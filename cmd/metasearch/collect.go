@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 
 	"repro/internal/obscollector"
@@ -17,7 +16,7 @@ import (
 // runCollect runs the process as the cluster's observability collector:
 // it owns no testbed, no summaries, and answers no queries — it scrapes
 // every member of the -topology fleet (plus the router named by
-// -collect-router) on a fixed interval and serves the assembled view:
+// -collect-router) every -scrape-interval and serves the assembled view:
 //
 //	/debug/cluster/metrics     fleet rollup + per-instance series
 //	/debug/cluster/trace/{id}  one cross-process trace, stitched
@@ -26,7 +25,7 @@ import (
 //	/debug/cluster/profiles    continuous-profiling captures (-profile-dir)
 //
 // plus its own /metrics and /debug/pprof.
-func runCollect(f *flags) error {
+func runCollect(f *flags, _ []string) error {
 	reg := telemetry.NewRegistry()
 	var logger *slog.Logger
 	if f.verbose {
@@ -89,11 +88,7 @@ func runCollect(f *flags) error {
 	mux.Handle("/debug/cluster/", c.Handler())
 	mux.Handle("/debug/topology", watcher.Handler())
 	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	handlePprof(mux)
 
 	ln, err := net.Listen("tcp", f.serveAddr)
 	if err != nil {

@@ -3,22 +3,19 @@ package main
 import (
 	"log"
 
-	"repro/internal/experiments"
-	"repro/internal/gateway"
 	"repro/internal/resilience"
 	"repro/internal/router"
 	"repro/internal/shardmap"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
 // runRoute runs the process as the cluster's scatter-gather router: no
-// summaries, no selection — every query fans out to the topology's
-// shards (each a metasearch -shard-id process) and the per-shard
+// testbed, no summaries, no selection — every query fans out to the
+// topology's shards (each a metasearch shard process) and the per-shard
 // rankings merge into the single-process answer. The router serves the
 // same gateway API and debug endpoints as a standalone metasearcher,
 // with /debug/breakers showing per-shard breakers.
-func runRoute(w *experiments.World, f *flags) error {
+func runRoute(f *flags, _ []string) error {
 	reg := telemetry.NewRegistry()
 	// The router always traces into a bounded ring so the cluster
 	// collector can stitch its fan-out spans into cross-process traces.
@@ -67,23 +64,12 @@ func runRoute(w *experiments.World, f *flags) error {
 		defer watcher.Stop()
 	}
 
-	objectives := slo.DefaultObjectives(f.sloLatency)
-	objectives[0].Target = f.sloTarget
-	tracker := slo.New(slo.Config{Objectives: objectives, Registry: reg})
-
-	gopts := gateway.Options{
-		DefaultMaxDBs:   f.k,
-		DefaultPerDB:    f.perDB,
-		DefaultDeadline: f.deadline,
-		MaxInflight:     f.maxInfl,
-		Metrics:         reg,
-		SLO:             tracker,
-		// /v1/healthz reports every shard's breaker state and last
-		// health-probe result alongside the router's own health, plus
-		// the active topology generation and last-swap timestamp.
-		ShardHealth: rt.ShardHealth,
-		Topology:    rt.TopologyStatus,
-	}
+	gopts := gatewayOptions(f, reg)
+	// /v1/healthz reports every shard's breaker state and last
+	// health-probe result alongside the router's own health, plus the
+	// active topology generation and last-swap timestamp.
+	gopts.ShardHealth = rt.ShardHealth
+	gopts.Topology = rt.TopologyStatus
 	dbg := debugBundle{
 		reg:      reg,
 		breakers: breakers,
@@ -94,5 +80,5 @@ func runRoute(w *experiments.World, f *flags) error {
 		topology: rt.TopologyHandler(),
 	}
 
-	return serve(rt, w, f.serveAddr, f.debugAddr, gopts, tracker, f.drainFor, dbg)
+	return serve(rt, f, gopts, dbg)
 }

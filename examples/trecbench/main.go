@@ -22,14 +22,9 @@ func main() {
 	full := flag.Bool("full", false, "paper-scale testbed (slower)")
 	flag.Parse()
 
-	var scorer selection.Scorer
-	switch *scorerName {
-	case "bgloss":
-		scorer = selection.BGloss{}
-	case "lm":
-		scorer = selection.LM{}
-	default:
-		scorer = selection.CORI{}
+	scorer, err := selection.ByName(*scorerName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	sc := experiments.TestScale()

@@ -46,7 +46,6 @@ import (
 	"repro"
 	"repro/internal/buildinfo"
 	"repro/internal/evtstream"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -104,17 +103,12 @@ type Options struct {
 	StreamHeartbeat time.Duration
 	// Metrics receives gateway_requests_total, gateway_errors_total,
 	// gateway_shed_total, the gateway_requests_inflight gauge, and the
-	// latency series (may be nil). Successful responses record into
-	// gateway_latency (histogram) and gateway_latency_window
-	// (p50/p95/p99); shed and error responses record into the separate
-	// gateway_error_latency histogram, so a load-shedding burst of
-	// instant 429s cannot drag the success-latency percentiles down.
+	// latency series (may be nil). Successful responses record into the
+	// gateway_latency histogram; shed and error responses record into
+	// the separate gateway_error_latency histogram, so a load-shedding
+	// burst of instant 429s cannot drag the success-latency percentiles
+	// down.
 	Metrics *telemetry.Registry
-	// SLO, when non-nil, receives every search request's outcome
-	// (latency + failure verdict) for error-budget tracking; serve its
-	// Handler at /debug/slo. A 429 or a 5xx counts against
-	// availability; 4xx client errors do not.
-	SLO *slo.Tracker
 	// Version is advertised in /v1/healthz (defaults to the build's
 	// version string) so rollouts can confirm which build answers.
 	Version string
@@ -169,7 +163,6 @@ func New(s Searcher, opts Options) *Gateway {
 	// (at zero) before traffic arrives.
 	opts.Metrics.Histogram("gateway_latency", nil)
 	opts.Metrics.Histogram("gateway_error_latency", nil)
-	opts.Metrics.Window("gateway_latency_window", 0)
 	for _, d := range []struct{ name, help string }{
 		{"gateway_requests_total", "Search requests accepted by the gateway (health checks excluded)."},
 		{"gateway_errors_total", "Search requests answered with an error envelope (4xx/5xx, sheds excluded)."},
@@ -177,7 +170,6 @@ func New(s Searcher, opts Options) *Gateway {
 		{"gateway_requests_inflight", "Search requests currently being served."},
 		{"gateway_latency", "End-to-end latency of successful (2xx) search responses, seconds."},
 		{"gateway_error_latency", "End-to-end latency of shed and error responses, seconds."},
-		{"gateway_latency_window", "Sliding-window p50/p95/p99 of successful search latency, seconds."},
 	} {
 		opts.Metrics.Describe(d.name, d.help)
 	}
@@ -216,8 +208,7 @@ func errorTraceID(r *http.Request) string {
 
 // ServeHTTP counts requests, applies the admission gate, converts
 // handler panics into 500 envelopes, and records the outcome: latency
-// into the success or error histogram by final status, and the verdict
-// into the SLO tracker.
+// into the success or error histogram by final status.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == PathHealthz {
 		resp := wire.HealthResponse{Version: g.opts.Version, ShardID: g.opts.ShardID}
@@ -257,24 +248,16 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // record books one finished request: 2xx latencies go to the success
-// histogram and quantile window, everything else to the error
-// histogram (a burst of instant 429s must not pull p99 down). The
-// request's trace id (every response carries one in X-Trace-Id) rides
-// along as a histogram exemplar, so the latency tail links straight to
-// assembled traces. The SLO verdict counts sheds and server errors as
-// bad; 4xx client errors are correct behavior, not unavailability.
+// histogram, everything else to the error histogram (a burst of instant
+// 429s must not pull p99 down). The request's trace id (every response
+// carries one in X-Trace-Id) rides along as a histogram exemplar, so
+// the latency tail links straight to assembled traces.
 func (g *Gateway) record(sw *wire.StatusWriter, start time.Time) {
-	status := sw.Status()
-	trace := sw.Header().Get("X-Trace-Id")
-	elapsed := time.Since(start)
-	sec := elapsed.Seconds()
-	if status < http.StatusMultipleChoices {
-		g.opts.Metrics.Histogram("gateway_latency", nil).ObserveExemplar(sec, trace)
-		g.opts.Metrics.Window("gateway_latency_window", 0).Observe(sec)
-	} else {
-		g.opts.Metrics.Histogram("gateway_error_latency", nil).ObserveExemplar(sec, trace)
+	name := "gateway_latency"
+	if sw.Status() >= http.StatusMultipleChoices {
+		name = "gateway_error_latency"
 	}
-	g.opts.SLO.Record(elapsed, status == http.StatusTooManyRequests || status >= http.StatusInternalServerError)
+	g.opts.Metrics.Histogram(name, nil).ObserveExemplar(time.Since(start).Seconds(), sw.Header().Get("X-Trace-Id"))
 }
 
 // fail writes an error envelope, stamped with a trace id (the caller's

@@ -237,7 +237,7 @@ func TestSetGaugesAndHandler(t *testing.T) {
 }
 
 func TestHedgedPrimaryWins(t *testing.T) {
-	winner, hedged, err := Hedged(context.Background(), time.Hour, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), time.Hour, nil, func(ctx context.Context, attempt int) error {
 		return nil
 	})
 	if err != nil || winner != 0 || hedged {
@@ -247,7 +247,7 @@ func TestHedgedPrimaryWins(t *testing.T) {
 
 func TestHedgedHedgeWins(t *testing.T) {
 	primaryCancelled := make(chan struct{})
-	winner, hedged, err := Hedged(context.Background(), 5*time.Millisecond, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), 5*time.Millisecond, nil, func(ctx context.Context, attempt int) error {
 		if attempt == 0 {
 			<-ctx.Done() // primary hangs until cancelled by the winning hedge
 			close(primaryCancelled)
@@ -268,7 +268,7 @@ func TestHedgedHedgeWins(t *testing.T) {
 func TestHedgedBothFail(t *testing.T) {
 	errPrimary := errors.New("primary down")
 	errHedge := errors.New("hedge down")
-	winner, hedged, err := Hedged(context.Background(), time.Millisecond, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), time.Millisecond, nil, func(ctx context.Context, attempt int) error {
 		if attempt == 0 {
 			time.Sleep(10 * time.Millisecond) // outlive the hedge threshold
 			return errPrimary
@@ -286,7 +286,7 @@ func TestHedgedBothFail(t *testing.T) {
 func TestHedgedPrimaryFailsFastNoHedge(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	winner, hedged, err := Hedged(context.Background(), time.Hour, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), time.Hour, nil, func(ctx context.Context, attempt int) error {
 		calls++
 		return boom
 	})
@@ -298,7 +298,7 @@ func TestHedgedPrimaryFailsFastNoHedge(t *testing.T) {
 
 func TestHedgedDisabled(t *testing.T) {
 	calls := 0
-	if _, hedged, err := Hedged(context.Background(), 0, func(ctx context.Context, attempt int) error {
+	if _, hedged, err := Hedged(context.Background(), 0, nil, func(ctx context.Context, attempt int) error {
 		calls++
 		return nil
 	}); hedged || err != nil || calls != 1 {

@@ -95,7 +95,7 @@ func TestHedgedWithBudgetSuppressesHedge(t *testing.T) {
 	}
 
 	var attempts atomic.Int64
-	winner, hedged, err := HedgedWithBudget(context.Background(), time.Millisecond, b,
+	winner, hedged, err := Hedged(context.Background(), time.Millisecond, b,
 		func(ctx context.Context, attempt int) error {
 			attempts.Add(1)
 			time.Sleep(20 * time.Millisecond) // slow enough for the timer to fire
@@ -114,7 +114,7 @@ func TestHedgedWithBudgetSuppressesHedge(t *testing.T) {
 	}
 	attempts.Store(0)
 	release := make(chan struct{})
-	_, hedged, err = HedgedWithBudget(context.Background(), time.Millisecond, b,
+	_, hedged, err = Hedged(context.Background(), time.Millisecond, b,
 		func(ctx context.Context, attempt int) error {
 			attempts.Add(1)
 			if attempt == 0 {

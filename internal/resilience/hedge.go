@@ -20,21 +20,17 @@ import (
 // still be running when Hedged returns, so the caller must only read
 // the winner's slot (or no slot at all when err != nil).
 //
+// When the hedge timer fires, the hedge launches only if
+// budget.TrySpend() grants a token. A refused hedge is not retried —
+// the primary simply runs to completion, which is exactly the desired
+// degradation under partial outage (hedges are a tail-latency
+// optimization, not a correctness mechanism, so they are the first
+// thing the budget sheds). A nil budget admits every hedge.
+//
 // Returns the winning attempt index, whether a hedge was launched, and
 // the winner's error (when both attempts fail, the primary's error —
 // the representative one; the hedge saw the same node).
-func Hedged(ctx context.Context, after time.Duration, fn func(ctx context.Context, attempt int) error) (winner int, hedged bool, err error) {
-	return HedgedWithBudget(ctx, after, nil, fn)
-}
-
-// HedgedWithBudget is Hedged gated by a retry budget: when the hedge
-// timer fires, the hedge launches only if budget.TrySpend() grants a
-// token. A refused hedge is not retried — the primary simply runs to
-// completion, which is exactly the desired degradation under partial
-// outage (hedges are a tail-latency optimization, not a correctness
-// mechanism, so they are the first thing the budget sheds). A nil
-// budget admits every hedge.
-func HedgedWithBudget(ctx context.Context, after time.Duration, budget *Budget, fn func(ctx context.Context, attempt int) error) (winner int, hedged bool, err error) {
+func Hedged(ctx context.Context, after time.Duration, budget *Budget, fn func(ctx context.Context, attempt int) error) (winner int, hedged bool, err error) {
 	if after <= 0 {
 		return 0, false, fn(ctx, 0)
 	}

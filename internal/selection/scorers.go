@@ -1,10 +1,27 @@
 package selection
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/summary"
 )
+
+// ByName resolves a base scorer from its configured name, ignoring
+// case; "" is CORI. An unknown name is an error, not a default: a
+// typo must not silently rank with a different algorithm.
+func ByName(name string) (Scorer, error) {
+	switch strings.ToLower(name) {
+	case "", "cori":
+		return CORI{}, nil
+	case "bgloss":
+		return BGloss{}, nil
+	case "lm":
+		return LM{}, nil
+	}
+	return nil, fmt.Errorf("unknown scorer %q (want cori | bgloss | lm)", name)
+}
 
 // BGloss is the boolean GlOSS scorer of Gravano, García-Molina &
 // Tomasic (Section 5.3): s(q, D) = |D| · Π_{w∈q} p̂(w|D). It has no

@@ -8,6 +8,11 @@ package telemetry_test
 // metric anywhere fails here, not in a dashboard.
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -21,7 +26,17 @@ import (
 	"repro/internal/wire"
 )
 
-func TestFleetMetricHygiene(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite DESIGN.md §8's metric tables from this build's registries")
+
+// fleetRegistry is one process kind's registry, booted the way its
+// command boots it.
+type fleetRegistry struct {
+	name, title string
+	reg         *telemetry.Registry
+}
+
+func bootFleet(t *testing.T) []fleetRegistry {
+	t.Helper()
 	// A standalone metasearcher's registry: pipeline, cache, breaker,
 	// replica, and (via gateway.New over it) gateway series.
 	m := repro.New(repro.Options{
@@ -57,15 +72,15 @@ func TestFleetMetricHygiene(t *testing.T) {
 	if _, err := obscollector.New(nil, obscollector.Options{Metrics: collectorReg}); err != nil {
 		t.Fatal(err)
 	}
+	return []fleetRegistry{
+		{"metasearcher", "A metasearcher (`query`, `serve`, `shard`) — pipeline, caches, breakers, gateway, wire client and prober; the `wire_server_*` rows are what a dbnode records into its own registry", m.Metrics()},
+		{"router", "The router (`route`)", routerReg},
+		{"collector", "The collector (`collect`)", collectorReg},
+	}
+}
 
-	for _, reg := range []struct {
-		name string
-		reg  *telemetry.Registry
-	}{
-		{"metasearcher", m.Metrics()},
-		{"router", routerReg},
-		{"collector", collectorReg},
-	} {
+func TestFleetMetricHygiene(t *testing.T) {
+	for _, reg := range bootFleet(t) {
 		snap := reg.reg.Snapshot()
 		if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Windows) == 0 {
 			t.Fatalf("%s registry is empty; the test is not exercising real components", reg.name)
@@ -73,6 +88,65 @@ func TestFleetMetricHygiene(t *testing.T) {
 		for _, problem := range snap.Hygiene() {
 			t.Errorf("%s registry: %s", reg.name, problem)
 		}
+	}
+}
+
+// metricCatalogue renders DESIGN.md §8's tables: per process kind, every
+// series its registry holds at boot with its kind and Describe text.
+func metricCatalogue(t *testing.T) string {
+	var b strings.Builder
+	for _, reg := range bootFleet(t) {
+		snap := reg.reg.Snapshot()
+		kinds := map[string]string{}
+		for name := range snap.Counters {
+			kinds[name] = "counter"
+		}
+		for name := range snap.Gauges {
+			kinds[name] = "gauge"
+		}
+		for name := range snap.Histograms {
+			kinds[name] = "histogram"
+		}
+		for name := range snap.Windows {
+			kinds[name] = "window"
+		}
+		names := make([]string, 0, len(kinds))
+		for name := range kinds {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(&b, "\n%s:\n\n| Series | Kind | Help |\n|---|---|---|\n", reg.title)
+		for _, name := range names {
+			fmt.Fprintf(&b, "| `%s` | %s | %s |\n", name, kinds[name], snap.Help[name])
+		}
+	}
+	return b.String()
+}
+
+// TestMetricCatalogueCurrent fails when the tables between DESIGN.md
+// §8's markers are not what the registries generate; `make docs` (this
+// test with -update) rewrites them.
+func TestMetricCatalogueCurrent(t *testing.T) {
+	const begin, end = "<!-- BEGIN GENERATED METRICS (make docs) -->\n", "\n<!-- END GENERATED METRICS -->"
+	path := filepath.Join("..", "..", "DESIGN.md")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	i, j := strings.Index(doc, begin), strings.Index(doc, end)
+	if i < 0 || j < i {
+		t.Fatalf("%s has no generated-metrics markers", path)
+	}
+	want := doc[:i+len(begin)] + metricCatalogue(t) + doc[j:]
+	if *update {
+		if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		doc = want
+	}
+	if doc != want {
+		t.Errorf("%s §8 metric tables are stale: run `make docs`", path)
 	}
 }
 

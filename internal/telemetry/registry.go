@@ -324,16 +324,6 @@ func (r *Registry) Describe(name, help string) {
 	r.mu.Unlock()
 }
 
-// Help returns the help text described for name ("" when absent).
-func (r *Registry) Help(name string) string {
-	if r == nil {
-		return ""
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.help[name]
-}
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {

@@ -222,6 +222,9 @@ func (m *Metasearcher) Load(r io.Reader) error {
 // anything is published: queries answer from the previous summaries
 // until then, and a rejected file changes nothing.
 func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) error {
+	if m.scorerErr != nil {
+		return m.scorerErr
+	}
 	var env persistEnvelope
 	if err := json.NewDecoder(bufio.NewReader(r)).Decode(&env); err != nil {
 		return fmt.Errorf("repro: load: %w", err)

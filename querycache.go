@@ -10,31 +10,19 @@ import (
 
 // The selection decision (Figure 3's adaptive choice, including the
 // score moments over the document-frequency posterior) is a pure
-// function of the analyzed query terms, the scorer, k, and the current
-// summaries — between summary rebuilds it is safe to cache. This file
+// function of the analyzed query terms, k, the current summaries and the
+// scorer — fixed for the life of the Metasearcher that owns the caches —
+// so between summary rebuilds it is safe to cache. This file
 // holds the cache keys and the cached selection step; the cached search
 // path (result tier + singleflight) lives in search.go.
 
-// scorerKey canonicalizes the configured scorer name for cache keys, so
-// "CORI", "cori", and the zero value share entries.
-func (m *Metasearcher) scorerKey() string {
-	switch s := strings.ToLower(m.opts.Scorer); s {
-	case "bgloss", "lm", "redde":
-		return s
-	default:
-		return "cori"
-	}
-}
-
 // selectionKey builds the selection-tier cache key from the analyzed
-// (stemmed, stopped) terms, the scorer, and k. The summaries generation
-// is not part of the key: the cache's generation counter carries it.
-func selectionKey(terms []string, scorer string, k int) string {
+// (stemmed, stopped) terms and k. The summaries generation is not part
+// of the key: the cache's generation counter carries it.
+func selectionKey(terms []string, k int) string {
 	var sb strings.Builder
 	sb.WriteString("k=")
 	sb.WriteString(strconv.Itoa(k))
-	sb.WriteString(";s=")
-	sb.WriteString(scorer)
 	sb.WriteString(";q=")
 	for i, t := range terms {
 		if i > 0 {
@@ -71,7 +59,7 @@ func (m *Metasearcher) selectCached(ctx context.Context, parent *telemetry.Span,
 		sels, ex, err = m.selectExplained(parent, terms, k)
 		return sels, ex, false, err
 	}
-	key := selectionKey(terms, m.scorerKey(), k)
+	key := selectionKey(terms, k)
 	v, hit, _, err := m.selCache.Do(ctx, key, func() (interface{}, error) {
 		s, e, err := m.selectExplained(parent, terms, k)
 		if err != nil {

@@ -89,9 +89,8 @@ type Options struct {
 	// Sampler selects the sampling strategy: "qbs" (default) or "fps".
 	Sampler string
 	// Scorer selects the selection algorithm: "cori" (default),
-	// "bgloss", "lm", or "redde" (ReDDE pools the sample documents and
-	// estimates relevant-document counts; it bypasses the shrinkage
-	// machinery and retains the raw samples in memory).
+	// "bgloss", or "lm", in any case. Any other name fails
+	// BuildSummaries, Load, Select and Search.
 	Scorer string
 	// Adaptive applies shrinkage per query/database only under score
 	// uncertainty (default true; set UniversalShrinkage to always use
@@ -266,16 +265,18 @@ type Selection struct {
 // locking while a rebuild, load, or topology swap prepares the next one
 // (see store.go).
 type Metasearcher struct {
-	opts     Options
-	tree     *hierarchy.Tree
-	reg      *telemetry.Registry
-	tracer   *telemetry.Tracer
-	logger   *slog.Logger       // nil = logging disabled
-	audit    *audit.Log         // nil = query auditing disabled
-	breakers *resilience.Set    // nil = breakers disabled
-	budget   *resilience.Budget // process-wide retry/hedge budget
-	selCache *cache.Cache       // selection tier; nil = caching disabled
-	resCache *cache.Cache       // merged-result tier; nil = caching disabled
+	opts      Options
+	tree      *hierarchy.Tree
+	scorer    selection.Scorer // Options.Scorer resolved once; nil with scorerErr set
+	scorerErr error
+	reg       *telemetry.Registry
+	tracer    *telemetry.Tracer
+	logger    *slog.Logger       // nil = logging disabled
+	audit     *audit.Log         // nil = query auditing disabled
+	breakers  *resilience.Set    // nil = breakers disabled
+	budget    *resilience.Budget // process-wide retry/hedge budget
+	selCache  *cache.Cache       // selection tier; nil = caching disabled
+	resCache  *cache.Cache       // merged-result tier; nil = caching disabled
 
 	proberMu sync.Mutex
 	prober   *resilience.Prober // live health prober; retargeted on topology swaps
@@ -325,15 +326,21 @@ func New(opts Options) *Metasearcher {
 			Cooldown:   opts.Resilience.BreakerCooldown,
 		}, reg)
 	}
+	scorer, err := selection.ByName(opts.Scorer)
+	if err != nil {
+		err = fmt.Errorf("repro: Options.Scorer: %w", err)
+	}
 	m := &Metasearcher{
-		opts:     opts,
-		tree:     tree,
-		reg:      reg,
-		tracer:   telemetry.NewTracer(opts.Observer),
-		logger:   opts.Logger,
-		audit:    alog,
-		breakers: breakers,
-		budget:   resilience.NewBudget(resilience.BudgetOptions{Metrics: reg}),
+		opts:      opts,
+		tree:      tree,
+		scorer:    scorer,
+		scorerErr: err,
+		reg:       reg,
+		tracer:    telemetry.NewTracer(opts.Observer),
+		logger:    opts.Logger,
+		audit:     alog,
+		breakers:  breakers,
+		budget:    resilience.NewBudget(resilience.BudgetOptions{Metrics: reg}),
 
 		published: published{training: &classify.TrainingSet{}},
 	}
@@ -531,15 +538,6 @@ func registerPipelineMetrics(reg *telemetry.Registry) {
 		reg.Histogram(h.name, nil)
 		reg.Describe(h.name, h.help)
 	}
-	// Sliding-window latency quantiles (p50/p95/p99 of recent requests,
-	// where the histograms above accumulate since process start).
-	for _, w := range []struct{ name, help string }{
-		{"select_latency_window", "Sliding-window p50/p95/p99 of selection latency, seconds."},
-		{"search_latency_window", "Sliding-window p50/p95/p99 of search latency, seconds."},
-	} {
-		reg.Window(w.name, 0)
-		reg.Describe(w.name, w.help)
-	}
 }
 
 // logInfo and logWarn guard the optional logger.
@@ -659,6 +657,9 @@ func (m *Metasearcher) BuildSummaries() error {
 // summaries until the build publishes; a build that fails part-way
 // publishes nothing.
 func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
+	if m.scorerErr != nil {
+		return m.scorerErr
+	}
 	return m.update(func(cur *store) (*store, error) {
 		if len(cur.dbs) == 0 {
 			return nil, errors.New("repro: no databases registered")
@@ -766,22 +767,10 @@ func queriesDocsAttrs(s *sampling.Sample) []telemetry.Attr {
 	}
 }
 
-// scorer resolves the configured base selection algorithm.
-func (m *Metasearcher) scorer() selection.Scorer {
-	switch strings.ToLower(m.opts.Scorer) {
-	case "bgloss":
-		return selection.BGloss{}
-	case "lm":
-		return selection.LM{}
-	default:
-		return selection.CORI{}
-	}
-}
-
 // Select ranks the databases for a free-text query and returns the top
 // k (possibly fewer: databases indistinguishable from knowing nothing
 // about the query are not selected, as in the paper). Repeated Selects
-// for the same terms, scorer, and k are served from the selection cache
+// for the same terms and k are served from the selection cache
 // until the summaries change (see CacheConfig).
 func (m *Metasearcher) Select(query string, k int) ([]Selection, error) {
 	sels, _, _, err := m.selectCached(context.Background(), nil, m.analyze(query), k)
@@ -809,6 +798,9 @@ type selectionExplain struct {
 // the score mean and σ behind it, and — when shrinkage fired — the λ
 // mixture the shrunk summary was built with.
 func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k int) ([]Selection, *selectionExplain, error) {
+	if m.scorerErr != nil {
+		return nil, nil, m.scorerErr
+	}
 	st := m.state.Load()
 	if !st.built {
 		return nil, nil, errors.New("repro: BuildSummaries has not been run")
@@ -824,35 +816,8 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 	}
 	m.reg.Counter("select_requests_total").Inc()
 	defer m.reg.Histogram("select_latency", nil).ObserveSince(t0)
-	defer m.reg.Window("select_latency_window", 0).ObserveSince(t0)
 
-	if m.scorerKey() == "redde" {
-		// ReDDE (Si & Callan) ranks over the pooled sample documents —
-		// the selection baseline the paper names as future work to
-		// combine with shrinkage. It bypasses the summary machinery:
-		// audit evidence is the selected set's scores only (no shrinkage
-		// verdicts to explain).
-		if st.reddeErr != nil {
-			span.End(telemetry.Int("selected", 0))
-			return nil, nil, st.reddeErr
-		}
-		ranked := st.redde.Rank(terms)
-		if k > len(ranked) {
-			k = len(ranked)
-		}
-		out := make([]Selection, 0, k)
-		ex := &selectionExplain{terms: terms, scorer: "ReDDE"}
-		for _, r := range ranked[:k] {
-			out = append(out, Selection{Database: r.Name, Score: r.Score})
-			ex.candidates = append(ex.candidates, audit.Candidate{
-				Database: r.Name, Score: r.Score, Selected: true,
-			})
-		}
-		span.End(telemetry.Int("selected", len(out)))
-		return out, ex, nil
-	}
-
-	base := m.scorer()
+	base := m.scorer
 	var ranked []selection.Ranked
 	var decisions []selection.Decision
 	if m.opts.UniversalShrinkage {

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -254,18 +256,31 @@ func TestDefaultLexiconIsStemmed(t *testing.T) {
 	}
 }
 
-func TestMetasearcherReDDEScorer(t *testing.T) {
-	m := buildTestMetasearcher(t, Options{Seed: 40, Scorer: "redde"})
-	sels, err := m.Select("tumor chemotherapy biopsy", 3)
-	if err != nil {
+// TestUnknownScorerFailsClosed: a scorer name the library does not know
+// — a typo, or a baseline that lives only in the experiment harness — is
+// an error from every entry point that would rank with it, never a
+// silent fall back to CORI.
+func TestUnknownScorerFailsClosed(t *testing.T) {
+	var saved bytes.Buffer
+	if err := buildTestMetasearcher(t, Options{Seed: 40, Scorer: "BGloss"}).Save(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if len(sels) == 0 || sels[0].Database != "onco" {
-		t.Errorf("ReDDE selection = %+v, want onco first", sels)
-	}
-	for _, s := range sels {
-		if s.Score <= 0 {
-			t.Errorf("non-positive ReDDE score: %+v", s)
+	for _, name := range []string{"bglos", "okapi"} {
+		m := New(Options{Seed: 40, SampleSize: 30, Scorer: name})
+		if err := m.AddDatabase(m.NewLocalDatabase("cardio", topicDocs(rand.New(rand.NewSource(1)), "Heart", 20)), "Heart"); err != nil {
+			t.Fatal(err)
+		}
+		_, selectErr := m.Select("blood pressure", 2)
+		_, searchErr := m.SearchExplained(context.Background(), "blood pressure", 2, 3)
+		for call, err := range map[string]error{
+			"BuildSummaries":  m.BuildSummaries(),
+			"Load":            m.Load(bytes.NewReader(saved.Bytes())),
+			"Select":          selectErr,
+			"SearchExplained": searchErr,
+		} {
+			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "cori | bgloss | lm") {
+				t.Errorf("Scorer %q: %s error = %v, want one naming the scorer and the choices", name, call, err)
+			}
 		}
 	}
 }

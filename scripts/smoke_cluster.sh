@@ -33,7 +33,7 @@ echo "smoke-cluster: building dbnode and metasearch..."
 # Three databases keep the bounded-load ring honest: with cap
 # ceil(1.25 * 3 / 2) = 2 neither shard can own everything, so both
 # shards end up serving real traffic. The Heart database is included
-# because the router prints Heart-topic example query words.
+# because the shards print Heart-topic example query words.
 HEART="$("$TMP/dbnode" -list -scale small -seed 1 | awk '$NF == "Heart" {print $1; exit}')"
 [ -n "$HEART" ] || { echo "smoke-cluster: no Heart database in the testbed" >&2; exit 1; }
 OTHERS="$("$TMP/dbnode" -list -scale small -seed 1 | awk -v h="$HEART" '$1 != h {print $1}' | head -n 2)"
@@ -80,7 +80,7 @@ done
 # nodes; every shard will load this same file (full store, scoped
 # fan-out).
 echo "smoke-cluster: sampling the nodes and saving summaries..."
-"$TMP/metasearch" -remote "$REPLICA0" -save "$TMP/state.json" heart >"$TMP/build.log" 2>&1 || {
+"$TMP/metasearch" query -remote "$REPLICA0" -save "$TMP/state.json" heart >"$TMP/build.log" 2>&1 || {
     echo "smoke-cluster: summary build failed" >&2
     cat "$TMP/build.log" >&2
     exit 1
@@ -114,7 +114,7 @@ write_topology "127.0.0.1:1" "127.0.0.1:1"
 # start_shard <shard-id>: boot one shard metasearcher; sets ADDR.
 start_shard() {
     log="$TMP/$1.log"
-    "$TMP/metasearch" -shard-id "$1" -topology "$TMP/topo.json" -load "$TMP/state.json" \
+    "$TMP/metasearch" shard -shard-id "$1" -topology "$TMP/topo.json" -load "$TMP/state.json" \
         -topology-poll 200ms -cache-size 0 -serve 127.0.0.1:0 >"$log" 2>&1 &
     PIDS="$PIDS $!"
     ADDR=""
@@ -149,7 +149,7 @@ esac
 
 # Rewrite the topology with the live shard addrs and boot the router.
 write_topology "$SHARD0" "$SHARD1"
-"$TMP/metasearch" -route -topology "$TMP/topo.json" -probe-interval 250ms \
+"$TMP/metasearch" route -topology "$TMP/topo.json" -probe-interval 250ms \
     -topology-poll 200ms -serve 127.0.0.1:0 >"$TMP/router.log" 2>&1 &
 PIDS="$PIDS $!"
 ROUTER=""
@@ -165,10 +165,16 @@ if [ -z "$ROUTER" ]; then
 fi
 echo "smoke-cluster: router up at $ROUTER"
 
-WORDS="$(sed -n 's/^example query words: \(.*\) (.*/\1/p' "$TMP/router.log" | head -n 1)"
+# The router builds no testbed; the shards (same -scale/-seed as the
+# dbnodes) print the example query words.
+WORDS="$(sed -n 's/^example query words: \(.*\) (.*/\1/p' "$TMP/shard-00.log" | head -n 1)"
 if [ -z "$WORDS" ]; then
-    echo "smoke-cluster: router printed no example query words" >&2
-    cat "$TMP/router.log" >&2
+    echo "smoke-cluster: shard-00 printed no example query words" >&2
+    cat "$TMP/shard-00.log" >&2
+    exit 1
+fi
+if grep -q "building Web testbed" "$TMP/router.log"; then
+    echo "smoke-cluster: the router built a testbed it has no use for" >&2
     exit 1
 fi
 set -- $WORDS
@@ -205,7 +211,7 @@ esac
 # Boot the observability collector against the same topology: it
 # scrapes all nine processes (router, 2 shards, 6 dbnode replicas) and
 # serves the fleet rollup and stitched traces.
-"$TMP/metasearch" -collect -topology "$TMP/topo.json" -collect-router "$ROUTER" \
+"$TMP/metasearch" collect -topology "$TMP/topo.json" -collect-router "$ROUTER" \
     -scrape-interval 300ms -serve 127.0.0.1:0 >"$TMP/collector.log" 2>&1 &
 PIDS="$PIDS $!"
 COLLECTOR=""

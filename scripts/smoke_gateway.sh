@@ -19,7 +19,7 @@ trap cleanup EXIT INT TERM
 echo "smoke-gateway: building metasearch..."
 "$GO" build -o "$TMP/metasearch" ./cmd/metasearch
 
-"$TMP/metasearch" -serve 127.0.0.1:0 -k 3 -perdb 3 >"$TMP/srv.log" 2>&1 &
+"$TMP/metasearch" serve -serve 127.0.0.1:0 -k 3 -perdb 3 >"$TMP/srv.log" 2>&1 &
 SRV_PID=$!
 
 # The service logs "query API on http://host:port/v1/search ..." once

@@ -109,8 +109,8 @@ type SearchStages struct {
 // (cold fan-out, result-cache hit, or collapsed onto a concurrent
 // identical query). It is the call a serving gateway makes per request.
 //
-// The cached fan-out: identical queries (same analyzed terms, scorer,
-// maxDBs, perDB) within the result tier's TTL are answered from memory
+// The cached fan-out: identical queries (same analyzed terms, maxDBs,
+// perDB) within the result tier's TTL are answered from memory
 // without touching selection or any database, and concurrent identical
 // queries collapse onto a single upstream fan-out (singleflight) — each
 // still gets its own audit record and trace, flagged CacheHit or
@@ -164,7 +164,6 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	defer func() {
 		m.reg.Histogram("search_latency", nil).ObserveExemplar(time.Since(start).Seconds(), span.Context().TraceID)
 	}()
-	defer m.reg.Window("search_latency_window", 0).ObserveSince(start)
 
 	// The audit record is assembled as the search progresses and
 	// published exactly once, on every exit path — failed queries leave
@@ -194,7 +193,7 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	)
 	terms := m.analyze(query)
 	if m.resCache != nil && len(terms) > 0 {
-		key := resultKey(selectionKey(terms, m.scorerKey(), maxDBs), perDB)
+		key := resultKey(selectionKey(terms, maxDBs), perDB)
 		var v interface{}
 		v, hit, collapsed, err = m.resCache.Do(ctx, key, func() (interface{}, error) {
 			return m.searchUncached(ctx, span, terms, maxDBs, perDB, obs)
@@ -576,7 +575,7 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.Span, cdb ContextSearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration, call *audit.NodeCall) ([]int, error) {
 	stats := [2]*wire.CallStats{{}, {}}
 	var ids [2][]int
-	winner, hedged, err := resilience.HedgedWithBudget(ctx, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
+	winner, hedged, err := resilience.Hedged(ctx, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
 		actx = telemetry.ContextWithSpan(actx, dbSpan)
 		actx = wire.ContextWithCallStats(actx, stats[attempt])
 		_, res, err := cdb.QueryContext(actx, terms, perDB)

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -66,27 +65,23 @@ type store struct {
 	global       *summary.Summary // the root category summary
 	// The selection inputs, fixed per build: adaptive selection reads
 	// both summaries of every database, universal shrinkage the shrunk
-	// ones, ReDDE its pooled-sample index (reddeErr when the samples
-	// were not retained).
+	// ones.
 	adaptive []*selection.DB
 	shrunk   []selection.Entry
-	redde    *selection.ReDDE
-	reddeErr error
 }
 
 type registeredDB struct {
-	name       string
-	db         SearchableDatabase // nil when state was loaded from disk
-	category   hierarchy.NodeID   // classification to use; -1 = probe
-	fixedCat   bool
-	unshrunk   *summary.Summary
-	shrunk     *core.ShrunkSummary
-	assigned   hierarchy.NodeID
-	sizeEst    float64
-	gamma      float64
-	sampleLen  int
-	sampleDocs [][]string      // retained only for the ReDDE scorer
-	prov       *BuildTelemetry // how the summary was built (persisted)
+	name      string
+	db        SearchableDatabase // nil when state was loaded from disk
+	category  hierarchy.NodeID   // classification to use; -1 = probe
+	fixedCat  bool
+	unshrunk  *summary.Summary
+	shrunk    *core.ShrunkSummary
+	assigned  hierarchy.NodeID
+	sizeEst   float64
+	gamma     float64
+	sampleLen int
+	prov      *BuildTelemetry // how the summary was built (persisted)
 }
 
 // newStore is an unbuilt store over dbs.
@@ -164,9 +159,6 @@ func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample)
 	r.unshrunk, r.sizeEst, r.gamma = freqest.Summarize(sample, true)
 	r.sampleLen = r.unshrunk.SampleSize
 	r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
-	if m.scorerKey() == "redde" {
-		r.sampleDocs = sample.Docs
-	}
 }
 
 // deriveStore computes everything that is a function of the whole
@@ -221,24 +213,7 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 		st.shrunk[i] = selection.Entry{Name: r.name, View: r.shrunk}
 		return nil
 	})
-	if m.scorerKey() == "redde" {
-		st.redde, st.reddeErr = pooledSampleIndex(dbs)
-	}
 	return st
-}
-
-// pooledSampleIndex builds ReDDE's centralized index over the retained
-// sample documents. Save does not persist raw sample documents, so a
-// Load-ed store has none.
-func pooledSampleIndex(dbs []*registeredDB) (*selection.ReDDE, error) {
-	samples := make([]selection.ReDDESample, len(dbs))
-	for i, r := range dbs {
-		if r.sampleDocs == nil && r.sampleLen > 0 {
-			return nil, errors.New(`repro: ReDDE needs retained samples; build with Options.Scorer = "redde" (Load-ed state cannot be used)`)
-		}
-		samples[i] = selection.ReDDESample{Name: r.name, Docs: r.sampleDocs, Size: r.sizeEst}
-	}
-	return selection.NewReDDE(samples, 0)
 }
 
 // probeTargets derives the health prober's target list from the
