@@ -25,18 +25,23 @@ bench:
 
 # Regenerate the two catalogues that are emitted from the code: the
 # per-mode flag tables (docs/flags.md, from cmd/metasearch's flag sets)
-# and DESIGN.md §8's metric tables (from Registry.Describe). `go test`
+# and DESIGN.md §8's metric tables (from the registries' declared series). `go test`
 # fails on a stale copy of either.
 docs:
 	cd cmd/metasearch && $(GO) test -run TestFlagDocsCurrent -update .
 	cd internal/telemetry && $(GO) test -run TestMetricCatalogueCurrent -update .
 
-# The three size figures every ROADMAP re-anchor quotes: non-test Go
-# lines outside benchmark/, metasearch flags per mode, and the exported
+# The size figures every ROADMAP re-anchor quotes: non-test Go lines
+# outside benchmark/, the observability packages' share of them and the
+# number of metric kinds, metasearch flags per mode, and the exported
 # fields of the three option structs.
 count:
 	@printf 'non-test Go lines outside benchmark/: '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'of which internal/telemetry + internal/audit + internal/obscollector: '
+	@find internal/telemetry internal/audit internal/obscollector -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@printf 'metric kinds (name-to-metric maps in telemetry.Registry): '
+	@grep -c '^	[a-z]* *map\[string\]\*' internal/telemetry/registry.go
 	@sed -n 's/^## \(metasearch .*\)/\1/p; s/^\([0-9]* distinct flags\)/metasearch: \1/p' docs/flags.md
 	@for f in repro.go internal/gateway/gateway.go internal/router/router.go; do \
 		awk -v f=$$f '/^type Options struct/ {on=1; next} on && /^}/ {print f ": " n " exported Options fields"; exit} \

@@ -64,7 +64,7 @@ func debugMux(d debugBundle) *http.ServeMux {
 		mux.Handle("/debug/refresh", d.refresh)
 	}
 	mux.Handle("/debug/export/spans", telemetry.ExportSpansHandler(d.identity, d.ring))
-	mux.Handle("/debug/export/queries", d.audit.ExportHandler(d.identity.Instance, d.identity.Role, d.identity.Shard))
+	mux.Handle("/debug/export/queries", d.audit.ExportHandler(d.identity))
 	handlePprof(mux)
 	return mux
 }

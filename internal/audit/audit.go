@@ -19,14 +19,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Lambda is one component of the shrinkage mixture actually used to
-// score a database.
-type Lambda struct {
-	Component string  `json:"component"`
-	Weight    float64 `json:"weight"`
-}
+	"repro/internal/core"
+)
 
 // Candidate is the selection evidence for one database.
 type Candidate struct {
@@ -44,8 +39,13 @@ type Candidate struct {
 	ScoreMean   float64 `json:"score_mean"`
 	ScoreStdDev float64 `json:"score_stddev"`
 	// Lambdas is the shrinkage mixture actually used (nil when the
-	// unshrunk summary was chosen).
-	Lambdas []Lambda `json:"lambdas,omitempty"`
+	// unshrunk summary was chosen): the vector core.Shrink built, shared,
+	// never modified.
+	Lambdas []core.Lambda `json:"lambdas,omitempty"`
+	// Category is the classification path that mixture was fitted along,
+	// root first — whose vocabulary the shrunk summary borrowed ("" when
+	// the unshrunk summary was chosen).
+	Category string `json:"category,omitempty"`
 }
 
 // NodeOutcome is how the call to one selected database ended: the part

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestRingAddGetRecent(t *testing.T) {
@@ -190,7 +192,8 @@ func TestFormat(t *testing.T) {
 		Candidates: []Candidate{
 			{Database: "env", Score: 0.61, Selected: true, Shrinkage: true,
 				ScoreMean: 0.55, ScoreStdDev: 0.7,
-				Lambdas: []Lambda{{Component: "category", Weight: 0.4}, {Component: "db", Weight: 0.6}}},
+				Lambdas:  []core.Lambda{{Component: "category", Weight: 0.4}, {Component: "db", Weight: 0.6}},
+				Category: "Root→ Science"},
 			{Database: "sports", Score: 0.11, ScoreMean: 0.12, ScoreStdDev: 0.01},
 		},
 		Selected: []string{"env"},
@@ -206,7 +209,7 @@ func TestFormat(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"query #7", "oil spill", "trace=deadbeef01020304",
-		"shrinkage fired for 1", "* env", "SHRUNK", "λ[category=0.400 db=0.600]",
+		"shrinkage fired for 1", "* env", "SHRUNK", "λ[category=0.400 db=0.600] along Root→ Science",
 		"unshrunk", "attempts=2 retries=1", "UNAVAILABLE", "env/42",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,8 +1,9 @@
 package audit
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"repro/internal/telemetry"
 )
 
 // ExportVersion is the version stamped on /debug/export/queries
@@ -14,11 +15,7 @@ const ExportVersion = 1
 // identity plus its retained recent query records, newest first.
 type Export struct {
 	Version int `json:"version"`
-	// Instance, Role, Shard mirror telemetry.Identity (duplicated here
-	// to keep audit free of a telemetry dependency).
-	Instance string `json:"instance"`
-	Role     string `json:"role"`
-	Shard    string `json:"shard,omitempty"`
+	telemetry.Identity
 	// Total is how many records were ever added (ring evictions mean
 	// len(Records) can be smaller).
 	Total   uint64         `json:"total"`
@@ -49,15 +46,9 @@ func (l *Log) capacity() int {
 
 // ExportHandler serves the process's recent audit records as a
 // versioned Export. ?trace=<id> filters to one trace.
-func (l *Log) ExportHandler(instance, role, shard string) http.Handler {
+func (l *Log) ExportHandler(id telemetry.Identity) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		exp := Export{
-			Version:  ExportVersion,
-			Instance: instance,
-			Role:     role,
-			Shard:    shard,
-			Total:    l.Len(),
-		}
+		exp := Export{Version: ExportVersion, Identity: id, Total: l.Len()}
 		if trace := req.URL.Query().Get("trace"); trace != "" {
 			exp.Records = l.ByTrace(trace)
 		} else {
@@ -67,8 +58,6 @@ func (l *Log) ExportHandler(instance, role, shard string) http.Handler {
 			exp.Records = []*QueryRecord{}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(exp)
+		writeIndented(w, exp)
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Format pretty-prints the record as an indented, human-readable
@@ -53,6 +55,9 @@ func (r *QueryRecord) Format(w io.Writer) {
 				mark, c.Database, c.Score, c.ScoreMean, c.ScoreStdDev)
 			if c.Shrinkage {
 				fmt.Fprintf(w, "  SHRUNK %s", formatLambdas(c.Lambdas))
+				if c.Category != "" {
+					fmt.Fprintf(w, " along %s", c.Category)
+				}
 			} else {
 				fmt.Fprint(w, "  unshrunk")
 			}
@@ -102,7 +107,7 @@ func (r *QueryRecord) Format(w io.Writer) {
 }
 
 // formatLambdas renders a shrinkage mixture as "λ[comp=w ...]".
-func formatLambdas(ls []Lambda) string {
+func formatLambdas(ls []core.Lambda) string {
 	if len(ls) == 0 {
 		return "λ[?]"
 	}

@@ -112,29 +112,19 @@ func New(opts Options) *Cache {
 		opts.now = time.Now
 	}
 	perShard := (opts.Capacity + opts.Shards - 1) / opts.Shards
+	reg, n := opts.Metrics, opts.Name
 	c := &Cache{
 		opts: opts,
 		seed: maphash.MakeSeed(),
 		now:  opts.now,
 
-		hits:          opts.Metrics.Counter(opts.Name + "_hits_total"),
-		misses:        opts.Metrics.Counter(opts.Name + "_misses_total"),
-		evictions:     opts.Metrics.Counter(opts.Name + "_evictions_total"),
-		collapses:     opts.Metrics.Counter(opts.Name + "_collapsed_total"),
-		invalidations: opts.Metrics.Counter(opts.Name + "_invalidations_total"),
-		entries:       opts.Metrics.Gauge(opts.Name + "_entries"),
-		inflight:      opts.Metrics.Gauge(opts.Name + "_inflight_loads"),
-	}
-	for _, d := range []struct{ suffix, help string }{
-		{"_hits_total", "Lookups served from the " + opts.Name + " tier."},
-		{"_misses_total", "Lookups the " + opts.Name + " tier could not serve."},
-		{"_evictions_total", "Entries evicted from the " + opts.Name + " tier (LRU or expired)."},
-		{"_collapsed_total", "Lookups that piggybacked on an identical in-flight load (" + opts.Name + ")."},
-		{"_invalidations_total", "Generation bumps staling every " + opts.Name + " entry at once."},
-		{"_entries", "Live entries in the " + opts.Name + " tier."},
-		{"_inflight_loads", "Loads currently in flight for the " + opts.Name + " tier."},
-	} {
-		opts.Metrics.Describe(opts.Name+d.suffix, d.help)
+		hits:          reg.DeclareCounter(n+"_hits_total", "Lookups served from the "+n+" tier."),
+		misses:        reg.DeclareCounter(n+"_misses_total", "Lookups the "+n+" tier could not serve."),
+		evictions:     reg.DeclareCounter(n+"_evictions_total", "Entries evicted from the "+n+" tier (LRU or expired)."),
+		collapses:     reg.DeclareCounter(n+"_collapsed_total", "Lookups that piggybacked on an identical in-flight load ("+n+")."),
+		invalidations: reg.DeclareCounter(n+"_invalidations_total", "Generation bumps staling every "+n+" entry at once."),
+		entries:       reg.DeclareGauge(n+"_entries", "Live entries in the "+n+" tier."),
+		inflight:      reg.DeclareGauge(n+"_inflight_loads", "Loads currently in flight for the "+n+" tier."),
 	}
 	c.shards = make([]*shard, opts.Shards)
 	for i := range c.shards {

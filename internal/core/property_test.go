@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hierarchy"
 	"repro/internal/summary"
 )
 
@@ -172,6 +173,97 @@ func TestShrinkPtfBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randomHierarchyWorld draws a hierarchy (up to three levels under the
+// root, one to three children per node) and three to eight databases
+// classified under random nodes of it, internal ones included, whose
+// vocabularies overlap through a shared word pool.
+func randomHierarchyWorld(rng *rand.Rand) (*CategorySummaries, []Classified) {
+	next := 0
+	var grow func(depth int) hierarchy.Spec
+	grow = func(depth int) hierarchy.Spec {
+		s := hierarchy.Spec{Name: "c" + itoa(next)}
+		next++
+		if depth < 3 {
+			for i := rng.Intn(3) + 1; i > 0 && (depth == 0 || rng.Intn(3) > 0); i-- {
+				s.Children = append(s.Children, grow(depth+1))
+			}
+		}
+		return s
+	}
+	tree := hierarchy.MustNew(grow(0))
+	nodes := tree.All()
+	dbs := make([]Classified, 3+rng.Intn(6))
+	for i := range dbs {
+		words := map[string]float64{}
+		for j := 10 + rng.Intn(150); j > 0; j-- {
+			words["w"+itoa(rng.Intn(400))] = math.Min(1, rng.Float64()+0.001)
+		}
+		dbs[i] = Classified{
+			Name:     "db" + itoa(i),
+			Category: nodes[rng.Intn(len(nodes))],
+			Sum:      mkSum(float64(20+rng.Intn(1000)), words),
+		}
+	}
+	return BuildCategorySummaries(tree, dbs, SizeWeighted), dbs
+}
+
+// looLogLikelihood is the objective of the Figure 2 EM as Shrink runs
+// it: Σ_w weight_w · log Σ_i λ_i p_i(w) over the database's own words,
+// each weighted by its sample document frequency, with the database's
+// own component predicting a word leave-one-out.
+func looLogLikelihood(ss *ShrunkSummary) float64 {
+	m := len(ss.levels)
+	var ll float64
+	for w, st := range ss.db.Sum.Words {
+		weight, loo := 1.0, st.P
+		if st.SampleDF > 0 {
+			weight = float64(st.SampleDF)
+			loo = st.P * float64(st.SampleDF-1) / float64(st.SampleDF)
+		}
+		pr := ss.lambdas[0].Weight*ss.uniform + ss.lambdas[m+1].Weight*loo
+		for i, l := range ss.levels {
+			pr += ss.lambdas[i+1].Weight * l.p(w)
+		}
+		if pr > 0 {
+			ll += weight * math.Log(pr)
+		}
+	}
+	return ll
+}
+
+// Property (Figure 2): every EM iteration leaves λ a probability
+// distribution and never lowers the likelihood it climbs. Shrink with
+// MaxIter = n stops after exactly n iterations (Epsilon is set below
+// any step it will take), so running it for n = 1, 2, … walks the
+// iterates of one EM run.
+func TestEMLikelihoodNeverDecreases(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		cs, dbs := randomHierarchyWorld(rand.New(rand.NewSource(seed)))
+		for _, db := range dbs {
+			prev := math.Inf(-1)
+			for n := 1; n <= 30; n++ {
+				ss := Shrink(cs, db, ShrinkOptions{MaxIter: n, Epsilon: 1e-300})
+				var sum float64
+				for _, l := range ss.Lambdas() {
+					if l.Weight < 0 || l.Weight > 1 {
+						t.Fatalf("seed %d, %s, iteration %d: λ(%s) = %v", seed, db.Name, n, l.Component, l.Weight)
+					}
+					sum += l.Weight
+				}
+				if math.Abs(sum-1) > 1e-9 {
+					t.Fatalf("seed %d, %s, iteration %d: Σλ = %v", seed, db.Name, n, sum)
+				}
+				ll := looLogLikelihood(ss)
+				// Rounding in the sums is the only way down.
+				if ll < prev-1e-9*math.Abs(prev) {
+					t.Fatalf("seed %d, %s: likelihood fell from %v to %v at iteration %d", seed, db.Name, prev, ll, n)
+				}
+				prev = ll
+			}
+		}
 	}
 }
 

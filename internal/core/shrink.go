@@ -31,11 +31,13 @@ func (o ShrinkOptions) withDefaults() ShrinkOptions {
 	return o
 }
 
-// Lambda reports one mixture component's weight, for display in the
-// style of the paper's Table 2.
+// Lambda is one mixture component's weight, in the style of the paper's
+// Table 2. It is the one λ type: the tags are the save file's and the
+// audit trail's wire format, so the vector Shrink builds is what
+// DatabaseInfo, BuildTelemetry and audit.Candidate carry, uncopied.
 type Lambda struct {
-	Component string // "Uniform", category name, or the database name
-	Weight    float64
+	Component string  `json:"component"` // "Uniform", category name, or the database name
+	Weight    float64 `json:"weight"`
 }
 
 // ShrunkSummary is the shrinkage-based content summary R̂(D) of
@@ -46,12 +48,12 @@ type Lambda struct {
 //
 // ShrunkSummary implements summary.View and is safe for concurrent use.
 type ShrunkSummary struct {
-	db       Classified
-	levels   []*levelStats
-	lambdas  []float64 // indexed: [0]=uniform C0, [1..m]=path levels, [m+1]=database
-	uniform  float64   // p̂(w|C0)
-	emIters  int
-	catNames []string
+	db      Classified
+	levels  []*levelStats
+	lambdas []Lambda // [0]=uniform C0, [1..m]=path levels, [m+1]=database; never modified
+	uniform float64  // p̂(w|C0)
+	emIters int
+	path    string // db's classification path, root first
 }
 
 // Shrink computes the shrunk content summary of db: it builds the
@@ -67,10 +69,16 @@ func Shrink(cs *CategorySummaries, db Classified, opts ShrinkOptions) *ShrunkSum
 		db:      db,
 		levels:  levels,
 		uniform: cs.UniformP(),
+		path:    cs.tree.PathString(db.Category),
 	}
-	ss.catNames = make([]string, m)
+	ss.lambdas = make([]Lambda, m+2)
+	ss.lambdas[0].Component = "Uniform"
 	for i, c := range cs.tree.Path(db.Category) {
-		ss.catNames[i] = cs.tree.Node(c).Name
+		ss.lambdas[i+1].Component = cs.tree.Node(c).Name
+	}
+	ss.lambdas[m+1].Component = db.Name
+	if db.Name == "" {
+		ss.lambdas[m+1].Component = "Database"
 	}
 
 	// Precompute, for every word of the database's own summary, the
@@ -168,7 +176,9 @@ func Shrink(cs *CategorySummaries, db Classified, opts ShrinkOptions) *ShrunkSum
 			break
 		}
 	}
-	ss.lambdas = lambda
+	for i, w := range lambda {
+		ss.lambdas[i].Weight = w
+	}
 	ss.emIters = iters
 
 	// Telemetry: how hard the Figure 2 EM had to work, and what the
@@ -215,12 +225,12 @@ func (ss *ShrunkSummary) WordCount() float64 { return ss.db.Sum.CW }
 
 // P returns the shrinkage-based estimate p̂R(w|D) of Equation 2.
 func (ss *ShrunkSummary) P(w string) float64 {
-	pr := ss.lambdas[0] * ss.uniform
+	pr := ss.lambdas[0].Weight * ss.uniform
 	m := len(ss.levels)
 	for i := 0; i < m; i++ {
-		pr += ss.lambdas[i+1] * ss.levels[i].p(w)
+		pr += ss.lambdas[i+1].Weight * ss.levels[i].p(w)
 	}
-	pr += ss.lambdas[m+1] * ss.db.Sum.P(w)
+	pr += ss.lambdas[m+1].Weight * ss.db.Sum.P(w)
 	return pr
 }
 
@@ -228,12 +238,12 @@ func (ss *ShrunkSummary) P(w string) float64 {
 // tf-based estimates with the same λ weights (the LM adaptation of
 // Section 5.3).
 func (ss *ShrunkSummary) Ptf(w string) float64 {
-	pr := ss.lambdas[0] * ss.uniform
+	pr := ss.lambdas[0].Weight * ss.uniform
 	m := len(ss.levels)
 	for i := 0; i < m; i++ {
-		pr += ss.lambdas[i+1] * ss.levels[i].ptf(w)
+		pr += ss.lambdas[i+1].Weight * ss.levels[i].ptf(w)
 	}
-	pr += ss.lambdas[m+1] * ss.db.Sum.Ptf(w)
+	pr += ss.lambdas[m+1].Weight * ss.db.Sum.Ptf(w)
 	return pr
 }
 
@@ -245,20 +255,14 @@ func (ss *ShrunkSummary) EMIterations() int { return ss.emIters }
 
 // Lambdas returns the mixture weights with their component names, from
 // the uniform dummy category down to the database itself (the layout of
-// the paper's Table 2).
-func (ss *ShrunkSummary) Lambdas() []Lambda {
-	out := make([]Lambda, 0, len(ss.lambdas))
-	out = append(out, Lambda{Component: "Uniform", Weight: ss.lambdas[0]})
-	for i, name := range ss.catNames {
-		out = append(out, Lambda{Component: name, Weight: ss.lambdas[i+1]})
-	}
-	name := ss.db.Name
-	if name == "" {
-		name = "Database"
-	}
-	out = append(out, Lambda{Component: name, Weight: ss.lambdas[len(ss.lambdas)-1]})
-	return out
-}
+// the paper's Table 2). It is the vector Shrink built, shared by every
+// caller: read it, do not modify it.
+func (ss *ShrunkSummary) Lambdas() []Lambda { return ss.lambdas }
+
+// Category returns the classification path the λ vector was fitted
+// along, root first, in the paper's notation ("Root→ Health→ Heart"):
+// whose vocabulary the shrunk summary borrows.
+func (ss *ShrunkSummary) Category() string { return ss.path }
 
 // Materialize produces an explicit summary holding every word whose
 // estimated document count round(|D̂|·p̂R(w|D)) is at least minEffDF

@@ -101,27 +101,31 @@ type Options struct {
 	// heartbeat frame so proxies and clients can tell a slow search
 	// from a dead connection (default 5s; negative disables).
 	Heartbeat time.Duration
-	// Metrics receives the stream_* series (may be nil).
-	Metrics *telemetry.Registry
+	// Metrics holds the stream_* series; the zero value records nothing.
+	Metrics Metrics
 }
 
-// RegisterMetrics pre-creates the stream_* series with help text so
+// Metrics is the stream_* series, declared once per registry by
+// NewMetrics and shared by every Publisher the owner then creates, so a
+// frame costs atomic adds and no lookup by name.
+type Metrics struct {
+	requests, frames, dropped, heartbeats, disconnects *telemetry.Counter
+	active                                             *telemetry.Gauge
+	firstFrame                                         *telemetry.Histogram
+}
+
+// NewMetrics declares the stream_* series in reg (nil is allowed), so
 // exposition endpoints show the schema before the first stream.
-func RegisterMetrics(reg *telemetry.Registry) {
-	for _, c := range []struct{ name, help string }{
-		{"stream_requests_total", "Event-stream connections served by Publisher.Serve."},
-		{"stream_frames_total", "Frames written to event-stream clients."},
-		{"stream_frames_dropped_total", "Droppable frames evicted from full per-connection queues (slow consumers)."},
-		{"stream_heartbeats_total", "Heartbeat frames written on idle event streams."},
-		{"stream_disconnects_total", "Event streams that ended before their terminal frame (client hang-up)."},
-	} {
-		reg.Counter(c.name)
-		reg.Describe(c.name, c.help)
+func NewMetrics(reg *telemetry.Registry) Metrics {
+	return Metrics{
+		requests:    reg.DeclareCounter("stream_requests_total", "Event-stream connections served by Publisher.Serve."),
+		frames:      reg.DeclareCounter("stream_frames_total", "Frames written to event-stream clients."),
+		dropped:     reg.DeclareCounter("stream_frames_dropped_total", "Droppable frames evicted from full per-connection queues (slow consumers)."),
+		heartbeats:  reg.DeclareCounter("stream_heartbeats_total", "Heartbeat frames written on idle event streams."),
+		disconnects: reg.DeclareCounter("stream_disconnects_total", "Event streams that ended before their terminal frame (client hang-up)."),
+		active:      reg.DeclareGauge("stream_active", "Event-stream connections currently being served."),
+		firstFrame:  reg.DeclareHistogram("stream_first_frame_latency", "Latency from stream start to the first frame on the wire, seconds.", nil),
 	}
-	reg.Gauge("stream_active")
-	reg.Describe("stream_active", "Event-stream connections currently being served.")
-	reg.Histogram("stream_first_frame_latency", nil)
-	reg.Describe("stream_first_frame_latency", "Latency from stream start to the first frame on the wire, seconds.")
 }
 
 // Publisher is one connection's frame queue: the search pipeline
@@ -176,7 +180,7 @@ func (p *Publisher) Publish(typ string, payload interface{}) error {
 			}
 		}
 		if evicted {
-			p.opts.Metrics.Counter("stream_frames_dropped_total").Inc()
+			p.opts.Metrics.dropped.Inc()
 		}
 	}
 	p.queue = append(p.queue, f)
@@ -226,11 +230,10 @@ func (p *Publisher) heartbeatFrame() Frame {
 // frame, and emits heartbeats on idle. Returns nil on a complete
 // stream, ctx.Err() on disconnect, or the first write error.
 func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format Format) error {
-	reg := p.opts.Metrics
-	reg.Counter("stream_requests_total").Inc()
-	active := reg.Gauge("stream_active")
-	active.Add(1)
-	defer active.Add(-1)
+	met := p.opts.Metrics
+	met.requests.Inc()
+	met.active.Add(1)
+	defer met.active.Add(-1)
 
 	h := w.Header()
 	switch format {
@@ -274,11 +277,11 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 		}
 		if first {
 			first = false
-			reg.Histogram("stream_first_frame_latency", nil).Observe(time.Since(start).Seconds())
+			met.firstFrame.Observe(time.Since(start).Seconds())
 		}
-		reg.Counter("stream_frames_total").Inc()
+		met.frames.Inc()
 		if f.Type == TypeHeartbeat {
-			reg.Counter("stream_heartbeats_total").Inc()
+			met.heartbeats.Inc()
 		}
 		return nil
 	}
@@ -294,7 +297,7 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 		frames, closed := p.drain()
 		for _, f := range frames {
 			if err := writeFrame(f); err != nil {
-				reg.Counter("stream_disconnects_total").Inc()
+				met.disconnects.Inc()
 				return err
 			}
 			if ticker != nil {
@@ -307,7 +310,7 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 			if rest, _ := p.drain(); len(rest) > 0 {
 				for _, f := range rest {
 					if err := writeFrame(f); err != nil {
-						reg.Counter("stream_disconnects_total").Inc()
+						met.disconnects.Inc()
 						return err
 					}
 				}
@@ -316,12 +319,12 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 		}
 		select {
 		case <-ctx.Done():
-			reg.Counter("stream_disconnects_total").Inc()
+			met.disconnects.Inc()
 			return ctx.Err()
 		case <-p.wake:
 		case <-heartbeat:
 			if err := writeFrame(p.heartbeatFrame()); err != nil {
-				reg.Counter("stream_disconnects_total").Inc()
+				met.disconnects.Inc()
 				return err
 			}
 		}

@@ -43,7 +43,7 @@ func TestPublishDrainOrder(t *testing.T) {
 // critical one: the slow-consumer contract.
 func TestSlowConsumerEviction(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{MaxQueue: 4, Metrics: reg})
+	p := NewPublisher(Options{MaxQueue: 4, Metrics: NewMetrics(reg)})
 	p.Publish(TypeSelection, nil)
 	for i := 0; i < 10; i++ {
 		p.Publish(TypeNodeResult, map[string]int{"i": i})
@@ -91,7 +91,7 @@ func TestCriticalFramesAlwaysEnqueue(t *testing.T) {
 
 func TestServeSSE(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: reg, Heartbeat: -1})
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: -1})
 	go func() {
 		p.Publish(TypeSelection, map[string]string{"scorer": "CORI"})
 		p.Publish(TypeNodeResult, map[string]string{"database": "db1"})
@@ -153,7 +153,7 @@ func TestServeNDJSON(t *testing.T) {
 // no frames flowing.
 func TestServeDisconnect(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: reg, Heartbeat: -1})
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- p.Serve(ctx, httptest.NewRecorder(), FormatSSE) }()
@@ -175,7 +175,7 @@ func TestServeDisconnect(t *testing.T) {
 // from a dead connection.
 func TestServeHeartbeat(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: reg, Heartbeat: 20 * time.Millisecond})
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: 20 * time.Millisecond})
 	rec := httptest.NewRecorder()
 	done := make(chan error, 1)
 	go func() { done <- p.Serve(context.Background(), rec, FormatSSE) }()

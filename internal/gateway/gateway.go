@@ -138,8 +138,11 @@ type Gateway struct {
 	opts     Options
 	mux      http.Handler
 
-	requests *telemetry.Counter
-	errors   *telemetry.Counter
+	requests     *telemetry.Counter
+	errors       *telemetry.Counter
+	latency      *telemetry.Histogram
+	errorLatency *telemetry.Histogram
+	streams      evtstream.Metrics
 }
 
 // New builds a Gateway over s.
@@ -153,27 +156,17 @@ func New(s Searcher, opts Options) *Gateway {
 	if opts.Version == "" {
 		opts.Version = buildinfo.Version()
 	}
+	reg := opts.Metrics
 	g := &Gateway{searcher: s, opts: opts,
 		Gate: wire.NewGate("gateway", opts.MaxInflight, opts.RetryAfter,
-			opts.Metrics.Counter("gateway_shed_total"), opts.Metrics.Gauge("gateway_requests_inflight")),
-		requests: opts.Metrics.Counter("gateway_requests_total"),
-		errors:   opts.Metrics.Counter("gateway_errors_total"),
+			reg.DeclareCounter("gateway_shed_total", "Search requests shed with 429 by the admission gate."),
+			reg.DeclareGauge("gateway_requests_inflight", "Search requests currently being served.")),
+		requests:     reg.DeclareCounter("gateway_requests_total", "Search requests accepted by the gateway (health checks excluded)."),
+		errors:       reg.DeclareCounter("gateway_errors_total", "Search requests answered with an error envelope (4xx/5xx, sheds excluded)."),
+		latency:      reg.DeclareHistogram("gateway_latency", "End-to-end latency of successful (2xx) search responses, seconds.", nil),
+		errorLatency: reg.DeclareHistogram("gateway_error_latency", "End-to-end latency of shed and error responses, seconds.", nil),
+		streams:      evtstream.NewMetrics(reg),
 	}
-	// Pre-create the latency series so /metrics shows the full schema
-	// (at zero) before traffic arrives.
-	opts.Metrics.Histogram("gateway_latency", nil)
-	opts.Metrics.Histogram("gateway_error_latency", nil)
-	for _, d := range []struct{ name, help string }{
-		{"gateway_requests_total", "Search requests accepted by the gateway (health checks excluded)."},
-		{"gateway_errors_total", "Search requests answered with an error envelope (4xx/5xx, sheds excluded)."},
-		{"gateway_shed_total", "Search requests shed with 429 by the admission gate."},
-		{"gateway_requests_inflight", "Search requests currently being served."},
-		{"gateway_latency", "End-to-end latency of successful (2xx) search responses, seconds."},
-		{"gateway_error_latency", "End-to-end latency of shed and error responses, seconds."},
-	} {
-		opts.Metrics.Describe(d.name, d.help)
-	}
-	evtstream.RegisterMetrics(opts.Metrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+PathSearch, g.serve(g.search))
 	mux.HandleFunc("POST "+PathSearch, g.serve(g.search))
@@ -253,11 +246,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // carries one in X-Trace-Id) rides along as a histogram exemplar, so
 // the latency tail links straight to assembled traces.
 func (g *Gateway) record(sw *wire.StatusWriter, start time.Time) {
-	name := "gateway_latency"
+	h := g.latency
 	if sw.Status() >= http.StatusMultipleChoices {
-		name = "gateway_error_latency"
+		h = g.errorLatency
 	}
-	g.opts.Metrics.Histogram(name, nil).ObserveExemplar(time.Since(start).Seconds(), sw.Header().Get("X-Trace-Id"))
+	h.ObserveExemplar(time.Since(start).Seconds(), sw.Header().Get("X-Trace-Id"))
 }
 
 // fail writes an error envelope, stamped with a trace id (the caller's
@@ -455,7 +448,7 @@ func (g *Gateway) stream(ctx context.Context, w http.ResponseWriter, r *http.Req
 	}
 	p := evtstream.NewPublisher(evtstream.Options{
 		Heartbeat: g.opts.StreamHeartbeat,
-		Metrics:   g.opts.Metrics,
+		Metrics:   g.streams,
 	})
 	go func() {
 		resp, err := streamer.SearchExplainedObserved(ctx, req.Query, req.K, req.PerDB, framePublisher{p})

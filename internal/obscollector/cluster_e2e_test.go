@@ -110,7 +110,7 @@ func member(t *testing.T, id telemetry.Identity, reg *telemetry.Registry, ring *
 	}
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/export/spans", telemetry.ExportSpansHandler(id, ring))
-	mux.Handle("/debug/export/queries", auditLog.ExportHandler(id.Instance, id.Role, id.Shard))
+	mux.Handle("/debug/export/queries", auditLog.ExportHandler(id))
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, obscollector.Target{Identity: id, BaseURL: srv.URL}

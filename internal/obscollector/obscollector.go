@@ -142,6 +142,7 @@ type Collector struct {
 
 	scrapes    *telemetry.Counter
 	scrapeErrs *telemetry.Counter
+	sweepLat   *telemetry.Histogram
 
 	profiler *profiler
 
@@ -168,20 +169,11 @@ func New(targets []Target, opts Options) (*Collector, error) {
 		opts:       opts,
 		client:     client,
 		state:      make(map[string]*InstanceState, len(targets)),
-		scrapes:    opts.Metrics.Counter("collector_scrapes_total"),
-		scrapeErrs: opts.Metrics.Counter("collector_scrape_errors_total"),
+		scrapes:    opts.Metrics.DeclareCounter("collector_scrapes_total", "Member scrapes attempted by the cluster collector."),
+		scrapeErrs: opts.Metrics.DeclareCounter("collector_scrape_errors_total", "Member scrapes that failed (member kept its stale state)."),
+		sweepLat:   opts.Metrics.DeclareHistogram("collector_scrape_latency", "Wall time of one full fleet sweep, seconds.", nil),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-	}
-	opts.Metrics.Histogram("collector_scrape_latency", nil)
-	for _, d := range []struct{ name, help string }{
-		{"collector_scrapes_total", "Member scrapes attempted by the cluster collector."},
-		{"collector_scrape_errors_total", "Member scrapes that failed (member kept its stale state)."},
-		{"collector_scrape_latency", "Wall time of one full fleet sweep, seconds."},
-		{"collector_profiles_total", "pprof profiles captured by the continuous-profiling sampler."},
-		{"collector_profile_errors_total", "pprof profile captures that failed."},
-	} {
-		opts.Metrics.Describe(d.name, d.help)
 	}
 	if opts.Profiles.Enable {
 		p, err := newProfiler(targets, client, opts)
@@ -309,7 +301,7 @@ func (c *Collector) ScrapeOnce(ctx context.Context) {
 		c.state[st.Identity.Instance] = st
 	}
 	c.mu.Unlock()
-	c.opts.Metrics.Histogram("collector_scrape_latency", nil).ObserveSince(start)
+	c.sweepLat.ObserveSince(start)
 }
 
 // scrapeTarget fetches one member's metrics, spans, and audit records.

@@ -84,8 +84,8 @@ func newProfiler(targets []Target, client *http.Client, opts Options) (*profiler
 		client:   client,
 		opts:     po,
 		logger:   opts.Logger,
-		captured: opts.Metrics.Counter("collector_profiles_total"),
-		failures: opts.Metrics.Counter("collector_profile_errors_total"),
+		captured: opts.Metrics.DeclareCounter("collector_profiles_total", "pprof profiles captured by the continuous-profiling sampler."),
+		failures: opts.Metrics.DeclareCounter("collector_profile_errors_total", "pprof profile captures that failed."),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}, nil

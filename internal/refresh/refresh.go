@@ -161,8 +161,6 @@ type Options struct {
 	// corpus-utility argument: a coarse estimate is enough to rank
 	// "changed" against "unchanged").
 	SampleDocs int
-	// Eps is the SmoothedKL floor (default 1e-9).
-	Eps float64
 	// Metrics receives the refresh_* series (may be nil).
 	Metrics *telemetry.Registry
 	// Logger, when non-nil, receives drift detections and swap outcomes.
@@ -193,6 +191,9 @@ type Manager struct {
 	target Target
 	opts   Options
 
+	checks, drifts, swaps, errors *telemetry.Counter
+	genGauge                      *telemetry.Gauge
+
 	mu         sync.Mutex
 	states     map[string]*NodeState
 	generation int64
@@ -214,20 +215,17 @@ func NewManager(target Target, opts Options) *Manager {
 	if opts.SampleDocs <= 0 {
 		opts.SampleDocs = 50
 	}
-	for _, c := range []struct{ name, help string }{
-		{"refresh_checks_total", "Drift checks run against live nodes (one resample + divergence each)."},
-		{"refresh_drift_detected_total", "Drift checks whose divergence crossed the rebuild threshold."},
-		{"refresh_swaps_total", "Summary rebuilds hot-swapped into the serving state."},
-		{"refresh_errors_total", "Drift checks or rebuilds that failed (node unreachable, sampling error)."},
-	} {
-		opts.Metrics.Counter(c.name)
-		opts.Metrics.Describe(c.name, c.help)
-	}
-	opts.Metrics.Gauge("refresh_generation")
-	opts.Metrics.Describe("refresh_generation", "Monotonic count of summary swaps applied by the refresh manager.")
+	reg := opts.Metrics
 	return &Manager{
 		target: target,
 		opts:   opts,
+
+		checks:   reg.DeclareCounter("refresh_checks_total", "Drift checks run against live nodes (one resample + divergence each)."),
+		drifts:   reg.DeclareCounter("refresh_drift_detected_total", "Drift checks whose divergence crossed the rebuild threshold."),
+		swaps:    reg.DeclareCounter("refresh_swaps_total", "Summary rebuilds hot-swapped into the serving state."),
+		errors:   reg.DeclareCounter("refresh_errors_total", "Drift checks or rebuilds that failed (node unreachable, sampling error)."),
+		genGauge: reg.DeclareGauge("refresh_generation", "Monotonic count of summary swaps applied by the refresh manager."),
+
 		states: make(map[string]*NodeState),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -261,8 +259,7 @@ func (m *Manager) RunOnce(ctx context.Context) (int, error) {
 // checkOne runs one node's drift check, rebuilding on threshold. True
 // means a swap was applied.
 func (m *Manager) checkOne(ctx context.Context, name string) bool {
-	reg := m.opts.Metrics
-	reg.Counter("refresh_checks_total").Inc()
+	m.checks.Inc()
 	st := m.state(name)
 
 	stored, err := m.target.StoredSummary(name)
@@ -273,7 +270,7 @@ func (m *Manager) checkOne(ctx context.Context, name string) bool {
 			p := Distribution(stored)
 			q := Distribution(fresh)
 			js := JSDivergence(p, q)
-			kl := SmoothedKL(p, q, m.opts.Eps)
+			kl := SmoothedKL(p, q, 0)
 			m.mu.Lock()
 			st.Checks++
 			st.LastCheck = time.Now()
@@ -284,7 +281,7 @@ func (m *Manager) checkOne(ctx context.Context, name string) bool {
 			if js <= m.opts.Threshold {
 				return false
 			}
-			reg.Counter("refresh_drift_detected_total").Inc()
+			m.drifts.Inc()
 			m.mu.Lock()
 			st.Drifts++
 			m.mu.Unlock()
@@ -294,14 +291,14 @@ func (m *Manager) checkOne(ctx context.Context, name string) bool {
 					"threshold", m.opts.Threshold)
 			}
 			if err = m.target.RebuildSummary(ctx, name); err == nil {
-				reg.Counter("refresh_swaps_total").Inc()
+				m.swaps.Inc()
 				m.mu.Lock()
 				st.Swaps++
 				st.LastSwap = time.Now()
 				m.generation++
 				gen := m.generation
 				m.mu.Unlock()
-				reg.Gauge("refresh_generation").Set(float64(gen))
+				m.genGauge.Set(float64(gen))
 				if m.opts.Logger != nil {
 					m.opts.Logger.Info("summary rebuilt and swapped",
 						"db", name, "refresh_generation", gen)
@@ -310,7 +307,7 @@ func (m *Manager) checkOne(ctx context.Context, name string) bool {
 			}
 		}
 	}
-	reg.Counter("refresh_errors_total").Inc()
+	m.errors.Inc()
 	m.mu.Lock()
 	st.LastError = err.Error()
 	m.mu.Unlock()

@@ -58,16 +58,14 @@ func NewBudget(opts BudgetOptions) *Budget {
 	if opts.Burst <= 0 {
 		opts.Burst = 10
 	}
-	opts.Metrics.Describe("retry_budget_exhausted_total",
-		"Retries or hedges suppressed because the retry budget was empty.")
-	opts.Metrics.Describe("retry_budget_tokens",
-		"Current retry-budget token balance (successes deposit, retries/hedges spend).")
 	b := &Budget{
-		ratio:     opts.Ratio,
-		burst:     opts.Burst,
-		tokens:    opts.Burst,
-		exhausted: opts.Metrics.Counter("retry_budget_exhausted_total"),
-		gauge:     opts.Metrics.Gauge("retry_budget_tokens"),
+		ratio:  opts.Ratio,
+		burst:  opts.Burst,
+		tokens: opts.Burst,
+		exhausted: opts.Metrics.DeclareCounter("retry_budget_exhausted_total",
+			"Retries or hedges suppressed because the retry budget was empty."),
+		gauge: opts.Metrics.DeclareGauge("retry_budget_tokens",
+			"Current retry-budget token balance (successes deposit, retries/hedges spend)."),
 	}
 	b.gauge.Set(b.tokens)
 	return b

@@ -59,15 +59,13 @@ func NewProber(set *Set, targets []ProbeTarget, opts ProberOptions) *Prober {
 	if opts.Timeout <= 0 {
 		opts.Timeout = time.Second
 	}
-	opts.Metrics.Describe("health_probes_total", "Background health probes sent to non-closed breaker targets.")
-	opts.Metrics.Describe("health_probe_failures_total", "Background health probes that failed.")
 	return &Prober{
 		set:      set,
 		targets:  targets,
 		interval: opts.Interval,
 		timeout:  opts.Timeout,
-		probes:   opts.Metrics.Counter("health_probes_total"),
-		failures: opts.Metrics.Counter("health_probe_failures_total"),
+		probes:   opts.Metrics.DeclareCounter("health_probes_total", "Background health probes sent to non-closed breaker targets."),
+		failures: opts.Metrics.DeclareCounter("health_probe_failures_total", "Background health probes that failed."),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}

@@ -30,21 +30,13 @@ type Set struct {
 // NewSet creates a breaker set; every breaker it mints uses opts. The
 // gauge and counter series are registered immediately (reg may be nil).
 func NewSet(opts BreakerOptions, reg *telemetry.Registry) *Set {
-	for _, d := range []struct{ name, help string }{
-		{"breakers_closed", "Circuit breakers currently closed (healthy targets)."},
-		{"breakers_half_open", "Circuit breakers currently half-open (probing recovery)."},
-		{"breakers_open", "Circuit breakers currently open (targets routed around)."},
-		{"breaker_trips_total", "Circuit-breaker transitions from closed to open."},
-	} {
-		reg.Describe(d.name, d.help)
-	}
 	return &Set{
 		opts:     opts,
 		m:        make(map[string]*Breaker),
-		closed:   reg.Gauge("breakers_closed"),
-		halfOpen: reg.Gauge("breakers_half_open"),
-		open:     reg.Gauge("breakers_open"),
-		trips:    reg.Counter("breaker_trips_total"),
+		closed:   reg.DeclareGauge("breakers_closed", "Circuit breakers currently closed (healthy targets)."),
+		halfOpen: reg.DeclareGauge("breakers_half_open", "Circuit breakers currently half-open (probing recovery)."),
+		open:     reg.DeclareGauge("breakers_open", "Circuit breakers currently open (targets routed around)."),
+		trips:    reg.DeclareCounter("breaker_trips_total", "Circuit-breaker transitions from closed to open."),
 	}
 }
 

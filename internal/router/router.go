@@ -101,6 +101,9 @@ type Router struct {
 	shardRetries *telemetry.Counter
 	dedupDrops   *telemetry.Counter
 	swaps        *telemetry.Counter
+	generation   *telemetry.Gauge
+	fanoutLat    *telemetry.Histogram
+	mergeLat     *telemetry.Histogram
 
 	probeMu   sync.Mutex
 	lastProbe map[string]probeResult // shard ID → latest background probe
@@ -164,43 +167,29 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 	if breakers == nil {
 		breakers = resilience.NewSet(resilience.BreakerOptions{}, opts.Metrics)
 	}
+	reg := opts.Metrics
 	r := &Router{
 		client:       client,
 		timeout:      timeout,
 		breakers:     breakers,
-		reg:          opts.Metrics,
+		reg:          reg,
 		tracer:       opts.Tracer,
 		budget:       opts.Budget,
-		requests:     opts.Metrics.Counter("router_requests_total"),
-		errors:       opts.Metrics.Counter("router_errors_total"),
-		shardCalls:   opts.Metrics.Counter("router_shard_calls_total"),
-		shardErrors:  opts.Metrics.Counter("router_shard_errors_total"),
-		shardSkips:   opts.Metrics.Counter("router_shard_skipped_total"),
-		shardRetries: opts.Metrics.Counter("router_shard_retries_total"),
-		dedupDrops:   opts.Metrics.Counter("router_dedup_dropped_total"),
-		swaps:        opts.Metrics.Counter("router_topology_swaps_total"),
+		requests:     reg.DeclareCounter("router_requests_total", "Queries accepted by the cluster router."),
+		errors:       reg.DeclareCounter("router_errors_total", "Queries the router failed because no shard answered."),
+		shardCalls:   reg.DeclareCounter("router_shard_calls_total", "Per-shard /v1/search calls issued by the router."),
+		shardErrors:  reg.DeclareCounter("router_shard_errors_total", "Per-shard /v1/search calls that failed."),
+		shardSkips:   reg.DeclareCounter("router_shard_skipped_total", "Per-shard calls held back by an open circuit breaker."),
+		shardRetries: reg.DeclareCounter("router_shard_retries_total", "Same-shard retries funded by the cluster retry budget."),
+		dedupDrops:   reg.DeclareCounter("router_dedup_dropped_total", "Merged results dropped as duplicate (database, doc id) pairs from replicated shards."),
+		swaps:        reg.DeclareCounter("router_topology_swaps_total", "Topology snapshots swapped into the live ring."),
+		generation:   reg.DeclareGauge("topology_generation", "Process-local generation of the active topology snapshot."),
+		fanoutLat:    reg.DeclareHistogram("router_fanout_latency", "Wall time of the scatter-gather over all shards, seconds.", nil),
+		mergeLat:     reg.DeclareHistogram("router_merge_latency", "Wall time of the deterministic cluster merge, seconds.", nil),
 		lastProbe:    make(map[string]probeResult),
 	}
 	r.ring.Store(&ringState{shards: shards, generation: 1})
-	opts.Metrics.Gauge("topology_generation").Set(1)
-	// Pre-create the latency series so /metrics shows the schema at zero.
-	opts.Metrics.Histogram("router_fanout_latency", nil)
-	opts.Metrics.Histogram("router_merge_latency", nil)
-	for _, d := range []struct{ name, help string }{
-		{"router_requests_total", "Queries accepted by the cluster router."},
-		{"router_errors_total", "Queries the router failed because no shard answered."},
-		{"router_shard_calls_total", "Per-shard /v1/search calls issued by the router."},
-		{"router_shard_errors_total", "Per-shard /v1/search calls that failed."},
-		{"router_shard_skipped_total", "Per-shard calls held back by an open circuit breaker."},
-		{"router_shard_retries_total", "Same-shard retries funded by the cluster retry budget."},
-		{"router_dedup_dropped_total", "Merged results dropped as duplicate (database, doc id) pairs from replicated shards."},
-		{"router_topology_swaps_total", "Topology snapshots swapped into the live ring."},
-		{"topology_generation", "Process-local generation of the active topology snapshot."},
-		{"router_fanout_latency", "Wall time of the scatter-gather over all shards, seconds."},
-		{"router_merge_latency", "Wall time of the deterministic cluster merge, seconds."},
-	} {
-		opts.Metrics.Describe(d.name, d.help)
-	}
+	r.generation.Set(1)
 	return r, nil
 }
 
@@ -278,7 +267,7 @@ func (r *Router) ApplyTopology(snap *shardmap.Snapshot) (*SwapRecord, error) {
 		r.probeMu.Unlock()
 	}
 	r.swaps.Inc()
-	r.reg.Gauge("topology_generation").Set(float64(snap.Generation))
+	r.generation.Set(float64(snap.Generation))
 	r.swapHistory = append(r.swapHistory, *rec)
 	if len(r.swapHistory) > maxSwapHistory {
 		r.swapHistory = r.swapHistory[len(r.swapHistory)-maxSwapHistory:]
@@ -525,11 +514,11 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 	}
 	wg.Wait()
 	fanout := time.Since(start)
-	r.reg.Histogram("router_fanout_latency", nil).ObserveExemplar(fanout.Seconds(), span.Context().TraceID)
+	r.fanoutLat.ObserveExemplar(fanout.Seconds(), span.Context().TraceID)
 
 	tMerge := time.Now()
 	resp, ok := r.merge(replies, query)
-	r.reg.Histogram("router_merge_latency", nil).Observe(time.Since(tMerge).Seconds())
+	r.mergeLat.Observe(time.Since(tMerge).Seconds())
 	if !ok {
 		r.errors.Inc()
 		if err := ctx.Err(); err != nil {

@@ -56,9 +56,15 @@ const (
 // of the summaries, the query and the base scorer.
 type Adaptive struct {
 	Base Scorer
-	// Metrics receives the adaptive_* counters; may be nil.
+	// Metrics receives the adaptive_* series; may be nil.
 	Metrics *telemetry.Registry
 }
+
+// ScoreCVBuckets is the adaptive_score_cv histogram's layout: the
+// score's coefficient of variation σ/μ, with μ net of the scorer's
+// baseline as the rule takes it, dense around 1, where Figure 3 switches
+// to the shrunk summary.
+var ScoreCVBuckets = []float64{0.01, 0.03, 0.1, 0.2, 0.35, 0.5, 0.75, 1, 1.5, 2.5, 5, 10, 100}
 
 // Decision records the outcome of the content-summary selection step
 // for one database.
@@ -67,6 +73,10 @@ type Decision struct {
 	Shrinkage bool
 	// Mean and StdDev describe the score distribution.
 	Mean, StdDev float64
+	// Baseline is the scorer's information-free score, which the rule
+	// subtracts from Mean before comparing (an additive scorer's belief
+	// floor; 0 for a product scorer).
+	Baseline float64
 	// Score is s(q, D) under the chosen summary view — the score the
 	// final ranking used (filled by Rank, zero after Choose alone).
 	Score float64
@@ -79,6 +89,7 @@ type Decision struct {
 func (a *Adaptive) Choose(q []string, dbs []*DB, ctx *Context) ([]summary.View, []Decision) {
 	applied := a.Metrics.Counter("adaptive_shrinkage_applied_total")
 	skipped := a.Metrics.Counter("adaptive_shrinkage_skipped_total")
+	scoreCV := a.Metrics.Histogram("adaptive_score_cv", ScoreCVBuckets)
 	views := make([]summary.View, len(dbs))
 	decisions := make([]Decision, len(dbs))
 	anyShrunk := false
@@ -89,6 +100,11 @@ func (a *Adaptive) Choose(q []string, dbs []*DB, ctx *Context) ([]summary.View, 
 	for i, db := range dbs {
 		d := a.decide(q, words, db, ctx, &dist)
 		decisions[i] = d
+		if info := d.Mean - d.Baseline; info > 0 {
+			// Figure 3's signal, live: the ratio its rule compares with 1.
+			// A score distribution collapsed onto the baseline has none.
+			scoreCV.Observe(d.StdDev / info)
+		}
 		if d.Shrinkage && db.Shrunk != nil {
 			views[i] = db.Shrunk
 		} else {
@@ -203,7 +219,7 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, dist *dfDist)
 	if std == 0 && info <= 0 {
 		uncertain = true
 	}
-	return Decision{Shrinkage: uncertain, Mean: mean, StdDev: std}
+	return Decision{Shrinkage: uncertain, Mean: mean, StdDev: std, Baseline: baseline}
 }
 
 // AdditiveBaseline is implemented by scorers whose score is the mean of

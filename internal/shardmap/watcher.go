@@ -202,21 +202,14 @@ func NewWatcher(path string, opts WatcherOptions) (*Watcher, error) {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	for _, d := range []struct{ name, help string }{
-		{"topology_generation", "Generation of the topology snapshot this process is serving."},
-		{"topology_reloads_total", "Topology file reloads accepted (snapshot swapped)."},
-		{"topology_reload_errors_total", "Topology file reloads rejected (unreadable or invalid; old snapshot kept)."},
-	} {
-		opts.Metrics.Describe(d.name, d.help)
-	}
 	w := &Watcher{
 		path:       path,
 		interval:   opts.Interval,
 		clock:      opts.Clock,
 		logger:     opts.Logger,
-		generation: opts.Metrics.Gauge("topology_generation"),
-		reloads:    opts.Metrics.Counter("topology_reloads_total"),
-		reloadErrs: opts.Metrics.Counter("topology_reload_errors_total"),
+		generation: opts.Metrics.DeclareGauge("topology_generation", "Generation of the topology snapshot this process is serving."),
+		reloads:    opts.Metrics.DeclareCounter("topology_reloads_total", "Topology file reloads accepted (snapshot swapped)."),
+		reloadErrs: opts.Metrics.DeclareCounter("topology_reload_errors_total", "Topology file reloads rejected (unreadable or invalid; old snapshot kept)."),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 	}

@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// TestConcurrentObserveAndRender hammers one histogram and one quantile
-// window from many writers while snapshots, Prometheus renders, and
-// quantile reads run concurrently. Run under -race (make race / CI):
-// its job is flushing out data races between the lock-free observe
-// paths and the render paths.
+// TestConcurrentObserveAndRender hammers one histogram, counter and
+// gauge from many writers — each declaring the series again, as several
+// clients sharing a registry do — while snapshots and Prometheus renders
+// run concurrently. Run under -race (make race / CI): its job is
+// flushing out data races between the lock-free observe paths, the
+// declaring accessors and the render paths.
 func TestConcurrentObserveAndRender(t *testing.T) {
 	reg := NewRegistry()
 	const writers = 8
@@ -22,8 +23,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := reg.Histogram("req_latency", nil)
-			win := reg.Window("req_latency_window", 64)
+			h := reg.DeclareHistogram("req_latency", "Request latency, seconds.", nil)
 			start := time.Now()
 			for i := 0; ; i++ {
 				select {
@@ -33,7 +33,6 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 				}
 				v := float64(i%100) / 1000
 				h.Observe(v)
-				win.Observe(v)
 				h.ObserveSince(start)
 				reg.Counter("reqs").Inc()
 				reg.Gauge("inflight").Add(1)
@@ -42,7 +41,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 		}(w)
 	}
 
-	// Readers: snapshots, text renders, and quantiles, racing the writers.
+	// Readers: snapshots and text renders, racing the writers.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -55,7 +54,6 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 				}
 				snap := reg.Snapshot()
 				snap.WritePrometheus(io.Discard)
-				reg.Window("req_latency_window", 64).Quantile(0.95)
 			}
 		}()
 	}
@@ -76,7 +74,7 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 	if inBuckets != hs.Count {
 		t.Errorf("bucket counts sum to %d, total count %d", inBuckets, hs.Count)
 	}
-	if ws := snap.Windows["req_latency_window"]; ws.Count == 0 || ws.P99 < ws.P50 {
-		t.Errorf("window snapshot = %+v", ws)
+	if snap.Help["req_latency"] == "" {
+		t.Error("the declared help text did not reach the snapshot")
 	}
 }

@@ -57,34 +57,6 @@ func ExportEvent(e Event) ExportedEvent {
 	return out
 }
 
-// Event converts the wire form back for observers that rebuild span
-// trees (attr order is not preserved; nothing depends on it).
-func (e ExportedEvent) Event() Event {
-	ev := Event{
-		Name:     e.Name,
-		Trace:    e.Trace,
-		Span:     e.Span,
-		Parent:   e.Parent,
-		Time:     e.Time,
-		Duration: time.Duration(e.Duration * float64(time.Second)),
-	}
-	switch e.Kind {
-	case "start":
-		ev.Kind = KindSpanStart
-	case "end":
-		ev.Kind = KindSpanEnd
-	default:
-		ev.Kind = KindPoint
-	}
-	if len(e.Attrs) > 0 {
-		ev.Attrs = make([]Attr, 0, len(e.Attrs))
-		for k, v := range e.Attrs {
-			ev.Attrs = append(ev.Attrs, Attr{Key: k, Value: v})
-		}
-	}
-	return ev
-}
-
 // SpanExport is the /debug/export/spans envelope: the exporting
 // process's identity plus its retained recent events, oldest first.
 type SpanExport struct {

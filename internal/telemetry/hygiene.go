@@ -9,7 +9,8 @@ import (
 // conventions and returns one human-readable problem per violation
 // (empty means clean):
 //
-//   - every series must have help text (Registry.Describe),
+//   - every series must have help text (declared with its owner's
+//     Registry.DeclareCounter/DeclareGauge/DeclareHistogram),
 //   - names must be snake_case ([a-z][a-z0-9_]*),
 //   - a name must be registered as exactly one metric type (a counter
 //     and a gauge sharing a name is almost always a typo'd lookup).
@@ -28,9 +29,6 @@ func (s Snapshot) Hygiene() []string {
 	for name := range s.Histograms {
 		types[name] = append(types[name], "histogram")
 	}
-	for name := range s.Windows {
-		types[name] = append(types[name], "window")
-	}
 	names := make([]string, 0, len(types))
 	for name := range types {
 		names = append(names, name)
@@ -41,7 +39,7 @@ func (s Snapshot) Hygiene() []string {
 			problems = append(problems, fmt.Sprintf("%s: not snake_case (want [a-z][a-z0-9_]*)", name))
 		}
 		if s.Help[name] == "" {
-			problems = append(problems, fmt.Sprintf("%s: no help text (call Registry.Describe)", name))
+			problems = append(problems, fmt.Sprintf("%s: no help text (declare it with Registry.Declare*)", name))
 		}
 		if ts := types[name]; len(ts) > 1 {
 			sort.Strings(ts)

@@ -82,7 +82,7 @@ func bootFleet(t *testing.T) []fleetRegistry {
 func TestFleetMetricHygiene(t *testing.T) {
 	for _, reg := range bootFleet(t) {
 		snap := reg.reg.Snapshot()
-		if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Windows) == 0 {
+		if snap.Series() == 0 {
 			t.Fatalf("%s registry is empty; the test is not exercising real components", reg.name)
 		}
 		for _, problem := range snap.Hygiene() {
@@ -92,7 +92,7 @@ func TestFleetMetricHygiene(t *testing.T) {
 }
 
 // metricCatalogue renders DESIGN.md §8's tables: per process kind, every
-// series its registry holds at boot with its kind and Describe text.
+// series its registry holds at boot with its kind and declared help text.
 func metricCatalogue(t *testing.T) string {
 	var b strings.Builder
 	for _, reg := range bootFleet(t) {
@@ -106,9 +106,6 @@ func metricCatalogue(t *testing.T) string {
 		}
 		for name := range snap.Histograms {
 			kinds[name] = "histogram"
-		}
-		for name := range snap.Windows {
-			kinds[name] = "window"
 		}
 		names := make([]string, 0, len(kinds))
 		for name := range kinds {
@@ -156,15 +153,11 @@ func TestMetricCatalogueCurrent(t *testing.T) {
 func TestHygieneCatchesViolations(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("no_help_total")
-	reg.Describe("BadName", "Described but CamelCase.")
-	reg.Counter("BadName")
-	reg.Describe("twice", "Registered as two types.")
-	reg.Counter("twice")
+	reg.DeclareCounter("BadName", "Declared but CamelCase.")
+	reg.DeclareCounter("twice", "Registered as two types.")
 	reg.Gauge("twice")
-	reg.Describe("trailing_", "Trailing underscore.")
-	reg.Counter("trailing_")
-	reg.Describe("double__under", "Double underscore.")
-	reg.Counter("double__under")
+	reg.DeclareCounter("trailing_", "Trailing underscore.")
+	reg.DeclareCounter("double__under", "Double underscore.")
 
 	problems := reg.Snapshot().Hygiene()
 	for _, want := range []string{"no_help_total", "BadName", "twice", "trailing_", "double__under"} {

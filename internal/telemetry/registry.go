@@ -194,109 +194,20 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// DefWindowSize is the default sliding-window capacity: the last 1024
-// observations, enough for stable tail quantiles without unbounded
-// memory.
-const DefWindowSize = 1024
-
-// Window is a sliding-window reservoir over the last N observations,
-// reporting order statistics (p50/p95/p99) that fixed-bucket histograms
-// can only bound. A histogram answers "how many requests were slower
-// than 25ms, ever"; a window answers "what is p99 right now". All
-// methods are safe on a nil receiver.
-type Window struct {
-	mu    sync.Mutex
-	buf   []float64
-	next  int   // ring write position
-	count int64 // total observations (len(buf) is min(count, cap))
-	full  bool
-}
-
-func newWindow(size int) *Window {
-	if size <= 0 {
-		size = DefWindowSize
-	}
-	return &Window{buf: make([]float64, 0, size)}
-}
-
-// Observe records one value, evicting the oldest once the window is
-// full.
-func (w *Window) Observe(v float64) {
-	if w == nil {
-		return
-	}
-	w.mu.Lock()
-	if len(w.buf) < cap(w.buf) {
-		w.buf = append(w.buf, v)
-	} else {
-		w.buf[w.next] = v
-		w.full = true
-	}
-	w.next = (w.next + 1) % cap(w.buf)
-	w.count++
-	w.mu.Unlock()
-}
-
-// ObserveSince records the elapsed time since start, in seconds.
-func (w *Window) ObserveSince(start time.Time) {
-	if w == nil {
-		return
-	}
-	w.Observe(time.Since(start).Seconds())
-}
-
-// Count returns the total number of observations (including evicted
-// ones).
-func (w *Window) Count() int64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1, nearest-rank) of the
-// values currently in the window; an empty window yields 0.
-func (w *Window) Quantile(q float64) float64 {
-	if w == nil {
-		return 0
-	}
-	w.mu.Lock()
-	sorted := make([]float64, len(w.buf))
-	copy(sorted, w.buf)
-	w.mu.Unlock()
-	sort.Float64s(sorted)
-	return quantileOf(sorted, q)
-}
-
-// quantileOf computes the nearest-rank quantile of sorted values:
-// the smallest value with at least ⌈q·N⌉ values at or below it.
-func quantileOf(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(vals)))) - 1
-	if i >= len(vals) {
-		i = len(vals) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return vals[i]
-}
-
-// Registry holds named metrics. Lookup takes a read lock; updates on
-// the returned metric are lock-free (windows take a short internal
-// lock), so hot paths resolve a metric once and hammer the pointer. All
-// methods are safe on a nil receiver, returning nil metrics whose
-// methods no-op.
+// Registry holds named metrics. A series' owner declares it once, at
+// construction, with its help text (DeclareCounter, DeclareGauge,
+// DeclareHistogram) and keeps the returned handle: updates on a handle
+// are lock-free, and a handle held in a struct cannot be misspelt into
+// a second, undocumented series. The one-argument lookups (Counter,
+// Gauge, Histogram) are for readers — tests, the benchmark — and for
+// packages without a constructor to hold handles in, whose series the
+// pipeline's owner declares for them. All methods are safe on a nil
+// receiver, returning nil metrics whose methods no-op.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	windows  map[string]*Window
 	help     map[string]string
 }
 
@@ -306,16 +217,35 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		windows:  make(map[string]*Window),
 		help:     make(map[string]string),
 	}
 }
 
-// Describe attaches help text to the named series, rendered as the
-// Prometheus # HELP line and carried in snapshots. Every series a
-// package registers should be described — the metric-hygiene check
-// (Snapshot.Hygiene) fails series without help. Later calls overwrite.
-func (r *Registry) Describe(name, help string) {
+// DeclareCounter returns the named counter, creating it on first use,
+// and records help as its help text: the Prometheus # HELP line, the
+// snapshot's Help entry, DESIGN.md §8's row. The metric-hygiene check
+// (Snapshot.Hygiene) fails a series nobody declared. Declaring a name
+// again (several clients sharing one registry) returns the same handle;
+// the later help text wins.
+func (r *Registry) DeclareCounter(name, help string) *Counter {
+	r.setHelp(name, help)
+	return r.Counter(name)
+}
+
+// DeclareGauge is DeclareCounter for a gauge.
+func (r *Registry) DeclareGauge(name, help string) *Gauge {
+	r.setHelp(name, help)
+	return r.Gauge(name)
+}
+
+// DeclareHistogram is DeclareCounter for a histogram; bounds are as for
+// Histogram.
+func (r *Registry) DeclareHistogram(name, help string, bounds []float64) *Histogram {
+	r.setHelp(name, help)
+	return r.Histogram(name, bounds)
+}
+
+func (r *Registry) setHelp(name, help string) {
 	if r == nil || help == "" {
 		return
 	}
@@ -324,24 +254,30 @@ func (r *Registry) Describe(name, help string) {
 	r.mu.Unlock()
 }
 
+// lookup returns m[name] under r's lock, creating it with mk on first
+// use.
+func lookup[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return lookup(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -349,19 +285,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return lookup(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -371,44 +295,10 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
 	if bounds == nil {
 		bounds = DefLatencyBuckets
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Window returns the named sliding window, creating it with the given
-// capacity on first use (size <= 0 selects DefWindowSize). Later calls
-// return the existing window regardless of size.
-func (r *Registry) Window(name string, size int) *Window {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	w := r.windows[name]
-	r.mu.RUnlock()
-	if w != nil {
-		return w
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w = r.windows[name]; w == nil {
-		w = newWindow(size)
-		r.windows[name] = w
-	}
-	return w
+	return lookup(r, r.hists, name, func() *Histogram { return newHistogram(bounds) })
 }
 
 // HistogramSnapshot is one histogram's frozen state.
@@ -425,23 +315,11 @@ type HistogramSnapshot struct {
 	Exemplars []Exemplar `json:"exemplars,omitempty"`
 }
 
-// WindowSnapshot is one sliding window's frozen quantiles.
-type WindowSnapshot struct {
-	// Count is the total number of observations (including ones that
-	// have slid out of the window).
-	Count int64 `json:"count"`
-	// P50, P95, P99 are the quantiles over the current window contents.
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
 // Snapshot is a point-in-time copy of every metric in a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Windows    map[string]WindowSnapshot    `json:"windows,omitempty"`
 	// Help carries the described help text of the snapshot's series
 	// (name → help), rendered as # HELP lines.
 	Help map[string]string `json:"help,omitempty"`
@@ -454,7 +332,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Counters:   map[string]int64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramSnapshot{},
-		Windows:    map[string]WindowSnapshot{},
 		Help:       map[string]string{},
 	}
 	if r == nil {
@@ -481,27 +358,8 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		snap.Histograms[name] = hs
 	}
-	for name, w := range r.windows {
-		snap.Windows[name] = w.snapshot()
-	}
 	for name, help := range r.help {
 		snap.Help[name] = help
 	}
 	return snap
-}
-
-// snapshot freezes a window's quantiles with one sort.
-func (w *Window) snapshot() WindowSnapshot {
-	w.mu.Lock()
-	sorted := make([]float64, len(w.buf))
-	copy(sorted, w.buf)
-	count := w.count
-	w.mu.Unlock()
-	sort.Float64s(sorted)
-	return WindowSnapshot{
-		Count: count,
-		P50:   quantileOf(sorted, 0.50),
-		P95:   quantileOf(sorted, 0.95),
-		P99:   quantileOf(sorted, 0.99),
-	}
 }

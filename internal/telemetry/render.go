@@ -51,26 +51,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(s.Windows) {
-		ws := s.Windows[name]
-		if err := s.writeHelp(w, name); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-			return err
-		}
-		for _, qv := range []struct {
-			q string
-			v float64
-		}{{"0.5", ws.P50}, {"0.95", ws.P95}, {"0.99", ws.P99}} {
-			if _, err := fmt.Fprintf(w, "%s{quantile=\"%s\"} %s\n", name, escapeLabel(qv.q), formatFloat(qv.v)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_count %d\n", name, ws.Count); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -118,10 +98,9 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // Series counts the distinct exposed series: one per counter, one per
-// gauge, one per histogram (its buckets expand on render), and one per
-// window (its quantiles expand on render).
+// gauge, and one per histogram (its buckets expand on render).
 func (s Snapshot) Series() int {
-	return len(s.Counters) + len(s.Gauges) + len(s.Histograms) + len(s.Windows)
+	return len(s.Counters) + len(s.Gauges) + len(s.Histograms)
 }
 
 // Summary renders an aligned, human-readable table of every metric, for
@@ -134,7 +113,7 @@ func (s Snapshot) Summary() string {
 		return b.String()
 	}
 	width := 0
-	for _, m := range []([]string){sortedKeys(s.Counters), sortedKeys(s.Gauges), sortedKeys(s.Histograms), sortedKeys(s.Windows)} {
+	for _, m := range []([]string){sortedKeys(s.Counters), sortedKeys(s.Gauges), sortedKeys(s.Histograms)} {
 		for _, name := range m {
 			if len(name) > width {
 				width = len(name)
@@ -155,11 +134,6 @@ func (s Snapshot) Summary() string {
 		}
 		fmt.Fprintf(&b, "  %-*s  count=%d sum=%s mean=%s\n",
 			width, name, h.Count, formatFloat(h.Sum), formatFloat(mean))
-	}
-	for _, name := range sortedKeys(s.Windows) {
-		ws := s.Windows[name]
-		fmt.Fprintf(&b, "  %-*s  count=%d p50=%s p95=%s p99=%s\n",
-			width, name, ws.Count, formatFloat(ws.P50), formatFloat(ws.P95), formatFloat(ws.P99))
 	}
 	return b.String()
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -51,63 +50,6 @@ func TestPrometheusHistogramBucketsCumulative(t *testing.T) {
 	// The +Inf bucket must equal _count (exposition-format invariant).
 	if !strings.Contains(out, `req_latency_bucket{le="+Inf"} 5`) || !strings.Contains(out, "req_latency_count 5") {
 		t.Error("le=\"+Inf\" bucket must equal _count")
-	}
-}
-
-func TestWindowQuantilesAcrossFormats(t *testing.T) {
-	r := NewRegistry()
-	w := r.Window("req_latency_window", 256)
-	for i := 1; i <= 100; i++ {
-		w.Observe(float64(i))
-	}
-
-	// Prometheus: summary type with quantile labels and a _count.
-	var buf bytes.Buffer
-	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	prom := buf.String()
-	for _, want := range []string{
-		"# TYPE req_latency_window summary",
-		`req_latency_window{quantile="0.5"} 50`,
-		`req_latency_window{quantile="0.95"} 95`,
-		`req_latency_window{quantile="0.99"} 99`,
-		"req_latency_window_count 100",
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("Prometheus output missing %q:\n%s", want, prom)
-		}
-	}
-
-	// JSON: the windows map round-trips with all three quantiles.
-	buf.Reset()
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Windows map[string]WindowSnapshot `json:"windows"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	ws, ok := snap.Windows["req_latency_window"]
-	if !ok {
-		t.Fatalf("JSON snapshot lacks the window: %s", buf.String())
-	}
-	if ws.Count != 100 || ws.P50 != 50 || ws.P95 != 95 || ws.P99 != 99 {
-		t.Errorf("JSON window = %+v", ws)
-	}
-
-	// Summary: one aligned row per window.
-	sum := r.Snapshot().Summary()
-	if !strings.Contains(sum, "req_latency_window") ||
-		!strings.Contains(sum, "count=100 p50=50 p95=95 p99=99") {
-		t.Errorf("Summary missing window row:\n%s", sum)
-	}
-
-	// Series counts the window as one series.
-	if got := r.Snapshot().Series(); got != 1 {
-		t.Errorf("Series = %d, want 1", got)
 	}
 }
 

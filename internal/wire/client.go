@@ -72,10 +72,9 @@ type ClientOptions struct {
 	// Metrics receives the wire client series: wire_requests_total,
 	// wire_requests_{info,query,doc}_total, wire_client_attempts_total,
 	// wire_request_errors_total, wire_client_retries_total,
-	// wire_client_inflight, wire_request_latency (histogram),
-	// wire_request_latency_window (p50/p95/p99 of recent requests), and
-	// the doc cache's wire_doc_cache_* series (see internal/cache). May
-	// be nil.
+	// wire_client_inflight, wire_request_latency (histogram), and the
+	// doc cache's wire_doc_cache_* series (see internal/cache). May be
+	// nil.
 	Metrics *telemetry.Registry
 	// randFloat overrides the jitter source (tests).
 	randFloat func() float64
@@ -142,7 +141,6 @@ type Client struct {
 	healthReqs *telemetry.Counter
 	inflight   *telemetry.Gauge
 	latency    *telemetry.Histogram
-	latencyWin *telemetry.Window
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -173,34 +171,17 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		opts:  opts,
 		cache: docCache,
 
-		requests:   reg.Counter("wire_requests_total"),
-		reqInfo:    reg.Counter("wire_requests_info_total"),
-		reqQuery:   reg.Counter("wire_requests_query_total"),
-		reqDoc:     reg.Counter("wire_requests_doc_total"),
-		attempts:   reg.Counter("wire_client_attempts_total"),
-		reqErrors:  reg.Counter("wire_request_errors_total"),
-		retries:    reg.Counter("wire_client_retries_total"),
-		sheds:      reg.Counter("wire_client_sheds_total"),
-		healthReqs: reg.Counter("wire_health_probes_total"),
-		inflight:   reg.Gauge("wire_client_inflight"),
-		latency:    reg.Histogram("wire_request_latency", nil),
-		latencyWin: reg.Window("wire_request_latency_window", 0),
-	}
-	for _, d := range []struct{ name, help string }{
-		{"wire_requests_total", "Wire-protocol calls issued by this client (all endpoints)."},
-		{"wire_requests_info_total", "Wire /v1/info calls issued."},
-		{"wire_requests_query_total", "Wire /v1/query calls issued."},
-		{"wire_requests_doc_total", "Wire /v1/doc calls issued."},
-		{"wire_client_attempts_total", "HTTP attempts including retries, across all wire calls."},
-		{"wire_request_errors_total", "Wire calls that failed after exhausting retries."},
-		{"wire_client_retries_total", "Retry attempts after transient wire failures."},
-		{"wire_client_sheds_total", "Wire attempts the node shed with 429 (backpressure)."},
-		{"wire_health_probes_total", "Wire /v1/health probes issued."},
-		{"wire_client_inflight", "Wire calls currently in flight from this client."},
-		{"wire_request_latency", "Per-call wire latency including retries, seconds."},
-		{"wire_request_latency_window", "Sliding-window p50/p95/p99 of wire call latency, seconds."},
-	} {
-		reg.Describe(d.name, d.help)
+		requests:   reg.DeclareCounter("wire_requests_total", "Wire-protocol calls issued by this client (all endpoints)."),
+		reqInfo:    reg.DeclareCounter("wire_requests_info_total", "Wire /v1/info calls issued."),
+		reqQuery:   reg.DeclareCounter("wire_requests_query_total", "Wire /v1/query calls issued."),
+		reqDoc:     reg.DeclareCounter("wire_requests_doc_total", "Wire /v1/doc calls issued."),
+		attempts:   reg.DeclareCounter("wire_client_attempts_total", "HTTP attempts including retries, across all wire calls."),
+		reqErrors:  reg.DeclareCounter("wire_request_errors_total", "Wire calls that failed after exhausting retries."),
+		retries:    reg.DeclareCounter("wire_client_retries_total", "Retry attempts after transient wire failures."),
+		sheds:      reg.DeclareCounter("wire_client_sheds_total", "Wire attempts the node shed with 429 (backpressure)."),
+		healthReqs: reg.DeclareCounter("wire_health_probes_total", "Wire /v1/health probes issued."),
+		inflight:   reg.DeclareGauge("wire_client_inflight", "Wire calls currently in flight from this client."),
+		latency:    reg.DeclareHistogram("wire_request_latency", "Per-call wire latency including retries, seconds.", nil),
 	}
 	if opts.randFloat == nil {
 		c.jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
@@ -264,9 +245,9 @@ func (c *Client) CachedDocs() int { return c.cache.Len() }
 
 // Health checks the node's /v1/health in a single attempt — no
 // retries, because a probe exists to measure the node as it is right
-// now, and no latency-window observation, because probe latency must
-// not pollute the p95 that drives query hedging. A nil error means the
-// node is up and accepting traffic (a draining node's 503 is an error).
+// now, and outside the request counters and latency histogram, which
+// describe protocol traffic. A nil error means the node is up and
+// accepting traffic (a draining node's 503 is an error).
 func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	c.healthReqs.Inc()
 	var out HealthResponse
@@ -310,7 +291,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	defer c.latency.ObserveSince(t0)
-	defer c.latencyWin.ObserveSince(t0)
 
 	var body []byte
 	if in != nil {

@@ -20,14 +20,15 @@ type Backend interface {
 	NumDocs() int
 }
 
+// maxLimit caps the per-query result window a client may request, so one
+// request cannot ask for the whole database.
+const maxLimit = 1000
+
 // ServerOptions configures a database node handler.
 type ServerOptions struct {
 	// Category is advertised in /v1/info as the node's self-declared
 	// classification (optional).
 	Category string
-	// MaxLimit caps the per-query result window a client may request
-	// (default 1000) so one request cannot ask for the whole database.
-	MaxLimit int
 	// MaxInflight is the admission gate: when more than this many
 	// protocol requests are in flight, further ones are shed with
 	// 429 + Retry-After instead of queueing behind a saturated node.
@@ -73,22 +74,13 @@ type Node struct {
 // NewNode builds a database node over db: an http.Handler with panic
 // recovery, tracing, and (when opts.MaxInflight > 0) load shedding.
 func NewNode(db Backend, opts ServerOptions) *Node {
-	if opts.MaxLimit <= 0 {
-		opts.MaxLimit = 1000
-	}
+	reg := opts.Metrics
 	n := &Node{db: db, opts: opts,
 		Gate: NewGate("node", opts.MaxInflight, opts.RetryAfter,
-			opts.Metrics.Counter("wire_server_shed_total"), opts.Metrics.Gauge("wire_server_inflight")),
-		requests: opts.Metrics.Counter("wire_server_requests_total"),
-		errors:   opts.Metrics.Counter("wire_server_errors_total"),
-	}
-	for _, d := range []struct{ name, help string }{
-		{"wire_server_requests_total", "Wire-protocol requests served by this node."},
-		{"wire_server_errors_total", "Wire requests this node answered with an error envelope."},
-		{"wire_server_shed_total", "Wire requests shed with 429 by the node's admission gate."},
-		{"wire_server_inflight", "Wire requests this node is serving right now."},
-	} {
-		opts.Metrics.Describe(d.name, d.help)
+			reg.DeclareCounter("wire_server_shed_total", "Wire requests shed with 429 by the node's admission gate."),
+			reg.DeclareGauge("wire_server_inflight", "Wire requests this node is serving right now.")),
+		requests: reg.DeclareCounter("wire_server_requests_total", "Wire-protocol requests served by this node."),
+		errors:   reg.DeclareCounter("wire_server_errors_total", "Wire requests this node answered with an error envelope."),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+PathInfo, n.info)
@@ -167,8 +159,8 @@ func (n *Node) query(w http.ResponseWriter, r *http.Request) {
 	if limit < 0 {
 		limit = 0
 	}
-	if limit > n.opts.MaxLimit {
-		limit = n.opts.MaxLimit
+	if limit > maxLimit {
+		limit = maxLimit
 	}
 	matches, ids := n.db.Query(req.Terms, limit)
 	writeJSON(w, QueryResponse{Matches: matches, IDs: ids})

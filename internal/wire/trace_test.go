@@ -131,8 +131,8 @@ func TestPerEndpointCountersAndInflight(t *testing.T) {
 	if got := reg.Gauge("wire_client_inflight").Value(); got != 0 {
 		t.Errorf("inflight after quiesce = %v, want 0", got)
 	}
-	if got := reg.Window("wire_request_latency_window", 0).Count(); got != 4 {
-		t.Errorf("latency window count = %d, want 4", got)
+	if got := reg.Histogram("wire_request_latency", nil).Count(); got != 4 {
+		t.Errorf("latency histogram count = %d, want 4", got)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"runtime"
 
 	"repro/internal/atomicfile"
-	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/summary"
 )
@@ -82,18 +81,7 @@ type persistDB struct {
 	// Telemetry is the build provenance (sampling cost, EM convergence,
 	// λ vector). Optional: save files written before it existed load
 	// fine, leaving the provenance zero.
-	Telemetry *persistTelemetry `json:"telemetry,omitempty"`
-}
-
-type persistTelemetry struct {
-	SampleQueries int             `json:"sample_queries"`
-	EMIterations  int             `json:"em_iterations"`
-	Lambdas       []persistLambda `json:"lambdas,omitempty"`
-}
-
-type persistLambda struct {
-	Component string  `json:"component"`
-	Weight    float64 `json:"weight"`
+	Telemetry *BuildTelemetry `json:"telemetry,omitempty"`
 }
 
 // Save writes the built summaries. BuildSummaries must have succeeded.
@@ -133,22 +121,13 @@ func (m *Metasearcher) encodeDB(r *registeredDB) ([]byte, error) {
 		return nil, fmt.Errorf("repro: encoding %s: %w", r.name, err)
 	}
 	pd := persistDB{
-		Name:     r.name,
-		Category: m.tree.Node(r.assigned).Name,
-		SizeEst:  r.sizeEst,
-		Gamma:    r.gamma,
-		Sample:   r.sampleLen,
-		Summary:  json.RawMessage(buf.Bytes()),
-	}
-	if r.prov != nil {
-		pt := &persistTelemetry{
-			SampleQueries: r.prov.SampleQueries,
-			EMIterations:  r.prov.EMIterations,
-		}
-		for _, l := range r.prov.Lambdas {
-			pt.Lambdas = append(pt.Lambdas, persistLambda{Component: l.Component, Weight: l.Weight})
-		}
-		pd.Telemetry = pt
+		Name:      r.name,
+		Category:  m.tree.Node(r.assigned).Name,
+		SizeEst:   r.sizeEst,
+		Gamma:     r.gamma,
+		Sample:    r.sampleLen,
+		Summary:   json.RawMessage(buf.Bytes()),
+		Telemetry: r.prov,
 	}
 	piece, err := json.Marshal(pd)
 	if err != nil {
@@ -335,15 +314,5 @@ func (m *Metasearcher) decodeDB(pd persistDB) (*registeredDB, *BuildTelemetry, e
 		gamma:     pd.Gamma,
 		sampleLen: pd.Sample,
 	}
-	if pd.Telemetry == nil {
-		return r, nil, nil
-	}
-	prov := &BuildTelemetry{
-		SampleQueries: pd.Telemetry.SampleQueries,
-		EMIterations:  pd.Telemetry.EMIterations,
-	}
-	for _, l := range pd.Telemetry.Lambdas {
-		prov.Lambdas = append(prov.Lambdas, core.Lambda{Component: l.Component, Weight: l.Weight})
-	}
-	return r, prov, nil
+	return r, pd.Telemetry, nil
 }

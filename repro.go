@@ -31,7 +31,6 @@ import (
 	"io"
 	"log/slog"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -86,16 +85,10 @@ type Options struct {
 	// SampleSize is the query-based sampling target (default 300, as in
 	// the paper).
 	SampleSize int
-	// Sampler selects the sampling strategy: "qbs" (default) or "fps".
-	Sampler string
 	// Scorer selects the selection algorithm: "cori" (default),
 	// "bgloss", or "lm", in any case. Any other name fails
 	// BuildSummaries, Load, Select and Search.
 	Scorer string
-	// Adaptive applies shrinkage per query/database only under score
-	// uncertainty (default true; set UniversalShrinkage to always use
-	// shrunk summaries instead).
-	UniversalShrinkage bool
 	// SeedLexicon supplies bootstrap words for QBS; nil uses a small
 	// built-in English word list.
 	SeedLexicon []string
@@ -140,7 +133,7 @@ type Options struct {
 	// Resilience tunes the search fan-out's fault tolerance: deadline
 	// budget, hedging, and per-node circuit breakers. The zero value
 	// selects sensible defaults (breakers on, hedging auto-tuned from
-	// the observed wire p95, no overall deadline).
+	// the fan-out's own p95 node-call latency, no overall deadline).
 	Resilience ResilienceOptions
 	// Cache tunes the query-path caches. The zero value enables both
 	// tiers with defaults; set Cache.Disable to turn caching off.
@@ -173,9 +166,6 @@ type CacheConfig struct {
 	// ResultTTL bounds a result entry's life (default 30s; negative
 	// disables expiry).
 	ResultTTL time.Duration
-	// Shards is the number of independently locked cache segments
-	// (default 16).
-	Shards int
 }
 
 // ttl resolves a configured TTL: 0 selects def, negative means none.
@@ -199,9 +189,9 @@ type ResilienceOptions struct {
 	DeadlineBudget time.Duration
 	// HedgeAfter is the latency threshold past which a node call is
 	// hedged with a second identical request (first success wins, loser
-	// cancelled). 0 = auto: the observed p95 of recent wire requests
-	// (wire_request_latency_window), floored at hedgeFloor. Negative
-	// disables hedging.
+	// cancelled). 0 = auto: the p95 of the fan-out's own recent remote
+	// node calls (latencyRing), floored at hedgeFloor. Negative disables
+	// hedging.
 	HedgeAfter time.Duration
 	// DisableBreakers turns the per-node circuit breakers off: every
 	// selected database is always tried.
@@ -270,6 +260,7 @@ type Metasearcher struct {
 	scorer    selection.Scorer // Options.Scorer resolved once; nil with scorerErr set
 	scorerErr error
 	reg       *telemetry.Registry
+	met       pipelineMetrics // the root package's series, resolved once in New
 	tracer    *telemetry.Tracer
 	logger    *slog.Logger       // nil = logging disabled
 	audit     *audit.Log         // nil = query auditing disabled
@@ -278,6 +269,8 @@ type Metasearcher struct {
 	selCache  *cache.Cache       // selection tier; nil = caching disabled
 	resCache  *cache.Cache       // merged-result tier; nil = caching disabled
 
+	nodeLatency latencyRing // recent remote node-call latencies; hedgeThreshold reads its p95
+
 	proberMu sync.Mutex
 	prober   *resilience.Prober // live health prober; retargeted on topology swaps
 
@@ -285,17 +278,18 @@ type Metasearcher struct {
 }
 
 // BuildTelemetry records the provenance of one database's content
-// summary: what building it cost and what the EM converged to. It is
-// persisted by Save so Load-ed deployments keep it.
+// summary: what building it cost and what the EM converged to. Save
+// marshals it as is (the tags are the save file's "telemetry" object),
+// so Load-ed deployments keep it.
 type BuildTelemetry struct {
 	// SampleQueries is the number of queries the sampler (and its
 	// resample probes) sent to the database.
-	SampleQueries int
+	SampleQueries int `json:"sample_queries"`
 	// EMIterations is the Figure 2 iteration count to convergence.
-	EMIterations int
+	EMIterations int `json:"em_iterations"`
 	// Lambdas is the converged mixture-weight vector, uniform component
 	// first, the database itself last.
-	Lambdas []core.Lambda
+	Lambdas []core.Lambda `json:"lambdas,omitempty"`
 }
 
 // New creates a Metasearcher.
@@ -313,7 +307,6 @@ func New(opts Options) *Metasearcher {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	registerPipelineMetrics(reg)
 	var alog *audit.Log
 	if opts.AuditSize >= 0 {
 		alog = audit.NewLog(opts.AuditSize)
@@ -336,6 +329,7 @@ func New(opts Options) *Metasearcher {
 		scorer:    scorer,
 		scorerErr: err,
 		reg:       reg,
+		met:       newPipelineMetrics(reg),
 		tracer:    telemetry.NewTracer(opts.Observer),
 		logger:    opts.Logger,
 		audit:     alog,
@@ -349,14 +343,12 @@ func New(opts Options) *Metasearcher {
 		m.selCache = cache.New(cache.Options{
 			Name:     "selection_cache",
 			Capacity: opts.Cache.Size,
-			Shards:   opts.Cache.Shards,
 			TTL:      ttlOrDefault(opts.Cache.TTL, 10*time.Minute),
 			Metrics:  reg,
 		})
 		m.resCache = cache.New(cache.Options{
 			Name:     "result_cache",
 			Capacity: opts.Cache.Size,
-			Shards:   opts.Cache.Shards,
 			TTL:      ttlOrDefault(opts.Cache.ResultTTL, 30*time.Second),
 			Metrics:  reg,
 		})
@@ -455,24 +447,6 @@ func (m *Metasearcher) refreshProbeTargets() {
 	}
 }
 
-// hedgeThreshold resolves the hedge-latency threshold for one search:
-// the configured HedgeAfter, or (when 0) the observed p95 of recent
-// wire requests floored at hedgeFloor. Negative disables hedging.
-func (m *Metasearcher) hedgeThreshold() time.Duration {
-	if after := m.opts.Resilience.HedgeAfter; after != 0 {
-		if after < 0 {
-			return 0
-		}
-		return after
-	}
-	p95 := m.reg.Window("wire_request_latency_window", 0).Quantile(0.95)
-	d := time.Duration(p95 * float64(time.Second))
-	if d < hedgeFloor {
-		return hedgeFloor
-	}
-	return d
-}
-
 // Audit returns the per-query audit trail: one audit.QueryRecord per
 // Search call, newest last, holding the selection evidence (scores,
 // shrinkage verdicts with λ mixtures, score mean and σ), per-node
@@ -482,61 +456,82 @@ func (m *Metasearcher) hedgeThreshold() time.Duration {
 // audit.Log method is nil-safe, so callers need no guard.
 func (m *Metasearcher) Audit() *audit.Log { return m.audit }
 
-// registerPipelineMetrics pre-creates every pipeline series (with its
-// help text) so an exposition endpoint shows the full schema (at zero)
-// before traffic arrives. The names are documented in DESIGN.md §8; the
-// metric-hygiene test fails any series registered without help.
-func registerPipelineMetrics(reg *telemetry.Registry) {
-	for _, c := range []struct{ name, help string }{
-		{"build_runs_total", "BuildSummaries pipeline runs (sample, classify, shrink)."},
-		{"sampling_queries_total", "Query-based-sampling probe queries sent to databases."},
-		{"sampling_docs_fetched_total", "Documents fetched while sampling database content."},
-		{"classify_probes_total", "Classification probe queries sent during hierarchy placement."},
-		{"em_runs_total", "EM shrinkage estimations run (one per database)."},
-		{"em_iterations_total", "Total EM iterations across all shrinkage runs."},
-		{"adaptive_shrinkage_applied_total", "Per-query decisions that used the shrunk summary."},
-		{"adaptive_shrinkage_skipped_total", "Per-query decisions that kept the unshrunk summary."},
-		{"adaptive_queries_total", "Queries that went through the adaptive shrinkage decision."},
-		{"adaptive_queries_shrunk_total", "Queries whose selection used at least one shrunk summary."},
-		{"select_requests_total", "Database-selection requests (Select and the search pipeline)."},
-		{"search_requests_total", "Search requests through SearchExplained/SearchContext."},
-		{"search_db_unavailable_total", "Selected databases skipped because no live handle existed."},
-		{"search_results_merged_total", "Documents merged into final rankings across all searches."},
-		{"search_hedges_total", "Hedge requests launched against slow database calls."},
-		{"search_hedge_wins_total", "Hedge requests that beat their primary attempt."},
-		{"search_breaker_open_total", "Database calls short-circuited by an open breaker."},
-		{"search_sheds_total", "Database call attempts shed by a node's admission gate (429)."},
-		{"search_out_of_scope_total", "Selected databases skipped as owned by another cluster shard."},
-		{"replica_failover_total", "Database calls that failed over to a non-preferred replica."},
-		{"replica_exhausted_total", "Database calls that ran out of replicas entirely."},
-		{"concurrency_tasks_started_total", "Tasks started by the pipeline's bounded worker pools."},
-		{"concurrency_tasks_failed_total", "Worker-pool tasks that returned an error."},
-	} {
-		reg.Counter(c.name)
-		reg.Describe(c.name, c.help)
-	}
-	for _, g := range []struct{ name, help string }{
-		{"build_databases", "Databases covered by the latest BuildSummaries run."},
-		{"search_inflight", "Search requests currently inside SearchExplained."},
-		{"sampling_vocab_size", "Distinct terms in the most recently sampled vocabulary."},
-	} {
-		reg.Gauge(g.name)
-		reg.Describe(g.name, g.help)
-	}
-	for _, h := range []struct{ name, help string }{
-		{"build_latency", "Wall time of BuildSummaries runs, seconds."},
-		{"select_latency", "Latency of database-selection decisions, seconds."},
-		{"search_latency", "End-to-end search latency, seconds."},
-		{"search_db_latency", "Per-database query-call latency inside the fan-out, seconds."},
-		// Per-stage decomposition of search_latency: cache lookup →
-		// selection → fan-out → merge.
-		{"search_stage_cache_latency", "Search time spent in cache lookup and bookkeeping, seconds."},
-		{"search_stage_selection_latency", "Search time spent in database selection, seconds."},
-		{"search_stage_fanout_latency", "Search time spent in the parallel database fan-out, seconds."},
-		{"search_stage_merge_latency", "Search time spent merging and ranking results, seconds."},
-	} {
-		reg.Histogram(h.name, nil)
-		reg.Describe(h.name, h.help)
+// pipelineMetrics is every series the root package records, declared
+// once (name, help text, handle) so that an exposition endpoint shows
+// the full schema at zero before traffic arrives and the query path
+// looks nothing up by name. DESIGN.md §8 is generated from these
+// declarations; the metric-hygiene test fails a series without one.
+type pipelineMetrics struct {
+	buildRuns      *telemetry.Counter
+	buildDatabases *telemetry.Gauge
+	buildLatency   *telemetry.Histogram
+	vocabSize      *telemetry.Gauge
+
+	selectRequests *telemetry.Counter
+	selectLatency  *telemetry.Histogram
+
+	searchRequests *telemetry.Counter
+	searchInflight *telemetry.Gauge
+	searchLatency  *telemetry.Histogram
+	dbLatency      *telemetry.Histogram
+	dbUnavailable  *telemetry.Counter
+	resultsMerged  *telemetry.Counter
+	hedges         *telemetry.Counter
+	hedgeWins      *telemetry.Counter
+	breakerOpen    *telemetry.Counter
+	sheds          *telemetry.Counter
+	outOfScope     *telemetry.Counter
+
+	// Per-stage decomposition of searchLatency: cache lookup → selection
+	// → fan-out → merge.
+	stageCache, stageSelection, stageFanout, stageMerge *telemetry.Histogram
+}
+
+func newPipelineMetrics(reg *telemetry.Registry) pipelineMetrics {
+	// Series recorded by code that has no constructor to declare them in
+	// — core.Shrink, the samplers, the classifier, selection.Adaptive and
+	// pool.ForEach fetch theirs by name from the registry a call is
+	// handed, as a replica set does at dial time.
+	reg.DeclareCounter("sampling_queries_total", "Query-based-sampling probe queries sent to databases.")
+	reg.DeclareCounter("sampling_docs_fetched_total", "Documents fetched while sampling database content.")
+	reg.DeclareCounter("classify_probes_total", "Classification probe queries sent during hierarchy placement.")
+	reg.DeclareCounter("em_runs_total", "EM shrinkage estimations run (one per database).")
+	reg.DeclareCounter("em_iterations_total", "Total EM iterations across all shrinkage runs.")
+	reg.DeclareCounter("adaptive_shrinkage_applied_total", "Per-query decisions that used the shrunk summary.")
+	reg.DeclareCounter("adaptive_shrinkage_skipped_total", "Per-query decisions that kept the unshrunk summary.")
+	reg.DeclareCounter("adaptive_queries_total", "Queries that went through the adaptive shrinkage decision.")
+	reg.DeclareCounter("adaptive_queries_shrunk_total", "Queries whose selection used at least one shrunk summary.")
+	reg.DeclareHistogram("adaptive_score_cv", "Score uncertainty σ/μ per adaptive decision, μ net of the scorer's baseline: Figure 3 applies shrinkage above 1.", selection.ScoreCVBuckets)
+	reg.DeclareCounter("replica_failover_total", "Database calls that failed over to a non-preferred replica.")
+	reg.DeclareCounter("replica_exhausted_total", "Database calls that ran out of replicas entirely.")
+	reg.DeclareCounter("concurrency_tasks_started_total", "Tasks started by the pipeline's bounded worker pools.")
+	reg.DeclareCounter("concurrency_tasks_failed_total", "Worker-pool tasks that returned an error.")
+
+	return pipelineMetrics{
+		buildRuns:      reg.DeclareCounter("build_runs_total", "BuildSummaries pipeline runs (sample, classify, shrink)."),
+		buildDatabases: reg.DeclareGauge("build_databases", "Databases covered by the latest BuildSummaries run."),
+		buildLatency:   reg.DeclareHistogram("build_latency", "Wall time of BuildSummaries runs, seconds.", nil),
+		vocabSize:      reg.DeclareGauge("sampling_vocab_size", "Distinct terms in the most recently sampled vocabulary."),
+
+		selectRequests: reg.DeclareCounter("select_requests_total", "Database-selection requests (Select and the search pipeline)."),
+		selectLatency:  reg.DeclareHistogram("select_latency", "Latency of database-selection decisions, seconds.", nil),
+
+		searchRequests: reg.DeclareCounter("search_requests_total", "Search requests through SearchExplained/SearchContext."),
+		searchInflight: reg.DeclareGauge("search_inflight", "Search requests currently inside SearchExplained."),
+		searchLatency:  reg.DeclareHistogram("search_latency", "End-to-end search latency, seconds.", nil),
+		dbLatency:      reg.DeclareHistogram("search_db_latency", "Per-database query-call latency inside the fan-out, seconds.", nil),
+		dbUnavailable:  reg.DeclareCounter("search_db_unavailable_total", "Selected databases skipped because no live handle existed."),
+		resultsMerged:  reg.DeclareCounter("search_results_merged_total", "Documents merged into final rankings across all searches."),
+		hedges:         reg.DeclareCounter("search_hedges_total", "Hedge requests launched against slow database calls."),
+		hedgeWins:      reg.DeclareCounter("search_hedge_wins_total", "Hedge requests that beat their primary attempt."),
+		breakerOpen:    reg.DeclareCounter("search_breaker_open_total", "Database calls short-circuited by an open breaker."),
+		sheds:          reg.DeclareCounter("search_sheds_total", "Database call attempts shed by a node's admission gate (429)."),
+		outOfScope:     reg.DeclareCounter("search_out_of_scope_total", "Selected databases skipped as owned by another cluster shard."),
+
+		stageCache:     reg.DeclareHistogram("search_stage_cache_latency", "Search time spent in cache lookup and bookkeeping, seconds.", nil),
+		stageSelection: reg.DeclareHistogram("search_stage_selection_latency", "Search time spent in database selection, seconds.", nil),
+		stageFanout:    reg.DeclareHistogram("search_stage_fanout_latency", "Search time spent in the parallel database fan-out, seconds.", nil),
+		stageMerge:     reg.DeclareHistogram("search_stage_merge_latency", "Search time spent merging and ranking results, seconds.", nil),
 	}
 }
 
@@ -667,9 +662,9 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		t0 := time.Now()
 		buildSpan := m.tracer.Span("build", telemetry.Int("databases", len(cur.dbs)))
 		defer buildSpan.End()
-		defer m.reg.Histogram("build_latency", nil).ObserveSince(t0)
-		m.reg.Counter("build_runs_total").Inc()
-		m.reg.Gauge("build_databases").Set(float64(len(cur.dbs)))
+		defer m.met.buildLatency.ObserveSince(t0)
+		m.met.buildRuns.Inc()
+		m.met.buildDatabases.Set(float64(len(cur.dbs)))
 
 		needProbing := false
 		for _, r := range cur.dbs {
@@ -678,7 +673,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 			}
 		}
 		var classifier *classify.Classifier
-		if needProbing || m.useFPS() {
+		if needProbing {
 			if m.training.Len() == 0 {
 				return nil, errors.New("repro: probe classification requires Train examples")
 			}
@@ -707,51 +702,31 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 	})
 }
 
-func (m *Metasearcher) useFPS() bool { return strings.EqualFold(m.opts.Sampler, "fps") }
-
-// sampleDatabase is the per-database offline stage: sample reg's
-// database (QBS, or FPS which classifies as it samples), classify it by
-// probing unless its category was given, and summarize the sample. It
-// returns a fresh entry; reg is not modified.
+// sampleDatabase is the per-database offline stage: draw a query-based
+// sample of reg's database, classify it by probing unless its category
+// was given, and summarize the sample. It returns a fresh entry; reg is
+// not modified.
 func (m *Metasearcher) sampleDatabase(ctx context.Context, buildSpan *telemetry.Span, reg *registeredDB, seed int64, classifier *classify.Classifier, lexicon []string) (*registeredDB, error) {
 	r := *reg
-	samplerName := "qbs"
-	if m.useFPS() {
-		samplerName = "fps"
-	}
 	sampleSpan := buildSpan.Child("sample",
-		telemetry.String("db", r.name), telemetry.String("sampler", samplerName))
+		telemetry.String("db", r.name), telemetry.String("sampler", "qbs"))
 	searcher := m.searcher(ctx, sampleSpan, r.db)
-	var sample *sampling.Sample
-	var probed hierarchy.NodeID
-	var err error
-	if m.useFPS() {
-		sample, probed, err = sampling.FPS(searcher.ctx, searcher, sampling.FPSConfig{
-			Classifier: classifier,
-			Span:       sampleSpan,
-			Metrics:    m.reg,
-		})
-	} else {
-		sample, err = m.sampleQBS(searcher, sampleSpan, lexicon, m.opts.SampleSize, seed)
-	}
+	sample, err := m.sampleQBS(searcher, sampleSpan, lexicon, m.opts.SampleSize, seed)
 	sampleSpan.End(queriesDocsAttrs(sample)...)
 	if err != nil {
 		return nil, fmt.Errorf("sampling %s: %w", r.name, err)
 	}
-	if !m.useFPS() && !r.fixedCat {
+	r.assigned = r.category
+	if !r.fixedCat {
 		classifySpan := buildSpan.Child("classify", telemetry.String("db", r.name))
-		probed = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
-		classifySpan.End(telemetry.String("category", m.tree.PathString(probed)))
+		r.assigned = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
+		classifySpan.End(telemetry.String("category", m.tree.PathString(r.assigned)))
 	}
 	m.summarizeSample(&r, sample)
-	m.reg.Gauge("sampling_vocab_size").Set(float64(r.unshrunk.Len()))
+	m.met.vocabSize.Set(float64(r.unshrunk.Len()))
 	m.logInfo("sampled database",
-		"db", r.name, "sampler", samplerName,
+		"db", r.name, "sampler", "qbs",
 		"queries", sample.Queries, "docs", len(sample.Docs), "vocab", r.unshrunk.Len())
-	r.assigned = probed
-	if r.fixedCat {
-		r.assigned = r.category
-	}
 	return &r, nil
 }
 
@@ -814,26 +789,12 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 	if parent == nil {
 		span = m.tracer.Span("select", telemetry.Int("terms", len(terms)), telemetry.Int("k", k))
 	}
-	m.reg.Counter("select_requests_total").Inc()
-	defer m.reg.Histogram("select_latency", nil).ObserveSince(t0)
+	m.met.selectRequests.Inc()
+	defer m.met.selectLatency.ObserveSince(t0)
 
 	base := m.scorer
-	var ranked []selection.Ranked
-	var decisions []selection.Decision
-	if m.opts.UniversalShrinkage {
-		ctx := selection.NewContext(terms, st.shrunk, st.global)
-		var scores []float64
-		ranked, scores = selection.RankWithScores(base, terms, st.shrunk, ctx)
-		decisions = make([]selection.Decision, len(st.dbs))
-		m.reg.Counter("adaptive_shrinkage_applied_total").Add(int64(len(st.dbs)))
-		for i := range decisions {
-			decisions[i].Shrinkage = true
-			decisions[i].Score = scores[i]
-		}
-	} else {
-		adaptive := &selection.Adaptive{Base: base, Metrics: m.reg}
-		ranked, decisions = adaptive.Rank(terms, st.adaptive, st.global)
-	}
+	adaptive := &selection.Adaptive{Base: base, Metrics: m.reg}
+	ranked, decisions := adaptive.Rank(terms, st.adaptive, st.global)
 
 	if k > len(ranked) {
 		k = len(ranked)
@@ -864,9 +825,8 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 			ScoreStdDev: d.StdDev,
 		}
 		if d.Shrinkage && r.shrunk != nil {
-			for _, l := range r.shrunk.Lambdas() {
-				c.Lambdas = append(c.Lambdas, audit.Lambda{Component: l.Component, Weight: l.Weight})
-			}
+			c.Lambdas = r.shrunk.Lambdas()
+			c.Category = r.shrunk.Category()
 		}
 		ex.candidates[i] = c
 	}
@@ -876,15 +836,15 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 
 // DatabaseInfo describes one registered database after BuildSummaries.
 type DatabaseInfo struct {
-	Name           string
-	Category       string  // assigned classification (path string)
-	EstimatedSize  float64 // sample-resample |D̂|
-	SampleSize     int
-	SummaryWords   int // unshrunk vocabulary size
-	MixtureWeights []struct {
-		Component string
-		Weight    float64
-	}
+	Name          string
+	Category      string  // assigned classification (path string)
+	EstimatedSize float64 // sample-resample |D̂|
+	SampleSize    int
+	SummaryWords  int // unshrunk vocabulary size
+	// MixtureWeights is the λ vector of the shrunk summary, uniform
+	// component first, the database itself last — the stored vector
+	// itself, shared with the store: read it, do not modify it.
+	MixtureWeights []core.Lambda
 	// SampleQueries and EMIterations are the build provenance: queries
 	// the sampler issued and Figure 2 EM iterations to convergence.
 	// Both survive a Save/Load round trip (zero when loaded from a save
@@ -909,24 +869,19 @@ func (m *Metasearcher) Info(name string) (DatabaseInfo, error) {
 		EstimatedSize: r.sizeEst,
 		SampleSize:    r.sampleLen,
 		SummaryWords:  r.unshrunk.Len(),
+
+		MixtureWeights: r.shrunk.Lambdas(),
 	}
-	lambdas := r.shrunk.Lambdas()
 	if r.prov != nil {
 		info.SampleQueries = r.prov.SampleQueries
 		info.EMIterations = r.prov.EMIterations
 		// Prefer the persisted λ vector: it is the provenance of the
 		// deployed summaries even if a re-run would converge equally.
 		if len(r.prov.Lambdas) > 0 {
-			lambdas = r.prov.Lambdas
+			info.MixtureWeights = r.prov.Lambdas
 		}
 	} else {
 		info.EMIterations = r.shrunk.EMIterations()
-	}
-	for _, l := range lambdas {
-		info.MixtureWeights = append(info.MixtureWeights, struct {
-			Component string
-			Weight    float64
-		}{l.Component, l.Weight})
 	}
 	return info, nil
 }

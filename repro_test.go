@@ -130,19 +130,6 @@ func TestMetasearcherScorers(t *testing.T) {
 	}
 }
 
-func TestMetasearcherUniversalShrinkage(t *testing.T) {
-	m := buildTestMetasearcher(t, Options{Seed: 8, UniversalShrinkage: true})
-	sels, err := m.Select("blood pressure", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sels {
-		if !s.Shrinkage {
-			t.Errorf("universal shrinkage not reported for %s", s.Database)
-		}
-	}
-}
-
 func TestMetasearcherErrors(t *testing.T) {
 	m := New(Options{})
 	if _, err := m.Select("x", 1); err == nil {
@@ -216,17 +203,6 @@ func TestMetasearcherCustomHierarchy(t *testing.T) {
 	}
 	if len(sels) == 0 || sels[0].Database != "c2" {
 		t.Errorf("selection = %+v", sels)
-	}
-}
-
-func TestMetasearcherFPSSampler(t *testing.T) {
-	m := buildTestMetasearcher(t, Options{Seed: 10, Sampler: "fps"})
-	sels, err := m.Select("blood pressure hypertension", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sels) == 0 || sels[0].Database != "cardio" {
-		t.Errorf("FPS selection = %+v", sels)
 	}
 }
 

@@ -277,6 +277,73 @@ func sharedWord(t *testing.T, shards []testShard) string {
 	return ""
 }
 
+// TestAutoHedgeFollowsNodeCallLatency pins the auto-tuned hedge
+// threshold (HedgeAfter: 0): it is the nearest-rank p95 of the fan-out's
+// own recent remote node calls, floored at hedgeFloor, and a configured
+// HedgeAfter overrides it either way. The fan-out measures the calls it
+// hedges itself, so a metasearcher whose remote handles were dialled
+// without its registry (RemoteDatabaseOptions{}) adapts all the same.
+func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
+	m := New(Options{})
+	if got := m.hedgeThreshold(); got != hedgeFloor {
+		t.Errorf("threshold with no calls seen = %v, want the floor %v", got, hedgeFloor)
+	}
+	for i := 1; i <= 100; i++ {
+		m.nodeLatency.observe(time.Duration(i) * time.Millisecond)
+	}
+	if got := m.nodeLatency.p95(); got != 95*time.Millisecond {
+		t.Errorf("p95 of 1..100ms = %v, want 95ms (nearest rank)", got)
+	}
+	if got := m.hedgeThreshold(); got != hedgeFloor {
+		t.Errorf("threshold with p95 under the floor = %v, want %v", got, hedgeFloor)
+	}
+	for i := 1; i <= 100; i++ {
+		m.nodeLatency.observe(time.Duration(i) * 10 * time.Millisecond)
+	}
+	// 200 values held: rank 190 is the 90th of the slower hundred.
+	if got := m.hedgeThreshold(); got != 900*time.Millisecond {
+		t.Errorf("threshold with p95 above the floor = %v, want 900ms", got)
+	}
+	m.opts.Resilience.HedgeAfter = 40 * time.Millisecond
+	if got := m.hedgeThreshold(); got != 40*time.Millisecond {
+		t.Errorf("threshold with HedgeAfter 40ms = %v", got)
+	}
+	m.opts.Resilience.HedgeAfter = -1
+	if got := m.hedgeThreshold(); got != 0 {
+		t.Errorf("threshold with hedging disabled = %v, want 0", got)
+	}
+	m.opts.Resilience.HedgeAfter = 0
+	// The ring forgets: a full ring of fast calls evicts the slow ones.
+	for i := 0; i < latencyRingSize; i++ {
+		m.nodeLatency.observe(time.Millisecond)
+	}
+	if got := m.hedgeThreshold(); got != hedgeFloor {
+		t.Errorf("threshold after %d fast calls = %v, want the floor again", latencyRingSize, got)
+	}
+
+	// End to end: one remote node slower than the floor, its handle
+	// dialled with no registry at all.
+	const slow = hedgeFloor + 50*time.Millisecond
+	shards, lexicon := testbedShards(t, 1)
+	opts := testbedOptions(lexicon)
+	opts.Cache.Disable = true
+	m = New(opts)
+	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{})
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.hedgeThreshold(); got != hedgeFloor {
+		t.Errorf("threshold after a build but no search = %v, want the floor: sampling traffic must not tune query hedging", got)
+	}
+	nodes[0].sw.Set(wire.NewFlaky(nodes[0].healthy, wire.FlakyOptions{Latency: slow}))
+	if _, err := m.Search(sharedWord(t, shards), 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.hedgeThreshold(); got < slow {
+		t.Errorf("threshold after a %v node call = %v, want at least that", slow, got)
+	}
+}
+
 // TestHealthProbesCloseTrippedBreaker verifies the background prober
 // closes an open breaker as soon as its node answers /v1/health again,
 // without any live query traffic.

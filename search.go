@@ -3,7 +3,9 @@ package repro
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -142,9 +144,8 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	if perDB <= 0 {
 		perDB = 10
 	}
-	inflight := m.reg.Gauge("search_inflight")
-	inflight.Add(1)
-	defer inflight.Add(-1)
+	m.met.searchInflight.Add(1)
+	defer m.met.searchInflight.Add(-1)
 	attrs := []telemetry.Attr{
 		telemetry.String("query", query),
 		telemetry.Int("max_dbs", maxDBs),
@@ -159,10 +160,10 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 	} else {
 		span = m.tracer.Span("search", attrs...)
 	}
-	m.reg.Counter("search_requests_total").Inc()
+	m.met.searchRequests.Inc()
 	start := time.Now()
 	defer func() {
-		m.reg.Histogram("search_latency", nil).ObserveExemplar(time.Since(start).Seconds(), span.Context().TraceID)
+		m.met.searchLatency.ObserveExemplar(time.Since(start).Seconds(), span.Context().TraceID)
 	}()
 
 	// The audit record is assembled as the search progresses and
@@ -278,7 +279,7 @@ func (m *Metasearcher) stageBreakdown(e *searchEntry, hit, collapsed bool, elaps
 			st.Cache = residual
 		}
 	}
-	m.reg.Histogram("search_stage_cache_latency", nil).Observe(st.Cache)
+	m.met.stageCache.Observe(st.Cache)
 	return st
 }
 
@@ -312,7 +313,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	tSel := time.Now()
 	sels, explain, selHit, err := m.selectCached(ctx, span, terms, maxDBs)
 	e.stages.Selection = time.Since(tSel).Seconds()
-	m.reg.Histogram("search_stage_selection_latency", nil).Observe(e.stages.Selection)
+	m.met.stageSelection.Observe(e.stages.Selection)
 	e.selCacheHit = selHit
 	if explain != nil {
 		e.terms = explain.terms
@@ -371,7 +372,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		// slice; the databases it skips here are served by the shards
 		// that own them and merged back together by the router.
 		if st.scope != nil && !st.scope[name] {
-			m.reg.Counter("search_out_of_scope_total").Inc()
+			m.met.outOfScope.Inc()
 			span.Event("search.out_of_scope", telemetry.String("db", name))
 			outcomes[i].call.OutOfScope = true
 		} else {
@@ -386,7 +387,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		return nil
 	})
 	e.stages.Fanout = time.Since(tFan).Seconds()
-	m.reg.Histogram("search_stage_fanout_latency", nil).Observe(e.stages.Fanout)
+	m.met.stageFanout.Observe(e.stages.Fanout)
 	// The fan-out absorbs node failures, but the caller giving up is
 	// not a node failure: surface their cancellation as the search's
 	// error (the budget expiring is fanCtx's deadline, not ctx's).
@@ -420,14 +421,14 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		return e, nil
 	}
 	out := scoreOutcomes(sels, maxScore, outcomes)
-	m.reg.Counter("search_results_merged_total").Add(int64(len(out)))
+	m.met.resultsMerged.Add(int64(len(out)))
 	e.results = out
 	e.merged = len(out)
 	e.queried = queried
 	n := min(len(out), auditTopHits)
 	e.topHits = out[:n:n] // shares the entry's ranking; capped so an append cannot reach into it
 	e.stages.Merge = time.Since(tMerge).Seconds()
-	m.reg.Histogram("search_stage_merge_latency", nil).Observe(e.stages.Merge)
+	m.met.stageMerge.Observe(e.stages.Merge)
 	return e, nil
 }
 
@@ -500,10 +501,9 @@ func scoreOutcomes(sels []Selection, maxScore float64, outcomes []nodeOutcome) [
 // never fails the search — every path returns an outcome. ctx is the
 // fan-out's context: the search's own, bounded by the deadline budget.
 func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db SearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration) nodeOutcome {
-	unavailable := m.reg.Counter("search_db_unavailable_total")
 	var call audit.NodeCall
 	if db == nil {
-		unavailable.Inc()
+		m.met.dbUnavailable.Inc()
 		span.Event("search.db_unavailable", telemetry.String("db", name))
 		m.logWarn("search: selected database has no live connection, skipping",
 			"db", name, "query", terms)
@@ -513,7 +513,7 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 	unreachable := func(dbSpan *telemetry.Span, err error) nodeOutcome {
 		call.Error = err.Error()
 		call.Unavailable = true
-		unavailable.Inc()
+		m.met.dbUnavailable.Inc()
 		dbSpan.End(telemetry.String("error", err.Error()))
 		span.Event("search.db_unavailable",
 			telemetry.String("db", name), telemetry.String("error", err.Error()))
@@ -533,7 +533,7 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 		// Short-circuited: the node is known-bad and was not touched.
 		// Audited as BreakerOpen, distinct from Unavailable (which
 		// means the node was actually tried, or had no handle).
-		m.reg.Counter("search_breaker_open_total").Inc()
+		m.met.breakerOpen.Inc()
 		span.Event("search.breaker_open", telemetry.String("db", name))
 		call.BreakerState = b.State().String()
 		call.BreakerOpen = true
@@ -547,12 +547,13 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 
 	dbSpan := span.Child("search.db", telemetry.String("db", name))
 	dbStart := time.Now()
-	defer m.reg.Histogram("search_db_latency", nil).ObserveSince(dbStart)
+	defer m.met.dbLatency.ObserveSince(dbStart)
 
 	var ids []int
 	var err error
 	if cdb, remote := db.(ContextSearchableDatabase); remote {
 		ids, err = m.queryHedged(ctx, span, dbSpan, cdb, name, terms, perDB, hedgeAfter, &call)
+		m.nodeLatency.observe(time.Since(dbStart))
 	} else {
 		// In-process database: infallible, nothing to hedge or retry.
 		_, ids = db.Query(terms, perDB)
@@ -565,6 +566,51 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 	call.Results = len(ids)
 	dbSpan.End(telemetry.Int("results", len(ids)))
 	return nodeOutcome{call: call, ids: ids, ok: true}
+}
+
+// latencyRingSize is how many recent node calls the auto-tuned hedge
+// threshold looks back over: enough for a stable p95, bounded memory.
+const latencyRingSize = 1024
+
+// latencyRing holds the latencies of the fan-out's most recent remote
+// node calls — exactly the calls queryHedged races, measured where they
+// are raced — so the threshold that hedges queries is tuned by query
+// calls alone (not a running build's Fetch traffic) and needs no
+// registry shared with whoever dialled the database handles.
+type latencyRing struct {
+	mu   sync.Mutex
+	buf  [latencyRingSize]time.Duration
+	seen int // calls observed so far; the next one overwrites buf[seen%size]
+}
+
+func (r *latencyRing) observe(d time.Duration) {
+	r.mu.Lock()
+	r.buf[r.seen%latencyRingSize] = d
+	r.seen++
+	r.mu.Unlock()
+}
+
+// p95 is the nearest-rank 95th percentile of the held latencies: the
+// smallest one with at least 95 % of them at or below it (0 when empty).
+func (r *latencyRing) p95() time.Duration {
+	r.mu.Lock()
+	sorted := slices.Clone(r.buf[:min(r.seen, latencyRingSize)])
+	r.mu.Unlock()
+	if len(sorted) == 0 {
+		return 0
+	}
+	slices.Sort(sorted)
+	return sorted[(95*len(sorted)+99)/100-1]
+}
+
+// hedgeThreshold resolves the hedge-latency threshold for one search:
+// the configured HedgeAfter, or (when 0) the p95 of the fan-out's recent
+// remote node calls floored at hedgeFloor. Negative disables hedging.
+func (m *Metasearcher) hedgeThreshold() time.Duration {
+	if after := m.opts.Resilience.HedgeAfter; after != 0 {
+		return max(after, 0)
+	}
+	return max(m.nodeLatency.p95(), hedgeFloor)
 }
 
 // queryHedged is one remote node call: if the primary attempt outlives
@@ -583,10 +629,10 @@ func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.
 		return err
 	})
 	if hedged {
-		m.reg.Counter("search_hedges_total").Inc()
+		m.met.hedges.Inc()
 		call.Hedged = true
 		if winner == 1 && err == nil {
-			m.reg.Counter("search_hedge_wins_total").Inc()
+			m.met.hedgeWins.Inc()
 			call.HedgeWon = true
 		}
 		span.Event("search.hedged", telemetry.String("db", name), telemetry.Int("winner", winner))
@@ -595,7 +641,7 @@ func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.
 	call.Retries = stats[0].Retries() + stats[1].Retries()
 	call.Sheds = stats[0].Sheds() + stats[1].Sheds()
 	if call.Sheds > 0 {
-		m.reg.Counter("search_sheds_total").Add(call.Sheds)
+		m.met.sheds.Add(call.Sheds)
 	}
 	return ids[winner], err
 }

@@ -63,11 +63,9 @@ type store struct {
 	lexicon      []string // QBS bootstrap words the summaries were sampled with
 	cats         *core.CategorySummaries
 	global       *summary.Summary // the root category summary
-	// The selection inputs, fixed per build: adaptive selection reads
-	// both summaries of every database, universal shrinkage the shrunk
-	// ones.
+	// The selection input, fixed per build: adaptive selection reads
+	// both summaries of every database.
 	adaptive []*selection.DB
-	shrunk   []selection.Entry
 }
 
 type registeredDB struct {
@@ -185,7 +183,6 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 	st.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
 	st.global = st.cats.Summary(hierarchy.Root)
 	st.adaptive = make([]*selection.DB, len(dbs))
-	st.shrunk = make([]selection.Entry, len(dbs))
 	pool.ForEach(len(dbs), runtime.GOMAXPROCS(0), m.reg, func(i int) error {
 		r := dbs[i]
 		shrinkSpan := span.Child("shrink", telemetry.String("db", r.name))
@@ -210,7 +207,6 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 			Gamma:    r.gamma,
 			Size:     int(r.sizeEst),
 		}
-		st.shrunk[i] = selection.Entry{Name: r.name, View: r.shrunk}
 		return nil
 	})
 	return st

@@ -118,6 +118,21 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	if hist, ok := snap.Histograms["search_latency"]; !ok || hist.Count != 1 {
 		t.Errorf("search_latency histogram = %+v (present %v), want count 1", hist, ok)
 	}
+	// Figure 3's signal, live: one σ/μ observation per adaptive decision
+	// whose score rose above the baseline, and above 1 exactly where the
+	// rule applied shrinkage.
+	applied := snap.Counters["adaptive_shrinkage_applied_total"]
+	decided := applied + snap.Counters["adaptive_shrinkage_skipped_total"]
+	cv := snap.Histograms["adaptive_score_cv"]
+	var above1 int64
+	for i, n := range cv.Counts {
+		if i >= len(cv.Bounds) || cv.Bounds[i] > 1 {
+			above1 += n
+		}
+	}
+	if decided == 0 || cv.Count == 0 || cv.Count > decided || above1 > applied {
+		t.Errorf("adaptive_score_cv: %d observations (%d above 1) for %d decisions (%d applied)", cv.Count, above1, decided, applied)
+	}
 }
 
 // TestSearchSkipsDeadDatabase exercises the graceful degradation of the

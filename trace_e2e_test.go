@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,20 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 			}
 			if !c.Selected {
 				t.Errorf("%s: %q not marked selected with k = number of databases", src, c.Database)
+			}
+			// "On whose vocabulary": a shrunk candidate names the λ vector
+			// and the category path it was fitted along, an unshrunk one
+			// neither.
+			info, err := m.Info(c.Database)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Shrinkage && (c.Category != info.Category || !reflect.DeepEqual(c.Lambdas, info.MixtureWeights)) {
+				t.Errorf("%s: %q shrunk along %q with λ %v, Info says %q with %v",
+					src, c.Database, c.Category, c.Lambdas, info.Category, info.MixtureWeights)
+			}
+			if !c.Shrinkage && (c.Category != "" || c.Lambdas != nil) {
+				t.Errorf("%s: unshrunk %q carries category %q and λ %v", src, c.Database, c.Category, c.Lambdas)
 			}
 		}
 	}
