@@ -33,8 +33,14 @@ docs:
 
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/, the observability packages' share of them and the
-# number of metric kinds, metasearch flags per mode, and the exported
-# fields of the three option structs.
+# number of metric kinds, metasearch flags per mode, the time.Sleep
+# calls left in tests, and the exported fields of the option structs —
+# the eight that held the fan-out's timing knobs, totalled, then
+# router.Options.
+OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
+	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \
+	internal/wire/client.go:ClientOptions internal/gateway/gateway.go:Options \
+	internal/evtstream/evtstream.go:Options internal/shardmap/watcher.go:WatcherOptions
 count:
 	@printf 'non-test Go lines outside benchmark/: '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
@@ -43,10 +49,14 @@ count:
 	@printf 'metric kinds (name-to-metric maps in telemetry.Registry): '
 	@grep -c '^	[a-z]* *map\[string\]\*' internal/telemetry/registry.go
 	@sed -n 's/^## \(metasearch .*\)/\1/p; s/^\([0-9]* distinct flags\)/metasearch: \1/p' docs/flags.md
-	@for f in repro.go internal/gateway/gateway.go internal/router/router.go; do \
-		awk -v f=$$f '/^type Options struct/ {on=1; next} on && /^}/ {print f ": " n " exported Options fields"; exit} \
-			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $$f; \
-	done
+	@printf 'time.Sleep calls in _test.go files outside benchmark/: '
+	@find . -name '*_test.go' ! -path './benchmark/*' | xargs grep -c 'time\.Sleep(' | awk -F: '{n += $$2} END {print n}'
+	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
+		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
+			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \
+		echo "$$s: $$n exported fields"; \
+		case "$$s" in internal/router/*) ;; *) total=$$((total + n));; esac; \
+	done; echo "the eight timing-knob option structs: $$total exported fields"
 
 smoke: vet build
 	$(GO) test -race ./internal/telemetry/ .

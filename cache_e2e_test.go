@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,7 +218,7 @@ func TestConcurrentIdenticalQueriesCollapse(t *testing.T) {
 			t.Fatalf("only %d of %d requests collapsed",
 				reg.Counter("result_cache_collapsed_total").Value(), n-1)
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	close(block)
 	wg.Wait()

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -48,8 +49,8 @@ type Options struct {
 	// Metrics receives the cache's series (may be nil).
 	Metrics *telemetry.Registry
 
-	// now overrides the clock (tests).
-	now func() time.Time
+	// clock times TTL expiry (nil: real time; tests set a fake).
+	clock clock.Clock
 }
 
 // Cache is a sharded LRU+TTL cache. All methods are safe for concurrent
@@ -61,7 +62,7 @@ type Cache struct {
 	shards []*shard
 	seed   maphash.Seed
 	gen    atomic.Uint64
-	now    func() time.Time
+	clock  clock.Clock
 
 	hits          *telemetry.Counter
 	misses        *telemetry.Counter
@@ -108,15 +109,12 @@ func New(opts Options) *Cache {
 	if opts.Shards > opts.Capacity {
 		opts.Shards = opts.Capacity
 	}
-	if opts.now == nil {
-		opts.now = time.Now
-	}
 	perShard := (opts.Capacity + opts.Shards - 1) / opts.Shards
 	reg, n := opts.Metrics, opts.Name
 	c := &Cache{
-		opts: opts,
-		seed: maphash.MakeSeed(),
-		now:  opts.now,
+		opts:  opts,
+		seed:  maphash.MakeSeed(),
+		clock: clock.Or(opts.clock),
 
 		hits:          reg.DeclareCounter(n+"_hits_total", "Lookups served from the "+n+" tier."),
 		misses:        reg.DeclareCounter(n+"_misses_total", "Lookups the "+n+" tier could not serve."),
@@ -191,7 +189,7 @@ func (c *Cache) getLocked(s *shard, key string) (interface{}, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if e.gen != c.gen.Load() || (!e.exp.IsZero() && c.now().After(e.exp)) {
+	if e.gen != c.gen.Load() || (!e.exp.IsZero() && c.clock.Now().After(e.exp)) {
 		c.removeLocked(s, el)
 		return nil, false
 	}
@@ -215,7 +213,7 @@ func (c *Cache) Put(key string, v interface{}) {
 func (c *Cache) putLocked(s *shard, key string, v interface{}, gen uint64) {
 	var exp time.Time
 	if c.opts.TTL > 0 {
-		exp = c.now().Add(c.opts.TTL)
+		exp = c.clock.Now().Add(c.opts.TTL)
 	}
 	if el, ok := s.byKey[key]; ok {
 		e := el.Value.(*entry)

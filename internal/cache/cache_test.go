@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -41,13 +43,14 @@ func TestGetPutLRU(t *testing.T) {
 }
 
 func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := New(Options{Name: "t", TTL: time.Minute, now: func() time.Time { return now }})
+	clk := clock.NewFake()
+	c := New(Options{Name: "t", TTL: time.Minute, clock: clk})
 	c.Put("k", "v")
+	clk.Advance(time.Minute)
 	if _, ok := c.Get("k"); !ok {
-		t.Fatal("fresh entry missing")
+		t.Fatal("entry missing at the end of its TTL")
 	}
-	now = now.Add(2 * time.Minute)
+	clk.Advance(time.Nanosecond)
 	if _, ok := c.Get("k"); ok {
 		t.Error("expired entry returned")
 	}
@@ -120,12 +123,10 @@ func TestDoCollapsesConcurrentLoads(t *testing.T) {
 	var wg sync.WaitGroup
 	var collapsedN atomic.Int64
 	results := make([]interface{}, n)
-	started := make(chan struct{}, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			started <- struct{}{}
 			v, _, collapsed, err := c.Do(context.Background(), "k", func() (interface{}, error) {
 				loads.Add(1)
 				<-gate // hold the load open until all callers have queued
@@ -140,12 +141,11 @@ func TestDoCollapsesConcurrentLoads(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	for i := 0; i < n; i++ {
-		<-started
+	// Wait until the other callers have collapsed onto the in-flight
+	// load, then release the single loader.
+	for reg.Counter("t_collapsed_total").Value() < n-1 {
+		runtime.Gosched()
 	}
-	// Give the non-loader goroutines a moment to reach the collapse path,
-	// then release the single loader.
-	time.Sleep(20 * time.Millisecond)
 	close(gate)
 	wg.Wait()
 	if got := loads.Load(); got != 1 {

@@ -1,0 +1,157 @@
+// Package clock is the one source of time for the serving path's
+// timers: breaker cooldowns, hedge timers, retry backoff, health-probe
+// intervals, stream heartbeats and replica drains. Code that waits takes
+// a Clock (nil means Real); tests pass a *Fake and move time by hand,
+// so no test has to sleep through a cooldown or a backoff.
+//
+// Deadlines are not on a Clock: they are enforced with
+// context.WithTimeout, whose expiry is context.DeadlineExceeded — the
+// error the breakers count as a failure — and no fake can produce it.
+package clock
+
+import (
+	"sync"
+	"time"
+)
+
+// Clock tells the time and makes one-shot timers.
+type Clock interface {
+	Now() time.Time
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a one-shot timer: C delivers one value once d has passed.
+type Timer interface {
+	C() <-chan time.Time
+	// Stop prevents the timer from firing; it reports whether it did.
+	Stop() bool
+}
+
+// Real is the wall clock.
+var Real Clock = realClock{}
+
+// Or returns c, or Real when c is nil.
+func Or(c Clock) Clock {
+	if c == nil {
+		return Real
+	}
+	return c
+}
+
+type realClock struct{}
+
+func (realClock) Now() time.Time                 { return time.Now() }
+func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+type realTimer struct{ t *time.Timer }
+
+func (r realTimer) C() <-chan time.Time { return r.t.C }
+func (r realTimer) Stop() bool          { return r.t.Stop() }
+
+// Fake is a Clock that moves only when Advance moves it. It is the
+// shared test double of every package whose timing is under test. It
+// starts at a fixed instant, so tests are reproducible.
+type Fake struct {
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled whenever a timer is added
+	now     time.Time
+	timers  []*fakeTimer // pending, in creation order
+	instant bool
+}
+
+// NewFake returns a Fake that stands still until Advance moves it.
+func NewFake() *Fake {
+	f := &Fake{now: time.Date(2004, 6, 13, 0, 0, 0, 0, time.UTC)}
+	f.cond = sync.NewCond(&f.mu)
+	return f
+}
+
+// NewInstant returns a Fake on which every timer fires the moment it is
+// made, with the clock moved on by the timer's duration: a retry loop
+// runs its whole backoff schedule without waiting, and Now still shows
+// how long it would have slept.
+func NewInstant() *Fake {
+	f := NewFake()
+	f.instant = true
+	return f
+}
+
+// Now returns the fake time.
+func (f *Fake) Now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.now
+}
+
+// NewTimer returns a timer that fires once Advance has moved the clock
+// d past now (at once on an instant Fake).
+func (f *Fake) NewTimer(d time.Duration) Timer {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := &fakeTimer{f: f, c: make(chan time.Time, 1)}
+	if f.instant {
+		f.now = f.now.Add(d)
+		t.c <- f.now
+		return t
+	}
+	t.at = f.now.Add(d)
+	f.timers = append(f.timers, t)
+	f.cond.Broadcast()
+	return t
+}
+
+// Advance moves the clock forward by d and fires, in deadline order,
+// every pending timer whose deadline it reaches. A timer fires by
+// sending on its channel; the goroutine waiting there runs after
+// Advance returns.
+func (f *Fake) Advance(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	end := f.now.Add(d)
+	for {
+		next := -1
+		for i, t := range f.timers {
+			if !t.at.After(end) && (next < 0 || t.at.Before(f.timers[next].at)) {
+				next = i
+			}
+		}
+		if next < 0 {
+			break
+		}
+		t := f.timers[next]
+		f.timers = append(f.timers[:next], f.timers[next+1:]...)
+		f.now = t.at
+		t.c <- t.at
+	}
+	f.now = end
+}
+
+// BlockUntil waits until at least n timers are pending: the way a test
+// knows that the goroutine under test has reached its wait.
+func (f *Fake) BlockUntil(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.timers) < n {
+		f.cond.Wait()
+	}
+}
+
+type fakeTimer struct {
+	f  *Fake
+	at time.Time
+	c  chan time.Time
+}
+
+func (t *fakeTimer) C() <-chan time.Time { return t.c }
+
+func (t *fakeTimer) Stop() bool {
+	t.f.mu.Lock()
+	defer t.f.mu.Unlock()
+	for i, p := range t.f.timers {
+		if p == t {
+			t.f.timers = append(t.f.timers[:i], t.f.timers[i+1:]...)
+			return true
+		}
+	}
+	return false
+}

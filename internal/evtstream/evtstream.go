@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -91,18 +92,22 @@ func Negotiate(r *http.Request) Format {
 	return FormatSSE
 }
 
+// heartbeatInterval is the idle interval after which Serve writes a
+// heartbeat frame, so proxies and clients can tell a slow search from a
+// dead connection.
+const heartbeatInterval = 5 * time.Second
+
 // Options tunes a Publisher.
 type Options struct {
 	// MaxQueue bounds the frame queue (default 64). Past it, the oldest
 	// droppable frame is evicted per enqueue; critical frames always
 	// fit (the queue may exceed MaxQueue by the critical overflow).
 	MaxQueue int
-	// Heartbeat is the idle interval after which Serve writes a
-	// heartbeat frame so proxies and clients can tell a slow search
-	// from a dead connection (default 5s; negative disables).
-	Heartbeat time.Duration
 	// Metrics holds the stream_* series; the zero value records nothing.
 	Metrics Metrics
+
+	// clock times the heartbeat (nil: real time; tests set a fake).
+	clock clock.Clock
 }
 
 // Metrics is the stream_* series, declared once per registry by
@@ -147,9 +152,7 @@ func NewPublisher(opts Options) *Publisher {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 64
 	}
-	if opts.Heartbeat == 0 {
-		opts.Heartbeat = 5 * time.Second
-	}
+	opts.clock = clock.Or(opts.clock)
 	return &Publisher{opts: opts, wake: make(chan struct{}, 1)}
 }
 
@@ -227,8 +230,9 @@ func (p *Publisher) heartbeatFrame() Frame {
 // Serve writes the stream to w until the publisher closes (after its
 // terminal frame) or ctx is cancelled (the client hung up; counted in
 // stream_disconnects_total). It sets the response headers, flushes per
-// frame, and emits heartbeats on idle. Returns nil on a complete
-// stream, ctx.Err() on disconnect, or the first write error.
+// frame, and emits a heartbeat once the stream has been idle for
+// heartbeatInterval. Returns nil on a complete stream, ctx.Err() on
+// disconnect, or the first write error.
 func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format Format) error {
 	met := p.opts.Metrics
 	met.requests.Inc()
@@ -286,22 +290,12 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 		return nil
 	}
 
-	var heartbeat <-chan time.Time
-	var ticker *time.Ticker
-	if p.opts.Heartbeat > 0 {
-		ticker = time.NewTicker(p.opts.Heartbeat)
-		defer ticker.Stop()
-		heartbeat = ticker.C
-	}
 	for {
 		frames, closed := p.drain()
 		for _, f := range frames {
 			if err := writeFrame(f); err != nil {
 				met.disconnects.Inc()
 				return err
-			}
-			if ticker != nil {
-				ticker.Reset(p.opts.Heartbeat)
 			}
 		}
 		if closed {
@@ -317,12 +311,17 @@ func (p *Publisher) Serve(ctx context.Context, w http.ResponseWriter, format For
 			}
 			return nil
 		}
+		// The idle interval restarts whenever the loop wakes: a frame
+		// written is as good as a heartbeat.
+		idle := p.opts.clock.NewTimer(heartbeatInterval)
 		select {
 		case <-ctx.Done():
+			idle.Stop()
 			met.disconnects.Inc()
 			return ctx.Err()
 		case <-p.wake:
-		case <-heartbeat:
+			idle.Stop()
+		case <-idle.C():
 			if err := writeFrame(p.heartbeatFrame()); err != nil {
 				met.disconnects.Inc()
 				return err

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -91,7 +92,7 @@ func TestCriticalFramesAlwaysEnqueue(t *testing.T) {
 
 func TestServeSSE(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: -1})
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), clock: clock.NewFake()})
 	go func() {
 		p.Publish(TypeSelection, map[string]string{"scorer": "CORI"})
 		p.Publish(TypeNodeResult, map[string]string{"database": "db1"})
@@ -122,7 +123,7 @@ func TestServeSSE(t *testing.T) {
 }
 
 func TestServeNDJSON(t *testing.T) {
-	p := NewPublisher(Options{Heartbeat: -1})
+	p := NewPublisher(Options{clock: clock.NewFake()})
 	go func() {
 		p.Publish(TypeSelection, nil)
 		p.Publish(TypeFinal, nil)
@@ -153,7 +154,7 @@ func TestServeNDJSON(t *testing.T) {
 // no frames flowing.
 func TestServeDisconnect(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: -1})
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), clock: clock.NewFake()})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- p.Serve(ctx, httptest.NewRecorder(), FormatSSE) }()
@@ -171,22 +172,35 @@ func TestServeDisconnect(t *testing.T) {
 	}
 }
 
-// Idle streams emit heartbeats so a slow search is distinguishable
-// from a dead connection.
+// Idle streams emit a heartbeat per idle interval, so a slow search is
+// distinguishable from a dead connection.
 func TestServeHeartbeat(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	p := NewPublisher(Options{Metrics: NewMetrics(reg), Heartbeat: 20 * time.Millisecond})
+	clk := clock.NewFake()
+	p := NewPublisher(Options{Metrics: NewMetrics(reg), clock: clk})
 	rec := httptest.NewRecorder()
 	done := make(chan error, 1)
 	go func() { done <- p.Serve(context.Background(), rec, FormatSSE) }()
-	time.Sleep(120 * time.Millisecond)
+	clk.BlockUntil(1) // Serve is idle
+	clk.Advance(heartbeatInterval - time.Nanosecond)
+	if got := reg.Counter("stream_heartbeats_total").Value(); got != 0 {
+		t.Fatalf("%d heartbeats before the idle interval ended", got)
+	}
+	for i := 0; i < 2; i++ {
+		clk.Advance(heartbeatInterval)
+		clk.BlockUntil(1) // the heartbeat is written and Serve is idle again
+	}
 	p.Publish(TypeFinal, nil)
 	p.Close()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	if got := reg.Counter("stream_heartbeats_total").Value(); got == 0 {
-		t.Error("no heartbeats on an idle stream")
+	if got := reg.Counter("stream_heartbeats_total").Value(); got != 2 {
+		t.Errorf("stream_heartbeats_total = %d, want 2 (one per idle interval)", got)
+	}
+	frames := ParseSSE(rec.Body.String())
+	if len(frames) != 3 || frames[0].Type != TypeHeartbeat || frames[1].Type != TypeHeartbeat || frames[2].Type != TypeFinal {
+		t.Errorf("frames %v, want heartbeat, heartbeat, final", frames)
 	}
 }
 

@@ -97,10 +97,6 @@ type Options struct {
 	// RetryAfter is the backoff (seconds) advertised on shed responses
 	// (default 1).
 	RetryAfter int
-	// StreamHeartbeat sets each stream connection's idle-heartbeat
-	// interval; zero takes the evtstream default (5s), negative disables
-	// heartbeats. The frame queue is the evtstream default (64 frames).
-	StreamHeartbeat time.Duration
 	// Metrics receives gateway_requests_total, gateway_errors_total,
 	// gateway_shed_total, the gateway_requests_inflight gauge, and the
 	// latency series (may be nil). Successful responses record into the
@@ -446,10 +442,7 @@ func (g *Gateway) stream(ctx context.Context, w http.ResponseWriter, r *http.Req
 			"streaming is not supported by this searcher")
 		return
 	}
-	p := evtstream.NewPublisher(evtstream.Options{
-		Heartbeat: g.opts.StreamHeartbeat,
-		Metrics:   g.streams,
-	})
+	p := evtstream.NewPublisher(evtstream.Options{Metrics: g.streams})
 	go func() {
 		resp, err := streamer.SearchExplainedObserved(ctx, req.Query, req.K, req.PerDB, framePublisher{p})
 		if err != nil {

@@ -38,7 +38,7 @@ func (f *fakeStreamSearcher) SearchExplainedObserved(ctx context.Context, query 
 func TestStreamSSE(t *testing.T) {
 	s := &fakeStreamSearcher{}
 	reg := telemetry.NewRegistry()
-	g := New(s, Options{Metrics: reg, StreamHeartbeat: -1})
+	g := New(s, Options{Metrics: reg})
 
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=white+whale&k=2&perdb=7", nil))
@@ -97,7 +97,7 @@ func TestStreamSSE(t *testing.T) {
 
 func TestStreamNDJSON(t *testing.T) {
 	s := &fakeStreamSearcher{}
-	g := New(s, Options{StreamHeartbeat: -1})
+	g := New(s, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=whale&format=ndjson", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
@@ -124,7 +124,7 @@ func TestStreamError(t *testing.T) {
 	s.hook = func(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error) {
 		return nil, errors.New("no live databases")
 	}
-	g := New(s, Options{StreamHeartbeat: -1})
+	g := New(s, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=whale", nil))
 	frames := evtstream.ParseSSE(rec.Body.String())

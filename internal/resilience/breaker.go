@@ -17,6 +17,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // State is a circuit breaker's position.
@@ -45,43 +47,25 @@ func (s State) String() string {
 	}
 }
 
-// BreakerOptions tunes one breaker. The zero value selects the
-// defaults.
-type BreakerOptions struct {
-	// Window is how many recent call outcomes the failure rate is
-	// computed over (default 20).
-	Window int
-	// FailureThreshold trips the breaker when the windowed failure
-	// fraction reaches it (default 0.5).
-	FailureThreshold float64
-	// MinSamples is how many outcomes the window needs before the rate
-	// is trusted: a single failure on a cold breaker must not black-hole
-	// a node (default 3).
-	MinSamples int
-	// Cooldown is how long an open breaker waits before letting one
-	// half-open trial through (default 5s).
-	Cooldown time.Duration
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
-}
+// The breaker policy (DESIGN §9.4 tabulates it with every other timing
+// constant of the fan-out): a breaker trips once at least
+// breakerMinSamples of its last breakerWindow outcomes are in and
+// breakerFailureThreshold of them failed — so one failure on a cold
+// breaker cannot black-hole a node — then waits BreakerCooldown before
+// letting one half-open trial through.
+const (
+	breakerWindow           = 20
+	breakerFailureThreshold = 0.5
+	breakerMinSamples       = 3
+	BreakerCooldown         = 5 * time.Second
+)
 
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.Window <= 0 {
-		o.Window = 20
-	}
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = 0.5
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 3
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
-	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
-	return o
+// BreakerOptions configures a breaker. The zero value runs on real
+// time.
+type BreakerOptions struct {
+	// Clock times the cooldown, and the health prober of a Set (nil:
+	// real time).
+	Clock clock.Clock
 }
 
 // Breaker is a closed/open/half-open circuit breaker over one node.
@@ -94,12 +78,12 @@ func (o BreakerOptions) withDefaults() BreakerOptions {
 // for a health probe — or a half-open breaker would leak its single
 // trial slot.
 type Breaker struct {
-	opts     BreakerOptions
+	clock    clock.Clock
 	onChange func(from, to State) // called with mu held; must not re-enter
 
 	mu        sync.Mutex
 	state     State
-	outcomes  []bool // ring of the last Window outcomes
+	outcomes  []bool // ring of the last breakerWindow outcomes
 	next      int
 	samples   int
 	failures  int
@@ -118,12 +102,12 @@ func NewBreaker(opts BreakerOptions) *Breaker {
 }
 
 func newBreaker(opts BreakerOptions, onChange func(from, to State)) *Breaker {
-	o := opts.withDefaults()
+	clk := clock.Or(opts.Clock)
 	return &Breaker{
-		opts:      o,
+		clock:     clk,
 		onChange:  onChange,
-		outcomes:  make([]bool, 0, o.Window),
-		changedAt: o.Clock(),
+		outcomes:  make([]bool, 0, breakerWindow),
+		changedAt: clk.Now(),
 	}
 }
 
@@ -140,7 +124,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.opts.Clock().Sub(b.openedAt) >= b.opts.Cooldown {
+		if b.clock.Now().Sub(b.openedAt) >= BreakerCooldown {
 			b.transition(HalfOpen)
 			b.probing = true
 			return true
@@ -172,7 +156,7 @@ func (b *Breaker) Record(ok bool) {
 			b.reset()
 			b.transition(Closed)
 		} else {
-			b.openedAt = b.opts.Clock()
+			b.openedAt = b.clock.Now()
 			b.transition(Open)
 		}
 		return
@@ -182,10 +166,10 @@ func (b *Breaker) Record(ok bool) {
 		return
 	}
 	b.push(ok)
-	if b.samples >= b.opts.MinSamples &&
-		float64(b.failures) >= b.opts.FailureThreshold*float64(b.samples) {
+	if b.samples >= breakerMinSamples &&
+		float64(b.failures) >= breakerFailureThreshold*float64(b.samples) {
 		b.trips++
-		b.openedAt = b.opts.Clock()
+		b.openedAt = b.clock.Now()
 		b.reset()
 		b.transition(Open)
 	}
@@ -290,7 +274,7 @@ func (b *Breaker) forceState(st State) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if st == Open {
-		b.openedAt = b.opts.Clock()
+		b.openedAt = b.clock.Now()
 	}
 	b.probing = false
 	b.reset()
@@ -304,7 +288,7 @@ func (b *Breaker) transition(to State) {
 		return
 	}
 	b.state = to
-	b.changedAt = b.opts.Clock()
+	b.changedAt = b.clock.Now()
 	if b.onChange != nil {
 		b.onChange(from, to)
 	}
@@ -328,7 +312,7 @@ type BreakerSnapshot struct {
 	OpenedAt time.Time `json:"opened_at,omitempty"`
 	// ChangedAt is the last state transition.
 	ChangedAt time.Time `json:"changed_at"`
-	// CooldownSeconds is the configured open→half-open delay.
+	// CooldownSeconds is the open→half-open delay.
 	CooldownSeconds float64 `json:"cooldown_seconds"`
 }
 
@@ -347,6 +331,6 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 		ShortCircuits:   b.shortCircuits,
 		OpenedAt:        b.openedAt,
 		ChangedAt:       b.changedAt,
-		CooldownSeconds: b.opts.Cooldown.Seconds(),
+		CooldownSeconds: BreakerCooldown.Seconds(),
 	}
 }

@@ -5,63 +5,52 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
-// fakeClock is a settable clock for breaker cooldown tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (c *fakeClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// trip records failures on a closed breaker until it opens.
+func trip(b *Breaker) {
+	for i := 0; i < breakerMinSamples; i++ {
+		b.Allow()
+		b.Record(false)
+	}
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerOptions{
-		Window:           4,
-		FailureThreshold: 0.5,
-		MinSamples:       2,
-		Cooldown:         time.Second,
-		Clock:            clk.now,
-	})
+	clk := clock.NewFake()
+	b := NewBreaker(BreakerOptions{Clock: clk})
 
 	if b.State() != Closed {
 		t.Fatalf("new breaker state = %v, want closed", b.State())
 	}
-	// One failure alone must not trip (MinSamples = 2).
-	if !b.Allow() {
-		t.Fatal("closed breaker denied a call")
+	// Failures short of the minimum sample count must not trip, however
+	// bad the rate.
+	for i := 1; i < breakerMinSamples; i++ {
+		if !b.Allow() {
+			t.Fatal("closed breaker denied a call")
+		}
+		b.Record(false)
+		if b.State() != Closed {
+			t.Fatalf("state after %d failures = %v, want closed (below the minimum sample count)", i, b.State())
+		}
 	}
-	b.Record(false)
-	if b.State() != Closed {
-		t.Fatalf("state after 1 failure = %v, want closed (below MinSamples)", b.State())
-	}
-	// Second failure: rate 2/2 >= 0.5 → open.
+	// The next failure: rate 3/3 >= 0.5 → open.
 	b.Allow()
 	b.Record(false)
 	if b.State() != Open {
-		t.Fatalf("state after 2/2 failures = %v, want open", b.State())
+		t.Fatalf("state after %d/%d failures = %v, want open", breakerMinSamples, breakerMinSamples, b.State())
 	}
+	clk.Advance(BreakerCooldown - time.Nanosecond)
 	if b.Allow() {
-		t.Fatal("open breaker admitted a call before cooldown")
+		t.Fatal("open breaker admitted a call before its cooldown ended")
 	}
 	// Cooldown elapses: exactly one half-open trial is admitted.
-	clk.advance(2 * time.Second)
+	clk.Advance(time.Nanosecond)
 	if !b.Allow() {
 		t.Fatal("cooled-down breaker denied the half-open trial")
 	}
@@ -80,7 +69,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("re-opened breaker admitted a call before the new cooldown")
 	}
 	// Successful trial closes the breaker and resets the window.
-	clk.advance(2 * time.Second)
+	clk.Advance(BreakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second trial denied")
 	}
@@ -101,14 +90,40 @@ func TestBreakerStateMachine(t *testing.T) {
 	if snap.ShortCircuits == 0 {
 		t.Error("snapshot short_circuits = 0, want > 0")
 	}
+	if snap.CooldownSeconds != BreakerCooldown.Seconds() {
+		t.Errorf("snapshot cooldown_seconds = %v, want %v", snap.CooldownSeconds, BreakerCooldown.Seconds())
+	}
+}
+
+// TestBreakerWindowRate pins the trip rule over a full window:
+// successes dilute failures, and the breaker opens when failures reach
+// half of the last breakerWindow outcomes.
+func TestBreakerWindowRate(t *testing.T) {
+	b := NewBreaker(BreakerOptions{Clock: clock.NewFake()})
+	for i := 0; i < breakerWindow; i++ {
+		b.Allow()
+		b.Record(true)
+	}
+	// Each failure displaces the oldest success from the full window.
+	for i := 1; i < breakerWindow/2; i++ {
+		b.Allow()
+		b.Record(false)
+		if b.State() != Closed {
+			t.Fatalf("tripped at %d failures in a window of %d", i, breakerWindow)
+		}
+	}
+	b.Allow()
+	b.Record(false)
+	if b.State() != Open {
+		t.Fatalf("state at %d failures in a window of %d = %v, want open", breakerWindow/2, breakerWindow, b.State())
+	}
 }
 
 func TestBreakerNeutralReleasesTrial(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := NewBreaker(BreakerOptions{MinSamples: 1, Cooldown: time.Second, Clock: clk.now})
-	b.Allow()
-	b.Record(false) // trips (1/1 failure)
-	clk.advance(2 * time.Second)
+	clk := clock.NewFake()
+	b := NewBreaker(BreakerOptions{Clock: clk})
+	trip(b)
+	clk.Advance(BreakerCooldown)
 	if !b.Allow() {
 		t.Fatal("trial denied after cooldown")
 	}
@@ -163,7 +178,7 @@ func TestRecordCallVerdicts(t *testing.T) {
 		{"cancelled, cancellation surfacing", gone, context.Canceled, 0, 0},
 		{"cancelled above a derived deadline", goneFirst, context.Canceled, 0, 0},
 	} {
-		b := NewBreaker(BreakerOptions{MinSamples: 10})
+		b := NewBreaker(BreakerOptions{})
 		b.Allow()
 		b.RecordCall(tc.ctx, tc.err)
 		if snap := b.Snapshot(); snap.Samples != tc.samples || snap.Failures != tc.failures {
@@ -196,8 +211,7 @@ func TestNilBreakerAndSet(t *testing.T) {
 
 func TestSetGaugesAndHandler(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := NewSet(BreakerOptions{MinSamples: 1, Cooldown: time.Second, Clock: clk.now}, reg)
+	s := NewSet(BreakerOptions{Clock: clock.NewFake()}, reg)
 
 	a, b := s.Get("alpha"), s.Get("beta")
 	if s.Get("alpha") != a {
@@ -206,8 +220,7 @@ func TestSetGaugesAndHandler(t *testing.T) {
 	if got := reg.Gauge("breakers_closed").Value(); got != 2 {
 		t.Fatalf("breakers_closed = %v, want 2", got)
 	}
-	a.Allow()
-	a.Record(false) // trip alpha
+	trip(a)
 	if got := reg.Gauge("breakers_open").Value(); got != 1 {
 		t.Fatalf("breakers_open = %v, want 1", got)
 	}
@@ -237,7 +250,7 @@ func TestSetGaugesAndHandler(t *testing.T) {
 }
 
 func TestHedgedPrimaryWins(t *testing.T) {
-	winner, hedged, err := Hedged(context.Background(), time.Hour, nil, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), clock.NewFake(), time.Second, nil, func(ctx context.Context, attempt int) error {
 		return nil
 	})
 	if err != nil || winner != 0 || hedged {
@@ -245,9 +258,19 @@ func TestHedgedPrimaryWins(t *testing.T) {
 	}
 }
 
+// fireHedgeTimer lets Hedged reach its hedge timer on clk, then fires it.
+func fireHedgeTimer(clk *clock.Fake, after time.Duration) {
+	go func() {
+		clk.BlockUntil(1)
+		clk.Advance(after)
+	}()
+}
+
 func TestHedgedHedgeWins(t *testing.T) {
+	clk := clock.NewFake()
+	fireHedgeTimer(clk, time.Second)
 	primaryCancelled := make(chan struct{})
-	winner, hedged, err := Hedged(context.Background(), 5*time.Millisecond, nil, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), clk, time.Second, nil, func(ctx context.Context, attempt int) error {
 		if attempt == 0 {
 			<-ctx.Done() // primary hangs until cancelled by the winning hedge
 			close(primaryCancelled)
@@ -258,21 +281,21 @@ func TestHedgedHedgeWins(t *testing.T) {
 	if err != nil || winner != 1 || !hedged {
 		t.Fatalf("hung primary: winner=%d hedged=%v err=%v, want 1/true/nil", winner, hedged, err)
 	}
-	select {
-	case <-primaryCancelled:
-	case <-time.After(time.Second):
-		t.Fatal("losing primary was never cancelled")
-	}
+	<-primaryCancelled // the losing primary is cancelled, or the test times out
 }
 
 func TestHedgedBothFail(t *testing.T) {
 	errPrimary := errors.New("primary down")
 	errHedge := errors.New("hedge down")
-	winner, hedged, err := Hedged(context.Background(), time.Millisecond, nil, func(ctx context.Context, attempt int) error {
+	clk := clock.NewFake()
+	fireHedgeTimer(clk, time.Second)
+	hedgeFailed := make(chan struct{})
+	winner, hedged, err := Hedged(context.Background(), clk, time.Second, nil, func(ctx context.Context, attempt int) error {
 		if attempt == 0 {
-			time.Sleep(10 * time.Millisecond) // outlive the hedge threshold
+			<-hedgeFailed // outlive the hedge
 			return errPrimary
 		}
+		defer close(hedgeFailed)
 		return errHedge
 	})
 	if !hedged {
@@ -286,7 +309,7 @@ func TestHedgedBothFail(t *testing.T) {
 func TestHedgedPrimaryFailsFastNoHedge(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	winner, hedged, err := Hedged(context.Background(), time.Hour, nil, func(ctx context.Context, attempt int) error {
+	winner, hedged, err := Hedged(context.Background(), clock.NewFake(), time.Second, nil, func(ctx context.Context, attempt int) error {
 		calls++
 		return boom
 	})
@@ -298,7 +321,7 @@ func TestHedgedPrimaryFailsFastNoHedge(t *testing.T) {
 
 func TestHedgedDisabled(t *testing.T) {
 	calls := 0
-	if _, hedged, err := Hedged(context.Background(), 0, nil, func(ctx context.Context, attempt int) error {
+	if _, hedged, err := Hedged(context.Background(), nil, 0, nil, func(ctx context.Context, attempt int) error {
 		calls++
 		return nil
 	}); hedged || err != nil || calls != 1 {
@@ -306,63 +329,57 @@ func TestHedgedDisabled(t *testing.T) {
 	}
 }
 
+// TestProberClosesRecoveredBreaker: the prober waits out its interval
+// and the breaker's cooldown on the Set's clock, probes the open node,
+// keeps its breaker open while the node is down, and closes it with the
+// first probe after the node recovers.
 func TestProberClosesRecoveredBreaker(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := NewSet(BreakerOptions{MinSamples: 1, Cooldown: time.Millisecond}, reg)
+	clk := clock.NewFake()
+	s := NewSet(BreakerOptions{Clock: clk}, reg)
 	b := s.Get("node")
-	b.Allow()
-	b.Record(false) // trip
+	trip(b)
 	if b.State() != Open {
 		t.Fatal("breaker did not trip")
 	}
 
-	var mu sync.Mutex
-	healthy := false
-	pinged := make(chan struct{}, 16)
+	var healthy atomic.Bool
 	p := NewProber(s, []ProbeTarget{{
 		Name: "node",
 		Ping: func(ctx context.Context) error {
-			mu.Lock()
-			defer mu.Unlock()
-			select {
-			case pinged <- struct{}{}:
-			default:
-			}
-			if healthy {
+			if healthy.Load() {
 				return nil
 			}
 			return errors.New("still down")
 		},
-	}}, ProberOptions{Interval: 5 * time.Millisecond, Metrics: reg})
+	}}, ProberOptions{Metrics: reg})
 	p.Start()
 	defer p.Stop()
 
-	// While the node is down, probes keep the breaker open.
-	select {
-	case <-pinged:
-	case <-time.After(2 * time.Second):
-		t.Fatal("prober never pinged the open node")
+	// sweep moves the clock past the cooldown (and so past the probe
+	// interval) and waits until the prober, done with the sweep that
+	// fired, waits for the next.
+	sweep := func() {
+		clk.BlockUntil(1)
+		clk.Advance(BreakerCooldown)
+		clk.BlockUntil(1)
 	}
-	if b.State() == Closed {
-		t.Fatal("breaker closed while the node was still down")
+	sweep()
+	if b.State() != Open {
+		t.Fatalf("breaker %v after a failed probe, want open", b.State())
 	}
-	// The node recovers: a probe success must close the breaker without
-	// any query traffic.
-	mu.Lock()
-	healthy = true
-	mu.Unlock()
-	deadline := time.Now().Add(2 * time.Second)
-	for b.State() != Closed {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never closed after the node recovered")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if got := reg.Counter("health_probe_failures_total").Value(); got != 1 {
+		t.Fatalf("health_probe_failures_total = %d, want 1", got)
 	}
-	if reg.Counter("health_probes_total").Value() == 0 {
-		t.Error("health_probes_total is zero")
+	// The node recovers: a probe success closes the breaker without any
+	// query traffic.
+	healthy.Store(true)
+	sweep()
+	if b.State() != Closed {
+		t.Fatalf("breaker %v after the node recovered, want closed", b.State())
 	}
-	if reg.Counter("health_probe_failures_total").Value() == 0 {
-		t.Error("health_probe_failures_total is zero despite failed probes")
+	if got := reg.Counter("health_probes_total").Value(); got != 2 {
+		t.Errorf("health_probes_total = %d, want 2", got)
 	}
 	p.Stop() // idempotent
 }

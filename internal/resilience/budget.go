@@ -6,28 +6,28 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BudgetOptions tunes a retry/hedge budget. The zero value selects the
-// defaults.
+// The budget's shape: each success deposits budgetRatio tokens, so
+// retries plus hedges may not exceed 20% of recent successful volume;
+// the balance starts at, and is capped by, budgetBurst, so a cold
+// process can absorb a small fault burst before any success funds it.
+const (
+	budgetRatio = 0.2
+	budgetBurst = 10
+)
+
+// BudgetOptions configures a retry/hedge budget.
 type BudgetOptions struct {
-	// Ratio is how many extra-attempt tokens each recorded success
-	// deposits (default 0.2: retries plus hedges may not exceed 20% of
-	// recent successful volume).
-	Ratio float64
-	// Burst caps the token balance and is the starting balance, so a
-	// cold process can absorb a small fault burst before any successes
-	// have funded the bucket (default 10).
-	Burst float64
 	// Metrics receives retry_budget_exhausted_total and the
 	// retry_budget_tokens gauge (may be nil).
 	Metrics *telemetry.Registry
 }
 
 // Budget is a token bucket that bounds retry and hedge amplification
-// across a whole process: every successful call deposits Ratio tokens,
-// every retry or hedge spends one, and when the bucket is empty the
-// extra attempt simply does not happen. During a partial outage this is
-// what turns "every query retries against the dying node" into "a
-// bounded trickle probes it while first attempts keep flowing" — the
+// across a whole process: every successful call deposits budgetRatio
+// tokens, every retry or hedge spends one, and when the bucket is empty
+// the extra attempt simply does not happen. During a partial outage
+// this is what turns "every query retries against the dying node" into
+// "a bounded trickle probes it while first attempts keep flowing" — the
 // alternative is retry amplification, where the retries themselves
 // become the overload.
 //
@@ -40,9 +40,6 @@ type BudgetOptions struct {
 // budget admits everything), so budgeting is opt-in without call-site
 // conditionals.
 type Budget struct {
-	ratio float64
-	burst float64
-
 	mu     sync.Mutex
 	tokens float64
 
@@ -52,16 +49,8 @@ type Budget struct {
 
 // NewBudget builds a budget starting at its full burst balance.
 func NewBudget(opts BudgetOptions) *Budget {
-	if opts.Ratio <= 0 {
-		opts.Ratio = 0.2
-	}
-	if opts.Burst <= 0 {
-		opts.Burst = 10
-	}
 	b := &Budget{
-		ratio:  opts.Ratio,
-		burst:  opts.Burst,
-		tokens: opts.Burst,
+		tokens: budgetBurst,
 		exhausted: opts.Metrics.DeclareCounter("retry_budget_exhausted_total",
 			"Retries or hedges suppressed because the retry budget was empty."),
 		gauge: opts.Metrics.DeclareGauge("retry_budget_tokens",
@@ -93,17 +82,17 @@ func (b *Budget) TrySpend() bool {
 	return true
 }
 
-// RecordSuccess deposits Ratio tokens (capped at Burst). Call it for
-// every successful call, not just budgeted ones — the budget is a
-// fraction of total successful volume.
+// RecordSuccess deposits budgetRatio tokens (capped at budgetBurst).
+// Call it for every successful call, not just budgeted ones — the
+// budget is a fraction of total successful volume.
 func (b *Budget) RecordSuccess() {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
+	b.tokens += budgetRatio
+	if b.tokens > budgetBurst {
+		b.tokens = budgetBurst
 	}
 	tokens := b.tokens
 	b.mu.Unlock()

@@ -3,24 +3,28 @@ package resilience
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
 func TestBudgetSpendAndDeposit(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	b := NewBudget(BudgetOptions{Ratio: 0.5, Burst: 2, Metrics: reg})
+	b := NewBudget(BudgetOptions{Metrics: reg})
 
 	// Starts at the burst balance.
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("initial tokens = %v, want 2", got)
+	if got := b.Tokens(); got != budgetBurst {
+		t.Fatalf("initial tokens = %v, want %v", got, budgetBurst)
 	}
-	if !b.TrySpend() || !b.TrySpend() {
-		t.Fatal("burst tokens refused")
+	for i := 0; i < budgetBurst; i++ {
+		if !b.TrySpend() {
+			t.Fatalf("burst token %d refused", i+1)
+		}
 	}
 	if b.TrySpend() {
 		t.Fatal("empty budget granted a token")
@@ -29,25 +33,28 @@ func TestBudgetSpendAndDeposit(t *testing.T) {
 		t.Fatalf("retry_budget_exhausted_total = %d, want 1", got)
 	}
 
-	// One success deposits Ratio — not yet a whole token.
-	b.RecordSuccess()
+	// Each success deposits budgetRatio (0.2): four are not yet a whole
+	// token, the fifth completes one.
+	for i := 0; i < 4; i++ {
+		b.RecordSuccess()
+	}
 	if b.TrySpend() {
-		t.Fatal("half a token granted a spend")
+		t.Fatal("four fifths of a token granted a spend")
 	}
 	b.RecordSuccess()
 	if !b.TrySpend() {
-		t.Fatal("two successes at ratio 0.5 should fund one retry")
+		t.Fatal("five successes at ratio 0.2 should fund one retry")
 	}
 
-	// Deposits cap at Burst.
+	// Deposits cap at the burst.
 	for i := 0; i < 100; i++ {
 		b.RecordSuccess()
 	}
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("tokens after heavy deposits = %v, want burst cap 2", got)
+	if got := b.Tokens(); got != budgetBurst {
+		t.Fatalf("tokens after heavy deposits = %v, want burst cap %v", got, budgetBurst)
 	}
-	if got := reg.Snapshot().Gauges["retry_budget_tokens"]; got != 2 {
-		t.Fatalf("retry_budget_tokens gauge = %v, want 2", got)
+	if got := reg.Snapshot().Gauges["retry_budget_tokens"]; got != budgetBurst {
+		t.Fatalf("retry_budget_tokens gauge = %v, want %v", got, budgetBurst)
 	}
 }
 
@@ -60,7 +67,7 @@ func TestBudgetNilAdmitsEverything(t *testing.T) {
 }
 
 func TestBudgetConcurrentAccounting(t *testing.T) {
-	b := NewBudget(BudgetOptions{Ratio: 1, Burst: 1000})
+	b := NewBudget(BudgetOptions{})
 	var granted atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -76,10 +83,8 @@ func TestBudgetConcurrentAccounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// 4000 spends against 1000 burst + 4000 deposits (ratio 1, capped):
-	// every spend after the first should be funded, so grants are within
-	// [spends - slack, spends]. The precise bound: grants ≤ burst +
-	// deposits = 5000 (trivially true) and tokens never negative.
+	// 4000 spends against the burst plus 4000 deposits of 0.2: the
+	// balance must never go negative.
 	if got := b.Tokens(); got < 0 {
 		t.Fatalf("token balance went negative: %v", got)
 	}
@@ -89,16 +94,29 @@ func TestBudgetConcurrentAccounting(t *testing.T) {
 }
 
 func TestHedgedWithBudgetSuppressesHedge(t *testing.T) {
-	b := NewBudget(BudgetOptions{Ratio: 0.2, Burst: 1})
-	if !b.TrySpend() {
-		t.Fatal("draining spend refused")
+	reg := telemetry.NewRegistry()
+	b := NewBudget(BudgetOptions{Metrics: reg})
+	for b.TrySpend() {
 	}
+	refused := reg.Counter("retry_budget_exhausted_total")
 
+	// The hedge timer fires on an empty budget: the refusal is counted,
+	// and only then does the primary answer.
+	clk := clock.NewFake()
 	var attempts atomic.Int64
-	winner, hedged, err := Hedged(context.Background(), time.Millisecond, b,
+	release := make(chan struct{})
+	go func() {
+		clk.BlockUntil(1)
+		clk.Advance(time.Second)
+		for refused.Value() < 2 && attempts.Load() < 2 {
+			runtime.Gosched()
+		}
+		close(release)
+	}()
+	winner, hedged, err := Hedged(context.Background(), clk, time.Second, b,
 		func(ctx context.Context, attempt int) error {
 			attempts.Add(1)
-			time.Sleep(20 * time.Millisecond) // slow enough for the timer to fire
+			<-release
 			return nil
 		})
 	if err != nil || winner != 0 || hedged {
@@ -112,26 +130,17 @@ func TestHedgedWithBudgetSuppressesHedge(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.RecordSuccess()
 	}
-	attempts.Store(0)
-	release := make(chan struct{})
-	_, hedged, err = Hedged(context.Background(), time.Millisecond, b,
+	fireHedgeTimer(clk, time.Second)
+	winner, hedged, err = Hedged(context.Background(), clk, time.Second, b,
 		func(ctx context.Context, attempt int) error {
-			attempts.Add(1)
 			if attempt == 0 {
-				select {
-				case <-release:
-				case <-ctx.Done():
-				}
+				<-ctx.Done() // the winning hedge cancels the primary
 				return errors.New("primary lost")
 			}
 			return nil
 		})
-	close(release)
-	if err != nil || !hedged {
-		t.Fatalf("hedged=%v err=%v; want funded hedge to run and win", hedged, err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want 2", got)
+	if err != nil || !hedged || winner != 1 {
+		t.Fatalf("winner=%d hedged=%v err=%v; want the funded hedge to run and win", winner, hedged, err)
 	}
 }
 
@@ -196,11 +205,14 @@ func TestSetSeedAndRemoveGaugeAccounting(t *testing.T) {
 // TestProberRetargetHalfOpenRace drives the swap scenario at the
 // resilience layer: a prober and live "traffic" race over a breaker
 // that is seeded half-open by a topology swap, while SetTargets
-// replaces the probe list concurrently. The half-open contract — at
-// most one trial in flight, every admitted call Recorded — must hold
-// under -race, and no probe may be sent to a target twice concurrently.
+// replaces the probe list concurrently and the clock moves on by a
+// cooldown per round, so probes and trials keep coming. The half-open
+// contract — at most one trial in flight, every admitted call Recorded
+// — must hold under -race, and no probe may be sent to a target twice
+// concurrently.
 func TestProberRetargetHalfOpenRace(t *testing.T) {
-	s := NewSet(BreakerOptions{Cooldown: time.Millisecond}, telemetry.NewRegistry())
+	clk := clock.NewFake()
+	s := NewSet(BreakerOptions{Clock: clk}, telemetry.NewRegistry())
 
 	var inflight atomic.Int64 // concurrent pings to the half-open target
 	var maxInflight atomic.Int64
@@ -212,35 +224,17 @@ func TestProberRetargetHalfOpenRace(t *testing.T) {
 				break
 			}
 		}
-		time.Sleep(100 * time.Microsecond)
+		time.Sleep(100 * time.Microsecond) // a probe takes a while: overlapping ones would show
 		inflight.Add(-1)
 		return nil
 	}
 
-	p := NewProber(s, nil, ProberOptions{Interval: time.Millisecond, Timeout: time.Second})
+	p := NewProber(s, nil, ProberOptions{})
 	p.Start()
 	defer p.Stop()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Swapper: re-seed and retarget continuously.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Seed("replica-new", HalfOpen)
-			p.SetTargets([]ProbeTarget{{Name: "replica-new", Ping: ping}})
-			if i%3 == 0 {
-				s.Remove("replica-old")
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
 	// Traffic: Allow/Record against the same breaker names.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -257,10 +251,20 @@ func TestProberRetargetHalfOpenRace(t *testing.T) {
 					b.Record(i%4 != 0)
 				}
 				s.Get("replica-old").Allow()
+				runtime.Gosched() // let the swapper through on one CPU too
 			}
 		}(g)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// Swapper: re-seed, retarget and move the clock on, round after round.
+	for i := 0; i < 2000; i++ {
+		s.Seed("replica-new", HalfOpen)
+		p.SetTargets([]ProbeTarget{{Name: "replica-new", Ping: ping}})
+		if i%3 == 0 {
+			s.Remove("replica-old")
+		}
+		clk.Advance(BreakerCooldown)
+		runtime.Gosched()
+	}
 	close(stop)
 	wg.Wait()
 	p.Stop()

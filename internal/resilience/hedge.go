@@ -3,15 +3,17 @@ package resilience
 import (
 	"context"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Hedged runs fn as the primary attempt (attempt 0) and, if it has not
-// returned within after, launches exactly one hedge (attempt 1) of the
-// same work. The first attempt to *succeed* wins and the loser's
-// context is cancelled; a failed attempt does not win while the other
-// is still running (errors are what the wire client's retries are for —
-// the hedge exists to cut tail latency, so it only pays off against
-// slowness).
+// returned within after on clk (nil: real time), launches exactly one
+// hedge (attempt 1) of the same work. The first attempt to *succeed*
+// wins and the loser's context is cancelled; a failed attempt does not
+// win while the other is still running (errors are what the wire
+// client's retries are for — the hedge exists to cut tail latency, so
+// it only pays off against slowness).
 //
 // after <= 0 disables hedging: fn runs once, inline.
 //
@@ -30,7 +32,7 @@ import (
 // Returns the winning attempt index, whether a hedge was launched, and
 // the winner's error (when both attempts fail, the primary's error —
 // the representative one; the hedge saw the same node).
-func Hedged(ctx context.Context, after time.Duration, budget *Budget, fn func(ctx context.Context, attempt int) error) (winner int, hedged bool, err error) {
+func Hedged(ctx context.Context, clk clock.Clock, after time.Duration, budget *Budget, fn func(ctx context.Context, attempt int) error) (winner int, hedged bool, err error) {
 	if after <= 0 {
 		return 0, false, fn(ctx, 0)
 	}
@@ -45,7 +47,7 @@ func Hedged(ctx context.Context, after time.Duration, budget *Budget, fn func(ct
 	defer hcancel()
 
 	go func() { results <- outcome{0, fn(pctx, 0)} }()
-	timer := time.NewTimer(after)
+	timer := clock.Or(clk).NewTimer(after)
 	defer timer.Stop()
 
 	pending := 1
@@ -75,7 +77,7 @@ func Hedged(ctx context.Context, after time.Duration, budget *Budget, fn func(ct
 				return 1, hedged, hedgeErr
 			}
 			// One attempt failed; keep waiting for the other.
-		case <-timer.C:
+		case <-timer.C():
 			if !hedged && budget.TrySpend() {
 				hedged = true
 				pending++

@@ -6,8 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
+
+// probeTimeout bounds each probe. It is a deadline, so it runs on the
+// wall clock (see internal/clock).
+const probeTimeout = time.Second
 
 // ProbeTarget is one node the prober may ping.
 type ProbeTarget struct {
@@ -19,10 +24,9 @@ type ProbeTarget struct {
 
 // ProberOptions tunes the background health prober.
 type ProberOptions struct {
-	// Interval is how often unhealthy nodes are probed (default 2s).
+	// Interval is how long the prober waits after one sweep of the
+	// unhealthy nodes before the next, on the Set's clock (default 2s).
 	Interval time.Duration
-	// Timeout bounds each probe (default 1s).
-	Timeout time.Duration
 	// Metrics receives health_probes_total and
 	// health_probe_failures_total (may be nil).
 	Metrics *telemetry.Registry
@@ -35,8 +39,8 @@ type ProberOptions struct {
 // nodes are left alone — query traffic is their health check.
 type Prober struct {
 	set      *Set
+	clock    clock.Clock // the Set's, which times the cooldowns the prober waits out
 	interval time.Duration
-	timeout  time.Duration
 
 	mu      sync.Mutex
 	targets []ProbeTarget
@@ -50,20 +54,17 @@ type Prober struct {
 	done     chan struct{}
 }
 
-// NewProber builds a prober over the given targets. Call Start to begin
-// probing and Stop to halt it.
+// NewProber builds a prober over the given targets and the non-nil
+// set. Call Start to begin probing and Stop to halt it.
 func NewProber(set *Set, targets []ProbeTarget, opts ProberOptions) *Prober {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = time.Second
-	}
 	return &Prober{
 		set:      set,
+		clock:    set.Clock(),
 		targets:  targets,
 		interval: opts.Interval,
-		timeout:  opts.Timeout,
 		probes:   opts.Metrics.DeclareCounter("health_probes_total", "Background health probes sent to non-closed breaker targets."),
 		failures: opts.Metrics.DeclareCounter("health_probe_failures_total", "Background health probes that failed."),
 		stop:     make(chan struct{}),
@@ -101,13 +102,13 @@ func (p *Prober) Stop() {
 
 func (p *Prober) run() {
 	defer close(p.done)
-	ticker := time.NewTicker(p.interval)
-	defer ticker.Stop()
 	for {
+		t := p.clock.NewTimer(p.interval)
 		select {
 		case <-p.stop:
+			t.Stop()
 			return
-		case <-ticker.C:
+		case <-t.C():
 			p.sweep()
 		}
 	}
@@ -131,7 +132,7 @@ func (p *Prober) sweep() {
 		wg.Add(1)
 		go func(t ProbeTarget, b *Breaker) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			p.probes.Inc()
 			err := t.Ping(ctx)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -38,6 +39,15 @@ func NewSet(opts BreakerOptions, reg *telemetry.Registry) *Set {
 		open:     reg.DeclareGauge("breakers_open", "Circuit breakers currently open (targets routed around)."),
 		trips:    reg.DeclareCounter("breaker_trips_total", "Circuit-breaker transitions from closed to open."),
 	}
+}
+
+// Clock returns the clock the set's breakers time their cooldowns on
+// (real time for a nil set).
+func (s *Set) Clock() clock.Clock {
+	if s == nil {
+		return clock.Real
+	}
+	return clock.Or(s.opts.Clock)
 }
 
 // Get returns the node's breaker, creating it (closed) on first use.

@@ -321,7 +321,6 @@ func TestClusterReconfiguration(t *testing.T) {
 				t.Fatalf("post-swap query %q: %v", q, err)
 			}
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
 	// Rankings after the swap stay bit-identical to the single-process
@@ -347,30 +346,21 @@ func TestClusterReconfiguration(t *testing.T) {
 	}
 
 	// Breaker carryover and cleanup on the owning shard: the surviving
-	// replica's breaker is still there, the dead replica's is gone once
-	// its drain finishes, the newcomer's exists. Drain is asynchronous
-	// (background goroutine polling in-flight counts), so wait briefly.
-	deadKey := dbs[0].name + "@" + deadAddr
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		names := make(map[string]bool)
-		for _, b := range breakerNames(shardMs) {
-			names[b] = true
-		}
-		if !names[deadKey] {
-			if !names[dbs[0].name+"@"+chaosAddr] {
-				t.Errorf("no breaker for the swapped-in replica %s@%s", dbs[0].name, chaosAddr)
-			}
-			if !names[dbs[0].name+"@"+replicaAddrs[dbs[0].name][1]] {
-				t.Errorf("surviving replica's breaker did not carry over the swap")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Errorf("dead replica's breaker %s still present after drain deadline", deadKey)
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	// replica's breaker is still there, the newcomer's exists, and the
+	// dead replica's is gone — its drain released it as its last call
+	// returned, long before the queries above finished.
+	names := make(map[string]bool)
+	for _, b := range breakerNames(shardMs) {
+		names[b] = true
+	}
+	if deadKey := dbs[0].name + "@" + deadAddr; names[deadKey] {
+		t.Errorf("dead replica's breaker %s still present after its calls drained", deadKey)
+	}
+	if !names[dbs[0].name+"@"+chaosAddr] {
+		t.Errorf("no breaker for the swapped-in replica %s@%s", dbs[0].name, chaosAddr)
+	}
+	if !names[dbs[0].name+"@"+replicaAddrs[dbs[0].name][1]] {
+		t.Errorf("surviving replica's breaker did not carry over the swap")
 	}
 
 	// Retry volume stays inside the cluster retry budget: per process,

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/gateway"
 	"repro/internal/resilience"
 	"repro/internal/shardmap"
@@ -205,9 +205,7 @@ func TestBreakerShortCircuitsFailingShard(t *testing.T) {
 	b := newFakeShard(t, reply())
 	b.status.Store(http.StatusInternalServerError)
 	reg := telemetry.NewRegistry()
-	breakers := resilience.NewSet(resilience.BreakerOptions{
-		Window: 4, MinSamples: 3, FailureThreshold: 0.5, Cooldown: time.Hour,
-	}, reg)
+	breakers := resilience.NewSet(resilience.BreakerOptions{Clock: clock.NewFake()}, reg)
 	rt, err := New(testTopology(a, b), Options{Metrics: reg, Breakers: breakers})
 	if err != nil {
 		t.Fatal(err)
@@ -237,9 +235,7 @@ func TestShedDoesNotTripBreaker(t *testing.T) {
 	b := newFakeShard(t, reply())
 	b.status.Store(http.StatusTooManyRequests)
 	reg := telemetry.NewRegistry()
-	breakers := resilience.NewSet(resilience.BreakerOptions{
-		Window: 4, MinSamples: 3, FailureThreshold: 0.5, Cooldown: time.Hour,
-	}, reg)
+	breakers := resilience.NewSet(resilience.BreakerOptions{Clock: clock.NewFake()}, reg)
 	rt, err := New(testTopology(a, b), Options{Metrics: reg, Breakers: breakers})
 	if err != nil {
 		t.Fatal(err)

@@ -325,6 +325,9 @@ func frameTypes(frames []streamFrame) []string {
 	return out
 }
 
+// waitFor polls cond every 10 ms until it holds or d has passed: the
+// shards' search_inflight gauges are state their goroutines reach with
+// no event a test can wait on.
 func waitFor(d time.Duration, cond func() bool) error {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
@@ -27,7 +28,7 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 	a := newFakeShard(t, reply())
 	b := newFakeShard(t, reply())
 	reg := telemetry.NewRegistry()
-	breakers := resilience.NewSet(resilience.BreakerOptions{Window: 4, MinSamples: 2}, reg)
+	breakers := resilience.NewSet(resilience.BreakerOptions{Clock: clock.NewFake()}, reg)
 	rt, err := New(testTopology(a, b), Options{Metrics: reg, Breakers: breakers})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 
 func TestApplyTopologyMovedShardKeepsBreaker(t *testing.T) {
 	a := newFakeShard(t, reply())
-	breakers := resilience.NewSet(resilience.BreakerOptions{Window: 4, MinSamples: 2}, nil)
+	breakers := resilience.NewSet(resilience.BreakerOptions{Clock: clock.NewFake()}, nil)
 	rt, err := New(testTopology(a), Options{Breakers: breakers})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,10 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	a := newFakeShard(t, reply())
 	a.status.Store(500) // persistent transient failure
 	reg := telemetry.NewRegistry()
-	budget := resilience.NewBudget(resilience.BudgetOptions{Ratio: 0.2, Burst: 1, Metrics: reg})
+	budget := resilience.NewBudget(resilience.BudgetOptions{Metrics: reg})
+	for budget.Tokens() > 1 {
+		budget.TrySpend()
+	}
 	rt, err := New(testTopology(a), Options{Metrics: reg, Budget: budget})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +176,7 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
 		t.Fatal("want error with the only shard failing")
 	}
-	// Burst of 1: the first query's failure funds exactly one retry,
+	// One token left: the first query's failure funds exactly one retry,
 	// the next query's cannot.
 	if got := a.calls.Load(); got != 2 {
 		t.Fatalf("shard calls = %d, want 2 (first attempt + one funded retry)", got)

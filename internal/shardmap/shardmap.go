@@ -63,6 +63,12 @@ const (
 	DefaultLoadFactor = 1.25
 )
 
+// maxVirtualNodes caps virtual_nodes. Every Owners call builds a ring
+// of shards × virtual_nodes points, so an unbounded value in a
+// rewritten file would exhaust a live router's or shard's memory
+// instead of being rejected like any other bad edit.
+const maxVirtualNodes = 4096
+
 // Shard is one metasearcher shard process.
 type Shard struct {
 	// ID names the shard; it is what the ring hashes, so renaming a
@@ -94,8 +100,9 @@ type Database struct {
 type Topology struct {
 	Version int `json:"version"`
 	// VirtualNodes and LoadFactor tune the ring (zero selects the
-	// defaults). They are part of the file on purpose: two processes
-	// disagreeing on either would disagree on the partition.
+	// defaults; VirtualNodes may not exceed 4096). They are part of the
+	// file on purpose: two processes disagreeing on either would
+	// disagree on the partition.
 	VirtualNodes int     `json:"virtual_nodes,omitempty"`
 	LoadFactor   float64 `json:"load_factor,omitempty"`
 	// Replication is how many shards own each database (default 1,
@@ -150,8 +157,8 @@ func (t *Topology) Validate() error {
 	if t.Version != TopologyVersion {
 		return fmt.Errorf("shardmap: unsupported topology version %d (want %d)", t.Version, TopologyVersion)
 	}
-	if t.virtualNodes() < 1 {
-		return fmt.Errorf("shardmap: virtual_nodes must be positive, got %d", t.VirtualNodes)
+	if n := t.virtualNodes(); n < 1 || n > maxVirtualNodes {
+		return fmt.Errorf("shardmap: virtual_nodes must be in [1, %d], got %d", maxVirtualNodes, t.VirtualNodes)
 	}
 	if t.loadFactor() < 1 {
 		return fmt.Errorf("shardmap: load_factor must be >= 1, got %g", t.LoadFactor)

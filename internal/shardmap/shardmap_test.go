@@ -257,6 +257,9 @@ func TestTopologyValidate(t *testing.T) {
 		{"empty replica", func(tp *Topology) { tp.Databases[0].Replicas[0] = "" }},
 		{"replication > shards", func(tp *Topology) { tp.Replication = 3 }},
 		{"negative load factor", func(tp *Topology) { tp.LoadFactor = 0.5 }},
+		{"negative virtual nodes", func(tp *Topology) { tp.VirtualNodes = -1 }},
+		{"virtual nodes over the cap", func(tp *Topology) { tp.VirtualNodes = maxVirtualNodes + 1 }},
+		{"a billion virtual nodes", func(tp *Topology) { tp.VirtualNodes = 1_000_000_000 }},
 	}
 	for _, tc := range cases {
 		tp := good()
@@ -266,6 +269,11 @@ func TestTopologyValidate(t *testing.T) {
 		}
 	}
 	tp := good()
+	tp.VirtualNodes = maxVirtualNodes
+	if err := tp.Validate(); err != nil {
+		t.Fatalf("topology at the virtual-node cap rejected: %v", err)
+	}
+	tp = good()
 	if err := tp.Validate(); err != nil {
 		t.Fatalf("valid topology rejected: %v", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -153,8 +154,9 @@ type WatcherOptions struct {
 	Metrics *telemetry.Registry
 	// Logger, when non-nil, logs accepted swaps and rejected files.
 	Logger *slog.Logger
-	// Clock overrides time.Now (tests).
-	Clock func() time.Time
+	// Clock stamps each snapshot's LoadedAt (nil: real time). The poll
+	// interval itself is a real ticker; tests call Poll directly.
+	Clock clock.Clock
 }
 
 // Watcher watches a topology file and publishes a new immutable
@@ -172,7 +174,7 @@ type WatcherOptions struct {
 type Watcher struct {
 	path     string
 	interval time.Duration
-	clock    func() time.Time
+	clock    clock.Clock
 	logger   *slog.Logger
 
 	generation *telemetry.Gauge
@@ -199,13 +201,10 @@ func NewWatcher(path string, opts WatcherOptions) (*Watcher, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = 2 * time.Second
 	}
-	if opts.Clock == nil {
-		opts.Clock = time.Now
-	}
 	w := &Watcher{
 		path:       path,
 		interval:   opts.Interval,
-		clock:      opts.Clock,
+		clock:      clock.Or(opts.Clock),
 		logger:     opts.Logger,
 		generation: opts.Metrics.DeclareGauge("topology_generation", "Generation of the topology snapshot this process is serving."),
 		reloads:    opts.Metrics.DeclareCounter("topology_reloads_total", "Topology file reloads accepted (snapshot swapped)."),
@@ -220,7 +219,7 @@ func NewWatcher(path string, opts WatcherOptions) (*Watcher, error) {
 	if st, err := os.Stat(path); err == nil {
 		w.lastMod, w.lastSize = st.ModTime(), st.Size()
 	}
-	w.cur = &Snapshot{Topology: topo, Generation: 1, LoadedAt: w.clock()}
+	w.cur = &Snapshot{Topology: topo, Generation: 1, LoadedAt: w.clock.Now()}
 	w.generation.Set(1)
 	return w, nil
 }
@@ -286,7 +285,7 @@ func (w *Watcher) Poll() (swapped bool, err error) {
 	snap := &Snapshot{
 		Topology:   topo,
 		Generation: w.cur.Generation + 1,
-		LoadedAt:   w.clock(),
+		LoadedAt:   w.clock.Now(),
 		Diff:       DiffTopologies(w.cur.Topology, topo),
 	}
 	w.cur = snap

@@ -20,7 +20,6 @@ type Tracer struct {
 	obs  Observer
 	ids  atomic.Uint64
 	base uint64
-	now  func() time.Time
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -33,7 +32,7 @@ func NewTracer(obs Observer) *Tracer {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	return &Tracer{obs: obs, now: time.Now, rng: rng, base: rng.Uint64()}
+	return &Tracer{obs: obs, rng: rng, base: rng.Uint64()}
 }
 
 // newTraceID draws a fresh 64-bit trace ID, rendered as 16 hex digits.
@@ -73,7 +72,7 @@ func (t *Tracer) start(name string, parent uint64, trace string, attrs []Attr) *
 		parent: parent,
 		trace:  trace,
 		name:   name,
-		start:  t.now(),
+		start:  time.Now(),
 	}
 	t.obs.Observe(Event{
 		Kind:   KindSpanStart,
@@ -139,7 +138,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		Trace:  s.trace,
 		Span:   s.id,
 		Parent: s.parent,
-		Time:   s.t.now(),
+		Time:   time.Now(),
 		Attrs:  attrs,
 	})
 }
@@ -150,7 +149,7 @@ func (s *Span) End(attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	now := s.t.now()
+	now := time.Now()
 	s.t.obs.Observe(Event{
 		Kind:     KindSpanEnd,
 		Name:     s.name,

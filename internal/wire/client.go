@@ -12,12 +12,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -44,19 +44,25 @@ var sharedTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
+// The retry policy: a failed attempt is retried on transient errors —
+// network failures, timeouts, 5xx, 429 — up to maxRetries times, the
+// k-th retry sleeping backoffBase·2^k jittered into [d/2, d) and capped
+// at backoffMax. A shed's Retry-After replaces the backoff, and
+// DecodeError clamps it to backoffMax too: a peer cannot stall the
+// client past its own ceiling.
+const (
+	maxRetries  = 3
+	backoffBase = 50 * time.Millisecond
+	backoffMax  = 2 * time.Second
+)
+
 // ClientOptions configures a Client. The zero value is usable.
 type ClientOptions struct {
 	// Timeout bounds each attempt, dial to last body byte (default 5s).
+	// It is a context deadline on the wall clock, not on Clock.
 	Timeout time.Duration
-	// MaxRetries is how many times a failed attempt is retried on
-	// transient errors — network failures, timeouts, 5xx, 429 —
-	// before the call fails (default 3; negative disables retries).
-	MaxRetries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// retries: the k-th retry sleeps base·2^k jittered into
-	// [d/2, d), capped at BackoffMax (defaults 50ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
+	// Clock times the backoff sleeps between retries (nil: real time).
+	Clock clock.Clock
 	// CacheSize is the capacity of the in-client LRU document cache
 	// (default 1024; negative disables caching).
 	CacheSize int
@@ -76,8 +82,6 @@ type ClientOptions struct {
 	// doc cache's wire_doc_cache_* series (see internal/cache). May be
 	// nil.
 	Metrics *telemetry.Registry
-	// randFloat overrides the jitter source (tests).
-	randFloat func() float64
 }
 
 // RetryBudget is the token-bucket contract the client uses to throttle
@@ -95,18 +99,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout == 0 {
 		o.Timeout = 5 * time.Second
 	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 2 * time.Second
-	}
+	o.Clock = clock.Or(o.Clock)
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
 	}
@@ -141,9 +134,6 @@ type Client struct {
 	healthReqs *telemetry.Counter
 	inflight   *telemetry.Gauge
 	latency    *telemetry.Histogram
-
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 }
 
 // NewClient creates a client for the node at addr ("host:port" or a
@@ -182,9 +172,6 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		healthReqs: reg.DeclareCounter("wire_health_probes_total", "Wire /v1/health probes issued."),
 		inflight:   reg.DeclareGauge("wire_client_inflight", "Wire calls currently in flight from this client."),
 		latency:    reg.DeclareHistogram("wire_request_latency", "Per-call wire latency including retries, seconds.", nil),
-	}
-	if opts.randFloat == nil {
-		c.jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
 	}
 	return c
 }
@@ -272,7 +259,7 @@ func (c *Client) endpointCounter(path string) *telemetry.Counter {
 }
 
 // do runs one logical request: attempt, and on transient failure retry
-// with jittered exponential backoff until MaxRetries is exhausted or
+// with jittered exponential backoff until maxRetries is exhausted or
 // ctx is done. One logical request counts once in wire_requests_total
 // (and its per-endpoint counter) and once in wire_request_latency
 // regardless of attempts; each attempt counts in
@@ -327,7 +314,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 				stats.sheds.Add(1)
 			}
 		}
-		if !transient(lastErr) || attempt >= c.opts.MaxRetries || ctx.Err() != nil {
+		if !transient(lastErr) || attempt >= maxRetries || ctx.Err() != nil {
 			break
 		}
 		if c.opts.Budget != nil && !c.opts.Budget.TrySpend() {
@@ -340,7 +327,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 		if stats != nil {
 			stats.retries.Add(1)
 		}
-		if err := sleepCtx(ctx, c.retryDelay(attempt, lastErr)); err != nil {
+		if err := c.sleep(ctx, c.retryDelay(attempt, lastErr)); err != nil {
 			lastErr = err
 			break
 		}
@@ -390,39 +377,28 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 
 // retryDelay picks the sleep before the (attempt+1)-th retry: when the
 // node shed the request and named its price in Retry-After, honor it
-// (capped at BackoffMax — a peer cannot stall the client arbitrarily);
-// otherwise fall back to jittered exponential backoff.
+// (DecodeError has already capped it at backoffMax); otherwise fall
+// back to jittered exponential backoff.
 func (c *Client) retryDelay(attempt int, lastErr error) time.Duration {
 	var pe *ProtocolError
 	if errors.As(lastErr, &pe) && pe.Shed() && pe.RetryAfter > 0 {
-		if pe.RetryAfter > c.opts.BackoffMax {
-			return c.opts.BackoffMax
-		}
 		return pe.RetryAfter
 	}
-	return c.backoff(attempt)
+	return backoff(attempt)
 }
 
 // backoff returns the jittered sleep before the (attempt+1)-th retry.
-func (c *Client) backoff(attempt int) time.Duration {
-	d := c.opts.BackoffBase
-	for i := 0; i < attempt && d < c.opts.BackoffMax; i++ {
+func backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.opts.BackoffMax {
-		d = c.opts.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
 	// Jitter into [d/2, d) so a fleet of clients retrying against one
 	// recovering node spreads out instead of thundering back in sync.
-	var f float64
-	if c.opts.randFloat != nil {
-		f = c.opts.randFloat()
-	} else {
-		c.jitterMu.Lock()
-		f = c.jitter.Float64()
-		c.jitterMu.Unlock()
-	}
-	return d/2 + time.Duration(f*float64(d/2))
+	return d/2 + time.Duration(rand.Float64()*float64(d/2))
 }
 
 // transient reports whether err is worth retrying: every network-level
@@ -440,14 +416,15 @@ func transient(err error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// sleepCtx sleeps for d or until ctx is done, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
+// sleep waits d on the client's clock or until ctx is done, whichever
+// is first.
+func (c *Client) sleep(ctx context.Context, d time.Duration) error {
+	t := c.opts.Clock.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.C:
+	case <-t.C():
 		return nil
 	}
 }

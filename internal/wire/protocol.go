@@ -174,9 +174,9 @@ type ProtocolError struct {
 	// when the peer did not produce one, e.g. an intermediary 502).
 	Code    string
 	Message string
-	// RetryAfter is the backoff the peer's Retry-After header asked for
-	// (zero when absent). The client honors it between retries of a shed
-	// request.
+	// RetryAfter is the backoff the peer's Retry-After header asked for,
+	// clamped to [0, backoffMax] (zero when absent or unparseable). The
+	// client honors it between retries of a shed request.
 	RetryAfter time.Duration
 }
 
@@ -209,7 +209,8 @@ func DecodeError(resp *http.Response) *ProtocolError {
 	pe := &ProtocolError{Status: resp.StatusCode}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-			pe.RetryAfter = time.Duration(secs) * time.Second
+			// Clamp before converting: a large header overflows time.Duration.
+			pe.RetryAfter = time.Duration(min(secs, int(backoffMax/time.Second))) * time.Second
 		}
 	}
 	var env ErrorEnvelope

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -55,23 +56,24 @@ func TestHealthEndpointAndDraining(t *testing.T) {
 func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	release := make(chan struct{})
-	db := &slowDB{fakeDB: testDB(), gate: release}
-	node := NewNode(db, ServerOptions{MaxInflight: 1, RetryAfter: 7, Metrics: reg})
+	db := newSlowDB(release)
+	node := NewNode(db, ServerOptions{MaxInflight: 1, RetryAfter: 1, Metrics: reg})
 	srv := httptest.NewServer(node)
 	defer srv.Close()
 
 	// Occupy the node's single slot with a hung query.
 	blockedErr := make(chan error, 1)
-	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, MaxRetries: -1, Metrics: reg})
+	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, Metrics: reg})
 	go func() {
 		_, _, err := c1.Query(context.Background(), []string{"heart"}, 10)
 		blockedErr <- err
 	}()
-	waitFor(t, func() bool { return node.Inflight() == 1 })
+	<-db.entered
 
-	// A second request must be shed, not queued — and the 429 must carry
-	// the configured Retry-After through to the ProtocolError.
-	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, MaxRetries: -1, Metrics: reg})
+	// A second request must be shed, not queued — every attempt of it —
+	// and the 429 must carry the configured Retry-After through to the
+	// ProtocolError.
+	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, Clock: clock.NewInstant(), Metrics: reg})
 	_, _, err := c2.Query(context.Background(), []string{"heart"}, 10)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
@@ -80,14 +82,14 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	if !pe.Shed() || !IsShed(err) || pe.Code != CodeOverloaded {
 		t.Fatalf("shed query err = %+v, want 429/overloaded", pe)
 	}
-	if pe.RetryAfter != 7*time.Second {
-		t.Fatalf("RetryAfter = %v, want 7s", pe.RetryAfter)
+	if pe.RetryAfter != time.Second {
+		t.Fatalf("RetryAfter = %v, want 1s", pe.RetryAfter)
 	}
-	if got := reg.Counter("wire_server_shed_total").Value(); got != 1 {
-		t.Errorf("wire_server_shed_total = %v, want 1", got)
+	if got := reg.Counter("wire_server_shed_total").Value(); got != maxRetries+1 {
+		t.Errorf("wire_server_shed_total = %v, want %d", got, maxRetries+1)
 	}
-	if got := reg.Counter("wire_client_sheds_total").Value(); got != 1 {
-		t.Errorf("wire_client_sheds_total = %v, want 1", got)
+	if got := reg.Counter("wire_client_sheds_total").Value(); got != maxRetries+1 {
+		t.Errorf("wire_client_sheds_total = %v, want %d", got, maxRetries+1)
 	}
 
 	// Health sees through the overload: it is exempt from the gate.
@@ -99,45 +101,64 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	if err := <-blockedErr; err != nil {
 		t.Fatalf("occupying query failed: %v", err)
 	}
-	waitFor(t, func() bool { return node.Inflight() == 0 })
+	srv.Close() // returns once every handler has, its gate.Leave included
+	if n := node.Inflight(); n != 0 {
+		t.Fatalf("node holds %d gate slots after every request finished, want 0", n)
+	}
 }
 
+// TestClientHonorsRetryAfterOnShedRetries: a shed's Retry-After replaces
+// the backoff, capped at backoffMax. The node asks for 7 s; moving the
+// client's clock on by the cap per retry must see the call through, so
+// a peer cannot stall the client past its own backoff ceiling.
 func TestClientHonorsRetryAfterOnShedRetries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	release := make(chan struct{})
-	db := &slowDB{fakeDB: testDB(), gate: release}
-	node := NewNode(db, ServerOptions{MaxInflight: 1, RetryAfter: 1, Metrics: reg})
+	db := newSlowDB(release)
+	node := NewNode(db, ServerOptions{MaxInflight: 1, RetryAfter: 7, Metrics: reg})
 	srv := httptest.NewServer(node)
 	defer srv.Close()
 
 	blockedErr := make(chan error, 1)
-	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, MaxRetries: -1, Metrics: reg})
+	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, Metrics: reg})
 	go func() {
 		_, _, err := c1.Query(context.Background(), []string{"heart"}, 10)
 		blockedErr <- err
 	}()
-	waitFor(t, func() bool { return node.Inflight() == 1 })
+	<-db.entered
 
-	// Retry-After (1s) exceeds BackoffMax (20ms): the cap must win, so
-	// 2 retries complete in well under a second — a peer cannot stall
-	// the client past its own backoff ceiling.
-	c2 := NewClient(srv.URL, ClientOptions{
-		Timeout: time.Second, MaxRetries: 2,
-		BackoffBase: time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		Metrics: reg,
-	})
+	clk := clock.NewFake()
+	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, Clock: clk, Metrics: reg})
 	ctx, stats := WithCallStats(context.Background())
-	t0 := time.Now()
-	_, _, err := c2.Query(ctx, []string{"heart"}, 10)
-	if !IsShed(err) {
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c2.Query(ctx, []string{"heart"}, 10)
+		done <- err
+	}()
+	start := clk.Now()
+	for i := 0; i < maxRetries; i++ {
+		clk.BlockUntil(1)
+		clk.Advance(backoffMax)
+	}
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("call still sleeping after %d retries of %v: Retry-After was not capped", maxRetries, backoffMax)
+	}
+	var pe *ProtocolError
+	if !errors.As(err, &pe) || !pe.Shed() {
 		t.Fatalf("err = %v, want shed after exhausting retries", err)
 	}
-	if elapsed := time.Since(t0); elapsed > 500*time.Millisecond {
-		t.Fatalf("retries took %v; Retry-After must be capped at BackoffMax", elapsed)
+	if pe.RetryAfter != backoffMax {
+		t.Fatalf("RetryAfter = %v, want the cap %v", pe.RetryAfter, backoffMax)
 	}
-	if stats.Attempts() != 3 || stats.Retries() != 2 || stats.Sheds() != 3 {
-		t.Fatalf("stats = attempts %d retries %d sheds %d, want 3/2/3",
-			stats.Attempts(), stats.Retries(), stats.Sheds())
+	if got, want := clk.Now().Sub(start), maxRetries*backoffMax; got != want {
+		t.Fatalf("client clock moved %v, want %v", got, want)
+	}
+	if stats.Attempts() != maxRetries+1 || stats.Retries() != maxRetries || stats.Sheds() != maxRetries+1 {
+		t.Fatalf("stats = attempts %d retries %d sheds %d, want %d/%d/%d",
+			stats.Attempts(), stats.Retries(), stats.Sheds(), maxRetries+1, maxRetries, maxRetries+1)
 	}
 
 	close(release)
@@ -164,26 +185,25 @@ func TestContextWithCallStatsSharedAcrossCalls(t *testing.T) {
 }
 
 // slowDB blocks Query until gate closes, so tests can hold a node's
-// inflight slot open deterministically.
+// inflight slot open deterministically; entered receives once a query
+// holds the slot.
 type slowDB struct {
 	*fakeDB
-	gate <-chan struct{}
+	gate    <-chan struct{}
+	entered chan struct{}
+}
+
+func newSlowDB(gate <-chan struct{}) *slowDB {
+	return &slowDB{fakeDB: testDB(), gate: gate, entered: make(chan struct{}, 1)}
 }
 
 func (s *slowDB) Query(terms []string, limit int) (int, []int) {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
 	<-s.gate
 	return s.fakeDB.Query(terms, limit)
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition never became true")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // TestServeUntilSignal: SIGTERM flips the gate to draining, lets the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -61,12 +62,13 @@ func testDB() *fakeDB {
 	}}
 }
 
+// fastOpts runs the client's backoff on an instant clock: retries
+// happen at once, whatever the schedule says.
 func fastOpts(reg *telemetry.Registry) ClientOptions {
 	return ClientOptions{
-		Timeout:     2 * time.Second,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Metrics:     reg,
+		Timeout: 2 * time.Second,
+		Clock:   clock.NewInstant(),
+		Metrics: reg,
 	}
 }
 
@@ -167,16 +169,14 @@ func TestClientRetryExhaustion(t *testing.T) {
 	}))
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
-	opts := fastOpts(reg)
-	opts.MaxRetries = 2
-	c := NewClient(srv.URL, opts)
+	c := NewClient(srv.URL, fastOpts(reg))
 	_, _, err := c.Query(context.Background(), []string{"x"}, 1)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Status != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v", err)
 	}
-	if got := reg.Counter("wire_client_retries_total").Value(); got != 2 {
-		t.Errorf("retries = %d, want 2", got)
+	if got := reg.Counter("wire_client_retries_total").Value(); got != maxRetries {
+		t.Errorf("retries = %d, want %d", got, maxRetries)
 	}
 	if got := reg.Counter("wire_request_errors_total").Value(); got != 1 {
 		t.Errorf("request errors = %d, want 1", got)
@@ -203,42 +203,40 @@ func TestClientRetriesConnectionRefused(t *testing.T) {
 	// A node that is down entirely: dial fails, every attempt retried,
 	// the call ultimately errors.
 	reg := telemetry.NewRegistry()
-	opts := fastOpts(reg)
-	opts.MaxRetries = 1
-	c := NewClient("127.0.0.1:1", opts) // reserved port: connection refused
+	c := NewClient("127.0.0.1:1", fastOpts(reg)) // reserved port: connection refused
 	if _, err := c.Info(context.Background()); err == nil {
 		t.Fatal("expected dial error")
 	}
-	if got := reg.Counter("wire_client_retries_total").Value(); got != 1 {
-		t.Errorf("retries = %d, want 1", got)
+	if got := reg.Counter("wire_client_retries_total").Value(); got != maxRetries {
+		t.Errorf("retries = %d, want %d", got, maxRetries)
 	}
 }
 
+// TestClientCancellationStopsRetrying cancels a call while it sleeps
+// between retries: the sleep ends at once with the cancellation, and no
+// further attempt is made.
 func TestClientCancellationStopsRetrying(t *testing.T) {
+	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
 		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "down")
 	}))
 	defer srv.Close()
-	opts := fastOpts(nil)
-	opts.MaxRetries = 1000
-	opts.BackoffBase = 50 * time.Millisecond
-	opts.BackoffMax = 50 * time.Millisecond
-	c := NewClient(srv.URL, opts)
+	clk := clock.NewFake()
+	c := NewClient(srv.URL, ClientOptions{Clock: clk})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, _, err := c.Query(ctx, []string{"x"}, 1)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	clk.BlockUntil(1) // the first attempt failed; the client sleeps before its retry
 	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected error after cancel")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancellation did not stop the retry loop")
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("node saw %d attempts, want 1 (the cancelled backoff must not retry)", got)
 	}
 }
 
@@ -317,26 +315,20 @@ func TestDisabledDocCacheKeepsSchema(t *testing.T) {
 	}
 }
 
+// TestBackoffBoundsAndGrowth: the k-th retry sleeps in [d/2, d) for
+// d = backoffBase·2^k capped at backoffMax, so the schedule doubles
+// until the cap and never reaches it.
 func TestBackoffBoundsAndGrowth(t *testing.T) {
-	opts := ClientOptions{BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond}
-	opts.randFloat = func() float64 { return 0.999 }
-	c := NewClient("127.0.0.1:1", opts)
-	prev := time.Duration(0)
-	for attempt := 0; attempt < 6; attempt++ {
-		d := c.backoff(attempt)
-		if d < prev {
-			t.Errorf("backoff(%d) = %v shrank below %v", attempt, d, prev)
+	nominal := backoffBase
+	for attempt := 0; attempt < 8; attempt++ {
+		for draw := 0; draw < 100; draw++ {
+			if d := backoff(attempt); d < nominal/2 || d >= nominal {
+				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, nominal/2, nominal)
+			}
 		}
-		if d >= opts.BackoffMax {
-			t.Errorf("backoff(%d) = %v ≥ max %v", attempt, d, opts.BackoffMax)
+		if nominal *= 2; nominal > backoffMax {
+			nominal = backoffMax
 		}
-		prev = d
-	}
-	// Jitter floor: with randFloat = 0, the sleep is half the nominal.
-	opts.randFloat = func() float64 { return 0 }
-	c = NewClient("127.0.0.1:1", opts)
-	if d := c.backoff(0); d != opts.BackoffBase/2 {
-		t.Errorf("backoff floor = %v, want %v", d, opts.BackoffBase/2)
 	}
 }
 
@@ -350,9 +342,7 @@ func TestFlakyReconciliation(t *testing.T) {
 	})
 	srv := httptest.NewServer(flaky)
 	defer srv.Close()
-	opts := fastOpts(reg)
-	opts.MaxRetries = 3
-	c := NewClient(srv.URL, opts)
+	c := NewClient(srv.URL, fastOpts(reg))
 	ctx := context.Background()
 
 	for i := 0; i < 60; i++ {

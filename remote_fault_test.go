@@ -5,8 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/wire"
 )
 
@@ -39,10 +39,8 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 		flakies = append(flakies, flaky)
 		servers = append(servers, srv)
 		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{
-			MaxRetries:  6,
-			BackoffBase: time.Millisecond,
-			BackoffMax:  4 * time.Millisecond,
-			Metrics:     reg,
+			Clock:   clock.NewInstant(), // retries without backoff waits
+			Metrics: reg,
 		})
 		if err != nil {
 			t.Fatal(err)

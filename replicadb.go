@@ -43,8 +43,28 @@ type replicaSet struct {
 	preferred int
 	replicas  []*RemoteDatabase
 	addrs     []string
-	keys      []string        // breaker keys, "name@addr"
-	inflight  []*atomic.Int64 // shared with successor sets for surviving replicas
+	keys      []string       // breaker keys, "name@addr"
+	inflight  []*replicaLoad // shared with successor sets for surviving replicas
+}
+
+// drainTimeout bounds how long a removed replica's drain waits for its
+// in-flight calls; anything still running afterwards is a straggler on
+// a detached breaker, which is harmless.
+const drainTimeout = 10 * time.Second
+
+// replicaLoad is one replica's in-flight call count and, once the
+// replica has left the set, the release the last call runs as it leaves.
+type replicaLoad struct {
+	n       atomic.Int64
+	release atomic.Pointer[func()]
+}
+
+func (l *replicaLoad) leave() {
+	if l.n.Add(-1) == 0 {
+		if release := l.release.Load(); release != nil {
+			(*release)()
+		}
+	}
 }
 
 // ReplicatedDatabase is one logical text database served by several
@@ -115,7 +135,7 @@ func DialReplicatedDatabase(ctx context.Context, addrs []string, opts Replicated
 		set.replicas = append(set.replicas, r)
 		set.addrs = append(set.addrs, addr)
 		set.keys = append(set.keys, d.name+"@"+addr)
-		set.inflight = append(set.inflight, new(atomic.Int64))
+		set.inflight = append(set.inflight, new(replicaLoad))
 	}
 	if opts.Preferred >= 0 && opts.Preferred < len(addrs) {
 		set.preferred = opts.Preferred
@@ -152,7 +172,7 @@ func NewReplicatedDatabase(name, category string, numDocs int, addrs []string, o
 		set.replicas = append(set.replicas, NewLazyRemoteDatabase(addr, name, category, numDocs, opts.Client))
 		set.addrs = append(set.addrs, addr)
 		set.keys = append(set.keys, name+"@"+addr)
-		set.inflight = append(set.inflight, new(atomic.Int64))
+		set.inflight = append(set.inflight, new(replicaLoad))
 		d.breakers.Seed(name+"@"+addr, resilience.HalfOpen)
 	}
 	if opts.Preferred >= 0 && opts.Preferred < len(addrs) {
@@ -169,7 +189,7 @@ func NewReplicatedDatabase(name, category string, numDocs int, addrs []string, o
 func (d *ReplicatedDatabase) Close() {
 	set := d.set.Load()
 	for i := range set.replicas {
-		go d.drainReplica(set.replicas[i], set.inflight[i], set.keys[i])
+		d.drainReplica(set, i)
 	}
 }
 
@@ -215,9 +235,9 @@ func (d *ReplicatedDatabase) ProbeTargets() []resilience.ProbeTarget {
 // its breaker state, and its in-flight count. An added replica gets a
 // lazy client (no network I/O here — the swap must not block on a slow
 // joiner) and a breaker seeded half-open, so its first call or probe is
-// the trial that earns it traffic. Removed replicas are drained in the
-// background: once their in-flight count reaches zero (or drainTimeout
-// passes), their clients are closed and their breakers leave the set.
+// the trial that earns it traffic. Removed replicas are drained: once
+// their in-flight count reaches zero (or drainTimeout passes), their
+// clients are closed and their breakers leave the set.
 //
 // Returns the added and removed addresses (the swap audit record).
 func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (added, removed []string, err error) {
@@ -245,7 +265,7 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 		} else {
 			added = append(added, addr)
 			next.replicas = append(next.replicas, NewLazyRemoteDatabase(addr, d.name, d.category, d.numDocs, d.opts.Client))
-			next.inflight = append(next.inflight, new(atomic.Int64))
+			next.inflight = append(next.inflight, new(replicaLoad))
 			d.breakers.Seed(d.name+"@"+addr, resilience.HalfOpen)
 		}
 		next.addrs = append(next.addrs, addr)
@@ -258,28 +278,42 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 			continue
 		}
 		removed = append(removed, addr)
-		go d.drainReplica(old.replicas[i], old.inflight[i], old.keys[i])
+		d.drainReplica(old, i)
 	}
 	return added, removed, nil
 }
 
-// drainTimeout bounds how long a removed replica's drain waits for its
-// in-flight calls; anything still running afterwards is a straggler on
-// a detached breaker, which is harmless.
-const drainTimeout = 10 * time.Second
-
-// drainReplica waits for a removed replica's in-flight calls to finish,
-// then closes its client and removes its breaker. Order matters: the
-// breaker must outlive the last in-flight call so that call's Record
-// lands on a real breaker (detached from the gauges by Remove), and the
-// client must not close under a call still using it.
-func (d *ReplicatedDatabase) drainReplica(r *RemoteDatabase, inflight *atomic.Int64, key string) {
-	deadline := time.Now().Add(drainTimeout)
-	for inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+// drainReplica removes the breaker and closes the client of replica i,
+// which has left the live set, once its last in-flight call has
+// recorded its outcome and left — or after drainTimeout on the clock of
+// the breakers it removes (real time without breakers), for a call that
+// never returns. Whichever of leave and drainReplica sees the other's
+// write releases; once keeps it to one.
+func (d *ReplicatedDatabase) drainReplica(set *replicaSet, i int) {
+	var once sync.Once
+	released := make(chan struct{})
+	release := func() {
+		once.Do(func() {
+			d.breakers.Remove(set.keys[i])
+			set.replicas[i].Close()
+			close(released)
+		})
 	}
-	d.breakers.Remove(key)
-	r.Close()
+	load := set.inflight[i]
+	load.release.Store(&release)
+	if load.n.Load() == 0 {
+		release()
+		return
+	}
+	t := d.breakers.Clock().NewTimer(drainTimeout)
+	go func() {
+		defer t.Stop()
+		select {
+		case <-t.C():
+			release()
+		case <-released:
+		}
+	}()
 }
 
 // Ping succeeds while any replica answers its health endpoint — the
@@ -325,7 +359,7 @@ func (d *ReplicatedDatabase) order(set *replicaSet) []int {
 	rank := make([]int, n)
 	load := make([]int64, n)
 	for _, i := range idx {
-		load[i] = set.inflight[i].Load()
+		load[i] = set.inflight[i].n.Load()
 		if d.breakers != nil {
 			rank[i] = stateRank(d.breakers.Get(set.keys[i]).State())
 		}
@@ -364,10 +398,10 @@ func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase
 			d.failovers.Inc()
 		}
 		tried++
-		set.inflight[i].Add(1)
+		set.inflight[i].n.Add(1)
 		err := fn(set.replicas[i])
-		set.inflight[i].Add(-1)
 		b.RecordCall(ctx, err)
+		set.inflight[i].leave()
 		if err == nil || ctx.Err() != nil {
 			return err // answered, or cancellation surfacing as a transport error
 		}

@@ -37,6 +37,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/cache"
 	"repro/internal/classify"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/hierarchy"
 	"repro/internal/index"
@@ -138,6 +139,11 @@ type Options struct {
 	// Cache tunes the query-path caches. The zero value enables both
 	// tiers with defaults; set Cache.Disable to turn caching off.
 	Cache CacheConfig
+
+	// clock times breaker cooldowns, health-probe intervals, hedge
+	// timers and replica drains (nil: real time; tests set a fake).
+	// Deadlines stay on the wall clock: see internal/clock.
+	clock clock.Clock
 }
 
 // CacheConfig tunes the Metasearcher's two query-path cache tiers.
@@ -194,12 +200,9 @@ type ResilienceOptions struct {
 	// hedging.
 	HedgeAfter time.Duration
 	// DisableBreakers turns the per-node circuit breakers off: every
-	// selected database is always tried.
+	// selected database is always tried. Enabled breakers follow the
+	// resilience package's fixed policy (DESIGN §9.4).
 	DisableBreakers bool
-	// Breaker tuning (zero values select the resilience package
-	// defaults: min samples 3, cooldown 5s).
-	BreakerMinSamples int
-	BreakerCooldown   time.Duration
 }
 
 // hedgeFloor is the minimum auto-derived hedge threshold: with too few
@@ -260,6 +263,7 @@ type Metasearcher struct {
 	scorer    selection.Scorer // Options.Scorer resolved once; nil with scorerErr set
 	scorerErr error
 	reg       *telemetry.Registry
+	clock     clock.Clock     // Options.clock, or real time
 	met       pipelineMetrics // the root package's series, resolved once in New
 	tracer    *telemetry.Tracer
 	logger    *slog.Logger       // nil = logging disabled
@@ -312,12 +316,10 @@ func New(opts Options) *Metasearcher {
 		alog = audit.NewLog(opts.AuditSize)
 		alog.SetSink(opts.AuditLog)
 	}
+	clk := clock.Or(opts.clock)
 	var breakers *resilience.Set
 	if !opts.Resilience.DisableBreakers {
-		breakers = resilience.NewSet(resilience.BreakerOptions{
-			MinSamples: opts.Resilience.BreakerMinSamples,
-			Cooldown:   opts.Resilience.BreakerCooldown,
-		}, reg)
+		breakers = resilience.NewSet(resilience.BreakerOptions{Clock: clk}, reg)
 	}
 	scorer, err := selection.ByName(opts.Scorer)
 	if err != nil {
@@ -329,6 +331,7 @@ func New(opts Options) *Metasearcher {
 		scorer:    scorer,
 		scorerErr: err,
 		reg:       reg,
+		clock:     clk,
 		met:       newPipelineMetrics(reg),
 		tracer:    telemetry.NewTracer(opts.Observer),
 		logger:    opts.Logger,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/wire"
 )
@@ -87,10 +88,10 @@ func nodeCall(t *testing.T, rec *audit.QueryRecord, db string) audit.NodeCall {
 // nodes, summaries built while all are healthy, then one node is made
 // to hang every request and another to fail every request. The first
 // search must still merge the two healthy nodes' results well inside
-// the deadline budget, hedging the hung node's call; the failures trip
-// the bad nodes' breakers, so the second search short-circuits them
-// without touching the network, and /debug/breakers reports the same
-// states the audit trail does.
+// the deadline budget, hedging the hung node's call; the failures of
+// the searches that follow trip the bad nodes' breakers, so the next
+// search short-circuits them without touching the network, and
+// /debug/breakers reports the same states the audit trail does.
 func TestSearchSurvivesChaos(t *testing.T) {
 	shards, lexicon := testbedShards(t, 4)
 
@@ -99,10 +100,6 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	opts.Resilience = ResilienceOptions{
 		DeadlineBudget: budget,
 		HedgeAfter:     30 * time.Millisecond,
-		// One failed call trips a node's breaker, and the cooldown is
-		// long enough that it stays open for the whole test.
-		BreakerMinSamples: 1,
-		BreakerCooldown:   time.Minute,
 	}
 	// The same query runs before and after the chaos is injected; the
 	// point is the second fan-out, so the result cache is off.
@@ -110,11 +107,9 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	m := New(opts)
 	reg := m.Metrics()
 	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{
-		Timeout:     150 * time.Millisecond,
-		MaxRetries:  1,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Metrics:     reg,
+		Timeout: 150 * time.Millisecond,
+		Clock:   clock.NewInstant(), // retries without backoff waits
+		Metrics: reg,
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -169,8 +164,20 @@ func TestSearchSurvivesChaos(t *testing.T) {
 		t.Error("search_hedges_total is zero despite a hung node")
 	}
 
-	// Both bad nodes' breakers tripped on the failures above; the next
-	// search must short-circuit them without touching the network.
+	// Each search records one failure per bad node; a few more trip
+	// both breakers, well inside the cooldown.
+	for i := 1; m.Breakers().Get(hung.shard.name).State() != resilience.Open ||
+		m.Breakers().Get(erroring.shard.name).State() != resilience.Open; i++ {
+		if i > 5 {
+			t.Fatalf("bad nodes' breakers still %v/%v after %d failing searches",
+				m.Breakers().Get(hung.shard.name).State(), m.Breakers().Get(erroring.shard.name).State(), i)
+		}
+		if _, err := m.Search(query, 4, 5); err != nil {
+			t.Fatalf("search %d with failing nodes: %v", i+1, err)
+		}
+	}
+	// The next search must short-circuit them without touching the
+	// network.
 	hungRequests := hung.flakyRequests()
 	shortCircuitsBefore := reg.Counter("search_breaker_open_total").Value()
 	start = time.Now()
@@ -346,37 +353,36 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 
 // TestHealthProbesCloseTrippedBreaker verifies the background prober
 // closes an open breaker as soon as its node answers /v1/health again,
-// without any live query traffic.
+// without any live query traffic: once the cooldown has passed on the
+// metasearcher's clock, the next probe is the trial that closes it.
 func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 	shards, lexicon := testbedShards(t, 1)
 	opts := testbedOptions(lexicon)
-	opts.Resilience = ResilienceOptions{
-		BreakerMinSamples: 1,
-		BreakerCooldown:   time.Millisecond,
-	}
+	clk := clock.NewFake()
+	opts.clock = clk
 	m := New(opts)
 	dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
 
-	// Trip the node's breaker by hand: one recorded failure with
-	// MinSamples 1 opens it.
+	// Trip the node's breaker by hand.
 	b := m.Breakers().Get(shards[0].name)
-	b.Allow()
-	b.Record(false)
-	if b.State() != resilience.Open {
-		t.Fatalf("breaker state after a failure = %v, want open", b.State())
+	for i := 0; b.State() != resilience.Open; i++ {
+		if i == 10 {
+			t.Fatalf("breaker still %v after %d recorded failures", b.State(), i)
+		}
+		b.Allow()
+		b.Record(false)
 	}
 
-	stop := m.StartHealthProbes(5 * time.Millisecond)
+	stop := m.StartHealthProbes(time.Second)
 	defer stop()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.State() != resilience.Closed {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker still %v after 5s of health probes against a healthy node", b.State())
-		}
-		time.Sleep(2 * time.Millisecond)
+	clk.BlockUntil(1) // the prober waits for its first sweep
+	clk.Advance(resilience.BreakerCooldown)
+	clk.BlockUntil(1) // that sweep is done and the next one waits
+	if b.State() != resilience.Closed {
+		t.Fatalf("breaker %v after a probe of the healthy node, want closed", b.State())
 	}
-	if got := m.Metrics().Counter("health_probes_total").Value(); got == 0 {
-		t.Error("health_probes_total is zero despite the breaker closing")
+	if got := m.Metrics().Counter("health_probes_total").Value(); got != 1 {
+		t.Errorf("health_probes_total = %d, want 1", got)
 	}
 }
 
@@ -395,11 +401,9 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	opts.Cache.Disable = true
 	m := New(opts)
 	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{
-		Timeout:     time.Second,
-		MaxRetries:  2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  2 * time.Millisecond,
-		Metrics:     m.Metrics(),
+		Timeout: time.Second,
+		Clock:   clock.NewInstant(),
+		Metrics: m.Metrics(),
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -536,10 +540,10 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	opts := testbedOptions(lexicon)
 	opts.Resilience = ResilienceOptions{
-		DeadlineBudget:  deadline,
-		HedgeAfter:      -1,
-		BreakerCooldown: time.Minute,
+		DeadlineBudget: deadline,
+		HedgeAfter:     -1,
 	}
+	opts.clock = clock.NewFake()
 	opts.Cache.Disable = true
 	m := New(opts)
 	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})

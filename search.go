@@ -621,7 +621,7 @@ func (m *Metasearcher) hedgeThreshold() time.Duration {
 func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.Span, cdb ContextSearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration, call *audit.NodeCall) ([]int, error) {
 	stats := [2]*wire.CallStats{{}, {}}
 	var ids [2][]int
-	winner, hedged, err := resilience.Hedged(ctx, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
+	winner, hedged, err := resilience.Hedged(ctx, m.clock, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
 		actx = telemetry.ContextWithSpan(actx, dbSpan)
 		actx = wire.ContextWithCallStats(actx, stats[attempt])
 		_, res, err := cdb.QueryContext(actx, terms, perDB)

@@ -9,9 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/audit"
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -87,8 +87,8 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
 		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{
-			BackoffBase: time.Millisecond,
-			Metrics:     m.Metrics(),
+			Clock:   clock.NewInstant(), // the retry of the armed 503 without a backoff wait
+			Metrics: m.Metrics(),
 		})
 		if err != nil {
 			t.Fatal(err)
