@@ -34,9 +34,11 @@ docs:
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/, the observability packages' share of them and the
 # number of metric kinds, metasearch flags per mode, the time.Sleep
-# calls left in tests, and the exported fields of the option structs —
-# the eight that held the fan-out's timing knobs, totalled, then
-# router.Options.
+# calls left in tests, the files outside internal/resilience that still
+# make attempt-policy calls of their own (resilience.Do should be the
+# only caller of the budget and breaker methods on the query path), and
+# the exported fields of the option structs — the eight that held the
+# fan-out's timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \
 	internal/wire/client.go:ClientOptions internal/gateway/gateway.go:Options \
@@ -51,6 +53,8 @@ count:
 	@sed -n 's/^## \(metasearch .*\)/\1/p; s/^\([0-9]* distinct flags\)/metasearch: \1/p' docs/flags.md
 	@printf 'time.Sleep calls in _test.go files outside benchmark/: '
 	@find . -name '*_test.go' ! -path './benchmark/*' | xargs grep -c 'time\.Sleep(' | awk -F: '{n += $$2} END {print n}'
+	@printf 'non-test Go files outside internal/resilience and benchmark/ calling TrySpend, Allow, RecordCall, RecordNeutral or RecordSuccess: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/resilience/*' | xargs grep -l -E '\.(TrySpend|Allow|RecordCall|RecordNeutral|RecordSuccess)\(' | wc -l
 	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
 		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
 			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \

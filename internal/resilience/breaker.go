@@ -1,15 +1,14 @@
-// Package resilience is the fault-tolerance layer of the search
-// fan-out: per-node circuit breakers that stop paying the retry budget
-// for databases that keep failing, hedged requests that cut the tail
-// latency a single slow node would otherwise impose on every query, and
-// a background health prober that lets an open breaker close as soon as
-// its node recovers.
+// Package resilience is the fault-tolerance layer of the serving path:
+// Do, the one attempt loop every remote call runs through (circuit
+// breakers per target, retries with backoff, failover, one hedge, a
+// retry budget, and one health verdict per target), and a background
+// prober that lets an open breaker close as soon as its node recovers.
 //
 // The paper's metasearcher fronts autonomous hidden-web databases that
 // are slow, overloaded, or down; none of that may stall the merged
-// answer. The one policy this package owns is what a call's outcome
-// says about its target's health (Breaker.RecordCall); when to call,
-// hedge or skip, and how outcomes are audited, is the callers'.
+// answer. This package owns when to call, retry, hedge, fail over or
+// skip, and what an outcome says about a target's health; a caller names
+// its targets, picks its Policy constants and audits what a call cost.
 package resilience
 
 import (
@@ -21,7 +20,7 @@ import (
 	"repro/internal/clock"
 )
 
-// State is a circuit breaker's position.
+// State is a circuit breaker's position. States order healthiest first.
 type State int
 
 const (
@@ -74,9 +73,9 @@ type BreakerOptions struct {
 // conditionals at call sites.
 //
 // The contract is Allow-then-Record: every call the breaker admits must
-// report its outcome exactly once — RecordCall for query traffic, Record
-// for a health probe — or a half-open breaker would leak its single
-// trial slot.
+// report its outcome exactly once — RecordCall for query traffic (Do
+// does), Record for a health probe — or a half-open breaker would leak
+// its single trial slot.
 type Breaker struct {
 	clock    clock.Clock
 	onChange func(from, to State) // called with mu held; must not re-enter
@@ -199,11 +198,10 @@ func (b *Breaker) RecordNeutral() {
 // a failure whoever set it — the fan-out's budget or the request's own
 // deadline: only a hang-up says nothing about the target.
 func (b *Breaker) RecordCall(ctx context.Context, err error) {
-	var shed interface{ Shed() bool }
 	switch {
 	case err == nil:
 		b.Record(true)
-	case errors.Is(ctx.Err(), context.Canceled), errors.As(err, &shed) && shed.Shed():
+	case errors.Is(ctx.Err(), context.Canceled), isShed(err):
 		b.RecordNeutral()
 	default:
 		b.Record(false)

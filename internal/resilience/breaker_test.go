@@ -249,86 +249,6 @@ func TestSetGaugesAndHandler(t *testing.T) {
 	}
 }
 
-func TestHedgedPrimaryWins(t *testing.T) {
-	winner, hedged, err := Hedged(context.Background(), clock.NewFake(), time.Second, nil, func(ctx context.Context, attempt int) error {
-		return nil
-	})
-	if err != nil || winner != 0 || hedged {
-		t.Fatalf("fast primary: winner=%d hedged=%v err=%v, want 0/false/nil", winner, hedged, err)
-	}
-}
-
-// fireHedgeTimer lets Hedged reach its hedge timer on clk, then fires it.
-func fireHedgeTimer(clk *clock.Fake, after time.Duration) {
-	go func() {
-		clk.BlockUntil(1)
-		clk.Advance(after)
-	}()
-}
-
-func TestHedgedHedgeWins(t *testing.T) {
-	clk := clock.NewFake()
-	fireHedgeTimer(clk, time.Second)
-	primaryCancelled := make(chan struct{})
-	winner, hedged, err := Hedged(context.Background(), clk, time.Second, nil, func(ctx context.Context, attempt int) error {
-		if attempt == 0 {
-			<-ctx.Done() // primary hangs until cancelled by the winning hedge
-			close(primaryCancelled)
-			return ctx.Err()
-		}
-		return nil
-	})
-	if err != nil || winner != 1 || !hedged {
-		t.Fatalf("hung primary: winner=%d hedged=%v err=%v, want 1/true/nil", winner, hedged, err)
-	}
-	<-primaryCancelled // the losing primary is cancelled, or the test times out
-}
-
-func TestHedgedBothFail(t *testing.T) {
-	errPrimary := errors.New("primary down")
-	errHedge := errors.New("hedge down")
-	clk := clock.NewFake()
-	fireHedgeTimer(clk, time.Second)
-	hedgeFailed := make(chan struct{})
-	winner, hedged, err := Hedged(context.Background(), clk, time.Second, nil, func(ctx context.Context, attempt int) error {
-		if attempt == 0 {
-			<-hedgeFailed // outlive the hedge
-			return errPrimary
-		}
-		defer close(hedgeFailed)
-		return errHedge
-	})
-	if !hedged {
-		t.Fatal("hedge never launched")
-	}
-	if winner != 0 || !errors.Is(err, errPrimary) {
-		t.Fatalf("both failed: winner=%d err=%v, want primary's error", winner, err)
-	}
-}
-
-func TestHedgedPrimaryFailsFastNoHedge(t *testing.T) {
-	boom := errors.New("boom")
-	calls := 0
-	winner, hedged, err := Hedged(context.Background(), clock.NewFake(), time.Second, nil, func(ctx context.Context, attempt int) error {
-		calls++
-		return boom
-	})
-	if !errors.Is(err, boom) || winner != 0 || hedged || calls != 1 {
-		t.Fatalf("fast failure: winner=%d hedged=%v calls=%d err=%v, want 0/false/1/boom (errors are the retry layer's job, not the hedge's)",
-			winner, hedged, calls, err)
-	}
-}
-
-func TestHedgedDisabled(t *testing.T) {
-	calls := 0
-	if _, hedged, err := Hedged(context.Background(), nil, 0, nil, func(ctx context.Context, attempt int) error {
-		calls++
-		return nil
-	}); hedged || err != nil || calls != 1 {
-		t.Fatalf("after=0: hedged=%v calls=%d err=%v, want inline single call", hedged, calls, err)
-	}
-}
-
 // TestProberClosesRecoveredBreaker: the prober waits out its interval
 // and the breaker's cooldown on the Set's clock, probes the open node,
 // keeps its breaker open while the node is down, and closes it with the

@@ -31,9 +31,9 @@ type BudgetOptions struct {
 // alternative is retry amplification, where the retries themselves
 // become the overload.
 //
-// One Budget is shared by every path that launches speculative work
-// (wire-client same-replica retries, hedge launches, router shard-call
-// retries); first attempts and replica failover are never charged —
+// One Budget is shared by every Do call of a process that launches
+// speculative work (the wire clients' retries, the fan-out's hedges, the
+// router's shard retry); first attempts and failover are never charged —
 // failover is the availability mechanism, not amplification.
 //
 // All methods are safe for concurrent use and on a nil receiver (a nil

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -90,57 +89,6 @@ func TestBudgetConcurrentAccounting(t *testing.T) {
 	}
 	if granted.Load() == 0 {
 		t.Fatal("no spends granted under concurrency")
-	}
-}
-
-func TestHedgedWithBudgetSuppressesHedge(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b := NewBudget(BudgetOptions{Metrics: reg})
-	for b.TrySpend() {
-	}
-	refused := reg.Counter("retry_budget_exhausted_total")
-
-	// The hedge timer fires on an empty budget: the refusal is counted,
-	// and only then does the primary answer.
-	clk := clock.NewFake()
-	var attempts atomic.Int64
-	release := make(chan struct{})
-	go func() {
-		clk.BlockUntil(1)
-		clk.Advance(time.Second)
-		for refused.Value() < 2 && attempts.Load() < 2 {
-			runtime.Gosched()
-		}
-		close(release)
-	}()
-	winner, hedged, err := Hedged(context.Background(), clk, time.Second, b,
-		func(ctx context.Context, attempt int) error {
-			attempts.Add(1)
-			<-release
-			return nil
-		})
-	if err != nil || winner != 0 || hedged {
-		t.Fatalf("winner=%d hedged=%v err=%v; want primary, no hedge", winner, hedged, err)
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("attempts = %d, want 1 (hedge suppressed)", got)
-	}
-
-	// With a funded budget the same call hedges.
-	for i := 0; i < 5; i++ {
-		b.RecordSuccess()
-	}
-	fireHedgeTimer(clk, time.Second)
-	winner, hedged, err = Hedged(context.Background(), clk, time.Second, b,
-		func(ctx context.Context, attempt int) error {
-			if attempt == 0 {
-				<-ctx.Done() // the winning hedge cancels the primary
-				return errors.New("primary lost")
-			}
-			return nil
-		})
-	if err != nil || !hedged || winner != 1 {
-		t.Fatalf("winner=%d hedged=%v err=%v; want the funded hedge to run and win", winner, hedged, err)
 	}
 }
 

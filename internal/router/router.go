@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/clock"
 	"repro/internal/evtstream"
 	"repro/internal/gateway"
 	"repro/internal/resilience"
@@ -71,10 +72,10 @@ type Options struct {
 	// Tracer traces the scatter-gather (may be nil). Shard calls carry
 	// the trace context in the standard propagation headers.
 	Tracer *telemetry.Tracer
-	// Budget, when set, funds one same-shard retry after a transient
-	// call failure (spent from the cluster retry budget; see
-	// resilience.Budget). Nil disables router-side retries entirely —
-	// failover to the other shards' coverage is never budget-gated.
+	// Budget pays for the one same-shard retry of a transient failure
+	// and is paid by every successful shard call (see resilience.Budget).
+	// Nil builds a private budget, as a nil Breakers builds a private
+	// set: the retry is always budgeted, never unlimited and never off.
 	Budget *resilience.Budget
 }
 
@@ -92,6 +93,7 @@ type Router struct {
 	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
 	budget   *resilience.Budget
+	clock    clock.Clock // times the retry's backoff: real time, a fake in tests
 
 	requests     *telemetry.Counter
 	errors       *telemetry.Counter
@@ -167,6 +169,10 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 	if breakers == nil {
 		breakers = resilience.NewSet(resilience.BreakerOptions{}, opts.Metrics)
 	}
+	budget := opts.Budget
+	if budget == nil {
+		budget = resilience.NewBudget(resilience.BudgetOptions{}) // no series: `route` passes its own
+	}
 	reg := opts.Metrics
 	r := &Router{
 		client:       client,
@@ -174,7 +180,8 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 		breakers:     breakers,
 		reg:          reg,
 		tracer:       opts.Tracer,
-		budget:       opts.Budget,
+		budget:       budget,
+		clock:        clock.Real,
 		requests:     reg.DeclareCounter("router_requests_total", "Queries accepted by the cluster router."),
 		errors:       reg.DeclareCounter("router_errors_total", "Queries the router failed because no shard answered."),
 		shardCalls:   reg.DeclareCounter("router_shard_calls_total", "Per-shard /v1/search calls issued by the router."),
@@ -471,46 +478,11 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 	replies := make([]shardReply, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
-		replies[i].shard = s.ID
-		b := r.breakers.Get(s.ID)
-		if !b.Allow() {
-			replies[i].skipped = true
-			r.shardSkips.Inc()
-			span.Event("router.shard_skipped", telemetry.String("shard", s.ID))
-			continue
-		}
 		wg.Add(1)
-		go func(i int, s shardmap.Shard, b *resilience.Breaker) {
+		go func(i int, s shardmap.Shard) {
 			defer wg.Done()
-			r.shardCalls.Inc()
-			// A streamed scatter (sm != nil) re-merges progress frames as
-			// they arrive and gets no budget retry — replaying half a
-			// consumed stream would double-narrate the shard's progress; a
-			// failed shard costs coverage exactly as a blocking failure
-			// after retry would.
-			reply, err := r.callShard(ctx, span, i, s, query, maxDBs, perDB, sm)
-			if err != nil && sm == nil && r.budget != nil && ctx.Err() == nil && !wire.IsShed(err) && r.budget.TrySpend() {
-				// One budget-funded retry against the same shard; the
-				// breaker records only the final outcome.
-				r.shardRetries.Inc()
-				span.Event("router.shard_retry", telemetry.String("shard", s.ID))
-				reply, err = r.callShard(ctx, span, i, s, query, maxDBs, perDB, nil)
-			}
-			if err == nil {
-				r.budget.RecordSuccess()
-			}
-			replies[i].reply, replies[i].err = reply, err
-			// The client hanging up, or the shard shedding under load, is
-			// not evidence the shard is down; a deadline running out on it
-			// is.
-			b.RecordCall(ctx, err)
-			if err != nil {
-				r.shardErrors.Inc()
-				span.Event("router.shard_error",
-					telemetry.String("shard", s.ID),
-					telemetry.String("error", err.Error()))
-			}
-		}(i, s, b)
+			replies[i] = r.searchShard(ctx, span, i, s, query, maxDBs, perDB, sm)
+		}(i, s)
 	}
 	wg.Wait()
 	fanout := time.Since(start)
@@ -541,6 +513,46 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 		resp.TraceID = id
 	}
 	return resp, nil
+}
+
+// searchShard is one shard's share of the scatter, through
+// resilience.Do: breaker admission, the call, one budgeted retry of a
+// transient failure (a shed is backpressure, not retried) and the
+// breaker's verdict.
+func (r *Router) searchShard(ctx context.Context, span *telemetry.Span, idx int, s shardmap.Shard, query string, maxDBs, perDB int, sm *streamMerger) shardReply {
+	// A streamed scatter (sm != nil) re-merges progress frames as they
+	// arrive and gets no retry — replaying half a consumed stream would
+	// double-narrate the shard's progress; a failed shard costs coverage
+	// exactly as a blocking failure after its retry would.
+	policy := resilience.Policy{Retries: 1, Deposit: true, Clock: r.clock, Breakers: r.breakers, Budget: r.budget}
+	if sm != nil {
+		policy.Retries = 0
+	}
+	var reply *gateway.SearchReply
+	_, err := resilience.Do(ctx, policy, []string{s.ID}, func(ctx context.Context, _, attempt int) error {
+		if attempt == 0 {
+			r.shardCalls.Inc()
+		} else {
+			r.shardRetries.Inc()
+			span.Event("router.shard_retry", telemetry.String("shard", s.ID))
+		}
+		var err error
+		reply, err = r.callShard(ctx, span, idx, s, query, maxDBs, perDB, sm)
+		return err
+	})
+	switch {
+	case errors.Is(err, resilience.ErrShortCircuited):
+		r.shardSkips.Inc()
+		span.Event("router.shard_skipped", telemetry.String("shard", s.ID))
+		return shardReply{shard: s.ID, skipped: true}
+	case err != nil:
+		r.shardErrors.Inc()
+		span.Event("router.shard_error",
+			telemetry.String("shard", s.ID),
+			telemetry.String("error", err.Error()))
+		return shardReply{shard: s.ID, err: err}
+	}
+	return shardReply{shard: s.ID, reply: reply}
 }
 
 // callShard runs one shard's search and returns its reply. Without a

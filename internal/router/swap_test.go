@@ -193,4 +193,70 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	if got := reg.Counter("retry_budget_exhausted_total").Value(); got == 0 {
 		t.Fatal("retry_budget_exhausted_total = 0, want refusals counted")
 	}
+
+	// Without a budget of its own the router builds a private one: the
+	// retry is still funded, not switched off.
+	b := newFakeShard(t, reply())
+	b.status.Store(500)
+	rt, err = New(testTopology(b), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+		t.Fatal("want error with the only shard failing")
+	}
+	if got := b.calls.Load(); got != 2 {
+		t.Fatalf("shard calls = %d with no Options.Budget, want 2 (first attempt + one retry from the private budget)", got)
+	}
+}
+
+// TestShardRetryBacksOff: the router waits out the backoff on its clock
+// before it retries a shard's transient failure, as every retry does.
+func TestShardRetryBacksOff(t *testing.T) {
+	a := newFakeShard(t, reply())
+	a.status.Store(503)
+	rt, err := New(testTopology(a), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake()
+	rt.clock = clk
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.SearchExplained(context.Background(), "q", 0, 0)
+		done <- err
+	}()
+	clk.BlockUntil(1) // the first call failed; the retry waits
+	if got := a.calls.Load(); got != 1 {
+		t.Fatalf("shard calls = %d while the retry waits, want 1", got)
+	}
+	clk.Advance(resilience.BackoffMax)
+	if err := <-done; err == nil {
+		t.Fatal("want error with the only shard failing")
+	}
+	if got := a.calls.Load(); got != 2 {
+		t.Fatalf("shard calls = %d after the backoff, want 2", got)
+	}
+}
+
+// TestShardPermanentErrorNotRetried: a shard's 4xx is the request's
+// fault, not the shard's moment — the router does not retry it, however
+// funded its budget.
+func TestShardPermanentErrorNotRetried(t *testing.T) {
+	a := newFakeShard(t, reply())
+	a.status.Store(400)
+	reg := telemetry.NewRegistry()
+	rt, err := New(testTopology(a), Options{Metrics: reg, Budget: resilience.NewBudget(resilience.BudgetOptions{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+		t.Fatal("want error with the only shard refusing the request")
+	}
+	if got := a.calls.Load(); got != 1 {
+		t.Fatalf("shard calls = %d, want 1 (a 4xx is not retried)", got)
+	}
+	if got := reg.Counter("router_shard_retries_total").Value(); got != 0 {
+		t.Fatalf("router_shard_retries_total = %v, want 0", got)
+	}
 }

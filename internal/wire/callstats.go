@@ -43,6 +43,20 @@ func (s *CallStats) Sheds() int64 {
 	return s.sheds.Load()
 }
 
+// count records attempt number attempt of a call; nil-safe.
+func (s *CallStats) count(attempt int, shed bool) {
+	if s == nil {
+		return
+	}
+	s.attempts.Add(1)
+	if attempt > 0 {
+		s.retries.Add(1)
+	}
+	if shed {
+		s.sheds.Add(1)
+	}
+}
+
 type callStatsKey struct{}
 
 // WithCallStats returns a context whose wire-client calls accumulate
@@ -53,8 +67,8 @@ func WithCallStats(ctx context.Context) (context.Context, *CallStats) {
 }
 
 // ContextWithCallStats attaches a caller-allocated CallStats to ctx.
-// The hedged fan-out pre-allocates one per attempt so it can sum both
-// attempts' costs even while the losing attempt is still in flight.
+// The hedged fan-out shares one between its two attempts, so the record
+// sums both even while the losing attempt is still in flight.
 func ContextWithCallStats(ctx context.Context, s *CallStats) context.Context {
 	return context.WithValue(ctx, callStatsKey{}, s)
 }

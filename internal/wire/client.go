@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -18,6 +17,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
 	"repro/internal/clock"
+	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
@@ -44,17 +44,9 @@ var sharedTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
-// The retry policy: a failed attempt is retried on transient errors —
-// network failures, timeouts, 5xx, 429 — up to maxRetries times, the
-// k-th retry sleeping backoffBase·2^k jittered into [d/2, d) and capped
-// at backoffMax. A shed's Retry-After replaces the backoff, and
-// DecodeError clamps it to backoffMax too: a peer cannot stall the
-// client past its own ceiling.
-const (
-	maxRetries  = 3
-	backoffBase = 50 * time.Millisecond
-	backoffMax  = 2 * time.Second
-)
+// maxRetries is how often a call retries a transient failure (a network
+// failure, a timeout, a 5xx or a shed) through resilience.Do.
+const maxRetries = 3
 
 // ClientOptions configures a Client. The zero value is usable.
 type ClientOptions struct {
@@ -70,11 +62,11 @@ type ClientOptions struct {
 	Transport http.RoundTripper
 	// Budget, when non-nil, bounds this client's retry volume: each
 	// retry must win a token from the budget or the logical request
-	// fails with the last error instead of retrying. Successes are
-	// reported back so the budget can refill. One budget is typically
-	// shared by every client in the process — the bound is on total
-	// retry amplification, not per-node.
-	Budget RetryBudget
+	// fails with the last error instead of retrying, and each successful
+	// call deposits. One budget is typically shared by every client in
+	// the process (Metasearcher.RetryBudget) — the bound is on total
+	// retry amplification, not per-node. Nil leaves retries unbudgeted.
+	Budget *resilience.Budget
 	// Metrics receives the wire client series: wire_requests_total,
 	// wire_requests_{info,query,doc}_total, wire_client_attempts_total,
 	// wire_request_errors_total, wire_client_retries_total,
@@ -82,17 +74,6 @@ type ClientOptions struct {
 	// doc cache's wire_doc_cache_* series (see internal/cache). May be
 	// nil.
 	Metrics *telemetry.Registry
-}
-
-// RetryBudget is the token-bucket contract the client uses to throttle
-// retries (satisfied by *resilience.Budget, whose methods are safe on a
-// nil receiver). It lives here as an interface so the wire layer does
-// not depend on the resilience package above it.
-type RetryBudget interface {
-	// TrySpend takes one token, reporting whether the retry may launch.
-	TrySpend() bool
-	// RecordSuccess deposits the per-success fraction back.
-	RecordSuccess()
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -258,14 +239,12 @@ func (c *Client) endpointCounter(path string) *telemetry.Counter {
 	return nil
 }
 
-// do runs one logical request: attempt, and on transient failure retry
-// with jittered exponential backoff until maxRetries is exhausted or
-// ctx is done. One logical request counts once in wire_requests_total
-// (and its per-endpoint counter) and once in wire_request_latency
-// regardless of attempts; each attempt counts in
-// wire_client_attempts_total and each extra one in
-// wire_client_retries_total; a logical request that ultimately fails
-// counts in wire_request_errors_total.
+// do runs one logical request through resilience.Do (maxRetries, sheds
+// retried). It counts once in wire_requests_total (and its per-endpoint
+// counter) and wire_request_latency whatever its attempts; each attempt
+// counts in wire_client_attempts_total and each extra one in
+// wire_client_retries_total; a request that ultimately fails counts in
+// wire_request_errors_total.
 //
 // Trace context propagates from the span carried by ctx: every attempt
 // sends X-Trace-Id/X-Parent-Span (so the node's handler span parents
@@ -290,50 +269,30 @@ func (c *Client) do(ctx context.Context, method, path string, in, out interface{
 	span := telemetry.SpanFromContext(ctx)
 	stats := statsFromContext(ctx)
 	reqBase := reqSeq.Add(1)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	policy := resilience.Policy{Retries: maxRetries, RetryShed: true, Deposit: true, Clock: c.opts.Clock, Budget: c.opts.Budget}
+	_, err := resilience.Do(ctx, policy, []string{c.base}, func(ctx context.Context, _, attempt int) error {
 		c.attempts.Inc()
-		if stats != nil {
-			stats.attempts.Add(1)
+		if attempt > 0 {
+			c.retries.Inc()
 		}
 		reqID := fmt.Sprintf("r%d.%d", reqBase, attempt)
 		span.Event("wire.attempt",
 			telemetry.String("path", path),
 			telemetry.Int("attempt", attempt),
 			telemetry.String("request_id", reqID))
-		lastErr = c.once(ctx, method, path, body, out, span.Context(), reqID)
-		if lastErr == nil {
-			if c.opts.Budget != nil {
-				c.opts.Budget.RecordSuccess()
-			}
-			return nil
-		}
-		if IsShed(lastErr) {
+		err := c.once(ctx, method, path, body, out, span.Context(), reqID)
+		var pe *ProtocolError
+		shed := errors.As(err, &pe) && pe.Shed()
+		if shed {
 			c.sheds.Inc()
-			if stats != nil {
-				stats.sheds.Add(1)
-			}
 		}
-		if !transient(lastErr) || attempt >= maxRetries || ctx.Err() != nil {
-			break
-		}
-		if c.opts.Budget != nil && !c.opts.Budget.TrySpend() {
-			// Budget empty: retrying now would amplify whatever is
-			// already failing. Surface the error; failover and breakers
-			// take it from here.
-			break
-		}
-		c.retries.Inc()
-		if stats != nil {
-			stats.retries.Add(1)
-		}
-		if err := c.sleep(ctx, c.retryDelay(attempt, lastErr)); err != nil {
-			lastErr = err
-			break
-		}
+		stats.count(attempt, shed)
+		return err
+	})
+	if err != nil {
+		c.reqErrors.Inc()
 	}
-	c.reqErrors.Inc()
-	return lastErr
+	return err
 }
 
 // once performs a single HTTP attempt under the per-attempt timeout.
@@ -373,58 +332,4 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return fmt.Errorf("wire: decoding %s response: %w", path, err)
 	}
 	return nil
-}
-
-// retryDelay picks the sleep before the (attempt+1)-th retry: when the
-// node shed the request and named its price in Retry-After, honor it
-// (DecodeError has already capped it at backoffMax); otherwise fall
-// back to jittered exponential backoff.
-func (c *Client) retryDelay(attempt int, lastErr error) time.Duration {
-	var pe *ProtocolError
-	if errors.As(lastErr, &pe) && pe.Shed() && pe.RetryAfter > 0 {
-		return pe.RetryAfter
-	}
-	return backoff(attempt)
-}
-
-// backoff returns the jittered sleep before the (attempt+1)-th retry.
-func backoff(attempt int) time.Duration {
-	d := backoffBase
-	for i := 0; i < attempt && d < backoffMax; i++ {
-		d *= 2
-	}
-	if d > backoffMax {
-		d = backoffMax
-	}
-	// Jitter into [d/2, d) so a fleet of clients retrying against one
-	// recovering node spreads out instead of thundering back in sync.
-	return d/2 + time.Duration(rand.Float64()*float64(d/2))
-}
-
-// transient reports whether err is worth retrying: every network-level
-// failure is (the connection may land on a healthy path next time), as
-// are 5xx and 429 protocol errors; other protocol errors (bad request,
-// not found) are permanent.
-func transient(err error) bool {
-	var pe *ProtocolError
-	if errors.As(err, &pe) {
-		return pe.Transient()
-	}
-	// Everything else reaching here is a transport-level failure
-	// (dial refused, reset, attempt timeout) — retryable unless the
-	// caller's own context ended.
-	return !errors.Is(err, context.Canceled)
-}
-
-// sleep waits d on the client's clock or until ctx is done, whichever
-// is first.
-func (c *Client) sleep(ctx context.Context, d time.Duration) error {
-	t := c.opts.Clock.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C():
-		return nil
-	}
 }

@@ -6,7 +6,13 @@ import (
 	"net/http"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
+
+// backoffMax is the cap on every wait between retries: DecodeError
+// clamps a Retry-After to it.
+const backoffMax = resilience.BackoffMax
 
 // decode runs DecodeError over one synthetic response.
 func decode(status int, retryAfter string, body []byte) *ProtocolError {

@@ -12,7 +12,7 @@
 // Errors are returned as an ErrorEnvelope with a machine-readable code.
 // An overloaded node sheds protocol requests with 429 + Retry-After
 // (code "overloaded"); clients treat a shed as backpressure — back off
-// for the advertised interval — not as node failure.
+// for the advertised interval (resilience.Do) — not as node failure.
 // The path prefix (/v1) is the protocol's major version: breaking
 // changes bump it; additive changes extend the JSON objects (decoders
 // ignore unknown fields on both sides). A client checks the version a
@@ -21,12 +21,13 @@ package wire
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // Version is the protocol version this package speaks, advertised by
@@ -175,8 +176,8 @@ type ProtocolError struct {
 	Code    string
 	Message string
 	// RetryAfter is the backoff the peer's Retry-After header asked for,
-	// clamped to [0, backoffMax] (zero when absent or unparseable). The
-	// client honors it between retries of a shed request.
+	// clamped to [0, resilience.BackoffMax] (zero when absent or
+	// unparseable), honoured between retries of a shed request.
 	RetryAfter time.Duration
 }
 
@@ -201,6 +202,12 @@ func (e *ProtocolError) Shed() bool {
 	return e.Status == http.StatusTooManyRequests
 }
 
+// RetryDelay returns RetryAfter: the wait resilience.Do honours before
+// retrying a shed request.
+func (e *ProtocolError) RetryDelay() time.Duration {
+	return e.RetryAfter
+}
+
 // DecodeError turns a non-200 response into a ProtocolError, reading
 // the error envelope and Retry-After header when present. Callers own
 // draining and closing the body; DecodeError reads it (bounded) but
@@ -210,7 +217,7 @@ func DecodeError(resp *http.Response) *ProtocolError {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 			// Clamp before converting: a large header overflows time.Duration.
-			pe.RetryAfter = time.Duration(min(secs, int(backoffMax/time.Second))) * time.Second
+			pe.RetryAfter = time.Duration(min(secs, int(resilience.BackoffMax/time.Second))) * time.Second
 		}
 	}
 	var env ErrorEnvelope
@@ -218,14 +225,6 @@ func DecodeError(resp *http.Response) *ProtocolError {
 		pe.Code, pe.Message = env.Error.Code, env.Error.Message
 	}
 	return pe
-}
-
-// IsShed reports whether err is (or wraps) a shed response. The search
-// fan-out uses it to keep 429s from counting against a node's circuit
-// breaker.
-func IsShed(err error) bool {
-	var pe *ProtocolError
-	return errors.As(err, &pe) && pe.Shed()
 }
 
 // WriteError writes an ErrorEnvelope response.

@@ -79,7 +79,7 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("shed query err = %v, want ProtocolError", err)
 	}
-	if !pe.Shed() || !IsShed(err) || pe.Code != CodeOverloaded {
+	if !pe.Shed() || pe.Code != CodeOverloaded {
 		t.Fatalf("shed query err = %+v, want 429/overloaded", pe)
 	}
 	if pe.RetryAfter != time.Second {

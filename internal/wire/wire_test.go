@@ -315,23 +315,6 @@ func TestDisabledDocCacheKeepsSchema(t *testing.T) {
 	}
 }
 
-// TestBackoffBoundsAndGrowth: the k-th retry sleeps in [d/2, d) for
-// d = backoffBase·2^k capped at backoffMax, so the schedule doubles
-// until the cap and never reaches it.
-func TestBackoffBoundsAndGrowth(t *testing.T) {
-	nominal := backoffBase
-	for attempt := 0; attempt < 8; attempt++ {
-		for draw := 0; draw < 100; draw++ {
-			if d := backoff(attempt); d < nominal/2 || d >= nominal {
-				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", attempt, d, nominal/2, nominal)
-			}
-		}
-		if nominal *= 2; nominal > backoffMax {
-			nominal = backoffMax
-		}
-	}
-}
-
 func TestFlakyReconciliation(t *testing.T) {
 	// Every injected failure must show up in client telemetry as either
 	// a retry or a terminal request error: injected == retries + errors.

@@ -9,12 +9,12 @@ import (
 )
 
 // RemoteDatabaseOptions configures the wire client behind a
-// RemoteDatabase: per-attempt timeout, retries and backoff, the
-// in-client document cache, the transport, the retry budget (share
-// Metasearcher.RetryBudget across every remote database in the process)
-// and the registry that receives the wire_* series (pass
-// Metasearcher.Metrics to expose remote traffic alongside the pipeline
-// series). The zero value is usable.
+// RemoteDatabase: the per-attempt timeout, the clock its retries back
+// off on, the in-client document cache, the transport, the retry budget
+// (share Metasearcher.RetryBudget across every remote database in the
+// process) and the registry for the wire_* series. The retry policy is
+// resilience.Do's at fixed constants (DESIGN §9.4). The zero value is
+// usable.
 type RemoteDatabaseOptions = wire.ClientOptions
 
 // RemoteDatabase is a SearchableDatabase served by a dbnode process over

@@ -75,10 +75,11 @@ func (l *replicaLoad) leave() {
 //   - Replicas are tried in health order: breaker state first (closed
 //     before half-open before open), in-flight count second, affinity
 //     third — so a hedged duplicate of an in-flight call (the search
-//     fan-out's Hedged machinery calls QueryContext twice) naturally
-//     races a *different* replica, and first success wins.
+//     fan-out's hedge calls QueryContext twice) naturally races a
+//     *different* replica, and first success wins.
 //   - A failed replica feeds its own breaker and the call fails over
-//     to the next; the call errors only when every replica failed.
+//     to the next (resilience.Do, replicas as the targets); the call
+//     errors only when every replica failed.
 //   - Each replica is a probe target (ProbeTargets), so an open
 //     replica breaker closes as soon as its process recovers.
 //   - The replica set is live-reconfigurable (UpdateReplicas): in-flight
@@ -284,10 +285,9 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 }
 
 // drainReplica removes the breaker and closes the client of replica i,
-// which has left the live set, once its last in-flight call has
-// recorded its outcome and left — or after drainTimeout on the clock of
-// the breakers it removes (real time without breakers), for a call that
-// never returns. Whichever of leave and drainReplica sees the other's
+// which has left the live set, once its last in-flight call has left —
+// or after drainTimeout on the clock of the breakers it removes (real
+// time without breakers), for a call that never returns. Whichever of leave and drainReplica sees the other's
 // write releases; once keeps it to one.
 func (d *ReplicatedDatabase) drainReplica(set *replicaSet, i int) {
 	var once sync.Once
@@ -329,18 +329,6 @@ func (d *ReplicatedDatabase) Ping(ctx context.Context) error {
 	return last
 }
 
-// stateRank orders breaker states healthiest-first.
-func stateRank(s resilience.State) int {
-	switch s {
-	case resilience.Closed:
-		return 0
-	case resilience.HalfOpen:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // order returns set's replica indices in routing order: healthiest
 // breaker state first, fewest in-flight calls second (this is what
 // steers a hedge away from the replica its primary attempt is
@@ -356,61 +344,53 @@ func (d *ReplicatedDatabase) order(set *replicaSet) []int {
 	if n == 1 {
 		return idx
 	}
-	rank := make([]int, n)
+	state := make([]resilience.State, n) // ordered healthiest first
 	load := make([]int64, n)
 	for _, i := range idx {
 		load[i] = set.inflight[i].n.Load()
-		if d.breakers != nil {
-			rank[i] = stateRank(d.breakers.Get(set.keys[i]).State())
-		}
+		state[i] = d.breakers.Get(set.keys[i]).State()
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		ia, ib := idx[a], idx[b]
-		if rank[ia] != rank[ib] {
-			return rank[ia] < rank[ib]
+		if state[ia] != state[ib] {
+			return state[ia] < state[ib]
 		}
 		return load[ia] < load[ib]
 	})
 	return idx
 }
 
-// call runs fn against replicas in routing order with failover,
-// feeding each replica's breaker. It returns the first success; when
-// every replica fails it returns the last error (with every replica's
-// error joined in). The whole call uses the replica set loaded at
-// entry: a topology swap mid-call does not change which replicas this
-// call may try.
+// call runs fn against replicas in routing order through resilience.Do
+// — failover only: each replica's wire client has already retried it —
+// and returns the first success, or an error joining every replica's.
+// The whole call uses the replica set loaded at entry: a topology swap
+// mid-call does not change which replicas this call may try.
 func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase) error) error {
 	set := d.set.Load()
-	var errs []error
-	tried := 0
-	for _, i := range d.order(set) {
-		if err := ctx.Err(); err != nil {
-			// The call is over (deadline, hang-up, or a hedge that lost
-			// its race): the remaining replicas are not touched.
-			return err
-		}
-		b := d.breakers.Get(set.keys[i])
-		if !b.Allow() {
-			continue // short-circuited; another replica can serve
-		}
-		if tried > 0 {
+	order := d.order(set)
+	keys := make([]string, len(order))
+	for t, i := range order {
+		keys[t] = set.keys[i]
+	}
+	var errs []error // one per replica tried, so far all failed
+	_, err := resilience.Do(ctx, resilience.Policy{Breakers: d.breakers}, keys, func(_ context.Context, t, _ int) error {
+		i := order[t]
+		if len(errs) > 0 {
 			d.failovers.Inc()
 		}
-		tried++
 		set.inflight[i].n.Add(1)
 		err := fn(set.replicas[i])
-		b.RecordCall(ctx, err)
 		set.inflight[i].leave()
-		if err == nil || ctx.Err() != nil {
-			return err // answered, or cancellation surfacing as a transport error
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", keys[t], err))
 		}
-		// A failure, or a shed (backpressure: the breaker stays put, but
-		// the next replica may have capacity).
-		errs = append(errs, fmt.Errorf("%s: %w", set.keys[i], err))
+		return err
+	})
+	if err == nil || ctx.Err() != nil {
+		return err // answered, or the call is over (deadline, hang-up, a hedge that lost its race)
 	}
 	d.exhausted.Inc()
-	if len(errs) == 0 {
+	if errors.Is(err, resilience.ErrShortCircuited) {
 		return fmt.Errorf("repro: every replica of %s is short-circuited", d.name)
 	}
 	return fmt.Errorf("repro: every replica of %s failed: %w", d.name, errors.Join(errs...))

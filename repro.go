@@ -199,10 +199,6 @@ type ResilienceOptions struct {
 	// node calls (latencyRing), floored at hedgeFloor. Negative disables
 	// hedging.
 	HedgeAfter time.Duration
-	// DisableBreakers turns the per-node circuit breakers off: every
-	// selected database is always tried. Enabled breakers follow the
-	// resilience package's fixed policy (DESIGN §9.4).
-	DisableBreakers bool
 }
 
 // hedgeFloor is the minimum auto-derived hedge threshold: with too few
@@ -268,7 +264,7 @@ type Metasearcher struct {
 	tracer    *telemetry.Tracer
 	logger    *slog.Logger       // nil = logging disabled
 	audit     *audit.Log         // nil = query auditing disabled
-	breakers  *resilience.Set    // nil = breakers disabled
+	breakers  *resilience.Set    // per-database breakers, and the replicas' when shared
 	budget    *resilience.Budget // process-wide retry/hedge budget
 	selCache  *cache.Cache       // selection tier; nil = caching disabled
 	resCache  *cache.Cache       // merged-result tier; nil = caching disabled
@@ -317,10 +313,6 @@ func New(opts Options) *Metasearcher {
 		alog.SetSink(opts.AuditLog)
 	}
 	clk := clock.Or(opts.clock)
-	var breakers *resilience.Set
-	if !opts.Resilience.DisableBreakers {
-		breakers = resilience.NewSet(resilience.BreakerOptions{Clock: clk}, reg)
-	}
 	scorer, err := selection.ByName(opts.Scorer)
 	if err != nil {
 		err = fmt.Errorf("repro: Options.Scorer: %w", err)
@@ -336,7 +328,7 @@ func New(opts Options) *Metasearcher {
 		tracer:    telemetry.NewTracer(opts.Observer),
 		logger:    opts.Logger,
 		audit:     alog,
-		breakers:  breakers,
+		breakers:  resilience.NewSet(resilience.BreakerOptions{Clock: clk}, reg),
 		budget:    resilience.NewBudget(resilience.BudgetOptions{Metrics: reg}),
 
 		published: published{training: &classify.TrainingSet{}},
@@ -376,9 +368,8 @@ func (m *Metasearcher) InvalidateCaches() {
 func (m *Metasearcher) Metrics() *telemetry.Registry { return m.reg }
 
 // Breakers returns the per-node circuit-breaker set the search fan-out
-// consults (serve its Handler at /debug/breakers). Nil when
-// Options.Resilience.DisableBreakers is set — and every resilience.Set
-// method is nil-safe, so callers need no guard.
+// consults (serve its Handler at /debug/breakers). Never nil; breakers
+// follow the resilience package's fixed policy (DESIGN §9.4).
 func (m *Metasearcher) Breakers() *resilience.Set { return m.breakers }
 
 // RetryBudget returns the process-wide retry/hedge budget. Pass it to
@@ -410,12 +401,9 @@ func (m *Metasearcher) SearchScope() []string {
 // replica (keyed "name@addr", the same keys its per-replica breakers
 // use) plus a database-level target that succeeds while any replica
 // does. interval <= 0 selects the default (2s). The returned stop
-// function halts the prober (idempotent). With breakers disabled or no
-// remote databases registered it is a no-op.
+// function halts the prober (idempotent). With no remote databases
+// registered it is a no-op.
 func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
-	if m.breakers == nil {
-		return func() {}
-	}
 	targets := m.state.Load().probeTargets()
 	if len(targets) == 0 {
 		return func() {}

@@ -394,10 +394,11 @@ func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 func TestPartialFailureMergeDeterminism(t *testing.T) {
 	shards, lexicon := testbedShards(t, 3)
 	opts := testbedOptions(lexicon)
-	// Hedging and breakers off: this test wants exact attempt
-	// accounting, so every failure must reach the node. The result cache
+	// Hedging off: this test wants exact attempt accounting, so every
+	// failure must reach the node (two searches stay under the breakers'
+	// minimum sample count, so none is short-circuited). The result cache
 	// is off for the same reason — every Search must fan out.
-	opts.Resilience = ResilienceOptions{HedgeAfter: -1, DisableBreakers: true}
+	opts.Resilience = ResilienceOptions{HedgeAfter: -1}
 	opts.Cache.Disable = true
 	m := New(opts)
 	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{

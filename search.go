@@ -495,11 +495,12 @@ func scoreOutcomes(sels []Selection, maxScore float64, outcomes []nodeOutcome) [
 	return out
 }
 
-// searchNode evaluates the query at one selected database: breaker
-// admission, the (possibly hedged) call, breaker verdict, and the audit
-// record of what it all cost (the caller names the database on it). It
-// never fails the search — every path returns an outcome. ctx is the
-// fan-out's context: the search's own, bounded by the deadline budget.
+// searchNode evaluates the query at one selected database through
+// resilience.Do — breaker admission, the call, hedged once if it
+// outlives hedgeAfter, and the breaker verdict — and audits what it all
+// cost (the caller names the database on the record). It never fails
+// the search — every path returns an outcome. ctx is the fan-out's
+// context: the search's own, bounded by the deadline budget.
 func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db SearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration) nodeOutcome {
 	var call audit.NodeCall
 	if db == nil {
@@ -521,51 +522,79 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 			"db", name, "error", err)
 		return nodeOutcome{call: call}
 	}
-	if err := ctx.Err(); err != nil {
-		// The fan-out was over before it reached this node (an expired
-		// request, a client already gone): the node is not touched, and
-		// that is no verdict on it either way.
-		return unreachable(nil, err)
-	}
 
-	b := m.breakers.Get(name) // nil (admits everything) with breakers disabled
-	if !b.Allow() {
+	cdb, remote := db.(ContextSearchableDatabase)
+	if !remote {
+		hedgeAfter = 0 // in-process: infallible, nothing to hedge
+	}
+	var (
+		admitted sync.Once // the first attempt to start opens the node's span
+		dbSpan   *telemetry.Span
+		dbStart  time.Time      // zero unless the breaker admitted the call
+		ids      [2][]int       // per attempt (primary, hedge): a loser may outlive Do
+		stats    wire.CallStats // both attempts' transport cost
+	)
+	policy := resilience.Policy{HedgeAfter: hedgeAfter, Clock: m.clock, Breakers: m.breakers, Budget: m.budget}
+	out, err := resilience.Do(ctx, policy, []string{name}, func(actx context.Context, _, attempt int) error {
+		admitted.Do(func() {
+			// Post-Allow state: an admitted call on a cooled-down breaker
+			// is the half-open trial, and the audit should say so.
+			call.BreakerState = m.breakers.Get(name).State().String()
+			dbSpan = span.Child("search.db", telemetry.String("db", name))
+			dbStart = time.Now()
+		})
+		if !remote {
+			_, ids[0] = db.Query(terms, perDB)
+			return nil
+		}
+		actx = telemetry.ContextWithSpan(actx, dbSpan)
+		actx = wire.ContextWithCallStats(actx, &stats)
+		var err error
+		_, ids[attempt], err = cdb.QueryContext(actx, terms, perDB)
+		return err
+	})
+	if dbStart.IsZero() {
+		if !errors.Is(err, resilience.ErrShortCircuited) {
+			// The fan-out was over before it reached this node (an expired
+			// request, a client already gone): the node is not touched, and
+			// that is no verdict on it either way.
+			return unreachable(nil, err)
+		}
 		// Short-circuited: the node is known-bad and was not touched.
-		// Audited as BreakerOpen, distinct from Unavailable (which
-		// means the node was actually tried, or had no handle).
+		// Audited as BreakerOpen, distinct from Unavailable (which means
+		// the node was actually tried, or had no handle).
 		m.met.breakerOpen.Inc()
 		span.Event("search.breaker_open", telemetry.String("db", name))
-		call.BreakerState = b.State().String()
+		call.BreakerState = m.breakers.Get(name).State().String()
 		call.BreakerOpen = true
 		return nodeOutcome{call: call}
 	}
-	if b != nil {
-		// Post-Allow state: an admitted call on a cooled-down breaker is
-		// the half-open trial, and the audit should say so.
-		call.BreakerState = b.State().String()
-	}
 
-	dbSpan := span.Child("search.db", telemetry.String("db", name))
-	dbStart := time.Now()
-	defer m.met.dbLatency.ObserveSince(dbStart)
-
-	var ids []int
-	var err error
-	if cdb, remote := db.(ContextSearchableDatabase); remote {
-		ids, err = m.queryHedged(ctx, span, dbSpan, cdb, name, terms, perDB, hedgeAfter, &call)
-		m.nodeLatency.observe(time.Since(dbStart))
-	} else {
-		// In-process database: infallible, nothing to hedge or retry.
-		_, ids = db.Query(terms, perDB)
+	latency := time.Since(dbStart)
+	m.met.dbLatency.Observe(latency.Seconds())
+	call.LatencySeconds = latency.Seconds()
+	if remote {
+		m.nodeLatency.observe(latency)
+		if out.Hedged {
+			m.met.hedges.Inc()
+			call.Hedged = true
+			if out.Attempt == 1 && err == nil {
+				m.met.hedgeWins.Inc()
+				call.HedgeWon = true
+			}
+			span.Event("search.hedged", telemetry.String("db", name), telemetry.Int("winner", out.Attempt))
+		}
+		call.Attempts, call.Retries, call.Sheds = stats.Attempts(), stats.Retries(), stats.Sheds()
+		if call.Sheds > 0 {
+			m.met.sheds.Add(call.Sheds)
+		}
 	}
-	b.RecordCall(ctx, err)
-	call.LatencySeconds = time.Since(dbStart).Seconds()
 	if err != nil {
 		return unreachable(dbSpan, err)
 	}
-	call.Results = len(ids)
-	dbSpan.End(telemetry.Int("results", len(ids)))
-	return nodeOutcome{call: call, ids: ids, ok: true}
+	call.Results = len(ids[out.Attempt])
+	dbSpan.End(telemetry.Int("results", call.Results))
+	return nodeOutcome{call: call, ids: ids[out.Attempt], ok: true}
 }
 
 // latencyRingSize is how many recent node calls the auto-tuned hedge
@@ -573,7 +602,7 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 const latencyRingSize = 1024
 
 // latencyRing holds the latencies of the fan-out's most recent remote
-// node calls — exactly the calls queryHedged races, measured where they
+// node calls — exactly the calls searchNode hedges, measured where they
 // are raced — so the threshold that hedges queries is tuned by query
 // calls alone (not a running build's Fetch traffic) and needs no
 // registry shared with whoever dialled the database handles.
@@ -611,37 +640,4 @@ func (m *Metasearcher) hedgeThreshold() time.Duration {
 		return max(after, 0)
 	}
 	return max(m.nodeLatency.p95(), hedgeFloor)
-}
-
-// queryHedged is one remote node call: if the primary attempt outlives
-// hedgeAfter, a second identical request races it and the first success
-// wins. Per-attempt result and stats slots keep the loser (possibly
-// still in flight when Hedged returns) from racing the winner. The
-// transport cost of both attempts lands on call.
-func (m *Metasearcher) queryHedged(ctx context.Context, span, dbSpan *telemetry.Span, cdb ContextSearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration, call *audit.NodeCall) ([]int, error) {
-	stats := [2]*wire.CallStats{{}, {}}
-	var ids [2][]int
-	winner, hedged, err := resilience.Hedged(ctx, m.clock, hedgeAfter, m.budget, func(actx context.Context, attempt int) error {
-		actx = telemetry.ContextWithSpan(actx, dbSpan)
-		actx = wire.ContextWithCallStats(actx, stats[attempt])
-		_, res, err := cdb.QueryContext(actx, terms, perDB)
-		ids[attempt] = res
-		return err
-	})
-	if hedged {
-		m.met.hedges.Inc()
-		call.Hedged = true
-		if winner == 1 && err == nil {
-			m.met.hedgeWins.Inc()
-			call.HedgeWon = true
-		}
-		span.Event("search.hedged", telemetry.String("db", name), telemetry.Int("winner", winner))
-	}
-	call.Attempts = stats[0].Attempts() + stats[1].Attempts()
-	call.Retries = stats[0].Retries() + stats[1].Retries()
-	call.Sheds = stats[0].Sheds() + stats[1].Sheds()
-	if call.Sheds > 0 {
-		m.met.sheds.Add(call.Sheds)
-	}
-	return ids[winner], err
 }
