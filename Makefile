@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench docs count smoke smoke-remote smoke-gateway smoke-cluster check clean
+.PHONY: all vet build test race bench docs results count smoke smoke-remote smoke-gateway smoke-cluster check clean
 
 all: vet build test
 
@@ -31,14 +31,21 @@ docs:
 	cd cmd/metasearch && $(GO) test -run TestFlagDocsCurrent -update .
 	cd internal/telemetry && $(GO) test -run TestMetricCatalogueCurrent -update .
 
+# Regenerate the paper's tables and figures at full scale (about ten
+# minutes; kept out of `make test` and CI). EXPERIMENTS.md quotes this
+# file.
+results:
+	$(GO) run ./cmd/experiments -all > docs/results-default.txt
+
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/, the observability packages' share of them and the
 # number of metric kinds, metasearch flags per mode, the time.Sleep
 # calls left in tests, the files outside internal/resilience that still
 # make attempt-policy calls of their own (resilience.Do should be the
-# only caller of the budget and breaker methods on the query path), and
-# the exported fields of the option structs — the eight that held the
-# fan-out's timing knobs, totalled, then router.Options.
+# only caller of the budget and breaker methods on the query path), the
+# periodic loops that are not clock.Every (it should be the only one),
+# and the exported fields of the option structs — the eight that held
+# the fan-out's timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \
 	internal/wire/client.go:ClientOptions internal/gateway/gateway.go:Options \
@@ -55,6 +62,8 @@ count:
 	@find . -name '*_test.go' ! -path './benchmark/*' | xargs grep -c 'time\.Sleep(' | awk -F: '{n += $$2} END {print n}'
 	@printf 'non-test Go files outside internal/resilience and benchmark/ calling TrySpend, Allow, RecordCall, RecordNeutral or RecordSuccess: '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/resilience/*' | xargs grep -l -E '\.(TrySpend|Allow|RecordCall|RecordNeutral|RecordSuccess)\(' | wc -l
+	@printf 'periodic loops outside internal/clock (non-test Go outside benchmark/ matching NewTicker( or stopOnce): '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/clock/*' | xargs grep -E 'NewTicker\(|stopOnce' | wc -l
 	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
 		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
 			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 
+	"repro/internal/clock"
 	"repro/internal/obscollector"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
@@ -32,9 +33,8 @@ func runCollect(f *flags, _ []string) error {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
-		Interval: f.topoPoll,
-		Metrics:  reg,
-		Logger:   logger,
+		Metrics: reg,
+		Logger:  logger,
 	})
 	if err != nil {
 		return err
@@ -42,14 +42,12 @@ func runCollect(f *flags, _ []string) error {
 	profiles := obscollector.ProfileOptions{
 		Enable:     f.profileDir != "",
 		Dir:        f.profileDir,
-		Interval:   f.profileEvery,
 		CPUSeconds: f.profileCPU,
 		Keep:       f.profileKeep,
 	}
 	c, err := obscollector.New(
 		obscollector.TargetsFromTopology(watcher.Snapshot().Topology, f.collectRouter),
 		obscollector.Options{
-			Interval: f.scrapeEvery,
 			Metrics:  reg,
 			Logger:   logger,
 			Profiles: profiles,
@@ -66,10 +64,7 @@ func runCollect(f *flags, _ []string) error {
 		c.SetTargets(targets, snap.Generation)
 		log.Printf("topology generation %d applied: scraping %d members", snap.Generation, len(targets))
 	})
-	if f.topoPoll > 0 {
-		watcher.Start()
-		defer watcher.Stop()
-	}
+	defer pollTopology(watcher, f)()
 	for _, t := range c.Targets() {
 		if t.Identity.Shard != "" {
 			log.Printf("scraping %s (%s %s)", t.BaseURL, t.Identity.Role, t.Identity.Shard)
@@ -77,12 +72,12 @@ func runCollect(f *flags, _ []string) error {
 			log.Printf("scraping %s (%s)", t.BaseURL, t.Identity.Role)
 		}
 	}
+	defer clock.Every(nil, f.scrapeEvery, c.ScrapeOnce)()
 	if profiles.Enable {
 		log.Printf("continuous profiling into %s (every %v, keep %d per kind)",
-			profiles.Dir, profiles.Interval, profiles.Keep)
+			profiles.Dir, f.profileEvery, profiles.Keep)
+		defer clock.Every(nil, f.profileEvery, c.ProfileOnce)()
 	}
-	c.Start()
-	defer c.Stop()
 
 	mux := http.NewServeMux()
 	mux.Handle("/debug/cluster/", c.Handler())

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,7 +27,9 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/selection"
+	"repro/internal/shardmap"
 )
 
 // mode is one process mode: its subcommand word, the flags it owns and
@@ -205,6 +208,12 @@ func (f *flags) topologyFlags() {
 	f.fs.StringVar(&f.topologyFile, "topology", "", "cluster topology file (shardmap JSON)")
 	f.require("topology", "a cluster mode's members come from the cluster topology")
 	f.fs.DurationVar(&f.topoPoll, "topology-poll", 2*time.Second, "poll -topology for version bumps and apply them live — replica sets swap under traffic, the router's ring follows, the collector rescrapes (0 disables live reconfiguration)")
+}
+
+// pollTopology runs the watcher's Poll every -topology-poll and returns
+// the schedule's stop.
+func pollTopology(w *shardmap.Watcher, f *flags) (stop func()) {
+	return clock.Every(nil, f.topoPoll, func(context.Context) { w.Poll() })
 }
 
 // parse parses args into the mode's flags and checks what the flags

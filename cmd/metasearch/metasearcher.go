@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/clock"
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/refresh"
@@ -162,9 +163,7 @@ func (l *local) summaries(f *flags, keep func(name string) bool) (err error) {
 		}
 		log.Printf("summaries saved to %s", f.saveFile)
 	}
-	if f.probeEvery > 0 {
-		l.stopProbes = l.m.StartHealthProbes(f.probeEvery)
-	}
+	l.stopProbes = clock.Every(nil, f.probeEvery, l.m.Probe)
 	return nil
 }
 
@@ -283,14 +282,12 @@ func runServe(f *flags, _ []string) error {
 	// statistics the cluster's bit-identical merge rests on.
 	if f.refreshEvery > 0 {
 		refresher := refresh.NewManager(l.m, refresh.Options{
-			Interval:   f.refreshEvery,
 			Threshold:  f.driftThresh,
 			SampleDocs: f.refreshDocs,
 			Metrics:    l.m.Metrics(),
 			Logger:     l.logger,
 		})
-		refresher.Start()
-		defer refresher.Stop()
+		defer clock.Every(nil, f.refreshEvery, func(ctx context.Context) { refresher.RunOnce(ctx) })()
 		log.Printf("summary refresh every %v (JS drift threshold %.3g, %d-doc probes)",
 			f.refreshEvery, f.driftThresh, f.refreshDocs)
 		dbg.refresh = refresher.Handler()
@@ -311,10 +308,7 @@ func runShard(f *flags, _ []string) error {
 	}
 	defer l.close()
 
-	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
-		Interval: f.topoPoll,
-		Metrics:  l.m.Metrics(),
-	})
+	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{Metrics: l.m.Metrics()})
 	if err != nil {
 		return err
 	}
@@ -374,10 +368,7 @@ func runShard(f *flags, _ []string) error {
 		log.Printf("topology generation %d applied: attached %d, detached %d, unknown %d, scope_changed %v",
 			snap.Generation, len(rep.Attached), len(rep.Detached), len(rep.Unknown), rep.ScopeChanged)
 	})
-	if f.topoPoll > 0 {
-		watcher.Start()
-		defer watcher.Stop()
-	}
+	defer pollTopology(watcher, f)()
 
 	gopts := gatewayOptions(f, l.m.Metrics())
 	gopts.ShardID = f.shardID

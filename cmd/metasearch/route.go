@@ -3,6 +3,7 @@ package main
 import (
 	"log"
 
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/router"
 	"repro/internal/shardmap"
@@ -24,10 +25,7 @@ func runRoute(f *flags, _ []string) error {
 	breakers := resilience.NewSet(resilience.BreakerOptions{}, reg)
 	budget := resilience.NewBudget(resilience.BudgetOptions{Metrics: reg})
 
-	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{
-		Interval: f.topoPoll,
-		Metrics:  reg,
-	})
+	watcher, err := shardmap.NewWatcher(f.topologyFile, shardmap.WatcherOptions{Metrics: reg})
 	if err != nil {
 		return err
 	}
@@ -44,10 +42,7 @@ func runRoute(f *flags, _ []string) error {
 	for _, s := range rt.Shards() {
 		log.Printf("routing to shard %s at %s", s.ID, s.Addr)
 	}
-	if f.probeEvery > 0 {
-		prober := rt.StartHealthProbes(resilience.ProberOptions{Interval: f.probeEvery})
-		defer prober.Stop()
-	}
+	defer clock.Every(nil, f.probeEvery, rt.Probe)()
 	// Live reconfiguration: topology version bumps swap the fan-out ring
 	// atomically under traffic.
 	watcher.Subscribe(func(snap *shardmap.Snapshot) {
@@ -59,10 +54,7 @@ func runRoute(f *flags, _ []string) error {
 		log.Printf("topology generation %d applied: shards +%d -%d moved %d",
 			rec.Generation, len(rec.ShardsAdded), len(rec.ShardsRemoved), len(rec.ShardsMoved))
 	})
-	if f.topoPoll > 0 {
-		watcher.Start()
-		defer watcher.Stop()
-	}
+	defer pollTopology(watcher, f)()
 
 	gopts := gatewayOptions(f, reg)
 	// /v1/healthz reports every shard's breaker state and last

@@ -1,8 +1,10 @@
 // Package clock is the one source of time for the serving path's
-// timers: breaker cooldowns, hedge timers, retry backoff, health-probe
-// intervals, stream heartbeats and replica drains. Code that waits takes
-// a Clock (nil means Real); tests pass a *Fake and move time by hand,
-// so no test has to sleep through a cooldown or a backoff.
+// timers: breaker cooldowns, hedge timers, retry backoff, stream
+// heartbeats, replica drains, and — through Every, the one periodic
+// loop — health probes, drift refresh, topology polls and the
+// collector's scrapes and profiles. Code that waits takes a Clock (nil
+// means Real); tests pass a *Fake and move time by hand, so no test has
+// to sleep through a cooldown, a backoff or an interval.
 //
 // Deadlines are not on a Clock: they are enforced with
 // context.WithTimeout, whose expiry is context.DeadlineExceeded — the
@@ -10,6 +12,7 @@
 package clock
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -36,6 +39,39 @@ func Or(c Clock) Clock {
 		return Real
 	}
 	return c
+}
+
+// Every runs step in a background goroutine once every d on c (nil means
+// Real): it waits d, runs step, and starts the next wait only after step
+// returns, so a slow step delays the schedule instead of overlapping
+// itself, and one pending timer on a Fake means the loop is idle. The
+// returned stop cancels the context step runs under, waits for a
+// running step to return, and may be called any number of times. A
+// non-positive d never runs step.
+func Every(c Clock, d time.Duration, step func(context.Context)) (stop func()) {
+	if d <= 0 {
+		return func() {}
+	}
+	c = Or(c)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			t := c.NewTimer(d)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return
+			case <-t.C():
+				step(ctx)
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 type realClock struct{}

@@ -1,6 +1,8 @@
 package clock
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -65,6 +67,83 @@ func TestInstantFiresAtOnce(t *testing.T) {
 	}
 	if got := f.Now().Sub(start); got != 50*time.Millisecond {
 		t.Fatalf("instant clock moved %v, want 50ms", got)
+	}
+}
+
+// pending counts the Fake's waiting timers.
+func (f *Fake) pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.timers)
+}
+
+func TestEvery(t *testing.T) {
+	f := NewFake()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var returned atomic.Bool
+	stop := Every(f, time.Second, func(ctx context.Context) {
+		entered <- struct{}{}
+		select {
+		case <-release:
+		case <-ctx.Done():
+			returned.Store(true)
+		}
+	})
+
+	// No step before d.
+	f.BlockUntil(1)
+	f.Advance(999 * time.Millisecond)
+	select {
+	case <-entered:
+		t.Fatal("step ran before its interval")
+	default:
+	}
+
+	// The first step runs at d; while it runs no wait is pending, so
+	// however far the clock moves no second step starts.
+	f.Advance(time.Millisecond)
+	<-entered
+	if n := f.pending(); n != 0 {
+		t.Fatalf("%d timers pending while the step runs, want 0", n)
+	}
+	f.Advance(time.Hour)
+	select {
+	case <-entered:
+		t.Fatal("a second step overlapped the first")
+	default:
+	}
+
+	// The next wait starts once the step returns, and times a full d.
+	release <- struct{}{}
+	f.BlockUntil(1)
+	f.Advance(time.Second)
+	<-entered
+
+	// stop cancels the running step and waits for it to return.
+	stop()
+	if !returned.Load() {
+		t.Fatal("stop returned before the running step did")
+	}
+	stop() // idempotent
+	if n := f.pending(); n != 0 {
+		t.Fatalf("%d timers pending after stop, want 0", n)
+	}
+}
+
+func TestEveryStopBeforeFirstTick(t *testing.T) {
+	f := NewFake()
+	var ran atomic.Bool
+	stop := Every(f, time.Second, func(context.Context) { ran.Store(true) })
+	stop()
+	stop()
+	f.Advance(time.Hour)
+	if ran.Load() || f.pending() != 0 {
+		t.Fatal("a schedule stopped before its first tick ran its step or left a timer")
+	}
+	Every(f, 0, func(context.Context) { ran.Store(true) })()
+	if ran.Load() {
+		t.Fatal("a zero interval ran its step")
 	}
 }
 

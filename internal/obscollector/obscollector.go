@@ -3,7 +3,8 @@
 // fleet (router, shards, dbnode replicas) and serves a single debug
 // surface over all of them.
 //
-// Three facilities, one scrape loop:
+// Three facilities, one scrape step (ScrapeOnce, which the owning
+// process runs every scrape interval with clock.Every):
 //
 //   - Aggregated metrics. Every member's /metrics?format=json snapshot
 //     is kept per instance and rolled up cluster-wide — counters
@@ -99,8 +100,6 @@ type Options struct {
 	// Client issues the scrape calls (default http.DefaultClient with
 	// Timeout as the per-scrape bound).
 	Client *http.Client
-	// Interval is the scrape period (default 5s).
-	Interval time.Duration
 	// Timeout bounds one member's whole scrape (default 3s).
 	Timeout time.Duration
 	// Metrics receives the collector's own collector_* series (may be
@@ -130,7 +129,8 @@ type InstanceState struct {
 	Queries []*audit.QueryRecord `json:"-"`
 }
 
-// Collector owns the scrape loop and the assembled state.
+// Collector owns the scrape set and the assembled state. Its two steps,
+// ScrapeOnce and ProfileOnce, are scheduled by the owner (clock.Every).
 type Collector struct {
 	opts   Options
 	client *http.Client
@@ -145,18 +145,10 @@ type Collector struct {
 	sweepLat   *telemetry.Histogram
 
 	profiler *profiler
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-// New builds a Collector over the targets. Call Start for the periodic
-// loop, or ScrapeOnce for a single synchronous sweep (tests).
+// New builds a Collector over the targets.
 func New(targets []Target, opts Options) (*Collector, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 5 * time.Second
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 3 * time.Second
 	}
@@ -172,11 +164,9 @@ func New(targets []Target, opts Options) (*Collector, error) {
 		scrapes:    opts.Metrics.DeclareCounter("collector_scrapes_total", "Member scrapes attempted by the cluster collector."),
 		scrapeErrs: opts.Metrics.DeclareCounter("collector_scrape_errors_total", "Member scrapes that failed (member kept its stale state)."),
 		sweepLat:   opts.Metrics.DeclareHistogram("collector_scrape_latency", "Wall time of one full fleet sweep, seconds.", nil),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	if opts.Profiles.Enable {
-		p, err := newProfiler(targets, client, opts)
+		p, err := newProfiler(client, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -206,8 +196,9 @@ func (c *Collector) Generation() int64 {
 // reconfiguration. State of instances no longer targeted is dropped
 // (their last scrapes describe members that left the fleet); surviving
 // instances keep theirs, so a swap never blanks the debug surface. The
-// profiling rotation, when enabled, follows the new set. generation
-// records which topology generation produced the set.
+// profiling rotation, which reads the scrape set at each capture,
+// follows it. generation records which topology generation produced the
+// set.
 func (c *Collector) SetTargets(targets []Target, generation int64) {
 	next := make([]Target, len(targets))
 	copy(next, targets)
@@ -224,40 +215,14 @@ func (c *Collector) SetTargets(targets []Target, generation int64) {
 		}
 	}
 	c.mu.Unlock()
-	if c.profiler != nil {
-		c.profiler.setTargets(next)
-	}
 }
 
-// Start launches the periodic scrape loop (immediate first sweep) and,
-// when enabled, the profiling rotation. Stop with Stop.
-func (c *Collector) Start() {
-	go func() {
-		defer close(c.done)
-		ctx := context.Background()
-		c.ScrapeOnce(ctx)
-		t := time.NewTicker(c.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.ScrapeOnce(ctx)
-			}
-		}
-	}()
+// ProfileOnce is one continuous-profiling step: it captures a CPU and a
+// heap profile of the next member in rotation, then prunes retention.
+// A no-op unless Options.Profiles enabled the sampler.
+func (c *Collector) ProfileOnce(ctx context.Context) {
 	if c.profiler != nil {
-		c.profiler.start()
-	}
-}
-
-// Stop halts the loops and waits for them to exit.
-func (c *Collector) Stop() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
-	if c.profiler != nil {
-		c.profiler.stopWait()
+		c.profiler.captureNext(ctx, c.Targets())
 	}
 }
 

@@ -23,10 +23,6 @@ type ProfileOptions struct {
 	Enable bool
 	// Dir is where captured profiles land (required when enabled).
 	Dir string
-	// Interval is the pause between captures; each tick profiles ONE
-	// fleet member, rotating through them, so the whole fleet is
-	// covered every len(targets)*Interval (default 30s).
-	Interval time.Duration
 	// CPUSeconds is the length of each CPU profile (default 5).
 	CPUSeconds int
 	// Keep bounds on-disk retention: at most Keep profiles per kind
@@ -44,34 +40,28 @@ type ProfileInfo struct {
 	Time     time.Time `json:"time"`
 }
 
-// profiler rotates through the fleet capturing pprof profiles.
+// profiler rotates through the fleet capturing pprof profiles, one
+// member per Collector.ProfileOnce step, so the whole fleet is covered
+// every len(targets) steps.
 type profiler struct {
-	targets []Target
-	client  *http.Client
-	opts    ProfileOptions
-	logger  *slog.Logger
+	client *http.Client
+	opts   ProfileOptions
+	logger *slog.Logger
 
 	captured *telemetry.Counter
 	failures *telemetry.Counter
 
 	mu   sync.Mutex
 	next int
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
-func newProfiler(targets []Target, client *http.Client, opts Options) (*profiler, error) {
+func newProfiler(client *http.Client, opts Options) (*profiler, error) {
 	po := opts.Profiles
 	if po.Dir == "" {
 		return nil, fmt.Errorf("obscollector: profiling enabled without a directory")
 	}
 	if err := os.MkdirAll(po.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obscollector: profile dir: %w", err)
-	}
-	if po.Interval <= 0 {
-		po.Interval = 30 * time.Second
 	}
 	if po.CPUSeconds <= 0 {
 		po.CPUSeconds = 5
@@ -80,60 +70,26 @@ func newProfiler(targets []Target, client *http.Client, opts Options) (*profiler
 		po.Keep = 32
 	}
 	return &profiler{
-		targets:  targets,
 		client:   client,
 		opts:     po,
 		logger:   opts.Logger,
 		captured: opts.Metrics.DeclareCounter("collector_profiles_total", "pprof profiles captured by the continuous-profiling sampler."),
 		failures: opts.Metrics.DeclareCounter("collector_profile_errors_total", "pprof profile captures that failed."),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}, nil
 }
 
-func (p *profiler) start() {
-	go func() {
-		defer close(p.done)
-		t := time.NewTicker(p.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-t.C:
-				p.captureNext()
-			}
-		}
-	}()
-}
-
-func (p *profiler) stopWait() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
-}
-
-// setTargets swaps the rotation's member set (topology swap).
-func (p *profiler) setTargets(targets []Target) {
-	next := make([]Target, len(targets))
-	copy(next, targets)
-	p.mu.Lock()
-	p.targets = next
-	p.mu.Unlock()
-}
-
-// captureNext profiles the next member in rotation: one CPU profile and
-// one heap snapshot, then prunes retention.
-func (p *profiler) captureNext() {
-	p.mu.Lock()
-	if len(p.targets) == 0 {
-		p.mu.Unlock()
+// captureNext profiles the next of targets in rotation: one CPU profile
+// and one heap snapshot, then prunes retention.
+func (p *profiler) captureNext(ctx context.Context, targets []Target) {
+	if len(targets) == 0 {
 		return
 	}
-	t := p.targets[p.next%len(p.targets)]
+	p.mu.Lock()
+	t := targets[p.next%len(targets)]
 	p.next++
 	p.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(context.Background(),
+	ctx, cancel := context.WithTimeout(ctx,
 		time.Duration(p.opts.CPUSeconds)*time.Second+10*time.Second)
 	defer cancel()
 	now := time.Now().UTC()

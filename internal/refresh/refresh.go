@@ -149,8 +149,6 @@ func unionVocab(p, q map[string]float64) []string {
 
 // Options tunes a Manager.
 type Options struct {
-	// Interval is the background check period (default 60s).
-	Interval time.Duration
 	// Threshold is the Jensen-Shannon divergence past which a node's
 	// summary is rebuilt (default 0.3; the useful range is (0, ln 2) —
 	// small-sample noise against a same-corpus summary typically lands
@@ -183,10 +181,9 @@ type NodeState struct {
 	LastError string    `json:"last_error,omitempty"`
 }
 
-// Manager periodically drift-checks every refreshable node and rebuilds
-// the drifted ones. Safe for concurrent use; Start/Stop bracket the
-// background loop, RunOnce drives one pass synchronously (tests, and
-// operators poking /debug/refresh after a known content change).
+// Manager drift-checks every refreshable node and rebuilds the drifted
+// ones, one RunOnce pass at a time; the owner schedules the passes
+// (clock.Every). Safe for concurrent use.
 type Manager struct {
 	target Target
 	opts   Options
@@ -197,18 +194,10 @@ type Manager struct {
 	mu         sync.Mutex
 	states     map[string]*NodeState
 	generation int64
-
-	started  bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewManager builds a Manager over target.
 func NewManager(target Target, opts Options) *Manager {
-	if opts.Interval <= 0 {
-		opts.Interval = 60 * time.Second
-	}
 	if opts.Threshold <= 0 {
 		opts.Threshold = 0.3
 	}
@@ -227,8 +216,6 @@ func NewManager(target Target, opts Options) *Manager {
 		genGauge: reg.DeclareGauge("refresh_generation", "Monotonic count of summary swaps applied by the refresh manager."),
 
 		states: make(map[string]*NodeState),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
 }
 
@@ -329,49 +316,6 @@ func (m *Manager) state(name string) *NodeState {
 	return st
 }
 
-// Start launches the background check loop. Call Stop on shutdown.
-// Idempotent: a second Start is a no-op.
-func (m *Manager) Start() {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		return
-	}
-	m.started = true
-	m.mu.Unlock()
-	go func() {
-		defer close(m.done)
-		ticker := time.NewTicker(m.opts.Interval)
-		defer ticker.Stop()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() {
-			<-m.stop
-			cancel() // release an in-flight pass's sampling immediately
-		}()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-ticker.C:
-				m.RunOnce(ctx)
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and waits for an in-flight pass to
-// finish. Idempotent; a no-op if Start never ran.
-func (m *Manager) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.mu.Lock()
-	started := m.started
-	m.mu.Unlock()
-	if started {
-		<-m.done
-	}
-}
-
 // Snapshot returns every node's state, sorted by database name.
 func (m *Manager) Snapshot() []NodeState {
 	m.mu.Lock()
@@ -391,17 +335,15 @@ func (m *Manager) Handler() http.Handler {
 		gen := m.generation
 		m.mu.Unlock()
 		resp := struct {
-			Generation      int64       `json:"generation"`
-			IntervalSeconds float64     `json:"interval_seconds"`
-			Threshold       float64     `json:"threshold"`
-			SampleDocs      int         `json:"sample_docs"`
-			Nodes           []NodeState `json:"nodes"`
+			Generation int64       `json:"generation"`
+			Threshold  float64     `json:"threshold"`
+			SampleDocs int         `json:"sample_docs"`
+			Nodes      []NodeState `json:"nodes"`
 		}{
-			Generation:      gen,
-			IntervalSeconds: m.opts.Interval.Seconds(),
-			Threshold:       m.opts.Threshold,
-			SampleDocs:      m.opts.SampleDocs,
-			Nodes:           m.Snapshot(),
+			Generation: gen,
+			Threshold:  m.opts.Threshold,
+			SampleDocs: m.opts.SampleDocs,
+			Nodes:      m.Snapshot(),
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

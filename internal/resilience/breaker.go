@@ -1,8 +1,9 @@
 // Package resilience is the fault-tolerance layer of the serving path:
 // Do, the one attempt loop every remote call runs through (circuit
 // breakers per target, retries with backoff, failover, one hedge, a
-// retry budget, and one health verdict per target), and a background
-// prober that lets an open breaker close as soon as its node recovers.
+// retry budget, and one health verdict per target), and Set.Probe, the
+// health sweep that lets an open breaker close as soon as its node
+// recovers.
 //
 // The paper's metasearcher fronts autonomous hidden-web databases that
 // are slow, overloaded, or down; none of that may stall the merged
@@ -62,8 +63,7 @@ const (
 // BreakerOptions configures a breaker. The zero value runs on real
 // time.
 type BreakerOptions struct {
-	// Clock times the cooldown, and the health prober of a Set (nil:
-	// real time).
+	// Clock times the cooldown (nil: real time).
 	Clock clock.Clock
 }
 
@@ -74,8 +74,8 @@ type BreakerOptions struct {
 //
 // The contract is Allow-then-Record: every call the breaker admits must
 // report its outcome exactly once — RecordCall for query traffic (Do
-// does), Record for a health probe — or a half-open breaker would leak
-// its single trial slot.
+// does) and health probes (Set.Probe does) — or a half-open breaker
+// would leak its single trial slot.
 type Breaker struct {
 	clock    clock.Clock
 	onChange func(from, to State) // called with mu held; must not re-enter

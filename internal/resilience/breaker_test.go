@@ -249,11 +249,11 @@ func TestSetGaugesAndHandler(t *testing.T) {
 	}
 }
 
-// TestProberClosesRecoveredBreaker: the prober waits out its interval
-// and the breaker's cooldown on the Set's clock, probes the open node,
-// keeps its breaker open while the node is down, and closes it with the
-// first probe after the node recovers.
-func TestProberClosesRecoveredBreaker(t *testing.T) {
+// TestProbeClosesRecoveredBreaker: a probe schedule on the Set's clock
+// waits out its interval and the breaker's cooldown, probes the open
+// node, keeps its breaker open while the node is down, and closes it
+// with the first sweep after the node recovers.
+func TestProbeClosesRecoveredBreaker(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	clk := clock.NewFake()
 	s := NewSet(BreakerOptions{Clock: clk}, reg)
@@ -264,7 +264,7 @@ func TestProberClosesRecoveredBreaker(t *testing.T) {
 	}
 
 	var healthy atomic.Bool
-	p := NewProber(s, []ProbeTarget{{
+	targets := []ProbeTarget{{
 		Name: "node",
 		Ping: func(ctx context.Context) error {
 			if healthy.Load() {
@@ -272,12 +272,12 @@ func TestProberClosesRecoveredBreaker(t *testing.T) {
 			}
 			return errors.New("still down")
 		},
-	}}, ProberOptions{Metrics: reg})
-	p.Start()
-	defer p.Stop()
+	}}
+	stop := clock.Every(clk, time.Second, func(ctx context.Context) { s.Probe(ctx, targets) })
+	defer stop()
 
 	// sweep moves the clock past the cooldown (and so past the probe
-	// interval) and waits until the prober, done with the sweep that
+	// interval) and waits until the schedule, done with the sweep that
 	// fired, waits for the next.
 	sweep := func() {
 		clk.BlockUntil(1)
@@ -301,5 +301,40 @@ func TestProberClosesRecoveredBreaker(t *testing.T) {
 	if got := reg.Counter("health_probes_total").Value(); got != 2 {
 		t.Errorf("health_probes_total = %d, want 2", got)
 	}
-	p.Stop() // idempotent
+}
+
+// TestProbeCutShortIsNeutral: stopping the schedule while a probe is
+// waiting on its node cancels the ping, and that says nothing about the
+// node — the half-open breaker stays half-open with its trial released,
+// and neither probe counter moves. (A probe whose own probeTimeout runs
+// out is a failure: that is a deadline, not a cancellation.)
+func TestProbeCutShortIsNeutral(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	clk := clock.NewFake()
+	s := NewSet(BreakerOptions{Clock: clk}, reg)
+	b := s.Seed("node", HalfOpen)
+
+	pinged := make(chan struct{})
+	targets := []ProbeTarget{{Name: "node", Ping: func(ctx context.Context) error {
+		close(pinged)
+		<-ctx.Done()
+		return ctx.Err()
+	}}}
+	stop := clock.Every(clk, time.Second, func(ctx context.Context) { s.Probe(ctx, targets) })
+	clk.BlockUntil(1)
+	clk.Advance(time.Second)
+	<-pinged
+	stop()
+
+	if st := b.State(); st != HalfOpen {
+		t.Fatalf("breaker %v after a cancelled probe, want half_open", st)
+	}
+	if !b.Allow() {
+		t.Fatal("the cancelled probe kept the half-open trial slot")
+	}
+	for _, name := range []string{"health_probes_total", "health_probe_failures_total"} {
+		if got := reg.Counter(name).Value(); got != 0 {
+			t.Errorf("%s = %d after a cancelled probe, want 0", name, got)
+		}
+	}
 }

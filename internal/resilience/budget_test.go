@@ -150,15 +150,14 @@ func TestSetSeedAndRemoveGaugeAccounting(t *testing.T) {
 	}
 }
 
-// TestProberRetargetHalfOpenRace drives the swap scenario at the
-// resilience layer: a prober and live "traffic" race over a breaker
-// that is seeded half-open by a topology swap, while SetTargets
-// replaces the probe list concurrently and the clock moves on by a
-// cooldown per round, so probes and trials keep coming. The half-open
-// contract — at most one trial in flight, every admitted call Recorded
-// — must hold under -race, and no probe may be sent to a target twice
-// concurrently.
-func TestProberRetargetHalfOpenRace(t *testing.T) {
+// TestProbeSwapHalfOpenRace drives the swap scenario at the resilience
+// layer: a probe schedule and live "traffic" race over a breaker that
+// is seeded half-open by a topology swap, while the swapper replaces
+// the target list each sweep reads and the clock moves on by a cooldown
+// per round, so probes and trials keep coming. The half-open contract —
+// at most one trial in flight, every admitted call Recorded — must hold
+// under -race, and no probe may be sent to a target twice concurrently.
+func TestProbeSwapHalfOpenRace(t *testing.T) {
 	clk := clock.NewFake()
 	s := NewSet(BreakerOptions{Clock: clk}, telemetry.NewRegistry())
 
@@ -177,9 +176,12 @@ func TestProberRetargetHalfOpenRace(t *testing.T) {
 		return nil
 	}
 
-	p := NewProber(s, nil, ProberOptions{})
-	p.Start()
-	defer p.Stop()
+	// Each sweep reads the targets the swapper last published, as the
+	// metasearcher and the router read their live topology.
+	var targets atomic.Pointer[[]ProbeTarget]
+	targets.Store(&[]ProbeTarget{})
+	stopProbes := clock.Every(clk, time.Second, func(ctx context.Context) { s.Probe(ctx, *targets.Load()) })
+	defer stopProbes()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -203,10 +205,11 @@ func TestProberRetargetHalfOpenRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Swapper: re-seed, retarget and move the clock on, round after round.
+	// Swapper: re-seed, publish a fresh target list and move the clock
+	// on, round after round.
 	for i := 0; i < 2000; i++ {
 		s.Seed("replica-new", HalfOpen)
-		p.SetTargets([]ProbeTarget{{Name: "replica-new", Ping: ping}})
+		targets.Store(&[]ProbeTarget{{Name: "replica-new", Ping: ping}})
 		if i%3 == 0 {
 			s.Remove("replica-old")
 		}
@@ -215,7 +218,7 @@ func TestProberRetargetHalfOpenRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	p.Stop()
+	stopProbes()
 
 	// The breaker Allow gate must have serialized probe trials whenever
 	// the breaker was non-closed; concurrent probes can only overlap via

@@ -1,10 +1,13 @@
 package resilience
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/telemetry"
@@ -22,23 +25,74 @@ type Set struct {
 	mu sync.RWMutex
 	m  map[string]*Breaker
 
-	closed   *telemetry.Gauge
-	halfOpen *telemetry.Gauge
-	open     *telemetry.Gauge
-	trips    *telemetry.Counter
+	closed        *telemetry.Gauge
+	halfOpen      *telemetry.Gauge
+	open          *telemetry.Gauge
+	trips         *telemetry.Counter
+	probes        *telemetry.Counter
+	probeFailures *telemetry.Counter
 }
 
 // NewSet creates a breaker set; every breaker it mints uses opts. The
 // gauge and counter series are registered immediately (reg may be nil).
 func NewSet(opts BreakerOptions, reg *telemetry.Registry) *Set {
 	return &Set{
-		opts:     opts,
-		m:        make(map[string]*Breaker),
-		closed:   reg.DeclareGauge("breakers_closed", "Circuit breakers currently closed (healthy targets)."),
-		halfOpen: reg.DeclareGauge("breakers_half_open", "Circuit breakers currently half-open (probing recovery)."),
-		open:     reg.DeclareGauge("breakers_open", "Circuit breakers currently open (targets routed around)."),
-		trips:    reg.DeclareCounter("breaker_trips_total", "Circuit-breaker transitions from closed to open."),
+		opts:          opts,
+		m:             make(map[string]*Breaker),
+		closed:        reg.DeclareGauge("breakers_closed", "Circuit breakers currently closed (healthy targets)."),
+		halfOpen:      reg.DeclareGauge("breakers_half_open", "Circuit breakers currently half-open (probing recovery)."),
+		open:          reg.DeclareGauge("breakers_open", "Circuit breakers currently open (targets routed around)."),
+		trips:         reg.DeclareCounter("breaker_trips_total", "Circuit-breaker transitions from closed to open."),
+		probes:        reg.DeclareCounter("health_probes_total", "Background health probes sent to non-closed breaker targets."),
+		probeFailures: reg.DeclareCounter("health_probe_failures_total", "Background health probes that failed."),
 	}
+}
+
+// probeTimeout bounds each probe. It is a deadline, so it runs on the
+// wall clock (see internal/clock), and its expiry is a failure.
+const probeTimeout = time.Second
+
+// ProbeTarget is one node a health probe may ping.
+type ProbeTarget struct {
+	// Name keys the node's breaker in the Set.
+	Name string
+	// Ping checks the node's health (a wire client's /v1/health call).
+	Ping func(ctx context.Context) error
+}
+
+// Probe is one health sweep: it pings, concurrently, every target whose
+// breaker is not closed and admits the call, and feeds each outcome back
+// through RecordCall, so an open breaker closes as soon as its node
+// recovers instead of waiting for query traffic to roll the dice on its
+// half-open trial. Closed targets are left alone — query traffic is
+// their health check. A ping cut short by ctx's cancellation (the
+// schedule stopping) is neutral: it releases the trial and counts as
+// neither a probe nor a failure. Run it on a schedule with clock.Every,
+// passing the targets as they are at each sweep.
+func (s *Set) Probe(ctx context.Context, targets []ProbeTarget) {
+	var wg sync.WaitGroup
+	for _, t := range targets {
+		b := s.Get(t.Name)
+		if b.State() == Closed || !b.Allow() {
+			continue // healthy, open and still cooling down, or a trial in flight
+		}
+		wg.Add(1)
+		go func(t ProbeTarget, b *Breaker) {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+			defer cancel()
+			err := t.Ping(pctx)
+			b.RecordCall(pctx, err)
+			if errors.Is(pctx.Err(), context.Canceled) {
+				return
+			}
+			s.probes.Inc()
+			if err != nil {
+				s.probeFailures.Inc()
+			}
+		}(t, b)
+	}
+	wg.Wait()
 }
 
 // Clock returns the clock the set's breakers time their cooldowns on

@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/chaos"
+	"repro/internal/clock"
 	"repro/internal/gateway"
 	"repro/internal/shardmap"
 	"repro/internal/wire"
@@ -150,9 +151,9 @@ func TestClusterReconfiguration(t *testing.T) {
 		shardMs[i] = sm
 		// Health probes are the mechanism that earns a swapped-in
 		// replica its traffic: its breaker is seeded half-open, and the
-		// prober's successful trial closes it.
-		stopProbes := sm.StartHealthProbes(25 * time.Millisecond)
-		t.Cleanup(stopProbes)
+		// probe's successful trial closes it. Each sweep reads the shard's
+		// live store, so the swap needs no retargeting.
+		t.Cleanup(clock.Every(nil, 25*time.Millisecond, sm.Probe))
 		gw := httptest.NewServer(gateway.New(sm, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
 		t.Cleanup(gw.Close)
 		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
@@ -220,6 +221,7 @@ func TestClusterReconfiguration(t *testing.T) {
 		stop      = make(chan struct{})
 		succeeded atomic.Int64
 		failures  atomic.Int64
+		progress  = make(chan struct{}, 1) // a query succeeded since the last receive
 	)
 	for g := 0; g < 4; g++ {
 		loadWG.Add(1)
@@ -237,17 +239,38 @@ func TestClusterReconfiguration(t *testing.T) {
 					t.Errorf("load query %q failed: %v", q, err)
 				} else {
 					succeeded.Add(1)
+					select {
+					case progress <- struct{}{}:
+					default:
+					}
 				}
 			}
 		}(g)
 	}
-	time.Sleep(200 * time.Millisecond)
+	// phase lets the load run until n more queries have succeeded: each
+	// query set cycles over every database, so after the kill n of them
+	// include calls that reached the dead replica and failed over.
+	phase := func(name string, n int64) {
+		t.Helper()
+		target := succeeded.Load() + n
+		deadline := time.After(30 * time.Second)
+		for succeeded.Load() < target {
+			select {
+			case <-progress:
+			case <-deadline:
+				close(stop)
+				loadWG.Wait()
+				t.Fatalf("%s: %d of %d queries succeeded", name, succeeded.Load()-(target-n), n)
+			}
+		}
+	}
+	phase("before the kill", 40)
 
 	// Kill dbs[0]'s preferred replica mid-load...
 	deadAddr := replicaAddrs[dbs[0].name][0]
 	replicaSrvs[dbs[0].name][0].CloseClientConnections()
 	replicaSrvs[dbs[0].name][0].Close()
-	time.Sleep(100 * time.Millisecond)
+	phase("after the kill", 20)
 
 	// ...then rewrite the topology: the dead replica is gone and the
 	// chaos-proxied replacement is first in the list (so the owning
@@ -271,7 +294,7 @@ func TestClusterReconfiguration(t *testing.T) {
 	}
 
 	// Keep the load running on the new topology, then stop.
-	time.Sleep(300 * time.Millisecond)
+	phase("after the swap", 60)
 	close(stop)
 	loadWG.Wait()
 

@@ -20,7 +20,7 @@
 // Shards are peers of the wire protocol's operational conventions: each
 // has a circuit breaker (keyed by shard ID, on the router's
 // resilience.Set), a shed (429) reply is backpressure rather than
-// failure, and a background prober re-admits recovered shards. A query
+// failure, and scheduled Probe sweeps re-admit recovered shards. A query
 // succeeds if at least one shard answers; shards the breaker holds back
 // or that fail mid-query cost coverage (their databases go unranked),
 // never availability.
@@ -90,7 +90,6 @@ type Router struct {
 	client   *http.Client
 	timeout  time.Duration
 	breakers *resilience.Set
-	reg      *telemetry.Registry
 	tracer   *telemetry.Tracer
 	budget   *resilience.Budget
 	clock    clock.Clock // times the retry's backoff: real time, a fake in tests
@@ -109,9 +108,6 @@ type Router struct {
 
 	probeMu   sync.Mutex
 	lastProbe map[string]probeResult // shard ID → latest background probe
-
-	proberMu sync.Mutex
-	prober   *resilience.Prober // retargeted on topology swaps
 
 	swapMu      sync.Mutex
 	swapHistory []SwapRecord // bounded audit trail, oldest first
@@ -178,7 +174,6 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 		client:       client,
 		timeout:      timeout,
 		breakers:     breakers,
-		reg:          reg,
 		tracer:       opts.Tracer,
 		budget:       budget,
 		clock:        clock.Real,
@@ -230,8 +225,8 @@ func (r *Router) Generation() int64 { return r.ring.Load().generation }
 // shards leave the breaker set and the probe-result map; added shards
 // get a fresh breaker that starts closed on first use, so concurrent
 // queries never skip a healthy newcomer and the merge stays
-// bit-identical to a single process. The background prober, if running,
-// is retargeted. Returns the swap's audit record.
+// bit-identical to a single process. Health probes need no retargeting:
+// each Probe sweep reads the live ring. Returns the swap's audit record.
 func (r *Router) ApplyTopology(snap *shardmap.Snapshot) (*SwapRecord, error) {
 	if snap == nil || snap.Topology == nil {
 		return nil, errors.New("router: nil topology snapshot")
@@ -280,13 +275,6 @@ func (r *Router) ApplyTopology(snap *shardmap.Snapshot) (*SwapRecord, error) {
 		r.swapHistory = r.swapHistory[len(r.swapHistory)-maxSwapHistory:]
 	}
 	r.swapMu.Unlock()
-
-	r.proberMu.Lock()
-	p := r.prober
-	r.proberMu.Unlock()
-	if p != nil {
-		p.SetTargets(r.ProbeTargets())
-	}
 	return rec, nil
 }
 
@@ -365,9 +353,9 @@ func (r *Router) ProbeTargets() []resilience.ProbeTarget {
 // ShardHealth summarizes every shard's health as the router sees it:
 // the breaker state gating its traffic plus the latest background probe
 // outcome. Wire it into gateway.Options.ShardHealth so the router's
-// /v1/healthz answers for the whole fleet behind it. (The prober only
-// probes non-closed breakers, so a shard that never failed reports no
-// probe result — absence of evidence is health here.)
+// /v1/healthz answers for the whole fleet behind it. (Probe only pings
+// non-closed breakers, so a shard that never failed reports no probe
+// result — absence of evidence is health here.)
 func (r *Router) ShardHealth() []wire.ShardHealth {
 	shards := r.ring.Load().shards
 	out := make([]wire.ShardHealth, len(shards))
@@ -393,18 +381,11 @@ func (r *Router) ShardHealth() []wire.ShardHealth {
 	return out
 }
 
-// StartHealthProbes launches a background prober that re-admits
-// recovered shards. Returns the prober; call Stop on shutdown.
-func (r *Router) StartHealthProbes(opts resilience.ProberOptions) *resilience.Prober {
-	if opts.Metrics == nil {
-		opts.Metrics = r.reg
-	}
-	p := resilience.NewProber(r.breakers, r.ProbeTargets(), opts)
-	r.proberMu.Lock()
-	r.prober = p
-	r.proberMu.Unlock()
-	p.Start()
-	return p
+// Probe is one health sweep (resilience.Set.Probe) over the shards of
+// the live ring, re-admitting recovered ones; a topology swap's shards
+// are probed from the next sweep. Schedule it with clock.Every.
+func (r *Router) Probe(ctx context.Context) {
+	r.breakers.Probe(ctx, r.ProbeTargets())
 }
 
 func (r *Router) ping(ctx context.Context, addr string) error {

@@ -142,6 +142,41 @@ func TestApplyTopologyMovedShardKeepsBreaker(t *testing.T) {
 	}
 }
 
+// TestProbeFollowsTopologySwap: a running probe schedule reads the live
+// ring at every sweep, so a shard that joins with a tripped breaker is
+// probed — and re-admitted — on the first sweep after the swap, with
+// nothing told to retarget.
+func TestProbeFollowsTopologySwap(t *testing.T) {
+	a := newFakeShard(t, reply())
+	b := newFakeShard(t, reply())
+	clk := clock.NewFake()
+	breakers := resilience.NewSet(resilience.BreakerOptions{Clock: clk}, nil)
+	rt, err := New(testTopology(a), Options{Breakers: breakers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := clock.Every(clk, time.Second, rt.Probe)
+	defer stop()
+
+	bb := breakers.Get("shard-b")
+	for i := 0; i < 4; i++ {
+		bb.Allow()
+		bb.Record(false)
+	}
+	clk.BlockUntil(1)
+	if _, err := rt.ApplyTopology(snapshotFor(testTopology(a, b), 2)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(resilience.BreakerCooldown)
+	clk.BlockUntil(1) // the sweep that fired is done
+	if got := bb.State(); got != resilience.Closed {
+		t.Fatalf("joined shard-b breaker = %v after one sweep, want closed", got)
+	}
+	if sh := rt.ShardHealth(); len(sh) != 2 || sh[1].ID != "shard-b" || sh[1].LastProbe != "ok" {
+		t.Fatalf("ShardHealth = %+v, want shard-b last probed ok", sh)
+	}
+}
+
 func TestApplyTopologyRejectsInvalid(t *testing.T) {
 	a := newFakeShard(t, reply())
 	rt, err := New(testTopology(a), Options{})

@@ -146,36 +146,33 @@ type Snapshot struct {
 
 // WatcherOptions tunes a Watcher.
 type WatcherOptions struct {
-	// Interval is the stat-poll period (default 2s).
-	Interval time.Duration
 	// Metrics receives topology_generation (gauge),
 	// topology_reloads_total, and topology_reload_errors_total (may be
 	// nil).
 	Metrics *telemetry.Registry
 	// Logger, when non-nil, logs accepted swaps and rejected files.
 	Logger *slog.Logger
-	// Clock stamps each snapshot's LoadedAt (nil: real time). The poll
-	// interval itself is a real ticker; tests call Poll directly.
+	// Clock stamps each snapshot's LoadedAt (nil: real time).
 	Clock clock.Clock
 }
 
 // Watcher watches a topology file and publishes a new immutable
 // Snapshot whenever the file changes to different, valid content. The
-// detection is stat-based (mtime + size each Interval); a stat change
-// triggers a full read, parse, and Validate, and only a file that both
-// parses and validates replaces the current snapshot — an invalid or
-// torn edit is rejected (counted in topology_reload_errors_total, old
-// snapshot kept) rather than splitting the cluster's world view.
+// detection is stat-based (mtime + size at each Poll, which the owner
+// schedules with clock.Every); a stat change triggers a full read,
+// parse, and Validate, and only a file that both parses and validates
+// replaces the current snapshot — an invalid or torn edit is rejected
+// (counted in topology_reload_errors_total, old snapshot kept) rather
+// than splitting the cluster's world view.
 //
-// Subscribers run synchronously on the watcher goroutine (or the Poll
-// caller), in registration order, before the next poll; a subscriber is
-// one process's swap hook (router ring swap, shard replica
-// reconciliation, collector retargeting) and must not block for long.
+// Subscribers run synchronously on the Poll caller, in registration
+// order, before Poll returns; a subscriber is one process's swap hook
+// (router ring swap, shard replica reconciliation, collector
+// retargeting) and must not block for long.
 type Watcher struct {
-	path     string
-	interval time.Duration
-	clock    clock.Clock
-	logger   *slog.Logger
+	path   string
+	clock  clock.Clock
+	logger *slog.Logger
 
 	generation *telemetry.Gauge
 	reloads    *telemetry.Counter
@@ -186,31 +183,19 @@ type Watcher struct {
 	lastMod  time.Time
 	lastSize int64
 	subs     []func(*Snapshot)
-
-	started  bool
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewWatcher loads and validates the topology file and returns a
-// watcher whose initial snapshot (generation 1) holds it. Call Start
-// for the polling loop, Poll for a synchronous check (tests, admin
-// triggers).
+// watcher whose initial snapshot (generation 1) holds it. Poll checks
+// the file once; schedule it with clock.Every for live reconfiguration.
 func NewWatcher(path string, opts WatcherOptions) (*Watcher, error) {
-	if opts.Interval <= 0 {
-		opts.Interval = 2 * time.Second
-	}
 	w := &Watcher{
 		path:       path,
-		interval:   opts.Interval,
 		clock:      clock.Or(opts.Clock),
 		logger:     opts.Logger,
 		generation: opts.Metrics.DeclareGauge("topology_generation", "Generation of the topology snapshot this process is serving."),
 		reloads:    opts.Metrics.DeclareCounter("topology_reloads_total", "Topology file reloads accepted (snapshot swapped)."),
 		reloadErrs: opts.Metrics.DeclareCounter("topology_reload_errors_total", "Topology file reloads rejected (unreadable or invalid; old snapshot kept)."),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	topo, err := LoadFile(path)
 	if err != nil {
@@ -234,9 +219,9 @@ func (w *Watcher) Snapshot() *Snapshot {
 // Generation returns the current snapshot's generation.
 func (w *Watcher) Generation() int64 { return w.Snapshot().Generation }
 
-// Subscribe registers fn to run on every accepted swap. Subscribers
-// added after Start still see every subsequent swap; the initial
-// snapshot is available via Snapshot, not delivered as an event.
+// Subscribe registers fn to run on every subsequently accepted swap;
+// the initial snapshot is available via Snapshot, not delivered as an
+// event.
 func (w *Watcher) Subscribe(fn func(*Snapshot)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -302,42 +287,6 @@ func (w *Watcher) Poll() (swapped bool, err error) {
 		fn(snap)
 	}
 	return true, nil
-}
-
-// Start launches the polling loop. Stop with Stop.
-func (w *Watcher) Start() {
-	w.mu.Lock()
-	if w.started {
-		w.mu.Unlock()
-		return
-	}
-	w.started = true
-	w.mu.Unlock()
-	go func() {
-		defer close(w.done)
-		t := time.NewTicker(w.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.stop:
-				return
-			case <-t.C:
-				w.Poll()
-			}
-		}
-	}()
-}
-
-// Stop halts the polling loop and waits for it to exit. Safe to call
-// more than once, and before Start.
-func (w *Watcher) Stop() {
-	w.stopOnce.Do(func() { close(w.stop) })
-	w.mu.Lock()
-	started := w.started
-	w.mu.Unlock()
-	if started {
-		<-w.done
-	}
 }
 
 // Handler serves the watcher's state as JSON — the shard-side

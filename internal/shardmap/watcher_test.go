@@ -1,12 +1,14 @@
 package shardmap
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -188,32 +190,45 @@ func TestWatcherRejectsInvalidFile(t *testing.T) {
 	}
 }
 
-func TestWatcherStartStop(t *testing.T) {
+// TestWatcherPollsOnSchedule: Poll scheduled by clock.Every picks up a
+// rewrite at the first tick after it, and the subscribers run on the
+// schedule's goroutine before the next wait starts.
+func TestWatcherPollsOnSchedule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "topology.json")
 	if err := testTopology().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWatcher(path, WatcherOptions{Interval: 5 * time.Millisecond})
+	w, err := NewWatcher(path, WatcherOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ch := make(chan int64, 16)
 	w.Subscribe(func(s *Snapshot) { ch <- s.Generation })
-	w.Start()
-	defer w.Stop()
+	clk := clock.NewFake()
+	stop := clock.Every(clk, 2*time.Second, func(context.Context) { w.Poll() })
+	defer stop()
+
+	// A tick over the unchanged file publishes nothing.
+	clk.BlockUntil(1)
+	clk.Advance(2 * time.Second)
+	clk.BlockUntil(1)
+	if len(ch) != 0 {
+		t.Fatal("a poll of the unchanged file published a snapshot")
+	}
 
 	next := testTopology()
 	next.Databases[0].Replicas = next.Databases[0].Replicas[:1]
 	writeTopology(t, path, next)
-
+	clk.Advance(2 * time.Second)
+	clk.BlockUntil(1)
 	select {
 	case gen := <-ch:
 		if gen != 2 {
 			t.Fatalf("watched swap generation = %d, want 2", gen)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watcher never observed the rewrite")
+	default:
+		t.Fatal("the tick after the rewrite did not publish it")
 	}
-	w.Stop()
-	w.Stop() // idempotent
+	stop()
+	stop() // idempotent
 }

@@ -15,22 +15,17 @@ import (
 // declaring accessors and the render paths.
 func TestConcurrentObserveAndRender(t *testing.T) {
 	reg := NewRegistry()
-	const writers = 8
+	const writers, iterations = 8, 2000
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var writersWG, readersWG sync.WaitGroup
 
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writersWG.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writersWG.Done()
 			h := reg.DeclareHistogram("req_latency", "Request latency, seconds.", nil)
 			start := time.Now()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < iterations; i++ {
 				v := float64(i%100) / 1000
 				h.Observe(v)
 				h.ObserveSince(start)
@@ -41,11 +36,12 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 		}(w)
 	}
 
-	// Readers: snapshots and text renders, racing the writers.
+	// Readers: snapshots and text renders, racing the writers until they
+	// are done.
 	for r := 0; r < 3; r++ {
-		wg.Add(1)
+		readersWG.Add(1)
 		go func() {
-			defer wg.Done()
+			defer readersWG.Done()
 			for {
 				select {
 				case <-stop:
@@ -58,14 +54,14 @@ func TestConcurrentObserveAndRender(t *testing.T) {
 		}()
 	}
 
-	time.Sleep(50 * time.Millisecond)
+	writersWG.Wait()
 	close(stop)
-	wg.Wait()
+	readersWG.Wait()
 
 	snap := reg.Snapshot()
 	hs := snap.Histograms["req_latency"]
-	if hs.Count == 0 {
-		t.Fatal("histogram recorded nothing")
+	if want := int64(2 * writers * iterations); hs.Count != want {
+		t.Fatalf("histogram recorded %d observations, want %d", hs.Count, want)
 	}
 	var inBuckets int64
 	for _, n := range hs.Counts {

@@ -3,7 +3,7 @@ package telemetry_test
 // Fleet-wide metric hygiene: every series any serving component
 // registers must carry help text, use snake_case, and keep one type per
 // name. The test boots the real components (metasearcher pipeline,
-// gateway, router, wire server/client, prober, cluster collector) the
+// gateway, router, wire server/client, cluster collector) the
 // way the commands do and walks their registries, so adding a sloppy
 // metric anywhere fails here, not in a dashboard.
 
@@ -50,7 +50,6 @@ func bootFleet(t *testing.T) []fleetRegistry {
 	wire.NewServer(repro.NewLocalDatabaseFromTerms("db", [][]string{{"alpha"}}),
 		wire.ServerOptions{Metrics: m.Metrics()})
 	wire.NewClient("127.0.0.1:0", wire.ClientOptions{Metrics: m.Metrics()})
-	resilience.NewProber(m.Breakers(), nil, resilience.ProberOptions{Metrics: m.Metrics()})
 
 	// The cluster router's registry.
 	routerReg := telemetry.NewRegistry()
@@ -73,7 +72,7 @@ func bootFleet(t *testing.T) []fleetRegistry {
 		t.Fatal(err)
 	}
 	return []fleetRegistry{
-		{"metasearcher", "A metasearcher (`query`, `serve`, `shard`) — pipeline, caches, breakers, gateway, wire client and prober; the `wire_server_*` rows are what a dbnode records into its own registry", m.Metrics()},
+		{"metasearcher", "A metasearcher (`query`, `serve`, `shard`) — pipeline, caches, breakers and their health probes, gateway and wire client; the `wire_server_*` rows are what a dbnode records into its own registry", m.Metrics()},
 		{"router", "The router (`route`)", routerReg},
 		{"collector", "The collector (`collect`)", collectorReg},
 	}

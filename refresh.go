@@ -15,9 +15,10 @@ import (
 // This file implements refresh.Target: the hooks the background
 // summary-refresh manager (internal/refresh) uses to keep content
 // summaries tracking the live collections. The split of labor: the
-// manager owns scheduling, drift decisions, and observability; the
-// metasearcher owns sampling and the swap, because only it knows the
-// build pipeline and how a new summary store is published (store.go).
+// manager owns drift decisions and observability, its owner the schedule
+// (clock.Every); the metasearcher owns sampling and the swap, because
+// only it knows the build pipeline and how a new summary store is
+// published (store.go).
 
 // RefreshableDatabases lists the databases the refresh manager may
 // re-sample: those with a live connection, within this process's search
@@ -88,7 +89,8 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 // bump. Queries keep serving from the old store until then — the
 // sampling, the slow, latency-bound part, blocks only other writers —
 // and a query sees either the old store or the new one whole, never a
-// mixture of old and new statistics. The database keeps its assigned
+// mixture of old and new statistics. A rebuild whose ctx is cancelled
+// before the swap publishes nothing. The database keeps its assigned
 // category: contents drift, classification is re-probed only by a full
 // offline rebuild.
 func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
@@ -117,6 +119,11 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 		span := m.tracer.Span("refresh.rebuild", telemetry.String("db", name))
 		defer span.End()
 		sample, err := m.sampleQBS(m.searcher(ctx, span, r.db), span, cur.lexicon, m.opts.SampleSize, refreshSeed(m.opts.Seed+int64(idx), name))
+		if err == nil {
+			// The sampler ends a cancelled resample-probe round early and
+			// returns what it has; a rebuild cut short must publish nothing.
+			err = ctx.Err()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("rebuild sampling %s: %w", name, err)
 		}

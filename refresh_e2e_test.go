@@ -5,7 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/refresh"
 )
 
@@ -181,5 +183,87 @@ func TestRefreshDriftHotSwap(t *testing.T) {
 	// A second pass over the now-consistent state must swap nothing.
 	if swapped, err := mgr.RunOnce(context.Background()); err != nil || swapped != 0 {
 		t.Fatalf("second RunOnce = (%d, %v), want (0, nil)", swapped, err)
+	}
+}
+
+// heldDB is a swappableDB behind the context-aware interface whose
+// match-count-only queries (limit 0: the sampler's closing resample
+// probes), once held, wait for the caller's context to end.
+type heldDB struct {
+	*swappableDB
+	hold     atomic.Bool
+	held     chan struct{}
+	heldOnce sync.Once
+}
+
+func (h *heldDB) QueryContext(ctx context.Context, terms []string, limit int) (int, []int, error) {
+	if limit == 0 && h.hold.Load() {
+		h.heldOnce.Do(func() { close(h.held) })
+		<-ctx.Done()
+		return 0, nil, ctx.Err()
+	}
+	n, ids := h.Query(terms, limit)
+	return n, ids, nil
+}
+
+func (h *heldDB) FetchContext(_ context.Context, id int) ([]string, error) {
+	return h.Fetch(id), nil
+}
+
+// holdOnRebuild is the metasearcher as a refresh target, holding the
+// node's resample probes from the moment a rebuild starts (the drift
+// check's own probes pass).
+type holdOnRebuild struct {
+	*Metasearcher
+	db *heldDB
+}
+
+func (h holdOnRebuild) RebuildSummary(ctx context.Context, name string) error {
+	h.db.hold.Store(true)
+	return h.Metasearcher.RebuildSummary(ctx, name)
+}
+
+// TestRefreshStopMidRebuildPublishesNothing: stopping the refresh
+// schedule while a drifted node's rebuild is still sampling cancels the
+// rebuild, and nothing is swapped in. The cancellation lands in the
+// sampler's last step — the resample probes, which end early and return
+// the sample so far without an error — so it is RebuildSummary's own
+// check that keeps the half-finished sample out of the store.
+func TestRefreshStopMidRebuildPublishesNothing(t *testing.T) {
+	medical := []string{"heart", "cancer", "patient", "drug", "clinic", "therapy", "nurse", "dose"}
+	sports := []string{"football", "league", "goal", "match", "coach", "season", "striker", "stadium"}
+	m := New(Options{
+		SampleSize:    40,
+		SeedLexicon:   append(append([]string{}, medical...), sports...),
+		Seed:          1,
+		KeepStopwords: true,
+		NoStemming:    true,
+	})
+	drifty := &heldDB{
+		swappableDB: &swappableDB{name: "drifty", db: NewLocalDatabaseFromTerms("drifty", corpus(medical, 80))},
+		held:        make(chan struct{}),
+	}
+	if err := m.AddDatabase(drifty, "Health"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	drifty.swap(NewLocalDatabaseFromTerms("drifty", corpus(sports, 80)))
+	before := m.state.Load()
+
+	mgr := refresh.NewManager(holdOnRebuild{m, drifty}, refresh.Options{Threshold: 0.45, SampleDocs: 40})
+	clk := clock.NewFake()
+	stop := clock.Every(clk, time.Minute, func(ctx context.Context) { mgr.RunOnce(ctx) })
+	clk.BlockUntil(1)
+	clk.Advance(time.Minute)
+	<-drifty.held // the drift was detected and the rebuild is sampling
+	stop()
+
+	if m.state.Load() != before {
+		t.Fatal("a rebuild cancelled by stopping the schedule published a new store")
+	}
+	if got := mgr.Generation(); got != 0 {
+		t.Errorf("Generation = %d after a cancelled rebuild, want 0", got)
 	}
 }

@@ -216,9 +216,9 @@ func (d *ReplicatedDatabase) ReplicaAddrs() []string {
 func (d *ReplicatedDatabase) Preferred() int { return d.set.Load().preferred }
 
 // ProbeTargets returns one health-probe target per current replica,
-// keyed like the per-replica breakers ("name@addr"), for a
-// resilience.Prober. Recompute after UpdateReplicas (the metasearcher's
-// swap path retargets its prober with the result).
+// keyed like the per-replica breakers ("name@addr"), for
+// resilience.Set.Probe. Metasearcher.Probe calls it at every sweep, so
+// the replicas an UpdateReplicas brings in are probed from the next.
 func (d *ReplicatedDatabase) ProbeTargets() []resilience.ProbeTarget {
 	set := d.set.Load()
 	out := make([]resilience.ProbeTarget, len(set.replicas))

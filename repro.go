@@ -31,7 +31,6 @@ import (
 	"io"
 	"log/slog"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -271,9 +270,6 @@ type Metasearcher struct {
 
 	nodeLatency latencyRing // recent remote node-call latencies; hedgeThreshold reads its p95
 
-	proberMu sync.Mutex
-	prober   *resilience.Prober // live health prober; retargeted on topology swaps
-
 	published // the summary store and its writers' state (store.go)
 }
 
@@ -393,49 +389,17 @@ func (m *Metasearcher) SearchScope() []string {
 	return out
 }
 
-// StartHealthProbes launches a background prober that pings the
-// /v1/health endpoint of every registered remote database whose breaker
-// is not closed, feeding results back into the breakers: an open
-// breaker closes as soon as its node recovers, without waiting for live
-// query traffic. A ReplicatedDatabase contributes one probe target per
-// replica (keyed "name@addr", the same keys its per-replica breakers
-// use) plus a database-level target that succeeds while any replica
-// does. interval <= 0 selects the default (2s). The returned stop
-// function halts the prober (idempotent). With no remote databases
-// registered it is a no-op.
-func (m *Metasearcher) StartHealthProbes(interval time.Duration) (stop func()) {
-	targets := m.state.Load().probeTargets()
-	if len(targets) == 0 {
-		return func() {}
-	}
-	p := resilience.NewProber(m.breakers, targets, resilience.ProberOptions{
-		Interval: interval,
-		Metrics:  m.reg,
-	})
-	m.proberMu.Lock()
-	m.prober = p
-	m.proberMu.Unlock()
-	p.Start()
-	return func() {
-		m.proberMu.Lock()
-		if m.prober == p {
-			m.prober = nil
-		}
-		m.proberMu.Unlock()
-		p.Stop()
-	}
-}
-
-// refreshProbeTargets re-derives the prober's target list after a
-// topology swap, so swapped-in replicas are probed and swapped-out ones
-// are not (no-op when no prober is running).
-func (m *Metasearcher) refreshProbeTargets() {
-	m.proberMu.Lock()
-	p := m.prober
-	m.proberMu.Unlock()
-	if p != nil {
-		p.SetTargets(m.state.Load().probeTargets())
-	}
+// Probe is one health sweep (resilience.Set.Probe) over the remote
+// databases as they are registered now: it pings the /v1/health
+// endpoint of each one whose breaker is not closed, so an open breaker
+// closes as soon as its node recovers, without waiting for live query
+// traffic. A ReplicatedDatabase contributes one target per replica
+// (keyed "name@addr", the same keys its per-replica breakers use) plus
+// a database-level target that succeeds while any replica does. The
+// targets are read at every sweep, so replicas a topology swap brings in
+// are probed from the next one. Schedule it with clock.Every.
+func (m *Metasearcher) Probe(ctx context.Context) {
+	m.breakers.Probe(ctx, m.state.Load().probeTargets())
 }
 
 // Audit returns the per-query audit trail: one audit.QueryRecord per

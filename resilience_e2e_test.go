@@ -351,10 +351,11 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	}
 }
 
-// TestHealthProbesCloseTrippedBreaker verifies the background prober
+// TestHealthProbesCloseTrippedBreaker verifies that a probe schedule
 // closes an open breaker as soon as its node answers /v1/health again,
 // without any live query traffic: once the cooldown has passed on the
-// metasearcher's clock, the next probe is the trial that closes it.
+// metasearcher's clock, the next sweep's probe is the trial that
+// closes it.
 func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 	shards, lexicon := testbedShards(t, 1)
 	opts := testbedOptions(lexicon)
@@ -373,9 +374,9 @@ func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 		b.Record(false)
 	}
 
-	stop := m.StartHealthProbes(time.Second)
+	stop := clock.Every(clk, time.Second, m.Probe)
 	defer stop()
-	clk.BlockUntil(1) // the prober waits for its first sweep
+	clk.BlockUntil(1) // the schedule waits for its first sweep
 	clk.Advance(resilience.BreakerCooldown)
 	clk.BlockUntil(1) // that sweep is done and the next one waits
 	if b.State() != resilience.Closed {

@@ -212,9 +212,9 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 	return st
 }
 
-// probeTargets derives the health prober's target list from the
-// registered databases: one per remote database, plus one per replica
-// of a ReplicatedDatabase.
+// probeTargets derives a health sweep's target list from the registered
+// databases: one per remote database, plus one per replica of a
+// ReplicatedDatabase.
 func (st *store) probeTargets() []resilience.ProbeTarget {
 	var targets []resilience.ProbeTarget
 	for _, r := range st.dbs {

@@ -604,8 +604,8 @@ func TestSelectionIndependentOfSeed(t *testing.T) {
 }
 
 // TestApplyReplicaAssignmentsAllOrNothing: a topology whose list holds
-// one bad assignment is rejected whole — the scope, the prober's
-// targets, the live handles and their replica sets are what they were.
+// one bad assignment is rejected whole — the scope, the probe targets,
+// the live handles and their replica sets are what they were.
 func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 	m, _ := newStoreWorld(t, Options{})
 	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{

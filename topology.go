@@ -63,8 +63,8 @@ type TopologySwapReport struct {
 // anything is touched, the new handles and scope go into a copy of the
 // store, and that copy is published once (staling the query caches — a
 // cached merged result describes the old scope). A rejected assignment
-// list leaves the scope, the handles and the prober's targets as they
-// were. The health prober, if running, is retargeted after the publish.
+// list leaves the scope and the handles as they were. Health probes
+// need no retargeting: each Probe sweep reads the published store.
 //
 // client configures the wire clients of replicas created by this swap;
 // its Budget defaults to the process's retry budget.
@@ -165,7 +165,6 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 	sort.Strings(rep.Attached)
 	sort.Strings(rep.Detached)
 	sort.Strings(rep.Unknown)
-	m.refreshProbeTargets()
 	m.logInfo("topology swap applied",
 		"attached", len(rep.Attached), "detached", len(rep.Detached),
 		"unknown", len(rep.Unknown), "scope_changed", rep.ScopeChanged)
