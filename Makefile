@@ -44,6 +44,8 @@ results:
 # make attempt-policy calls of their own (resilience.Do should be the
 # only caller of the budget and breaker methods on the query path), the
 # periodic loops that are not clock.Every (it should be the only one),
+# the resilience.Do call sites (one attempt loop per layer: fan-out,
+# replica set, router), the lines of benchcompat.go shims (DESIGN §3),
 # and the exported fields of the option structs — the eight that held
 # the fan-out's timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
@@ -64,6 +66,10 @@ count:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/resilience/*' | xargs grep -l -E '\.(TrySpend|Allow|RecordCall|RecordNeutral|RecordSuccess)\(' | wc -l
 	@printf 'periodic loops outside internal/clock (non-test Go outside benchmark/ matching NewTicker( or stopOnce): '
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/clock/*' | xargs grep -E 'NewTicker\(|stopOnce' | wc -l
+	@printf 'resilience.Do( call sites in non-test Go outside internal/resilience and benchmark/: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/resilience/*' -exec grep -h 'resilience\.Do(' {} + | wc -l
+	@printf 'benchcompat.go lines (old spellings benchmark/ compiles against): '
+	@find . -name benchcompat.go ! -path './benchmark/*' -exec cat {} + | wc -l
 	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
 		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
 			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \

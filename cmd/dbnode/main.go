@@ -35,7 +35,8 @@
 //
 // -query analyzes the text with the default pipeline before sending;
 // -raw sends whitespace-split words verbatim (for synthetic-vocabulary
-// testbed nodes).
+// testbed nodes). Each request is a single attempt: a failure is
+// reported as it is, not retried.
 package main
 
 import (
@@ -242,7 +243,7 @@ func runClient(addr, query string, info, raw bool) {
 	c := wire.NewClient(addr, wire.ClientOptions{})
 	ctx := context.Background()
 	if info || query == "" {
-		desc, err := c.Info(ctx)
+		desc, err := c.Info(ctx, wire.Attempt{Seq: wire.NextSeq()})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -259,13 +260,13 @@ func runClient(addr, query string, info, raw bool) {
 	if len(terms) == 0 {
 		log.Fatalf("query %q has no indexable terms", query)
 	}
-	matches, ids, err := c.Query(ctx, terms, 10)
+	matches, ids, err := c.Query(ctx, wire.Attempt{Seq: wire.NextSeq()}, terms, 10)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("query %v: %d matches\n", terms, matches)
 	for rank, id := range ids {
-		doc, err := c.Doc(ctx, id)
+		doc, err := c.Doc(ctx, wire.Attempt{Seq: wire.NextSeq()}, id)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -98,10 +98,10 @@ func newLocal(f *flags) (*local, error) {
 	return l, nil
 }
 
-// remoteOptions is how this process's wire clients are wired: into its
-// registry, drawing retries from its one budget.
+// remoteOptions is how this process's wire clients are wired: drawing
+// retries from its one budget.
 func (l *local) remoteOptions() repro.RemoteDatabaseOptions {
-	return repro.RemoteDatabaseOptions{Metrics: l.m.Metrics(), Budget: l.m.RetryBudget()}
+	return repro.RemoteDatabaseOptions{Budget: l.m.RetryBudget()}
 }
 
 // addDatabases registers the testbed: every database in-process under
@@ -130,12 +130,15 @@ func (l *local) addDatabases(remote string) error {
 		if addr == "" {
 			continue
 		}
-		rdb, err := repro.DialRemoteDatabase(context.Background(), addr, l.remoteOptions())
+		rdb, err := repro.DialReplicatedDatabase(context.Background(), []string{addr}, repro.ReplicatedDatabaseOptions{
+			Metrics: l.m.Metrics(),
+			Client:  l.remoteOptions(),
+		})
 		if err != nil {
 			return err
 		}
 		log.Printf("connected to %s: %s (%d docs, category %q)",
-			rdb.BaseURL(), rdb.Name(), rdb.NumDocs(), rdb.Category())
+			addr, rdb.Name(), rdb.NumDocs(), rdb.Category())
 		if err := l.m.AddDatabase(rdb, rdb.Category()); err != nil {
 			return err
 		}

@@ -5,7 +5,7 @@
 // — between the caller and the real backend.
 //
 // It exists so that cluster-level failure testing exercises the real
-// network paths (wire client retries, breakers, hedges, failover,
+// network paths (replica-set retries, breakers, hedges, failover,
 // budgets) instead of per-test fakes: the e2e reconfiguration test and
 // scripts/ boot the same proxy an operator would, and reconfigure it at
 // runtime through the /chaos admin endpoint. Faults are sampled with a

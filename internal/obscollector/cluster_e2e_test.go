@@ -141,7 +141,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 
 	// One dbnode process per database; the first one can be armed to
 	// fail first attempts with a transient 503, forcing the calling
-	// shard's wire client into a retry.
+	// shard's replica set into a retry.
 	var armed *failFirstAttempts
 	replicaAddrs := map[string][]string{}
 	for i, d := range dbs {

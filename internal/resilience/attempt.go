@@ -23,7 +23,7 @@ const (
 var ErrShortCircuited = errors.New("resilience: every target is short-circuited")
 
 // Policy is one call site's attempt policy, set from the site's own
-// constants (DESIGN §9.4 tabulates the four sites). The zero value tries
+// constants (DESIGN §9.4 tabulates the three sites). The zero value tries
 // each target once, in order.
 type Policy struct {
 	Retries    int           // same-target retries of a transient failure
@@ -43,9 +43,9 @@ type Outcome struct {
 	Hedged  bool
 }
 
-// Do is the one attempt loop of the serving path: the wire client, the
-// replica set, the search fan-out and the cluster router run their calls
-// through it. fn runs attempt number attempt against targets[target];
+// Do is the one attempt loop of the serving path: the replica set (for
+// its wire clients), the search fan-out and the cluster router run their
+// calls through it. fn runs attempt number attempt against targets[target];
 // targets are breaker keys in preference order. Do takes them in turn
 // until one succeeds: it stops once ctx is done, skips a target whose
 // breaker short-circuits, retries a transient failure up to p.Retries

@@ -32,7 +32,7 @@ type BudgetOptions struct {
 // become the overload.
 //
 // One Budget is shared by every Do call of a process that launches
-// speculative work (the wire clients' retries, the fan-out's hedges, the
+// speculative work (the replica sets' retries, the fan-out's hedges, the
 // router's shard retry); first attempts and failover are never charged —
 // failover is the availability mechanism, not amplification.
 //

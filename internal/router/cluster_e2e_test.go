@@ -124,7 +124,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	// replicas, never the baseline.
 	baseline := repro.New(clusterOptions(lexicon))
 	for _, d := range dbs {
-		rdb, err := repro.DialRemoteDatabase(context.Background(), replicaAddrs[d.name][1], repro.RemoteDatabaseOptions{
+		rdb, err := repro.DialReplicatedDatabase(context.Background(), replicaAddrs[d.name][1:2], repro.ReplicatedDatabaseOptions{
 			Metrics: baseline.Metrics(),
 		})
 		if err != nil {

@@ -70,7 +70,7 @@ func TestClusterReconfiguration(t *testing.T) {
 
 	baseline := repro.New(clusterOptions(lexicon))
 	for _, d := range dbs {
-		rdb, err := repro.DialRemoteDatabase(context.Background(), replicaAddrs[d.name][1], repro.RemoteDatabaseOptions{
+		rdb, err := repro.DialReplicatedDatabase(context.Background(), replicaAddrs[d.name][1:2], repro.ReplicatedDatabaseOptions{
 			Metrics: baseline.Metrics(),
 		})
 		if err != nil {
@@ -135,7 +135,7 @@ func TestClusterReconfiguration(t *testing.T) {
 				Preferred: a.Preferred,
 				Breakers:  sm.Breakers(),
 				Metrics:   sm.Metrics(),
-				Client:    repro.RemoteDatabaseOptions{Metrics: sm.Metrics(), Budget: sm.RetryBudget()},
+				Client:    repro.RemoteDatabaseOptions{Budget: sm.RetryBudget()},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -192,7 +192,7 @@ func TestClusterReconfiguration(t *testing.T) {
 					Replicas: a.Replicas, Preferred: a.Preferred,
 				}
 			}
-			rep, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{Metrics: sm.Metrics()})
+			rep, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{})
 			if err != nil {
 				t.Errorf("shard %s swap at generation %d: %v", id, snap.Generation, err)
 				return

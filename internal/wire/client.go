@@ -16,8 +16,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cache"
-	"repro/internal/clock"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
 )
 
@@ -29,6 +27,19 @@ var userAgent = "metasearch-repro/" + buildinfo.Version()
 // caller's trace, so a retried attempt is distinguishable from a fresh
 // call in both processes' records.
 var reqSeq atomic.Uint64
+
+// NextSeq numbers a new logical call: the attempt loop above the client
+// takes one per call and passes it down with each attempt.
+func NextSeq() uint64 { return reqSeq.Add(1) }
+
+// Attempt names one HTTP exchange of a logical call: Seq is the call's
+// number (NextSeq) and N the exchange's place in it, from 0, so the
+// request ID is "r<Seq>.<N>". A caller making a single exchange passes
+// Attempt{Seq: NextSeq()}.
+type Attempt struct {
+	Seq uint64
+	N   int
+}
 
 // sharedTransport is the default http.Transport all wire clients share,
 // so a metasearcher talking to hundreds of nodes reuses a bounded pool
@@ -44,35 +55,18 @@ var sharedTransport = &http.Transport{
 	IdleConnTimeout:     90 * time.Second,
 }
 
-// maxRetries is how often a call retries a transient failure (a network
-// failure, a timeout, a 5xx or a shed) through resilience.Do.
-const maxRetries = 3
-
 // ClientOptions configures a Client. The zero value is usable.
 type ClientOptions struct {
 	// Timeout bounds each attempt, dial to last body byte (default 5s).
-	// It is a context deadline on the wall clock, not on Clock.
+	// It is a context deadline on the wall clock.
 	Timeout time.Duration
-	// Clock times the backoff sleeps between retries (nil: real time).
-	Clock clock.Clock
 	// CacheSize is the capacity of the in-client LRU document cache
 	// (default 1024; negative disables caching).
 	CacheSize int
 	// Transport overrides the shared keep-alive transport (tests).
 	Transport http.RoundTripper
-	// Budget, when non-nil, bounds this client's retry volume: each
-	// retry must win a token from the budget or the logical request
-	// fails with the last error instead of retrying, and each successful
-	// call deposits. One budget is typically shared by every client in
-	// the process (Metasearcher.RetryBudget) — the bound is on total
-	// retry amplification, not per-node. Nil leaves retries unbudgeted.
-	Budget *resilience.Budget
-	// Metrics receives the wire client series: wire_requests_total,
-	// wire_requests_{info,query,doc}_total, wire_client_attempts_total,
-	// wire_request_errors_total, wire_client_retries_total,
-	// wire_client_inflight, wire_request_latency (histogram), and the
-	// doc cache's wire_doc_cache_* series (see internal/cache). May be
-	// nil.
+	// Metrics receives the wire_* client series NewClient declares and
+	// the doc cache's wire_doc_cache_* series. May be nil.
 	Metrics *telemetry.Registry
 }
 
@@ -80,7 +74,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.Timeout == 0 {
 		o.Timeout = 5 * time.Second
 	}
-	o.Clock = clock.Or(o.Clock)
 	if o.CacheSize == 0 {
 		o.CacheSize = 1024
 	}
@@ -90,8 +83,10 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client speaks the wire protocol to one database node. It is safe for
-// concurrent use.
+// Client speaks the wire protocol to one database node, one HTTP
+// exchange per call: retrying, failing over and backing off are the
+// attempt loop's above it (repro.ReplicatedDatabase), which passes each
+// exchange its Attempt. It is safe for concurrent use.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -148,11 +143,11 @@ func NewClient(addr string, opts ClientOptions) *Client {
 		reqDoc:     reg.DeclareCounter("wire_requests_doc_total", "Wire /v1/doc calls issued."),
 		attempts:   reg.DeclareCounter("wire_client_attempts_total", "HTTP attempts including retries, across all wire calls."),
 		reqErrors:  reg.DeclareCounter("wire_request_errors_total", "Wire calls that failed after exhausting retries."),
-		retries:    reg.DeclareCounter("wire_client_retries_total", "Retry attempts after transient wire failures."),
+		retries:    reg.DeclareCounter("wire_client_retries_total", "Wire attempts after a call's first: same-node retries and replica failovers."),
 		sheds:      reg.DeclareCounter("wire_client_sheds_total", "Wire attempts the node shed with 429 (backpressure)."),
 		healthReqs: reg.DeclareCounter("wire_health_probes_total", "Wire /v1/health probes issued."),
-		inflight:   reg.DeclareGauge("wire_client_inflight", "Wire calls currently in flight from this client."),
-		latency:    reg.DeclareHistogram("wire_request_latency", "Per-call wire latency including retries, seconds.", nil),
+		inflight:   reg.DeclareGauge("wire_client_inflight", "Wire attempts currently in flight from this client."),
+		latency:    reg.DeclareHistogram("wire_request_latency", "Per-attempt wire latency, seconds.", nil),
 	}
 	return c
 }
@@ -176,16 +171,16 @@ func (c *Client) Close() {
 }
 
 // Info fetches the node's description (GET /v1/info).
-func (c *Client) Info(ctx context.Context) (InfoResponse, error) {
+func (c *Client) Info(ctx context.Context, at Attempt) (InfoResponse, error) {
 	var out InfoResponse
-	err := c.do(ctx, http.MethodGet, PathInfo, nil, &out)
+	err := c.do(ctx, at, http.MethodGet, PathInfo, nil, &out)
 	return out, err
 }
 
 // Query evaluates a conjunctive query at the node (POST /v1/query).
-func (c *Client) Query(ctx context.Context, terms []string, limit int) (int, []int, error) {
+func (c *Client) Query(ctx context.Context, at Attempt, terms []string, limit int) (int, []int, error) {
 	var out QueryResponse
-	err := c.do(ctx, http.MethodPost, PathQuery, QueryRequest{Terms: terms, Limit: limit}, &out)
+	err := c.do(ctx, at, http.MethodPost, PathQuery, QueryRequest{Terms: terms, Limit: limit}, &out)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -195,13 +190,13 @@ func (c *Client) Query(ctx context.Context, terms []string, limit int) (int, []i
 // Doc fetches one document's terms (GET /v1/doc/{id}), serving repeat
 // fetches from the in-client LRU. The returned slice is shared with the
 // cache and must not be modified.
-func (c *Client) Doc(ctx context.Context, id int) ([]string, error) {
+func (c *Client) Doc(ctx context.Context, at Attempt, id int) ([]string, error) {
 	key := strconv.Itoa(id)
 	if terms, ok := c.cache.Get(key); ok {
 		return terms.([]string), nil
 	}
 	var out DocResponse
-	if err := c.do(ctx, http.MethodGet, PathDocPrefix+key, nil, &out); err != nil {
+	if err := c.do(ctx, at, http.MethodGet, PathDocPrefix+key, nil, &out); err != nil {
 		return nil, err
 	}
 	c.cache.Put(key, out.Terms)
@@ -220,7 +215,7 @@ func (c *Client) Health(ctx context.Context) (HealthResponse, error) {
 	c.healthReqs.Inc()
 	var out HealthResponse
 	span := telemetry.SpanFromContext(ctx)
-	reqID := fmt.Sprintf("r%d.0", reqSeq.Add(1))
+	reqID := fmt.Sprintf("r%d.0", NextSeq())
 	err := c.once(ctx, http.MethodGet, PathHealth, nil, &out, span.Context(), reqID)
 	return out, err
 }
@@ -239,59 +234,52 @@ func (c *Client) endpointCounter(path string) *telemetry.Counter {
 	return nil
 }
 
-// do runs one logical request through resilience.Do (maxRetries, sheds
-// retried). It counts once in wire_requests_total (and its per-endpoint
-// counter) and wire_request_latency whatever its attempts; each attempt
-// counts in wire_client_attempts_total and each extra one in
-// wire_client_retries_total; a request that ultimately fails counts in
-// wire_request_errors_total.
+// CallFailed counts a logical call the attempt loop above the client
+// gave up on in wire_request_errors_total. Only that loop knows which of
+// a call's exchanges was its last.
+func (c *Client) CallFailed() { c.reqErrors.Inc() }
+
+// do makes one exchange of a logical call. Its first exchange (at.N ==
+// 0) counts in wire_requests_total and the endpoint's counter, each
+// later one — a same-node retry or a replica failover alike — in
+// wire_client_retries_total, and every one in wire_client_attempts_total,
+// wire_client_inflight and wire_request_latency.
 //
-// Trace context propagates from the span carried by ctx: every attempt
-// sends X-Trace-Id/X-Parent-Span (so the node's handler span parents
-// under the caller's span) plus a per-attempt X-Request-Id, and is
-// noted as a wire.attempt event on the caller's span.
-func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
+// The exchange sends X-Trace-Id/X-Parent-Span from the span carried by
+// ctx (so the node's handler span parents under the caller's) plus the
+// X-Request-Id "r<seq>.<attempt>", noted as a wire.attempt event on it.
+func (c *Client) do(ctx context.Context, at Attempt, method, path string, in, out interface{}) (err error) {
 	t0 := time.Now()
-	c.requests.Inc()
-	c.endpointCounter(path).Inc()
+	if at.N == 0 {
+		c.requests.Inc()
+		c.endpointCounter(path).Inc()
+	} else {
+		c.retries.Inc()
+	}
+	c.attempts.Inc()
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	defer c.latency.ObserveSince(t0)
 
 	var body []byte
 	if in != nil {
-		var err error
 		if body, err = json.Marshal(in); err != nil {
-			c.reqErrors.Inc()
 			return fmt.Errorf("wire: encoding %s request: %w", path, err)
 		}
 	}
 	span := telemetry.SpanFromContext(ctx)
-	stats := statsFromContext(ctx)
-	reqBase := reqSeq.Add(1)
-	policy := resilience.Policy{Retries: maxRetries, RetryShed: true, Deposit: true, Clock: c.opts.Clock, Budget: c.opts.Budget}
-	_, err := resilience.Do(ctx, policy, []string{c.base}, func(ctx context.Context, _, attempt int) error {
-		c.attempts.Inc()
-		if attempt > 0 {
-			c.retries.Inc()
-		}
-		reqID := fmt.Sprintf("r%d.%d", reqBase, attempt)
-		span.Event("wire.attempt",
-			telemetry.String("path", path),
-			telemetry.Int("attempt", attempt),
-			telemetry.String("request_id", reqID))
-		err := c.once(ctx, method, path, body, out, span.Context(), reqID)
-		var pe *ProtocolError
-		shed := errors.As(err, &pe) && pe.Shed()
-		if shed {
-			c.sheds.Inc()
-		}
-		stats.count(attempt, shed)
-		return err
-	})
-	if err != nil {
-		c.reqErrors.Inc()
+	reqID := fmt.Sprintf("r%d.%d", at.Seq, at.N)
+	span.Event("wire.attempt",
+		telemetry.String("path", path),
+		telemetry.Int("attempt", at.N),
+		telemetry.String("request_id", reqID))
+	err = c.once(ctx, method, path, body, out, span.Context(), reqID)
+	var pe *ProtocolError
+	shed := errors.As(err, &pe) && pe.Shed()
+	if shed {
+		c.sheds.Inc()
 	}
+	statsFromContext(ctx).count(at.N, shed)
 	return err
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -43,7 +42,7 @@ func TestHealthEndpointAndDraining(t *testing.T) {
 	}
 	// Draining fails health but in-flight protocol traffic still works:
 	// Shutdown drains those, not the handler.
-	if _, _, err := c.Query(context.Background(), []string{"heart"}, 10); err != nil {
+	if _, _, err := c.Query(context.Background(), newCall(), []string{"heart"}, 10); err != nil {
 		t.Fatalf("Query on a draining node: %v (drain must not reject protocol requests)", err)
 	}
 	// Health probes do not observe the latency window (would pollute the
@@ -65,16 +64,16 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	blockedErr := make(chan error, 1)
 	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, Metrics: reg})
 	go func() {
-		_, _, err := c1.Query(context.Background(), []string{"heart"}, 10)
+		_, _, err := c1.Query(context.Background(), newCall(), []string{"heart"}, 10)
 		blockedErr <- err
 	}()
 	<-db.entered
 
-	// A second request must be shed, not queued — every attempt of it —
-	// and the 429 must carry the configured Retry-After through to the
+	// A second request must be shed, not queued, in one exchange, and the
+	// 429 must carry the configured Retry-After through to the
 	// ProtocolError.
-	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, Clock: clock.NewInstant(), Metrics: reg})
-	_, _, err := c2.Query(context.Background(), []string{"heart"}, 10)
+	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, Metrics: reg})
+	_, _, err := c2.Query(context.Background(), newCall(), []string{"heart"}, 10)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) {
 		t.Fatalf("shed query err = %v, want ProtocolError", err)
@@ -85,11 +84,11 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	if pe.RetryAfter != time.Second {
 		t.Fatalf("RetryAfter = %v, want 1s", pe.RetryAfter)
 	}
-	if got := reg.Counter("wire_server_shed_total").Value(); got != maxRetries+1 {
-		t.Errorf("wire_server_shed_total = %v, want %d", got, maxRetries+1)
+	if got := reg.Counter("wire_server_shed_total").Value(); got != 1 {
+		t.Errorf("wire_server_shed_total = %v, want 1", got)
 	}
-	if got := reg.Counter("wire_client_sheds_total").Value(); got != maxRetries+1 {
-		t.Errorf("wire_client_sheds_total = %v, want %d", got, maxRetries+1)
+	if got := reg.Counter("wire_client_sheds_total").Value(); got != 1 {
+		t.Errorf("wire_client_sheds_total = %v, want 1", got)
 	}
 
 	// Health sees through the overload: it is exempt from the gate.
@@ -107,64 +106,6 @@ func TestAdmissionGateShedsWithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestClientHonorsRetryAfterOnShedRetries: a shed's Retry-After replaces
-// the backoff, capped at backoffMax. The node asks for 7 s; moving the
-// client's clock on by the cap per retry must see the call through, so
-// a peer cannot stall the client past its own backoff ceiling.
-func TestClientHonorsRetryAfterOnShedRetries(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	release := make(chan struct{})
-	db := newSlowDB(release)
-	node := NewNode(db, ServerOptions{MaxInflight: 1, RetryAfter: 7, Metrics: reg})
-	srv := httptest.NewServer(node)
-	defer srv.Close()
-
-	blockedErr := make(chan error, 1)
-	c1 := NewClient(srv.URL, ClientOptions{Timeout: 5 * time.Second, Metrics: reg})
-	go func() {
-		_, _, err := c1.Query(context.Background(), []string{"heart"}, 10)
-		blockedErr <- err
-	}()
-	<-db.entered
-
-	clk := clock.NewFake()
-	c2 := NewClient(srv.URL, ClientOptions{Timeout: time.Second, Clock: clk, Metrics: reg})
-	ctx, stats := WithCallStats(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c2.Query(ctx, []string{"heart"}, 10)
-		done <- err
-	}()
-	start := clk.Now()
-	for i := 0; i < maxRetries; i++ {
-		clk.BlockUntil(1)
-		clk.Advance(backoffMax)
-	}
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("call still sleeping after %d retries of %v: Retry-After was not capped", maxRetries, backoffMax)
-	}
-	var pe *ProtocolError
-	if !errors.As(err, &pe) || !pe.Shed() {
-		t.Fatalf("err = %v, want shed after exhausting retries", err)
-	}
-	if pe.RetryAfter != backoffMax {
-		t.Fatalf("RetryAfter = %v, want the cap %v", pe.RetryAfter, backoffMax)
-	}
-	if got, want := clk.Now().Sub(start), maxRetries*backoffMax; got != want {
-		t.Fatalf("client clock moved %v, want %v", got, want)
-	}
-	if stats.Attempts() != maxRetries+1 || stats.Retries() != maxRetries || stats.Sheds() != maxRetries+1 {
-		t.Fatalf("stats = attempts %d retries %d sheds %d, want %d/%d/%d",
-			stats.Attempts(), stats.Retries(), stats.Sheds(), maxRetries+1, maxRetries, maxRetries+1)
-	}
-
-	close(release)
-	<-blockedErr
-}
-
 func TestContextWithCallStatsSharedAcrossCalls(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	srv := httptest.NewServer(NewServer(testDB(), ServerOptions{Metrics: reg}))
@@ -173,10 +114,10 @@ func TestContextWithCallStatsSharedAcrossCalls(t *testing.T) {
 
 	s := &CallStats{}
 	ctx := ContextWithCallStats(context.Background(), s)
-	if _, _, err := c.Query(ctx, []string{"heart"}, 10); err != nil {
+	if _, _, err := c.Query(ctx, newCall(), []string{"heart"}, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Info(ctx); err != nil {
+	if _, err := c.Info(ctx, newCall()); err != nil {
 		t.Fatal(err)
 	}
 	if s.Attempts() != 2 {

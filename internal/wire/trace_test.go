@@ -39,7 +39,7 @@ func TestClientSendsIdentityAndTraceHeaders(t *testing.T) {
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
 	c := NewClient(srv.URL, fastOpts(nil))
-	if _, _, err := c.Query(ctx, []string{"heart"}, 1); err != nil {
+	if _, _, err := c.Query(ctx, newCall(), []string{"heart"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
@@ -85,7 +85,7 @@ func TestClientWithoutSpanSendsNoTraceHeaders(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL, fastOpts(nil))
-	if _, err := c.Info(context.Background()); err != nil {
+	if _, err := c.Info(context.Background(), newCall()); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -106,14 +106,14 @@ func TestPerEndpointCountersAndInflight(t *testing.T) {
 	c := NewClient(srv.URL, fastOpts(reg))
 	ctx := context.Background()
 
-	if _, err := c.Info(ctx); err != nil {
+	if _, err := c.Info(ctx, newCall()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Query(ctx, []string{"heart"}, 1); err != nil {
+	if _, _, err := c.Query(ctx, newCall(), []string{"heart"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int{0, 1} {
-		if _, err := c.Doc(ctx, id); err != nil {
+		if _, err := c.Doc(ctx, newCall(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,66 +136,6 @@ func TestPerEndpointCountersAndInflight(t *testing.T) {
 	}
 }
 
-func TestCallStatsAttributeRetriesPerCall(t *testing.T) {
-	fail := FailOnce(NewServer(testDB(), ServerOptions{}))
-	srv := httptest.NewServer(fail)
-	defer srv.Close()
-	c := NewClient(srv.URL, fastOpts(nil))
-
-	ctx, stats := WithCallStats(context.Background())
-	fail.Arm()
-	if _, _, err := c.Query(ctx, []string{"heart"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Attempts() != 2 || stats.Retries() != 1 {
-		t.Errorf("stats = %d attempts / %d retries, want 2/1", stats.Attempts(), stats.Retries())
-	}
-
-	// A fresh stats context starts clean — per-call, not per-client.
-	ctx2, stats2 := WithCallStats(context.Background())
-	if _, _, err := c.Query(ctx2, []string{"heart"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if stats2.Attempts() != 1 || stats2.Retries() != 0 {
-		t.Errorf("stats2 = %d attempts / %d retries, want 1/0", stats2.Attempts(), stats2.Retries())
-	}
-	// Nil stats accessors are safe (no stats attached).
-	var nilStats *CallStats
-	if nilStats.Attempts() != 0 || nilStats.Retries() != 0 {
-		t.Error("nil CallStats accessors must return 0")
-	}
-}
-
-func TestRetryAttemptsShareSeqWithDistinctRequestIDs(t *testing.T) {
-	fail := FailOnce(NewServer(testDB(), ServerOptions{}))
-	srv := httptest.NewServer(fail)
-	defer srv.Close()
-
-	cap := &telemetry.Capture{}
-	tracer := telemetry.NewTracer(cap)
-	span := tracer.Span("caller")
-	ctx := telemetry.ContextWithSpan(context.Background(), span)
-
-	c := NewClient(srv.URL, fastOpts(nil))
-	fail.Arm()
-	if _, _, err := c.Query(ctx, []string{"heart"}, 1); err != nil {
-		t.Fatal(err)
-	}
-	span.End()
-
-	node := cap.Find("caller")
-	if node == nil || len(node.Events) != 2 {
-		t.Fatalf("want 2 wire.attempt events, got %+v", node)
-	}
-	id0, _ := attrValue(node.Events[0], "request_id").(string)
-	id1, _ := attrValue(node.Events[1], "request_id").(string)
-	base0 := strings.TrimSuffix(id0, ".0")
-	base1 := strings.TrimSuffix(id1, ".1")
-	if base0 == id0 || base1 == id1 || base0 != base1 {
-		t.Errorf("attempt ids = %q, %q: want same r<seq> with .0/.1 suffixes", id0, id1)
-	}
-}
-
 func TestServerSpanJoinsPropagatedTrace(t *testing.T) {
 	serverCap := &telemetry.Capture{}
 	srv := httptest.NewServer(NewServer(testDB(), ServerOptions{
@@ -209,7 +149,7 @@ func TestServerSpanJoinsPropagatedTrace(t *testing.T) {
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
 	c := NewClient(srv.URL, fastOpts(nil))
-	if _, _, err := c.Query(ctx, []string{"heart"}, 1); err != nil {
+	if _, _, err := c.Query(ctx, newCall(), []string{"heart"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	span.End()
@@ -232,7 +172,7 @@ func TestServerSpanJoinsPropagatedTrace(t *testing.T) {
 	}
 	// Without propagated context the server starts its own root trace.
 	serverCap.Reset()
-	if _, err := c.Info(context.Background()); err != nil {
+	if _, err := c.Info(context.Background(), newCall()); err != nil {
 		t.Fatal(err)
 	}
 	serve = serverCap.Find("wire.serve")

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -62,15 +61,12 @@ func testDB() *fakeDB {
 	}}
 }
 
-// fastOpts runs the client's backoff on an instant clock: retries
-// happen at once, whatever the schedule says.
 func fastOpts(reg *telemetry.Registry) ClientOptions {
-	return ClientOptions{
-		Timeout: 2 * time.Second,
-		Clock:   clock.NewInstant(),
-		Metrics: reg,
-	}
+	return ClientOptions{Timeout: 2 * time.Second, Metrics: reg}
 }
+
+// newCall numbers a logical call of a single exchange.
+func newCall() Attempt { return Attempt{Seq: NextSeq()} }
 
 func TestServerClientRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -79,7 +75,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 	c := NewClient(srv.URL, fastOpts(reg))
 	ctx := context.Background()
 
-	info, err := c.Info(ctx)
+	info, err := c.Info(ctx, newCall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 		t.Errorf("info = %+v", info)
 	}
 
-	matches, ids, err := c.Query(ctx, []string{"heart"}, 1)
+	matches, ids, err := c.Query(ctx, newCall(), []string{"heart"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +91,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 		t.Errorf("query = %d matches, ids %v", matches, ids)
 	}
 
-	terms, err := c.Doc(ctx, 2)
+	terms, err := c.Doc(ctx, newCall(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +113,7 @@ func TestServerErrorEnvelopes(t *testing.T) {
 	ctx := context.Background()
 
 	// Unknown document id → not_found, not retried.
-	_, err := c.Doc(ctx, 99)
+	_, err := c.Doc(ctx, newCall(), 99)
 	var pe *ProtocolError
 	if !errors.As(err, &pe) || pe.Code != CodeNotFound || pe.Status != http.StatusNotFound {
 		t.Fatalf("Doc(99) err = %v", err)
@@ -127,116 +123,9 @@ func TestServerErrorEnvelopes(t *testing.T) {
 	}
 
 	// Empty query → bad_request.
-	_, _, err = c.Query(ctx, nil, 5)
+	_, _, err = c.Query(ctx, newCall(), nil, 5)
 	if !errors.As(err, &pe) || pe.Code != CodeBadRequest {
 		t.Fatalf("empty query err = %v", err)
-	}
-}
-
-func TestClientRetriesTransientFailures(t *testing.T) {
-	var calls atomic.Int64
-	inner := NewServer(testDB(), ServerOptions{})
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "warming up")
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	reg := telemetry.NewRegistry()
-	c := NewClient(srv.URL, fastOpts(reg))
-	matches, _, err := c.Query(context.Background(), []string{"heart"}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if matches != 2 {
-		t.Errorf("matches = %d", matches)
-	}
-	if got := reg.Counter("wire_client_retries_total").Value(); got != 2 {
-		t.Errorf("retries = %d, want 2", got)
-	}
-	if got := reg.Counter("wire_request_errors_total").Value(); got != 0 {
-		t.Errorf("request errors = %d, want 0", got)
-	}
-}
-
-func TestClientRetryExhaustion(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "down")
-	}))
-	defer srv.Close()
-	reg := telemetry.NewRegistry()
-	c := NewClient(srv.URL, fastOpts(reg))
-	_, _, err := c.Query(context.Background(), []string{"x"}, 1)
-	var pe *ProtocolError
-	if !errors.As(err, &pe) || pe.Status != http.StatusServiceUnavailable {
-		t.Fatalf("err = %v", err)
-	}
-	if got := reg.Counter("wire_client_retries_total").Value(); got != maxRetries {
-		t.Errorf("retries = %d, want %d", got, maxRetries)
-	}
-	if got := reg.Counter("wire_request_errors_total").Value(); got != 1 {
-		t.Errorf("request errors = %d, want 1", got)
-	}
-}
-
-func TestClientDoesNotRetryPermanentErrors(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "no")
-	}))
-	defer srv.Close()
-	c := NewClient(srv.URL, fastOpts(nil))
-	if _, _, err := c.Query(context.Background(), []string{"x"}, 1); err == nil {
-		t.Fatal("expected error")
-	}
-	if calls.Load() != 1 {
-		t.Errorf("attempts = %d, want 1 (no retry on 400)", calls.Load())
-	}
-}
-
-func TestClientRetriesConnectionRefused(t *testing.T) {
-	// A node that is down entirely: dial fails, every attempt retried,
-	// the call ultimately errors.
-	reg := telemetry.NewRegistry()
-	c := NewClient("127.0.0.1:1", fastOpts(reg)) // reserved port: connection refused
-	if _, err := c.Info(context.Background()); err == nil {
-		t.Fatal("expected dial error")
-	}
-	if got := reg.Counter("wire_client_retries_total").Value(); got != maxRetries {
-		t.Errorf("retries = %d, want %d", got, maxRetries)
-	}
-}
-
-// TestClientCancellationStopsRetrying cancels a call while it sleeps
-// between retries: the sleep ends at once with the cancellation, and no
-// further attempt is made.
-func TestClientCancellationStopsRetrying(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "down")
-	}))
-	defer srv.Close()
-	clk := clock.NewFake()
-	c := NewClient(srv.URL, ClientOptions{Clock: clk})
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Query(ctx, []string{"x"}, 1)
-		done <- err
-	}()
-	clk.BlockUntil(1) // the first attempt failed; the client sleeps before its retry
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("node saw %d attempts, want 1 (the cancelled backoff must not retry)", got)
 	}
 }
 
@@ -257,7 +146,7 @@ func TestDocCacheLRU(t *testing.T) {
 	ctx := context.Background()
 
 	for _, id := range []int{0, 1, 0, 1} { // 2 misses, then 2 hits
-		if _, err := c.Doc(ctx, id); err != nil {
+		if _, err := c.Doc(ctx, newCall(), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,13 +158,13 @@ func TestDocCacheLRU(t *testing.T) {
 	}
 	// Touch a third doc: capacity 2 evicts the LRU entry (doc 0 and 1
 	// were both touched after doc 0's fetch, so doc 0 is evicted).
-	if _, err := c.Doc(ctx, 2); err != nil {
+	if _, err := c.Doc(ctx, newCall(), 2); err != nil {
 		t.Fatal(err)
 	}
 	if c.CachedDocs() != 2 {
 		t.Errorf("cached docs = %d, want 2", c.CachedDocs())
 	}
-	if _, err := c.Doc(ctx, 0); err != nil {
+	if _, err := c.Doc(ctx, newCall(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if fetches.Load() != 4 {
@@ -295,7 +184,7 @@ func TestDisabledDocCacheKeepsSchema(t *testing.T) {
 	opts.CacheSize = -1
 	c := NewClient(srv.URL, opts)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Doc(context.Background(), 0); err != nil {
+		if _, err := c.Doc(context.Background(), newCall(), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,33 +204,9 @@ func TestDisabledDocCacheKeepsSchema(t *testing.T) {
 	}
 }
 
-func TestFlakyReconciliation(t *testing.T) {
-	// Every injected failure must show up in client telemetry as either
-	// a retry or a terminal request error: injected == retries + errors.
-	reg := telemetry.NewRegistry()
-	flaky := NewFlaky(NewServer(testDB(), ServerOptions{}), FlakyOptions{
-		FailureRate: 0.4,
-		Seed:        7,
-	})
-	srv := httptest.NewServer(flaky)
-	defer srv.Close()
-	c := NewClient(srv.URL, fastOpts(reg))
-	ctx := context.Background()
-
-	for i := 0; i < 60; i++ {
-		c.Query(ctx, []string{"heart"}, 5) // errors allowed; telemetry must balance
-		c.Doc(ctx, i%3)
-	}
-	retries := reg.Counter("wire_client_retries_total").Value()
-	errs := reg.Counter("wire_request_errors_total").Value()
-	if flaky.Injected() == 0 {
-		t.Fatal("flaky injected nothing")
-	}
-	if retries+errs != flaky.Injected() {
-		t.Errorf("retries(%d) + errors(%d) != injected(%d)", retries, errs, flaky.Injected())
-	}
-}
-
+// TestFlakyHangTimesOutAndRecovers: a hung exchange ends at the
+// client's per-attempt timeout as a deadline failure (which the attempt
+// loop above retries), and the node's next request is served.
 func TestFlakyHangTimesOutAndRecovers(t *testing.T) {
 	flaky := NewFlaky(NewServer(testDB(), ServerOptions{}), FlakyOptions{
 		HangEvery: 2,                      // every second request hangs
@@ -355,17 +220,60 @@ func TestFlakyHangTimesOutAndRecovers(t *testing.T) {
 	opts.Timeout = 100 * time.Millisecond
 	c := NewClient(srv.URL, opts)
 
-	// First request serves; second hangs, times out, and the retry (an
-	// odd request) succeeds.
-	for i := 0; i < 2; i++ {
-		if _, _, err := c.Query(context.Background(), []string{"heart"}, 1); err != nil {
-			t.Fatalf("query %d: %v", i, err)
+	// First request serves; second hangs and times out; third serves.
+	for i, wantErr := range []bool{false, true, false} {
+		_, _, err := c.Query(context.Background(), newCall(), []string{"heart"}, 1)
+		if (err != nil) != wantErr {
+			t.Fatalf("query %d: err = %v, want error %v", i, err, wantErr)
+		}
+		if wantErr && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("hung query: err = %v, want the attempt's deadline", err)
 		}
 	}
-	if flaky.Hangs() == 0 {
-		t.Error("no hang injected")
+	if flaky.Hangs() != 1 {
+		t.Errorf("hangs = %d, want 1", flaky.Hangs())
 	}
-	if reg.Counter("wire_client_retries_total").Value() == 0 {
-		t.Error("hang did not produce a retry")
+	if got := reg.Counter("wire_request_errors_total").Value(); got != 0 {
+		t.Errorf("request errors = %d before CallFailed, want 0 (the attempt loop counts them)", got)
+	}
+	c.CallFailed()
+	if got := reg.Counter("wire_request_errors_total").Value(); got != 1 {
+		t.Errorf("request errors = %d, want 1 (the timed-out call)", got)
+	}
+}
+
+// TestAttemptNumbersTheExchange: an exchange the attempt loop numbers
+// carries its r<seq>.<attempt> request ID, counts as a retry past the
+// first, and leaves the call's failure for the loop to count.
+func TestAttemptNumbersTheExchange(t *testing.T) {
+	var ids []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ids = append(ids, r.Header.Get(telemetry.HeaderRequestID))
+		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, "down")
+	}))
+	defer srv.Close()
+	reg := telemetry.NewRegistry()
+	c := NewClient(srv.URL, fastOpts(reg))
+	for n := 0; n < 2; n++ {
+		if _, _, err := c.Query(context.Background(), Attempt{Seq: 42, N: n}, []string{"x"}, 1); err == nil {
+			t.Fatal("expected error")
+		}
+	}
+	if len(ids) != 2 || ids[0] != "r42.0" || ids[1] != "r42.1" {
+		t.Errorf("request ids = %q, want r42.0 then r42.1", ids)
+	}
+	for name, want := range map[string]int64{
+		"wire_requests_total":        1,
+		"wire_client_attempts_total": 2,
+		"wire_client_retries_total":  1,
+		"wire_request_errors_total":  0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	c.CallFailed()
+	if got := reg.Counter("wire_request_errors_total").Value(); got != 1 {
+		t.Errorf("wire_request_errors_total = %d after CallFailed, want 1", got)
 	}
 }

@@ -369,7 +369,7 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 			NewLocalDatabaseFromTerms(s.name, s.docs),
 			wire.ServerOptions{Category: s.category}))
 		t.Cleanup(srv.Close)
-		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{})
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

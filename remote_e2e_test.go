@@ -99,7 +99,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 			NewLocalDatabaseFromTerms(s.name, s.docs),
 			wire.ServerOptions{Category: s.category}))
 		t.Cleanup(srv.Close)
-		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
 			Metrics: remote.Metrics(),
 		})
 		if err != nil {
@@ -176,7 +176,7 @@ func TestBuildSummariesContextCancelled(t *testing.T) {
 	defer srv.Close()
 
 	m := New(testbedOptions(lexicon))
-	rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{})
+	rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

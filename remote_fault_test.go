@@ -2,17 +2,19 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/resilience"
 	"repro/internal/wire"
 )
 
 // TestPipelineSurvivesFlakyNodes drives the full pipeline through nodes
 // that reject 25% of all requests with injected 503s. The build and the
-// search must both succeed (the client's retries plus the samplers'
+// search must both succeed (the replica set's retries plus the samplers'
 // tolerance absorb the faults), and the client retry telemetry must
 // reconcile exactly with the injected-fault ground truth: every
 // injected failure is a failed attempt the client either retried
@@ -38,9 +40,9 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 		t.Cleanup(srv.Close)
 		flakies = append(flakies, flaky)
 		servers = append(servers, srv)
-		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{
-			Clock:   clock.NewInstant(), // retries without backoff waits
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
 			Metrics: reg,
+			clock:   clock.NewInstant(), // retries without backoff waits
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -113,5 +115,62 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 	}
 	if got := reg.Counter("search_db_unavailable_total").Value(); got <= unavailableBefore {
 		t.Errorf("search_db_unavailable_total did not grow past %d when a node died", unavailableBefore)
+	}
+}
+
+// TestSearchNamesWhyNoDatabaseAnswered: when every selected database has
+// a live handle but none answers, Search says how many were unavailable
+// and how many short-circuited — not that the process has no handles.
+func TestSearchNamesWhyNoDatabaseAnswered(t *testing.T) {
+	shards, lexicon := testbedShards(t, 3)
+	query := strings.Join([]string{shards[0].docs[0][0], shards[0].docs[0][1]}, " ")
+	opts := testbedOptions(lexicon)
+	opts.Cache.Disable = true
+	m := New(opts)
+	var servers []*httptest.Server
+	for _, s := range shards {
+		srv := httptest.NewServer(wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs),
+			wire.ServerOptions{Category: s.category}))
+		t.Cleanup(srv.Close)
+		servers = append(servers, srv)
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
+			clock: clock.NewInstant(), // retries without backoff waits
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddDatabase(rdb, rdb.Category()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := m.SearchExplained(context.Background(), query, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := len(resp.Selections)
+
+	for _, srv := range servers {
+		srv.Close()
+	}
+	_, err = m.Search(query, 3, 5)
+	want := fmt.Sprintf("none of the %d selected databases answered: %d unavailable, 0 short-circuited", selected, selected)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("every selected node down: err = %v, want %q", err, want)
+	}
+
+	for _, s := range shards {
+		b := m.Breakers().Get(s.name)
+		for b.State() != resilience.Open {
+			b.Allow()
+			b.Record(false)
+		}
+	}
+	_, err = m.Search(query, 3, 5)
+	want = fmt.Sprintf("none of the %d selected databases answered: 0 unavailable, %d short-circuited", selected, selected)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("every selected breaker open: err = %v, want %q", err, want)
 	}
 }

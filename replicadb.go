@@ -4,14 +4,36 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
+
+// RemoteDatabaseOptions configures the wire client of every replica of a
+// ReplicatedDatabase and the budget its retries are paid from. The zero
+// value is usable.
+type RemoteDatabaseOptions struct {
+	// Timeout bounds each attempt, dial to last body byte (default 5s).
+	// It is a context deadline on the wall clock.
+	Timeout time.Duration
+	// CacheSize is the capacity of each replica's LRU document cache
+	// (default 1024; negative disables caching).
+	CacheSize int
+	// Transport overrides the shared keep-alive transport (tests).
+	Transport http.RoundTripper
+	// Budget, when non-nil, pays for every retry (a retry it refuses is
+	// not made) and takes a deposit per successful call. Share
+	// Metasearcher.RetryBudget across the process: the bound is on total
+	// retry amplification, not per node. Nil leaves retries unbudgeted.
+	Budget *resilience.Budget
+}
 
 // ReplicatedDatabaseOptions configures a ReplicatedDatabase.
 type ReplicatedDatabaseOptions struct {
@@ -30,45 +52,145 @@ type ReplicatedDatabaseOptions struct {
 	// replica_exhausted_total, plus the wire client series of every
 	// replica (may be nil).
 	Metrics *telemetry.Registry
-	// Client configures each replica's wire client.
+	// Client configures each replica's wire client and the retry budget.
 	Client RemoteDatabaseOptions
+
+	// clock times the backoff between retries (nil: real time). Only
+	// this package's tests set it.
+	clock clock.Clock
 }
 
-// replicaSet is one immutable routing view of the replicas. Calls load
-// the current set once at entry and use it throughout, so a concurrent
-// UpdateReplicas never changes the ground under an in-flight call: the
-// old set's replicas stay alive until every call that loaded it has
-// finished (drain), then the removed ones are closed.
-type replicaSet struct {
-	preferred int
-	replicas  []*RemoteDatabase
-	addrs     []string
-	keys      []string       // breaker keys, "name@addr"
-	inflight  []*replicaLoad // shared with successor sets for surviving replicas
-}
+// The set's attempt policy is chosen by the one input it can observe,
+// its replica count (DESIGN §9.4). A lone replica has nowhere to fail
+// over to, so a transient failure is retried soloRetries times after the
+// backoff, and a shed after its Retry-After. With siblings, a shed fails
+// over at once — another replica is free while this one asks for
+// seconds — and a transient failure gets siblingRetries same-replica
+// retries before the set fails over.
+const (
+	soloRetries    = 3
+	siblingRetries = 1
+)
 
 // drainTimeout bounds how long a removed replica's drain waits for its
 // in-flight calls; anything still running afterwards is a straggler on
 // a detached breaker, which is harmless.
 const drainTimeout = 10 * time.Second
 
-// replicaLoad is one replica's in-flight call count and, once the
-// replica has left the set, the release the last call runs as it leaves.
-type replicaLoad struct {
-	n       atomic.Int64
-	release atomic.Pointer[func()]
+// replica is one dbnode of the set: its wire client, breaker key,
+// identity check and in-flight count. Routing views share a surviving
+// replica, so all of it carries over a swap.
+type replica struct {
+	addr   string
+	key    string // breaker key, "name@addr"
+	client *wire.Client
+
+	// A lazily added replica adopts the set's identity and verifies it
+	// against the node on first contact.
+	verified atomic.Bool
+	verifyMu sync.Mutex
+
+	// inflight counts the attempts running on the replica (its routing
+	// load); refs the calls holding a routing view that contains it.
+	// Once the replica has left the set, release is what the last of
+	// those calls runs as it lets go.
+	inflight atomic.Int64
+	refs     atomic.Int64
+	release  atomic.Pointer[func()]
 }
 
-func (l *replicaLoad) leave() {
-	if l.n.Add(-1) == 0 {
-		if release := l.release.Load(); release != nil {
+func (r *replica) unref() {
+	if r.refs.Add(-1) == 0 {
+		if release := r.release.Load(); release != nil {
 			(*release)()
 		}
 	}
 }
 
-// ReplicatedDatabase is one logical text database served by several
-// dbnode processes with identical content. It implements
+// verify performs the one-time identity check a lazily added replica
+// deferred (checkInfo against the set's name). Until it passes, every
+// call to the replica fails: a replica claiming another database's name
+// must never serve a query attributed to this one. A verified replica
+// takes no lock. A failed check fails, and counts in, the attempt it
+// guards.
+func (r *replica) verify(ctx context.Context, name string) error {
+	if r.verified.Load() {
+		return nil
+	}
+	r.verifyMu.Lock()
+	defer r.verifyMu.Unlock()
+	if r.verified.Load() {
+		return nil
+	}
+	info, err := r.client.Info(ctx, wire.Attempt{Seq: wire.NextSeq()})
+	if err != nil {
+		return err
+	}
+	if err := checkInfo(r.client.BaseURL(), info, name); err != nil {
+		return err
+	}
+	r.verified.Store(true)
+	return nil
+}
+
+// checkInfo is the identity a node must show: this protocol version
+// and a name — want, when set.
+func checkInfo(url string, info wire.InfoResponse, want string) error {
+	switch {
+	case info.Protocol != wire.Version:
+		return identityError(fmt.Sprintf("repro: remote database at %s speaks protocol %d, want %d", url, info.Protocol, wire.Version))
+	case info.Name == "":
+		return identityError(fmt.Sprintf("repro: remote database at %s reports no name", url))
+	case want != "" && info.Name != want:
+		return identityError(fmt.Sprintf("repro: remote database at %s is %q, want replica of %q — a replica set must serve one database",
+			url, info.Name, want))
+	}
+	return nil
+}
+
+// identityError is a node showing the wrong identity. Asking again will
+// not change its answer, so the set fails over from it at once.
+type identityError string
+
+func (e identityError) Error() string   { return string(e) }
+func (e identityError) Transient() bool { return false }
+
+// replicaSet is one immutable routing view of the replicas. Calls hold
+// the current set from entry to return (hold), so a concurrent
+// UpdateReplicas never changes the ground under an in-flight call: the
+// old set's replicas stay alive until every call that held it has
+// finished (drain), then the removed ones are closed.
+type replicaSet struct {
+	preferred int
+	replicas  []*replica
+}
+
+// hold returns the live set with a reference on each of its replicas,
+// reading it again after taking them: a swap that stored a successor in
+// between may have drained without seeing them.
+func (d *ReplicatedDatabase) hold() *replicaSet {
+	for {
+		set := d.set.Load()
+		for _, r := range set.replicas {
+			r.refs.Add(1)
+		}
+		if d.set.Load() == set {
+			return set
+		}
+		set.letGo()
+	}
+}
+
+// letGo drops the references hold took.
+func (s *replicaSet) letGo() {
+	for _, r := range s.replicas {
+		r.unref()
+	}
+}
+
+// ReplicatedDatabase is one logical text database served by one or
+// more dbnode processes with identical content — the handle to any
+// remote database (a lone dbnode is a one-replica set). It implements
 // ContextSearchableDatabase over the replica set with replica-aware
 // routing:
 //
@@ -77,9 +199,11 @@ func (l *replicaLoad) leave() {
 //     third — so a hedged duplicate of an in-flight call (the search
 //     fan-out's hedge calls QueryContext twice) naturally races a
 //     *different* replica, and first success wins.
-//   - A failed replica feeds its own breaker and the call fails over
-//     to the next (resilience.Do, replicas as the targets); the call
-//     errors only when every replica failed.
+//   - Each call is one resilience.Do over the replicas, the only attempt
+//     loop below the fan-out (policy): it retries, fails over, spends the
+//     budget, deposits once per success and feeds each replica's breaker;
+//     a wire client makes one exchange per attempt. The call errors only
+//     when every replica failed.
 //   - Each replica is a probe target (ProbeTargets), so an open
 //     replica breaker closes as soon as its process recovers.
 //   - The replica set is live-reconfigurable (UpdateReplicas): in-flight
@@ -95,7 +219,7 @@ type ReplicatedDatabase struct {
 	numDocs  int
 
 	set  atomic.Pointer[replicaSet]
-	opts ReplicatedDatabaseOptions // for dialing swap-added replicas
+	opts ReplicatedDatabaseOptions // clients of swap-added replicas; the policy's budget and clock
 
 	updateMu sync.Mutex // serializes UpdateReplicas
 
@@ -106,48 +230,80 @@ type ReplicatedDatabase struct {
 
 var _ ContextSearchableDatabase = (*ReplicatedDatabase)(nil)
 
-// DialReplicatedDatabase dials every replica address and verifies they
-// advertise the same database (same name). All replicas must be
-// reachable at dial time; afterwards the database stays usable while
-// any one replica is.
-func DialReplicatedDatabase(ctx context.Context, addrs []string, opts ReplicatedDatabaseOptions) (*ReplicatedDatabase, error) {
-	if len(addrs) == 0 {
-		return nil, errors.New("repro: DialReplicatedDatabase needs at least one replica address")
-	}
-	opts.Client.Metrics = opts.Metrics
+// newReplicatedDatabase builds the set over addrs without touching the
+// network.
+func newReplicatedDatabase(name, category string, numDocs int, addrs []string, opts ReplicatedDatabaseOptions) *ReplicatedDatabase {
 	d := &ReplicatedDatabase{
+		name:      name,
+		category:  category,
+		numDocs:   numDocs,
 		opts:      opts,
 		breakers:  opts.Breakers,
 		failovers: opts.Metrics.Counter("replica_failover_total"),
 		exhausted: opts.Metrics.Counter("replica_exhausted_total"),
 	}
-	set := &replicaSet{}
-	for i, addr := range addrs {
-		r, err := DialRemoteDatabase(ctx, addr, opts.Client)
-		if err != nil {
-			return nil, fmt.Errorf("repro: replica %d of %d: %w", i+1, len(addrs), err)
-		}
-		if i == 0 {
-			d.name, d.category, d.numDocs = r.Name(), r.Category(), r.NumDocs()
-		} else if r.Name() != d.name {
-			return nil, fmt.Errorf("repro: replica %s serves database %q, replica %s serves %q — a replica set must serve one database",
-				addrs[i], r.Name(), addrs[0], d.name)
-		}
-		set.replicas = append(set.replicas, r)
-		set.addrs = append(set.addrs, addr)
-		set.keys = append(set.keys, d.name+"@"+addr)
-		set.inflight = append(set.inflight, new(replicaLoad))
-	}
-	if opts.Preferred >= 0 && opts.Preferred < len(addrs) {
-		set.preferred = opts.Preferred
+	set := &replicaSet{preferred: preferredIndex(opts.Preferred, len(addrs))}
+	for _, addr := range addrs {
+		set.replicas = append(set.replicas, d.newReplica(addr))
 	}
 	d.set.Store(set)
+	return d
+}
+
+// newReplica builds the handle to the node at addr without touching
+// the network.
+func (d *ReplicatedDatabase) newReplica(addr string) *replica {
+	c := d.opts.Client
+	return &replica{addr: addr, key: d.name + "@" + addr, client: wire.NewClient(addr,
+		wire.ClientOptions{Timeout: c.Timeout, CacheSize: c.CacheSize, Transport: c.Transport, Metrics: d.opts.Metrics})}
+}
+
+func preferredIndex(preferred, n int) int {
+	if preferred >= 0 && preferred < n {
+		return preferred
+	}
+	return 0
+}
+
+// DialReplicatedDatabase dials every replica address ("host:port" or a
+// full http:// base URL), fetches each node's description, and verifies
+// they speak this protocol version and advertise the same database
+// (same name). All replicas must be reachable at dial time; afterwards
+// the database stays usable while any one replica is, and a failed call
+// is treated by the pipeline like a missing database.
+func DialReplicatedDatabase(ctx context.Context, addrs []string, opts ReplicatedDatabaseOptions) (*ReplicatedDatabase, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("repro: DialReplicatedDatabase needs at least one replica address")
+	}
+	d := newReplicatedDatabase("", "", 0, addrs, opts)
+	// Every replica must answer, so each is dialed as a lone replica. The
+	// breaker keys hold the name these calls learn: dialing feeds none.
+	p := d.policy(1)
+	p.Breakers = nil
+	for i, r := range d.set.Load().replicas {
+		var info wire.InfoResponse
+		err := d.do(ctx, p, []*replica{r}, func(ctx context.Context, r *replica, at wire.Attempt) (err error) {
+			info, err = r.client.Info(ctx, at)
+			return err
+		})
+		if err == nil {
+			err = checkInfo(r.client.BaseURL(), info, d.name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("repro: dialing replica %d of %d at %s: %w", i+1, len(addrs), r.addr, err)
+		}
+		if i == 0 {
+			d.name, d.category, d.numDocs = info.Name, info.Category, info.NumDocs
+		}
+		r.key = d.name + "@" + r.addr
+		r.verified.Store(true)
+	}
 	return d, nil
 }
 
 // NewReplicatedDatabase builds a replica set without touching the
-// network: every replica is a lazy handle (identity verified on first
-// contact) with its breaker seeded half-open, so the first call or
+// network: every replica adopts the given identity, verified on first
+// contact, with its breaker seeded half-open, so the first call or
 // probe to each replica is its trial. This is the handle a topology
 // swap attaches to a database that just entered this shard's scope —
 // the swap cannot block on dialing nodes that may still be booting.
@@ -158,28 +314,10 @@ func NewReplicatedDatabase(name, category string, numDocs int, addrs []string, o
 	if name == "" {
 		return nil, errors.New("repro: NewReplicatedDatabase needs the database name (lazy handles adopt it)")
 	}
-	opts.Client.Metrics = opts.Metrics
-	d := &ReplicatedDatabase{
-		name:      name,
-		category:  category,
-		numDocs:   numDocs,
-		opts:      opts,
-		breakers:  opts.Breakers,
-		failovers: opts.Metrics.Counter("replica_failover_total"),
-		exhausted: opts.Metrics.Counter("replica_exhausted_total"),
+	d := newReplicatedDatabase(name, category, numDocs, addrs, opts)
+	for _, r := range d.set.Load().replicas {
+		d.breakers.Seed(r.key, resilience.HalfOpen)
 	}
-	set := &replicaSet{}
-	for _, addr := range addrs {
-		set.replicas = append(set.replicas, NewLazyRemoteDatabase(addr, name, category, numDocs, opts.Client))
-		set.addrs = append(set.addrs, addr)
-		set.keys = append(set.keys, name+"@"+addr)
-		set.inflight = append(set.inflight, new(replicaLoad))
-		d.breakers.Seed(name+"@"+addr, resilience.HalfOpen)
-	}
-	if opts.Preferred >= 0 && opts.Preferred < len(addrs) {
-		set.preferred = opts.Preferred
-	}
-	d.set.Store(set)
 	return d, nil
 }
 
@@ -188,16 +326,17 @@ func NewReplicatedDatabase(name, category string, numDocs int, addrs []string, o
 // scope. In-flight calls finish first (they hold the old set), then
 // clients close and breakers leave the set.
 func (d *ReplicatedDatabase) Close() {
-	set := d.set.Load()
-	for i := range set.replicas {
-		d.drainReplica(set, i)
+	for _, r := range d.set.Load().replicas {
+		d.drainReplica(r)
 	}
 }
 
 // Name implements SearchableDatabase.
 func (d *ReplicatedDatabase) Name() string { return d.name }
 
-// Category returns the category the replicas advertise.
+// Category returns the category the replicas advertise ("" when the
+// nodes have none configured); callers may pass it to AddDatabase as
+// the known classification.
 func (d *ReplicatedDatabase) Category() string { return d.category }
 
 // NumDocs returns the document count advertised at dial time.
@@ -209,7 +348,12 @@ func (d *ReplicatedDatabase) Replicas() int { return len(d.set.Load().replicas) 
 // ReplicaAddrs returns the current replica addresses, in routing-table
 // order.
 func (d *ReplicatedDatabase) ReplicaAddrs() []string {
-	return append([]string(nil), d.set.Load().addrs...)
+	set := d.set.Load()
+	addrs := make([]string, len(set.replicas))
+	for i, r := range set.replicas {
+		addrs[i] = r.addr
+	}
+	return addrs
 }
 
 // Preferred returns this process's current affinity replica index.
@@ -217,27 +361,31 @@ func (d *ReplicatedDatabase) Preferred() int { return d.set.Load().preferred }
 
 // ProbeTargets returns one health-probe target per current replica,
 // keyed like the per-replica breakers ("name@addr"), for
-// resilience.Set.Probe. Metasearcher.Probe calls it at every sweep, so
-// the replicas an UpdateReplicas brings in are probed from the next.
+// resilience.Set.Probe; none without replica breakers, which leave
+// nothing for a probe to close. Metasearcher.Probe calls it at every
+// sweep, so the replicas an UpdateReplicas brings in are probed from the
+// next.
 func (d *ReplicatedDatabase) ProbeTargets() []resilience.ProbeTarget {
-	set := d.set.Load()
-	out := make([]resilience.ProbeTarget, len(set.replicas))
-	for i, r := range set.replicas {
-		out[i] = resilience.ProbeTarget{Name: set.keys[i], Ping: r.Ping}
+	if d.breakers == nil {
+		return nil
+	}
+	var out []resilience.ProbeTarget
+	for _, r := range d.set.Load().replicas {
+		out = append(out, resilience.ProbeTarget{Name: r.key, Ping: func(ctx context.Context) error { return d.ping(ctx, r) }})
 	}
 	return out
 }
 
 // UpdateReplicas swaps the replica set to addrs — the live-topology
 // reconfiguration path. The swap is atomic for callers: a call in
-// flight finishes on the set it loaded at entry; calls entering after
+// flight finishes on the set it held at entry; calls entering after
 // the swap route over the new set. Per-replica state carries over by
 // address: a surviving replica keeps its client (and connection pool),
 // its breaker state, and its in-flight count. An added replica gets a
 // lazy client (no network I/O here — the swap must not block on a slow
 // joiner) and a breaker seeded half-open, so its first call or probe is
 // the trial that earns it traffic. Removed replicas are drained: once
-// their in-flight count reaches zero (or drainTimeout passes), their
+// the last call holding them returns (or drainTimeout passes), their
 // clients are closed and their breakers leave the set.
 //
 // Returns the added and removed addresses (the swap audit record).
@@ -249,59 +397,51 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 	defer d.updateMu.Unlock()
 
 	old := d.set.Load()
-	oldAt := make(map[string]int, len(old.addrs))
-	for i, addr := range old.addrs {
-		oldAt[addr] = i
+	oldAt := make(map[string]*replica, len(old.replicas))
+	for _, r := range old.replicas {
+		oldAt[r.addr] = r
 	}
-	next := &replicaSet{}
-	if preferred >= 0 && preferred < len(addrs) {
-		next.preferred = preferred
-	}
-	kept := make(map[string]bool, len(addrs))
+	next := &replicaSet{preferred: preferredIndex(preferred, len(addrs))}
 	for _, addr := range addrs {
-		if i, ok := oldAt[addr]; ok {
-			kept[addr] = true
-			next.replicas = append(next.replicas, old.replicas[i])
-			next.inflight = append(next.inflight, old.inflight[i])
+		r := oldAt[addr]
+		if r != nil {
+			delete(oldAt, addr)
 		} else {
 			added = append(added, addr)
-			next.replicas = append(next.replicas, NewLazyRemoteDatabase(addr, d.name, d.category, d.numDocs, d.opts.Client))
-			next.inflight = append(next.inflight, new(replicaLoad))
-			d.breakers.Seed(d.name+"@"+addr, resilience.HalfOpen)
+			r = d.newReplica(addr)
+			d.breakers.Seed(r.key, resilience.HalfOpen)
 		}
-		next.addrs = append(next.addrs, addr)
-		next.keys = append(next.keys, d.name+"@"+addr)
+		next.replicas = append(next.replicas, r)
 	}
 	d.set.Store(next)
 
-	for i, addr := range old.addrs {
-		if kept[addr] {
-			continue
+	for _, r := range old.replicas {
+		if oldAt[r.addr] != nil {
+			removed = append(removed, r.addr)
+			d.drainReplica(r)
 		}
-		removed = append(removed, addr)
-		d.drainReplica(old, i)
 	}
 	return added, removed, nil
 }
 
-// drainReplica removes the breaker and closes the client of replica i,
-// which has left the live set, once its last in-flight call has left —
+// drainReplica removes the breaker and closes the client of r, which
+// has left the live set, once the last call holding it has returned —
 // or after drainTimeout on the clock of the breakers it removes (real
-// time without breakers), for a call that never returns. Whichever of leave and drainReplica sees the other's
-// write releases; once keeps it to one.
-func (d *ReplicatedDatabase) drainReplica(set *replicaSet, i int) {
+// time without breakers), for a call that never returns. Whichever of
+// unref and drainReplica sees the other's write releases; once keeps it
+// to one.
+func (d *ReplicatedDatabase) drainReplica(r *replica) {
 	var once sync.Once
 	released := make(chan struct{})
 	release := func() {
 		once.Do(func() {
-			d.breakers.Remove(set.keys[i])
-			set.replicas[i].Close()
+			d.breakers.Remove(r.key)
+			r.client.Close()
 			close(released)
 		})
 	}
-	load := set.inflight[i]
-	load.release.Store(&release)
-	if load.n.Load() == 0 {
+	r.release.Store(&release)
+	if r.refs.Load() == 0 {
 		release()
 		return
 	}
@@ -316,74 +456,123 @@ func (d *ReplicatedDatabase) drainReplica(set *replicaSet, i int) {
 	}()
 }
 
+// ping verifies r's identity if it is still unverified, then checks it
+// is up and accepting traffic via /v1/health (a single attempt — probes
+// measure the node as it is now).
+func (d *ReplicatedDatabase) ping(ctx context.Context, r *replica) error {
+	if err := r.verify(ctx, d.name); err != nil {
+		return err
+	}
+	_, err := r.client.Health(ctx)
+	return err
+}
+
 // Ping succeeds while any replica answers its health endpoint — the
 // database-level health used by the fan-out's per-database breaker.
 func (d *ReplicatedDatabase) Ping(ctx context.Context) error {
-	set := d.set.Load()
 	var last error
-	for _, i := range d.order(set) {
-		if last = set.replicas[i].Ping(ctx); last == nil {
+	for _, r := range d.order(d.set.Load()) {
+		if last = d.ping(ctx, r); last == nil {
 			return nil
 		}
 	}
 	return last
 }
 
-// order returns set's replica indices in routing order: healthiest
-// breaker state first, fewest in-flight calls second (this is what
-// steers a hedge away from the replica its primary attempt is
-// occupying), then rotation distance from the preferred replica. The
-// sort is stable on the rotated order, so equal-health equal-load
-// replicas keep affinity.
-func (d *ReplicatedDatabase) order(set *replicaSet) []int {
+// order returns set's replicas in routing order: healthiest breaker
+// state first, fewest in-flight calls second (this is what steers a
+// hedge away from the replica its primary attempt is occupying), then
+// rotation distance from the preferred replica. The sort is stable on
+// the rotated order, so equal-health equal-load replicas keep affinity.
+func (d *ReplicatedDatabase) order(set *replicaSet) []*replica {
 	n := len(set.replicas)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = (set.preferred + i) % n
-	}
 	if n == 1 {
-		return idx
+		return []*replica{set.replicas[0]}
 	}
-	state := make([]resilience.State, n) // ordered healthiest first
-	load := make([]int64, n)
-	for _, i := range idx {
-		load[i] = set.inflight[i].n.Load()
-		state[i] = d.breakers.Get(set.keys[i]).State()
+	type ranked struct {
+		r     *replica
+		state resilience.State // ordered healthiest first
+		load  int64
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if state[ia] != state[ib] {
-			return state[ia] < state[ib]
-		}
-		return load[ia] < load[ib]
+	rank := make([]ranked, n)
+	for i := range rank {
+		r := set.replicas[(set.preferred+i)%n]
+		rank[i] = ranked{r, d.breakers.Get(r.key).State(), r.inflight.Load()}
+	}
+	sort.SliceStable(rank, func(a, b int) bool {
+		x, y := rank[a], rank[b]
+		return x.state < y.state || x.state == y.state && x.load < y.load
 	})
-	return idx
+	rs := make([]*replica, n)
+	for i, x := range rank {
+		rs[i] = x.r
+	}
+	return rs
 }
 
-// call runs fn against replicas in routing order through resilience.Do
-// — failover only: each replica's wire client has already retried it —
-// and returns the first success, or an error joining every replica's.
-// The whole call uses the replica set loaded at entry: a topology swap
-// mid-call does not change which replicas this call may try.
-func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase) error) error {
-	set := d.set.Load()
-	order := d.order(set)
-	keys := make([]string, len(order))
-	for t, i := range order {
-		keys[t] = set.keys[i]
+// policy is the attempt policy of a call over a set of this many
+// replicas (see soloRetries).
+func (d *ReplicatedDatabase) policy(replicas int) resilience.Policy {
+	p := resilience.Policy{Retries: soloRetries, RetryShed: true, Deposit: true,
+		Clock: d.opts.clock, Breakers: d.breakers, Budget: d.opts.Client.Budget}
+	if replicas > 1 {
+		p.Retries, p.RetryShed = siblingRetries, false
 	}
-	var errs []error // one per replica tried, so far all failed
-	_, err := resilience.Do(ctx, resilience.Policy{Breakers: d.breakers}, keys, func(_ context.Context, t, _ int) error {
-		i := order[t]
-		if len(errs) > 0 {
+	return p
+}
+
+// do is the set's one attempt loop: resilience.Do over replicas, in
+// order, under p. Every attempt of the call carries its one wire
+// sequence number, so the nodes see r<seq>.0, r<seq>.1, … across
+// retries and failovers; an attempt counts in flight on its replica; and
+// a failed call is counted in wire_request_errors_total by the replica
+// that made its last attempt.
+func (d *ReplicatedDatabase) do(ctx context.Context, p resilience.Policy, replicas []*replica, fn func(context.Context, *replica, wire.Attempt) error) error {
+	keys := make([]string, len(replicas))
+	for i, r := range replicas {
+		keys[i] = r.key
+	}
+	seq := wire.NextSeq()
+	var last *replica
+	_, err := resilience.Do(ctx, p, keys, func(ctx context.Context, t, attempt int) error {
+		last = replicas[t]
+		last.inflight.Add(1)
+		defer last.inflight.Add(-1)
+		return fn(ctx, last, wire.Attempt{Seq: seq, N: attempt})
+	})
+	if err != nil && last != nil {
+		last.client.CallFailed()
+	}
+	return err
+}
+
+// call runs fn against the replicas in routing order under the set's
+// policy, verifying each replica first, and returns the first success,
+// or an error joining each tried replica's last. The whole call uses the
+// replica set held at entry: a topology swap mid-call does not change
+// which replicas this call may try, nor close them under it.
+func (d *ReplicatedDatabase) call(ctx context.Context, fn func(context.Context, *replica, wire.Attempt) error) error {
+	set := d.hold()
+	defer set.letGo()
+	var (
+		prev *replica
+		errs []error // one per replica tried, so far all failed
+	)
+	err := d.do(ctx, d.policy(len(set.replicas)), d.order(set), func(ctx context.Context, r *replica, at wire.Attempt) error {
+		if prev != nil && r != prev {
 			d.failovers.Inc()
 		}
-		set.inflight[i].n.Add(1)
-		err := fn(set.replicas[i])
-		set.inflight[i].leave()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", keys[t], err))
+		err := r.verify(ctx, d.name)
+		if err == nil {
+			err = fn(ctx, r, at)
 		}
+		if err != nil {
+			if r != prev {
+				errs = append(errs, nil)
+			}
+			errs[len(errs)-1] = fmt.Errorf("%s: %w", r.key, err)
+		}
+		prev = r
 		return err
 	})
 	if err == nil || ctx.Err() != nil {
@@ -401,48 +590,34 @@ func (d *ReplicatedDatabase) call(ctx context.Context, fn func(r *RemoteDatabase
 func (d *ReplicatedDatabase) QueryContext(ctx context.Context, terms []string, limit int) (int, []int, error) {
 	var matches int
 	var ids []int
-	err := d.call(ctx, func(r *RemoteDatabase) error {
-		var err error
-		matches, ids, err = r.QueryContext(ctx, terms, limit)
+	err := d.call(ctx, func(ctx context.Context, r *replica, at wire.Attempt) (err error) {
+		matches, ids, err = r.client.Query(ctx, at, terms, limit) // zero values on error
 		return err
 	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return matches, ids, nil
+	return matches, ids, err
 }
 
 // FetchContext implements ContextSearchableDatabase with replica
 // failover.
 func (d *ReplicatedDatabase) FetchContext(ctx context.Context, id int) ([]string, error) {
 	var terms []string
-	err := d.call(ctx, func(r *RemoteDatabase) error {
-		var err error
-		terms, err = r.FetchContext(ctx, id)
+	err := d.call(ctx, func(ctx context.Context, r *replica, at wire.Attempt) (err error) {
+		terms, err = r.client.Doc(ctx, at, id) // nil on error
 		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return terms, nil
+	return terms, err
 }
 
 // Query implements SearchableDatabase (the infallible compatibility
 // shape): a failed call reports zero matches.
 func (d *ReplicatedDatabase) Query(terms []string, limit int) (int, []int) {
-	matches, ids, err := d.QueryContext(context.Background(), terms, limit)
-	if err != nil {
-		return 0, nil
-	}
+	matches, ids, _ := d.QueryContext(context.Background(), terms, limit)
 	return matches, ids
 }
 
 // Fetch implements SearchableDatabase: a failed call reports an empty
 // document.
 func (d *ReplicatedDatabase) Fetch(id int) []string {
-	terms, err := d.FetchContext(context.Background(), id)
-	if err != nil {
-		return nil
-	}
+	terms, _ := d.FetchContext(context.Background(), id)
 	return terms
 }

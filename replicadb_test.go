@@ -140,10 +140,10 @@ func (tr *failoverTransport) RoundTrip(req *http.Request) (*http.Response, error
 // TestReplicaFailover pins how a replica set routes and fails over: the
 // order it tries replicas in (breaker state, then in-flight calls, then
 // affinity), that a short-circuited replica is skipped untouched, that a
-// shed moves on to the next replica with a neutral verdict, that a
-// failure counts against its own name@addr breaker only, that nothing
-// more is touched once the call is cancelled, and what the call reports
-// when every replica failed.
+// shed costs its replica one query and moves on at once with a neutral
+// verdict, that a failure counts against its own name@addr breaker
+// only, that nothing more is touched once the call is cancelled, and
+// what the call reports when every replica failed.
 func TestReplicaFailover(t *testing.T) {
 	hosts := []string{"a:1", "b:1", "c:1"}
 	type world struct {
@@ -153,17 +153,24 @@ func TestReplicaFailover(t *testing.T) {
 		clk      *clock.Fake
 		reg      *telemetry.Registry
 	}
-	newWorld := func(t *testing.T, preferred int) world {
+	// newWorld dials the three replicas with the retry backoff on an
+	// instant clock; a test that must see no backoff passes a fake one.
+	newWorld := func(t *testing.T, preferred int, backoff ...clock.Clock) world {
 		t.Helper()
 		w := world{clk: clock.NewFake(), reg: telemetry.NewRegistry()}
 		w.tr = &failoverTransport{hosts: hosts, entered: make(chan string, 1), release: make(chan struct{}),
 			mode: map[string]int{}, queries: map[string]int{}}
 		w.breakers = resilience.NewSet(resilience.BreakerOptions{Clock: w.clk}, w.reg)
+		var bk clock.Clock = clock.NewInstant()
+		if len(backoff) > 0 {
+			bk = backoff[0]
+		}
 		d, err := DialReplicatedDatabase(context.Background(), hosts, ReplicatedDatabaseOptions{
 			Preferred: preferred,
 			Breakers:  w.breakers,
 			Metrics:   w.reg,
-			Client:    RemoteDatabaseOptions{Timeout: time.Minute, Clock: clock.NewInstant(), Transport: w.tr},
+			Client:    RemoteDatabaseOptions{Timeout: time.Minute, Transport: w.tr},
+			clock:     bk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -277,13 +284,25 @@ func TestReplicaFailover(t *testing.T) {
 	})
 
 	t.Run("shed moves on with a neutral verdict", func(t *testing.T) {
-		w := newWorld(t, 0)
+		backoff := clock.NewFake()
+		start := backoff.Now()
+		w := newWorld(t, 0, backoff)
 		w.tr.set("a:1", replicaShed)
-		if got := served(t, w); got != 1 {
-			t.Fatalf("with a shedding: replica %d served, want b (1)", got)
+		got := make(chan int, 1)
+		go func() { got <- served(t, w) }()
+		select {
+		case r := <-got:
+			if r != 1 {
+				t.Fatalf("with a shedding: replica %d served, want b (1)", r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the call is waiting out the shed's Retry-After instead of failing over")
 		}
-		if w.tr.seen("a:1") == 0 {
-			t.Fatal("the shedding replica was never asked")
+		if n := w.tr.seen("a:1"); n != 1 {
+			t.Fatalf("the shedding replica saw %d queries, want exactly 1", n)
+		}
+		if !backoff.Now().Equal(start) {
+			t.Fatal("the backoff clock moved")
 		}
 		if s, f := window(w, "db@a:1"); s != 0 || f != 0 {
 			t.Errorf("db@a:1 window = %d samples / %d failures after a shed, want 0/0", s, f)
@@ -371,10 +390,63 @@ func TestReplicaFailover(t *testing.T) {
 	})
 }
 
+// TestSiblingReplicaRetriesTransientFailureOnce: in a set of more than
+// one replica, a transient failure costs its replica at most two
+// queries — the failure and one retry after the backoff — before the
+// set fails over; the failover is free.
+func TestSiblingReplicaRetriesTransientFailureOnce(t *testing.T) {
+	backoff := clock.NewFake()
+	tr := &failoverTransport{hosts: []string{"a:1", "b:1"}, mode: map[string]int{"a:1": replicaFail}, queries: map[string]int{}}
+	reg := telemetry.NewRegistry()
+	d, err := DialReplicatedDatabase(context.Background(), tr.hosts, ReplicatedDatabaseOptions{
+		Metrics: reg,
+		Client:  RemoteDatabaseOptions{Timeout: time.Minute, Transport: tr},
+		clock:   backoff,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		ids []int
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		_, ids, err := d.QueryContext(context.Background(), []string{"x"}, 1)
+		done <- answer{ids, err}
+	}()
+	backoff.BlockUntil(1) // a failed once; its retry waits out the backoff
+	if n := tr.seen("a:1"); n != 1 {
+		t.Fatalf("a saw %d queries before its retry, want 1", n)
+	}
+	backoff.Advance(resilience.BackoffMax)
+	var got answer
+	select {
+	case got = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call did not fail over after a's one retry")
+	}
+	if got.err != nil || len(got.ids) != 1 || got.ids[0] != 1 {
+		t.Fatalf("answer = %v (err %v), want b's (1)", got.ids, got.err)
+	}
+	if n := tr.seen("a:1"); n != 2 {
+		t.Errorf("a saw %d queries, want 2 (the failure and one retry)", n)
+	}
+	for name, want := range map[string]int64{
+		"replica_failover_total":    1,
+		"wire_client_retries_total": 2, // the retry on a and the failover to b
+		"wire_requests_total":       3, // dialing a and b, then the one query call
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestHedgedNodeCallDepositsOnce: a fan-out call to a replicated
-// database with a hedge armed runs through three nested attempt loops
-// (fan-out, replica set, wire client) and deposits into the retry budget
-// once, for its one successful wire call.
+// database with a hedge armed runs through two nested attempt loops
+// (fan-out, replica set) and deposits into the retry budget once, for
+// its one successful wire call.
 func TestHedgedNodeCallDepositsOnce(t *testing.T) {
 	m := New(Options{})
 	tr := &failoverTransport{hosts: []string{"a:1", "b:1"}, mode: map[string]int{}, queries: map[string]int{}}
@@ -401,8 +473,8 @@ func TestHedgedNodeCallDepositsOnce(t *testing.T) {
 // while a call is in flight keeps its client and breaker until that
 // call returns, and is released as it returns, with no clock movement.
 // A replica whose call never returns is released exactly when
-// drainTimeout passes on the breakers' clock (the client's own clock is
-// real time here, so the drain cannot be timed on it).
+// drainTimeout passes on the breakers' clock (the backoff clock is real
+// time here, so the drain cannot be timed on it).
 func TestReplicaDrainReleasesOnLastCall(t *testing.T) {
 	const removed = "db@a:1"
 	for _, returns := range []bool{true, false} {

@@ -48,7 +48,7 @@ type chaosNode struct {
 
 // dialChaosNodes starts n switchable (initially healthy) wire servers
 // over the first n testbed shards and registers them with m.
-func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts RemoteDatabaseOptions) []*chaosNode {
+func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts ReplicatedDatabaseOptions) []*chaosNode {
 	t.Helper()
 	nodes := make([]*chaosNode, len(shards))
 	for i, s := range shards {
@@ -57,7 +57,7 @@ func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts Remo
 		sw := newSwitchable(healthy)
 		srv := httptest.NewServer(sw)
 		t.Cleanup(srv.Close)
-		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, opts)
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +106,10 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	opts.Cache.Disable = true
 	m := New(opts)
 	reg := m.Metrics()
-	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{
-		Timeout: 150 * time.Millisecond,
-		Clock:   clock.NewInstant(), // retries without backoff waits
+	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{
 		Metrics: reg,
+		Client:  RemoteDatabaseOptions{Timeout: 150 * time.Millisecond},
+		clock:   clock.NewInstant(), // retries without backoff waits
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func sharedWord(t *testing.T, shards []testShard) string {
 // own recent remote node calls, floored at hedgeFloor, and a configured
 // HedgeAfter overrides it either way. The fan-out measures the calls it
 // hedges itself, so a metasearcher whose remote handles were dialled
-// without its registry (RemoteDatabaseOptions{}) adapts all the same.
+// without its registry (ReplicatedDatabaseOptions{}) adapts all the same.
 func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	m := New(Options{})
 	if got := m.hedgeThreshold(); got != hedgeFloor {
@@ -335,7 +335,7 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	opts := testbedOptions(lexicon)
 	opts.Cache.Disable = true
 	m = New(opts)
-	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{})
+	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 	clk := clock.NewFake()
 	opts.clock = clk
 	m := New(opts)
-	dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
+	dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
 
 	// Trip the node's breaker by hand.
 	b := m.Breakers().Get(shards[0].name)
@@ -402,10 +402,10 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	opts.Resilience = ResilienceOptions{HedgeAfter: -1}
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{
-		Timeout: time.Second,
-		Clock:   clock.NewInstant(),
+	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{
 		Metrics: m.Metrics(),
+		Client:  RemoteDatabaseOptions{Timeout: time.Second},
+		clock:   clock.NewInstant(),
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -475,7 +475,7 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 	opts.Resilience.HedgeAfter = -1
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
+	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +548,7 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 	opts.clock = clock.NewFake()
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, RemoteDatabaseOptions{Metrics: m.Metrics()})
+	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}

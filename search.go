@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -38,11 +39,11 @@ type Result = audit.Hit
 // AddDatabase, or whose connection is otherwise gone) is skipped —
 // counted in search_db_unavailable_total and noted on the trace —
 // rather than failing the whole search. A ContextSearchableDatabase
-// whose query errors (e.g. a RemoteDatabase whose node is down, even
-// after the client's retries) is treated exactly the same way, as is a
-// database whose circuit breaker is open (counted separately, in
-// search_breaker_open_total). Search errors only when none of the
-// selected databases is reachable.
+// whose query errors (e.g. a ReplicatedDatabase whose every replica is
+// down, after its retries and failovers) is treated exactly the same
+// way, as is a database whose circuit breaker is open (counted
+// separately, in search_breaker_open_total). Search errors only when
+// none of the selected databases is reachable.
 func (m *Metasearcher) Search(query string, maxDBs, perDB int) ([]Result, error) {
 	return m.SearchContext(context.Background(), query, maxDBs, perDB)
 }
@@ -399,23 +400,34 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	}
 
 	tMerge := time.Now()
-	queried, skipped := 0, 0
+	var queried, skipped, unavailable, failed, open int
 	for _, o := range outcomes {
 		e.nodes = append(e.nodes, o.call)
-		if !o.ok {
-			if o.call.OutOfScope {
-				skipped++
+		switch {
+		case o.ok:
+			queried++
+		case o.call.OutOfScope:
+			skipped++
+		case o.call.BreakerOpen:
+			open++
+		case o.call.Unavailable:
+			unavailable++
+			if o.call.Error != "" {
+				failed++ // a live handle that did not answer, not a missing one
 			}
-			continue
 		}
-		queried++
 	}
 	if queried == 0 {
 		// On a shard whose slice holds none of the selected databases an
 		// empty answer is correct, not an error: the router gets the
 		// results from the shards that own them.
-		if skipped == 0 {
+		switch {
+		case skipped > 0:
+		case failed == 0 && open == 0:
 			return e, errors.New("repro: Search needs live database connections (Load-ed state has none)")
+		default:
+			return e, fmt.Errorf("repro: none of the %d selected databases answered: %d unavailable, %d short-circuited",
+				len(sels), unavailable, open)
 		}
 		e.stages.Merge = time.Since(tMerge).Seconds()
 		return e, nil

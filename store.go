@@ -213,15 +213,11 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, l
 }
 
 // probeTargets derives a health sweep's target list from the registered
-// databases: one per remote database, plus one per replica of a
-// ReplicatedDatabase.
+// databases: one per remote database, plus one per replica breaker.
 func (st *store) probeTargets() []resilience.ProbeTarget {
 	var targets []resilience.ProbeTarget
 	for _, r := range st.dbs {
-		switch db := r.db.(type) {
-		case *RemoteDatabase:
-			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
-		case *ReplicatedDatabase:
+		if db, ok := r.db.(*ReplicatedDatabase); ok {
 			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
 			targets = append(targets, db.ProbeTargets()...)
 		}

@@ -86,9 +86,9 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
-		rdb, err := DialRemoteDatabase(context.Background(), srv.URL, RemoteDatabaseOptions{
-			Clock:   clock.NewInstant(), // the retry of the armed 503 without a backoff wait
+		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
 			Metrics: m.Metrics(),
+			clock:   clock.NewInstant(), // the retry of the armed 503 without a backoff wait
 		})
 		if err != nil {
 			t.Fatal(err)
