@@ -58,11 +58,12 @@ func runCollect(f *flags, _ []string) error {
 	// Record which generation the initial scrape set came from, then
 	// follow topology version bumps: swapped-in members are scraped from
 	// the next sweep, departed members' state is dropped.
-	c.SetTargets(c.Targets(), watcher.Generation())
-	watcher.Subscribe(func(snap *shardmap.Snapshot) {
+	c.SetTargets(c.Targets(), watcher.Snapshot().Generation)
+	watcher.OnSwap(func(snap *shardmap.Snapshot) error {
 		targets := obscollector.TargetsFromTopology(snap.Topology, f.collectRouter)
 		c.SetTargets(targets, snap.Generation)
 		log.Printf("topology generation %d applied: scraping %d members", snap.Generation, len(targets))
+		return nil
 	})
 	defer pollTopology(watcher, f)()
 	for _, t := range c.Targets() {

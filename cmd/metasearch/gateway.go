@@ -39,9 +39,9 @@ type debugBundle struct {
 	// scrapes.
 	identity telemetry.Identity
 	ring     *telemetry.RingCapture
-	// topology, when non-nil, serves /debug/topology: the process's view
-	// of the live topology (shard: the watcher's file view; router: the
-	// active ring with its swap audit trail).
+	// topology, when non-nil, serves /debug/topology: the watcher's
+	// applied topology and swap audit trail (shard and router; the
+	// collector mounts the same handler on its own mux).
 	topology http.Handler
 	// refresh, when non-nil, serves /debug/refresh: the summary-refresh
 	// manager's per-node drift state and swap generation.

@@ -9,8 +9,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"repro"
 	"repro/internal/clock"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/refresh"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // buildWorld generates the synthetic Web testbed of -scale and -seed. A
@@ -345,14 +342,13 @@ func runShard(f *flags, _ []string) error {
 	}
 
 	// Live reconfiguration: once summaries are loaded, topology version
-	// bumps swap this shard's replica sets and scope under traffic.
-	var gen, swapMs atomic.Int64
-	gen.Store(watcher.Generation())
-	watcher.Subscribe(func(snap *shardmap.Snapshot) {
+	// bumps swap this shard's replica sets and scope under traffic. A
+	// snapshot this shard cannot apply is not adopted: the watcher keeps
+	// the generation the shard really serves.
+	watcher.OnSwap(func(snap *shardmap.Snapshot) error {
 		assigns, err := snap.Topology.ShardAssignments(f.shardID)
 		if err != nil {
-			log.Printf("topology generation %d: %v; keeping current assignments", snap.Generation, err)
-			return
+			return err
 		}
 		ras := make([]repro.ReplicaAssignment, len(assigns))
 		for i, a := range assigns {
@@ -363,24 +359,17 @@ func runShard(f *flags, _ []string) error {
 		}
 		rep, err := l.m.ApplyReplicaAssignments(ras, l.remoteOptions())
 		if err != nil {
-			log.Printf("topology swap (generation %d) failed: %v", snap.Generation, err)
-			return
+			return err
 		}
-		gen.Store(snap.Generation)
-		swapMs.Store(time.Now().UnixMilli())
 		log.Printf("topology generation %d applied: attached %d, detached %d, unknown %d, scope_changed %v",
 			snap.Generation, len(rep.Attached), len(rep.Detached), len(rep.Unknown), rep.ScopeChanged)
+		return nil
 	})
 	defer pollTopology(watcher, f)()
 
 	gopts := gatewayOptions(f, l.m.Metrics())
 	gopts.ShardID = f.shardID
-	// /v1/healthz reports the generation this shard has APPLIED (and
-	// when), not merely what the watcher has seen: a swap the
-	// metasearcher rejected must not read as done.
-	gopts.Topology = func() *wire.TopologyStatus {
-		return &wire.TopologyStatus{Generation: gen.Load(), LastSwapUnixMs: swapMs.Load()}
-	}
+	gopts.Topology = watcher.Status
 	dbg := l.debug(telemetry.Identity{Instance: f.serveAddr, Role: "shard", Shard: f.shardID})
 	dbg.topology = watcher.Handler()
 	l.printExampleWords()

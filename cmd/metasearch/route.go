@@ -45,31 +45,29 @@ func runRoute(f *flags, _ []string) error {
 	defer clock.Every(nil, f.probeEvery, rt.Probe)()
 	// Live reconfiguration: topology version bumps swap the fan-out ring
 	// atomically under traffic.
-	watcher.Subscribe(func(snap *shardmap.Snapshot) {
-		rec, err := rt.ApplyTopology(snap)
-		if err != nil {
-			log.Printf("topology swap (generation %d) failed: %v", snap.Generation, err)
-			return
+	watcher.OnSwap(func(snap *shardmap.Snapshot) error {
+		if err := rt.ApplyTopology(snap); err != nil {
+			return err
 		}
+		d := snap.Diff
 		log.Printf("topology generation %d applied: shards +%d -%d moved %d",
-			rec.Generation, len(rec.ShardsAdded), len(rec.ShardsRemoved), len(rec.ShardsMoved))
+			snap.Generation, len(d.ShardsAdded), len(d.ShardsRemoved), len(d.ShardsMoved))
+		return nil
 	})
 	defer pollTopology(watcher, f)()
 
 	gopts := gatewayOptions(f, reg)
 	// /v1/healthz reports every shard's breaker state and last
 	// health-probe result alongside the router's own health, plus the
-	// active topology generation and last-swap timestamp.
+	// applied topology generation and last-swap timestamp.
 	gopts.ShardHealth = rt.ShardHealth
-	gopts.Topology = rt.TopologyStatus
+	gopts.Topology = watcher.Status
 	dbg := debugBundle{
 		reg:      reg,
 		breakers: breakers,
 		identity: telemetry.Identity{Instance: f.serveAddr, Role: "router"},
 		ring:     ring,
-		// The router's /debug/topology is the live ring view: active
-		// generation, fan-out targets, and the swap audit trail.
-		topology: rt.TopologyHandler(),
+		topology: watcher.Handler(),
 	}
 
 	return serve(rt, f, gopts, dbg)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/selection"
 	"repro/internal/stats"
-	"repro/internal/summary"
 )
 
 // Strategy is a database selection strategy of Section 6.2.
@@ -226,23 +225,3 @@ func (w *World) ReDDEAccuracy(sums *DBSummaries, ratio float64, maxK int) (Accur
 	}
 	return res, nil
 }
-
-// meanRkUpTo averages an Rk curve over k = 1..k (a scalar headline for
-// comparisons and tests).
-func meanRkUpTo(rk []float64, k int) float64 {
-	if k > len(rk) {
-		k = len(rk)
-	}
-	var s float64
-	for i := 0; i < k; i++ {
-		s += rk[i]
-	}
-	if k == 0 {
-		return 0
-	}
-	return s / float64(k)
-}
-
-// ensure unused helper linting does not fire before the table layer uses it.
-var _ = meanRkUpTo
-var _ summary.View = (*summary.Summary)(nil)

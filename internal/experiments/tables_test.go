@@ -144,19 +144,6 @@ func TestCategoryWeightingAblation(t *testing.T) {
 	}
 }
 
-func TestMeanRkUpTo(t *testing.T) {
-	rk := []float64{1, 0.5, 0.25}
-	if got := meanRkUpTo(rk, 2); got != 0.75 {
-		t.Errorf("meanRkUpTo = %v", got)
-	}
-	if got := meanRkUpTo(rk, 10); got != (1+0.5+0.25)/3 {
-		t.Errorf("meanRkUpTo beyond length = %v", got)
-	}
-	if got := meanRkUpTo(nil, 3); got != 0 {
-		t.Errorf("empty = %v", got)
-	}
-}
-
 func TestFormatRkCSV(t *testing.T) {
 	results := []AccuracyResult{
 		{Sampler: QBS, Strategy: Shrinkage, Rk: []float64{0.5, 0.625}},

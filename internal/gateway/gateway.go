@@ -105,9 +105,6 @@ type Options struct {
 	// burst of instant 429s cannot drag the success-latency percentiles
 	// down.
 	Metrics *telemetry.Registry
-	// Version is advertised in /v1/healthz (defaults to the build's
-	// version string) so rollouts can confirm which build answers.
-	Version string
 	// ShardID names this process's topology shard in /v1/healthz when
 	// it serves a cluster slice ("" for a standalone metasearcher or
 	// the cluster router).
@@ -132,6 +129,7 @@ type Gateway struct {
 	*wire.Gate
 	searcher Searcher
 	opts     Options
+	version  string // the build's, so rollouts can confirm which build answers
 	mux      http.Handler
 
 	requests     *telemetry.Counter
@@ -149,11 +147,8 @@ func New(s Searcher, opts Options) *Gateway {
 	if opts.DefaultPerDB <= 0 {
 		opts.DefaultPerDB = 10
 	}
-	if opts.Version == "" {
-		opts.Version = buildinfo.Version()
-	}
 	reg := opts.Metrics
-	g := &Gateway{searcher: s, opts: opts,
+	g := &Gateway{searcher: s, opts: opts, version: buildinfo.Version(),
 		Gate: wire.NewGate("gateway", opts.MaxInflight, opts.RetryAfter,
 			reg.DeclareCounter("gateway_shed_total", "Search requests shed with 429 by the admission gate."),
 			reg.DeclareGauge("gateway_requests_inflight", "Search requests currently being served.")),
@@ -200,7 +195,7 @@ func errorTraceID(r *http.Request) string {
 // into the success or error histogram by final status.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == PathHealthz {
-		resp := wire.HealthResponse{Version: g.opts.Version, ShardID: g.opts.ShardID}
+		resp := wire.HealthResponse{Version: g.version, ShardID: g.opts.ShardID}
 		if g.opts.ShardHealth != nil {
 			resp.Shards = g.opts.ShardHealth()
 		}

@@ -2,6 +2,9 @@ package router
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -171,19 +174,18 @@ func TestClusterReconfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One watcher feeds every plane, as in production (there each
-	// process runs its own watcher over the shared file; the swap code
-	// paths are identical). Shards reconcile replica sets; the router
-	// swaps its ring.
-	var swapReports sync.Map // shard index → *repro.TopologySwapReport
-	for i, sm := range shardMs {
-		i, sm := i, sm
-		id := topo.Shards[i].ID
-		watcher.Subscribe(func(snap *shardmap.Snapshot) {
+	// One watcher, with one apply hook that applies every simulated
+	// plane in turn (in production each process runs its own watcher
+	// over the shared file, with its own hook; the swap code paths are
+	// identical). Shards reconcile replica sets; the router swaps its
+	// ring. A plane that refuses the snapshot fails the hook, and the
+	// watcher does not adopt it.
+	watcher.OnSwap(func(snap *shardmap.Snapshot) error {
+		for i, sm := range shardMs {
+			id := topo.Shards[i].ID
 			assigns, err := snap.Topology.ShardAssignments(id)
 			if err != nil {
-				t.Errorf("shard %s assignments at generation %d: %v", id, snap.Generation, err)
-				return
+				return fmt.Errorf("shard %s assignments: %w", id, err)
 			}
 			ras := make([]repro.ReplicaAssignment, len(assigns))
 			for j, a := range assigns {
@@ -192,18 +194,11 @@ func TestClusterReconfiguration(t *testing.T) {
 					Replicas: a.Replicas, Preferred: a.Preferred,
 				}
 			}
-			rep, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{})
-			if err != nil {
-				t.Errorf("shard %s swap at generation %d: %v", id, snap.Generation, err)
-				return
+			if _, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{}); err != nil {
+				return fmt.Errorf("shard %s swap: %w", id, err)
 			}
-			swapReports.Store(i, rep)
-		})
-	}
-	watcher.Subscribe(func(snap *shardmap.Snapshot) {
-		if _, err := rt.ApplyTopology(snap); err != nil {
-			t.Errorf("router swap at generation %d: %v", snap.Generation, err)
 		}
+		return rt.ApplyTopology(snap)
 	})
 
 	queries := []string{
@@ -306,28 +301,35 @@ func TestClusterReconfiguration(t *testing.T) {
 		t.Fatal("load loop issued no queries; the test exercised nothing")
 	}
 
-	if got := watcher.Generation(); got != 2 {
+	// The watcher is the one record of what every plane applied: its
+	// generation, its swap trail, and the healthz status the router's
+	// gateway reports.
+	if got := watcher.Snapshot().Generation; got != 2 {
 		t.Fatalf("watcher generation = %d, want 2", got)
 	}
-	if got := rt.Generation(); got != 2 {
-		t.Fatalf("router generation = %d, want 2", got)
+	if trail := watcher.Swaps(); len(trail) != 1 || trail[0].Generation != 2 {
+		t.Fatalf("swap trail = %+v, want one record at generation 2", trail)
 	}
-	if st := rt.TopologyStatus(); st.Generation != 2 || st.LastSwapUnixMs == 0 {
-		t.Fatalf("router TopologyStatus = %+v, want generation 2 with a swap timestamp", st)
+	rgw := httptest.NewServer(gateway.New(rt, gateway.Options{Topology: watcher.Status}))
+	t.Cleanup(rgw.Close)
+	health, err := http.Get(rgw.URL + gateway.PathHealthz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr wire.HealthResponse
+	err = json.NewDecoder(health.Body).Decode(&hr)
+	health.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := hr.Topology; st == nil || st.Generation != 2 || st.LastSwapUnixMs == 0 {
+		t.Fatalf("router healthz topology = %+v, want generation 2 with a swap timestamp", st)
 	}
 
-	// The owning shard's swap report records the replica exchange.
-	var sawExchange bool
-	swapReports.Range(func(_, v any) bool {
-		rep := v.(*repro.TopologySwapReport)
-		added, removed := rep.ReplicasAdded[dbs[0].name], rep.ReplicasRemoved[dbs[0].name]
-		if len(added) == 1 && added[0] == chaosAddr && len(removed) == 1 && removed[0] == deadAddr {
-			sawExchange = true
-		}
-		return true
-	})
-	if !sawExchange {
-		t.Errorf("no shard's swap report shows %s exchanging %s for %s", dbs[0].name, deadAddr, chaosAddr)
+	// The adopted diff records the replica exchange.
+	diff := watcher.Snapshot().Diff
+	if added, removed := diff.ReplicasAdded[dbs[0].name], diff.ReplicasRemoved[dbs[0].name]; len(added) != 1 || added[0] != chaosAddr || len(removed) != 1 || removed[0] != deadAddr {
+		t.Errorf("swap diff does not show %s exchanging %s for %s: %+v", dbs[0].name, deadAddr, chaosAddr, diff)
 	}
 
 	// The replacement must enter live service: its half-open breaker

@@ -82,11 +82,12 @@ type Options struct {
 // Router fans queries out to every shard and merges the rankings. It
 // implements gateway.Searcher; wrap it in gateway.New to serve HTTP.
 //
-// The fan-out targets live in an immutable ring snapshot swapped
-// atomically by ApplyTopology: queries in flight finish on the snapshot
-// they loaded at entry while new queries route on the new one.
+// The fan-out targets live in an immutable shard slice swapped
+// atomically by ApplyTopology: every query loads it once at entry, so
+// queries in flight finish on the ring they started on while new
+// queries route on the new one.
 type Router struct {
-	ring     atomic.Pointer[ringState]
+	ring     atomic.Pointer[[]shardmap.Shard] // sorted by ID
 	client   *http.Client
 	timeout  time.Duration
 	breakers *resilience.Set
@@ -101,38 +102,12 @@ type Router struct {
 	shardSkips   *telemetry.Counter
 	shardRetries *telemetry.Counter
 	dedupDrops   *telemetry.Counter
-	swaps        *telemetry.Counter
-	generation   *telemetry.Gauge
 	fanoutLat    *telemetry.Histogram
 	mergeLat     *telemetry.Histogram
 
 	probeMu   sync.Mutex
 	lastProbe map[string]probeResult // shard ID → latest background probe
-
-	swapMu      sync.Mutex
-	swapHistory []SwapRecord // bounded audit trail, oldest first
 }
-
-// ringState is one immutable topology snapshot the router fans out
-// over. Every query loads exactly one ringState at entry and never sees
-// a partial swap.
-type ringState struct {
-	shards     []shardmap.Shard // sorted by ID
-	generation int64
-	swappedAt  time.Time // zero until the first ApplyTopology
-}
-
-// SwapRecord is the audit record of one applied topology swap.
-type SwapRecord struct {
-	Generation    int64     `json:"generation"`
-	AppliedAt     time.Time `json:"applied_at"`
-	ShardsAdded   []string  `json:"shards_added,omitempty"`
-	ShardsRemoved []string  `json:"shards_removed,omitempty"`
-	ShardsMoved   []string  `json:"shards_moved,omitempty"` // same ID, new address
-}
-
-// maxSwapHistory bounds the audit trail kept in memory.
-const maxSwapHistory = 64
 
 // probeResult is the outcome of one background health probe.
 type probeResult struct {
@@ -184,14 +159,11 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 		shardSkips:   reg.DeclareCounter("router_shard_skipped_total", "Per-shard calls held back by an open circuit breaker."),
 		shardRetries: reg.DeclareCounter("router_shard_retries_total", "Same-shard retries funded by the cluster retry budget."),
 		dedupDrops:   reg.DeclareCounter("router_dedup_dropped_total", "Merged results dropped as duplicate (database, doc id) pairs from replicated shards."),
-		swaps:        reg.DeclareCounter("router_topology_swaps_total", "Topology snapshots swapped into the live ring."),
-		generation:   reg.DeclareGauge("topology_generation", "Process-local generation of the active topology snapshot."),
 		fanoutLat:    reg.DeclareHistogram("router_fanout_latency", "Wall time of the scatter-gather over all shards, seconds.", nil),
 		mergeLat:     reg.DeclareHistogram("router_merge_latency", "Wall time of the deterministic cluster merge, seconds.", nil),
 		lastProbe:    make(map[string]probeResult),
 	}
-	r.ring.Store(&ringState{shards: shards, generation: 1})
-	r.generation.Set(1)
+	r.ring.Store(&shards)
 	return r, nil
 }
 
@@ -208,130 +180,47 @@ func (r *Router) Breakers() *resilience.Set { return r.breakers }
 
 // Shards returns the fan-out targets in sorted-ID order.
 func (r *Router) Shards() []shardmap.Shard {
-	shards := r.ring.Load().shards
+	shards := *r.ring.Load()
 	out := make([]shardmap.Shard, len(shards))
 	copy(out, shards)
 	return out
 }
 
-// Generation returns the generation of the active ring snapshot.
-func (r *Router) Generation() int64 { return r.ring.Load().generation }
-
 // ApplyTopology swaps a validated topology snapshot into the live ring.
-// In-flight queries finish on the snapshot they loaded at entry; new
+// In-flight queries finish on the ring they loaded at entry; new
 // queries fan out over the new one. Breaker state carries over for
 // every surviving shard ID (including shards whose gateway address
-// moved — the breaker describes the backend, not the socket); removed
-// shards leave the breaker set and the probe-result map; added shards
-// get a fresh breaker that starts closed on first use, so concurrent
-// queries never skip a healthy newcomer and the merge stays
-// bit-identical to a single process. Health probes need no retargeting:
-// each Probe sweep reads the live ring. Returns the swap's audit record.
-func (r *Router) ApplyTopology(snap *shardmap.Snapshot) (*SwapRecord, error) {
+// moved — the breaker describes the backend, not the socket); the
+// shards in snap.Diff.ShardsRemoved leave the breaker set and the
+// probe-result map; added shards get a fresh breaker that starts closed
+// on first use, so concurrent queries never skip a healthy newcomer and
+// the merge stays bit-identical to a single process. Health probes need
+// no retargeting: each Probe sweep reads the live ring. The caller
+// serializes swaps (the watcher's apply hook does) and records them:
+// the router keeps no generation of its own.
+func (r *Router) ApplyTopology(snap *shardmap.Snapshot) error {
 	if snap == nil || snap.Topology == nil {
-		return nil, errors.New("router: nil topology snapshot")
+		return errors.New("router: nil topology snapshot")
 	}
 	if err := snap.Topology.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	shards := sortedShards(snap.Topology)
-
-	r.swapMu.Lock()
-	old := r.ring.Load()
-	rec := &SwapRecord{Generation: snap.Generation, AppliedAt: time.Now()}
-	oldAddr := make(map[string]string, len(old.shards))
-	for _, s := range old.shards {
-		oldAddr[s.ID] = s.Addr
-	}
-	newIDs := make(map[string]bool, len(shards))
-	for _, s := range shards {
-		newIDs[s.ID] = true
-		if addr, ok := oldAddr[s.ID]; !ok {
-			rec.ShardsAdded = append(rec.ShardsAdded, s.ID)
-		} else if addr != s.Addr {
-			rec.ShardsMoved = append(rec.ShardsMoved, s.ID)
-		}
-	}
-	for _, s := range old.shards {
-		if !newIDs[s.ID] {
-			rec.ShardsRemoved = append(rec.ShardsRemoved, s.ID)
-		}
-	}
-	sort.Strings(rec.ShardsAdded)
-	sort.Strings(rec.ShardsRemoved)
-	sort.Strings(rec.ShardsMoved)
-
-	r.ring.Store(&ringState{shards: shards, generation: snap.Generation, swappedAt: rec.AppliedAt})
-	for _, id := range rec.ShardsRemoved {
+	r.ring.Store(&shards)
+	for _, id := range snap.Diff.ShardsRemoved {
 		r.breakers.Remove(id)
 		r.probeMu.Lock()
 		delete(r.lastProbe, id)
 		r.probeMu.Unlock()
 	}
-	r.swaps.Inc()
-	r.generation.Set(float64(snap.Generation))
-	r.swapHistory = append(r.swapHistory, *rec)
-	if len(r.swapHistory) > maxSwapHistory {
-		r.swapHistory = r.swapHistory[len(r.swapHistory)-maxSwapHistory:]
-	}
-	r.swapMu.Unlock()
-	return rec, nil
-}
-
-// SwapHistory returns the bounded audit trail of applied topology
-// swaps, oldest first.
-func (r *Router) SwapHistory() []SwapRecord {
-	r.swapMu.Lock()
-	defer r.swapMu.Unlock()
-	out := make([]SwapRecord, len(r.swapHistory))
-	copy(out, r.swapHistory)
-	return out
-}
-
-// TopologyStatus reports the active generation and last swap time for
-// /v1/healthz (gateway.Options.Topology).
-func (r *Router) TopologyStatus() *wire.TopologyStatus {
-	ring := r.ring.Load()
-	st := &wire.TopologyStatus{Generation: ring.generation}
-	if !ring.swappedAt.IsZero() {
-		st.LastSwapUnixMs = ring.swappedAt.UnixMilli()
-	}
-	return st
-}
-
-// TopologyHandler serves the router's view of the live ring: active
-// generation, fan-out targets, and the swap audit trail.
-func (r *Router) TopologyHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		ring := r.ring.Load()
-		type shardInfo struct {
-			ID   string `json:"id"`
-			Addr string `json:"addr"`
-		}
-		resp := struct {
-			Generation     int64        `json:"generation"`
-			LastSwapUnixMs int64        `json:"last_swap_unix_ms,omitempty"`
-			Shards         []shardInfo  `json:"shards"`
-			Swaps          []SwapRecord `json:"swaps,omitempty"`
-		}{Generation: ring.generation, Swaps: r.SwapHistory()}
-		if !ring.swappedAt.IsZero() {
-			resp.LastSwapUnixMs = ring.swappedAt.UnixMilli()
-		}
-		for _, s := range ring.shards {
-			resp.Shards = append(resp.Shards, shardInfo{ID: s.ID, Addr: s.Addr})
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp)
-	})
+	return nil
 }
 
 // ProbeTargets returns one health-probe target per shard, keyed like
 // the per-shard breakers, pinging the shard gateway's /v1/healthz.
 // Every probe's outcome is remembered for ShardHealth.
 func (r *Router) ProbeTargets() []resilience.ProbeTarget {
-	shards := r.ring.Load().shards
+	shards := *r.ring.Load()
 	out := make([]resilience.ProbeTarget, len(shards))
 	for i, s := range shards {
 		id, addr := s.ID, s.Addr
@@ -357,7 +246,7 @@ func (r *Router) ProbeTargets() []resilience.ProbeTarget {
 // non-closed breakers, so a shard that never failed reports no probe
 // result — absence of evidence is health here.)
 func (r *Router) ShardHealth() []wire.ShardHealth {
-	shards := r.ring.Load().shards
+	shards := *r.ring.Load()
 	out := make([]wire.ShardHealth, len(shards))
 	r.probeMu.Lock()
 	defer r.probeMu.Unlock()
@@ -454,7 +343,7 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 
 	// One ring snapshot per query: a topology swap mid-flight never
 	// changes this query's fan-out set.
-	shards := r.ring.Load().shards
+	shards := *r.ring.Load()
 	sm := newStreamMerger(obs)
 	replies := make([]shardReply, len(shards))
 	var wg sync.WaitGroup

@@ -2,6 +2,8 @@ package router
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,9 +13,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// snapshotFor wraps a topology the way shardmap.Watcher publishes it.
-func snapshotFor(topo *shardmap.Topology, gen int64) *shardmap.Snapshot {
-	return &shardmap.Snapshot{Topology: topo, Generation: gen, LoadedAt: time.Now()}
+// snapshotFor wraps next the way shardmap.Watcher offers it after prev.
+func snapshotFor(prev, next *shardmap.Topology, gen int64) *shardmap.Snapshot {
+	return &shardmap.Snapshot{Topology: next, Generation: gen, LoadedAt: time.Now(), Diff: shardmap.DiffTopologies(prev, next)}
+}
+
+// watchTopology saves topo to a file and watches it with rt.ApplyTopology
+// as the one apply hook, the way `route` wires its router.
+func watchTopology(t *testing.T, rt *Router, topo *shardmap.Topology, reg *telemetry.Registry) (*shardmap.Watcher, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "topology.json")
+	if err := topo.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	w, err := shardmap.NewWatcher(path, shardmap.WatcherOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.OnSwap(rt.ApplyTopology)
+	return w, path
+}
+
+// rewrite saves topo over path with an mtime the stat-based watcher
+// cannot miss.
+func rewrite(t *testing.T, path string, topo *shardmap.Topology) {
+	t.Helper()
+	if err := topo.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	future := time.Now().Add(2 * time.Second)
+	if err := os.Chtimes(path, future, future); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func setStates(s *resilience.Set) map[string]string {
@@ -33,6 +64,7 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	watcher, path := watchTopology(t, rt, testTopology(a, b), reg)
 
 	// Trip shard-a's breaker: the swap must not forget it.
 	ba := breakers.Get("shard-a")
@@ -52,18 +84,19 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 		{ID: "shard-a", Addr: a.addr()},
 		{ID: "shard-c", Addr: c.addr()},
 	}
-	rec, err := rt.ApplyTopology(snapshotFor(next, 2))
-	if err != nil {
-		t.Fatal(err)
+	rewrite(t, path, next)
+	if swapped, err := watcher.Poll(); err != nil || !swapped {
+		t.Fatalf("poll of the rewrite: swapped=%v err=%v", swapped, err)
 	}
-	if len(rec.ShardsAdded) != 1 || rec.ShardsAdded[0] != "shard-c" {
-		t.Fatalf("ShardsAdded = %v, want [shard-c]", rec.ShardsAdded)
+	diff := watcher.Snapshot().Diff
+	if len(diff.ShardsAdded) != 1 || diff.ShardsAdded[0] != "shard-c" {
+		t.Fatalf("ShardsAdded = %v, want [shard-c]", diff.ShardsAdded)
 	}
-	if len(rec.ShardsRemoved) != 1 || rec.ShardsRemoved[0] != "shard-b" {
-		t.Fatalf("ShardsRemoved = %v, want [shard-b]", rec.ShardsRemoved)
+	if len(diff.ShardsRemoved) != 1 || diff.ShardsRemoved[0] != "shard-b" {
+		t.Fatalf("ShardsRemoved = %v, want [shard-b]", diff.ShardsRemoved)
 	}
-	if rt.Generation() != 2 {
-		t.Fatalf("Generation = %d, want 2", rt.Generation())
+	if g := watcher.Snapshot().Generation; g != 2 {
+		t.Fatalf("Generation = %d, want 2", g)
 	}
 
 	states := setStates(breakers)
@@ -94,15 +127,15 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 		t.Fatal("added shard-c received no fan-out traffic")
 	}
 
-	st := rt.TopologyStatus()
+	st := watcher.Status()
 	if st.Generation != 2 || st.LastSwapUnixMs == 0 {
 		t.Fatalf("TopologyStatus = %+v, want generation 2 with a swap timestamp", st)
 	}
-	if hist := rt.SwapHistory(); len(hist) != 1 || hist[0].Generation != 2 {
+	if hist := watcher.Swaps(); len(hist) != 1 || hist[0].Generation != 2 {
 		t.Fatalf("SwapHistory = %+v, want one record at generation 2", hist)
 	}
-	if got := reg.Counter("router_topology_swaps_total").Value(); got != 1 {
-		t.Fatalf("router_topology_swaps_total = %v, want 1", got)
+	if got := reg.Counter("topology_reloads_total").Value(); got != 1 {
+		t.Fatalf("topology_reloads_total = %v, want 1", got)
 	}
 	if got := reg.Gauge("topology_generation").Value(); got != 2 {
 		t.Fatalf("topology_generation gauge = %v, want 2", got)
@@ -127,12 +160,12 @@ func TestApplyTopologyMovedShardKeepsBreaker(t *testing.T) {
 	moved := newFakeShard(t, reply())
 	next := testTopology(a)
 	next.Shards[0].Addr = moved.addr()
-	rec, err := rt.ApplyTopology(snapshotFor(next, 2))
-	if err != nil {
+	snap := snapshotFor(testTopology(a), next, 2)
+	if err := rt.ApplyTopology(snap); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.ShardsMoved) != 1 || rec.ShardsMoved[0] != "shard-a" {
-		t.Fatalf("ShardsMoved = %v, want [shard-a]", rec.ShardsMoved)
+	if moved := snap.Diff.ShardsMoved; len(moved) != 1 || moved[0] != "shard-a" {
+		t.Fatalf("ShardsMoved = %v, want [shard-a]", moved)
 	}
 	if got := breakers.Get("shard-a").State(); got != resilience.Open {
 		t.Fatalf("moved shard-a breaker = %v, want open", got)
@@ -164,7 +197,7 @@ func TestProbeFollowsTopologySwap(t *testing.T) {
 		bb.Record(false)
 	}
 	clk.BlockUntil(1)
-	if _, err := rt.ApplyTopology(snapshotFor(testTopology(a, b), 2)); err != nil {
+	if err := rt.ApplyTopology(snapshotFor(testTopology(a), testTopology(a, b), 2)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(resilience.BreakerCooldown)
@@ -183,16 +216,16 @@ func TestApplyTopologyRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ApplyTopology(nil); err == nil {
+	if err := rt.ApplyTopology(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
 	bad := testTopology(a)
 	bad.Shards = nil
-	if _, err := rt.ApplyTopology(snapshotFor(bad, 2)); err == nil {
+	if err := rt.ApplyTopology(snapshotFor(testTopology(a), bad, 2)); err == nil {
 		t.Fatal("shardless topology accepted")
 	}
-	if rt.Generation() != 1 {
-		t.Fatalf("Generation = %d after rejected swaps, want 1", rt.Generation())
+	if got := rt.Shards(); len(got) != 1 || got[0].Addr != a.addr() {
+		t.Fatalf("ring = %+v after rejected swaps, want the boot-time shard-a", got)
 	}
 }
 

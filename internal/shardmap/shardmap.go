@@ -129,7 +129,7 @@ type Assignment struct {
 // virtualNodes, loadFactor and replication resolve the ring parameters,
 // a zero field meaning its default. They are read through these
 // accessors and never written back: topologies are shared between
-// goroutines (watcher subscribers, shards booting side by side), so
+// goroutines (the watcher's apply hook, shards booting side by side), so
 // nothing that reads one may modify it.
 func (t *Topology) virtualNodes() int {
 	if t.VirtualNodes == 0 {

@@ -283,7 +283,7 @@ func TestTopologyValidate(t *testing.T) {
 }
 
 // TestTopologySharedAcrossGoroutines: one topology value is handed to
-// every watcher subscriber and to shards booting side by side, so
+// the watcher's apply hook and to shards booting side by side, so
 // reading it — validating, computing owners or a shard's assignments —
 // must not write to it. Run under -race; a zero-valued field (defaults
 // in effect) is the case that used to be filled in place.

@@ -2,6 +2,7 @@ package shardmap
 
 import (
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Diff is the structured difference between two topologies: which
@@ -126,10 +128,10 @@ func addrsMissing(a, b []string) []string {
 	return out
 }
 
-// Snapshot is one published topology: the validated Topology, the
+// Snapshot is one adopted topology: the validated Topology, the
 // monotonically increasing local generation stamped on it, and the diff
-// against the previously published snapshot. Snapshots are immutable
-// once published — consumers hold the pointer, never a lock.
+// against the previously adopted snapshot. Snapshots are immutable once
+// adopted — consumers hold the pointer, never a lock.
 //
 // Generation is per-process and starts at 1 for the snapshot loaded at
 // construction. It is not stored in the file: two processes watching
@@ -144,45 +146,56 @@ type Snapshot struct {
 	Diff       Diff
 }
 
+// Swap is the audit record of one adopted reload: its generation, when
+// it was adopted, and what it changed.
+type Swap struct {
+	Generation int64     `json:"generation"`
+	AppliedAt  time.Time `json:"applied_at"`
+	Diff       Diff      `json:"diff"`
+}
+
+// maxSwaps bounds the audit trail of adopted reloads kept in memory.
+const maxSwaps = 64
+
 // WatcherOptions tunes a Watcher.
 type WatcherOptions struct {
 	// Metrics receives topology_generation (gauge),
 	// topology_reloads_total, and topology_reload_errors_total (may be
 	// nil).
 	Metrics *telemetry.Registry
-	// Logger, when non-nil, logs accepted swaps and rejected files.
+	// Logger logs adopted and rejected reloads (nil: slog.Default()).
 	Logger *slog.Logger
-	// Clock stamps each snapshot's LoadedAt (nil: real time).
-	Clock clock.Clock
 }
 
-// Watcher watches a topology file and publishes a new immutable
-// Snapshot whenever the file changes to different, valid content. The
-// detection is stat-based (mtime + size at each Poll, which the owner
-// schedules with clock.Every); a stat change triggers a full read,
-// parse, and Validate, and only a file that both parses and validates
-// replaces the current snapshot — an invalid or torn edit is rejected
-// (counted in topology_reload_errors_total, old snapshot kept) rather
-// than splitting the cluster's world view.
-//
-// Subscribers run synchronously on the Poll caller, in registration
-// order, before Poll returns; a subscriber is one process's swap hook
-// (router ring swap, shard replica reconciliation, collector
-// retargeting) and must not block for long.
+// Watcher watches a topology file and is the process's one record of
+// which topology it serves. The detection is stat-based (mtime + size
+// at each Poll, which the owner schedules with clock.Every); a stat
+// change triggers a full read, parse, and Validate. A file that
+// validates and differs from the current snapshot is offered to the
+// process's apply hook (OnSwap), and adopted — generation bumped,
+// topology_generation set, swap appended to the trail — only when the
+// hook returns nil. An unreadable or invalid file and a snapshot the
+// hook rejects are handled alike: counted in
+// topology_reload_errors_total, logged, the file's stat remembered, and
+// the old snapshot kept, so the next Diff is taken against what the
+// process really applied.
 type Watcher struct {
 	path   string
-	clock  clock.Clock
+	clock  clock.Clock // stamps LoadedAt: real time, a fake in tests
 	logger *slog.Logger
 
 	generation *telemetry.Gauge
 	reloads    *telemetry.Counter
 	reloadErrs *telemetry.Counter
 
-	mu       sync.Mutex
-	cur      *Snapshot
+	pollMu   sync.Mutex // serializes Poll, and with it the hook
 	lastMod  time.Time
 	lastSize int64
-	subs     []func(*Snapshot)
+	apply    func(*Snapshot) error
+
+	mu    sync.Mutex // guards cur and swaps for readers
+	cur   *Snapshot
+	swaps []Swap // bounded audit trail, oldest first
 }
 
 // NewWatcher loads and validates the topology file and returns a
@@ -191,11 +204,14 @@ type Watcher struct {
 func NewWatcher(path string, opts WatcherOptions) (*Watcher, error) {
 	w := &Watcher{
 		path:       path,
-		clock:      clock.Or(opts.Clock),
+		clock:      clock.Real,
 		logger:     opts.Logger,
-		generation: opts.Metrics.DeclareGauge("topology_generation", "Generation of the topology snapshot this process is serving."),
-		reloads:    opts.Metrics.DeclareCounter("topology_reloads_total", "Topology file reloads accepted (snapshot swapped)."),
-		reloadErrs: opts.Metrics.DeclareCounter("topology_reload_errors_total", "Topology file reloads rejected (unreadable or invalid; old snapshot kept)."),
+		generation: opts.Metrics.DeclareGauge("topology_generation", "Generation of the topology snapshot this process applied and serves."),
+		reloads:    opts.Metrics.DeclareCounter("topology_reloads_total", "Topology file reloads applied (snapshot swapped)."),
+		reloadErrs: opts.Metrics.DeclareCounter("topology_reload_errors_total", "Topology file reloads rejected (unreadable, invalid, or refused by the process; old snapshot kept)."),
+	}
+	if w.logger == nil {
+		w.logger = slog.Default()
 	}
 	topo, err := LoadFile(path)
 	if err != nil {
@@ -216,96 +232,119 @@ func (w *Watcher) Snapshot() *Snapshot {
 	return w.cur
 }
 
-// Generation returns the current snapshot's generation.
-func (w *Watcher) Generation() int64 { return w.Snapshot().Generation }
-
-// Subscribe registers fn to run on every subsequently accepted swap;
-// the initial snapshot is available via Snapshot, not delivered as an
-// event.
-func (w *Watcher) Subscribe(fn func(*Snapshot)) {
+// Swaps returns the bounded audit trail of adopted reloads, oldest
+// first.
+func (w *Watcher) Swaps() []Swap {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.subs = append(w.subs, fn)
+	return append([]Swap(nil), w.swaps...)
 }
 
-// Poll checks the file once, synchronously: a changed, valid file is
-// published (subscribers run before Poll returns) and Poll reports
-// true. An unchanged file reports false with no error; a changed but
-// unreadable or invalid file reports false with the error and keeps the
-// current snapshot.
+// OnSwap sets the process's one apply hook: every changed, valid file
+// is offered to it before Poll returns, and adopted only if it returns
+// nil. The hook must leave the process as it was when it fails. The
+// initial snapshot is available via Snapshot, not offered.
+func (w *Watcher) OnSwap(apply func(*Snapshot) error) {
+	w.pollMu.Lock()
+	defer w.pollMu.Unlock()
+	w.apply = apply
+}
+
+// Poll checks the file once, synchronously: a changed, valid file the
+// apply hook accepts is adopted and Poll reports true. An unchanged
+// file reports false with no error; a changed file that is unreadable,
+// invalid, or refused by the hook reports false with the error and
+// keeps the current snapshot.
 func (w *Watcher) Poll() (swapped bool, err error) {
+	w.pollMu.Lock()
+	defer w.pollMu.Unlock()
 	st, err := os.Stat(w.path)
 	if err != nil {
-		w.reloadErrs.Inc()
+		w.reloadErrs.Inc() // not logged: a missing file would log every poll
 		return false, err
 	}
-	w.mu.Lock()
-	unchanged := st.ModTime().Equal(w.lastMod) && st.Size() == w.lastSize
-	w.mu.Unlock()
-	if unchanged {
+	if st.ModTime().Equal(w.lastMod) && st.Size() == w.lastSize {
 		return false, nil
 	}
+	// Remember the stat whatever the outcome, so an unfixed bad file is
+	// not retried every poll; the next edit triggers a fresh try.
+	w.lastMod, w.lastSize = st.ModTime(), st.Size()
 	topo, err := LoadFile(w.path)
 	if err != nil {
-		// Remember the rejected file's stat so an unfixed bad file is
-		// not re-parsed every poll; the next edit triggers a fresh try.
-		w.mu.Lock()
-		w.lastMod, w.lastSize = st.ModTime(), st.Size()
-		w.mu.Unlock()
-		w.reloadErrs.Inc()
-		if w.logger != nil {
-			w.logger.Warn("topology reload rejected; keeping current snapshot", "path", w.path, "err", err)
-		}
-		return false, err
+		return false, w.reject(err)
 	}
-
-	w.mu.Lock()
-	w.lastMod, w.lastSize = st.ModTime(), st.Size()
-	if reflect.DeepEqual(topo, w.cur.Topology) {
+	cur := w.Snapshot()
+	if reflect.DeepEqual(topo, cur.Topology) {
 		// A touch or rewrite with identical content is not a topology
-		// change; publishing it would churn every consumer for nothing.
-		w.mu.Unlock()
+		// change; offering it would churn the process for nothing.
 		return false, nil
 	}
 	snap := &Snapshot{
 		Topology:   topo,
-		Generation: w.cur.Generation + 1,
+		Generation: cur.Generation + 1,
 		LoadedAt:   w.clock.Now(),
-		Diff:       DiffTopologies(w.cur.Topology, topo),
+		Diff:       DiffTopologies(cur.Topology, topo),
 	}
-	w.cur = snap
-	subs := append([]func(*Snapshot){}, w.subs...)
-	w.mu.Unlock()
+	if w.apply != nil {
+		if err := w.apply(snap); err != nil {
+			return false, w.reject(fmt.Errorf("generation %d not applied: %w", snap.Generation, err))
+		}
+	}
 
+	w.mu.Lock()
+	w.cur = snap
+	w.swaps = append(w.swaps, Swap{Generation: snap.Generation, AppliedAt: snap.LoadedAt, Diff: snap.Diff})
+	if len(w.swaps) > maxSwaps {
+		w.swaps = w.swaps[len(w.swaps)-maxSwaps:]
+	}
+	w.mu.Unlock()
 	w.generation.Set(float64(snap.Generation))
 	w.reloads.Inc()
-	if w.logger != nil {
-		w.logger.Info("topology swapped", "path", w.path, "generation", snap.Generation,
-			"shards", len(snap.Topology.Shards), "databases", len(snap.Topology.Databases))
-	}
-	for _, fn := range subs {
-		fn(snap)
-	}
+	w.logger.Info("topology swapped", "path", w.path, "generation", snap.Generation,
+		"shards", len(topo.Shards), "databases", len(topo.Databases))
 	return true, nil
 }
 
-// Handler serves the watcher's state as JSON — the shard-side
-// /debug/topology endpoint:
+// reject counts and logs a reload that was not adopted and returns err.
+func (w *Watcher) reject(err error) error {
+	w.reloadErrs.Inc()
+	w.logger.Warn("topology reload rejected; keeping current snapshot", "path", w.path, "err", err)
+	return err
+}
+
+// Status reports the adopted generation and when it was adopted (zero
+// before the first swap) — gateway.Options.Topology's /v1/healthz view.
+func (w *Watcher) Status() *wire.TopologyStatus { return status(w.Snapshot()) }
+
+func status(snap *Snapshot) *wire.TopologyStatus {
+	st := &wire.TopologyStatus{Generation: snap.Generation}
+	if snap.Generation > 1 {
+		st.LastSwapUnixMs = snap.LoadedAt.UnixMilli()
+	}
+	return st
+}
+
+// Handler serves the adopted topology and the swap trail as JSON — the
+// /debug/topology endpoint of every process that watches the file:
 //
-//	{"path": ..., "generation": 3, "loaded_at": ..., "last_diff": {...}}
+//	{"path": ..., "generation": 3, "last_swap_unix_ms": ..., "shards": [{"id", "addr"}],
+//	 "databases": 12, "swaps": [{"generation": 2, "applied_at": ..., "diff": {...}}, ...]}
 func (w *Watcher) Handler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		snap := w.Snapshot()
+		w.mu.Lock()
+		snap, swaps := w.cur, append([]Swap{}, w.swaps...)
+		w.mu.Unlock()
+		st := status(snap)
 		rw.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(rw)
 		enc.SetIndent("", "  ")
 		enc.Encode(struct {
-			Path       string    `json:"path"`
-			Generation int64     `json:"generation"`
-			LoadedAt   time.Time `json:"loaded_at"`
-			Shards     int       `json:"shards"`
-			Databases  int       `json:"databases"`
-			LastDiff   Diff      `json:"last_diff"`
-		}{w.path, snap.Generation, snap.LoadedAt, len(snap.Topology.Shards), len(snap.Topology.Databases), snap.Diff})
+			Path           string  `json:"path"`
+			Generation     int64   `json:"generation"`
+			LastSwapUnixMs int64   `json:"last_swap_unix_ms,omitempty"`
+			Shards         []Shard `json:"shards"`
+			Databases      int     `json:"databases"`
+			Swaps          []Swap  `json:"swaps"`
+		}{w.path, st.Generation, st.LastSwapUnixMs, snap.Topology.Shards, len(snap.Topology.Databases), swaps})
 	})
 }

@@ -2,6 +2,9 @@ package shardmap
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,12 +93,12 @@ func TestWatcherSwapsOnValidChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := w.Generation(); g != 1 {
+	if g := w.Snapshot().Generation; g != 1 {
 		t.Fatalf("initial generation = %d, want 1", g)
 	}
 
 	var events []*Snapshot
-	w.Subscribe(func(s *Snapshot) { events = append(events, s) })
+	w.OnSwap(func(s *Snapshot) error { events = append(events, s); return nil })
 
 	// Unchanged file: no swap, no event.
 	if swapped, err := w.Poll(); err != nil || swapped {
@@ -124,7 +127,7 @@ func TestWatcherSwapsOnValidChange(t *testing.T) {
 		t.Fatalf("diff.ReplicasAdded = %+v, want %+v", snap.Diff.ReplicasAdded, want)
 	}
 	if len(events) != 1 || events[0] != snap {
-		t.Fatalf("subscriber saw %d events, want exactly the published snapshot", len(events))
+		t.Fatalf("apply hook saw %d snapshots, want exactly the adopted one", len(events))
 	}
 	if got := reg.Snapshot().Gauges["topology_generation"]; got != 2 {
 		t.Fatalf("topology_generation gauge = %v, want 2", got)
@@ -185,13 +188,13 @@ func TestWatcherRejectsInvalidFile(t *testing.T) {
 	if swapped, err := w.Poll(); !swapped || err != nil {
 		t.Fatalf("recovery poll: swapped=%v err=%v", swapped, err)
 	}
-	if g := w.Generation(); g != 2 {
+	if g := w.Snapshot().Generation; g != 2 {
 		t.Fatalf("generation after recovery = %d, want 2 (rejected reloads must not burn generations)", g)
 	}
 }
 
 // TestWatcherPollsOnSchedule: Poll scheduled by clock.Every picks up a
-// rewrite at the first tick after it, and the subscribers run on the
+// rewrite at the first tick after it, and the apply hook runs on the
 // schedule's goroutine before the next wait starts.
 func TestWatcherPollsOnSchedule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "topology.json")
@@ -203,7 +206,7 @@ func TestWatcherPollsOnSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := make(chan int64, 16)
-	w.Subscribe(func(s *Snapshot) { ch <- s.Generation })
+	w.OnSwap(func(s *Snapshot) error { ch <- s.Generation; return nil })
 	clk := clock.NewFake()
 	stop := clock.Every(clk, 2*time.Second, func(context.Context) { w.Poll() })
 	defer stop()
@@ -231,4 +234,108 @@ func TestWatcherPollsOnSchedule(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
+}
+
+// TestWatcherKeepsRefusedSnapshot: a snapshot the apply hook refuses is
+// handled like an invalid file. Every view of the process — Snapshot,
+// the gauge, Status and /debug/topology — still reads generation 1, the
+// refusal is counted, the same file is not offered again, and the next
+// edit becomes generation 2 with its Diff taken against generation 1.
+func TestWatcherKeepsRefusedSnapshot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "topology.json")
+	if err := testTopology().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	w, err := NewWatcher(path, WatcherOptions{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := clock.NewFake()
+	w.clock = clk
+	refusal := errors.New("shard left the topology")
+	offered := 0
+	w.OnSwap(func(s *Snapshot) error {
+		offered++
+		if offered == 1 {
+			return refusal
+		}
+		return nil
+	})
+	type view struct {
+		Generation     int64  `json:"generation"`
+		LastSwapUnixMs int64  `json:"last_swap_unix_ms"`
+		Swaps          []Swap `json:"swaps"`
+	}
+	served := func() view {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/topology", nil))
+		var v view
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("/debug/topology: %v", err)
+		}
+		return v
+	}
+
+	refused := testTopology()
+	refused.Databases[1].Replicas = append(refused.Databases[1].Replicas, "b1:1")
+	writeTopology(t, path, refused)
+	if swapped, err := w.Poll(); swapped || !errors.Is(err, refusal) {
+		t.Fatalf("poll of a refused snapshot: swapped=%v err=%v, want the hook's error", swapped, err)
+	}
+	if g := w.Snapshot().Generation; g != 1 {
+		t.Fatalf("Snapshot generation after refusal = %d, want 1", g)
+	}
+	if got := reg.Snapshot().Gauges["topology_generation"]; got != 1 {
+		t.Fatalf("topology_generation gauge after refusal = %v, want 1", got)
+	}
+	if st := w.Status(); st.Generation != 1 || st.LastSwapUnixMs != 0 {
+		t.Fatalf("Status after refusal = %+v, want generation 1 and no swap", st)
+	}
+	if v := served(); v.Generation != 1 || v.LastSwapUnixMs != 0 || len(v.Swaps) != 0 {
+		t.Fatalf("/debug/topology after refusal = %+v, want generation 1 and no swaps", v)
+	}
+	if got := reg.Snapshot().Counters["topology_reload_errors_total"]; got != 1 {
+		t.Fatalf("topology_reload_errors_total = %d, want 1", got)
+	}
+	if got := reg.Snapshot().Counters["topology_reloads_total"]; got != 0 {
+		t.Fatalf("topology_reloads_total = %d, want 0", got)
+	}
+
+	// The refused file's stat is remembered: it is not offered again.
+	if swapped, err := w.Poll(); swapped || err != nil || offered != 1 {
+		t.Fatalf("re-poll of the refused file: swapped=%v err=%v offered=%d, want no second offer", swapped, err, offered)
+	}
+
+	// The next edit is generation 2, diffed against generation 1: it
+	// carries the refused edit's replica as well as its own.
+	clk.Advance(time.Minute)
+	next := testTopology()
+	next.Databases[0].Replicas = append(next.Databases[0].Replicas, "a2:1")
+	next.Databases[1].Replicas = append(next.Databases[1].Replicas, "b1:1")
+	writeTopology(t, path, next)
+	if swapped, err := w.Poll(); !swapped || err != nil {
+		t.Fatalf("poll of the next edit: swapped=%v err=%v", swapped, err)
+	}
+	snap := w.Snapshot()
+	if snap.Generation != 2 {
+		t.Fatalf("generation after the next edit = %d, want 2", snap.Generation)
+	}
+	want := map[string][]string{"alpha": {"a2:1"}, "beta": {"b1:1"}}
+	if !reflect.DeepEqual(snap.Diff.ReplicasAdded, want) {
+		t.Fatalf("diff.ReplicasAdded = %+v, want %+v (taken against generation 1)", snap.Diff.ReplicasAdded, want)
+	}
+	if got := reg.Snapshot().Gauges["topology_generation"]; got != 2 {
+		t.Fatalf("topology_generation gauge = %v, want 2", got)
+	}
+	swapMs := clk.Now().UnixMilli()
+	if st := w.Status(); st.Generation != 2 || st.LastSwapUnixMs != swapMs {
+		t.Fatalf("Status = %+v, want generation 2 swapped at %d", st, swapMs)
+	}
+	v := served()
+	if v.Generation != 2 || v.LastSwapUnixMs != swapMs || len(v.Swaps) != 1 || v.Swaps[0].Generation != 2 ||
+		!reflect.DeepEqual(v.Swaps[0].Diff.ReplicasAdded, want) {
+		t.Fatalf("/debug/topology = %+v, want generation 2 with one swap carrying the diff", v)
+	}
 }

@@ -13,7 +13,9 @@ import (
 //     Registry.DeclareCounter/DeclareGauge/DeclareHistogram),
 //   - names must be snake_case ([a-z][a-z0-9_]*),
 //   - a name must be registered as exactly one metric type (a counter
-//     and a gauge sharing a name is almost always a typo'd lookup).
+//     and a gauge sharing a name is almost always a typo'd lookup),
+//   - a name must have one owner: declaring it again with a different
+//     help text is two components claiming one series.
 //
 // The metric-hygiene test boots a full metasearcher and fails on any
 // problem, so new series cannot land undocumented.
@@ -44,6 +46,9 @@ func (s Snapshot) Hygiene() []string {
 		if ts := types[name]; len(ts) > 1 {
 			sort.Strings(ts)
 			problems = append(problems, fmt.Sprintf("%s: registered as %d metric types %v", name, len(ts), ts))
+		}
+		if other, ok := s.clashes[name]; ok {
+			problems = append(problems, fmt.Sprintf("%s: declared again with different help text %q (one owner per series)", name, other))
 		}
 	}
 	return problems

@@ -1,11 +1,12 @@
 package telemetry_test
 
 // Fleet-wide metric hygiene: every series any serving component
-// registers must carry help text, use snake_case, and keep one type per
-// name. The test boots the real components (metasearcher pipeline,
-// gateway, router, wire server/client, cluster collector) the
-// way the commands do and walks their registries, so adding a sloppy
-// metric anywhere fails here, not in a dashboard.
+// registers must carry help text, use snake_case, and keep one type and
+// one owner per name. The test boots the real components (metasearcher
+// pipeline, gateway, router, wire server/client, topology watcher,
+// cluster collector) the way the commands do and walks their
+// registries, so adding a sloppy metric anywhere fails here, not in a
+// dashboard.
 
 import (
 	"flag"
@@ -51,13 +52,27 @@ func bootFleet(t *testing.T) []fleetRegistry {
 		wire.ServerOptions{Metrics: m.Metrics()})
 	wire.NewClient("127.0.0.1:0", wire.ClientOptions{Metrics: m.Metrics()})
 
-	// The cluster router's registry.
-	routerReg := telemetry.NewRegistry()
+	// Every command that runs a topology watcher (shard, route,
+	// collect) runs it on its own registry.
 	topo := &shardmap.Topology{
 		Version:   shardmap.TopologyVersion,
 		Shards:    []shardmap.Shard{{ID: "shard-00", Addr: "127.0.0.1:0"}},
 		Databases: []shardmap.Database{{Name: "db", Replicas: []string{"127.0.0.1:0"}}},
 	}
+	topoFile := filepath.Join(t.TempDir(), "topology.json")
+	if err := topo.SaveFile(topoFile); err != nil {
+		t.Fatal(err)
+	}
+	watch := func(reg *telemetry.Registry) {
+		if _, err := shardmap.NewWatcher(topoFile, shardmap.WatcherOptions{Metrics: reg}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	watch(m.Metrics())
+
+	// The cluster router's registry.
+	routerReg := telemetry.NewRegistry()
+	watch(routerReg)
 	if _, err := router.New(topo, router.Options{
 		Metrics:  routerReg,
 		Breakers: resilience.NewSet(resilience.BreakerOptions{}, routerReg),
@@ -68,11 +83,12 @@ func bootFleet(t *testing.T) []fleetRegistry {
 
 	// The collector's own registry.
 	collectorReg := telemetry.NewRegistry()
+	watch(collectorReg)
 	if _, err := obscollector.New(nil, obscollector.Options{Metrics: collectorReg}); err != nil {
 		t.Fatal(err)
 	}
 	return []fleetRegistry{
-		{"metasearcher", "A metasearcher (`query`, `serve`, `shard`) — pipeline, caches, breakers and their health probes, gateway and wire client; the `wire_server_*` rows are what a dbnode records into its own registry", m.Metrics()},
+		{"metasearcher", "A metasearcher (`query`, `serve`, `shard`) — pipeline, caches, breakers and their health probes, gateway and wire client; the `topology_*` rows are `shard`'s only, and the `wire_server_*` rows are what a dbnode records into its own registry", m.Metrics()},
 		{"router", "The router (`route`)", routerReg},
 		{"collector", "The collector (`collect`)", collectorReg},
 	}
@@ -147,8 +163,8 @@ func TestMetricCatalogueCurrent(t *testing.T) {
 }
 
 // TestHygieneCatchesViolations proves the checker can actually fail:
-// a registry with a help-less, CamelCased, type-colliding series must
-// report all three problems.
+// a registry with a help-less, CamelCased, type-colliding or
+// doubly-owned series must report every problem.
 func TestHygieneCatchesViolations(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("no_help_total")
@@ -157,9 +173,18 @@ func TestHygieneCatchesViolations(t *testing.T) {
 	reg.Gauge("twice")
 	reg.DeclareCounter("trailing_", "Trailing underscore.")
 	reg.DeclareCounter("double__under", "Double underscore.")
+	reg.DeclareGauge("two_owners", "One owner's help text.")
+	reg.DeclareGauge("two_owners", "Another owner's help text.")
+	reg.DeclareGauge("shared_owner", "Declared twice by one owner.")
+	reg.DeclareGauge("shared_owner", "Declared twice by one owner.")
 
 	problems := reg.Snapshot().Hygiene()
-	for _, want := range []string{"no_help_total", "BadName", "twice", "trailing_", "double__under"} {
+	for _, p := range problems {
+		if strings.Contains(p, "shared_owner") {
+			t.Errorf("hygiene flagged a repeat declaration with the same help text: %s", p)
+		}
+	}
+	for _, want := range []string{"no_help_total", "BadName", "twice", "trailing_", "double__under", "two_owners"} {
 		found := false
 		for _, p := range problems {
 			if strings.Contains(p, want) {

@@ -209,6 +209,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
+	clashes  map[string]string // name → a later declaration's different help text
 }
 
 // NewRegistry creates an empty registry.
@@ -218,6 +219,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		help:     make(map[string]string),
+		clashes:  make(map[string]string),
 	}
 }
 
@@ -225,8 +227,9 @@ func NewRegistry() *Registry {
 // and records help as its help text: the Prometheus # HELP line, the
 // snapshot's Help entry, DESIGN.md §8's row. The metric-hygiene check
 // (Snapshot.Hygiene) fails a series nobody declared. Declaring a name
-// again (several clients sharing one registry) returns the same handle;
-// the later help text wins.
+// again with the same help text (several clients sharing one registry)
+// returns the same handle; a different help text means two owners, so
+// the first text stays and the hygiene check reports the clash.
 func (r *Registry) DeclareCounter(name, help string) *Counter {
 	r.setHelp(name, help)
 	return r.Counter(name)
@@ -250,7 +253,11 @@ func (r *Registry) setHelp(name, help string) {
 		return
 	}
 	r.mu.Lock()
-	r.help[name] = help
+	if old, ok := r.help[name]; !ok {
+		r.help[name] = help
+	} else if old != help {
+		r.clashes[name] = help
+	}
 	r.mu.Unlock()
 }
 
@@ -323,6 +330,9 @@ type Snapshot struct {
 	// Help carries the described help text of the snapshot's series
 	// (name → help), rendered as # HELP lines.
 	Help map[string]string `json:"help,omitempty"`
+	// clashes holds the names declared again with a different help
+	// text, for Hygiene.
+	clashes map[string]string
 }
 
 // Snapshot copies the registry's current state. Individual metric reads
@@ -360,6 +370,12 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, help := range r.help {
 		snap.Help[name] = help
+	}
+	for name, help := range r.clashes {
+		if snap.clashes == nil {
+			snap.clashes = make(map[string]string)
+		}
+		snap.clashes[name] = help
 	}
 	return snap
 }

@@ -387,11 +387,9 @@ func (d *ReplicatedDatabase) ProbeTargets() []resilience.ProbeTarget {
 // the trial that earns it traffic. Removed replicas are drained: once
 // the last call holding them returns (or drainTimeout passes), their
 // clients are closed and their breakers leave the set.
-//
-// Returns the added and removed addresses (the swap audit record).
-func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (added, removed []string, err error) {
+func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) error {
 	if len(addrs) == 0 {
-		return nil, nil, fmt.Errorf("repro: replica set of %s cannot become empty (remove the database instead)", d.name)
+		return fmt.Errorf("repro: replica set of %s cannot become empty (remove the database instead)", d.name)
 	}
 	d.updateMu.Lock()
 	defer d.updateMu.Unlock()
@@ -407,7 +405,6 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 		if r != nil {
 			delete(oldAt, addr)
 		} else {
-			added = append(added, addr)
 			r = d.newReplica(addr)
 			d.breakers.Seed(r.key, resilience.HalfOpen)
 		}
@@ -417,11 +414,10 @@ func (d *ReplicatedDatabase) UpdateReplicas(addrs []string, preferred int) (adde
 
 	for _, r := range old.replicas {
 		if oldAt[r.addr] != nil {
-			removed = append(removed, r.addr)
 			d.drainReplica(r)
 		}
 	}
-	return added, removed, nil
+	return nil
 }
 
 // drainReplica removes the breaker and closes the client of r, which

@@ -18,8 +18,9 @@ type ReplicaAssignment struct {
 	Preferred int
 }
 
-// TopologySwapReport is what one ApplyReplicaAssignments call changed —
-// the shard-side swap audit record.
+// TopologySwapReport is what one ApplyReplicaAssignments call changed
+// that only this process knows: its scope. Which replicas joined or
+// left is the topology diff's (shardmap.Diff), not repeated here.
 type TopologySwapReport struct {
 	// Attached lists databases that entered this process's scope (lazy
 	// replica handles created); Detached those that left (handles
@@ -30,10 +31,6 @@ type TopologySwapReport struct {
 	// they cannot be selected (selection is summary-driven), so they are
 	// skipped until a rebuilt summary file is loaded.
 	Unknown []string `json:"unknown,omitempty"`
-	// ReplicasAdded/Removed map database name → replica addresses that
-	// joined or left its live replica set.
-	ReplicasAdded   map[string][]string `json:"replicas_added,omitempty"`
-	ReplicasRemoved map[string][]string `json:"replicas_removed,omitempty"`
 	// ScopeChanged reports whether the search scope itself changed
 	// (attach/detach), which also invalidates the query caches.
 	ScopeChanged bool `json:"scope_changed"`
@@ -93,21 +90,8 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 			}
 			newScope[a.Database] = true
 			if rd, ok := r.db.(*ReplicatedDatabase); ok {
-				added, removed, err := rd.UpdateReplicas(a.Replicas, a.Preferred)
-				if err != nil {
+				if err := rd.UpdateReplicas(a.Replicas, a.Preferred); err != nil {
 					return nil, err
-				}
-				if len(added) > 0 {
-					if rep.ReplicasAdded == nil {
-						rep.ReplicasAdded = make(map[string][]string)
-					}
-					rep.ReplicasAdded[a.Database] = added
-				}
-				if len(removed) > 0 {
-					if rep.ReplicasRemoved == nil {
-						rep.ReplicasRemoved = make(map[string][]string)
-					}
-					rep.ReplicasRemoved[a.Database] = removed
 				}
 				continue
 			}
