@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench docs results count smoke smoke-remote smoke-gateway smoke-cluster check clean
+.PHONY: all vet build test race bench docs results count benchcompat-check smoke smoke-remote smoke-gateway smoke-cluster check clean
 
 all: vet build test
 
@@ -38,7 +38,8 @@ results:
 	$(GO) run ./cmd/experiments -all > docs/results-default.txt
 
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
-# outside benchmark/, the observability packages' share of them and the
+# outside benchmark/ (benchcompat.go shims not counted; their lines are
+# printed on their own), the observability packages' share of them and the
 # number of metric kinds, metasearch flags per mode, the time.Sleep
 # calls left in tests, the files outside internal/resilience that still
 # make attempt-policy calls of their own (resilience.Do should be the
@@ -46,15 +47,18 @@ results:
 # periodic loops that are not clock.Every (it should be the only one),
 # the resilience.Do call sites (one attempt loop per layer: fan-out,
 # replica set, router), the lines of benchcompat.go shims (DESIGN §3),
-# and the exported fields of the option structs — the eight that held
-# the fan-out's timing knobs, totalled, then router.Options.
+# the search methods on *Metasearcher and *Router (one each: Search),
+# the root package's exported funcs, methods and types and its exported
+# Metasearcher methods (shims excluded from all three), and the exported
+# fields of the option structs — the eight that held the fan-out's
+# timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \
 	internal/wire/client.go:ClientOptions internal/gateway/gateway.go:Options \
 	internal/evtstream/evtstream.go:Options internal/shardmap/watcher.go:WatcherOptions
 count:
-	@printf 'non-test Go lines outside benchmark/: '
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'non-test Go lines outside benchmark/ and benchcompat.go: '
+	@find . -name '*.go' ! -name '*_test.go' ! -name benchcompat.go ! -path './benchmark/*' | xargs cat | wc -l
 	@printf 'of which internal/telemetry + internal/audit + internal/obscollector: '
 	@find internal/telemetry internal/audit internal/obscollector -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'metric kinds (name-to-metric maps in telemetry.Registry): '
@@ -70,12 +74,28 @@ count:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/resilience/*' -exec grep -h 'resilience\.Do(' {} + | wc -l
 	@printf 'benchcompat.go lines (old spellings benchmark/ compiles against): '
 	@find . -name benchcompat.go ! -path './benchmark/*' -exec cat {} + | wc -l
+	@printf 'search methods on *Metasearcher and *Router outside benchcompat.go: '
+	@find . -name '*.go' ! -name '*_test.go' ! -name benchcompat.go ! -path './benchmark/*' -exec grep -hE '^func \([a-z]+ \*(Metasearcher|Router)\) Search[A-Za-z]*\([^)]' {} + | wc -l
+	@printf 'exported root funcs, methods and types outside benchcompat.go: '
+	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l
+	@printf 'exported Metasearcher methods outside benchcompat.go: '
+	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func \([a-z]+ \*Metasearcher\) [A-Z]' | wc -l
 	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
 		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
 			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \
 		echo "$$s: $$n exported fields"; \
 		case "$$s" in internal/router/*) ;; *) total=$$((total + n));; esac; \
 	done; echo "the eight timing-knob option structs: $$total exported fields"
+
+# The benchcompat rule's guarantee (DESIGN §3): deleting every
+# benchcompat.go breaks only benchmark/. Vets every other package, tests
+# included, in a copy of the tree with the shims deleted.
+benchcompat-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	tar --exclude=./.git -cf - . | tar -xf - -C "$$tmp" && \
+	find "$$tmp" -name benchcompat.go ! -path "$$tmp/benchmark/*" -delete && \
+	cd "$$tmp" && $(GO) vet $$($(GO) list ./... | grep -v -E '^repro/benchmark(/|$$)') && \
+	echo 'benchcompat-check: every package but benchmark/ vets without the shims'
 
 smoke: vet build
 	$(GO) test -race ./internal/telemetry/ .
@@ -98,7 +118,7 @@ smoke-cluster:
 	GO="$(GO)" sh scripts/smoke_cluster.sh
 
 # The full pre-merge gate.
-check: vet build test race smoke-remote smoke-gateway smoke-cluster
+check: vet build test race benchcompat-check smoke-remote smoke-gateway smoke-cluster
 
 clean:
 	$(GO) clean ./...

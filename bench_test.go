@@ -210,12 +210,12 @@ func BenchmarkSearchCached(b *testing.B) {
 
 	b.Run("hit", func(b *testing.B) {
 		m := build(b)
-		if _, err := m.SearchExplained(ctx, query, 2, 5); err != nil {
+		if _, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r, err := m.SearchExplained(ctx, query, 2, 5)
+			r, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func BenchmarkSearchCached(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.InvalidateCaches()
-			r, err := m.SearchExplained(ctx, query, 2, 5)
+			r, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 			if err != nil {
 				b.Fatal(err)
 			}

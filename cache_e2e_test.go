@@ -94,7 +94,7 @@ func TestRepeatedQueryServedFromCache(t *testing.T) {
 	arm(dbs)
 	const query = "blood pressure hypertension"
 
-	r1, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r1, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRepeatedQueryServedFromCache(t *testing.T) {
 		t.Fatal("no upstream queries counted on the cold path")
 	}
 
-	r2, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r2, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSelectionCacheSharedAcrossPerDB(t *testing.T) {
 	arm(dbs)
 	const query = "tumor chemotherapy radiation"
 
-	r1, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r1, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSelectionCacheSharedAcrossPerDB(t *testing.T) {
 	}
 	cold := totalQueries(dbs)
 
-	r2, err := m.SearchExplained(context.Background(), query, 2, 7)
+	r2, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestConcurrentIdenticalQueriesCollapse(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = m.SearchExplained(context.Background(), query, 2, 5)
+			resps[i], errs[i] = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 		}(i)
 	}
 
@@ -262,11 +262,11 @@ func TestLoadInvalidatesCache(t *testing.T) {
 	arm(dbs)
 	const query = "blood pressure hypertension"
 
-	r1, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r1, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2, err := m.SearchExplained(context.Background(), query, 2, 5); err != nil || !r2.CacheHit {
+	if r2, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil || !r2.CacheHit {
 		t.Fatalf("warm-up hit failed: resp %+v err %v", r2, err)
 	}
 	cold := totalQueries(dbs)
@@ -277,7 +277,7 @@ func TestLoadInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r3, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r3, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestCacheHitLatency(t *testing.T) {
 	const query = "stadium trophy tournament"
 
 	start := time.Now()
-	if _, err := m.SearchExplained(context.Background(), query, 2, 5); err != nil {
+	if _, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil {
 		t.Fatal(err)
 	}
 	cold := time.Since(start)
@@ -320,7 +320,7 @@ func TestCacheHitLatency(t *testing.T) {
 	}
 
 	start = time.Now()
-	r, err := m.SearchExplained(context.Background(), query, 2, 5)
+	r, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	warm := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -97,8 +97,8 @@ func handlePprof(mux *http.ServeMux) {
 // (so load balancers steer away), then drains in-flight requests under
 // -drain-timeout before the listener closes — wire.ServeUntilSignal,
 // the same shutdown dbnode and the collector run.
-func serve(s gateway.Searcher, f *flags, gopts gateway.Options, dbg debugBundle) error {
-	gw := gateway.New(s, gopts)
+func serve(search gateway.SearchFunc, f *flags, gopts gateway.Options, dbg debugBundle) error {
+	gw := gateway.For(search, gopts)
 	var mux *http.ServeMux
 	if f.debugAddr == "" {
 		mux = debugMux(dbg)

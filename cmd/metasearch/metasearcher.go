@@ -245,9 +245,11 @@ func (l *local) answer(f *flags, query string) {
 		info, _ := l.m.Info(s.Database)
 		fmt.Printf("  %2d.%s %-34s score %-12.4g %s\n", i+1, mark, s.Database, s.Score, info.Category)
 	}
-	results, err := l.m.Search(query, f.k, f.perDB)
-	if err != nil {
+	var results []repro.Result
+	if resp, err := l.m.Search(context.Background(), repro.SearchRequest{Query: query, MaxDBs: f.k, PerDB: f.perDB}); err != nil {
 		fmt.Printf("  search: %v\n", err)
+	} else {
+		results = resp.Results
 	}
 	if len(results) > 8 {
 		results = results[:8]
@@ -293,7 +295,7 @@ func runServe(f *flags, _ []string) error {
 		dbg.refresh = refresher.Handler()
 	}
 	l.printExampleWords()
-	return serve(l.m, f, gatewayOptions(f, l.m.Metrics()), dbg)
+	return serve(l.m.Search, f, gatewayOptions(f, l.m.Metrics()), dbg)
 }
 
 // runShard serves one topology shard: the process dials its consistent-
@@ -373,5 +375,5 @@ func runShard(f *flags, _ []string) error {
 	dbg := l.debug(telemetry.Identity{Instance: f.serveAddr, Role: "shard", Shard: f.shardID})
 	dbg.topology = watcher.Handler()
 	l.printExampleWords()
-	return serve(l.m, f, gopts, dbg)
+	return serve(l.m.Search, f, gopts, dbg)
 }

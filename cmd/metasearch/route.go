@@ -70,5 +70,5 @@ func runRoute(f *flags, _ []string) error {
 		topology: watcher.Handler(),
 	}
 
-	return serve(rt, f, gopts, dbg)
+	return serve(rt.Search, f, gopts, dbg)
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -116,11 +117,11 @@ func Example() {
 		fmt.Println()
 	}
 
-	results, err := m.Search("blood pressure hypertension", 2, 3)
+	resp, err := m.Search(context.Background(), repro.SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, r := range results {
+	for i, r := range resp.Results {
 		fmt.Printf("%d. %s doc#%d (%.3f)\n", i+1, r.Database, r.DocID, r.Score)
 	}
 	// Output:

@@ -103,7 +103,7 @@ func TestWireGolden(t *testing.T) {
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(gateway.New(m, gateway.Options{Metrics: m.Metrics()}))
+	srv := httptest.NewServer(gateway.For(m.Search, gateway.Options{Metrics: m.Metrics()}))
 	defer srv.Close()
 	const query = "?q=blood+pressure&k=2&perdb=3"
 

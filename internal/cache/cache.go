@@ -23,6 +23,7 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -282,18 +283,32 @@ func (c *Cache) Do(ctx context.Context, key string, load func() (interface{}, er
 	s.mu.Unlock()
 
 	c.inflight.Add(1)
+	// The flight ends on every way out of load, a panic included: a
+	// flight left in s.calls would hold every later caller of key until
+	// its own context ended. A panic reaches collapsed waiters as
+	// errLoadPanicked and this caller as the panic itself.
+	loaded := false
+	defer func() {
+		c.inflight.Add(-1)
+		if !loaded {
+			cl.val, cl.err = nil, errLoadPanicked
+		}
+		s.mu.Lock()
+		delete(s.calls, key)
+		if cl.err == nil && gen == c.gen.Load() {
+			c.putLocked(s, key, cl.val, gen)
+		}
+		s.mu.Unlock()
+		close(cl.done)
+	}()
 	cl.val, cl.err = load()
-	c.inflight.Add(-1)
-
-	s.mu.Lock()
-	delete(s.calls, key)
-	if cl.err == nil && gen == c.gen.Load() {
-		c.putLocked(s, key, cl.val, gen)
-	}
-	s.mu.Unlock()
-	close(cl.done)
+	loaded = true
 	return cl.val, false, false, cl.err
 }
+
+// errLoadPanicked is what a collapsed waiter gets when the load it
+// waited on panicked.
+var errLoadPanicked = errors.New("cache: the in-flight load for this key panicked")
 
 // Len reports how many entries the cache currently holds (stale and
 // expired entries that have not been touched since count too — they die

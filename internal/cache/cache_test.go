@@ -164,6 +164,58 @@ func TestDoCollapsesConcurrentLoads(t *testing.T) {
 	}
 }
 
+// A panicking load ends its flight: the panic reaches the loader's
+// caller, a waiter collapsed onto it gets an error instead of waiting
+// out its context, the inflight gauge falls back, and the next caller
+// for the key runs a load of its own.
+func TestDoSurvivesPanickingLoad(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	c := New(Options{Name: "t", Metrics: reg})
+	gate := make(chan struct{})
+	recovered := make(chan interface{})
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(context.Background(), "k", func() (interface{}, error) {
+			<-gate
+			panic("load blew up")
+		})
+	}()
+	waited := make(chan error)
+	go func() {
+		for reg.Gauge("t_inflight_loads").Value() < 1 {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _, collapsed, err := c.Do(ctx, "k", func() (interface{}, error) {
+			return nil, errors.New("a collapsed waiter ran a load of its own")
+		})
+		if !collapsed {
+			t.Error("second caller did not collapse onto the in-flight load")
+		}
+		waited <- err
+	}()
+	for reg.Counter("t_collapsed_total").Value() < 1 {
+		runtime.Gosched()
+	}
+	close(gate)
+	if p := <-recovered; p != "load blew up" {
+		t.Errorf("loader's caller recovered %v, want the load's panic", p)
+	}
+	if err := <-waited; !errors.Is(err, errLoadPanicked) {
+		t.Errorf("collapsed waiter got %v, want errLoadPanicked", err)
+	}
+	if got := reg.Gauge("t_inflight_loads").Value(); got != 0 {
+		t.Errorf("t_inflight_loads = %v after the panic, want 0", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	v, hit, collapsed, err := c.Do(ctx, "k", func() (interface{}, error) { return "answer", nil })
+	if err != nil || hit || collapsed || v != "answer" {
+		t.Errorf("Do after the panic = %v, hit=%v collapsed=%v, %v; want a fresh load's answer", v, hit, collapsed, err)
+	}
+}
+
 func TestDoWaiterHonorsContext(t *testing.T) {
 	c := New(Options{Name: "t"})
 	gate := make(chan struct{})

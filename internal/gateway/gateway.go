@@ -1,6 +1,7 @@
 // Package gateway is the query-serving HTTP front end of a
-// metasearcher: the piece that turns the library's SearchExplained call
-// into a service. It speaks a small JSON API —
+// metasearcher: the piece that turns the library's one search call —
+// (*repro.Metasearcher).Search, or the cluster router's Search — into a
+// service. It speaks a small JSON API —
 //
 //	GET  /v1/search?q=...&k=...&perdb=...&timeout=...
 //	POST /v1/search   {"query": ..., "k": ..., "per_db": ..., "timeout": ...}
@@ -17,9 +18,10 @@
 // internal/evtstream for the framing): a selection frame as soon as the
 // database ranking lands, a node_result frame per fan-out answer, a
 // merge_update frame with the re-ranked partial merge after each, and a
-// terminal final frame whose payload is the byte-identical SearchReply
-// the blocking endpoint would have returned. Unknown query parameters
-// are rejected with a 400 naming the parameter, on both endpoints.
+// terminal final frame whose payload is the byte-identical
+// repro.SearchResponse the blocking endpoint would have returned.
+// Requests fail closed: an unknown query parameter or POST body field
+// is a 400 naming it.
 //
 // The gateway borrows the operational conventions of the wire protocol
 // (internal/wire): errors are the same ErrorEnvelope shape, and the
@@ -36,7 +38,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,19 +69,10 @@ const CodeDeadline = "deadline_exceeded"
 // maxBodyBytes bounds how much of a POST body the gateway reads.
 const maxBodyBytes = 1 << 20
 
-// Searcher is the slice of *repro.Metasearcher the gateway serves.
-type Searcher interface {
-	SearchExplained(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error)
-}
-
-// StreamSearcher is a Searcher that can narrate a search's progress —
-// the capability behind /v1/search/stream. *repro.Metasearcher and the
-// cluster router both implement it; a Searcher without it answers the
-// stream endpoint with 501.
-type StreamSearcher interface {
-	Searcher
-	SearchExplainedObserved(ctx context.Context, query string, maxDBs, perDB int, obs repro.SearchEvents) (*repro.SearchResponse, error)
-}
+// SearchFunc is the search a gateway serves: (*repro.Metasearcher).Search
+// or (*router.Router).Search. The blocking endpoint calls it with no
+// Events, the stream endpoint with a frame publisher.
+type SearchFunc func(ctx context.Context, req repro.SearchRequest) (*repro.SearchResponse, error)
 
 // Options configures a Gateway.
 type Options struct {
@@ -86,8 +81,8 @@ type Options struct {
 	DefaultMaxDBs int
 	DefaultPerDB  int
 	// DefaultDeadline bounds requests that carry no timeout parameter
-	// (zero = unbounded). MaxDeadline caps what a client may ask for
-	// (zero = uncapped).
+	// (zero = unbounded). MaxDeadline caps every request's deadline,
+	// the default's and what a client asks for (zero = uncapped).
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
 	// MaxInflight is the admission gate: past this many in-flight
@@ -122,15 +117,15 @@ type Options struct {
 	Topology func() *wire.TopologyStatus
 }
 
-// Gateway serves the query API over a Searcher. Like wire.Node it
+// Gateway serves the query API over a SearchFunc. Like wire.Node it
 // embeds the shared gate, whose drain/inflight controls let
 // cmd/metasearch shut it down gracefully.
 type Gateway struct {
 	*wire.Gate
-	searcher Searcher
-	opts     Options
-	version  string // the build's, so rollouts can confirm which build answers
-	mux      http.Handler
+	search  SearchFunc
+	opts    Options
+	version string // the build's, so rollouts can confirm which build answers
+	mux     http.Handler
 
 	requests     *telemetry.Counter
 	errors       *telemetry.Counter
@@ -139,16 +134,16 @@ type Gateway struct {
 	streams      evtstream.Metrics
 }
 
-// New builds a Gateway over s.
-func New(s Searcher, opts Options) *Gateway {
+// For builds a Gateway serving search.
+func For(search SearchFunc, opts Options) *Gateway {
 	if opts.DefaultMaxDBs <= 0 {
 		opts.DefaultMaxDBs = 3
 	}
 	if opts.DefaultPerDB <= 0 {
-		opts.DefaultPerDB = 10
+		opts.DefaultPerDB = repro.DefaultPerDB
 	}
 	reg := opts.Metrics
-	g := &Gateway{searcher: s, opts: opts, version: buildinfo.Version(),
+	g := &Gateway{search: search, opts: opts, version: buildinfo.Version(),
 		Gate: wire.NewGate("gateway", opts.MaxInflight, opts.RetryAfter,
 			reg.DeclareCounter("gateway_shed_total", "Search requests shed with 429 by the admission gate."),
 			reg.DeclareGauge("gateway_requests_inflight", "Search requests currently being served.")),
@@ -159,9 +154,9 @@ func New(s Searcher, opts Options) *Gateway {
 		streams:      evtstream.NewMetrics(reg),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+PathSearch, g.serve(g.search))
-	mux.HandleFunc("POST "+PathSearch, g.serve(g.search))
-	mux.HandleFunc("GET "+PathSearchStream, g.serve(g.stream, "format"))
+	mux.HandleFunc("GET "+PathSearch, g.serve(g.blocking, searchParams))
+	mux.HandleFunc("POST "+PathSearch, g.serve(g.blocking, searchParams))
+	mux.HandleFunc("GET "+PathSearchStream, g.serve(g.stream, streamParams))
 	g.mux = mux
 	return g
 }
@@ -254,15 +249,24 @@ func (g *Gateway) fail(w http.ResponseWriter, r *http.Request, status int, code,
 	wire.WriteError(w, status, code, msg)
 }
 
-// searchRequest is the decoded form of either request shape.
-type searchRequest struct {
+// requestBody is a POST /v1/search body.
+type requestBody struct {
 	Query   string `json:"query"`
 	K       int    `json:"k"`
 	PerDB   int    `json:"per_db"`
 	Timeout string `json:"timeout"`
-
-	deadline time.Duration // Timeout resolved against the gateway's default and cap; 0 = none
 }
+
+// bodyFields are requestBody's JSON names, for the 400 that rejects any
+// other.
+const bodyFields = "query, k, per_db, timeout"
+
+// The GET parameters each endpoint accepts; any other is a 400 naming
+// it.
+var (
+	searchParams = []string{"q", "k", "perdb", "timeout"}
+	streamParams = []string{"q", "k", "perdb", "timeout", "format"}
+)
 
 // The reply's building blocks are the search pipeline's own types: the
 // JSON tags on them are this API's wire format, so nothing is copied
@@ -278,31 +282,6 @@ type (
 	StageSeconds = repro.SearchStages
 )
 
-// SearchReply is the JSON body of a successful search response.
-type SearchReply struct {
-	// TraceID links the response to the query's trace and audit record;
-	// it is also sent as the X-Trace-Id response header.
-	TraceID string   `json:"trace_id,omitempty"`
-	Query   string   `json:"query"`
-	Terms   []string `json:"terms,omitempty"`
-	Scorer  string   `json:"scorer,omitempty"`
-	// Selections is the selected database set in rank order; Results the
-	// merged ranking.
-	Selections []Selection `json:"selections,omitempty"`
-	Results    []Result    `json:"results,omitempty"`
-	// ResultHit: the whole answer came from the result cache.
-	// SelectionHit: only the selection decision was cached; the fan-out
-	// ran. Collapsed: this request piggybacked on an identical
-	// concurrent request's in-flight work.
-	ResultHit    bool `json:"result_hit"`
-	SelectionHit bool `json:"selection_hit,omitempty"`
-	Collapsed    bool `json:"collapsed,omitempty"`
-	// ElapsedSeconds is this request's end-to-end latency; Stages
-	// decomposes the server-side share by pipeline stage.
-	ElapsedSeconds float64       `json:"elapsed_seconds"`
-	Stages         *StageSeconds `json:"stages_seconds,omitempty"`
-}
-
 // serve is the prologue the blocking and the streaming endpoint share:
 // parse the request (a 400 names what is wrong with it), join the
 // caller's trace when the request arrived traced (the cluster router
@@ -311,17 +290,17 @@ type SearchReply struct {
 // spans end to end), and run h under the request's deadline. The context
 // is cancelled when h returns, which is what releases a stream's fan-out
 // workers once the client is gone.
-func (g *Gateway) serve(h func(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest), extraParams ...string) http.HandlerFunc {
+func (g *Gateway) serve(h func(ctx context.Context, w http.ResponseWriter, r *http.Request, req repro.SearchRequest), params []string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		req, err := g.parseRequest(r, extraParams...)
+		req, deadline, err := g.parseRequest(r, params)
 		if err != nil {
 			g.fail(w, r, http.StatusBadRequest, wire.CodeBadRequest, err.Error())
 			return
 		}
 		ctx := telemetry.ContextWithRemote(r.Context(), telemetry.Extract(r.Header))
 		var cancel context.CancelFunc
-		if req.deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, req.deadline)
+		if deadline > 0 {
+			ctx, cancel = context.WithTimeout(ctx, deadline)
 		} else {
 			ctx, cancel = context.WithCancel(ctx)
 		}
@@ -345,8 +324,10 @@ func searchFailure(err error) (status int, code, msg string) {
 	}
 }
 
-func (g *Gateway) search(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest) {
-	resp, err := g.searcher.SearchExplained(ctx, req.Query, req.K, req.PerDB)
+// blocking serves /v1/search: one search, answered with its
+// repro.SearchResponse as the JSON body.
+func (g *Gateway) blocking(ctx context.Context, w http.ResponseWriter, r *http.Request, req repro.SearchRequest) {
+	resp, err := g.search(ctx, req)
 	if err != nil {
 		status, code, msg := searchFailure(err)
 		g.fail(w, r, status, code, msg)
@@ -356,26 +337,7 @@ func (g *Gateway) search(ctx context.Context, w http.ResponseWriter, r *http.Req
 		w.Header().Set("X-Trace-Id", resp.TraceID)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(buildReply(resp))
-}
-
-// buildReply is a search outcome as the wire reply. The stream
-// endpoint's final frame and the blocking endpoint both go through this
-// one function, which is what makes them bit-identical.
-func buildReply(resp *repro.SearchResponse) SearchReply {
-	return SearchReply{
-		TraceID:        resp.TraceID,
-		Query:          resp.Query,
-		Terms:          resp.Terms,
-		Scorer:         resp.Scorer,
-		Selections:     resp.Selections,
-		Results:        resp.Results,
-		ResultHit:      resp.CacheHit,
-		SelectionHit:   resp.SelectionCacheHit,
-		Collapsed:      resp.Collapsed,
-		ElapsedSeconds: resp.Elapsed.Seconds(),
-		Stages:         &resp.Stages,
-	}
+	json.NewEncoder(w).Encode(resp)
 }
 
 // StreamSelection is the payload of a stream's selection frame: the
@@ -430,102 +392,106 @@ func (f framePublisher) MergeUpdate(results []repro.Result) {
 // before the search runs, so failures arrive as terminal error frames.
 // When the client hangs up, the request context's cancellation releases
 // the fan-out workers.
-func (g *Gateway) stream(ctx context.Context, w http.ResponseWriter, r *http.Request, req searchRequest) {
-	streamer, ok := g.searcher.(StreamSearcher)
-	if !ok {
-		g.fail(w, r, http.StatusNotImplemented, wire.CodeBadRequest,
-			"streaming is not supported by this searcher")
-		return
-	}
+func (g *Gateway) stream(ctx context.Context, w http.ResponseWriter, r *http.Request, req repro.SearchRequest) {
 	p := evtstream.NewPublisher(evtstream.Options{Metrics: g.streams})
+	req.Events = framePublisher{p}
 	go func() {
-		resp, err := streamer.SearchExplainedObserved(ctx, req.Query, req.K, req.PerDB, framePublisher{p})
+		resp, err := g.search(ctx, req)
 		if err != nil {
 			g.errors.Inc()
 			_, code, msg := searchFailure(err)
 			p.Publish(evtstream.TypeError, StreamError{Code: code, Message: msg})
 		} else {
-			p.Publish(evtstream.TypeFinal, buildReply(resp))
+			// The blocking endpoint's body, byte for byte: both encode
+			// the one reply type.
+			p.Publish(evtstream.TypeFinal, resp)
 		}
 		p.Close()
 	}()
 	p.Serve(ctx, w, evtstream.Negotiate(r))
 }
 
-// parseRequest decodes a search request from either shape: GET query
-// parameters or a POST JSON body. GET requests may use only the known
-// parameters (q, k, perdb, timeout, plus any endpoint-specific extras)
-// — an unknown one is a 400 naming it, so a client misspelling
+// parseRequest decodes a search request from either shape — GET query
+// parameters or a POST JSON body — and resolves its deadline against
+// the gateway's default and cap. It fails closed: a GET parameter
+// outside params, any query parameter on a POST, or a body field
+// outside bodyFields is a 400 naming it, so a client misspelling
 // `timeout` fails loudly instead of silently running unbounded.
-func (g *Gateway) parseRequest(r *http.Request, extraParams ...string) (searchRequest, error) {
-	req := searchRequest{K: g.opts.DefaultMaxDBs, PerDB: g.opts.DefaultPerDB}
+func (g *Gateway) parseRequest(r *http.Request, params []string) (req repro.SearchRequest, deadline time.Duration, err error) {
+	req = repro.SearchRequest{MaxDBs: g.opts.DefaultMaxDBs, PerDB: g.opts.DefaultPerDB}
+	q := r.URL.Query()
 	if r.Method == http.MethodPost {
-		var body searchRequest
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-		if err := dec.Decode(&body); err != nil {
-			return req, fmt.Errorf("malformed search request: %v", err)
+		params = nil // a POST carries its parameters in the body
+	}
+	var unknown []string
+	for name := range q {
+		if !slices.Contains(params, name) {
+			unknown = append(unknown, name)
 		}
-		req.Query = body.Query
-		req.Timeout = body.Timeout
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		valid := "none on a POST; the body carries the request"
+		if len(params) > 0 {
+			valid = strings.Join(params, ", ")
+		}
+		return req, 0, fmt.Errorf("unknown query parameter %q (valid: %s)", strings.Join(unknown, ", "), valid)
+	}
+	var timeout string
+	if r.Method == http.MethodPost {
+		var body requestBody
+		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil {
+			if field, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+				return req, 0, fmt.Errorf("unknown search request field %s (valid: %s)", field, bodyFields)
+			}
+			return req, 0, fmt.Errorf("malformed search request: %v", err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return req, 0, fmt.Errorf("malformed search request: data after the JSON object")
+		}
+		req.Query, timeout = body.Query, body.Timeout
 		if body.K != 0 {
-			req.K = body.K
+			req.MaxDBs = body.K
 		}
 		if body.PerDB != 0 {
 			req.PerDB = body.PerDB
 		}
 	} else {
-		q := r.URL.Query()
-		allowed := map[string]bool{"q": true, "k": true, "perdb": true, "timeout": true}
-		for _, p := range extraParams {
-			allowed[p] = true
-		}
-		var unknown []string
-		for name := range q {
-			if !allowed[name] {
-				unknown = append(unknown, name)
-			}
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			return req, fmt.Errorf("unknown query parameter %q (valid: q, k, perdb, timeout)",
-				strings.Join(unknown, ", "))
-		}
-		req.Query = q.Get("q")
-		req.Timeout = q.Get("timeout")
+		req.Query, timeout = q.Get("q"), q.Get("timeout")
 		for _, p := range []struct {
 			name string
 			dst  *int
-		}{{"k", &req.K}, {"perdb", &req.PerDB}} {
+		}{{"k", &req.MaxDBs}, {"perdb", &req.PerDB}} {
 			if s := q.Get(p.name); s != "" {
 				n, err := strconv.Atoi(s)
 				if err != nil {
-					return req, fmt.Errorf("%s must be an integer, got %q", p.name, s)
+					return req, 0, fmt.Errorf("%s must be an integer, got %q", p.name, s)
 				}
 				*p.dst = n
 			}
 		}
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		return req, errors.New("search needs a query (q parameter or \"query\" field)")
+		return req, 0, fmt.Errorf("search needs a query (q parameter or \"query\" field)")
 	}
-	if req.K <= 0 {
-		return req, fmt.Errorf("k must be positive, got %d", req.K)
+	if req.MaxDBs <= 0 {
+		return req, 0, fmt.Errorf("k must be positive, got %d", req.MaxDBs)
 	}
 	if req.PerDB <= 0 {
-		return req, fmt.Errorf("perdb must be positive, got %d", req.PerDB)
+		return req, 0, fmt.Errorf("perdb must be positive, got %d", req.PerDB)
 	}
-	// The deadline to apply: the gateway default when the request names
-	// none, capped by MaxDeadline.
-	req.deadline = g.opts.DefaultDeadline
-	if req.Timeout != "" {
-		d, err := time.ParseDuration(req.Timeout)
+	deadline = g.opts.DefaultDeadline
+	if timeout != "" {
+		d, err := time.ParseDuration(timeout)
 		if err != nil || d <= 0 {
-			return req, fmt.Errorf("timeout must be a positive duration like 500ms or 2s, got %q", req.Timeout)
+			return req, 0, fmt.Errorf("timeout must be a positive duration like 500ms or 2s, got %q", timeout)
 		}
-		if g.opts.MaxDeadline > 0 && d > g.opts.MaxDeadline {
-			d = g.opts.MaxDeadline
-		}
-		req.deadline = d
+		deadline = d
 	}
-	return req, nil
+	if limit := g.opts.MaxDeadline; limit > 0 && (deadline <= 0 || deadline > limit) {
+		deadline = limit
+	}
+	return req, deadline, nil
 }

@@ -11,16 +11,20 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/audit"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
 // fakeSearcher records the calls it receives and answers from a canned
-// response (or an injected hook).
+// response (or an injected hook); its search method is the SearchFunc
+// under test. A stream request's events hear a canned narration (or an
+// injected one) first.
 type fakeSearcher struct {
-	mu    sync.Mutex
-	calls []searchCall
-	hook  func(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error)
+	mu     sync.Mutex
+	calls  []searchCall
+	hook   func(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error)
+	events func(obs repro.SearchEvents)
 }
 
 type searchCall struct {
@@ -31,7 +35,17 @@ type searchCall struct {
 	deadlineLeft time.Duration
 }
 
-func (f *fakeSearcher) SearchExplained(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error) {
+func (f *fakeSearcher) search(ctx context.Context, req repro.SearchRequest) (*repro.SearchResponse, error) {
+	if obs := req.Events; obs != nil {
+		if f.events != nil {
+			f.events(obs)
+		} else {
+			obs.Selection([]repro.Selection{{Database: "db-a", Score: 2, Shrinkage: true}}, []string{"whale"}, "cori")
+			obs.NodeResult(repro.NodeEvent{NodeOutcome: audit.NodeOutcome{Database: "db-a", Results: 1}, Completed: 1, Total: 1})
+			obs.MergeUpdate([]repro.Result{{Database: "db-a", DocID: 3, Score: 0.5}})
+		}
+	}
+	query, maxDBs, perDB := req.Query, req.MaxDBs, req.PerDB
 	c := searchCall{query: query, maxDBs: maxDBs, perDB: perDB}
 	if dl, ok := ctx.Deadline(); ok {
 		c.hadDeadline = true
@@ -44,14 +58,14 @@ func (f *fakeSearcher) SearchExplained(ctx context.Context, query string, maxDBs
 		return f.hook(ctx, query, maxDBs, perDB)
 	}
 	return &repro.SearchResponse{
-		TraceID:    "trace-1",
-		Query:      query,
-		Terms:      []string{"whale"},
-		Scorer:     "cori",
-		Selections: []repro.Selection{{Database: "db-a", Score: 2, Shrinkage: true}},
-		Results:    []repro.Result{{Database: "db-a", DocID: 3, Score: 0.5}},
-		CacheHit:   true,
-		Elapsed:    5 * time.Millisecond,
+		TraceID:        "trace-1",
+		Query:          query,
+		Terms:          []string{"whale"},
+		Scorer:         "cori",
+		Selections:     []repro.Selection{{Database: "db-a", Score: 2, Shrinkage: true}},
+		Results:        []repro.Result{{Database: "db-a", DocID: 3, Score: 0.5}},
+		CacheHit:       true,
+		ElapsedSeconds: 0.005,
 	}, nil
 }
 
@@ -65,9 +79,9 @@ func (f *fakeSearcher) lastCall(t *testing.T) searchCall {
 	return f.calls[len(f.calls)-1]
 }
 
-func decodeReply(t *testing.T, rec *httptest.ResponseRecorder) SearchReply {
+func decodeReply(t *testing.T, rec *httptest.ResponseRecorder) repro.SearchResponse {
 	t.Helper()
-	var reply SearchReply
+	var reply repro.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 		t.Fatalf("decoding reply: %v\nbody: %s", err, rec.Body.String())
 	}
@@ -85,7 +99,7 @@ func decodeError(t *testing.T, rec *httptest.ResponseRecorder) wire.ErrorEnvelop
 
 func TestSearchGet(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{})
+	g := For(s.search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=white+whale&k=2&perdb=7", nil))
 
@@ -97,7 +111,7 @@ func TestSearchGet(t *testing.T) {
 		t.Errorf("searcher got %+v, want query=%q k=2 perdb=7", call, "white whale")
 	}
 	reply := decodeReply(t, rec)
-	if reply.TraceID != "trace-1" || !reply.ResultHit || reply.Scorer != "cori" {
+	if reply.TraceID != "trace-1" || !reply.CacheHit || reply.Scorer != "cori" {
 		t.Errorf("reply = %+v", reply)
 	}
 	if len(reply.Results) != 1 || reply.Results[0].Database != "db-a" || reply.Results[0].DocID != 3 {
@@ -113,7 +127,7 @@ func TestSearchGet(t *testing.T) {
 
 func TestSearchPost(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{})
+	g := For(s.search, Options{})
 	body := `{"query": "moby dick", "k": 4, "per_db": 2}`
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/search", strings.NewReader(body)))
@@ -129,7 +143,7 @@ func TestSearchPost(t *testing.T) {
 
 func TestSearchDefaults(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{DefaultMaxDBs: 5, DefaultPerDB: 9})
+	g := For(s.search, Options{DefaultMaxDBs: 5, DefaultPerDB: 9})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x", nil))
 	if rec.Code != http.StatusOK {
@@ -144,32 +158,47 @@ func TestSearchDefaults(t *testing.T) {
 	}
 }
 
+// badRequests are requests the gateway must refuse with a 400
+// bad_request envelope (naming names, when set) without searching; they
+// also seed FuzzSearchRequest.
+var badRequests = []struct {
+	name   string
+	method string
+	target string
+	body   string
+	names  string
+}{
+	{"missing query", "GET", "/v1/search", "", ""},
+	{"bad k", "GET", "/v1/search?q=x&k=two", "", ""},
+	{"zero k", "GET", "/v1/search?q=x&k=0", "", ""},
+	{"negative perdb", "GET", "/v1/search?q=x&perdb=-1", "", ""},
+	{"bad timeout", "GET", "/v1/search?q=x&timeout=fast", "", ""},
+	{"negative timeout", "GET", "/v1/search?q=x&timeout=-1s", "", ""},
+	{"malformed json", "POST", "/v1/search", "{", ""},
+	{"blank query", "POST", "/v1/search", `{"query": "   "}`, ""},
+	{"unknown body field", "POST", "/v1/search", `{"query":"x","timout":"1s"}`, "timout"},
+	{"negative body k", "POST", "/v1/search", `{"query":"x","k":-1}`, "k must be positive"},
+	{"data after the body", "POST", "/v1/search", `{"query":"x"} {"timeout":"1s"}`, "after the JSON object"},
+	{"query parameter on a POST", "POST", "/v1/search?timeout=1s", `{"query":"x"}`, "timeout"},
+	{"stream without a query", "GET", "/v1/search/stream?format=ndjson", "", ""},
+}
+
 func TestSearchBadRequests(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		method string
-		target string
-		body   string
-	}{
-		{"missing query", "GET", "/v1/search", ""},
-		{"bad k", "GET", "/v1/search?q=x&k=two", ""},
-		{"zero k", "GET", "/v1/search?q=x&k=0", ""},
-		{"negative perdb", "GET", "/v1/search?q=x&perdb=-1", ""},
-		{"bad timeout", "GET", "/v1/search?q=x&timeout=fast", ""},
-		{"negative timeout", "GET", "/v1/search?q=x&timeout=-1s", ""},
-		{"malformed json", "POST", "/v1/search", "{"},
-		{"blank query", "POST", "/v1/search", `{"query": "   "}`},
-	} {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &fakeSearcher{}
-			g := New(s, Options{})
+			g := For(s.search, Options{})
 			rec := httptest.NewRecorder()
 			g.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400; body %s", rec.Code, rec.Body.String())
 			}
-			if env := decodeError(t, rec); env.Error.Code != wire.CodeBadRequest {
+			env := decodeError(t, rec)
+			if env.Error.Code != wire.CodeBadRequest {
 				t.Errorf("error code = %q", env.Error.Code)
+			}
+			if !strings.Contains(env.Error.Message, tc.names) {
+				t.Errorf("error %q does not name %q", env.Error.Message, tc.names)
 			}
 			if len(s.calls) != 0 {
 				t.Error("searcher was called for an invalid request")
@@ -180,7 +209,7 @@ func TestSearchBadRequests(t *testing.T) {
 
 func TestTimeoutParam(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{MaxDeadline: time.Minute})
+	g := For(s.search, Options{MaxDeadline: time.Minute})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x&timeout=250ms", nil))
 	if rec.Code != http.StatusOK {
@@ -194,7 +223,7 @@ func TestTimeoutParam(t *testing.T) {
 
 func TestTimeoutCappedByMaxDeadline(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{MaxDeadline: 100 * time.Millisecond})
+	g := For(s.search, Options{MaxDeadline: 100 * time.Millisecond})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x&timeout=1h", nil))
 	if rec.Code != http.StatusOK {
@@ -208,7 +237,7 @@ func TestTimeoutCappedByMaxDeadline(t *testing.T) {
 
 func TestDefaultDeadline(t *testing.T) {
 	s := &fakeSearcher{}
-	g := New(s, Options{DefaultDeadline: 200 * time.Millisecond})
+	g := For(s.search, Options{DefaultDeadline: 200 * time.Millisecond})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x", nil))
 	if call := s.lastCall(t); !call.hadDeadline || call.deadlineLeft > 200*time.Millisecond {
@@ -221,7 +250,7 @@ func TestDeadlineExceededIs504(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}}
-	g := New(s, Options{DefaultDeadline: 10 * time.Millisecond})
+	g := For(s.search, Options{DefaultDeadline: 10 * time.Millisecond})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x", nil))
 	if rec.Code != http.StatusGatewayTimeout {
@@ -236,7 +265,7 @@ func TestSearchErrorIs503(t *testing.T) {
 	s := &fakeSearcher{hook: func(context.Context, string, int, int) (*repro.SearchResponse, error) {
 		return nil, errNoNodes
 	}}
-	g := New(s, Options{})
+	g := For(s.search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x", nil))
 	if rec.Code != http.StatusServiceUnavailable {
@@ -262,7 +291,7 @@ func TestAdmissionGate(t *testing.T) {
 		return &repro.SearchResponse{Query: q}, nil
 	}}
 	reg := telemetry.NewRegistry()
-	g := New(s, Options{MaxInflight: 1, RetryAfter: 3, Metrics: reg})
+	g := For(s.search, Options{MaxInflight: 1, RetryAfter: 3, Metrics: reg})
 
 	done := make(chan *httptest.ResponseRecorder)
 	go func() {
@@ -314,7 +343,7 @@ func TestAdmissionGate(t *testing.T) {
 func TestRequestAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := &fakeSearcher{}
-	g := New(s, Options{Metrics: reg})
+	g := For(s.search, Options{Metrics: reg})
 
 	// One success, one 400, one 503.
 	g.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/search?q=x", nil))
@@ -349,7 +378,7 @@ func TestShedRecordsErrorLatencyAndSLO(t *testing.T) {
 		return &repro.SearchResponse{Query: q}, nil
 	}}
 	reg := telemetry.NewRegistry()
-	g := New(s, Options{MaxInflight: 1, Metrics: reg})
+	g := For(s.search, Options{MaxInflight: 1, Metrics: reg})
 
 	done := make(chan struct{})
 	go func() {
@@ -400,21 +429,21 @@ func TestReplyCarriesStages(t *testing.T) {
 			Stages: repro.SearchStages{Cache: 0.001, Selection: 0.002, Fanout: 0.003, Merge: 0.004},
 		}, nil
 	}}
-	g := New(s, Options{})
+	g := For(s.search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/search?q=x", nil))
-	reply := decodeReply(t, rec)
-	if reply.Stages == nil {
-		t.Fatal("reply has no stages_seconds")
+	if !strings.Contains(rec.Body.String(), `"stages_seconds":`) {
+		t.Fatalf("reply has no stages_seconds: %s", rec.Body.String())
 	}
+	reply := decodeReply(t, rec)
 	want := StageSeconds{Cache: 0.001, Selection: 0.002, Fanout: 0.003, Merge: 0.004}
-	if *reply.Stages != want {
-		t.Errorf("stages = %+v, want %+v", *reply.Stages, want)
+	if reply.Stages != want {
+		t.Errorf("stages = %+v, want %+v", reply.Stages, want)
 	}
 }
 
 func TestHealthzReportsTopology(t *testing.T) {
-	g := New(&fakeSearcher{}, Options{
+	g := For((&fakeSearcher{}).search, Options{
 		Topology: func() *wire.TopologyStatus {
 			return &wire.TopologyStatus{Generation: 7, LastSwapUnixMs: 1234}
 		},
@@ -431,7 +460,7 @@ func TestHealthzReportsTopology(t *testing.T) {
 }
 
 func TestHealthzDraining(t *testing.T) {
-	g := New(&fakeSearcher{}, Options{ShardID: "shard-00"})
+	g := For((&fakeSearcher{}).search, Options{ShardID: "shard-00"})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/healthz", nil))
 	if rec.Code != http.StatusOK {
@@ -464,7 +493,7 @@ func TestHealthzDraining(t *testing.T) {
 }
 
 func TestUnknownPathIs404(t *testing.T) {
-	g := New(&fakeSearcher{}, Options{})
+	g := For((&fakeSearcher{}).search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", "/v2/search?q=x", nil))
 	if rec.Code != http.StatusNotFound {
@@ -487,29 +516,29 @@ func TestErrorResponsesCarryTraceID(t *testing.T) {
 	}{
 		{
 			name:       "bad request",
-			gateway:    New(&fakeSearcher{}, Options{}),
+			gateway:    For((&fakeSearcher{}).search, Options{}),
 			req:        httptest.NewRequest("GET", "/v1/search", nil), // no query
 			wantStatus: http.StatusBadRequest,
 		},
 		{
 			name:       "deadline exceeded",
-			gateway:    New(boom, Options{}),
+			gateway:    For(boom.search, Options{}),
 			req:        httptest.NewRequest("GET", "/v1/search?q=x", nil),
 			wantStatus: http.StatusGatewayTimeout,
 		},
 		{
 			name: "searcher failure",
-			gateway: New(&fakeSearcher{hook: func(context.Context, string, int, int) (*repro.SearchResponse, error) {
+			gateway: For((&fakeSearcher{hook: func(context.Context, string, int, int) (*repro.SearchResponse, error) {
 				return nil, context.Canceled
-			}}, Options{}),
+			}}).search, Options{}),
 			req:        httptest.NewRequest("GET", "/v1/search?q=x", nil),
 			wantStatus: http.StatusServiceUnavailable,
 		},
 		{
 			name: "panic to 500",
-			gateway: New(&fakeSearcher{hook: func(context.Context, string, int, int) (*repro.SearchResponse, error) {
+			gateway: For((&fakeSearcher{hook: func(context.Context, string, int, int) (*repro.SearchResponse, error) {
 				panic("kaboom")
-			}}, Options{}),
+			}}).search, Options{}),
 			req:        httptest.NewRequest("GET", "/v1/search?q=x", nil),
 			wantStatus: http.StatusInternalServerError,
 		},

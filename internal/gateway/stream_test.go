@@ -12,33 +12,14 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/audit"
 	"repro/internal/evtstream"
 	"repro/internal/telemetry"
 )
 
-// fakeStreamSearcher narrates a canned event sequence before answering
-// from the embedded fakeSearcher's canned response.
-type fakeStreamSearcher struct {
-	fakeSearcher
-	events func(obs repro.SearchEvents)
-}
-
-func (f *fakeStreamSearcher) SearchExplainedObserved(ctx context.Context, query string, maxDBs, perDB int, obs repro.SearchEvents) (*repro.SearchResponse, error) {
-	if f.events != nil {
-		f.events(obs)
-	} else if obs != nil {
-		obs.Selection([]repro.Selection{{Database: "db-a", Score: 2, Shrinkage: true}}, []string{"whale"}, "cori")
-		obs.NodeResult(repro.NodeEvent{NodeOutcome: audit.NodeOutcome{Database: "db-a", Results: 1}, Completed: 1, Total: 1})
-		obs.MergeUpdate([]repro.Result{{Database: "db-a", DocID: 3, Score: 0.5}})
-	}
-	return f.fakeSearcher.SearchExplained(ctx, query, maxDBs, perDB)
-}
-
 func TestStreamSSE(t *testing.T) {
-	s := &fakeStreamSearcher{}
+	s := &fakeSearcher{}
 	reg := telemetry.NewRegistry()
-	g := New(s, Options{Metrics: reg})
+	g := For(s.search, Options{Metrics: reg})
 
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=white+whale&k=2&perdb=7", nil))
@@ -96,8 +77,8 @@ func TestStreamSSE(t *testing.T) {
 }
 
 func TestStreamNDJSON(t *testing.T) {
-	s := &fakeStreamSearcher{}
-	g := New(s, Options{})
+	s := &fakeSearcher{}
+	g := For(s.search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=whale&format=ndjson", nil))
 	if ct := rec.Header().Get("Content-Type"); ct != "application/x-ndjson" {
@@ -120,11 +101,11 @@ func TestStreamNDJSON(t *testing.T) {
 // A search failure arrives as a terminal error frame with the blocking
 // endpoint's code vocabulary (the 200 status is already committed).
 func TestStreamError(t *testing.T) {
-	s := &fakeStreamSearcher{events: func(repro.SearchEvents) {}}
+	s := &fakeSearcher{events: func(repro.SearchEvents) {}}
 	s.hook = func(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error) {
 		return nil, errors.New("no live databases")
 	}
-	g := New(s, Options{})
+	g := For(s.search, Options{})
 	rec := httptest.NewRecorder()
 	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=whale", nil))
 	frames := evtstream.ParseSSE(rec.Body.String())
@@ -140,20 +121,10 @@ func TestStreamError(t *testing.T) {
 	}
 }
 
-// A Searcher without the streaming capability answers 501.
-func TestStreamNotImplemented(t *testing.T) {
-	g := New(&fakeSearcher{}, Options{})
-	rec := httptest.NewRecorder()
-	g.ServeHTTP(rec, httptest.NewRequest("GET", PathSearchStream+"?q=whale", nil))
-	if rec.Code != http.StatusNotImplemented {
-		t.Fatalf("status = %d, want 501", rec.Code)
-	}
-}
-
 // Unknown GET parameters fail loudly, naming the offender — on both the
 // blocking and the streaming endpoint.
 func TestUnknownQueryParamRejected(t *testing.T) {
-	g := New(&fakeStreamSearcher{}, Options{})
+	g := For((&fakeSearcher{}).search, Options{})
 	cases := []struct {
 		url  string
 		want string
@@ -161,6 +132,9 @@ func TestUnknownQueryParamRejected(t *testing.T) {
 		{PathSearch + "?q=whale&timeot=2s", "timeot"},
 		{PathSearch + "?q=whale&kk=2&zz=1", "kk, zz"},
 		{PathSearchStream + "?q=whale&formt=ndjson", "formt"},
+		// Each endpoint lists its own parameters.
+		{PathSearch + "?q=whale&fmt=sse", "(valid: q, k, perdb, timeout)"},
+		{PathSearchStream + "?q=whale&fmt=sse", "(valid: q, k, perdb, timeout, format)"},
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()

@@ -204,7 +204,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 		id := telemetry.Identity{Instance: shID, Role: "shard", Shard: shID}
-		gw := gateway.New(sm, gateway.Options{ShardID: shID, Metrics: sm.Metrics()})
+		gw := gateway.For(sm.Search, gateway.Options{ShardID: shID, Metrics: sm.Metrics()})
 		srv, target := member(t, id, sm.Metrics(), ring, sm.Audit(), map[string]http.Handler{
 			gateway.PathSearch:  gw,
 			gateway.PathHealthz: gw,
@@ -226,7 +226,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	routerID := telemetry.Identity{Instance: "router", Role: "router"}
-	routerGW := gateway.New(rt, gateway.Options{Metrics: routerReg, ShardHealth: rt.ShardHealth})
+	routerGW := gateway.For(rt.Search, gateway.Options{Metrics: routerReg, ShardHealth: rt.ShardHealth})
 	routerSrv, routerTarget := member(t, routerID, routerReg, routerRing, nil, map[string]http.Handler{
 		gateway.PathSearch:  routerGW,
 		gateway.PathHealthz: routerGW,
@@ -235,7 +235,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 
 	// Drive queries through the router's gateway. The last one runs with
 	// the first dbnode armed, so its trace includes a retried wire call.
-	ask := func(q string) gateway.SearchReply {
+	ask := func(q string) repro.SearchResponse {
 		t.Helper()
 		resp, err := http.Get(routerSrv.URL + gateway.PathSearch + "?q=" +
 			strings.ReplaceAll(q, " ", "+") + "&k=3&perdb=5")
@@ -246,7 +246,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search %q: HTTP %d", q, resp.StatusCode)
 		}
-		var reply gateway.SearchReply
+		var reply repro.SearchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 			t.Fatal(err)
 		}

@@ -190,7 +190,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		}
 		shardMs[i] = sm
 
-		gw := httptest.NewServer(gateway.New(sm, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
+		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
 		t.Cleanup(gw.Close)
 		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
 	}
@@ -210,11 +210,11 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	assertIdentical := func(phase string) {
 		t.Helper()
 		for _, q := range queries {
-			want, err := baseline.SearchExplained(context.Background(), q, 3, 5)
+			want, err := baseline.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5})
 			if err != nil {
 				t.Fatalf("%s: baseline %q: %v", phase, q, err)
 			}
-			got, err := rt.SearchExplained(context.Background(), q, 3, 5)
+			got, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5})
 			if err != nil {
 				t.Fatalf("%s: cluster %q: %v", phase, q, err)
 			}
@@ -264,7 +264,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	// suppresses hedged duplicates.
 	for round := 0; round < 3; round++ {
 		for _, q := range queries {
-			if _, err := rt.SearchExplained(context.Background(), q, 3, 5); err != nil {
+			if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5}); err != nil {
 				t.Fatalf("preferred replica down, requery %q: %v", q, err)
 			}
 		}
@@ -289,5 +289,91 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 	if !openReplica {
 		t.Error("no per-replica breaker left the closed state after repeated failures")
+	}
+}
+
+// TestClusterDefaultPerDBMatchesSingleProcess pins the request rule on
+// the cluster plane: a request that names no PerDB means
+// repro.DefaultPerDB on both planes, so the router must name it to every
+// shard rather than leave it to the shard gateways' own default (3
+// here, as `metasearch shard -perdb 3` would set it).
+func TestClusterDefaultPerDBMatchesSingleProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a testbed and a two-shard cluster")
+	}
+	dbs, lexicon := clusterTestbed(t, 4)
+	open := func() *repro.Metasearcher {
+		m := repro.New(clusterOptions(lexicon))
+		for _, d := range dbs {
+			if err := m.AddDatabase(repro.NewLocalDatabaseFromTerms(d.name, d.docs), d.category); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	builder := open()
+	if err := builder.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	stateFile := filepath.Join(t.TempDir(), "state.json")
+	if err := builder.SaveFile(stateFile); err != nil {
+		t.Fatal(err)
+	}
+	baseline := open()
+	if err := baseline.LoadFile(stateFile); err != nil {
+		t.Fatal(err)
+	}
+
+	topo := &shardmap.Topology{
+		Version: shardmap.TopologyVersion,
+		Shards:  []shardmap.Shard{{ID: "shard-00", Addr: "pending:0"}, {ID: "shard-01", Addr: "pending:0"}},
+	}
+	for _, d := range dbs {
+		topo.Databases = append(topo.Databases, shardmap.Database{Name: d.name, Category: d.category, Replicas: []string{"127.0.0.1:1"}})
+	}
+	for i := range topo.Shards {
+		assigns, err := topo.ShardAssignments(topo.Shards[i].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := make(map[string]bool, len(assigns))
+		for _, a := range assigns {
+			keep[a.Database] = true
+		}
+		sm := open()
+		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+			t.Fatal(err)
+		}
+		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, DefaultPerDB: 3}))
+		t.Cleanup(gw.Close)
+		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
+	}
+	rt, err := New(topo, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	deep := false // some database contributed more than the shards' default of 3
+	for _, d := range dbs {
+		q := d.docs[0][0]
+		want, err := baseline.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3})
+		if err != nil {
+			t.Fatalf("baseline %q: %v", q, err)
+		}
+		got, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3})
+		if err != nil {
+			t.Fatalf("cluster %q: %v", q, err)
+		}
+		if !reflect.DeepEqual(want.Results, got.Results) {
+			t.Errorf("rankings diverge for %q with no PerDB:\n single: %+v\ncluster: %+v", q, want.Results, got.Results)
+		}
+		perDB := make(map[string]int)
+		for _, r := range want.Results {
+			perDB[r.Database]++
+			deep = deep || perDB[r.Database] > 3
+		}
+	}
+	if !deep {
+		t.Fatal("no database returned more than 3 documents; the queries cannot tell the default depths apart")
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro"
 	"repro/internal/evtstream"
-	"repro/internal/gateway"
 )
 
 // discardEvents is a SearchEvents that drops everything.
@@ -78,7 +77,7 @@ func FuzzShardStream(f *testing.F) {
 			}
 			return
 		}
-		var want gateway.SearchReply
+		var want repro.SearchResponse
 		if json.Unmarshal(final, &want) != nil {
 			t.Fatalf("consume accepted a final frame whose payload does not decode: %s", final)
 		}

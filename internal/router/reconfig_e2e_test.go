@@ -157,7 +157,7 @@ func TestClusterReconfiguration(t *testing.T) {
 		// probe's successful trial closes it. Each sweep reads the shard's
 		// live store, so the swap needs no retargeting.
 		t.Cleanup(clock.Every(nil, 25*time.Millisecond, sm.Probe))
-		gw := httptest.NewServer(gateway.New(sm, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
+		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
 		t.Cleanup(gw.Close)
 		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
 	}
@@ -229,7 +229,7 @@ func TestClusterReconfiguration(t *testing.T) {
 				default:
 				}
 				q := queries[(g+i)%len(queries)]
-				if _, err := rt.SearchExplained(context.Background(), q, 3, 5); err != nil {
+				if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5}); err != nil {
 					failures.Add(1)
 					t.Errorf("load query %q failed: %v", q, err)
 				} else {
@@ -310,7 +310,7 @@ func TestClusterReconfiguration(t *testing.T) {
 	if trail := watcher.Swaps(); len(trail) != 1 || trail[0].Generation != 2 {
 		t.Fatalf("swap trail = %+v, want one record at generation 2", trail)
 	}
-	rgw := httptest.NewServer(gateway.New(rt, gateway.Options{Topology: watcher.Status}))
+	rgw := httptest.NewServer(gateway.For(rt.Search, gateway.Options{Topology: watcher.Status}))
 	t.Cleanup(rgw.Close)
 	health, err := http.Get(rgw.URL + gateway.PathHealthz)
 	if err != nil {
@@ -342,7 +342,7 @@ func TestClusterReconfiguration(t *testing.T) {
 			t.Fatalf("chaos-proxied replacement replica never served traffic: %+v", proxy.Stats())
 		}
 		for _, q := range queries {
-			if _, err := rt.SearchExplained(context.Background(), q, 3, 5); err != nil {
+			if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5}); err != nil {
 				t.Fatalf("post-swap query %q: %v", q, err)
 			}
 		}
@@ -351,11 +351,11 @@ func TestClusterReconfiguration(t *testing.T) {
 	// Rankings after the swap stay bit-identical to the single-process
 	// baseline (the replacement serves the same database).
 	for _, q := range queries {
-		want, err := baseline.SearchExplained(context.Background(), q, 3, 5)
+		want, err := baseline.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5})
 		if err != nil {
 			t.Fatalf("baseline %q: %v", q, err)
 		}
-		got, err := rt.SearchExplained(context.Background(), q, 3, 5)
+		got, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5})
 		if err != nil {
 			t.Fatalf("cluster %q after swap: %v", q, err)
 		}

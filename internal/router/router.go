@@ -25,8 +25,9 @@
 // or that fail mid-query cost coverage (their databases go unranked),
 // never availability.
 //
-// Router implements gateway.Searcher, so the standard gateway serves
-// the cluster under the same /v1/search API a single process exposes.
+// Router.Search is the search function the standard gateway serves
+// (gateway.For(rt.Search, opts)), so the cluster answers under the same
+// /v1/search API a single process exposes.
 package router
 
 import (
@@ -79,8 +80,8 @@ type Options struct {
 	Budget *resilience.Budget
 }
 
-// Router fans queries out to every shard and merges the rankings. It
-// implements gateway.Searcher; wrap it in gateway.New to serve HTTP.
+// Router fans queries out to every shard and merges the rankings.
+// Serve its Search over HTTP with gateway.For.
 //
 // The fan-out targets live in an immutable shard slice swapped
 // atomically by ApplyTopology: every query loads it once at entry, so
@@ -114,11 +115,6 @@ type probeResult struct {
 	err string // "" = ok
 	at  time.Time
 }
-
-var (
-	_ gateway.Searcher       = (*Router)(nil)
-	_ gateway.StreamSearcher = (*Router)(nil)
-)
 
 // New builds a Router over the topology's shards. The topology is
 // validated; the routing table (which database lives on which shard) is
@@ -297,28 +293,26 @@ func (r *Router) ping(ctx context.Context, addr string) error {
 // shardReply is one shard's answer (or failure).
 type shardReply struct {
 	shard   string
-	reply   *gateway.SearchReply
+	reply   *repro.SearchResponse
 	err     error
 	skipped bool // breaker held the call back
 }
 
-// SearchExplained implements gateway.Searcher: scatter to every shard,
-// gather, merge. It errors only when no shard produced an answer.
-func (r *Router) SearchExplained(ctx context.Context, query string, maxDBs, perDB int) (*repro.SearchResponse, error) {
-	return r.searchExplained(ctx, query, maxDBs, perDB, nil)
-}
-
-// SearchExplainedObserved implements gateway.StreamSearcher for the
-// cluster plane: the scatter consumes each shard's NDJSON event stream
-// instead of its blocking reply, re-merging progress cluster-wide as it
-// arrives (see streamMerger), and the returned response — built by the
-// same merge over the same shard replies — is bit-identical to
-// SearchExplained's. A nil obs is SearchExplained.
-func (r *Router) SearchExplainedObserved(ctx context.Context, query string, maxDBs, perDB int, obs repro.SearchEvents) (*repro.SearchResponse, error) {
-	return r.searchExplained(ctx, query, maxDBs, perDB, obs)
-}
-
-func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perDB int, obs repro.SearchEvents) (*repro.SearchResponse, error) {
+// Search scatters the request to every shard, gathers, and merges: the
+// cluster plane's one search call, under the request rule the
+// in-process Metasearcher.Search applies (repro.SearchRequest.Normalize).
+// It errors only on an invalid request or when no shard produced an
+// answer. With req.Events set, the scatter consumes each shard's NDJSON
+// event stream instead of its blocking reply, re-merging progress
+// cluster-wide as it arrives (see streamMerger); the response, built by
+// the same merge over the same shard replies, is bit-identical to a
+// search without events.
+func (r *Router) Search(ctx context.Context, req repro.SearchRequest) (*repro.SearchResponse, error) {
+	req, err := req.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	query, maxDBs, perDB := req.Query, req.MaxDBs, req.PerDB
 	r.requests.Inc()
 	start := time.Now()
 	attrs := []telemetry.Attr{
@@ -344,7 +338,7 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 	// One ring snapshot per query: a topology swap mid-flight never
 	// changes this query's fan-out set.
 	shards := *r.ring.Load()
-	sm := newStreamMerger(obs)
+	sm := newStreamMerger(req.Events)
 	replies := make([]shardReply, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {
@@ -376,7 +370,7 @@ func (r *Router) searchExplained(ctx context.Context, query string, maxDBs, perD
 		}
 		return nil, fmt.Errorf("router: no shard answered: %w", errors.Join(errs...))
 	}
-	resp.Elapsed = time.Since(start)
+	resp.ElapsedSeconds = time.Since(start).Seconds()
 	resp.Stages.Fanout = fanout.Seconds()
 	resp.Stages.Merge = time.Since(tMerge).Seconds()
 	if id := span.Context().TraceID; id != "" {
@@ -398,7 +392,7 @@ func (r *Router) searchShard(ctx context.Context, span *telemetry.Span, idx int,
 	if sm != nil {
 		policy.Retries = 0
 	}
-	var reply *gateway.SearchReply
+	var reply *repro.SearchResponse
 	_, err := resilience.Do(ctx, policy, []string{s.ID}, func(ctx context.Context, _, attempt int) error {
 		if attempt == 0 {
 			r.shardCalls.Inc()
@@ -430,15 +424,14 @@ func (r *Router) searchShard(ctx context.Context, span *telemetry.Span, idx int,
 // /v1/search/stream in NDJSON, whose progress frames feed the merger and
 // whose terminal frame carries the byte-identical payload /v1/search
 // would have answered with.
-func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s shardmap.Shard, query string, maxDBs, perDB int, sm *streamMerger) (*gateway.SearchReply, error) {
+//
+// It always names k and perdb, so the shard gateway's own defaults never
+// decide a cluster answer.
+func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s shardmap.Shard, query string, maxDBs, perDB int, sm *streamMerger) (*repro.SearchResponse, error) {
 	q := url.Values{}
 	q.Set("q", query)
-	if maxDBs > 0 {
-		q.Set("k", strconv.Itoa(maxDBs))
-	}
-	if perDB > 0 {
-		q.Set("perdb", strconv.Itoa(perDB))
-	}
+	q.Set("k", strconv.Itoa(maxDBs))
+	q.Set("perdb", strconv.Itoa(perDB))
 	path := gateway.PathSearch
 	if sm != nil {
 		path = gateway.PathSearchStream
@@ -460,7 +453,7 @@ func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s
 	if sm != nil {
 		return sm.consume(idx, s.ID, resp.Body)
 	}
-	var reply gateway.SearchReply
+	var reply repro.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 		return nil, fmt.Errorf("decoding shard %s reply: %w", s.ID, err)
 	}
@@ -468,41 +461,34 @@ func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s
 }
 
 // merge combines the shard rankings into a single response, reproducing
-// the in-process fan-out's deterministic order exactly. Provenance
-// (terms, scorer, selections, cache flags) comes from the first
-// successful shard in sorted-ID order — selections are identical on
-// every shard by the shrinkage invariant, so any shard's copy is the
-// cluster's.
+// the in-process fan-out's deterministic order exactly. The response is
+// the first successful shard's reply in sorted-ID order — its terms,
+// scorer, selections and cache/selection stages are the cluster's, as
+// selections are identical on every shard by the shrinkage invariant —
+// with every shard's results merged in.
 func (r *Router) merge(replies []shardReply, query string) (*repro.SearchResponse, bool) {
-	resp := &repro.SearchResponse{Query: query, CacheHit: true, SelectionCacheHit: true, Collapsed: true}
+	var resp *repro.SearchResponse
 	var results []repro.Result
-	answered := 0
 	for _, sr := range replies {
-		if sr.reply == nil {
+		rep := sr.reply
+		if rep == nil {
 			continue
 		}
-		rep := sr.reply
-		if answered == 0 {
-			resp.TraceID = rep.TraceID
-			resp.Terms = rep.Terms
-			resp.Scorer = rep.Scorer
-			resp.Selections = rep.Selections
-			if rep.Stages != nil {
-				resp.Stages.Cache = rep.Stages.Cache
-				resp.Stages.Selection = rep.Stages.Selection
-			}
+		if resp == nil {
+			resp = rep
+		} else {
+			// The cluster answer is cached/collapsed only if every
+			// shard's share was.
+			resp.CacheHit = resp.CacheHit && rep.CacheHit
+			resp.SelectionCacheHit = resp.SelectionCacheHit && rep.SelectionCacheHit
+			resp.Collapsed = resp.Collapsed && rep.Collapsed
 		}
-		answered++
-		// The cluster answer is cached/collapsed only if every shard's
-		// share was.
-		resp.CacheHit = resp.CacheHit && rep.ResultHit
-		resp.SelectionCacheHit = resp.SelectionCacheHit && rep.SelectionHit
-		resp.Collapsed = resp.Collapsed && rep.Collapsed
 		results = append(results, rep.Results...)
 	}
-	if answered == 0 {
+	if resp == nil {
 		return nil, false
 	}
+	resp.Query = query
 	// Replicated databases are owned by several shards and arrive once
 	// per owner with identical scores; only this, the final merge, counts
 	// the duplicates it drops (re-merging the same replicas per progress
@@ -589,10 +575,10 @@ func (sm *streamMerger) onPartial(shard int, results []repro.Result) {
 // consume reads one shard's NDJSON event stream to its end, feeding
 // progress frames through the merger, and returns the reply carried by
 // the terminal frame.
-func (sm *streamMerger) consume(idx int, shard string, body io.Reader) (*gateway.SearchReply, error) {
+func (sm *streamMerger) consume(idx int, shard string, body io.Reader) (*repro.SearchResponse, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), maxStreamFrame)
-	var final *gateway.SearchReply
+	var final *repro.SearchResponse
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
@@ -619,7 +605,7 @@ func (sm *streamMerger) consume(idx int, shard string, body io.Reader) (*gateway
 				sm.onPartial(idx, mu.Results)
 			}
 		case evtstream.TypeFinal:
-			var reply gateway.SearchReply
+			var reply repro.SearchResponse
 			if err := json.Unmarshal(f.Data, &reply); err != nil {
 				return nil, fmt.Errorf("shard %s stream: malformed final frame: %w", shard, err)
 			}

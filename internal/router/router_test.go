@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro"
 	"repro/internal/clock"
 	"repro/internal/gateway"
 	"repro/internal/resilience"
@@ -17,18 +18,18 @@ import (
 	"repro/internal/wire"
 )
 
-// fakeShard serves a canned gateway.SearchReply (or a canned failure)
+// fakeShard serves a canned repro.SearchResponse (or a canned failure)
 // at /v1/search, and healthy /v1/healthz.
 type fakeShard struct {
 	t     *testing.T
-	reply gateway.SearchReply
+	reply repro.SearchResponse
 	// status != 0 forces an error response with that code.
 	status atomic.Int64
 	calls  atomic.Int64
 	srv    *httptest.Server
 }
 
-func newFakeShard(t *testing.T, reply gateway.SearchReply) *fakeShard {
+func newFakeShard(t *testing.T, reply repro.SearchResponse) *fakeShard {
 	f := &fakeShard{t: t, reply: reply}
 	mux := http.NewServeMux()
 	mux.HandleFunc(gateway.PathHealthz, func(w http.ResponseWriter, r *http.Request) {
@@ -75,8 +76,8 @@ func testTopology(shards ...*fakeShard) *shardmap.Topology {
 	return topo
 }
 
-func reply(results ...gateway.Result) gateway.SearchReply {
-	return gateway.SearchReply{
+func reply(results ...gateway.Result) repro.SearchResponse {
+	return repro.SearchResponse{
 		TraceID: "trace-1",
 		Query:   "q",
 		Terms:   []string{"q"},
@@ -105,7 +106,7 @@ func TestMergeOrderAndTieBreaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rt.SearchExplained(context.Background(), "q", 3, 10)
+	resp, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestMergeDedupesReplicatedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rt.SearchExplained(context.Background(), "q", 3, 10)
+	resp, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestPartialShardFailureKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rt.SearchExplained(context.Background(), "q", 3, 10)
+	resp, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10})
 	if err != nil {
 		t.Fatalf("partial failure must not fail the query: %v", err)
 	}
@@ -195,7 +196,7 @@ func TestAllShardsFailingErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SearchExplained(context.Background(), "q", 3, 10); err == nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10}); err == nil {
 		t.Fatal("expected an error when every shard fails")
 	}
 }
@@ -211,7 +212,7 @@ func TestBreakerShortCircuitsFailingShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, err := rt.SearchExplained(context.Background(), "q", 3, 10); err != nil {
+		if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10}); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -219,7 +220,7 @@ func TestBreakerShortCircuitsFailingShard(t *testing.T) {
 		t.Fatalf("shard-b breaker = %v, want Open", st)
 	}
 	before := b.calls.Load()
-	if _, err := rt.SearchExplained(context.Background(), "q", 3, 10); err != nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if b.calls.Load() != before {
@@ -241,7 +242,7 @@ func TestShedDoesNotTripBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := rt.SearchExplained(context.Background(), "q", 3, 10); err != nil {
+		if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10}); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}
@@ -271,7 +272,7 @@ func TestProbeTargetsRecoverShard(t *testing.T) {
 
 func TestCacheFlagsAreConjunctions(t *testing.T) {
 	hit := reply(gateway.Result{Database: "db-a.example", DocID: 1, Score: 0.7})
-	hit.ResultHit = true
+	hit.CacheHit = true
 	cold := reply(gateway.Result{Database: "db-b.example", DocID: 2, Score: 0.5})
 	a := newFakeShard(t, hit)
 	b := newFakeShard(t, cold)
@@ -279,7 +280,7 @@ func TestCacheFlagsAreConjunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := rt.SearchExplained(context.Background(), "q", 3, 10)
+	resp, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,13 +78,13 @@ func streamURL(baseURL, q string) string {
 // two requests for the same query compare on ranking and provenance.
 func normalizeReply(t *testing.T, raw json.RawMessage) []byte {
 	t.Helper()
-	var rep gateway.SearchReply
+	var rep repro.SearchResponse
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatalf("decoding reply: %v", err)
 	}
 	rep.TraceID = ""
 	rep.ElapsedSeconds = 0
-	rep.Stages = nil
+	rep.Stages = repro.SearchStages{}
 	b, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestClusterStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		shardMs[i] = sm
-		gw := httptest.NewServer(gateway.New(sm, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
+		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
 		t.Cleanup(gw.Close)
 		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
 	}
@@ -213,7 +213,7 @@ func TestClusterStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rgw := httptest.NewServer(gateway.New(rt, gateway.Options{Metrics: telemetry.NewRegistry()}))
+	rgw := httptest.NewServer(gateway.For(rt.Search, gateway.Options{Metrics: telemetry.NewRegistry()}))
 	t.Cleanup(rgw.Close)
 
 	q := dbs[0].docs[0][0] + " " + dbs[0].docs[0][1]

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/shardmap"
@@ -117,7 +118,7 @@ func TestApplyTopologyCarriesBreakerState(t *testing.T) {
 	// carried-over open breaker, so only shard-c answers; shard-b must
 	// see no traffic.
 	before := b.calls.Load()
-	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err != nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3}); err != nil {
 		t.Fatalf("search after swap: %v", err)
 	}
 	if b.calls.Load() != before {
@@ -241,7 +242,7 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3}); err == nil {
 		t.Fatal("want error with the only shard failing")
 	}
 	// One token left: the first query's failure funds exactly one retry,
@@ -249,7 +250,7 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	if got := a.calls.Load(); got != 2 {
 		t.Fatalf("shard calls = %d, want 2 (first attempt + one funded retry)", got)
 	}
-	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3}); err == nil {
 		t.Fatal("want error with the only shard failing")
 	}
 	if got := a.calls.Load(); got != 3 {
@@ -270,7 +271,7 @@ func TestBudgetFundedShardRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3}); err == nil {
 		t.Fatal("want error with the only shard failing")
 	}
 	if got := b.calls.Load(); got != 2 {
@@ -291,7 +292,7 @@ func TestShardRetryBacksOff(t *testing.T) {
 	rt.clock = clk
 	done := make(chan error, 1)
 	go func() {
-		_, err := rt.SearchExplained(context.Background(), "q", 0, 0)
+		_, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3})
 		done <- err
 	}()
 	clk.BlockUntil(1) // the first call failed; the retry waits
@@ -318,7 +319,7 @@ func TestShardPermanentErrorNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.SearchExplained(context.Background(), "q", 0, 0); err == nil {
+	if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3}); err == nil {
 		t.Fatal("want error with the only shard refusing the request")
 	}
 	if got := a.calls.Load(); got != 1 {

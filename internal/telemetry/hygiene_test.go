@@ -39,7 +39,7 @@ type fleetRegistry struct {
 func bootFleet(t *testing.T) []fleetRegistry {
 	t.Helper()
 	// A standalone metasearcher's registry: pipeline, cache, breaker,
-	// replica, and (via gateway.New over it) gateway series.
+	// replica, and (via gateway.For over its Search) gateway series.
 	m := repro.New(repro.Options{
 		SampleSize:    8,
 		SeedLexicon:   []string{"alpha", "beta"},
@@ -47,7 +47,7 @@ func bootFleet(t *testing.T) []fleetRegistry {
 		NoStemming:    true,
 		Cache:         repro.CacheConfig{Size: 8},
 	})
-	gateway.New(m, gateway.Options{Metrics: m.Metrics()})
+	gateway.For(m.Search, gateway.Options{Metrics: m.Metrics()})
 	wire.NewServer(repro.NewLocalDatabaseFromTerms("db", [][]string{{"alpha"}}),
 		wire.ServerOptions{Metrics: m.Metrics()})
 	wire.NewClient("127.0.0.1:0", wire.ClientOptions{Metrics: m.Metrics()})
@@ -79,7 +79,7 @@ func bootFleet(t *testing.T) []fleetRegistry {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	gateway.New(m, gateway.Options{Metrics: routerReg})
+	gateway.For(m.Search, gateway.Options{Metrics: routerReg})
 
 	// The collector's own registry.
 	collectorReg := telemetry.NewRegistry()

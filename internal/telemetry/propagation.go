@@ -60,7 +60,7 @@ func Extract(h http.Header) SpanContext {
 type spanCtxKey struct{}
 
 // ContextWithSpan returns a context carrying the span, so layers that
-// only see a context (the wire client under SearchContext's fan-out)
+// only see a context (the wire client under Search's fan-out)
 // can parent their work correctly. A nil span leaves ctx unchanged.
 func ContextWithSpan(ctx context.Context, s *Span) context.Context {
 	if s == nil {
@@ -81,7 +81,7 @@ type remoteCtxKey struct{}
 
 // ContextWithRemote returns a context carrying a remote parent span
 // context — the identity Extract pulled off an incoming request — so a
-// downstream layer that roots its own span (SearchExplained) can join
+// downstream layer that roots its own span (Metasearcher.Search) can join
 // the caller's trace with SpanWithRemoteParent instead of minting a
 // fresh trace ID. An invalid context leaves ctx unchanged.
 func ContextWithRemote(ctx context.Context, sc SpanContext) context.Context {

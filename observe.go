@@ -7,10 +7,10 @@ import (
 )
 
 // SearchEvents observes one search's incremental progress: the
-// selection as soon as the CORI+shrinkage ranking lands, each fan-out
-// node's outcome as it arrives, and the partial merged ranking after
-// each. It is the hook the streaming gateway (/v1/search/stream) plugs
-// a frame publisher into.
+// selection as soon as the configured scorer's adaptive ranking lands,
+// each fan-out node's outcome as it arrives, and the partial merged
+// ranking after each. It is SearchRequest.Events, the hook the
+// streaming gateway (/v1/search/stream) plugs a frame publisher into.
 //
 // Calls are serialized by the emitter (never concurrent) and ordered:
 // Selection once, then for each completed node a NodeResult followed by

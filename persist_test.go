@@ -343,11 +343,11 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Search(query, 2, 5)
+	want, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) == 0 {
+	if len(want.Results) == 0 {
 		t.Fatal("search before persistence returned no results")
 	}
 
@@ -357,7 +357,7 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 	if err := bare.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bare.Search(query, 2, 5); err == nil {
+	if _, err := bare.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err == nil {
 		t.Error("search without live handles reported success")
 	}
 
@@ -380,12 +380,12 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 	if err := live.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := live.Search(query, 2, 5)
+	got, err := live.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatalf("search after load with live handles: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("search after load diverges:\n got: %+v\nwant: %+v", got, want)
+	if !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("search after load diverges:\n got: %+v\nwant: %+v", got.Results, want.Results)
 	}
 }
 

@@ -89,7 +89,7 @@ func TestRefreshDriftHotSwap(t *testing.T) {
 	const qSpace = "galaxy telescope"
 
 	driftyResults := func(q string) (selected bool, results int) {
-		resp, err := m.SearchExplained(context.Background(), q, 2, 5)
+		resp, err := m.Search(context.Background(), SearchRequest{Query: q, MaxDBs: 2, PerDB: 5})
 		if err != nil {
 			t.Fatalf("search %q: %v", q, err)
 		}
@@ -132,7 +132,7 @@ func TestRefreshDriftHotSwap(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := m.SearchExplained(context.Background(), qSpace, 2, 3); err != nil {
+				if _, err := m.Search(context.Background(), SearchRequest{Query: qSpace, MaxDBs: 2, PerDB: 3}); err != nil {
 					loadErrs.Add(1)
 				}
 			}

@@ -150,19 +150,19 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 		t.Errorf("selection diverges:\n local: %+v\nremote: %+v", lsel, rsel)
 	}
 
-	lres, err := local.Search(query, 3, 5)
+	lres, err := local.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := remote.SearchContext(context.Background(), query, 3, 5)
+	rres, err := remote.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lres) == 0 {
+	if len(lres.Results) == 0 {
 		t.Fatal("in-process search returned no results; query is not exercising the pipeline")
 	}
-	if !reflect.DeepEqual(lres, rres) {
-		t.Errorf("search results diverge:\n local: %+v\nremote: %+v", lres, rres)
+	if !reflect.DeepEqual(lres.Results, rres.Results) {
+		t.Errorf("search results diverge:\n local: %+v\nremote: %+v", lres.Results, rres.Results)
 	}
 }
 

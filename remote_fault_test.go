@@ -55,11 +55,11 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatalf("build over flaky nodes: %v", err)
 	}
-	results, err := m.Search(query, 3, 5)
+	results, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatalf("search over flaky nodes: %v", err)
 	}
-	if len(results) == 0 {
+	if len(results.Results) == 0 {
 		t.Fatal("search over flaky nodes returned no results")
 	}
 
@@ -104,11 +104,11 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 	// counting the dead database as unavailable rather than failing.
 	unavailableBefore := reg.Counter("search_db_unavailable_total").Value()
 	servers[0].Close()
-	results, err = m.Search(query, 3, 5)
+	results, err = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatalf("search with a dead node: %v", err)
 	}
-	for _, r := range results {
+	for _, r := range results.Results {
 		if r.Database == shards[0].name {
 			t.Fatalf("dead node %s contributed result %+v", shards[0].name, r)
 		}
@@ -146,7 +146,7 @@ func TestSearchNamesWhyNoDatabaseAnswered(t *testing.T) {
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := m.SearchExplained(context.Background(), query, 3, 5)
+	resp, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestSearchNamesWhyNoDatabaseAnswered(t *testing.T) {
 	for _, srv := range servers {
 		srv.Close()
 	}
-	_, err = m.Search(query, 3, 5)
+	_, err = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	want := fmt.Sprintf("none of the %d selected databases answered: %d unavailable, 0 short-circuited", selected, selected)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("every selected node down: err = %v, want %q", err, want)
@@ -168,7 +168,7 @@ func TestSearchNamesWhyNoDatabaseAnswered(t *testing.T) {
 			b.Record(false)
 		}
 	}
-	_, err = m.Search(query, 3, 5)
+	_, err = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	want = fmt.Sprintf("none of the %d selected databases answered: 0 unavailable, %d short-circuited", selected, selected)
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("every selected breaker open: err = %v, want %q", err, want)

@@ -65,7 +65,7 @@ type SearchableDatabase interface {
 // cancellable, fallible calls — the honest shape of a database at the
 // other end of a network. The pipeline prefers these methods when a
 // database implements them: BuildSummariesContext cancellation aborts
-// in-flight probes, and SearchContext treats a query error as "node
+// in-flight probes, and Search treats a query error as "node
 // unreachable" (the database is skipped, like a missing handle).
 // The plain SearchableDatabase methods remain the compatibility shim
 // for in-process databases, which cannot fail.
@@ -184,7 +184,7 @@ func ttlOrDefault(d, def time.Duration) time.Duration {
 	return d
 }
 
-// ResilienceOptions tunes how SearchContext fans out over selected
+// ResilienceOptions tunes how Search fans out over selected
 // databases when some of them are slow, overloaded, or down.
 type ResilienceOptions struct {
 	// DeadlineBudget bounds the whole fan-out: every node call runs
@@ -471,8 +471,8 @@ func newPipelineMetrics(reg *telemetry.Registry) pipelineMetrics {
 		selectRequests: reg.DeclareCounter("select_requests_total", "Database-selection requests (Select and the search pipeline)."),
 		selectLatency:  reg.DeclareHistogram("select_latency", "Latency of database-selection decisions, seconds.", nil),
 
-		searchRequests: reg.DeclareCounter("search_requests_total", "Search requests through SearchExplained/SearchContext."),
-		searchInflight: reg.DeclareGauge("search_inflight", "Search requests currently inside SearchExplained."),
+		searchRequests: reg.DeclareCounter("search_requests_total", "Search requests through Metasearcher.Search."),
+		searchInflight: reg.DeclareGauge("search_inflight", "Search requests currently inside Metasearcher.Search."),
 		searchLatency:  reg.DeclareHistogram("search_latency", "End-to-end search latency, seconds.", nil),
 		dbLatency:      reg.DeclareHistogram("search_db_latency", "Per-database query-call latency inside the fan-out, seconds.", nil),
 		dbUnavailable:  reg.DeclareCounter("search_db_unavailable_total", "Selected databases skipped because no live handle existed."),
@@ -701,8 +701,11 @@ func queriesDocsAttrs(s *sampling.Sample) []telemetry.Attr {
 // k (possibly fewer: databases indistinguishable from knowing nothing
 // about the query are not selected, as in the paper). Repeated Selects
 // for the same terms and k are served from the selection cache
-// until the summaries change (see CacheConfig).
+// until the summaries change (see CacheConfig). k must be positive.
 func (m *Metasearcher) Select(query string, k int) ([]Selection, error) {
+	if err := checkMaxDBs(k); err != nil {
+		return nil, err
+	}
 	sels, _, _, err := m.selectCached(context.Background(), nil, m.analyze(query), k)
 	if err != nil {
 		return nil, err

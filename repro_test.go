@@ -247,12 +247,12 @@ func TestUnknownScorerFailsClosed(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, selectErr := m.Select("blood pressure", 2)
-		_, searchErr := m.SearchExplained(context.Background(), "blood pressure", 2, 3)
+		_, searchErr := m.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 3})
 		for call, err := range map[string]error{
-			"BuildSummaries":  m.BuildSummaries(),
-			"Load":            m.Load(bytes.NewReader(saved.Bytes())),
-			"Select":          selectErr,
-			"SearchExplained": searchErr,
+			"BuildSummaries": m.BuildSummaries(),
+			"Load":           m.Load(bytes.NewReader(saved.Bytes())),
+			"Select":         selectErr,
+			"Search":         searchErr,
 		} {
 			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "cori | bgloss | lm") {
 				t.Errorf("Scorer %q: %s error = %v, want one naming the scorer and the choices", name, call, err)

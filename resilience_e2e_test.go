@@ -127,18 +127,18 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	query := sharedWord(t, shards)
 
 	start := time.Now()
-	results, err := m.Search(query, 4, 5)
+	results, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 4, PerDB: 5})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("search with a hung and an erroring node: %v", err)
 	}
-	if len(results) == 0 {
+	if len(results.Results) == 0 {
 		t.Fatal("search returned no results despite two healthy nodes")
 	}
 	if elapsed >= budget {
 		t.Errorf("search took %v, budget is %v: the hung node stalled the fan-out", elapsed, budget)
 	}
-	for _, r := range results {
+	for _, r := range results.Results {
 		if r.Database == hung.shard.name || r.Database == erroring.shard.name {
 			t.Errorf("failed node %s contributed result %+v", r.Database, r)
 		}
@@ -172,7 +172,7 @@ func TestSearchSurvivesChaos(t *testing.T) {
 			t.Fatalf("bad nodes' breakers still %v/%v after %d failing searches",
 				m.Breakers().Get(hung.shard.name).State(), m.Breakers().Get(erroring.shard.name).State(), i)
 		}
-		if _, err := m.Search(query, 4, 5); err != nil {
+		if _, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 4, PerDB: 5}); err != nil {
 			t.Fatalf("search %d with failing nodes: %v", i+1, err)
 		}
 	}
@@ -181,12 +181,12 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	hungRequests := hung.flakyRequests()
 	shortCircuitsBefore := reg.Counter("search_breaker_open_total").Value()
 	start = time.Now()
-	results, err = m.Search(query, 4, 5)
+	results, err = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 4, PerDB: 5})
 	elapsed = time.Since(start)
 	if err != nil {
 		t.Fatalf("search with open breakers: %v", err)
 	}
-	if len(results) == 0 {
+	if len(results.Results) == 0 {
 		t.Fatal("second search returned no results")
 	}
 	if elapsed >= budget {
@@ -343,7 +343,7 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 		t.Errorf("threshold after a build but no search = %v, want the floor: sampling traffic must not tune query hedging", got)
 	}
 	nodes[0].sw.Set(wire.NewFlaky(nodes[0].healthy, wire.FlakyOptions{Latency: slow}))
-	if _, err := m.Search(sharedWord(t, shards), 1, 3); err != nil {
+	if _, err := m.Search(context.Background(), SearchRequest{Query: sharedWord(t, shards), MaxDBs: 1, PerDB: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.hedgeThreshold(); got < slow {
@@ -412,11 +412,11 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	}
 
 	query := strings.Join([]string{shards[0].docs[0][0], shards[0].docs[0][1]}, " ")
-	full, err := m.Search(query, 3, 5)
+	full, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) == 0 {
+	if len(full.Results) == 0 {
 		t.Fatal("healthy search returned no results")
 	}
 
@@ -424,26 +424,26 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	// ranking provably differs from the full one.
 	var victim *chaosNode
 	for _, n := range nodes {
-		if n.shard.name == full[0].Database {
+		if n.shard.name == full.Results[0].Database {
 			victim = n
 		}
 	}
 	flaky := wire.NewFlaky(victim.healthy, wire.FlakyOptions{FailureRate: 1, Seed: 11})
 	victim.sw.Set(flaky)
 
-	degraded, err := m.Search(query, 3, 5)
+	degraded, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatalf("search with a failing node: %v", err)
 	}
 	var want []Result
-	for _, r := range full {
+	for _, r := range full.Results {
 		if r.Database != victim.shard.name {
 			want = append(want, r)
 		}
 	}
-	if !reflect.DeepEqual(degraded, want) {
+	if !reflect.DeepEqual(degraded.Results, want) {
 		t.Errorf("degraded ranking is not the healthy ranking minus the dead node:\n got: %+v\nwant: %+v",
-			degraded, want)
+			degraded.Results, want)
 	}
 
 	// Every injected fault is an attempt the audit record accounts for:
@@ -498,7 +498,7 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, err := m.SearchContext(ctx, query, 2, 5)
+			_, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 			errc <- err
 		}()
 		select {
@@ -521,7 +521,7 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 
 	unblock()
 	slow.sw.Set(slow.healthy)
-	if _, err := m.Search(query, 2, 5); err != nil {
+	if _, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if call := nodeCall(t, m.Audit().Last(), slow.shard.name); call.BreakerOpen || call.Unavailable || call.Results == 0 {
@@ -562,10 +562,10 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 		}
 	}))
 	query := sharedWord(t, shards)
-	search := func() ([]Result, error) {
+	search := func() (*SearchResponse, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		defer cancel()
-		return m.SearchContext(ctx, query, 2, 5)
+		return m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	}
 
 	b := m.Breakers().Get(hung.shard.name)
@@ -583,9 +583,12 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 	}
 	for i := 3; i < 5; i++ {
 		start := time.Now()
-		results, err := search()
-		if err != nil || len(results) == 0 {
-			t.Fatalf("search %d with the hung node short-circuited: %d results, err %v", i, len(results), err)
+		resp, err := search()
+		if err != nil {
+			t.Fatalf("search %d with the hung node short-circuited: %v", i, err)
+		}
+		if len(resp.Results) == 0 {
+			t.Fatalf("search %d with the hung node short-circuited: no results", i)
 		}
 		if elapsed := time.Since(start); elapsed >= deadline {
 			t.Errorf("search %d took %v: the hung node still cost the whole deadline", i, elapsed)

@@ -29,63 +29,76 @@ const auditTopHits = 10
 // of a stream's merge_update frame, and of an audit record's top hits.
 type Result = audit.Hit
 
-// Search performs the complete metasearch: select up to maxDBs
-// databases for the query (Figure 3's adaptive selection under the
-// configured scorer), evaluate the query at each selected database
-// concurrently, and merge the top perDB documents of each into a
-// single ranking.
-//
-// A selected database without a live handle (registered via
-// AddDatabase, or whose connection is otherwise gone) is skipped —
-// counted in search_db_unavailable_total and noted on the trace —
-// rather than failing the whole search. A ContextSearchableDatabase
-// whose query errors (e.g. a ReplicatedDatabase whose every replica is
-// down, after its retries and failovers) is treated exactly the same
-// way, as is a database whose circuit breaker is open (counted
-// separately, in search_breaker_open_total). Search errors only when
-// none of the selected databases is reachable.
-func (m *Metasearcher) Search(query string, maxDBs, perDB int) ([]Result, error) {
-	return m.SearchContext(context.Background(), query, maxDBs, perDB)
+// SearchRequest is one query to the metasearch loop: the one argument
+// of Search on both planes, the in-process Metasearcher and the cluster
+// router.
+type SearchRequest struct {
+	// Query is the raw query text, analyzed before selection.
+	Query string
+	// MaxDBs is how many databases to select; it must be positive.
+	MaxDBs int
+	// PerDB is how many documents to take from each selected database;
+	// zero or negative means DefaultPerDB.
+	PerDB int
+	// Events, when non-nil, narrates the search as it progresses (the
+	// hook behind /v1/search/stream). Observation never changes the
+	// answer: the response is bit-identical to a search without it.
+	Events SearchEvents
 }
 
-// SearchContext is Search under a context: cancelling ctx cancels
-// in-flight remote queries (databases implementing
-// ContextSearchableDatabase) and stops the fan-out.
-func (m *Metasearcher) SearchContext(ctx context.Context, query string, maxDBs, perDB int) ([]Result, error) {
-	resp, err := m.SearchExplained(ctx, query, maxDBs, perDB)
-	if err != nil {
-		return nil, err
+// DefaultPerDB is the per-database result depth of a request that
+// names none.
+const DefaultPerDB = 10
+
+// Normalize applies the request rule both planes share: MaxDBs ≤ 0 is
+// an error, PerDB ≤ 0 means DefaultPerDB.
+func (r SearchRequest) Normalize() (SearchRequest, error) {
+	if err := checkMaxDBs(r.MaxDBs); err != nil {
+		return r, err
 	}
-	return resp.Results, nil
+	if r.PerDB <= 0 {
+		r.PerDB = DefaultPerDB
+	}
+	return r, nil
 }
 
-// SearchResponse is one answered query with its provenance: what a
-// query-serving front end returns to a client. Slices are owned by the
-// caller (copied out of any cache entry they came from).
+// checkMaxDBs is the selection depth rule Select and Search share.
+func checkMaxDBs(k int) error {
+	if k <= 0 {
+		return fmt.Errorf("repro: the number of databases to select must be positive, got %d", k)
+	}
+	return nil
+}
+
+// SearchResponse is one answered query with its provenance. Its JSON
+// form is the gateway's /v1/search reply and the payload of a stream's
+// final frame. Slices are owned by the caller (copied out of any cache
+// entry they came from).
 type SearchResponse struct {
 	// TraceID links the response to this query's distributed trace and
-	// audit record ("" when tracing is disabled).
-	TraceID string
+	// audit record ("" when tracing is disabled); the gateway also
+	// sends it as the X-Trace-Id header.
+	TraceID string `json:"trace_id,omitempty"`
 	// Query is the raw query; Terms the analyzed words actually scored;
 	// Scorer the base selection algorithm.
-	Query  string
-	Terms  []string
-	Scorer string
+	Query  string   `json:"query"`
+	Terms  []string `json:"terms,omitempty"`
+	Scorer string   `json:"scorer,omitempty"`
 	// Selections is the selected database set in rank order.
-	Selections []Selection
+	Selections []Selection `json:"selections,omitempty"`
 	// Results is the merged document ranking.
-	Results []Result
+	Results []Result `json:"results,omitempty"`
 	// CacheHit reports the whole answer came from the result cache;
 	// SelectionCacheHit that only the selection step was cached (the
 	// fan-out ran); Collapsed that this query piggybacked on an
 	// identical concurrent query's in-flight work.
-	CacheHit          bool
-	SelectionCacheHit bool
-	Collapsed         bool
-	// Elapsed is this request's end-to-end latency; Stages decomposes
-	// it by pipeline stage.
-	Elapsed time.Duration
-	Stages  SearchStages
+	CacheHit          bool `json:"result_hit"`
+	SelectionCacheHit bool `json:"selection_hit,omitempty"`
+	Collapsed         bool `json:"collapsed,omitempty"`
+	// ElapsedSeconds is this request's end-to-end latency; Stages
+	// decomposes it by pipeline stage.
+	ElapsedSeconds float64      `json:"elapsed_seconds"`
+	Stages         SearchStages `json:"stages_seconds"`
 }
 
 // SearchStages decomposes one request's latency by pipeline stage, in
@@ -93,8 +106,7 @@ type SearchResponse struct {
 // computation and cache bookkeeping around the real work; for a cache
 // hit or a collapsed request the whole latency is Cache time (the other
 // stages were paid by the request that fanned out). Each stage is also
-// recorded in its search_stage_* latency histogram. It is also the
-// reply's "stages_seconds" object on the wire.
+// recorded in its search_stage_* latency histogram.
 type SearchStages struct {
 	// Cache is time spent in cache lookup and bookkeeping.
 	Cache float64 `json:"cache"`
@@ -107,44 +119,50 @@ type SearchStages struct {
 	Merge float64 `json:"merge"`
 }
 
-// SearchExplained is SearchContext plus provenance: the selection set,
-// the analyzed terms, the trace ID, and how the answer was produced
-// (cold fan-out, result-cache hit, or collapsed onto a concurrent
-// identical query). It is the call a serving gateway makes per request.
+// Search performs the complete metasearch: select up to req.MaxDBs
+// databases for the query (Figure 3's adaptive selection under the
+// configured scorer), evaluate the query at each selected database
+// concurrently, and merge the top req.PerDB documents of each into a
+// single ranking. The response carries the provenance: the selection
+// set, the analyzed terms, the trace ID, and how the answer was
+// produced (cold fan-out, result-cache hit, or collapsed onto a
+// concurrent identical query). Cancelling ctx cancels in-flight remote
+// queries and stops the fan-out.
 //
-// The cached fan-out: identical queries (same analyzed terms, maxDBs,
-// perDB) within the result tier's TTL are answered from memory
+// A selected database without a live handle (registered via
+// AddDatabase, or whose connection is otherwise gone) is skipped —
+// counted in search_db_unavailable_total and noted on the trace —
+// rather than failing the whole search. A ContextSearchableDatabase
+// whose query errors (e.g. a ReplicatedDatabase whose every replica is
+// down, after its retries and failovers) is treated exactly the same
+// way, as is a database whose circuit breaker is open (counted
+// separately, in search_breaker_open_total). Search errors only on an
+// invalid request (see Normalize) or when none of the selected
+// databases is reachable.
+//
+// The cached fan-out: identical queries (same analyzed terms, MaxDBs,
+// PerDB) within the result tier's TTL are answered from memory
 // without touching selection or any database, and concurrent identical
 // queries collapse onto a single upstream fan-out (singleflight) — each
 // still gets its own audit record and trace, flagged CacheHit or
 // Collapsed. The fan-out itself queries all selected databases in
 // parallel, each under the shared deadline budget; slow nodes are
-// hedged and persistently
-// failing nodes are short-circuited by their breakers. The merged
-// ranking is deterministic regardless of arrival order.
-func (m *Metasearcher) SearchExplained(ctx context.Context, query string, maxDBs, perDB int) (*SearchResponse, error) {
-	return m.searchExplained(ctx, query, maxDBs, perDB, nil)
-}
-
-// SearchExplainedObserved is SearchExplained with incremental progress
-// events: obs receives the selection as soon as it is ranked, each
-// node's outcome as the fan-out completes it, and the partial merged
-// ranking after each — the hook behind /v1/search/stream. The returned
-// response is bit-identical to SearchExplained's for the same query:
-// observation never changes the answer. A nil obs is SearchExplained.
+// hedged and persistently failing nodes are short-circuited by their
+// breakers. The merged ranking is deterministic regardless of arrival
+// order.
 //
-// For a result-cache hit or a query collapsed onto a concurrent
-// identical search, obs sees only the Selection event (the fan-out it
-// would narrate already ran, or is owned by another request) before
-// the response returns.
-func (m *Metasearcher) SearchExplainedObserved(ctx context.Context, query string, maxDBs, perDB int, obs SearchEvents) (*SearchResponse, error) {
-	return m.searchExplained(ctx, query, maxDBs, perDB, obs)
-}
-
-func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs, perDB int, obs SearchEvents) (*SearchResponse, error) {
-	if perDB <= 0 {
-		perDB = 10
+// With req.Events set, the events see the selection as soon as it is
+// ranked, each node's outcome as the fan-out completes it, and the
+// partial merged ranking after each. For a result-cache hit or a query
+// collapsed onto a concurrent identical search they see only the
+// Selection event (the fan-out they would narrate already ran, or is
+// owned by another request) before Search returns.
+func (m *Metasearcher) Search(ctx context.Context, req SearchRequest) (*SearchResponse, error) {
+	req, err := req.Normalize()
+	if err != nil {
+		return nil, err
 	}
+	query, maxDBs, perDB, obs := req.Query, req.MaxDBs, req.PerDB, req.Events
 	m.met.searchInflight.Add(1)
 	defer m.met.searchInflight.Add(-1)
 	attrs := []telemetry.Attr{
@@ -189,7 +207,6 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 
 	var (
 		e         *searchEntry
-		err       error
 		hit       bool
 		collapsed bool
 	)
@@ -260,8 +277,9 @@ func (m *Metasearcher) searchExplained(ctx context.Context, query string, maxDBs
 		telemetry.Int("merged", e.merged),
 		telemetry.Int("cache_hit", cached))
 	finish(nil)
-	resp.Elapsed = time.Since(start)
-	resp.Stages = m.stageBreakdown(e, hit, collapsed, resp.Elapsed)
+	elapsed := time.Since(start)
+	resp.ElapsedSeconds = elapsed.Seconds()
+	resp.Stages = m.stageBreakdown(e, hit, collapsed, elapsed)
 	return resp, nil
 }
 

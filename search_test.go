@@ -2,34 +2,36 @@ package repro
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
 )
 
 func TestSearchEndToEnd(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 60})
-	results, err := m.Search("blood pressure hypertension", 2, 5)
+	results, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) == 0 {
+	if len(results.Results) == 0 {
 		t.Fatal("no merged results")
 	}
 	// The top document must come from the top-selected database.
-	if results[0].Database != "cardio" {
-		t.Errorf("top result from %s, want cardio", results[0].Database)
+	if results.Results[0].Database != "cardio" {
+		t.Errorf("top result from %s, want cardio", results.Results[0].Database)
 	}
 	// Scores are sorted and positive.
-	for i, r := range results {
+	for i, r := range results.Results {
 		if r.Score <= 0 {
 			t.Errorf("result %d has score %v", i, r.Score)
 		}
-		if i > 0 && r.Score > results[i-1].Score {
+		if i > 0 && r.Score > results.Results[i-1].Score {
 			t.Errorf("results not sorted at %d", i)
 		}
 	}
 	// Rank-1 documents of the top database score highest within it.
 	var cardioDocs int
-	for _, r := range results {
+	for _, r := range results.Results {
 		if r.Database == "cardio" {
 			cardioDocs++
 		}
@@ -41,11 +43,11 @@ func TestSearchEndToEnd(t *testing.T) {
 
 func TestSearchNoSelection(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 61, Scorer: "bgloss"})
-	results, err := m.Search("completelyunknownword", 3, 5)
+	results, err := m.Search(context.Background(), SearchRequest{Query: "completelyunknownword", MaxDBs: 3, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
+	if len(results.Results) != 0 {
 		t.Errorf("results for an unknown word: %v", results)
 	}
 }
@@ -62,14 +64,60 @@ func TestSearchLoadedStateFails(t *testing.T) {
 	}
 	// Selection works from summaries alone, but document retrieval needs
 	// live connections.
-	if _, err := m2.Search("blood pressure", 2, 5); err == nil {
+	if _, err := m2.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 5}); err == nil {
 		t.Error("Search on loaded state without live databases accepted")
 	}
 }
 
 func TestSearchDefaultPerDB(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 63})
-	if _, err := m.Search("goal penalty", 1, 0); err != nil {
+	if _, err := m.Search(context.Background(), SearchRequest{Query: "goal penalty", MaxDBs: 1, PerDB: 0}); err != nil {
 		t.Errorf("perDB=0 should default: %v", err)
+	}
+}
+
+// TestSearchRequestRule pins the request rule Search shares with the
+// cluster router (SearchRequest.Normalize): a MaxDBs — or a Select k —
+// of zero or less is an error, not a panic, and a PerDB of zero or less
+// is DefaultPerDB. A rejected request leaves its query answerable.
+func TestSearchRequestRule(t *testing.T) {
+	m := buildTestMetasearcher(t, Options{Seed: 64})
+	const query = "blood pressure hypertension"
+	ctx := context.Background()
+	want, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: DefaultPerDB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		maxDBs, perDB int
+		wantErr       bool
+	}{
+		{"zero MaxDBs", 0, 5, true},
+		{"negative MaxDBs", -1, 5, true},
+		{"zero PerDB", 2, 0, false},
+		{"negative PerDB", 2, -3, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: tc.maxDBs, PerDB: tc.perDB})
+			if tc.wantErr {
+				if err == nil {
+					t.Errorf("Search with MaxDBs %d succeeded, want an error", tc.maxDBs)
+				}
+				if _, err := m.Select(query, tc.maxDBs); err == nil {
+					t.Errorf("Select with k %d succeeded, want an error", tc.maxDBs)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Results, want.Results) {
+				t.Errorf("PerDB %d answered %+v, want DefaultPerDB's %+v", tc.perDB, got.Results, want.Results)
+			}
+		})
+	}
+	if got, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2}); err != nil || !reflect.DeepEqual(got.Results, want.Results) {
+		t.Errorf("Search after the rejected requests = %v; want the first answer", err)
 	}
 }

@@ -62,7 +62,7 @@ func buildServingStack(t *testing.T) (*repro.Metasearcher, *httptest.Server) {
 		t.Fatal(err)
 	}
 
-	gw := gateway.New(m, gateway.Options{
+	gw := gateway.For(m.Search, gateway.Options{
 		DefaultMaxDBs: 2,
 		DefaultPerDB:  3,
 		Metrics:       m.Metrics(),

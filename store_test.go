@@ -128,7 +128,7 @@ func answers(t *testing.T, m *Metasearcher) map[string][2]string {
 	t.Helper()
 	out := make(map[string][2]string, len(storeQueries))
 	for _, q := range storeQueries {
-		resp, err := m.SearchExplained(context.Background(), q, 3, 3)
+		resp, err := m.Search(context.Background(), SearchRequest{Query: q, MaxDBs: 3, PerDB: 3})
 		if err != nil {
 			t.Fatalf("search %q: %v", q, err)
 		}
@@ -221,7 +221,7 @@ func TestStoreSwapAtomicity(t *testing.T) {
 				default:
 				}
 				q := storeQueries[i%len(storeQueries)]
-				resp, err := m.SearchExplained(context.Background(), q, 3, 3)
+				resp, err := m.Search(context.Background(), SearchRequest{Query: q, MaxDBs: 3, PerDB: 3})
 				if err != nil {
 					t.Errorf("search %q during a swap: %v", q, err)
 					return

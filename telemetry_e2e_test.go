@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	}
 
 	cap.Reset()
-	if _, err := m.Search("blood pressure hypertension", 2, 3); err != nil {
+	if _, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 3}); err != nil {
 		t.Fatal(err)
 	}
 	search := cap.Find("search")
@@ -179,14 +180,14 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 		return cur.withHandles(dbs, cur.scope), nil
 	})
 	cap.Reset()
-	results, err := m.Search("blood pressure hypertension", 2, 5)
+	results, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatalf("Search with one dead database failed: %v", err)
 	}
-	if len(results) == 0 {
+	if len(results.Results) == 0 {
 		t.Fatal("no results from the surviving databases")
 	}
-	for _, r := range results {
+	for _, r := range results.Results {
 		if r.Database == "cardio" {
 			t.Errorf("result from the dead database: %+v", r)
 		}

@@ -109,11 +109,11 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	}
 	fail.Arm()
 
-	res, err := m.SearchContext(context.Background(), query, 2, 5)
+	res, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) == 0 {
+	if len(res.Results) == 0 {
 		t.Fatal("search returned no results; query is not exercising the pipeline")
 	}
 	if got := fail.Injected(); got != 1 {
