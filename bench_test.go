@@ -324,7 +324,7 @@ func BenchmarkDeriveStore(b *testing.B) {
 			cp := *r
 			dbs[j] = &cp
 		}
-		if next := m.deriveStore(dbs, nil, st.lexicon, st.trainingDocs, nil); len(next.adaptive) != len(dbs) {
+		if next := m.deriveStore(dbs, st.lexicon, st.trainingDocs, nil); len(next.adaptive) != len(dbs) {
 			b.Fatal("deriveStore dropped a database")
 		}
 	}

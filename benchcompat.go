@@ -21,3 +21,13 @@ func (m *Metasearcher) SearchExplained(ctx context.Context, query string, maxDBs
 func (m *Metasearcher) SearchExplainedObserved(ctx context.Context, query string, maxDBs, perDB int, obs SearchEvents) (*SearchResponse, error) {
 	return m.Search(ctx, SearchRequest{Query: query, MaxDBs: maxDBs, PerDB: perDB, Events: obs})
 }
+
+// LoadFileFiltered is LoadFile; keep is ignored. A process's search
+// scope is the databases it holds live handles for, and the benchmark
+// registers handles for exactly the databases its keep admits, so the
+// load serves the same slice.
+//
+// compiled against by `benchmark/cluster_fanout.go`
+func (m *Metasearcher) LoadFileFiltered(path string, keep func(name string) bool) error {
+	return m.LoadFile(path)
+}

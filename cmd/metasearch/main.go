@@ -69,7 +69,7 @@ var modes = []mode{
 	},
 	{
 		name:     "shard",
-		synopsis: "serve one topology shard: dial its replicated dbnodes, load the shared summary store, scope the fan-out to its slice",
+		synopsis: "serve one topology shard: load the shared summary store, then attach its slice's replicated dbnodes as the topology's first swap and probe them before listening",
 		register: func(f *flags) {
 			f.metasearcherFlags()
 			f.require("load", "shards serve offline-built summaries, they do not sample")

@@ -144,12 +144,11 @@ func (l *local) addDatabases(remote string) error {
 }
 
 // summaries gives the registered databases their summaries — from -load
-// (scoped to keep when non-nil: a shard's slice) or by sampling — then
-// honours -save and -probe-interval.
-func (l *local) summaries(f *flags, keep func(name string) bool) (err error) {
+// or by sampling — then honours -save and -probe-interval.
+func (l *local) summaries(f *flags) (err error) {
 	if f.loadFile != "" {
 		log.Printf("loading summaries from %s...", f.loadFile)
-		err = l.m.LoadFileFiltered(f.loadFile, keep)
+		err = l.m.LoadFile(f.loadFile)
 	} else {
 		log.Print("sampling databases and building shrunk summaries (QBS + frequency estimation)...")
 		err = l.m.BuildSummaries()
@@ -203,7 +202,7 @@ func runQuery(f *flags, args []string) error {
 	if err := l.addDatabases(f.remote); err != nil {
 		return err
 	}
-	if err := l.summaries(f, nil); err != nil {
+	if err := l.summaries(f); err != nil {
 		return err
 	}
 
@@ -272,7 +271,7 @@ func runServe(f *flags, _ []string) error {
 	if err := l.addDatabases(f.remote); err != nil {
 		return err
 	}
-	if err := l.summaries(f, nil); err != nil {
+	if err := l.summaries(f); err != nil {
 		return err
 	}
 
@@ -298,11 +297,14 @@ func runServe(f *flags, _ []string) error {
 	return serve(l.m.Search, f, gatewayOptions(f, l.m.Metrics()), dbg)
 }
 
-// runShard serves one topology shard: the process dials its consistent-
-// hash slice of the databases (each a replica set with per-replica
-// breakers and failover), loads the full summary store — selection is a
-// function of collection-wide statistics — and restricts the search
-// fan-out to its slice.
+// runShard serves one topology shard: the process loads the full
+// summary store — selection is a function of collection-wide
+// statistics — and then holds live handles for its consistent-hash
+// slice of the databases only (each a replica set with per-replica
+// breakers and failover). Start-up is the first topology swap: the same
+// apply hook every later snapshot goes through attaches the slice
+// lazily, and one synchronous probe sweep checks every replica's
+// identity and closes its breaker before the gateway listens.
 func runShard(f *flags, _ []string) error {
 	l, err := newLocal(f)
 	if err != nil {
@@ -314,40 +316,13 @@ func runShard(f *flags, _ []string) error {
 	if err != nil {
 		return err
 	}
-	topo := watcher.Snapshot().Topology
-	assigns, err := topo.ShardAssignments(f.shardID)
-	if err != nil {
-		return err
-	}
-	scope := make(map[string]bool, len(assigns))
-	for _, a := range assigns {
-		rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
-			Preferred: a.Preferred,
-			Breakers:  l.m.Breakers(),
-			Metrics:   l.m.Metrics(),
-			Client:    l.remoteOptions(),
-		})
-		if err != nil {
-			return err
-		}
-		log.Printf("shard %s: %s (%d docs, category %q, %d replicas, preferred #%d)",
-			f.shardID, rdb.Name(), rdb.NumDocs(), rdb.Category(), rdb.Replicas(), rdb.Preferred())
-		if err := l.m.AddDatabase(rdb, rdb.Category()); err != nil {
-			return err
-		}
-		scope[a.Database] = true
-	}
-	log.Printf("shard %s owns %d of the topology's %d databases", f.shardID, len(assigns), len(topo.Databases))
-
-	if err := l.summaries(f, func(name string) bool { return scope[name] }); err != nil {
+	if err := l.summaries(f); err != nil {
 		return err
 	}
 
-	// Live reconfiguration: once summaries are loaded, topology version
-	// bumps swap this shard's replica sets and scope under traffic. A
-	// snapshot this shard cannot apply is not adopted: the watcher keeps
-	// the generation the shard really serves.
-	watcher.OnSwap(func(snap *shardmap.Snapshot) error {
+	// A snapshot this shard cannot apply is not adopted: the watcher
+	// keeps the generation the shard really serves.
+	apply := func(snap *shardmap.Snapshot) error {
 		assigns, err := snap.Topology.ShardAssignments(f.shardID)
 		if err != nil {
 			return err
@@ -366,7 +341,12 @@ func runShard(f *flags, _ []string) error {
 		log.Printf("topology generation %d applied: attached %d, detached %d, unknown %d, scope_changed %v",
 			snap.Generation, len(rep.Attached), len(rep.Detached), len(rep.Unknown), rep.ScopeChanged)
 		return nil
-	})
+	}
+	if err := apply(watcher.Snapshot()); err != nil {
+		return err
+	}
+	l.m.Probe(context.Background())
+	watcher.OnSwap(apply)
 	defer pollTopology(watcher, f)()
 
 	gopts := gatewayOptions(f, l.m.Metrics())

@@ -62,13 +62,13 @@ type NodeOutcome struct {
 	// Error is set when the call failed.
 	Error string `json:"error,omitempty"`
 	// OutOfScope marks databases the selection ranked but this process
-	// deliberately did not query because they live on another shard of
-	// the cluster (see the shard-scoped load path). Not a failure: the
-	// router merges their results from the shards that own them.
+	// did not query: no live handle in this process (another shard's
+	// slice). Not a failure: the router merges their results from the
+	// shards that own them.
 	OutOfScope bool `json:"out_of_scope,omitempty"`
 	// BreakerOpen marks calls the breaker short-circuited without
 	// touching the node — distinct from Unavailable, which means the
-	// node was actually tried and unreachable (or had no live handle).
+	// node was actually tried and unreachable.
 	BreakerOpen bool `json:"breaker_open,omitempty"`
 	Unavailable bool `json:"unavailable,omitempty"`
 }

@@ -185,7 +185,6 @@ func TestCollectorClusterE2E(t *testing.T) {
 		}
 		ring := telemetry.NewRingCapture(0)
 		sm := repro.New(e2eOptions(lexicon, ring))
-		keep := map[string]bool{}
 		for _, a := range assigns {
 			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
 				Preferred: a.Preferred,
@@ -198,9 +197,8 @@ func TestCollectorClusterE2E(t *testing.T) {
 			if err := sm.AddDatabase(rdb, rdb.Category()); err != nil {
 				t.Fatal(err)
 			}
-			keep[a.Database] = true
 		}
-		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
 		id := telemetry.Identity{Instance: shID, Role: "shard", Shard: shID}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/index"
 	"repro/internal/shardmap"
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -159,7 +160,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 
 	// Boot each shard: a full metasearcher whose live handles are
 	// ReplicatedDatabases over its consistent-hash slice, loading the
-	// complete save file scoped to that slice.
+	// complete save file.
 	shardMs := make([]*repro.Metasearcher, len(topo.Shards))
 	for i := range topo.Shards {
 		assigns, err := topo.ShardAssignments(topo.Shards[i].ID)
@@ -170,7 +171,6 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			t.Fatalf("shard %s owns no databases; the bounded-load ring should spread 4 dbs over 2 shards", topo.Shards[i].ID)
 		}
 		sm := repro.New(clusterOptions(lexicon))
-		keep := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
 			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
 				Preferred: a.Preferred,
@@ -183,9 +183,8 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			if err := sm.AddDatabase(rdb, rdb.Category()); err != nil {
 				t.Fatal(err)
 			}
-			keep[a.Database] = true
 		}
-		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
 		shardMs[i] = sm
@@ -302,16 +301,21 @@ func TestClusterDefaultPerDBMatchesSingleProcess(t *testing.T) {
 		t.Skip("builds a testbed and a two-shard cluster")
 	}
 	dbs, lexicon := clusterTestbed(t, 4)
-	open := func() *repro.Metasearcher {
+	// open registers live handles for the databases keep admits (all of
+	// them when keep is nil): a shard's slice is its handles.
+	open := func(keep map[string]bool) *repro.Metasearcher {
 		m := repro.New(clusterOptions(lexicon))
 		for _, d := range dbs {
+			if keep != nil && !keep[d.name] {
+				continue
+			}
 			if err := m.AddDatabase(repro.NewLocalDatabaseFromTerms(d.name, d.docs), d.category); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return m
 	}
-	builder := open()
+	builder := open(nil)
 	if err := builder.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +323,7 @@ func TestClusterDefaultPerDBMatchesSingleProcess(t *testing.T) {
 	if err := builder.SaveFile(stateFile); err != nil {
 		t.Fatal(err)
 	}
-	baseline := open()
+	baseline := open(nil)
 	if err := baseline.LoadFile(stateFile); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +344,8 @@ func TestClusterDefaultPerDBMatchesSingleProcess(t *testing.T) {
 		for _, a := range assigns {
 			keep[a.Database] = true
 		}
-		sm := open()
-		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+		sm := open(keep)
+		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
 		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, DefaultPerDB: 3}))
@@ -375,5 +379,122 @@ func TestClusterDefaultPerDBMatchesSingleProcess(t *testing.T) {
 	}
 	if !deep {
 		t.Fatal("no database returned more than 3 documents; the queries cannot tell the default depths apart")
+	}
+}
+
+// TestClusterEmptyShardMatchesSingleProcess: a two-shard topology over
+// two databases whose ring gives one shard nothing. Each shard starts
+// the way `metasearch shard` does — the complete save file, then its
+// assignments applied as the first topology swap, then one probe sweep —
+// so the empty shard serves an empty ranking instead of failing, and
+// the cluster answer is the single-process one.
+func TestClusterEmptyShardMatchesSingleProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a testbed and a two-shard cluster")
+	}
+	all, lexicon := clusterTestbed(t, 8)
+
+	// The first pair of databases the ring puts on one shard.
+	var dbs []clusterDB
+	var topo *shardmap.Topology
+	for i := 0; i < len(all) && dbs == nil; i++ {
+		for j := i + 1; j < len(all) && dbs == nil; j++ {
+			cand := &shardmap.Topology{
+				Version: shardmap.TopologyVersion,
+				Shards:  []shardmap.Shard{{ID: "shard-00", Addr: "pending:0"}, {ID: "shard-01", Addr: "pending:0"}},
+			}
+			for _, d := range []clusterDB{all[i], all[j]} {
+				cand.Databases = append(cand.Databases, shardmap.Database{Name: d.name, Category: d.category, Replicas: []string{"pending:0"}})
+			}
+			for _, s := range cand.Shards {
+				if as, err := cand.ShardAssignments(s.ID); err == nil && len(as) == 0 {
+					dbs, topo = []clusterDB{all[i], all[j]}, cand
+				}
+			}
+		}
+	}
+	if dbs == nil {
+		t.Fatal("no pair of testbed databases leaves a shard empty")
+	}
+
+	builder := repro.New(clusterOptions(lexicon))
+	baseline := repro.New(clusterOptions(lexicon))
+	for i, d := range dbs {
+		for _, m := range []*repro.Metasearcher{builder, baseline} {
+			if err := m.AddDatabase(repro.NewLocalDatabaseFromTerms(d.name, d.docs), d.category); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv := httptest.NewServer(wire.NewServer(repro.NewLocalDatabaseFromTerms(d.name, d.docs), wire.ServerOptions{Category: d.category}))
+		t.Cleanup(srv.Close)
+		topo.Databases[i].Replicas = []string{strings.TrimPrefix(srv.URL, "http://")}
+	}
+	if err := builder.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	stateFile := filepath.Join(t.TempDir(), "state.json")
+	if err := builder.SaveFile(stateFile); err != nil {
+		t.Fatal(err)
+	}
+	if err := baseline.LoadFile(stateFile); err != nil {
+		t.Fatal(err)
+	}
+
+	shardMs := make([]*repro.Metasearcher, len(topo.Shards))
+	for i := range topo.Shards {
+		assigns, err := topo.ShardAssignments(topo.Shards[i].ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ras := make([]repro.ReplicaAssignment, len(assigns))
+		for k, a := range assigns {
+			ras[k] = repro.ReplicaAssignment{Database: a.Database, Category: a.Category, Replicas: a.Replicas, Preferred: a.Preferred}
+		}
+		sm := repro.New(clusterOptions(lexicon))
+		if err := sm.LoadFile(stateFile); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		sm.Probe(context.Background())
+		shardMs[i] = sm
+		gw := httptest.NewServer(gateway.For(sm.Search, gateway.Options{ShardID: topo.Shards[i].ID, Metrics: sm.Metrics()}))
+		t.Cleanup(gw.Close)
+		topo.Shards[i].Addr = strings.TrimPrefix(gw.URL, "http://")
+	}
+	reg := telemetry.NewRegistry()
+	rt, err := New(topo, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, d := range dbs {
+		q := d.docs[0][0] + " " + d.docs[0][1]
+		want, err := baseline.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 2, PerDB: 5})
+		if err != nil {
+			t.Fatalf("baseline %q: %v", q, err)
+		}
+		if len(want.Results) == 0 {
+			t.Fatalf("baseline returned no results for %q; the query is not exercising the pipeline", q)
+		}
+		got, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 2, PerDB: 5})
+		if err != nil {
+			t.Fatalf("cluster %q: %v", q, err)
+		}
+		if !reflect.DeepEqual(want.Selections, got.Selections) || !reflect.DeepEqual(want.Results, got.Results) {
+			t.Errorf("cluster diverges for %q:\n single: %+v %+v\ncluster: %+v %+v",
+				q, want.Selections, want.Results, got.Selections, got.Results)
+		}
+	}
+	if got := reg.Counter("router_shard_errors_total").Value(); got != 0 {
+		t.Errorf("router_shard_errors_total = %d; the empty shard must answer, not fail", got)
+	}
+	var outOfScope int64
+	for _, sm := range shardMs {
+		outOfScope += sm.Metrics().Counter("search_out_of_scope_total").Value()
+	}
+	if outOfScope == 0 {
+		t.Error("no shard skipped a database; the empty shard was never asked")
 	}
 }

@@ -132,7 +132,6 @@ func TestClusterReconfiguration(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := repro.New(clusterOptions(lexicon))
-		keep := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
 			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
 				Preferred: a.Preferred,
@@ -146,9 +145,8 @@ func TestClusterReconfiguration(t *testing.T) {
 			if err := sm.AddDatabase(rdb, rdb.Category()); err != nil {
 				t.Fatal(err)
 			}
-			keep[a.Database] = true
 		}
-		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
 		shardMs[i] = sm

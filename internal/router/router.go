@@ -1,13 +1,13 @@
 // Package router is the scatter-gather front of a sharded metasearcher
 // cluster. A Router owns no summaries and makes no selection decisions:
 // it fans each query out to every shard's gateway (each shard is a full
-// metasearcher process that loaded the complete summary store but only
-// its topology slice of live database connections), collects the
+// metasearcher process that loaded the complete summary store but holds
+// live handles for its topology slice only), collects the
 // per-shard rankings, and merges them deterministically into exactly
 // the answer a single-process metasearcher would have produced.
 //
 // The merge identity rests on the shrinkage invariant documented on
-// repro.LoadFiltered: every shard computes selection scores from the
+// repro.Load: every shard computes selection scores from the
 // identical collection-wide statistics, so the per-document merged
 // scores (selection score normalized over the selected set, discounted
 // by in-database rank) are bit-identical across shards. The router then

@@ -185,7 +185,6 @@ func TestClusterStreaming(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := repro.New(clusterOptions(lexicon))
-		keep := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
 			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
 				Preferred: a.Preferred,
@@ -198,9 +197,8 @@ func TestClusterStreaming(t *testing.T) {
 			if err := sm.AddDatabase(rdb, rdb.Category()); err != nil {
 				t.Fatal(err)
 			}
-			keep[a.Database] = true
 		}
-		if err := sm.LoadFileFiltered(stateFile, func(name string) bool { return keep[name] }); err != nil {
+		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
 		shardMs[i] = sm

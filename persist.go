@@ -149,17 +149,12 @@ func (m *Metasearcher) SaveFile(path string) error {
 // LoadFile restores summaries previously written by SaveFile (or any
 // Save output on disk).
 func (m *Metasearcher) LoadFile(path string) error {
-	return m.LoadFileFiltered(path, nil)
-}
-
-// LoadFileFiltered is LoadFile with a shard scope: see LoadFiltered.
-func (m *Metasearcher) LoadFileFiltered(path string, keep func(name string) bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("repro: load: %w", err)
 	}
 	defer f.Close()
-	return m.LoadFiltered(f, keep)
+	return m.Load(f)
 }
 
 // Load restores summaries previously written by Save into this
@@ -169,38 +164,28 @@ func (m *Metasearcher) LoadFileFiltered(path string, keep func(name string) bool
 // (category names are matched by name). A database already registered
 // under a name the save file mentions keeps its live handle, so a
 // deployment can dial remote nodes first, Load offline-built
-// summaries second, and Search immediately. The file's content checksum
-// is verified; a file without one is refused (ErrNoChecksum).
-func (m *Metasearcher) Load(r io.Reader) error {
-	return m.LoadFiltered(r, nil)
-}
-
-// LoadFiltered is the shard-scoped load path of the cluster tier: it
-// restores the complete save file exactly like Load — every database's
-// summary, the category summaries, the shrunk summaries — but marks
-// only the databases keep admits as this process's search scope. A nil
-// keep means unscoped (plain Load).
+// summaries second, and Search immediately; one the file names but
+// this process holds no handle for is ranked and never queried here
+// (out of scope). The file's content checksum is verified; a file
+// without one is refused (ErrNoChecksum).
 //
-// The full summary store is retained on purpose, and this is the
-// shrinkage invariant the cluster tier rests on: selection scores are
-// functions of collection-wide statistics (the CORI context's mean
+// The complete store is what every cluster shard loads, and this is
+// the shrinkage invariant the cluster tier rests on: selection scores
+// are functions of collection-wide statistics (the CORI context's mean
 // document counts and collection frequencies, the category summaries
 // every shrunk summary was EM-fit against, and the LM root model).
 // Every shard therefore computes bit-identical selections from the
 // identical file, and the router can merge per-shard rankings into
-// exactly the single-process answer. What a shard does NOT do is dial,
-// probe, or query out-of-scope databases: their live handles are
-// dropped, their fan-out slots are skipped (counted in
-// search_out_of_scope_total), and its breakers and health probes cover
-// only its own slice. Summaries are kilobytes; connections, probes, and
-// query fan-out are what sharding actually divides.
+// exactly the single-process answer. A shard's slice is its live
+// handles, which ApplyReplicaAssignments attaches after the load:
+// summaries are kilobytes; connections, probes, and query fan-out are
+// what sharding actually divides.
 //
-// Like Load, LoadFiltered bumps the cache generation — each shard keeps
-// its own caches, so the bump is naturally scoped to this shard. The
-// file is decoded, verified and shrunk into a complete new store before
-// anything is published: queries answer from the previous summaries
-// until then, and a rejected file changes nothing.
-func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) error {
+// The file is decoded, verified and shrunk into a complete new store
+// before anything is published, and the publish bumps the cache
+// generation: queries answer from the previous summaries until then,
+// and a rejected file changes nothing.
+func (m *Metasearcher) Load(r io.Reader) error {
 	if m.scorerErr != nil {
 		return m.scorerErr
 	}
@@ -256,33 +241,14 @@ func (m *Metasearcher) LoadFiltered(r io.Reader, keep func(name string) bool) er
 		return errors.New("repro: save file contains no databases")
 	}
 
-	// Shard scope: every summary stays (selection statistics are
-	// collection-wide), but only in-scope databases keep live handles
-	// or are eligible for the search fan-out.
-	var scope map[string]bool
-	if keep != nil {
-		scope = make(map[string]bool)
-		for _, r := range dbs {
-			if keep(r.name) {
-				scope[r.name] = true
-			}
-		}
-		if len(scope) == 0 {
-			return errors.New("repro: load scope matches no database in the save file")
-		}
-	}
-
 	return m.update(func(cur *store) (*store, error) {
-		// Databases already registered with live handles keep them when
-		// the loaded state names them: a deployment can dial its remote
-		// nodes, then Load offline-built summaries, and Search
-		// immediately.
+		// Registered databases the file names keep their live handles.
 		for _, r := range dbs {
-			if live := cur.byName[r.name]; live != nil && (scope == nil || scope[r.name]) {
+			if live := cur.byName[r.name]; live != nil {
 				r.db = live.db
 			}
 		}
-		st := m.deriveStore(dbs, scope, m.seedLexicon(), env.Training, nil)
+		st := m.deriveStore(dbs, m.seedLexicon(), env.Training, nil)
 		// The persisted provenance is that of the deployed summaries,
 		// even though the EM re-run above converges equally.
 		for i, r := range dbs {

@@ -351,14 +351,23 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 		t.Fatal("search before persistence returned no results")
 	}
 
-	// Without live handles a loaded metasearcher can Select but not
-	// Search — the error must say so.
+	// Without live handles a loaded metasearcher ranks every database
+	// but queries none: each selected one is out of scope here.
 	bare := New(testbedOptions(lexicon))
 	if err := bare.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bare.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err == nil {
-		t.Error("search without live handles reported success")
+	if resp, err := bare.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil || len(resp.Results) != 0 {
+		t.Errorf("search without live handles = %v, %v; want an empty ranking", resp, err)
+	}
+	rec := bare.Audit().Last()
+	if rec == nil || len(rec.Nodes) == 0 {
+		t.Fatal("search without live handles audited no node")
+	}
+	for _, n := range rec.Nodes {
+		if !n.OutOfScope || n.Unavailable {
+			t.Errorf("search without live handles audited %+v; want out of scope", n)
+		}
 	}
 
 	// With the same databases dialed before the load, the handles are

@@ -21,15 +21,14 @@ import (
 // published (store.go).
 
 // RefreshableDatabases lists the databases the refresh manager may
-// re-sample: those with a live connection, within this process's search
-// scope (a cluster shard refreshes only its slice — refreshing another
-// shard's nodes would fork the collection-wide statistics the cluster
-// merge identity rests on), sorted by name.
+// re-sample: those this process holds a live handle for (a cluster
+// shard holds only its slice's — refreshing another shard's nodes would
+// fork the collection-wide statistics the cluster merge identity rests
+// on), sorted by name.
 func (m *Metasearcher) RefreshableDatabases() []string {
-	st := m.state.Load()
 	var out []string
-	for _, r := range st.dbs {
-		if r.db != nil && (st.scope == nil || st.scope[r.name]) {
+	for _, r := range m.state.Load().dbs {
+		if r.db != nil {
 			out = append(out, r.name)
 		}
 	}
@@ -128,7 +127,7 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 			return nil, fmt.Errorf("rebuild sampling %s: %w", name, err)
 		}
 		m.summarizeSample(r, sample)
-		st := m.deriveStore(dbs, cur.scope, cur.lexicon, cur.trainingDocs, nil)
+		st := m.deriveStore(dbs, cur.lexicon, cur.trainingDocs, nil)
 		m.logInfo("summary rebuilt after drift",
 			"db", name, "docs", len(sample.Docs), "vocab", r.unshrunk.Len(),
 			"elapsed", time.Since(t0))

@@ -342,9 +342,6 @@ func (d *ReplicatedDatabase) Category() string { return d.category }
 // NumDocs returns the document count advertised at dial time.
 func (d *ReplicatedDatabase) NumDocs() int { return d.numDocs }
 
-// Replicas returns the current replica count.
-func (d *ReplicatedDatabase) Replicas() int { return len(d.set.Load().replicas) }
-
 // ReplicaAddrs returns the current replica addresses, in routing-table
 // order.
 func (d *ReplicatedDatabase) ReplicaAddrs() []string {
@@ -355,9 +352,6 @@ func (d *ReplicatedDatabase) ReplicaAddrs() []string {
 	}
 	return addrs
 }
-
-// Preferred returns this process's current affinity replica index.
-func (d *ReplicatedDatabase) Preferred() int { return d.set.Load().preferred }
 
 // ProbeTargets returns one health-probe target per current replica,
 // keyed like the per-replica breakers ("name@addr"), for

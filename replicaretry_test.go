@@ -451,7 +451,7 @@ func TestDialRetriesASheddingReplica(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial failed on one shed: %v", err)
 	}
-	if d.Replicas() != 2 || infos.Load() != 2 {
-		t.Errorf("%d replicas, b saw %d /v1/info requests; want 2 and 2 (the shed and its retry)", d.Replicas(), infos.Load())
+	if n := len(d.ReplicaAddrs()); n != 2 || infos.Load() != 2 {
+		t.Errorf("%d replicas, b saw %d /v1/info requests; want 2 and 2 (the shed and its retry)", n, infos.Load())
 	}
 }

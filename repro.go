@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sort"
 	"time"
 
 	"repro/internal/audit"
@@ -329,7 +328,7 @@ func New(opts Options) *Metasearcher {
 
 		published: published{training: &classify.TrainingSet{}},
 	}
-	m.state.Store(newStore(nil, nil))
+	m.state.Store(newStore(nil))
 	if !opts.Cache.Disable {
 		m.selCache = cache.New(cache.Options{
 			Name:     "selection_cache",
@@ -372,22 +371,6 @@ func (m *Metasearcher) Breakers() *resilience.Set { return m.breakers }
 // the wire clients of remote databases (RemoteDatabaseOptions.Budget)
 // so their retries draw from the same bucket as the fan-out's hedges.
 func (m *Metasearcher) RetryBudget() *resilience.Budget { return m.budget }
-
-// SearchScope returns the database names this process queries during
-// Search (sorted), or nil when unscoped — i.e. when it is not a
-// cluster shard restricted by LoadFiltered.
-func (m *Metasearcher) SearchScope() []string {
-	scope := m.state.Load().scope
-	if scope == nil {
-		return nil
-	}
-	out := make([]string, 0, len(scope))
-	for name := range scope {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Probe is one health sweep (resilience.Set.Probe) over the remote
 // databases as they are registered now: it pings the /v1/health
@@ -481,7 +464,7 @@ func newPipelineMetrics(reg *telemetry.Registry) pipelineMetrics {
 		hedgeWins:      reg.DeclareCounter("search_hedge_wins_total", "Hedge requests that beat their primary attempt."),
 		breakerOpen:    reg.DeclareCounter("search_breaker_open_total", "Database calls short-circuited by an open breaker."),
 		sheds:          reg.DeclareCounter("search_sheds_total", "Database call attempts shed by a node's admission gate (429)."),
-		outOfScope:     reg.DeclareCounter("search_out_of_scope_total", "Selected databases skipped as owned by another cluster shard."),
+		outOfScope:     reg.DeclareCounter("search_out_of_scope_total", "Selected databases skipped: no live handle in this process (another shard's slice)."),
 
 		stageCache:     reg.DeclareHistogram("search_stage_cache_latency", "Search time spent in cache lookup and bookkeeping, seconds.", nil),
 		stageSelection: reg.DeclareHistogram("search_stage_selection_latency", "Search time spent in database selection, seconds.", nil),
@@ -547,7 +530,7 @@ func (m *Metasearcher) Train(category string, docs []string) error {
 		for _, d := range analyzed {
 			m.training.Add(id, d)
 		}
-		return newStore(cur.dbs, cur.scope), nil
+		return newStore(cur.dbs), nil
 	})
 }
 
@@ -569,7 +552,7 @@ func (m *Metasearcher) AddDatabase(db SearchableDatabase, category string) error
 		if cur.byName[r.name] != nil {
 			return nil, fmt.Errorf("repro: database %q already registered", r.name)
 		}
-		return newStore(append(cur.dbs[:len(cur.dbs):len(cur.dbs)], r), cur.scope), nil
+		return newStore(append(cur.dbs[:len(cur.dbs):len(cur.dbs)], r)), nil
 	})
 }
 
@@ -651,7 +634,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 		if err != nil {
 			return nil, err
 		}
-		st := m.deriveStore(dbs, cur.scope, lexicon, m.training.Len(), buildSpan)
+		st := m.deriveStore(dbs, lexicon, m.training.Len(), buildSpan)
 		m.logInfo("summaries built", "databases", len(dbs), "elapsed", time.Since(t0))
 		return st, nil
 	})

@@ -353,9 +353,8 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		return e, nil
 	}
 
-	// The live handles and the shard scope, as of now: a topology swap
-	// publishes a new store, and this fan-out finishes on the handles it
-	// loaded here.
+	// The live handles as of now: a topology swap publishes a new store,
+	// and this fan-out finishes on the handles it loaded here.
 	st := m.state.Load()
 
 	// Normalize selection scores to [0, 1] so the discounting is
@@ -386,20 +385,16 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	tFan := time.Now()
 	pool.ForEach(len(sels), len(sels), m.reg, func(i int) error {
 		name := sels[i].Database
-		// A shard-scoped metasearcher ranks every database (selection
-		// needs the collection-wide statistics) but queries only its own
-		// slice; the databases it skips here are served by the shards
-		// that own them and merged back together by the router.
-		if st.scope != nil && !st.scope[name] {
+		// Every database is ranked (selection needs the collection-wide
+		// statistics), but only those this process holds a live handle
+		// for are queried: on a cluster shard the rest are the other
+		// shards' slices, merged back together by the router.
+		if r := st.byName[name]; r != nil && r.db != nil {
+			outcomes[i] = m.searchNode(fanCtx, span, r.db, name, terms, perDB, hedgeAfter)
+		} else {
 			m.met.outOfScope.Inc()
 			span.Event("search.out_of_scope", telemetry.String("db", name))
 			outcomes[i].call.OutOfScope = true
-		} else {
-			var db SearchableDatabase
-			if r := st.byName[name]; r != nil {
-				db = r.db
-			}
-			outcomes[i] = m.searchNode(fanCtx, span, db, name, terms, perDB, hedgeAfter)
 		}
 		outcomes[i].call.Database = name
 		em.record(i, outcomes[i])
@@ -418,7 +413,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 	}
 
 	tMerge := time.Now()
-	var queried, skipped, unavailable, failed, open int
+	var queried, skipped, unavailable, open int
 	for _, o := range outcomes {
 		e.nodes = append(e.nodes, o.call)
 		switch {
@@ -430,20 +425,13 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 			open++
 		case o.call.Unavailable:
 			unavailable++
-			if o.call.Error != "" {
-				failed++ // a live handle that did not answer, not a missing one
-			}
 		}
 	}
 	if queried == 0 {
 		// On a shard whose slice holds none of the selected databases an
 		// empty answer is correct, not an error: the router gets the
 		// results from the shards that own them.
-		switch {
-		case skipped > 0:
-		case failed == 0 && open == 0:
-			return e, errors.New("repro: Search needs live database connections (Load-ed state has none)")
-		default:
+		if skipped == 0 {
 			return e, fmt.Errorf("repro: none of the %d selected databases answered: %d unavailable, %d short-circuited",
 				len(sels), unavailable, open)
 		}
@@ -475,8 +463,8 @@ type nodeOutcome struct {
 // doc id) pair are dropped, first one kept. Repeats exist exactly when
 // several cluster shards own a replicated database and each returned
 // its documents — with identical scores, by the shrinkage invariant on
-// LoadFiltered, so the order puts them next to each other and one pass
-// over neighbours finds them. The final merge, every streamed partial
+// Load, so the order puts them next to each other and one pass over
+// neighbours finds them. The final merge, every streamed partial
 // merge, and the cluster router's merge of shard rankings all go
 // through here, which is why they agree bit for bit. It also reports
 // how many repeats it dropped.
@@ -533,14 +521,6 @@ func scoreOutcomes(sels []Selection, maxScore float64, outcomes []nodeOutcome) [
 // context: the search's own, bounded by the deadline budget.
 func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db SearchableDatabase, name string, terms []string, perDB int, hedgeAfter time.Duration) nodeOutcome {
 	var call audit.NodeCall
-	if db == nil {
-		m.met.dbUnavailable.Inc()
-		span.Event("search.db_unavailable", telemetry.String("db", name))
-		m.logWarn("search: selected database has no live connection, skipping",
-			"db", name, "query", terms)
-		call.Unavailable = true
-		return nodeOutcome{call: call}
-	}
 	unreachable := func(dbSpan *telemetry.Span, err error) nodeOutcome {
 		call.Error = err.Error()
 		call.Unavailable = true

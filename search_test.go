@@ -52,7 +52,10 @@ func TestSearchNoSelection(t *testing.T) {
 	}
 }
 
-func TestSearchLoadedStateFails(t *testing.T) {
+// TestSearchLoadedStateIsOutOfScope: a process that loaded summaries
+// but holds no live handle ranks databases and queries none — an empty
+// ranking with every selected database out of scope, not an error.
+func TestSearchLoadedStateIsOutOfScope(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 62})
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -62,10 +65,20 @@ func TestSearchLoadedStateFails(t *testing.T) {
 	if err := m2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Selection works from summaries alone, but document retrieval needs
-	// live connections.
-	if _, err := m2.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 5}); err == nil {
-		t.Error("Search on loaded state without live databases accepted")
+	resp, err := m2.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 0 || len(resp.Selections) == 0 {
+		t.Fatalf("Search on loaded state without live databases: %d results over %d selections, want none over some", len(resp.Results), len(resp.Selections))
+	}
+	if got := m2.Metrics().Counter("search_out_of_scope_total").Value(); got != int64(len(resp.Selections)) {
+		t.Errorf("search_out_of_scope_total = %d, want %d", got, len(resp.Selections))
+	}
+	for _, n := range m2.Audit().Last().Nodes {
+		if !n.OutOfScope || n.Unavailable {
+			t.Errorf("node %+v: want out of scope", n)
+		}
 	}
 }
 

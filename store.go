@@ -47,14 +47,12 @@ type published struct {
 // store is one published state of the metasearcher. Nothing reachable
 // from a published store is ever modified.
 type store struct {
+	// dbs holds every database the selection statistics cover. The
+	// ones with a live handle are this process's search scope: a
+	// cluster shard holds handles for its slice only, and a selected
+	// database without one is another shard's (out of scope).
 	dbs    []*registeredDB          // registration order
 	byName map[string]*registeredDB // the same entries, by name
-	// scope, when non-nil, is the set of database names this process
-	// actually queries during Search (a cluster shard's slice). Every
-	// database still participates in selection — the shrinkage and
-	// scoring statistics are collection-wide — but out-of-scope fan-out
-	// is skipped. Nil means unscoped (query everything).
-	scope map[string]bool
 
 	// Set by deriveStore; a store that Train or AddDatabase published
 	// has none of it and fails Select, Info and Save.
@@ -70,7 +68,7 @@ type store struct {
 
 type registeredDB struct {
 	name      string
-	db        SearchableDatabase // nil when state was loaded from disk
+	db        SearchableDatabase // nil: not queried by this process
 	category  hierarchy.NodeID   // classification to use; -1 = probe
 	fixedCat  bool
 	unshrunk  *summary.Summary
@@ -83,8 +81,8 @@ type registeredDB struct {
 }
 
 // newStore is an unbuilt store over dbs.
-func newStore(dbs []*registeredDB, scope map[string]bool) *store {
-	return &store{dbs: dbs, scope: scope, byName: indexByName(dbs)}
+func newStore(dbs []*registeredDB) *store {
+	return &store{dbs: dbs, byName: indexByName(dbs)}
 }
 
 func indexByName(dbs []*registeredDB) map[string]*registeredDB {
@@ -96,11 +94,11 @@ func indexByName(dbs []*registeredDB) map[string]*registeredDB {
 }
 
 // withHandles returns a copy of st whose databases are dbs — the same
-// summaries entry for entry, different live handles — under scope.
-// Everything derived from the summaries carries over.
-func (st *store) withHandles(dbs []*registeredDB, scope map[string]bool) *store {
+// summaries entry for entry, different live handles. Everything derived
+// from the summaries carries over.
+func (st *store) withHandles(dbs []*registeredDB) *store {
 	next := *st
-	next.dbs, next.scope, next.byName = dbs, scope, indexByName(dbs)
+	next.dbs, next.byName = dbs, indexByName(dbs)
 	return &next
 }
 
@@ -171,8 +169,8 @@ func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample)
 // (core.BuildCategorySummaries), the EM fits per database into their
 // own slots. Neither changes the order of any float sum, so the store
 // is bit-identical at any worker count.
-func (m *Metasearcher) deriveStore(dbs []*registeredDB, scope map[string]bool, lexicon []string, trainingDocs int, span *telemetry.Span) *store {
-	st := newStore(dbs, scope)
+func (m *Metasearcher) deriveStore(dbs []*registeredDB, lexicon []string, trainingDocs int, span *telemetry.Span) *store {
+	st := newStore(dbs)
 	st.built = true
 	st.trainingDocs = trainingDocs
 	st.lexicon = lexicon

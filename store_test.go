@@ -604,8 +604,8 @@ func TestSelectionIndependentOfSeed(t *testing.T) {
 }
 
 // TestApplyReplicaAssignmentsAllOrNothing: a topology whose list holds
-// one bad assignment is rejected whole — the scope, the probe targets,
-// the live handles and their replica sets are what they were.
+// one bad assignment is rejected whole — the probe targets, the live
+// handles (the scope) and their replica sets are what they were.
 func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 	m, _ := newStoreWorld(t, Options{})
 	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
@@ -623,7 +623,7 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 	}
 	take := func() snapshot {
 		st := m.state.Load()
-		s := snapshot{store: st, scope: m.SearchScope(), handles: make(map[string]SearchableDatabase)}
+		s := snapshot{store: st, scope: handled(m), handles: make(map[string]SearchableDatabase)}
 		for _, p := range st.probeTargets() {
 			s.targets = append(s.targets, p.Name)
 		}

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -137,8 +138,8 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 }
 
 // TestSearchSkipsDeadDatabase exercises the graceful degradation of the
-// fan-out: a selected database without a live handle is skipped (and
-// counted) instead of failing the whole search, and the surviving
+// fan-out: a selected database whose node does not answer is skipped
+// (and counted) instead of failing the whole search, and the surviving
 // databases still answer.
 func TestSearchSkipsDeadDatabase(t *testing.T) {
 	cap := &telemetry.Capture{}
@@ -167,17 +168,17 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
-	// Kill one of the two Heart databases' handles.
+	// Kill the node behind one of the two Heart databases.
 	m.update(func(cur *store) (*store, error) {
 		dbs := append([]*registeredDB(nil), cur.dbs...)
 		for i, r := range dbs {
 			if r.name == "cardio" {
 				dead := *r
-				dead.db = nil
+				dead.db = deadDB{r.db}
 				dbs[i] = &dead
 			}
 		}
-		return cur.withHandles(dbs, cur.scope), nil
+		return cur.withHandles(dbs), nil
 	})
 	cap.Reset()
 	results, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 5})
@@ -212,3 +213,14 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 		t.Error("no search.db_unavailable event on the search span")
 	}
 }
+
+// deadDB is a remote database whose node no longer answers.
+type deadDB struct{ SearchableDatabase }
+
+var errNodeDown = errors.New("node down")
+
+func (deadDB) QueryContext(context.Context, []string, int) (int, []int, error) {
+	return 0, nil, errNodeDown
+}
+
+func (deadDB) FetchContext(context.Context, int) ([]string, error) { return nil, errNodeDown }

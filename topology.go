@@ -19,8 +19,9 @@ type ReplicaAssignment struct {
 }
 
 // TopologySwapReport is what one ApplyReplicaAssignments call changed
-// that only this process knows: its scope. Which replicas joined or
-// left is the topology diff's (shardmap.Diff), not repeated here.
+// that only this process knows: which databases it holds live handles
+// for. Which replicas joined or left is the topology diff's
+// (shardmap.Diff), not repeated here.
 type TopologySwapReport struct {
 	// Attached lists databases that entered this process's scope (lazy
 	// replica handles created); Detached those that left (handles
@@ -37,31 +38,33 @@ type TopologySwapReport struct {
 }
 
 // ApplyReplicaAssignments reconciles this process's live replica
-// handles and search scope with a new topology — the shard-side half of
-// a zero-downtime reconfiguration. For each assigned database:
+// handles — its search scope: a database is queried here exactly when
+// the process holds its handle — with a topology. It is how a cluster
+// shard gets its slice, at start-up (the first snapshot, after Load) as
+// on every later swap. For each assigned database:
 //
-//   - already in scope with a replicated handle: the replica set is
-//     swapped in place (ReplicatedDatabase.UpdateReplicas) — surviving
-//     replicas keep breaker state, clients, and in-flight counts;
-//     removed ones drain and close; added ones get lazy clients with
-//     breakers seeded half-open.
-//   - newly in scope: a lazy replicated handle is attached (no network
-//     I/O on the swap path) and the database joins the search scope.
+//   - already holding a replicated handle: the replica set is swapped
+//     in place (ReplicatedDatabase.UpdateReplicas) — surviving replicas
+//     keep breaker state, clients, and in-flight counts; removed ones
+//     drain and close; added ones get lazy clients with breakers seeded
+//     half-open.
+//   - otherwise: a lazy replicated handle is attached (no network I/O
+//     on the swap path; each replica's identity is checked on first
+//     contact, and a Probe sweep is the first contact of all of them).
 //   - assigned but absent from the summary store: skipped and reported
 //     — a database the selection statistics do not cover cannot serve.
 //
-// Databases in scope but no longer assigned are detached: their handles
-// drain and close in the background, their breakers leave the set, and
-// they revert to selection-only participation (exactly like an
-// out-of-scope database at load time). In-flight searches finish on the
-// handles of the store they loaded.
+// Databases holding a handle but no longer assigned are detached: their
+// handles drain and close in the background, their breakers leave the
+// set, and they revert to selection-only participation (out of scope).
+// In-flight searches finish on the handles of the store they loaded.
 //
 // The swap is all-or-nothing: every assignment is validated before
-// anything is touched, the new handles and scope go into a copy of the
-// store, and that copy is published once (staling the query caches — a
-// cached merged result describes the old scope). A rejected assignment
-// list leaves the scope and the handles as they were. Health probes
-// need no retargeting: each Probe sweep reads the published store.
+// anything is touched, the new handles go into a copy of the store, and
+// that copy is published once (staling the query caches — a cached
+// merged result describes the old scope). A rejected assignment list
+// leaves the handles as they were. Health probes need no retargeting:
+// each Probe sweep reads the published store.
 //
 // client configures the wire clients of replicas created by this swap;
 // its Budget defaults to the process's retry budget.
@@ -81,14 +84,14 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 		// replica lists were checked above, so neither UpdateReplicas nor
 		// NewReplicatedDatabase has anything left to reject.
 		changed := make(map[string]SearchableDatabase)
-		newScope := make(map[string]bool, len(assigns))
+		assigned := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
 			r := cur.byName[a.Database]
 			if r == nil {
 				rep.Unknown = append(rep.Unknown, a.Database)
 				continue
 			}
-			newScope[a.Database] = true
+			assigned[a.Database] = true
 			if rd, ok := r.db.(*ReplicatedDatabase); ok {
 				if err := rd.UpdateReplicas(a.Replicas, a.Preferred); err != nil {
 					return nil, err
@@ -110,20 +113,12 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 			rep.Attached = append(rep.Attached, a.Database)
 		}
 
-		// The old effective scope is the explicit scope set when present
-		// (cluster shards after LoadFiltered), otherwise every database
-		// with a live handle (an unscoped process adopting a topology).
-		// What left it is detached.
 		dbs := make([]*registeredDB, len(cur.dbs))
 		for i, old := range cur.dbs {
-			in := old.db != nil
-			if cur.scope != nil {
-				in = cur.scope[old.name]
-			}
-			if in != newScope[old.name] {
+			if (old.db != nil) != assigned[old.name] {
 				rep.ScopeChanged = true
 			}
-			if in && !newScope[old.name] && old.db != nil {
+			if old.db != nil && !assigned[old.name] {
 				changed[old.name] = nil
 				detached = append(detached, old.db)
 				rep.Detached = append(rep.Detached, old.name)
@@ -135,7 +130,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 				dbs[i] = &r
 			}
 		}
-		return cur.withHandles(dbs, newScope), nil
+		return cur.withHandles(dbs), nil
 	})
 	if err != nil {
 		return nil, err
