@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race bench docs results count benchcompat-check smoke smoke-remote smoke-gateway smoke-cluster check clean
+.PHONY: all vet build test race bench docs results results-small count benchcompat-check smoke smoke-remote smoke-gateway smoke-cluster check clean
 
 all: vet build test
 
@@ -36,6 +36,12 @@ docs:
 # file.
 results:
 	$(GO) run ./cmd/experiments -all > docs/results-default.txt
+
+# The same tables and figures over the miniature testbeds (about twenty
+# seconds; the output is deterministic). CI diffs a fresh run against
+# docs/results-small.txt, so a change to any paper number shows in review.
+results-small:
+	$(GO) run ./cmd/experiments -all -scale small -v=false -telemetry=false > docs/results-small.txt
 
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/ (benchcompat.go shims not counted; their lines are

@@ -131,25 +131,18 @@ func epsName(eps float64) string {
 func BenchmarkAdaptiveDecision(b *testing.B) {
 	w := benchWorld(b, experiments.TREC4)
 	sums := benchSummaries(b, experiments.TREC4, experiments.Config{Sampler: experiments.QBS, FreqEst: true})
-	adbs := make([]*selection.DB, len(w.Bed.Databases))
-	for i, db := range w.Bed.Databases {
-		adbs[i] = &selection.DB{
-			Name: db.Name, Unshrunk: sums.Unshrunk[i], Shrunk: sums.Shrunk[i],
-			Gamma: sums.Gamma[i], Size: int(sums.SizeEst[i]),
-		}
-	}
 	a := &selection.Adaptive{Base: selection.CORI{}}
 	q := w.Bed.Queries[0].Terms
-	entries := make([]selection.Entry, len(adbs))
-	for i, db := range adbs {
+	entries := make([]selection.Entry, len(sums.DBs))
+	for i, db := range sums.DBs {
 		entries[i] = selection.Entry{Name: db.Name, View: db.Unshrunk}
 	}
-	ctx := selection.NewContext(q, entries, sums.GlobalSummary())
+	ctx := selection.NewContext(q, entries, sums.Root)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Choose(q, adbs, ctx)
+		a.Choose(q, sums.DBs, ctx)
 	}
-	b.ReportMetric(float64(len(adbs)), "databases/op")
+	b.ReportMetric(float64(len(sums.DBs)), "databases/op")
 }
 
 // BenchmarkEndToEndSelect measures a complete metasearcher query
@@ -324,7 +317,7 @@ func BenchmarkDeriveStore(b *testing.B) {
 			cp := *r
 			dbs[j] = &cp
 		}
-		if next := m.deriveStore(dbs, st.lexicon, st.trainingDocs, nil); len(next.adaptive) != len(dbs) {
+		if next := m.deriveStore(dbs, st.lexicon, st.trainingDocs, nil); len(next.derived.DBs) != len(dbs) {
 			b.Fatal("deriveStore dropped a database")
 		}
 	}

@@ -242,10 +242,7 @@ func (r *runner) figures(f int) {
 		w := r.world(p.bed)
 		sums := r.summaries(p.bed, experiments.Config{Sampler: p.sampler, FreqEst: true})
 		start := time.Now()
-		var results []experiments.AccuracyResult
-		for _, st := range []experiments.Strategy{experiments.Shrinkage, experiments.Hierarchical, experiments.Plain} {
-			results = append(results, w.SelectionAccuracy(sums, p.scorer, st, r.maxK))
-		}
+		results := w.AccuracySweep(sums, p.scorer, r.maxK)
 		r.logf("%s done (%.1fs)", p.title, time.Since(start).Seconds())
 		fmt.Println(r.formatSeries(p.title, results))
 		if tt, err := experiments.CompareRk(results[0], results[2]); err == nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/selection"
 	"repro/internal/stats"
 )
 
@@ -16,25 +17,24 @@ import (
 // quantifies that claim on the reproduction testbed by re-shrinking all
 // databases under each rule and comparing summary quality.
 func CategoryWeightingAblation(out io.Writer, w *World, sums *DBSummaries) {
-	classified := sums.Classified(w)
-
-	measure := func(weighting core.Weighting) (wr, ur float64) {
-		cats := core.BuildCategorySummaries(w.Bed.Tree, classified, weighting)
+	measure := func(shrunk []*core.ShrunkSummary) (wr, ur float64) {
 		var wrs, urs []float64
-		for i := range classified {
+		for i, ss := range shrunk {
 			truth := w.Truth[i]
 			if truth.Len() == 0 {
 				continue
 			}
-			sh := core.Shrink(cats, classified[i], core.ShrinkOptions{}).Materialize(1)
+			sh := ss.Materialize(1)
 			wrs = append(wrs, metrics.WeightedRecall(truth, sh))
 			urs = append(urs, metrics.UnweightedRecall(truth, sh))
 		}
 		return stats.Mean(wrs), stats.Mean(urs)
 	}
 
-	wrSize, urSize := measure(core.SizeWeighted)
-	wrEq, urEq := measure(core.EqualWeighted)
+	// sums were derived under Equation 1; re-derive under equal weights.
+	equal := selection.Derive(w.Bed.Tree, sums.sources(w), core.EqualWeighted, nil, nil)
+	wrSize, urSize := measure(sums.Shrunk)
+	wrEq, urEq := measure(equal.Shrunk)
 	fmt.Fprintf(out, "%-24s %8s %8s\n", "Aggregation", "wr", "ur")
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equation 1 (by size)", wrSize, urSize)
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equal weights (fn. 5)", wrEq, urEq)

@@ -84,66 +84,60 @@ func (w *World) SelectionAccuracy(sums *DBSummaries, scorer selection.Scorer, st
 		Strategy: strategy,
 		Rk:       make([]float64, maxK),
 	}
-	n := len(w.Bed.Databases)
-	global := sums.GlobalSummary()
-
-	unshrunkEntries := make([]selection.Entry, n)
-	for i, db := range w.Bed.Databases {
-		unshrunkEntries[i] = selection.Entry{Name: db.Name, View: sums.Unshrunk[i]}
+	unshrunk := make([]selection.Entry, len(sums.DBs))
+	shrunk := make([]selection.Entry, len(sums.DBs))
+	for i, db := range sums.DBs {
+		unshrunk[i] = selection.Entry{Name: db.Name, View: db.Unshrunk}
+		shrunk[i] = selection.Entry{Name: db.Name, View: db.Shrunk}
 	}
-	shrunkEntries := make([]selection.Entry, n)
-	for i, db := range w.Bed.Databases {
-		shrunkEntries[i] = selection.Entry{Name: db.Name, View: sums.Shrunk[i]}
-	}
-
-	var hier *selection.Hierarchical
-	if strategy == Hierarchical {
-		hier = selection.NewHierarchical(scorer, sums.Cats, sums.Classified(w))
-	}
-	var adaptive *selection.Adaptive
-	var adbs []*selection.DB
-	if strategy == Shrinkage {
-		adaptive = &selection.Adaptive{Base: scorer, Metrics: w.Metrics}
-		adbs = make([]*selection.DB, n)
-		for i, db := range w.Bed.Databases {
-			adbs[i] = &selection.DB{
-				Name:     db.Name,
-				Unshrunk: sums.Unshrunk[i],
-				Shrunk:   sums.Shrunk[i],
-				Gamma:    sums.Gamma[i],
-				Size:     int(sums.SizeEst[i]),
-			}
+	flat := func(entries []selection.Entry) func(q []string) []selection.Ranked {
+		return func(q []string) []selection.Ranked {
+			return selection.Rank(scorer, q, entries, selection.NewContext(q, entries, sums.Root))
 		}
 	}
-
-	var shrinkApplied, shrinkTotal int
-	for qi, q := range w.Bed.Queries {
-		var ranked []selection.Ranked
-		switch strategy {
-		case Plain:
-			ctx := selection.NewContext(q.Terms, unshrunkEntries, global)
-			ranked = selection.Rank(scorer, q.Terms, unshrunkEntries, ctx)
-		case Universal:
-			ctx := selection.NewContext(q.Terms, shrunkEntries, global)
-			ranked = selection.Rank(scorer, q.Terms, shrunkEntries, ctx)
-		case Hierarchical:
-			ctx := selection.NewContext(q.Terms, unshrunkEntries, global)
-			ranked = hier.Rank(q.Terms, ctx)
-		case Shrinkage:
-			var decisions []selection.Decision
-			ranked, decisions = adaptive.Rank(q.Terms, adbs, global)
+	rank := func([]string) []selection.Ranked { return nil }
+	var applied, pairs int
+	switch strategy {
+	case Plain:
+		rank = flat(unshrunk)
+	case Universal:
+		rank = flat(shrunk)
+	case Hierarchical:
+		hier := selection.NewHierarchical(scorer, sums.Cats, sums.Classified(w))
+		rank = func(q []string) []selection.Ranked {
+			return hier.Rank(q, selection.NewContext(q, unshrunk, sums.Root))
+		}
+	case Shrinkage:
+		adaptive := &selection.Adaptive{Base: scorer, Metrics: w.Metrics}
+		rank = func(q []string) []selection.Ranked {
+			ranked, decisions := adaptive.Rank(q, sums.DBs, sums.Root)
 			for _, d := range decisions {
-				shrinkTotal++
+				pairs++
 				if d.Shrinkage {
-					shrinkApplied++
+					applied++
 				}
 			}
+			return ranked
 		}
+	}
+	w.rkCurve(&res, rank)
+	if pairs > 0 {
+		res.ShrinkRate = float64(applied) / float64(pairs)
+	}
+	return res
+}
+
+// rkCurve fills res.Rk — the mean Rk over the query workload for
+// k = 1..len(res.Rk) — and res.PerQueryMeanRk from rank, one selection
+// algorithm's ranking of a query's words.
+func (w *World) rkCurve(res *AccuracyResult, rank func(q []string) []selection.Ranked) {
+	for qi, q := range w.Bed.Queries {
+		ranked := rank(q.Terms)
 		idx := make([]int, len(ranked))
 		for i, r := range ranked {
 			idx[i] = r.Index
 		}
-		curve := metrics.RkCurve(w.Relevant[qi], idx, maxK)
+		curve := metrics.RkCurve(w.Relevant[qi], idx, len(res.Rk))
 		var qMean float64
 		for k := range curve {
 			res.Rk[k] += curve[k]
@@ -156,10 +150,6 @@ func (w *World) SelectionAccuracy(sums *DBSummaries, scorer selection.Scorer, st
 			res.Rk[k] /= float64(nq)
 		}
 	}
-	if shrinkTotal > 0 {
-		res.ShrinkRate = float64(shrinkApplied) / float64(shrinkTotal)
-	}
-	return res
 }
 
 // CompareRk runs the paired t-test between two strategies' per-query
@@ -169,12 +159,13 @@ func CompareRk(a, b AccuracyResult) (stats.TTestResult, error) {
 	return stats.PairedTTest(a.PerQueryMeanRk, b.PerQueryMeanRk)
 }
 
-// AccuracySweep runs the three strategies the figures compare (Plain,
-// Hierarchical, Shrinkage) for one scorer over one summary set.
-func (w *World) AccuracySweep(sums *DBSummaries, scorer selection.Scorer) []AccuracyResult {
+// AccuracySweep runs the three strategies a figure panel compares, in
+// the order it prints them (Shrinkage, Hierarchical, Plain), for one
+// scorer over one summary set.
+func (w *World) AccuracySweep(sums *DBSummaries, scorer selection.Scorer, maxK int) []AccuracyResult {
 	out := make([]AccuracyResult, 0, 3)
 	for _, st := range []Strategy{Shrinkage, Hierarchical, Plain} {
-		out = append(out, w.SelectionAccuracy(sums, scorer, st, MaxK))
+		out = append(out, w.SelectionAccuracy(sums, scorer, st, maxK))
 	}
 	return out
 }
@@ -207,21 +198,6 @@ func (w *World) ReDDEAccuracy(sums *DBSummaries, ratio float64, maxK int) (Accur
 		Label:   fmt.Sprintf("%v-ReDDE", sums.Config.Sampler),
 		Rk:      make([]float64, maxK),
 	}
-	for qi, q := range w.Bed.Queries {
-		ranked := redde.Rank(q.Terms)
-		idx := make([]int, len(ranked))
-		for i, r := range ranked {
-			idx[i] = r.Index
-		}
-		curve := metrics.RkCurve(w.Relevant[qi], idx, maxK)
-		for k := range curve {
-			res.Rk[k] += curve[k]
-		}
-	}
-	if nq := len(w.Bed.Queries); nq > 0 {
-		for k := range res.Rk {
-			res.Rk[k] /= float64(nq)
-		}
-	}
+	w.rkCurve(&res, redde.Rank)
 	return res, nil
 }

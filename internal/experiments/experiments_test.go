@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/selection"
+	"repro/internal/stats"
 )
 
 // Worlds are expensive to build; share them across tests.
@@ -179,20 +182,81 @@ func TestQualityShapes(t *testing.T) {
 	}
 }
 
-func TestSelectionAccuracyStrategies(t *testing.T) {
-	w := getTRECWorld(t)
-	sums, err := w.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scorer := selection.CORI{}
-	plain := w.SelectionAccuracy(sums, scorer, Plain, 5)
-	shrink := w.SelectionAccuracy(sums, scorer, Shrinkage, 5)
-	hier := w.SelectionAccuracy(sums, scorer, Hierarchical, 5)
+// shapeWorlds are the TestScale TREC testbeds the shape gate reads,
+// built once.
+var shapeWorlds = map[BedKind]*World{}
 
-	for _, res := range []AccuracyResult{plain, shrink, hier} {
-		if len(res.Rk) != 5 {
-			t.Fatalf("Rk curve length = %d", len(res.Rk))
+func getShapeWorld(t testing.TB, kind BedKind) *World {
+	t.Helper()
+	if shapeWorlds[kind] == nil {
+		w, err := BuildWorld(kind, TestScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapeWorlds[kind] = w
+	}
+	return shapeWorlds[kind]
+}
+
+// TestSelectionAccuracyStrategies is the shape gate for Table 10 and
+// Figures 4–5 (DESIGN §4's expected shape), asserted as orderings on
+// the TestScale TREC4 and TREC6 testbeds under both samplers:
+//
+//   - Table 10: shrinkage fires at least as often for bGlOSS as for LM,
+//     and more often for LM than for CORI, on every (testbed, sampler);
+//     at least as often for bGlOSS on long-query TREC4 as on TREC6; and
+//     CORI fires on no TREC4 query-database pair (Figure 4).
+//   - Figure 5a (bGlOSS, TREC4, QBS): Shrinkage's mean Rk is above
+//     Plain's, and Plain's R20 stays below 1.
+//
+// Ties occur at this scale (bGlOSS fires on every TREC4 pair), hence
+// ≥ where the paper's columns can meet.
+func TestSelectionAccuracyStrategies(t *testing.T) {
+	scorers := []selection.Scorer{selection.BGloss{}, selection.LM{}, selection.CORI{}}
+	rate := map[string]float64{} // "bed/sampler/algo" → Table 10 rate
+	key := func(bed BedKind, s SamplerKind, algo string) string { return fmt.Sprintf("%v/%v/%s", bed, s, algo) }
+	var fig5a []AccuracyResult // Shrinkage, Hierarchical, Plain
+	for _, bed := range []BedKind{TREC4, TREC6} {
+		w := getShapeWorld(t, bed)
+		for _, sampler := range []SamplerKind{QBS, FPS} {
+			sums, err := w.BuildSummaries(Config{Sampler: sampler, FreqEst: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scorer := range scorers {
+				res := w.SelectionAccuracy(sums, scorer, Shrinkage, MaxK)
+				rate[key(bed, sampler, scorer.Name())] = res.ShrinkRate
+			}
+			if bed == TREC4 && sampler == QBS {
+				fig5a = w.AccuracySweep(sums, selection.BGloss{}, MaxK)
+			}
+		}
+	}
+	t.Logf("Table 10 rates: %v", rate)
+	t.Logf("Figure 5a mean Rk: Shrinkage %.3f, Plain %.3f (Plain R20 %.3f)",
+		stats.Mean(fig5a[0].Rk), stats.Mean(fig5a[2].Rk), fig5a[2].Rk[MaxK-1])
+
+	for _, bed := range []BedKind{TREC4, TREC6} {
+		for _, sampler := range []SamplerKind{QBS, FPS} {
+			bg, lm, cori := rate[key(bed, sampler, "bGlOSS")], rate[key(bed, sampler, "LM")], rate[key(bed, sampler, "CORI")]
+			if !(bg >= lm && lm > cori) {
+				t.Errorf("Table 10 %v/%v: rates bGlOSS %.3f, LM %.3f, CORI %.3f; want bGlOSS ≥ LM > CORI", bed, sampler, bg, lm, cori)
+			}
+		}
+	}
+	for _, sampler := range []SamplerKind{QBS, FPS} {
+		if t4, t6 := rate[key(TREC4, sampler, "bGlOSS")], rate[key(TREC6, sampler, "bGlOSS")]; t4 < t6 {
+			t.Errorf("Table 10 bGlOSS/%v: TREC4 rate %.3f below TREC6's %.3f", sampler, t4, t6)
+		}
+		if r := rate[key(TREC4, sampler, "CORI")]; r != 0 {
+			t.Errorf("Figure 4: CORI shrank %.3f of the TREC4/%v pairs, want none", r, sampler)
+		}
+	}
+
+	shrink, plain := fig5a[0], fig5a[2]
+	for _, res := range fig5a {
+		if len(res.Rk) != MaxK {
+			t.Fatalf("%v Rk curve length = %d", res.Strategy, len(res.Rk))
 		}
 		for k, v := range res.Rk {
 			if v < 0 || v > 1 {
@@ -200,11 +264,14 @@ func TestSelectionAccuracyStrategies(t *testing.T) {
 			}
 		}
 	}
-	if shrink.ShrinkRate < 0 || shrink.ShrinkRate > 1 {
-		t.Errorf("shrink rate = %v", shrink.ShrinkRate)
-	}
 	if plain.ShrinkRate != 0 {
 		t.Errorf("plain strategy reported shrinkage rate %v", plain.ShrinkRate)
+	}
+	if ms, mp := stats.Mean(shrink.Rk), stats.Mean(plain.Rk); ms <= mp {
+		t.Errorf("Figure 5a: Shrinkage mean Rk %.3f not above Plain's %.3f", ms, mp)
+	}
+	if r20 := plain.Rk[MaxK-1]; r20 >= 1 {
+		t.Errorf("Figure 5a: Plain R20 = %.3f, want its plateau below 1", r20)
 	}
 }
 
@@ -214,7 +281,7 @@ func TestAccuracySweepReturnsThreeStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := w.AccuracySweep(sums, selection.BGloss{})
+	res := w.AccuracySweep(sums, selection.BGloss{}, MaxK)
 	if len(res) != 3 {
 		t.Fatalf("sweep results = %d", len(res))
 	}
@@ -274,15 +341,20 @@ func TestReDDEAccuracy(t *testing.T) {
 	}
 }
 
+// TestBuildSummariesParallelMatchesSequential: one worker and four
+// build the same summaries — sampling, classification and the EM fits
+// alike.
 func TestBuildSummariesParallelMatchesSequential(t *testing.T) {
 	w := getWebWorld(t)
-	seq, err := w.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
+	w1 := *w
+	w1.Scale.Workers = 1
+	seq, err := w1.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2 := *w
-	w2.Scale.Workers = 4
-	par, err := w2.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
+	w4 := *w
+	w4.Scale.Workers = 4
+	par, err := w4.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,6 +362,12 @@ func TestBuildSummariesParallelMatchesSequential(t *testing.T) {
 		if seq.Class[i] != par.Class[i] || seq.SizeEst[i] != par.SizeEst[i] ||
 			seq.Unshrunk[i].Len() != par.Unshrunk[i].Len() {
 			t.Fatalf("db %d differs between sequential and parallel builds", i)
+		}
+		if a, b := seq.Shrunk[i].EMIterations(), par.Shrunk[i].EMIterations(); a != b {
+			t.Fatalf("db %d: %d EM iterations sequentially, %d in parallel", i, a, b)
+		}
+		if a, b := seq.Shrunk[i].Lambdas(), par.Shrunk[i].Lambdas(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("db %d: λ %v sequentially, %v in parallel", i, a, b)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
-	"repro/internal/summary"
 )
 
 // QualityCell aggregates one content-summary quality metric over the
@@ -114,10 +113,4 @@ func (w *World) QualityGrid() ([]QualityRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// GlobalSummary materializes the Root category summary, which the LM
-// scorer smooths against (Section 5.3).
-func (s *DBSummaries) GlobalSummary() *summary.Summary {
-	return s.Cats.Summary(0)
 }

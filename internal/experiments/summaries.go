@@ -10,6 +10,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/pool"
 	"repro/internal/sampling"
+	"repro/internal/selection"
 	"repro/internal/summary"
 	"repro/internal/synth"
 )
@@ -61,15 +62,15 @@ func (c Config) String() string {
 }
 
 // DBSummaries holds, for one configuration, everything database
-// selection needs: the per-database approximate summaries (unshrunk and
-// shrunk), the classification used, the category summaries, and the
-// Appendix B statistics for the adaptive algorithm.
+// selection needs: the per-database approximate summaries, the
+// classification used, the Appendix B statistics for the adaptive
+// algorithm, and the offline derivation over them (category summaries,
+// root summary, shrunk summaries, Figure 3's inputs) — the same
+// selection.Derive the metasearcher serves from.
 type DBSummaries struct {
 	Config   Config
 	Unshrunk []*summary.Summary
-	Shrunk   []*core.ShrunkSummary
 	Class    []hierarchy.NodeID
-	Cats     *core.CategorySummaries
 	// SizeEst is the sample–resample database size estimate (always
 	// computed; the raw configurations keep |D̂| = |S| in the summary
 	// but the adaptive uncertainty model still needs |D|).
@@ -79,6 +80,8 @@ type DBSummaries struct {
 	// SampleDocs holds each database's sampled documents when the
 	// configuration requested them (Config.KeepSampleDocs).
 	SampleDocs [][][]string
+
+	*selection.Derived
 }
 
 // BuildSummaries runs the configured sampler against every database of
@@ -90,7 +93,6 @@ func (w *World) BuildSummaries(cfg Config) (*DBSummaries, error) {
 	out := &DBSummaries{
 		Config:   cfg,
 		Unshrunk: make([]*summary.Summary, n),
-		Shrunk:   make([]*core.ShrunkSummary, n),
 		Class:    make([]hierarchy.NodeID, n),
 		SizeEst:  make([]float64, n),
 		Gamma:    make([]float64, n),
@@ -157,29 +159,26 @@ func (w *World) BuildSummaries(cfg Config) (*DBSummaries, error) {
 		return nil, err
 	}
 
-	// Category summaries over the classified approximate summaries,
-	// then one shrunk summary per database.
-	classified := make([]core.Classified, n)
-	for i, db := range w.Bed.Databases {
-		classified[i] = core.Classified{
-			Name:     db.Name,
-			Category: out.Class[i],
-			Sum:      out.Unshrunk[i],
-		}
-	}
-	out.Cats = core.BuildCategorySummaries(w.Bed.Tree, classified, core.SizeWeighted)
-	for i := range classified {
-		out.Shrunk[i] = core.Shrink(out.Cats, classified[i], core.ShrinkOptions{Metrics: w.Metrics})
-	}
+	out.Derived = selection.Derive(w.Bed.Tree, out.sources(w), core.SizeWeighted, nil, w.Metrics)
 	return out, nil
 }
 
-// Classified returns the classified-summary slice (used by callers that
-// need to rebuild category summaries, e.g. the ablation harness).
+// Classified returns the classified-summary slice (the hierarchical
+// baseline's input, and with |D̂| and γ the derivation's).
 func (s *DBSummaries) Classified(w *World) []core.Classified {
 	out := make([]core.Classified, len(s.Unshrunk))
 	for i, db := range w.Bed.Databases {
 		out[i] = core.Classified{Name: db.Name, Category: s.Class[i], Sum: s.Unshrunk[i]}
+	}
+	return out
+}
+
+// sources is selection.Derive's input: every database's classified
+// summary with its |D̂| and γ.
+func (s *DBSummaries) sources(w *World) []selection.Source {
+	out := make([]selection.Source, len(s.Unshrunk))
+	for i, c := range s.Classified(w) {
+		out[i] = selection.Source{Classified: c, Size: s.SizeEst[i], Gamma: s.Gamma[i]}
 	}
 	return out
 }

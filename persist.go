@@ -87,7 +87,7 @@ type persistDB struct {
 // Save writes the built summaries. BuildSummaries must have succeeded.
 func (m *Metasearcher) Save(w io.Writer) error {
 	st := m.state.Load()
-	if !st.built {
+	if st.derived == nil {
 		return errors.New("repro: nothing to save; run BuildSummaries first")
 	}
 	pieces := make([][]byte, len(st.dbs))

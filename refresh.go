@@ -65,7 +65,7 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 	if r.db == nil {
 		return nil, fmt.Errorf("repro: database %q has no live connection", name)
 	}
-	if !st.built {
+	if st.derived == nil {
 		return nil, errors.New("repro: BuildSummaries has not been run")
 	}
 	if docs <= 0 {
@@ -94,7 +94,7 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 // offline rebuild.
 func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 	return m.update(func(cur *store) (*store, error) {
-		if !cur.built {
+		if cur.derived == nil {
 			return nil, errors.New("repro: BuildSummaries has not been run")
 		}
 		dbs := make([]*registeredDB, len(cur.dbs))

@@ -458,7 +458,7 @@ func newPipelineMetrics(reg *telemetry.Registry) pipelineMetrics {
 		searchInflight: reg.DeclareGauge("search_inflight", "Search requests currently inside Metasearcher.Search."),
 		searchLatency:  reg.DeclareHistogram("search_latency", "End-to-end search latency, seconds.", nil),
 		dbLatency:      reg.DeclareHistogram("search_db_latency", "Per-database query-call latency inside the fan-out, seconds.", nil),
-		dbUnavailable:  reg.DeclareCounter("search_db_unavailable_total", "Selected databases skipped because no live handle existed."),
+		dbUnavailable:  reg.DeclareCounter("search_db_unavailable_total", "Selected databases whose query call failed or was cut short by the fan-out's end (one without a live handle is out of scope instead)."),
 		resultsMerged:  reg.DeclareCounter("search_results_merged_total", "Documents merged into final rankings across all searches."),
 		hedges:         reg.DeclareCounter("search_hedges_total", "Hedge requests launched against slow database calls."),
 		hedgeWins:      reg.DeclareCounter("search_hedge_wins_total", "Hedge requests that beat their primary attempt."),
@@ -718,7 +718,7 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 		return nil, nil, m.scorerErr
 	}
 	st := m.state.Load()
-	if !st.built {
+	if st.derived == nil {
 		return nil, nil, errors.New("repro: BuildSummaries has not been run")
 	}
 	if len(terms) == 0 {
@@ -735,7 +735,7 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 
 	base := m.scorer
 	adaptive := &selection.Adaptive{Base: base, Metrics: m.reg}
-	ranked, decisions := adaptive.Rank(terms, st.adaptive, st.global)
+	ranked, decisions := adaptive.Rank(terms, st.derived.DBs, st.derived.Root)
 
 	if k > len(ranked) {
 		k = len(ranked)
@@ -801,7 +801,7 @@ func (m *Metasearcher) Info(name string) (DatabaseInfo, error) {
 	if r == nil {
 		return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
 	}
-	if !st.built {
+	if st.derived == nil {
 		return DatabaseInfo{}, errors.New("repro: BuildSummaries has not been run")
 	}
 	info := DatabaseInfo{

@@ -129,16 +129,16 @@ type SearchStages struct {
 // concurrent identical query). Cancelling ctx cancels in-flight remote
 // queries and stops the fan-out.
 //
-// A selected database without a live handle (registered via
-// AddDatabase, or whose connection is otherwise gone) is skipped —
-// counted in search_db_unavailable_total and noted on the trace —
-// rather than failing the whole search. A ContextSearchableDatabase
-// whose query errors (e.g. a ReplicatedDatabase whose every replica is
-// down, after its retries and failovers) is treated exactly the same
-// way, as is a database whose circuit breaker is open (counted
-// separately, in search_breaker_open_total). Search errors only on an
-// invalid request (see Normalize) or when none of the selected
-// databases is reachable.
+// A selected database whose query errors (e.g. a ReplicatedDatabase
+// whose every replica is down, after its retries and failovers) is
+// skipped — counted in search_db_unavailable_total and noted on the
+// trace — rather than failing the whole search, as is a database whose
+// circuit breaker is open (counted separately, in
+// search_breaker_open_total). A selected database this process holds
+// no live handle for is out of scope: another shard's slice, counted
+// in search_out_of_scope_total and never queried here. Search errors
+// only on an invalid request (see Normalize) or when none of the
+// selected databases is reachable and none is out of scope.
 //
 // The cached fan-out: identical queries (same analyzed terms, MaxDBs,
 // PerDB) within the result tier's TTL are answered from memory
@@ -572,7 +572,7 @@ func (m *Metasearcher) searchNode(ctx context.Context, span *telemetry.Span, db 
 		}
 		// Short-circuited: the node is known-bad and was not touched.
 		// Audited as BreakerOpen, distinct from Unavailable (which means
-		// the node was actually tried, or had no handle).
+		// the node was actually tried).
 		m.met.breakerOpen.Inc()
 		span.Event("search.breaker_open", telemetry.String("db", name))
 		call.BreakerState = m.breakers.Get(name).State().String()

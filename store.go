@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/freqest"
 	"repro/internal/hierarchy"
-	"repro/internal/pool"
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
@@ -56,14 +54,12 @@ type store struct {
 
 	// Set by deriveStore; a store that Train or AddDatabase published
 	// has none of it and fails Select, Info and Save.
-	built        bool
 	trainingDocs int      // informational, for Save: classifier examples at build time
 	lexicon      []string // QBS bootstrap words the summaries were sampled with
-	cats         *core.CategorySummaries
-	global       *summary.Summary // the root category summary
-	// The selection input, fixed per build: adaptive selection reads
-	// both summaries of every database.
-	adaptive []*selection.DB
+	// derived is the offline derivation over dbs, in the same order:
+	// category summaries, root summary, shrunk summaries and Figure 3's
+	// inputs. nil until built.
+	derived *selection.Derived
 }
 
 type registeredDB struct {
@@ -157,38 +153,22 @@ func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample)
 	r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
 }
 
-// deriveStore computes everything that is a function of the whole
-// summary set: the category summaries, every database's shrunk summary
-// (shrinkage ancestors share statistics, so one changed summary moves
-// its siblings' too), the root summary, and the selection inputs. dbs
-// are the caller's own copies with unshrunk summaries and categories
-// set; called from inside update.
-//
-// Both passes are CPU-bound and fan out on GOMAXPROCS workers whatever
-// Options.Parallelism says: the category aggregation per node
-// (core.BuildCategorySummaries), the EM fits per database into their
-// own slots. Neither changes the order of any float sum, so the store
-// is bit-identical at any worker count.
+// deriveStore builds a store over dbs (the caller's own copies with
+// unshrunk summaries and categories set; called from inside update) by
+// running selection.Derive over the whole summary set: shrinkage
+// ancestors share statistics, so one changed summary moves its
+// siblings' too.
 func (m *Metasearcher) deriveStore(dbs []*registeredDB, lexicon []string, trainingDocs int, span *telemetry.Span) *store {
 	st := newStore(dbs)
-	st.built = true
 	st.trainingDocs = trainingDocs
 	st.lexicon = lexicon
-	classified := make([]core.Classified, len(dbs))
+	sources := make([]selection.Source, len(dbs))
 	for i, r := range dbs {
-		classified[i] = core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}
+		sources[i] = selection.Source{Classified: core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}, Size: r.sizeEst, Gamma: r.gamma}
 	}
-	st.cats = core.BuildCategorySummaries(m.tree, classified, core.SizeWeighted)
-	st.global = st.cats.Summary(hierarchy.Root)
-	st.adaptive = make([]*selection.DB, len(dbs))
-	pool.ForEach(len(dbs), runtime.GOMAXPROCS(0), m.reg, func(i int) error {
-		r := dbs[i]
-		shrinkSpan := span.Child("shrink", telemetry.String("db", r.name))
-		r.shrunk = core.Shrink(st.cats, classified[i], core.ShrinkOptions{
-			Span:    shrinkSpan,
-			Metrics: m.reg,
-		})
-		shrinkSpan.End(telemetry.Int("em_iterations", r.shrunk.EMIterations()))
+	st.derived = selection.Derive(m.tree, sources, core.SizeWeighted, span, m.reg)
+	for i, r := range dbs {
+		r.shrunk = st.derived.Shrunk[i]
 		if r.prov != nil {
 			// The EM just run is this summary's provenance (Load, which
 			// prefers the persisted one, attaches it afterwards).
@@ -198,15 +178,7 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, lexicon []string, traini
 				Lambdas:       r.shrunk.Lambdas(),
 			}
 		}
-		st.adaptive[i] = &selection.DB{
-			Name:     r.name,
-			Unshrunk: r.unshrunk,
-			Shrunk:   r.shrunk,
-			Gamma:    r.gamma,
-			Size:     int(r.sizeEst),
-		}
-		return nil
-	})
+	}
 	return st
 }
 

@@ -451,7 +451,7 @@ func storePrint(m *Metasearcher) string {
 		sb.WriteString("];")
 	}
 	for c := 0; c < m.tree.Len(); c++ {
-		sum := st.cats.Summary(hierarchy.NodeID(c))
+		sum := st.derived.Cats.Summary(hierarchy.NodeID(c))
 		if len(sum.Words) == 0 {
 			continue
 		}
