@@ -23,17 +23,19 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Regenerate the two catalogues that are emitted from the code: the
-# per-mode flag tables (docs/flags.md, from cmd/metasearch's flag sets)
-# and DESIGN.md §8's metric tables (from the registries' declared series). `go test`
-# fails on a stale copy of either.
+# Regenerate the three copies kept by code: the per-mode flag tables
+# (docs/flags.md, from cmd/metasearch's flag sets), DESIGN.md §8's metric
+# tables (from the registries' declared series) and EXPERIMENTS.md's
+# GENERATED blocks (from docs/results-default.txt). `go test` fails on a
+# stale copy of any of them.
 docs:
 	cd cmd/metasearch && $(GO) test -run TestFlagDocsCurrent -update .
 	cd internal/telemetry && $(GO) test -run TestMetricCatalogueCurrent -update .
+	cd cmd/experiments && $(GO) test -run TestExperimentsDocCurrent -update .
 
 # Regenerate the paper's tables and figures at full scale (about ten
 # minutes; kept out of `make test` and CI). EXPERIMENTS.md quotes this
-# file.
+# file; run `make docs` after it.
 results:
 	$(GO) run ./cmd/experiments -all > docs/results-default.txt
 
@@ -45,8 +47,9 @@ results-small:
 
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/ (benchcompat.go shims not counted; their lines are
-# printed on their own), the observability packages' share of them and the
-# number of metric kinds, metasearch flags per mode, the time.Sleep
+# printed on their own), the root package's share of them (the paper's
+# pipeline; ROADMAP item 7's target), the observability packages' share
+# and the number of metric kinds, metasearch flags per mode, the time.Sleep
 # calls left in tests, the files outside internal/resilience that still
 # make attempt-policy calls of their own (resilience.Do should be the
 # only caller of the budget and breaker methods on the query path), the
@@ -65,6 +68,8 @@ OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 count:
 	@printf 'non-test Go lines outside benchmark/ and benchcompat.go: '
 	@find . -name '*.go' ! -name '*_test.go' ! -name benchcompat.go ! -path './benchmark/*' | xargs cat | wc -l
+	@printf 'of which the root package (repro): '
+	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs cat | wc -l
 	@printf 'of which internal/telemetry + internal/audit + internal/obscollector: '
 	@find internal/telemetry internal/audit internal/obscollector -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'metric kinds (name-to-metric maps in telemetry.Registry): '

@@ -1,6 +1,10 @@
 package repro
 
-import "context"
+import (
+	"context"
+
+	"repro/internal/replica"
+)
 
 // The old spellings benchmark/ compiles against (DESIGN §3, the
 // benchcompat rule): one-line forwarders to Search, used by nothing
@@ -30,4 +34,22 @@ func (m *Metasearcher) SearchExplainedObserved(ctx context.Context, query string
 // compiled against by `benchmark/cluster_fanout.go`
 func (m *Metasearcher) LoadFileFiltered(path string, keep func(name string) bool) error {
 	return m.LoadFile(path)
+}
+
+// The remote replica set's spellings from before it moved to
+// internal/replica.
+type (
+	// ReplicatedDatabase: compiled against by `benchmark/cluster_fanout.go`
+	ReplicatedDatabase = replica.Database
+	// ReplicatedDatabaseOptions: compiled against by `benchmark/cluster_fanout.go`
+	ReplicatedDatabaseOptions = replica.Options
+	// RemoteDatabaseOptions: compiled against by `benchmark/cluster_fanout.go`
+	RemoteDatabaseOptions = replica.ClientOptions
+)
+
+// DialReplicatedDatabase is replica.Dial.
+//
+// compiled against by `benchmark/cluster_fanout.go`
+func DialReplicatedDatabase(ctx context.Context, addrs []string, opts ReplicatedDatabaseOptions) (*ReplicatedDatabase, error) {
+	return replica.Dial(ctx, addrs, opts)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/index"
 	"repro/internal/refresh"
+	"repro/internal/replica"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
 )
@@ -97,8 +98,8 @@ func newLocal(f *flags) (*local, error) {
 
 // remoteOptions is how this process's wire clients are wired: drawing
 // retries from its one budget.
-func (l *local) remoteOptions() repro.RemoteDatabaseOptions {
-	return repro.RemoteDatabaseOptions{Budget: l.m.RetryBudget()}
+func (l *local) remoteOptions() replica.ClientOptions {
+	return replica.ClientOptions{Budget: l.m.RetryBudget()}
 }
 
 // addDatabases registers the testbed: every database in-process under
@@ -127,7 +128,7 @@ func (l *local) addDatabases(remote string) error {
 		if addr == "" {
 			continue
 		}
-		rdb, err := repro.DialReplicatedDatabase(context.Background(), []string{addr}, repro.ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), []string{addr}, replica.Options{
 			Metrics: l.m.Metrics(),
 			Client:  l.remoteOptions(),
 		})

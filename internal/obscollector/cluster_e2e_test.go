@@ -33,6 +33,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/index"
 	"repro/internal/obscollector"
+	"repro/internal/replica"
 	"repro/internal/resilience"
 	"repro/internal/router"
 	"repro/internal/shardmap"
@@ -186,7 +187,7 @@ func TestCollectorClusterE2E(t *testing.T) {
 		ring := telemetry.NewRingCapture(0)
 		sm := repro.New(e2eOptions(lexicon, ring))
 		for _, a := range assigns {
-			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
+			rdb, err := replica.Dial(context.Background(), a.Replicas, replica.Options{
 				Preferred: a.Preferred,
 				Breakers:  sm.Breakers(),
 				Metrics:   sm.Metrics(),

@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gateway"
 	"repro/internal/index"
+	"repro/internal/replica"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -125,7 +126,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	// replicas, never the baseline.
 	baseline := repro.New(clusterOptions(lexicon))
 	for _, d := range dbs {
-		rdb, err := repro.DialReplicatedDatabase(context.Background(), replicaAddrs[d.name][1:2], repro.ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), replicaAddrs[d.name][1:2], replica.Options{
 			Metrics: baseline.Metrics(),
 		})
 		if err != nil {
@@ -159,7 +160,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	}
 
 	// Boot each shard: a full metasearcher whose live handles are
-	// ReplicatedDatabases over its consistent-hash slice, loading the
+	// replica.Databases over its consistent-hash slice, loading the
 	// complete save file.
 	shardMs := make([]*repro.Metasearcher, len(topo.Shards))
 	for i := range topo.Shards {
@@ -172,7 +173,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		}
 		sm := repro.New(clusterOptions(lexicon))
 		for _, a := range assigns {
-			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
+			rdb, err := replica.Dial(context.Background(), a.Replicas, replica.Options{
 				Preferred: a.Preferred,
 				Breakers:  sm.Breakers(),
 				Metrics:   sm.Metrics(),
@@ -454,7 +455,7 @@ func TestClusterEmptyShardMatchesSingleProcess(t *testing.T) {
 		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{}); err != nil {
+		if _, err := sm.ApplyReplicaAssignments(ras, replica.ClientOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		sm.Probe(context.Background())

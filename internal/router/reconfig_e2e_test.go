@@ -19,6 +19,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/gateway"
+	"repro/internal/replica"
 	"repro/internal/shardmap"
 	"repro/internal/wire"
 )
@@ -73,7 +74,7 @@ func TestClusterReconfiguration(t *testing.T) {
 
 	baseline := repro.New(clusterOptions(lexicon))
 	for _, d := range dbs {
-		rdb, err := repro.DialReplicatedDatabase(context.Background(), replicaAddrs[d.name][1:2], repro.ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), replicaAddrs[d.name][1:2], replica.Options{
 			Metrics: baseline.Metrics(),
 		})
 		if err != nil {
@@ -133,11 +134,11 @@ func TestClusterReconfiguration(t *testing.T) {
 		}
 		sm := repro.New(clusterOptions(lexicon))
 		for _, a := range assigns {
-			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
+			rdb, err := replica.Dial(context.Background(), a.Replicas, replica.Options{
 				Preferred: a.Preferred,
 				Breakers:  sm.Breakers(),
 				Metrics:   sm.Metrics(),
-				Client:    repro.RemoteDatabaseOptions{Budget: sm.RetryBudget()},
+				Client:    replica.ClientOptions{Budget: sm.RetryBudget()},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -192,7 +193,7 @@ func TestClusterReconfiguration(t *testing.T) {
 					Replicas: a.Replicas, Preferred: a.Preferred,
 				}
 			}
-			if _, err := sm.ApplyReplicaAssignments(ras, repro.RemoteDatabaseOptions{}); err != nil {
+			if _, err := sm.ApplyReplicaAssignments(ras, replica.ClientOptions{}); err != nil {
 				return fmt.Errorf("shard %s swap: %w", id, err)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/evtstream"
 	"repro/internal/gateway"
+	"repro/internal/replica"
 	"repro/internal/shardmap"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -186,7 +187,7 @@ func TestClusterStreaming(t *testing.T) {
 		}
 		sm := repro.New(clusterOptions(lexicon))
 		for _, a := range assigns {
-			rdb, err := repro.DialReplicatedDatabase(context.Background(), a.Replicas, repro.ReplicatedDatabaseOptions{
+			rdb, err := replica.Dial(context.Background(), a.Replicas, replica.Options{
 				Preferred: a.Preferred,
 				Breakers:  sm.Breakers(),
 				Metrics:   sm.Metrics(),

@@ -85,7 +85,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 
 // Client speaks the wire protocol to one database node, one HTTP
 // exchange per call: retrying, failing over and backing off are the
-// attempt loop's above it (repro.ReplicatedDatabase), which passes each
+// attempt loop's above it (replica.Database), which passes each
 // exchange its Attempt. It is safe for concurrent use.
 type Client struct {
 	base string

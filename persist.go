@@ -28,6 +28,10 @@ import (
 // persistVersion guards the on-disk format.
 const persistVersion = 1
 
+// maxSizeEst bounds a loaded size estimate: up to 2^53 a float64 holds
+// every integer, so selection's int(|D̂|) is the count the file says.
+const maxSizeEst = 1 << 53
+
 // The save file is one JSON object,
 //
 //	{"version":1,"databases":[…],"training_docs":N,"checksum":"sha256:…"}
@@ -262,6 +266,12 @@ func (m *Metasearcher) Load(r io.Reader) error {
 // database (no live handle) and its persisted provenance, or says what
 // is wrong with its content.
 func (m *Metasearcher) decodeDB(pd persistDB) (*registeredDB, *BuildTelemetry, error) {
+	switch {
+	case pd.Sample < 0:
+		return nil, nil, fmt.Errorf("repro: database %q: sample_size %d is negative", pd.Name, pd.Sample)
+	case pd.SizeEst < 0 || pd.SizeEst > maxSizeEst:
+		return nil, nil, fmt.Errorf("repro: database %q: size_estimate %g is outside [0, 2^53]", pd.Name, pd.SizeEst)
+	}
 	cat, ok := m.tree.Lookup(pd.Category)
 	if !ok {
 		return nil, nil, fmt.Errorf("repro: database %q references unknown category %q", pd.Name, pd.Category)

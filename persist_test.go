@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -182,16 +183,11 @@ func sealed(t *testing.T, raw []byte) []byte {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
 	}
-	var dbs []persistDB
-	if err := json.Unmarshal(env["databases"], &dbs); err != nil {
-		t.Fatal(err)
-	}
-	canonical, err := json.Marshal(dbs)
+	sum, err := contentChecksum(env["databases"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(canonical)
-	if env["checksum"], err = json.Marshal("sha256:" + hex.EncodeToString(sum[:])); err != nil {
+	if env["checksum"], err = json.Marshal(sum); err != nil {
 		t.Fatal(err)
 	}
 	out, err := json.Marshal(env)
@@ -199,6 +195,21 @@ func sealed(t *testing.T, raw []byte) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// contentChecksum is the checksum a save file whose databases array is
+// dbs must carry, by its definition.
+func contentChecksum(dbs []byte) (string, error) {
+	var decoded []persistDB
+	if err := json.Unmarshal(dbs, &decoded); err != nil {
+		return "", err
+	}
+	canonical, err := json.Marshal(decoded)
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(canonical)
+	return "sha256:" + hex.EncodeToString(sum[:]), nil
 }
 
 func TestLoadRejectsBadInput(t *testing.T) {
@@ -223,6 +234,22 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		err := m.Load(bytes.NewReader(sealed(t, []byte(in))))
 		if err == nil || errors.Is(err, ErrNoChecksum) || strings.Contains(err.Error(), "checksum") {
 			t.Errorf("%s: err = %v, want a content rejection", name, err)
+		}
+	}
+	// Hostile sizes in an otherwise golden file: each is rejected with
+	// an error naming the database and the field.
+	golden, err := os.ReadFile(filepath.Join("testdata", "state_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ from, to, field string }{
+		{`"size_estimate":81.81818181818181`, `"size_estimate":1e300`, "size_estimate"},
+		{`"size_estimate":81.81818181818181`, `"size_estimate":-5`, "size_estimate"},
+		{`"sample_size":30,"summary"`, `"sample_size":-3,"summary"`, "sample_size"},
+	} {
+		in := sealed(t, bytes.Replace(golden, []byte(c.from), []byte(c.to), 1))
+		if err := m.Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), `"cardio"`) || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: err = %v, want a rejection naming cardio's %s", c.to, err, c.field)
 		}
 	}
 	// Several bad databases: the one reported is the first in file
@@ -378,7 +405,7 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 			NewLocalDatabaseFromTerms(s.name, s.docs),
 			wire.ServerOptions{Category: s.category}))
 		t.Cleanup(srv.Close)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{})
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,4 +447,63 @@ func TestLoadReplacesState(t *testing.T) {
 	if i1.EstimatedSize != i2.EstimatedSize || i1.SummaryWords != i2.SummaryWords {
 		t.Errorf("loaded info %+v differs from saved %+v", i2, i1)
 	}
+}
+
+// FuzzLoad feeds Load save files whose databases array is the fuzzer's,
+// sealed with a matching checksum so that the input gets past the
+// integrity check to the content checks. Load must not panic; a
+// rejected file must leave the served store as it was; an accepted one
+// must round-trip Save → Load → Save byte for byte.
+func FuzzLoad(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "state_golden.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var env struct {
+		Databases json.RawMessage `json:"databases"`
+	}
+	if err := json.Unmarshal(golden, &env); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(env.Databases))
+	save := func(t *testing.T, m *Metasearcher) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	m := New(Options{})
+	if err := m.Load(bytes.NewReader(golden)); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, dbs []byte) {
+		served := save(t, m)
+		if err := m.Load(bytes.NewReader(sealedDatabases(dbs))); err != nil {
+			if !bytes.Equal(save(t, m), served) {
+				t.Fatalf("a rejected file (%v) changed the served store", err)
+			}
+			return
+		}
+		first := save(t, m)
+		again := New(Options{})
+		if err := again.Load(bytes.NewReader(first)); err != nil {
+			t.Fatalf("Save of an accepted file does not load: %v", err)
+		}
+		if second := save(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("Save(Load(Save(m))) differs from Save(m):\nfirst  %s\nsecond %s", tail(first), tail(second))
+		}
+	})
+}
+
+// sealedDatabases is a save file around the databases array dbs with
+// its content checksum; an array that does not decode gets one that
+// matches nothing.
+func sealedDatabases(dbs []byte) []byte {
+	sum, err := contentChecksum(dbs)
+	if err != nil {
+		sum = "sha256:none"
+	}
+	return []byte(`{"version":1,"databases":` + string(dbs) + `,"training_docs":60,"checksum":"` + sum + `"}`)
 }

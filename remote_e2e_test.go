@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/index"
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -99,7 +100,7 @@ func TestRemotePipelineMatchesInProcess(t *testing.T) {
 			NewLocalDatabaseFromTerms(s.name, s.docs),
 			wire.ServerOptions{Category: s.category}))
 		t.Cleanup(srv.Close)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{
 			Metrics: remote.Metrics(),
 		})
 		if err != nil {
@@ -176,7 +177,7 @@ func TestBuildSummariesContextCancelled(t *testing.T) {
 	defer srv.Close()
 
 	m := New(testbedOptions(lexicon))
-	rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{})
+	rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

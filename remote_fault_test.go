@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/clock"
+	"repro/internal/replica"
 	"repro/internal/resilience"
 	"repro/internal/wire"
 )
@@ -40,9 +41,9 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 		t.Cleanup(srv.Close)
 		flakies = append(flakies, flaky)
 		servers = append(servers, srv)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{
 			Metrics: reg,
-			clock:   clock.NewInstant(), // retries without backoff waits
+			Clock:   clock.NewInstant(), // retries without backoff waits
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -133,8 +134,8 @@ func TestSearchNamesWhyNoDatabaseAnswered(t *testing.T) {
 			wire.ServerOptions{Category: s.category}))
 		t.Cleanup(srv.Close)
 		servers = append(servers, srv)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
-			clock: clock.NewInstant(), // retries without backoff waits
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{
+			Clock: clock.NewInstant(), // retries without backoff waits
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,9 @@
 //	m.Train("Health", healthDocs)             // classifier examples
 //	m.AddDatabase(db, "")                     // "" = classify by probing
 //	if err := m.BuildSummaries(); err != nil { ... }
-//	for _, sel := range m.Select("blood hypertension treatment", 5) {
+//	sels, err := m.Select("blood hypertension treatment", 5)
+//	if err != nil { ... }
+//	for _, sel := range sels {
 //		fmt.Println(sel.Database, sel.Score)
 //	}
 package repro
@@ -368,7 +370,7 @@ func (m *Metasearcher) Metrics() *telemetry.Registry { return m.reg }
 func (m *Metasearcher) Breakers() *resilience.Set { return m.breakers }
 
 // RetryBudget returns the process-wide retry/hedge budget. Pass it to
-// the wire clients of remote databases (RemoteDatabaseOptions.Budget)
+// the wire clients of remote databases (replica.ClientOptions.Budget)
 // so their retries draw from the same bucket as the fan-out's hedges.
 func (m *Metasearcher) RetryBudget() *resilience.Budget { return m.budget }
 
@@ -376,7 +378,7 @@ func (m *Metasearcher) RetryBudget() *resilience.Budget { return m.budget }
 // databases as they are registered now: it pings the /v1/health
 // endpoint of each one whose breaker is not closed, so an open breaker
 // closes as soon as its node recovers, without waiting for live query
-// traffic. A ReplicatedDatabase contributes one target per replica
+// traffic. A replica.Database contributes one target per replica
 // (keyed "name@addr", the same keys its per-replica breakers use) plus
 // a database-level target that succeeds while any replica does. The
 // targets are read at every sweep, so replicas a topology swap brings in

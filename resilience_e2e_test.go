@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/clock"
+	"repro/internal/replica"
 	"repro/internal/resilience"
 	"repro/internal/wire"
 )
@@ -48,7 +49,7 @@ type chaosNode struct {
 
 // dialChaosNodes starts n switchable (initially healthy) wire servers
 // over the first n testbed shards and registers them with m.
-func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts ReplicatedDatabaseOptions) []*chaosNode {
+func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts replica.Options) []*chaosNode {
 	t.Helper()
 	nodes := make([]*chaosNode, len(shards))
 	for i, s := range shards {
@@ -57,7 +58,7 @@ func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts Repl
 		sw := newSwitchable(healthy)
 		srv := httptest.NewServer(sw)
 		t.Cleanup(srv.Close)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, opts)
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +107,10 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	opts.Cache.Disable = true
 	m := New(opts)
 	reg := m.Metrics()
-	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{
+	nodes := dialChaosNodes(t, m, shards, replica.Options{
 		Metrics: reg,
-		Client:  RemoteDatabaseOptions{Timeout: 150 * time.Millisecond},
-		clock:   clock.NewInstant(), // retries without backoff waits
+		Client:  replica.ClientOptions{Timeout: 150 * time.Millisecond},
+		Clock:   clock.NewInstant(), // retries without backoff waits
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -289,7 +290,7 @@ func sharedWord(t *testing.T, shards []testShard) string {
 // own recent remote node calls, floored at hedgeFloor, and a configured
 // HedgeAfter overrides it either way. The fan-out measures the calls it
 // hedges itself, so a metasearcher whose remote handles were dialled
-// without its registry (ReplicatedDatabaseOptions{}) adapts all the same.
+// without its registry (replica.Options{}) adapts all the same.
 func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	m := New(Options{})
 	if got := m.hedgeThreshold(); got != hedgeFloor {
@@ -335,7 +336,7 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	opts := testbedOptions(lexicon)
 	opts.Cache.Disable = true
 	m = New(opts)
-	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{})
+	nodes := dialChaosNodes(t, m, shards, replica.Options{})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 	clk := clock.NewFake()
 	opts.clock = clk
 	m := New(opts)
-	dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
+	dialChaosNodes(t, m, shards, replica.Options{Metrics: m.Metrics()})
 
 	// Trip the node's breaker by hand.
 	b := m.Breakers().Get(shards[0].name)
@@ -402,10 +403,10 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	opts.Resilience = ResilienceOptions{HedgeAfter: -1}
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{
+	nodes := dialChaosNodes(t, m, shards, replica.Options{
 		Metrics: m.Metrics(),
-		Client:  RemoteDatabaseOptions{Timeout: time.Second},
-		clock:   clock.NewInstant(),
+		Client:  replica.ClientOptions{Timeout: time.Second},
+		Clock:   clock.NewInstant(),
 	})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
@@ -475,7 +476,7 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 	opts.Resilience.HedgeAfter = -1
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
+	nodes := dialChaosNodes(t, m, shards, replica.Options{Metrics: m.Metrics()})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +549,7 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 	opts.clock = clock.NewFake()
 	opts.Cache.Disable = true
 	m := New(opts)
-	nodes := dialChaosNodes(t, m, shards, ReplicatedDatabaseOptions{Metrics: m.Metrics()})
+	nodes := dialChaosNodes(t, m, shards, replica.Options{Metrics: m.Metrics()})
 	if err := m.BuildSummaries(); err != nil {
 		t.Fatal(err)
 	}
@@ -596,5 +597,45 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 		if call := nodeCall(t, m.Audit().Last(), hung.shard.name); !call.BreakerOpen {
 			t.Errorf("search %d: hung node's call not short-circuited: %+v", i, call)
 		}
+	}
+}
+
+// answeringTransport serves every replica of database "db" in process:
+// /v1/query answers one match, every other path the node's identity.
+type answeringTransport struct{ hosts []string }
+
+func (tr *answeringTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	if req.URL.Path == wire.PathQuery {
+		json.NewEncoder(rec).Encode(wire.QueryResponse{Matches: 1, IDs: []int{0}})
+	} else {
+		json.NewEncoder(rec).Encode(wire.InfoResponse{Name: "db", Protocol: wire.Version})
+	}
+	return rec.Result(), nil
+}
+
+// TestHedgedNodeCallDepositsOnce: a fan-out call to a replicated
+// database with a hedge armed runs through two nested attempt loops
+// (fan-out, replica set) and deposits into the retry budget once, for
+// its one successful wire call.
+func TestHedgedNodeCallDepositsOnce(t *testing.T) {
+	m := New(Options{})
+	tr := &answeringTransport{hosts: []string{"a:1", "b:1"}}
+	d, err := replica.Dial(context.Background(), tr.hosts, replica.Options{
+		Breakers: m.Breakers(),
+		Client:   replica.ClientOptions{Budget: m.RetryBudget(), Transport: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RetryBudget().TrySpend() // room below the cap for a deposit to show
+	before := m.RetryBudget().Tokens()
+	span := m.tracer.Span("search")
+	defer span.End()
+	if o := m.searchNode(context.Background(), span, d, "db", []string{"x"}, 1, time.Hour); !o.ok {
+		t.Fatalf("node call failed: %+v", o.call)
+	}
+	if got := m.RetryBudget().Tokens() - before; got < 0.2-1e-9 || got > 0.2+1e-9 {
+		t.Fatalf("one successful node call moved the budget by %v tokens, want one deposit (0.2)", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -84,7 +85,7 @@ func TestShardStartIsFirstSwap(t *testing.T) {
 	if err := shard.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := shard.ApplyReplicaAssignments(assigns, RemoteDatabaseOptions{})
+	rep, err := shard.ApplyReplicaAssignments(assigns, replica.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestHandlelessDatabaseIsOutOfScope(t *testing.T) {
 	}{{"drifty", "Health", storeMedical}, {"stable", "Science", storeSpace}} {
 		srv := httptest.NewServer(wire.NewServer(NewLocalDatabaseFromTerms(d.name, corpus(d.words, 80)), wire.ServerOptions{Category: d.cat}))
 		t.Cleanup(srv.Close)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{Breakers: m.Breakers(), Metrics: m.Metrics()})
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{Breakers: m.Breakers(), Metrics: m.Metrics()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ type SearchStages struct {
 // concurrent identical query). Cancelling ctx cancels in-flight remote
 // queries and stops the fan-out.
 //
-// A selected database whose query errors (e.g. a ReplicatedDatabase
+// A selected database whose query errors (e.g. a replica.Database
 // whose every replica is down, after its retries and failovers) is
 // skipped — counted in search_db_unavailable_total and noted on the
 // trace — rather than failing the whole search, as is a database whose

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/freqest"
 	"repro/internal/hierarchy"
+	"repro/internal/replica"
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
@@ -187,7 +188,7 @@ func (m *Metasearcher) deriveStore(dbs []*registeredDB, lexicon []string, traini
 func (st *store) probeTargets() []resilience.ProbeTarget {
 	var targets []resilience.ProbeTarget
 	for _, r := range st.dbs {
-		if db, ok := r.db.(*ReplicatedDatabase); ok {
+		if db, ok := r.db.(*replica.Database); ok {
 			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
 			targets = append(targets, db.ProbeTargets()...)
 		}

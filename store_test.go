@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/hierarchy"
+	"repro/internal/replica"
 )
 
 // Tests of the summary store's contract (store.go): a query sees one
@@ -611,7 +612,7 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
 		{Database: "drifty", Replicas: []string{"127.0.0.1:1", "127.0.0.1:2"}},
 		{Database: "ward", Replicas: []string{"127.0.0.1:3"}},
-	}, RemoteDatabaseOptions{}); err != nil {
+	}, replica.ClientOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	type snapshot struct {
@@ -630,7 +631,7 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 		for _, r := range st.dbs {
 			s.handles[r.name] = r.db
 		}
-		s.addrs = st.byName["drifty"].db.(*ReplicatedDatabase).ReplicaAddrs()
+		s.addrs = st.byName["drifty"].db.(*replica.Database).ReplicaAddrs()
 		return s
 	}
 	before := take()
@@ -642,7 +643,7 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 		{Database: "drifty", Replicas: []string{"127.0.0.1:2", "127.0.0.1:9"}}, // a valid replica swap
 		{Database: "ward"}, // no replicas: invalid
 		{Database: "stable", Replicas: []string{"127.0.0.1:4"}}, // a valid attach
-	}, RemoteDatabaseOptions{})
+	}, replica.ClientOptions{})
 	if err == nil {
 		t.Fatalf("the bad assignment was accepted: %+v", rep)
 	}

@@ -3,7 +3,13 @@ package repro
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/replica"
 )
+
+// A remote database's handle is a replica set (internal/replica); the
+// store holds it like any other live database.
+var _ ContextSearchableDatabase = (*replica.Database)(nil)
 
 // ReplicaAssignment is one database this process must serve after a
 // topology change: the database's name, its advertised category, the
@@ -44,7 +50,7 @@ type TopologySwapReport struct {
 // on every later swap. For each assigned database:
 //
 //   - already holding a replicated handle: the replica set is swapped
-//     in place (ReplicatedDatabase.UpdateReplicas) — surviving replicas
+//     in place (replica.Database.UpdateReplicas) — surviving replicas
 //     keep breaker state, clients, and in-flight counts; removed ones
 //     drain and close; added ones get lazy clients with breakers seeded
 //     half-open.
@@ -68,7 +74,7 @@ type TopologySwapReport struct {
 //
 // client configures the wire clients of replicas created by this swap;
 // its Budget defaults to the process's retry budget.
-func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, client RemoteDatabaseOptions) (*TopologySwapReport, error) {
+func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, client replica.ClientOptions) (*TopologySwapReport, error) {
 	if client.Budget == nil {
 		client.Budget = m.budget
 	}
@@ -82,7 +88,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 	err := m.update(func(cur *store) (*store, error) {
 		// changed maps a database to its new handle (nil = detached). The
 		// replica lists were checked above, so neither UpdateReplicas nor
-		// NewReplicatedDatabase has anything left to reject.
+		// replica.New has anything left to reject.
 		changed := make(map[string]SearchableDatabase)
 		assigned := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
@@ -92,7 +98,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 				continue
 			}
 			assigned[a.Database] = true
-			if rd, ok := r.db.(*ReplicatedDatabase); ok {
+			if rd, ok := r.db.(*replica.Database); ok {
 				if err := rd.UpdateReplicas(a.Replicas, a.Preferred); err != nil {
 					return nil, err
 				}
@@ -100,7 +106,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 			}
 			// Newly in scope (or a non-replicated handle being promoted):
 			// attach a lazy replicated handle.
-			rd, err := NewReplicatedDatabase(a.Database, a.Category, 0, a.Replicas, ReplicatedDatabaseOptions{
+			rd, err := replica.New(a.Database, a.Category, 0, a.Replicas, replica.Options{
 				Preferred: a.Preferred,
 				Breakers:  m.breakers,
 				Metrics:   m.reg,
@@ -136,7 +142,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 		return nil, err
 	}
 	for _, db := range detached {
-		if rd, ok := db.(*ReplicatedDatabase); ok {
+		if rd, ok := db.(*replica.Database); ok {
 			rd.Close()
 		}
 		m.breakers.Remove(db.Name())

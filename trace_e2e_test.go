@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/clock"
+	"repro/internal/replica"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -86,9 +87,9 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		}
 		srv := httptest.NewServer(h)
 		t.Cleanup(srv.Close)
-		rdb, err := DialReplicatedDatabase(context.Background(), []string{srv.URL}, ReplicatedDatabaseOptions{
+		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, replica.Options{
 			Metrics: m.Metrics(),
-			clock:   clock.NewInstant(), // the retry of the armed 503 without a backoff wait
+			Clock:   clock.NewInstant(), // the retry of the armed 503 without a backoff wait
 		})
 		if err != nil {
 			t.Fatal(err)
