@@ -58,7 +58,9 @@ results-small:
 # replica set, router), the lines of benchcompat.go shims (DESIGN §3),
 # the search methods on *Metasearcher and *Router (one each: Search),
 # the root package's exported funcs, methods and types and its exported
-# Metasearcher methods (shims excluded from all three), and the exported
+# Metasearcher methods (shims excluded from all three), the fields of the
+# store's per-database record (ROADMAP item 6's columnar store replaces
+# it), and the exported
 # fields of the option structs — the eight that held the fan-out's
 # timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
@@ -91,6 +93,9 @@ count:
 	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l
 	@printf 'exported Metasearcher methods outside benchcompat.go: '
 	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func \([a-z]+ \*Metasearcher\) [A-Z]' | wc -l
+	@printf "fields of the store's per-database record (registeredDB): "
+	@awk '/^type registeredDB struct/ {on=1; next} on && /^}/ {print n+0; exit} \
+		on && /^\t[a-z]/ {sub(/^\t/, ""); sub(/ .*/, ""); n += split($$0, _, ",")}' store.go
 	@total=0; for s in $(OPTION_STRUCTS) internal/router/router.go:Options; do \
 		n=$$(awk -v t="$${s#*:}" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {print n+0; exit} \
 			on && /^\t[A-Z]/ {sub(/^\t/, ""); sub(/ +[^ ,]+( +`.*`)?( *\/\/.*)?$$/, ""); n += split($$0, _, ",")}' $${s%%:*}); \

@@ -312,12 +312,7 @@ func BenchmarkDeriveStore(b *testing.B) {
 	b.SetBytes(int64(len(state)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dbs := make([]*registeredDB, len(st.dbs))
-		for j, r := range st.dbs {
-			cp := *r
-			dbs[j] = &cp
-		}
-		if next := m.deriveStore(dbs, st.lexicon, st.trainingDocs, nil); len(next.derived.DBs) != len(dbs) {
+		if next := m.deriveStore(st.dbs, st.lexicon, st.trainingDocs, nil); len(next.derived.DBs) != len(st.dbs) {
 			b.Fatal("deriveStore dropped a database")
 		}
 	}

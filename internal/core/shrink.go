@@ -34,7 +34,8 @@ func (o ShrinkOptions) withDefaults() ShrinkOptions {
 // Lambda is one mixture component's weight, in the style of the paper's
 // Table 2. It is the one λ type: the tags are the save file's and the
 // audit trail's wire format, so the vector Shrink builds is what
-// DatabaseInfo, BuildTelemetry and audit.Candidate carry, uncopied.
+// DatabaseInfo, the save file's telemetry object and audit.Candidate
+// carry, uncopied.
 type Lambda struct {
 	Component string  `json:"component"` // "Uniform", category name, or the database name
 	Weight    float64 `json:"weight"`

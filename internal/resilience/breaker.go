@@ -92,6 +92,9 @@ type Breaker struct {
 
 	trips         int64
 	shortCircuits int64
+
+	lastProbe   string    // "ok" or the last health probe's error; "" = never probed
+	lastProbeAt time.Time // when that probe finished, on the breaker's clock
 }
 
 // NewBreaker builds a standalone breaker (breakers inside a Set are
@@ -312,6 +315,12 @@ type BreakerSnapshot struct {
 	ChangedAt time.Time `json:"changed_at"`
 	// CooldownSeconds is the open→half-open delay.
 	CooldownSeconds float64 `json:"cooldown_seconds"`
+	// LastProbe is the latest background health probe's outcome (Set.Probe
+	// pings only targets whose breaker is not closed): "ok", the error,
+	// or "" when never probed. LastProbeAt is when it finished (zero when
+	// never probed).
+	LastProbe   string    `json:"last_probe,omitempty"`
+	LastProbeAt time.Time `json:"last_probe_at"`
 }
 
 // Snapshot captures the breaker's state for debugging.
@@ -330,5 +339,20 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 		OpenedAt:        b.openedAt,
 		ChangedAt:       b.changedAt,
 		CooldownSeconds: BreakerCooldown.Seconds(),
+		LastProbe:       b.lastProbe,
+		LastProbeAt:     b.lastProbeAt,
+	}
+}
+
+// recordProbe keeps a health probe's outcome for Snapshot.
+func (b *Breaker) recordProbe(err error) {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.lastProbe, b.lastProbeAt = "ok", b.clock.Now()
+	if err != nil {
+		b.lastProbe = err.Error()
 	}
 }

@@ -303,6 +303,39 @@ func TestProbeClosesRecoveredBreaker(t *testing.T) {
 	}
 }
 
+// TestProbeRecordsLastProbe: each probe's outcome and its time on the
+// set's clock stay on the breaker it fed, as its snapshot's last probe;
+// a probe cut short by cancellation leaves the last one in place.
+func TestProbeRecordsLastProbe(t *testing.T) {
+	clk := clock.NewFake()
+	s := NewSet(BreakerOptions{Clock: clk}, nil)
+	if snap := s.Seed("node", HalfOpen).Snapshot(); snap.LastProbe != "" || !snap.LastProbeAt.IsZero() {
+		t.Fatalf("a never-probed breaker reports last probe %q at %v", snap.LastProbe, snap.LastProbeAt)
+	}
+	ping := errors.New("still down")
+	targets := []ProbeTarget{{Name: "node", Ping: func(context.Context) error { return ping }}}
+	s.Probe(context.Background(), targets)
+	failedAt := clk.Now()
+	if snap := s.Get("node").Snapshot(); snap.LastProbe != "still down" || !snap.LastProbeAt.Equal(failedAt) {
+		t.Fatalf("after a failed probe: last probe %q at %v, want %q at %v", snap.LastProbe, snap.LastProbeAt, "still down", failedAt)
+	}
+
+	clk.Advance(BreakerCooldown)
+	ping = nil
+	s.Probe(context.Background(), targets)
+	if snap := s.Get("node").Snapshot(); snap.LastProbe != "ok" || !snap.LastProbeAt.Equal(clk.Now()) || snap.State != "closed" {
+		t.Fatalf("after a successful probe: %+v, want closed, last probe ok at %v", snap, clk.Now())
+	}
+
+	s.Seed("other", HalfOpen)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Probe(ctx, []ProbeTarget{{Name: "other", Ping: func(ctx context.Context) error { return ctx.Err() }}})
+	if snap := s.Get("other").Snapshot(); snap.LastProbe != "" {
+		t.Errorf("a cancelled probe was recorded as the last probe %q", snap.LastProbe)
+	}
+}
+
 // TestProbeCutShortIsNeutral: stopping the schedule while a probe is
 // waiting on its node cancels the ping, and that says nothing about the
 // node — the half-open breaker stays half-open with its trial released,

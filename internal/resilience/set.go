@@ -64,11 +64,13 @@ type ProbeTarget struct {
 // breaker is not closed and admits the call, and feeds each outcome back
 // through RecordCall, so an open breaker closes as soon as its node
 // recovers instead of waiting for query traffic to roll the dice on its
-// half-open trial. Closed targets are left alone — query traffic is
-// their health check. A ping cut short by ctx's cancellation (the
-// schedule stopping) is neutral: it releases the trial and counts as
-// neither a probe nor a failure. Run it on a schedule with clock.Every,
-// passing the targets as they are at each sweep.
+// half-open trial; the breaker also keeps the outcome and its time as
+// its last probe (BreakerSnapshot). Closed targets are left alone —
+// query traffic is their health check. A ping cut short by ctx's
+// cancellation (the schedule stopping) is neutral: it releases the
+// trial and counts as neither a probe nor a failure (nor as the last
+// probe). Run it on a schedule with clock.Every, passing the targets as
+// they are at each sweep.
 func (s *Set) Probe(ctx context.Context, targets []ProbeTarget) {
 	var wg sync.WaitGroup
 	for _, t := range targets {
@@ -86,6 +88,7 @@ func (s *Set) Probe(ctx context.Context, targets []ProbeTarget) {
 			if errors.Is(pctx.Err(), context.Canceled) {
 				return
 			}
+			b.recordProbe(err)
 			s.probes.Inc()
 			if err != nil {
 				s.probeFailures.Inc()

@@ -105,15 +105,6 @@ type Router struct {
 	dedupDrops   *telemetry.Counter
 	fanoutLat    *telemetry.Histogram
 	mergeLat     *telemetry.Histogram
-
-	probeMu   sync.Mutex
-	lastProbe map[string]probeResult // shard ID → latest background probe
-}
-
-// probeResult is the outcome of one background health probe.
-type probeResult struct {
-	err string // "" = ok
-	at  time.Time
 }
 
 // New builds a Router over the topology's shards. The topology is
@@ -157,7 +148,6 @@ func New(topo *shardmap.Topology, opts Options) (*Router, error) {
 		dedupDrops:   reg.DeclareCounter("router_dedup_dropped_total", "Merged results dropped as duplicate (database, doc id) pairs from replicated shards."),
 		fanoutLat:    reg.DeclareHistogram("router_fanout_latency", "Wall time of the scatter-gather over all shards, seconds.", nil),
 		mergeLat:     reg.DeclareHistogram("router_merge_latency", "Wall time of the deterministic cluster merge, seconds.", nil),
-		lastProbe:    make(map[string]probeResult),
 	}
 	r.ring.Store(&shards)
 	return r, nil
@@ -187,8 +177,8 @@ func (r *Router) Shards() []shardmap.Shard {
 // queries fan out over the new one. Breaker state carries over for
 // every surviving shard ID (including shards whose gateway address
 // moved — the breaker describes the backend, not the socket); the
-// shards in snap.Diff.ShardsRemoved leave the breaker set and the
-// probe-result map; added shards get a fresh breaker that starts closed
+// shards in snap.Diff.ShardsRemoved leave the breaker set (their last
+// probe with it); added shards get a fresh breaker that starts closed
 // on first use, so concurrent queries never skip a healthy newcomer and
 // the merge stays bit-identical to a single process. Health probes need
 // no retargeting: each Probe sweep reads the live ring. The caller
@@ -205,63 +195,45 @@ func (r *Router) ApplyTopology(snap *shardmap.Snapshot) error {
 	r.ring.Store(&shards)
 	for _, id := range snap.Diff.ShardsRemoved {
 		r.breakers.Remove(id)
-		r.probeMu.Lock()
-		delete(r.lastProbe, id)
-		r.probeMu.Unlock()
 	}
 	return nil
 }
 
 // ProbeTargets returns one health-probe target per shard, keyed like
 // the per-shard breakers, pinging the shard gateway's /v1/healthz.
-// Every probe's outcome is remembered for ShardHealth.
 func (r *Router) ProbeTargets() []resilience.ProbeTarget {
 	shards := *r.ring.Load()
 	out := make([]resilience.ProbeTarget, len(shards))
 	for i, s := range shards {
-		id, addr := s.ID, s.Addr
-		out[i] = resilience.ProbeTarget{Name: id, Ping: func(ctx context.Context) error {
-			err := r.ping(ctx, addr)
-			res := probeResult{at: time.Now()}
-			if err != nil {
-				res.err = err.Error()
-			}
-			r.probeMu.Lock()
-			r.lastProbe[id] = res
-			r.probeMu.Unlock()
-			return err
+		addr := s.Addr
+		out[i] = resilience.ProbeTarget{Name: s.ID, Ping: func(ctx context.Context) error {
+			return r.ping(ctx, addr)
 		}}
 	}
 	return out
 }
 
 // ShardHealth summarizes every shard's health as the router sees it:
-// the breaker state gating its traffic plus the latest background probe
-// outcome. Wire it into gateway.Options.ShardHealth so the router's
-// /v1/healthz answers for the whole fleet behind it. (Probe only pings
-// non-closed breakers, so a shard that never failed reports no probe
-// result — absence of evidence is health here.)
+// the state of the breaker gating its traffic and the latest background
+// probe that breaker recorded. Wire it into gateway.Options.ShardHealth
+// so the router's /v1/healthz answers for the whole fleet behind it.
+// (Probe only pings non-closed breakers, so a shard that never failed
+// reports no probe result — absence of evidence is health here.)
 func (r *Router) ShardHealth() []wire.ShardHealth {
 	shards := *r.ring.Load()
 	out := make([]wire.ShardHealth, len(shards))
-	r.probeMu.Lock()
-	defer r.probeMu.Unlock()
 	for i, s := range shards {
-		state := r.breakers.Get(s.ID).State().String()
-		sh := wire.ShardHealth{
-			ID:      s.ID,
-			Addr:    s.Addr,
-			Breaker: state,
-			Healthy: state != "open",
+		b := r.breakers.Get(s.ID).Snapshot()
+		out[i] = wire.ShardHealth{
+			ID:        s.ID,
+			Addr:      s.Addr,
+			Breaker:   b.State,
+			Healthy:   b.State != resilience.Open.String(),
+			LastProbe: b.LastProbe,
 		}
-		if p, ok := r.lastProbe[s.ID]; ok {
-			sh.LastProbe = p.err
-			if p.err == "" {
-				sh.LastProbe = "ok"
-			}
-			sh.LastProbeUnixMs = p.at.UnixMilli()
+		if b.LastProbe != "" {
+			out[i].LastProbeUnixMs = b.LastProbeAt.UnixMilli()
 		}
-		out[i] = sh
 	}
 	return out
 }

@@ -170,21 +170,23 @@ func FitCountsBalanced(counts map[string]int) (Mandelbrot, error) {
 // γ = −2). Degenerate fits — flat or inverted rank curves from tiny or
 // pathological vocabularies — would produce γ ≥ −1 or even positive γ,
 // inverting the Appendix B prior, so the result is clamped to the
-// empirically sane range [−6, −1.2].
+// empirically sane range [MinGamma, MaxGamma].
 func FreqPowerLawGamma(alpha float64) float64 {
-	const (
-		minGamma = -6
-		maxGamma = -1.2
-	)
 	if alpha == 0 {
 		return -2
 	}
 	g := 1/alpha - 1
-	if g < minGamma {
-		return minGamma
+	if g < MinGamma {
+		return MinGamma
 	}
-	if g > maxGamma {
-		return maxGamma
+	if g > MaxGamma {
+		return MaxGamma
 	}
 	return g
 }
+
+// MinGamma and MaxGamma bound every γ FreqPowerLawGamma returns.
+const (
+	MinGamma = -6.0
+	MaxGamma = -1.2
+)

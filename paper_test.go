@@ -59,12 +59,8 @@ func savedSummaries(t *testing.T, w *experiments.World, sums *experiments.DBSumm
 	t.Helper()
 	m := New(Options{Cache: CacheConfig{Disable: true}, AuditSize: -1})
 	dbs := make([]*registeredDB, len(w.Bed.Databases))
-	for i, db := range w.Bed.Databases {
-		dbs[i] = &registeredDB{
-			name: db.Name, category: sums.Class[i], fixedCat: true, assigned: sums.Class[i],
-			unshrunk: sums.Unshrunk[i], sizeEst: sums.SizeEst[i], gamma: sums.Gamma[i],
-			sampleLen: sums.Unshrunk[i].SampleSize,
-		}
+	for i, c := range sums.Classified(w) {
+		dbs[i] = &registeredDB{category: c.Category, src: selection.Source{Classified: c, Size: sums.SizeEst[i], Gamma: sums.Gamma[i]}}
 	}
 	if err := m.update(func(*store) (*store, error) { return m.deriveStore(dbs, nil, 0, nil), nil }); err != nil {
 		t.Fatal(err)

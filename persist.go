@@ -14,8 +14,10 @@ import (
 	"runtime"
 
 	"repro/internal/atomicfile"
+	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/summary"
+	"repro/internal/zipf"
 )
 
 // Sampling a remote database costs hundreds of queries, so deployments
@@ -82,10 +84,25 @@ type persistDB struct {
 	Gamma    float64         `json:"gamma"`
 	Sample   int             `json:"sample_size"`
 	Summary  json.RawMessage `json:"summary"`
-	// Telemetry is the build provenance (sampling cost, EM convergence,
-	// λ vector). Optional: save files written before it existed load
-	// fine, leaving the provenance zero.
-	Telemetry *BuildTelemetry `json:"telemetry,omitempty"`
+	// Telemetry is optional: save files written before it existed load
+	// fine, with zero sampling queries.
+	Telemetry *buildTelemetry `json:"telemetry,omitempty"`
+}
+
+// buildTelemetry is a database's "telemetry" object in the save file.
+// Load reads only SampleQueries, the provenance the summary cannot
+// tell: the EM count and λ are the derivation's over the file's
+// summaries, which Load re-runs, so Save writes them for the file's
+// readers and Load's re-derivation reproduces them.
+type buildTelemetry struct {
+	// SampleQueries is the number of queries the sampler (and its
+	// resample probes) sent to the database.
+	SampleQueries int `json:"sample_queries"`
+	// EMIterations is the Figure 2 iteration count to convergence.
+	EMIterations int `json:"em_iterations"`
+	// Lambdas is the converged mixture-weight vector, uniform component
+	// first, the database itself last.
+	Lambdas []core.Lambda `json:"lambdas,omitempty"`
 }
 
 // Save writes the built summaries. BuildSummaries must have succeeded.
@@ -96,7 +113,7 @@ func (m *Metasearcher) Save(w io.Writer) error {
 	}
 	pieces := make([][]byte, len(st.dbs))
 	err := pool.ForEach(len(st.dbs), runtime.GOMAXPROCS(0), m.reg, func(i int) (err error) {
-		pieces[i], err = m.encodeDB(st.dbs[i])
+		pieces[i], err = m.encodeDB(st, i)
 		return err
 	})
 	if err != nil {
@@ -117,21 +134,26 @@ func (m *Metasearcher) Save(w io.Writer) error {
 	return nil
 }
 
-// encodeDB is one database's element of the save file's databases
-// array, in canonical form.
-func (m *Metasearcher) encodeDB(r *registeredDB) ([]byte, error) {
+// encodeDB is the element of the save file's databases array for st's
+// i-th database, in canonical form.
+func (m *Metasearcher) encodeDB(st *store, i int) ([]byte, error) {
+	r, sh := st.dbs[i], st.derived.Shrunk[i]
 	var buf bytes.Buffer
-	if err := r.unshrunk.Encode(&buf); err != nil {
-		return nil, fmt.Errorf("repro: encoding %s: %w", r.name, err)
+	if err := r.src.Sum.Encode(&buf); err != nil {
+		return nil, fmt.Errorf("repro: encoding %s: %w", r.src.Name, err)
 	}
 	pd := persistDB{
-		Name:      r.name,
-		Category:  m.tree.Node(r.assigned).Name,
-		SizeEst:   r.sizeEst,
-		Gamma:     r.gamma,
-		Sample:    r.sampleLen,
-		Summary:   json.RawMessage(buf.Bytes()),
-		Telemetry: r.prov,
+		Name:     r.src.Name,
+		Category: m.tree.Node(r.src.Category).Name,
+		SizeEst:  r.src.Size,
+		Gamma:    r.src.Gamma,
+		Sample:   r.src.Sum.SampleSize,
+		Summary:  json.RawMessage(buf.Bytes()),
+		Telemetry: &buildTelemetry{
+			SampleQueries: r.sampleQueries,
+			EMIterations:  sh.EMIterations(),
+			Lambdas:       sh.Lambdas(),
+		},
 	}
 	piece, err := json.Marshal(pd)
 	if err != nil {
@@ -212,14 +234,13 @@ func (m *Metasearcher) Load(r io.Reader) error {
 	// the first database in file order.
 	n := len(env.Databases)
 	dbs := make([]*registeredDB, n)
-	persisted := make([]*BuildTelemetry, n)
 	invalid := make([]error, n)
 	canonical := make([][]byte, n)
 	err := pool.ForEach(n, runtime.GOMAXPROCS(0), m.reg, func(i int) (err error) {
 		if canonical[i], err = json.Marshal(env.Databases[i]); err != nil {
 			return fmt.Errorf("repro: load: %w", err)
 		}
-		dbs[i], persisted[i], invalid[i] = m.decodeDB(env.Databases[i])
+		dbs[i], invalid[i] = m.decodeDB(env.Databases[i])
 		env.Databases[i].Summary = nil
 		return nil
 	})
@@ -248,47 +269,46 @@ func (m *Metasearcher) Load(r io.Reader) error {
 	return m.update(func(cur *store) (*store, error) {
 		// Registered databases the file names keep their live handles.
 		for _, r := range dbs {
-			if live := cur.byName[r.name]; live != nil {
+			if live, _ := cur.lookup(r.src.Name); live != nil {
 				r.db = live.db
 			}
 		}
-		st := m.deriveStore(dbs, m.seedLexicon(), env.Training, nil)
-		// The persisted provenance is that of the deployed summaries,
-		// even though the EM re-run above converges equally.
-		for i, r := range dbs {
-			r.prov = persisted[i]
-		}
-		return st, nil
+		return m.deriveStore(dbs, m.seedLexicon(), env.Training, nil), nil
 	})
 }
 
 // decodeDB turns one element of the save file into a registered
-// database (no live handle) and its persisted provenance, or says what
-// is wrong with its content.
-func (m *Metasearcher) decodeDB(pd persistDB) (*registeredDB, *BuildTelemetry, error) {
+// database (no live handle), or says what is wrong with its content.
+// A summary without a sample size takes the file's sample_size.
+func (m *Metasearcher) decodeDB(pd persistDB) (*registeredDB, error) {
 	switch {
 	case pd.Sample < 0:
-		return nil, nil, fmt.Errorf("repro: database %q: sample_size %d is negative", pd.Name, pd.Sample)
+		return nil, fmt.Errorf("repro: database %q: sample_size %d is negative", pd.Name, pd.Sample)
 	case pd.SizeEst < 0 || pd.SizeEst > maxSizeEst:
-		return nil, nil, fmt.Errorf("repro: database %q: size_estimate %g is outside [0, 2^53]", pd.Name, pd.SizeEst)
+		return nil, fmt.Errorf("repro: database %q: size_estimate %g is outside [0, 2^53]", pd.Name, pd.SizeEst)
+	case pd.Gamma != 0 && (pd.Gamma < zipf.MinGamma || pd.Gamma > zipf.MaxGamma):
+		return nil, fmt.Errorf("repro: database %q: gamma %g is outside [%g, %g] (0 means the default −2)", pd.Name, pd.Gamma, zipf.MinGamma, zipf.MaxGamma)
+	case pd.Telemetry != nil && pd.Telemetry.SampleQueries < 0:
+		return nil, fmt.Errorf("repro: database %q: sample_queries %d is negative", pd.Name, pd.Telemetry.SampleQueries)
 	}
 	cat, ok := m.tree.Lookup(pd.Category)
 	if !ok {
-		return nil, nil, fmt.Errorf("repro: database %q references unknown category %q", pd.Name, pd.Category)
+		return nil, fmt.Errorf("repro: database %q references unknown category %q", pd.Name, pd.Category)
 	}
 	sum, err := summary.Decode(bytes.NewReader(pd.Summary))
 	if err != nil {
-		return nil, nil, fmt.Errorf("repro: database %q: %w", pd.Name, err)
+		return nil, fmt.Errorf("repro: database %q: %w", pd.Name, err)
 	}
-	r := &registeredDB{
-		name:      pd.Name,
-		category:  cat,
-		fixedCat:  true,
-		assigned:  cat,
-		unshrunk:  sum,
-		sizeEst:   pd.SizeEst,
-		gamma:     pd.Gamma,
-		sampleLen: pd.Sample,
+	if sum.SampleSize == 0 {
+		sum.SampleSize = pd.Sample
+	} else if sum.SampleSize != pd.Sample {
+		return nil, fmt.Errorf("repro: database %q: sample_size %d disagrees with its summary's %d", pd.Name, pd.Sample, sum.SampleSize)
 	}
-	return r, pd.Telemetry, nil
+	r := &registeredDB{category: cat}
+	r.src.Name, r.src.Category, r.src.Sum = pd.Name, cat, sum
+	r.src.Size, r.src.Gamma = pd.SizeEst, pd.Gamma
+	if pd.Telemetry != nil {
+		r.sampleQueries = pd.Telemetry.SampleQueries
+	}
+	return r, nil
 }

@@ -236,8 +236,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: err = %v, want a content rejection", name, err)
 		}
 	}
-	// Hostile sizes in an otherwise golden file: each is rejected with
-	// an error naming the database and the field.
+	// Hostile sizes, a |S| the summary contradicts and a γ outside the
+	// range the build clamps to, in an otherwise golden file: each is
+	// rejected with an error naming the database and the field.
 	golden, err := os.ReadFile(filepath.Join("testdata", "state_golden.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -246,6 +247,10 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		{`"size_estimate":81.81818181818181`, `"size_estimate":1e300`, "size_estimate"},
 		{`"size_estimate":81.81818181818181`, `"size_estimate":-5`, "size_estimate"},
 		{`"sample_size":30,"summary"`, `"sample_size":-3,"summary"`, "sample_size"},
+		{`"sample_size":30,"summary"`, `"sample_size":3000,"summary"`, "sample_size"},
+		{`"gamma":-6,`, `"gamma":1e308,`, "gamma"},
+		{`"gamma":-6,`, `"gamma":-1,`, "gamma"},
+		{`"sample_queries":22,`, `"sample_queries":-1,`, "sample_queries"},
 	} {
 		in := sealed(t, bytes.Replace(golden, []byte(c.from), []byte(c.to), 1))
 		if err := m.Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), `"cardio"`) || !strings.Contains(err.Error(), c.field) {
@@ -453,7 +458,11 @@ func TestLoadReplacesState(t *testing.T) {
 // sealed with a matching checksum so that the input gets past the
 // integrity check to the content checks. Load must not panic; a
 // rejected file must leave the served store as it was; an accepted one
-// must round-trip Save → Load → Save byte for byte.
+// must round-trip Save → Load → Save byte for byte, and selection over
+// it must have finite score moments: the audit record of a search
+// JSON-encodes. The seeds after the golden file are ones selection
+// must never see: a γ of 1e308 (NaN moments) and a |S| the summary
+// contradicts.
 func FuzzLoad(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "state_golden.json"))
 	if err != nil {
@@ -466,6 +475,8 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add([]byte(env.Databases))
+	f.Add(bytes.Replace(env.Databases, []byte(`"gamma":-6,`), []byte(`"gamma":1e308,`), 1))
+	f.Add(bytes.Replace(env.Databases, []byte(`"sample_size":30,"summary"`), []byte(`"sample_size":3000,"summary"`), 1))
 	save := func(t *testing.T, m *Metasearcher) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -485,6 +496,12 @@ func FuzzLoad(f *testing.F) {
 				t.Fatalf("a rejected file (%v) changed the served store", err)
 			}
 			return
+		}
+		if _, err := m.Search(context.Background(), SearchRequest{Query: "heart arrhythmia", MaxDBs: 3}); err != nil {
+			t.Fatalf("search over an accepted file: %v", err)
+		}
+		if _, err := json.Marshal(m.Audit().Last()); err != nil {
+			t.Fatalf("the audit record of a search over an accepted file does not encode: %v", err)
 		}
 		first := save(t, m)
 		again := New(Options{})

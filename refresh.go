@@ -29,7 +29,7 @@ func (m *Metasearcher) RefreshableDatabases() []string {
 	var out []string
 	for _, r := range m.state.Load().dbs {
 		if r.db != nil {
-			out = append(out, r.name)
+			out = append(out, r.src.Name)
 		}
 	}
 	sort.Strings(out)
@@ -40,14 +40,14 @@ func (m *Metasearcher) RefreshableDatabases() []string {
 // Summaries are immutable once built (a rebuild publishes a new one), so
 // the returned pointer is safe to read indefinitely.
 func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
-	r := m.state.Load().byName[name]
+	r, _ := m.state.Load().lookup(name)
 	if r == nil {
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
-	if r.unshrunk == nil {
+	if r.src.Sum == nil {
 		return nil, fmt.Errorf("repro: database %q has no built summary", name)
 	}
-	return r.unshrunk, nil
+	return r.src.Sum, nil
 }
 
 // ResampleSummary draws a fresh sample of about docs documents from the
@@ -58,7 +58,7 @@ func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
 // node's contents while staying deterministic run to run.
 func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs int) (*summary.Summary, error) {
 	st := m.state.Load()
-	r := st.byName[name]
+	r, _ := st.lookup(name)
 	if r == nil {
 		return nil, fmt.Errorf("repro: unknown database %q", name)
 	}
@@ -97,27 +97,18 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 		if cur.derived == nil {
 			return nil, errors.New("repro: BuildSummaries has not been run")
 		}
-		dbs := make([]*registeredDB, len(cur.dbs))
-		idx := -1
-		for i, d := range cur.dbs {
-			r := *d
-			dbs[i] = &r
-			if d.name == name {
-				idx = i
-			}
-		}
-		if idx < 0 {
+		old, idx := cur.lookup(name)
+		if old == nil {
 			return nil, fmt.Errorf("repro: unknown database %q", name)
 		}
-		r := dbs[idx]
-		if r.db == nil {
+		if old.db == nil {
 			return nil, fmt.Errorf("repro: database %q has no live connection", name)
 		}
 
 		t0 := time.Now()
 		span := m.tracer.Span("refresh.rebuild", telemetry.String("db", name))
 		defer span.End()
-		sample, err := m.sampleQBS(m.searcher(ctx, span, r.db), span, cur.lexicon, m.opts.SampleSize, refreshSeed(m.opts.Seed+int64(idx), name))
+		sample, err := m.sampleQBS(m.searcher(ctx, span, old.db), span, cur.lexicon, m.opts.SampleSize, refreshSeed(m.opts.Seed+int64(idx), name))
 		if err == nil {
 			// The sampler ends a cancelled resample-probe round early and
 			// returns what it has; a rebuild cut short must publish nothing.
@@ -126,10 +117,13 @@ func (m *Metasearcher) RebuildSummary(ctx context.Context, name string) error {
 		if err != nil {
 			return nil, fmt.Errorf("rebuild sampling %s: %w", name, err)
 		}
-		m.summarizeSample(r, sample)
+		r := *old
+		m.summarizeSample(&r, sample)
+		dbs := append([]*registeredDB(nil), cur.dbs...)
+		dbs[idx] = &r
 		st := m.deriveStore(dbs, cur.lexicon, cur.trainingDocs, nil)
 		m.logInfo("summary rebuilt after drift",
-			"db", name, "docs", len(sample.Docs), "vocab", r.unshrunk.Len(),
+			"db", name, "docs", len(sample.Docs), "vocab", r.src.Sum.Len(),
 			"elapsed", time.Since(t0))
 		return st, nil
 	})

@@ -274,21 +274,6 @@ type Metasearcher struct {
 	published // the summary store and its writers' state (store.go)
 }
 
-// BuildTelemetry records the provenance of one database's content
-// summary: what building it cost and what the EM converged to. Save
-// marshals it as is (the tags are the save file's "telemetry" object),
-// so Load-ed deployments keep it.
-type BuildTelemetry struct {
-	// SampleQueries is the number of queries the sampler (and its
-	// resample probes) sent to the database.
-	SampleQueries int `json:"sample_queries"`
-	// EMIterations is the Figure 2 iteration count to convergence.
-	EMIterations int `json:"em_iterations"`
-	// Lambdas is the converged mixture-weight vector, uniform component
-	// first, the database itself last.
-	Lambdas []core.Lambda `json:"lambdas,omitempty"`
-}
-
 // New creates a Metasearcher.
 func New(opts Options) *Metasearcher {
 	var tree *hierarchy.Tree
@@ -541,18 +526,18 @@ func (m *Metasearcher) Train(category string, docs []string) error {
 // be empty, in which case the database is classified automatically by
 // query probing during BuildSummaries.
 func (m *Metasearcher) AddDatabase(db SearchableDatabase, category string) error {
-	r := &registeredDB{name: db.Name(), db: db, category: -1}
+	r := &registeredDB{db: db, category: -1}
+	r.src.Name = db.Name()
 	if category != "" {
 		id, ok := m.tree.Lookup(category)
 		if !ok {
 			return fmt.Errorf("repro: unknown category %q", category)
 		}
 		r.category = id
-		r.fixedCat = true
 	}
 	return m.update(func(cur *store) (*store, error) {
-		if cur.byName[r.name] != nil {
-			return nil, fmt.Errorf("repro: database %q already registered", r.name)
+		if known, _ := cur.lookup(r.src.Name); known != nil {
+			return nil, fmt.Errorf("repro: database %q already registered", r.src.Name)
 		}
 		return newStore(append(cur.dbs[:len(cur.dbs):len(cur.dbs)], r)), nil
 	})
@@ -608,7 +593,7 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 
 		needProbing := false
 		for _, r := range cur.dbs {
-			if !r.fixedCat {
+			if r.category < 0 {
 				needProbing = true
 			}
 		}
@@ -649,24 +634,24 @@ func (m *Metasearcher) BuildSummariesContext(ctx context.Context) error {
 func (m *Metasearcher) sampleDatabase(ctx context.Context, buildSpan *telemetry.Span, reg *registeredDB, seed int64, classifier *classify.Classifier, lexicon []string) (*registeredDB, error) {
 	r := *reg
 	sampleSpan := buildSpan.Child("sample",
-		telemetry.String("db", r.name), telemetry.String("sampler", "qbs"))
+		telemetry.String("db", r.src.Name), telemetry.String("sampler", "qbs"))
 	searcher := m.searcher(ctx, sampleSpan, r.db)
 	sample, err := m.sampleQBS(searcher, sampleSpan, lexicon, m.opts.SampleSize, seed)
 	sampleSpan.End(queriesDocsAttrs(sample)...)
 	if err != nil {
-		return nil, fmt.Errorf("sampling %s: %w", r.name, err)
+		return nil, fmt.Errorf("sampling %s: %w", r.src.Name, err)
 	}
-	r.assigned = r.category
-	if !r.fixedCat {
-		classifySpan := buildSpan.Child("classify", telemetry.String("db", r.name))
-		r.assigned = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
-		classifySpan.End(telemetry.String("category", m.tree.PathString(r.assigned)))
+	r.src.Category = r.category
+	if r.category < 0 {
+		classifySpan := buildSpan.Child("classify", telemetry.String("db", r.src.Name))
+		r.src.Category = classifier.ClassifyTraced(searcher, classifySpan, m.reg)
+		classifySpan.End(telemetry.String("category", m.tree.PathString(r.src.Category)))
 	}
 	m.summarizeSample(&r, sample)
-	m.met.vocabSize.Set(float64(r.unshrunk.Len()))
+	m.met.vocabSize.Set(float64(r.src.Sum.Len()))
 	m.logInfo("sampled database",
-		"db", r.name, "sampler", "qbs",
-		"queries", sample.Queries, "docs", len(sample.Docs), "vocab", r.unshrunk.Len())
+		"db", r.src.Name, "sampler", "qbs",
+		"queries", sample.Queries, "docs", len(sample.Docs), "vocab", r.src.Sum.Len())
 	return &r, nil
 }
 
@@ -760,16 +745,17 @@ func (m *Metasearcher) selectExplained(parent *telemetry.Span, terms []string, k
 	for i, r := range st.dbs {
 		d := decisions[i]
 		c := audit.Candidate{
-			Database:    r.name,
+			Database:    r.src.Name,
 			Score:       d.Score,
-			Selected:    selected[r.name],
+			Selected:    selected[r.src.Name],
 			Shrinkage:   d.Shrinkage,
 			ScoreMean:   d.Mean,
 			ScoreStdDev: d.StdDev,
 		}
-		if d.Shrinkage && r.shrunk != nil {
-			c.Lambdas = r.shrunk.Lambdas()
-			c.Category = r.shrunk.Category()
+		if d.Shrinkage {
+			sh := st.derived.Shrunk[i]
+			c.Lambdas = sh.Lambdas()
+			c.Category = sh.Category()
 		}
 		ex.candidates[i] = c
 	}
@@ -785,48 +771,40 @@ type DatabaseInfo struct {
 	SampleSize    int
 	SummaryWords  int // unshrunk vocabulary size
 	// MixtureWeights is the λ vector of the shrunk summary, uniform
-	// component first, the database itself last — the stored vector
-	// itself, shared with the store: read it, do not modify it.
+	// component first, the database itself last — the vector selection
+	// and the audit trail use, shared with the store: read it, do not
+	// modify it.
 	MixtureWeights []core.Lambda
-	// SampleQueries and EMIterations are the build provenance: queries
-	// the sampler issued and Figure 2 EM iterations to convergence.
-	// Both survive a Save/Load round trip (zero when loaded from a save
-	// file that predates telemetry persistence).
+	// SampleQueries is the queries the sampler issued; it survives a
+	// Save/Load round trip (zero when loaded from a save file that
+	// predates telemetry persistence).
 	SampleQueries int
-	EMIterations  int
+	// EMIterations is Figure 2's EM iterations to convergence in the
+	// fit behind MixtureWeights.
+	EMIterations int
 }
 
 // Info reports the built state of a database.
 func (m *Metasearcher) Info(name string) (DatabaseInfo, error) {
 	st := m.state.Load()
-	r := st.byName[name]
+	r, i := st.lookup(name)
 	if r == nil {
 		return DatabaseInfo{}, fmt.Errorf("repro: unknown database %q", name)
 	}
 	if st.derived == nil {
 		return DatabaseInfo{}, errors.New("repro: BuildSummaries has not been run")
 	}
-	info := DatabaseInfo{
-		Name:          name,
-		Category:      m.tree.PathString(r.assigned),
-		EstimatedSize: r.sizeEst,
-		SampleSize:    r.sampleLen,
-		SummaryWords:  r.unshrunk.Len(),
-
-		MixtureWeights: r.shrunk.Lambdas(),
-	}
-	if r.prov != nil {
-		info.SampleQueries = r.prov.SampleQueries
-		info.EMIterations = r.prov.EMIterations
-		// Prefer the persisted λ vector: it is the provenance of the
-		// deployed summaries even if a re-run would converge equally.
-		if len(r.prov.Lambdas) > 0 {
-			info.MixtureWeights = r.prov.Lambdas
-		}
-	} else {
-		info.EMIterations = r.shrunk.EMIterations()
-	}
-	return info, nil
+	sh := st.derived.Shrunk[i]
+	return DatabaseInfo{
+		Name:           name,
+		Category:       m.tree.PathString(r.src.Category),
+		EstimatedSize:  r.src.Size,
+		SampleSize:     r.src.Sum.SampleSize,
+		SummaryWords:   r.src.Sum.Len(),
+		MixtureWeights: sh.Lambdas(),
+		SampleQueries:  r.sampleQueries,
+		EMIterations:   sh.EMIterations(),
+	}, nil
 }
 
 // dbSearcher adapts a SearchableDatabase to the internal sampling and

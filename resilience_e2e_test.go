@@ -388,6 +388,58 @@ func TestHealthProbesCloseTrippedBreaker(t *testing.T) {
 	}
 }
 
+// TestReplicaBreakersRecordLastProbe: a health sweep over a database's
+// replicas leaves each probe's outcome and time, on the metasearcher's
+// clock, on that replica key's breaker, and /debug/breakers shows it.
+func TestReplicaBreakersRecordLastProbe(t *testing.T) {
+	shards, lexicon := testbedShards(t, 1)
+	s := shards[0]
+	opts := testbedOptions(lexicon)
+	clk := clock.NewFake()
+	opts.clock = clk
+	m := New(opts)
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms(s.name, s.docs), s.category); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.BuildSummaries(); err != nil {
+		t.Fatal(err)
+	}
+	live := httptest.NewServer(wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs), wire.ServerOptions{Category: s.category}))
+	t.Cleanup(live.Close)
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	addrs := []string{strings.TrimPrefix(live.URL, "http://"), strings.TrimPrefix(gone.URL, "http://")}
+	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{{Database: s.name, Category: s.category, Replicas: addrs}}, replica.ClientOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Minute)
+	m.Probe(context.Background())
+
+	rec := httptest.NewRecorder()
+	m.Breakers().Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/breakers", nil))
+	var body struct {
+		Breakers []resilience.BreakerSnapshot `json:"breakers"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	served := make(map[string]resilience.BreakerSnapshot)
+	for _, b := range body.Breakers {
+		served[b.Database] = b
+	}
+	for i, addr := range addrs {
+		b, ok := served[s.name+"@"+addr]
+		switch {
+		case !ok:
+			t.Errorf("/debug/breakers has no breaker for replica %s", addr)
+		case i == 0 && b.LastProbe != "ok", i == 1 && (b.LastProbe == "" || b.LastProbe == "ok"):
+			t.Errorf("replica %s: last probe %q, want %s", addr, b.LastProbe, []string{"ok", "its error"}[i])
+		case !b.LastProbeAt.Equal(clk.Now()):
+			t.Errorf("replica %s: last probe at %v, want the metasearcher's clock %v", addr, b.LastProbeAt, clk.Now())
+		}
+	}
+}
+
 // TestPartialFailureMergeDeterminism pins down the degraded-mode
 // contract: when one contributing node dies mid-flight, the merged
 // ranking must equal the healthy ranking with exactly that node's

@@ -24,7 +24,7 @@ func handled(m *Metasearcher) []string {
 	var out []string
 	for _, r := range m.state.Load().dbs {
 		if r.db != nil {
-			out = append(out, r.name)
+			out = append(out, r.src.Name)
 		}
 	}
 	sort.Strings(out)

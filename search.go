@@ -389,7 +389,7 @@ func (m *Metasearcher) searchUncached(ctx context.Context, span *telemetry.Span,
 		// statistics), but only those this process holds a live handle
 		// for are queried: on a cluster shard the rest are the other
 		// shards' slices, merged back together by the router.
-		if r := st.byName[name]; r != nil && r.db != nil {
+		if r, _ := st.lookup(name); r != nil && r.db != nil {
 			outcomes[i] = m.searchNode(fanCtx, span, r.db, name, terms, perDB, hedgeAfter)
 		} else {
 			m.met.outOfScope.Inc()

@@ -13,7 +13,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/sampling"
 	"repro/internal/selection"
-	"repro/internal/summary"
 	"repro/internal/telemetry"
 )
 
@@ -46,56 +45,62 @@ type published struct {
 // store is one published state of the metasearcher. Nothing reachable
 // from a published store is ever modified.
 type store struct {
-	// dbs holds every database the selection statistics cover. The
-	// ones with a live handle are this process's search scope: a
-	// cluster shard holds handles for its slice only, and a selected
-	// database without one is another shard's (out of scope).
-	dbs    []*registeredDB          // registration order
-	byName map[string]*registeredDB // the same entries, by name
+	// dbs holds every database the selection statistics cover, in
+	// registration order, which is the derivation's order. The ones with
+	// a live handle are this process's search scope: a cluster shard
+	// holds handles for its slice only, and a selected database without
+	// one is another shard's (out of scope).
+	dbs    []*registeredDB
+	byName map[string]int // name → index in dbs (and in derived)
 
 	// Set by deriveStore; a store that Train or AddDatabase published
 	// has none of it and fails Select, Info and Save.
 	trainingDocs int      // informational, for Save: classifier examples at build time
 	lexicon      []string // QBS bootstrap words the summaries were sampled with
 	// derived is the offline derivation over dbs, in the same order:
-	// category summaries, root summary, shrunk summaries and Figure 3's
-	// inputs. nil until built.
+	// category summaries, root summary, shrunk summaries (λ and EM
+	// iterations with them) and Figure 3's inputs. nil until built.
 	derived *selection.Derived
 }
 
+// registeredDB is one database's record: its live handle, how it was
+// registered, and its input to the offline derivation. What the
+// derivation computes from that input is read from store.derived at the
+// record's index, never kept here.
 type registeredDB struct {
-	name      string
-	db        SearchableDatabase // nil: not queried by this process
-	category  hierarchy.NodeID   // classification to use; -1 = probe
-	fixedCat  bool
-	unshrunk  *summary.Summary
-	shrunk    *core.ShrunkSummary
-	assigned  hierarchy.NodeID
-	sizeEst   float64
-	gamma     float64
-	sampleLen int
-	prov      *BuildTelemetry // how the summary was built (persisted)
+	db       SearchableDatabase // nil: not queried by this process
+	category hierarchy.NodeID   // category registered under; -1 = classify by probing
+	// src is the name, the assigned category, Ŝ(D) (with its |S|), |D̂|
+	// and γ: set by sampling or Load, zero-valued but for the name
+	// until the first build.
+	src           selection.Source
+	sampleQueries int // queries the sampler sent: the provenance Ŝ(D) cannot tell
 }
 
 // newStore is an unbuilt store over dbs.
 func newStore(dbs []*registeredDB) *store {
-	return &store{dbs: dbs, byName: indexByName(dbs)}
+	byName := make(map[string]int, len(dbs))
+	for i, r := range dbs {
+		byName[r.src.Name] = i
+	}
+	return &store{dbs: dbs, byName: byName}
 }
 
-func indexByName(dbs []*registeredDB) map[string]*registeredDB {
-	byName := make(map[string]*registeredDB, len(dbs))
-	for _, r := range dbs {
-		byName[r.name] = r
+// lookup returns name's record and its index in dbs, or nil and -1.
+func (st *store) lookup(name string) (*registeredDB, int) {
+	i, ok := st.byName[name]
+	if !ok {
+		return nil, -1
 	}
-	return byName
+	return st.dbs[i], i
 }
 
 // withHandles returns a copy of st whose databases are dbs — the same
-// summaries entry for entry, different live handles. Everything derived
+// records in the same order, different live handles. Everything derived
 // from the summaries carries over.
 func (st *store) withHandles(dbs []*registeredDB) *store {
 	next := *st
-	next.dbs, next.byName = dbs, indexByName(dbs)
+	next.dbs = dbs
 	return &next
 }
 
@@ -143,43 +148,29 @@ func (m *Metasearcher) sampleQBS(s *dbSearcher, span *telemetry.Span, lexicon []
 	})
 }
 
-// summarizeSample turns a document sample into what the store keeps of
-// it, on r (a copy not yet published): freqest.Summarize's refined
-// content summary Ŝ(D), size estimate |D̂| and exponent γ — the same
-// function the evaluation harness builds its summaries with — plus the
-// build provenance.
+// summarizeSample fills r's derivation input from a document sample
+// (r is a copy not yet published): freqest.Summarize's refined content
+// summary Ŝ(D), size estimate |D̂| and exponent γ — the same function the
+// evaluation harness builds its summaries with — plus the number of
+// sampling queries.
 func (m *Metasearcher) summarizeSample(r *registeredDB, sample *sampling.Sample) {
-	r.unshrunk, r.sizeEst, r.gamma = freqest.Summarize(sample, true)
-	r.sampleLen = r.unshrunk.SampleSize
-	r.prov = &BuildTelemetry{SampleQueries: sample.Queries}
+	r.src.Sum, r.src.Size, r.src.Gamma = freqest.Summarize(sample, true)
+	r.sampleQueries = sample.Queries
 }
 
-// deriveStore builds a store over dbs (the caller's own copies with
-// unshrunk summaries and categories set; called from inside update) by
-// running selection.Derive over the whole summary set: shrinkage
-// ancestors share statistics, so one changed summary moves its
-// siblings' too.
+// deriveStore builds a store over dbs (records whose Source is set;
+// called from inside update) by running selection.Derive over the whole
+// summary set: shrinkage ancestors share statistics, so one changed
+// summary moves its siblings' too. The records are not modified.
 func (m *Metasearcher) deriveStore(dbs []*registeredDB, lexicon []string, trainingDocs int, span *telemetry.Span) *store {
 	st := newStore(dbs)
 	st.trainingDocs = trainingDocs
 	st.lexicon = lexicon
 	sources := make([]selection.Source, len(dbs))
 	for i, r := range dbs {
-		sources[i] = selection.Source{Classified: core.Classified{Name: r.name, Category: r.assigned, Sum: r.unshrunk}, Size: r.sizeEst, Gamma: r.gamma}
+		sources[i] = r.src
 	}
 	st.derived = selection.Derive(m.tree, sources, core.SizeWeighted, span, m.reg)
-	for i, r := range dbs {
-		r.shrunk = st.derived.Shrunk[i]
-		if r.prov != nil {
-			// The EM just run is this summary's provenance (Load, which
-			// prefers the persisted one, attaches it afterwards).
-			r.prov = &BuildTelemetry{
-				SampleQueries: r.prov.SampleQueries,
-				EMIterations:  r.shrunk.EMIterations(),
-				Lambdas:       r.shrunk.Lambdas(),
-			}
-		}
-	}
 	return st
 }
 
@@ -189,7 +180,7 @@ func (st *store) probeTargets() []resilience.ProbeTarget {
 	var targets []resilience.ProbeTarget
 	for _, r := range st.dbs {
 		if db, ok := r.db.(*replica.Database); ok {
-			targets = append(targets, resilience.ProbeTarget{Name: r.name, Ping: db.Ping})
+			targets = append(targets, resilience.ProbeTarget{Name: r.src.Name, Ping: db.Ping})
 			targets = append(targets, db.ProbeTargets()...)
 		}
 	}

@@ -358,8 +358,9 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 // TestOneDeriveStore: every way a built store comes to be — the
 // offline build, Save→Load, RebuildSummary — shrinks through the one
 // deriveStore, so the same summaries give bit-identical selections
-// whichever path produced the store; and Load still reports the
-// persisted λ/EM provenance, not the re-run's.
+// whichever path produced the store; and Info after a Load reports the
+// λ and EM count selection serves — the one derivation's — even when
+// the file's telemetry object says otherwise.
 func TestOneDeriveStore(t *testing.T) {
 	built, drifty := newStoreWorld(t, Options{})
 	loadedFrom := func(src *Metasearcher, edit func(env map[string]interface{})) *Metasearcher {
@@ -428,13 +429,52 @@ func TestOneDeriveStore(t *testing.T) {
 			t.Errorf("%s: selections differ from the store it was saved from:\n got %s\nwant %s", tc.path, got, tc.want)
 		}
 	}
+	// The edited λ and EM count are not what selection serves, so Info
+	// does not report them either: it reports the one derivation, the
+	// built store's, whose λ the audit trail carries.
 	info, err := loaded.Info("drifty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.EMIterations != 77 || len(info.MixtureWeights) == 0 || info.MixtureWeights[0].Weight != sentinel {
-		t.Errorf("Info after Load = %d EM iterations, λ %v; want the persisted provenance (77, first weight %v)",
-			info.EMIterations, info.MixtureWeights, sentinel)
+	if info.EMIterations == 77 || info.MixtureWeights[0].Weight == sentinel {
+		t.Errorf("Info after Load = %d EM iterations, λ %v: the edited file's, not the derivation's", info.EMIterations, info.MixtureWeights)
+	}
+	served := 0
+	for _, q := range storeQueries {
+		if _, err := loaded.Search(context.Background(), SearchRequest{Query: q, MaxDBs: 4}); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range loaded.Audit().Last().Candidates {
+			if !c.Shrinkage {
+				continue
+			}
+			info, err := loaded.Info(c.Database)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(info.MixtureWeights, c.Lambdas) {
+				t.Errorf("%q, %s: Info λ %v, the audit trail's %v", q, c.Database, info.MixtureWeights, c.Lambdas)
+			}
+			if c.Database == "drifty" {
+				served++
+			}
+		}
+	}
+	if served == 0 {
+		t.Error("no query shrank drifty: the audit trail shows no λ to compare Info's with")
+	}
+	for _, name := range []string{"drifty", "ward"} {
+		want, err := built.Info(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadedFrom(built, nil).Info(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Info(%s) after Save→Load = %+v, want the rebuilt store's %+v", name, got, want)
+		}
 	}
 }
 
@@ -444,9 +484,10 @@ func TestOneDeriveStore(t *testing.T) {
 func storePrint(m *Metasearcher) string {
 	st := m.state.Load()
 	var sb strings.Builder
-	for _, r := range st.dbs {
-		fmt.Fprintf(&sb, "%s/%d[", r.name, r.shrunk.EMIterations())
-		for _, l := range r.shrunk.Lambdas() {
+	for i, r := range st.dbs {
+		sh := st.derived.Shrunk[i]
+		fmt.Fprintf(&sb, "%s/%d[", r.src.Name, sh.EMIterations())
+		for _, l := range sh.Lambdas() {
 			fmt.Fprintf(&sb, "%s=%016x,", l.Component, math.Float64bits(l.Weight))
 		}
 		sb.WriteString("];")
@@ -629,9 +670,9 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 			s.targets = append(s.targets, p.Name)
 		}
 		for _, r := range st.dbs {
-			s.handles[r.name] = r.db
+			s.handles[r.src.Name] = r.db
 		}
-		s.addrs = st.byName["drifty"].db.(*replica.Database).ReplicaAddrs()
+		s.addrs = st.dbs[st.byName["drifty"]].db.(*replica.Database).ReplicaAddrs()
 		return s
 	}
 	before := take()

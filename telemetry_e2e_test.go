@@ -172,7 +172,7 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 	m.update(func(cur *store) (*store, error) {
 		dbs := append([]*registeredDB(nil), cur.dbs...)
 		for i, r := range dbs {
-			if r.name == "cardio" {
+			if r.src.Name == "cardio" {
 				dead := *r
 				dead.db = deadDB{r.db}
 				dbs[i] = &dead

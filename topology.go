@@ -92,7 +92,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 		changed := make(map[string]SearchableDatabase)
 		assigned := make(map[string]bool, len(assigns))
 		for _, a := range assigns {
-			r := cur.byName[a.Database]
+			r, _ := cur.lookup(a.Database)
 			if r == nil {
 				rep.Unknown = append(rep.Unknown, a.Database)
 				continue
@@ -121,16 +121,17 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 
 		dbs := make([]*registeredDB, len(cur.dbs))
 		for i, old := range cur.dbs {
-			if (old.db != nil) != assigned[old.name] {
+			name := old.src.Name
+			if (old.db != nil) != assigned[name] {
 				rep.ScopeChanged = true
 			}
-			if old.db != nil && !assigned[old.name] {
-				changed[old.name] = nil
+			if old.db != nil && !assigned[name] {
+				changed[name] = nil
 				detached = append(detached, old.db)
-				rep.Detached = append(rep.Detached, old.name)
+				rep.Detached = append(rep.Detached, name)
 			}
 			dbs[i] = old
-			if db, ok := changed[old.name]; ok {
+			if db, ok := changed[name]; ok {
 				r := *old
 				r.db = db
 				dbs[i] = &r
