@@ -48,8 +48,8 @@ results-small:
 # The size figures every ROADMAP re-anchor quotes: non-test Go lines
 # outside benchmark/ (benchcompat.go shims not counted; their lines are
 # printed on their own), the root package's share of them (the paper's
-# pipeline; ROADMAP item 7's target), the observability packages' share
-# and the number of metric kinds, metasearch flags per mode, the time.Sleep
+# pipeline), the observability packages' share and the number of metric
+# kinds, metasearch flags per mode, the time.Sleep
 # calls left in tests, the files outside internal/resilience that still
 # make attempt-policy calls of their own (resilience.Do should be the
 # only caller of the budget and breaker methods on the query path), the
@@ -58,10 +58,10 @@ results-small:
 # replica set, router), the lines of benchcompat.go shims (DESIGN §3),
 # the search methods on *Metasearcher and *Router (one each: Search),
 # the root package's exported funcs, methods and types and its exported
-# Metasearcher methods (shims excluded from all three), the fields of the
-# store's per-database record (ROADMAP item 6's columnar store replaces
-# it), and the exported
-# fields of the option structs — the eight that held the fan-out's
+# Metasearcher methods (shims excluded from all three; ROADMAP item 6's
+# targets), the fields of the store's per-database record (ROADMAP item
+# 5's columnar store replaces it), and the exported fields of the
+# option structs — the eight that held the fan-out's
 # timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \

@@ -221,7 +221,7 @@ func BenchmarkSearchCached(b *testing.B) {
 		m := build(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.InvalidateCaches()
+			m.invalidateCaches()
 			r, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 			if err != nil {
 				b.Fatal(err)
@@ -291,7 +291,7 @@ func benchStore(b *testing.B) (*Metasearcher, Options, []byte) {
 			b.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := m.save(&buf); err != nil {
 			b.Fatal(err)
 		}
 		benchWorlds.built, benchWorlds.state = m, buf.Bytes()
@@ -326,7 +326,7 @@ func BenchmarkSave(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := m.Save(&buf); err != nil {
+		if err := m.save(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -338,7 +338,7 @@ func BenchmarkLoad(b *testing.B) {
 	b.SetBytes(int64(len(state)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := New(opts).Load(bytes.NewReader(state)); err != nil {
+		if err := New(opts).load(bytes.NewReader(state)); err != nil {
 			b.Fatal(err)
 		}
 	}

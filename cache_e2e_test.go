@@ -256,7 +256,7 @@ func TestLoadInvalidatesCache(t *testing.T) {
 	m, dbs := buildCountingMetasearcher(t, Options{Seed: 5})
 	reg := m.Metrics()
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	arm(dbs)
@@ -273,7 +273,7 @@ func TestLoadInvalidatesCache(t *testing.T) {
 
 	// Load keeps the registered databases' live handles, so the same
 	// wrapped backends serve the re-queried fan-out.
-	if err := m.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := m.load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 

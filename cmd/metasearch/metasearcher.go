@@ -96,12 +96,6 @@ func newLocal(f *flags) (*local, error) {
 	return l, nil
 }
 
-// remoteOptions is how this process's wire clients are wired: drawing
-// retries from its one budget.
-func (l *local) remoteOptions() replica.ClientOptions {
-	return replica.ClientOptions{Budget: l.m.RetryBudget()}
-}
-
 // addDatabases registers the testbed: every database in-process under
 // its directory category (the paper's "existing classification" case,
 // so no probe training is needed), or — with -remote — the dbnode
@@ -130,7 +124,7 @@ func (l *local) addDatabases(remote string) error {
 		}
 		rdb, err := replica.Dial(context.Background(), []string{addr}, replica.Options{
 			Metrics: l.m.Metrics(),
-			Client:  l.remoteOptions(),
+			Client:  replica.ClientOptions{Budget: l.m.RetryBudget()},
 		})
 		if err != nil {
 			return err
@@ -328,14 +322,7 @@ func runShard(f *flags, _ []string) error {
 		if err != nil {
 			return err
 		}
-		ras := make([]repro.ReplicaAssignment, len(assigns))
-		for i, a := range assigns {
-			ras[i] = repro.ReplicaAssignment{
-				Database: a.Database, Category: a.Category,
-				Replicas: a.Replicas, Preferred: a.Preferred,
-			}
-		}
-		rep, err := l.m.ApplyReplicaAssignments(ras, l.remoteOptions())
+		rep, err := l.m.ApplyReplicaAssignments(assigns)
 		if err != nil {
 			return err
 		}

@@ -263,7 +263,8 @@ func Example_classifyByProbing() {
 	// generated under Root→ Health, classified as Root→ Health
 }
 
-// ExampleParseHierarchy shows loading a custom taxonomy.
+// ExampleParseHierarchy shows loading a custom taxonomy, the value
+// Options.Categories takes.
 func ExampleParseHierarchy() {
 	spec, err := repro.ParseHierarchy(strings.NewReader(`
 Root
@@ -274,10 +275,14 @@ Root
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := repro.New(repro.Options{Categories: spec})
-	for _, c := range m.Hierarchy() {
-		fmt.Printf("%s%s\n", strings.Repeat("  ", c.Depth), c.Name)
+	var walk func(c *repro.CategorySpec, depth int)
+	walk = func(c *repro.CategorySpec, depth int) {
+		fmt.Printf("%s%s\n", strings.Repeat("  ", depth), c.Name)
+		for _, child := range c.Children {
+			walk(child, depth+1)
+		}
 	}
+	walk(spec, 0)
 	// Output:
 	// Root
 	//   Medicine

@@ -38,20 +38,19 @@ import (
 )
 
 // Target is the slice of the metasearcher a Manager drives:
-// enumerating refreshable nodes, reading stored summaries, drawing
-// cheap fresh samples, and rebuilding on drift.
+// enumerating refreshable nodes, drawing cheap fresh samples to hold
+// against the stored summaries, and rebuilding on drift.
 // *repro.Metasearcher implements it.
 type Target interface {
 	// RefreshableDatabases lists the nodes with live connections this
 	// process may re-sample (a cluster shard lists only its slice),
 	// sorted by name.
 	RefreshableDatabases() []string
-	// StoredSummary returns the node's current unshrunk content summary
-	// (immutable once returned).
-	StoredSummary(name string) (*summary.Summary, error)
-	// ResampleSummary draws a fresh sample of about docs documents from
-	// the live node and summarizes it, without touching stored state.
-	ResampleSummary(ctx context.Context, name string, docs int) (*summary.Summary, error)
+	// ResampleSummary returns the node's current unshrunk content
+	// summary and a fresh one, summarizing a sample of about docs
+	// documents drawn from the live node without touching stored state.
+	// Both are immutable once returned.
+	ResampleSummary(ctx context.Context, name string, docs int) (stored, fresh *summary.Summary, err error)
 	// RebuildSummary re-samples the node at full size, recomputes its
 	// summary and every shrinkage ancestor, and atomically swaps the new
 	// state in, invalidating the query caches.
@@ -249,49 +248,45 @@ func (m *Manager) checkOne(ctx context.Context, name string) bool {
 	m.checks.Inc()
 	st := m.state(name)
 
-	stored, err := m.target.StoredSummary(name)
+	stored, fresh, err := m.target.ResampleSummary(ctx, name, m.opts.SampleDocs)
 	if err == nil {
-		var fresh *summary.Summary
-		fresh, err = m.target.ResampleSummary(ctx, name, m.opts.SampleDocs)
-		if err == nil {
-			p := Distribution(stored)
-			q := Distribution(fresh)
-			js := JSDivergence(p, q)
-			kl := SmoothedKL(p, q, 0)
+		p := Distribution(stored)
+		q := Distribution(fresh)
+		js := JSDivergence(p, q)
+		kl := SmoothedKL(p, q, 0)
+		m.mu.Lock()
+		st.Checks++
+		st.LastCheck = time.Now()
+		st.LastJS = js
+		st.LastKL = kl
+		st.LastError = ""
+		m.mu.Unlock()
+		if js <= m.opts.Threshold {
+			return false
+		}
+		m.drifts.Inc()
+		m.mu.Lock()
+		st.Drifts++
+		m.mu.Unlock()
+		if m.opts.Logger != nil {
+			m.opts.Logger.Info("summary drift detected, rebuilding",
+				"db", name, "js_divergence", js, "kl_divergence", kl,
+				"threshold", m.opts.Threshold)
+		}
+		if err = m.target.RebuildSummary(ctx, name); err == nil {
+			m.swaps.Inc()
 			m.mu.Lock()
-			st.Checks++
-			st.LastCheck = time.Now()
-			st.LastJS = js
-			st.LastKL = kl
-			st.LastError = ""
+			st.Swaps++
+			st.LastSwap = time.Now()
+			m.generation++
+			gen := m.generation
 			m.mu.Unlock()
-			if js <= m.opts.Threshold {
-				return false
-			}
-			m.drifts.Inc()
-			m.mu.Lock()
-			st.Drifts++
-			m.mu.Unlock()
+			m.genGauge.Set(float64(gen))
 			if m.opts.Logger != nil {
-				m.opts.Logger.Info("summary drift detected, rebuilding",
-					"db", name, "js_divergence", js, "kl_divergence", kl,
-					"threshold", m.opts.Threshold)
+				m.opts.Logger.Info("summary rebuilt and swapped",
+					"db", name, "refresh_generation", gen)
 			}
-			if err = m.target.RebuildSummary(ctx, name); err == nil {
-				m.swaps.Inc()
-				m.mu.Lock()
-				st.Swaps++
-				st.LastSwap = time.Now()
-				m.generation++
-				gen := m.generation
-				m.mu.Unlock()
-				m.genGauge.Set(float64(gen))
-				if m.opts.Logger != nil {
-					m.opts.Logger.Info("summary rebuilt and swapped",
-						"db", name, "refresh_generation", gen)
-				}
-				return true
-			}
+			return true
 		}
 	}
 	m.errors.Inc()

@@ -110,19 +110,13 @@ func (f *fakeTarget) RefreshableDatabases() []string {
 	return out
 }
 
-func (f *fakeTarget) StoredSummary(name string) (*summary.Summary, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stored[name], nil
-}
-
-func (f *fakeTarget) ResampleSummary(_ context.Context, name string, _ int) (*summary.Summary, error) {
+func (f *fakeTarget) ResampleSummary(_ context.Context, name string, _ int) (stored, fresh *summary.Summary, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if name == f.errOn {
-		return nil, errors.New("node unreachable")
+		return nil, nil, errors.New("node unreachable")
 	}
-	return f.fresh[name], nil
+	return f.stored[name], f.fresh[name], nil
 }
 
 func (f *fakeTarget) RebuildSummary(_ context.Context, name string) error {
@@ -243,5 +237,18 @@ func TestHandler(t *testing.T) {
 	}
 	if resp.Generation != 1 || resp.Threshold != 0.3 || len(resp.Nodes) != 2 {
 		t.Errorf("response = %+v", resp)
+	}
+	// A node that never swapped has no last_swap, not a year-1 one.
+	var raw struct {
+		Nodes []map[string]json.RawMessage `json:"nodes"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range raw.Nodes {
+		_, swapped := n["last_swap"]
+		if db := string(n["database"]); swapped != (db == `"drifted"`) {
+			t.Errorf("node %s: last_swap present = %v, want it only on the node that swapped: %s", db, swapped, rec.Body.String())
+		}
 	}
 }

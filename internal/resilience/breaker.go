@@ -310,7 +310,7 @@ type BreakerSnapshot struct {
 	Trips         int64 `json:"trips"`
 	ShortCircuits int64 `json:"short_circuits"`
 	// OpenedAt is when the breaker last tripped (zero if never).
-	OpenedAt time.Time `json:"opened_at,omitempty"`
+	OpenedAt time.Time `json:"opened_at,omitzero"`
 	// ChangedAt is the last state transition.
 	ChangedAt time.Time `json:"changed_at"`
 	// CooldownSeconds is the open→half-open delay.
@@ -320,7 +320,7 @@ type BreakerSnapshot struct {
 	// or "" when never probed. LastProbeAt is when it finished (zero when
 	// never probed).
 	LastProbe   string    `json:"last_probe,omitempty"`
-	LastProbeAt time.Time `json:"last_probe_at"`
+	LastProbeAt time.Time `json:"last_probe_at,omitzero"`
 }
 
 // Snapshot captures the breaker's state for debugging.

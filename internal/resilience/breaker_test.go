@@ -247,6 +247,25 @@ func TestSetGaugesAndHandler(t *testing.T) {
 	if body.Breakers[1].Database != "beta" || body.Breakers[1].State != "closed" {
 		t.Errorf("breakers[1] = %+v, want beta closed", body.Breakers[1])
 	}
+	// A time the breaker never had is left out, not served as year 1:
+	// beta never tripped and neither was probed.
+	var raw struct {
+		Breakers []map[string]json.RawMessage `json:"breakers"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw.Breakers[0]["opened_at"]; !ok {
+		t.Errorf("tripped breaker alpha has no opened_at: %s", rec.Body.String())
+	}
+	for _, key := range []string{"opened_at", "last_probe_at"} {
+		if v, ok := raw.Breakers[1][key]; ok {
+			t.Errorf("breaker beta serves %s %s, want the key left out", key, v)
+		}
+	}
+	if v, ok := raw.Breakers[0]["last_probe_at"]; ok {
+		t.Errorf("never-probed breaker alpha serves last_probe_at %s, want the key left out", v)
+	}
 }
 
 // TestProbeClosesRecoveredBreaker: a probe schedule on the Set's clock

@@ -447,15 +447,11 @@ func TestClusterEmptyShardMatchesSingleProcess(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ras := make([]repro.ReplicaAssignment, len(assigns))
-		for k, a := range assigns {
-			ras[k] = repro.ReplicaAssignment{Database: a.Database, Category: a.Category, Replicas: a.Replicas, Preferred: a.Preferred}
-		}
 		sm := repro.New(clusterOptions(lexicon))
 		if err := sm.LoadFile(stateFile); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sm.ApplyReplicaAssignments(ras, replica.ClientOptions{}); err != nil {
+		if _, err := sm.ApplyReplicaAssignments(assigns); err != nil {
 			t.Fatal(err)
 		}
 		sm.Probe(context.Background())

@@ -186,14 +186,7 @@ func TestClusterReconfiguration(t *testing.T) {
 			if err != nil {
 				return fmt.Errorf("shard %s assignments: %w", id, err)
 			}
-			ras := make([]repro.ReplicaAssignment, len(assigns))
-			for j, a := range assigns {
-				ras[j] = repro.ReplicaAssignment{
-					Database: a.Database, Category: a.Category,
-					Replicas: a.Replicas, Preferred: a.Preferred,
-				}
-			}
-			if _, err := sm.ApplyReplicaAssignments(ras, replica.ClientOptions{}); err != nil {
+			if _, err := sm.ApplyReplicaAssignments(assigns); err != nil {
 				return fmt.Errorf("shard %s swap: %w", id, err)
 			}
 		}

@@ -42,7 +42,7 @@ func TestPaperSelectionIsServedSelection(t *testing.T) {
 			for _, scorer := range scorers {
 				t.Run(fmt.Sprintf("%v/%v/%s", bed, sampler, scorer.Name()), func(t *testing.T) {
 					m := New(Options{Scorer: scorer.Name(), Cache: CacheConfig{Disable: true}, AuditSize: -1})
-					if err := m.Load(bytes.NewReader(state)); err != nil {
+					if err := m.load(bytes.NewReader(state)); err != nil {
 						t.Fatal(err)
 					}
 					assertServedIsPaper(t, m, w, sums, scorer)
@@ -66,7 +66,7 @@ func savedSummaries(t *testing.T, w *experiments.World, sums *experiments.DBSumm
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -22,10 +22,10 @@ import (
 
 // Sampling a remote database costs hundreds of queries, so deployments
 // build content summaries offline and load them at query time (the
-// paper computes the λ weights offline for the same reason). Save and
-// Load persist a built Metasearcher's summaries; a loaded metasearcher
-// can Select immediately without any live database connection, because
-// selection consults only the summaries.
+// paper computes the λ weights offline for the same reason). SaveFile
+// and LoadFile persist a built Metasearcher's summaries; a loaded
+// metasearcher can Select immediately without any live database
+// connection, because selection consults only the summaries.
 
 // persistVersion guards the on-disk format.
 const persistVersion = 1
@@ -39,12 +39,13 @@ const maxSizeEst = 1 << 53
 //	{"version":1,"databases":[…],"training_docs":N,"checksum":"sha256:…"}
 //
 // whose checksum is the sha256 of the canonical (encoding/json, compact)
-// encoding of the databases array. Save writes the array in that form,
-// so it hashes the bytes as they stream out; Load re-encodes what it
-// decoded, so a re-indented file still verifies and a torn or corrupted
-// one is rejected loudly instead of loading garbage summaries. Both
-// work database by database on GOMAXPROCS workers (encoding and
-// decoding are CPU-bound) and put the pieces together in file order.
+// encoding of the databases array. SaveFile writes the array in that
+// form, so it hashes the bytes as they stream out; LoadFile re-encodes
+// what it decoded, so a re-indented file still verifies and a torn or
+// corrupted one is rejected loudly instead of loading garbage
+// summaries. Both work database by database on GOMAXPROCS workers
+// (encoding and decoding are CPU-bound) and put the pieces together in
+// file order.
 type persistEnvelope struct {
 	Version   int         `json:"version"`
 	Databases []persistDB `json:"databases"`
@@ -52,9 +53,9 @@ type persistEnvelope struct {
 	Checksum  string      `json:"checksum"`
 }
 
-// ErrNoChecksum is Load's error for a save file without a content
+// ErrNoChecksum is LoadFile's error for a save file without a content
 // checksum: there is nothing to verify the summaries against, so the
-// file is refused rather than trusted. Every Save writes one.
+// file is refused rather than trusted. Every SaveFile writes one.
 var ErrNoChecksum = errors.New("repro: load: save file carries no content checksum")
 
 // writeDatabases writes the canonical JSON array whose elements are
@@ -90,10 +91,10 @@ type persistDB struct {
 }
 
 // buildTelemetry is a database's "telemetry" object in the save file.
-// Load reads only SampleQueries, the provenance the summary cannot
+// LoadFile reads only SampleQueries, the provenance the summary cannot
 // tell: the EM count and λ are the derivation's over the file's
-// summaries, which Load re-runs, so Save writes them for the file's
-// readers and Load's re-derivation reproduces them.
+// summaries, which LoadFile re-runs, so SaveFile writes them for the
+// file's readers and LoadFile's re-derivation reproduces them.
 type buildTelemetry struct {
 	// SampleQueries is the number of queries the sampler (and its
 	// resample probes) sent to the database.
@@ -105,8 +106,8 @@ type buildTelemetry struct {
 	Lambdas []core.Lambda `json:"lambdas,omitempty"`
 }
 
-// Save writes the built summaries. BuildSummaries must have succeeded.
-func (m *Metasearcher) Save(w io.Writer) error {
+// save writes the built summaries to w (SaveFile's body).
+func (m *Metasearcher) save(w io.Writer) error {
 	st := m.state.Load()
 	if st.derived == nil {
 		return errors.New("repro: nothing to save; run BuildSummaries first")
@@ -127,10 +128,10 @@ func (m *Metasearcher) Save(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("repro: save: %w", err)
 	}
-	// A save marks a summary state the operator may re-Load or ship to
+	// A save marks a summary state the operator may re-load or ship to
 	// other processes; bumping the generation here keeps "what the cache
 	// answers from" never older than "what is on disk".
-	m.InvalidateCaches()
+	m.invalidateCaches()
 	return nil
 }
 
@@ -165,31 +166,21 @@ func (m *Metasearcher) encodeDB(st *store, i int) ([]byte, error) {
 // SaveFile writes the built summaries to path crash-safely: the bytes
 // land in a temp file first and are renamed over path only once fully
 // written, so a crash mid-save cannot leave a truncated state file
-// behind (Load would reject one anyway, via the checksum).
+// behind (LoadFile would reject one anyway, via the checksum).
+// BuildSummaries must have succeeded.
 func (m *Metasearcher) SaveFile(path string) error {
 	return atomicfile.Write(path, 0o644, func(f *os.File) error {
-		return m.Save(f)
+		return m.save(f)
 	})
 }
 
-// LoadFile restores summaries previously written by SaveFile (or any
-// Save output on disk).
-func (m *Metasearcher) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("repro: load: %w", err)
-	}
-	defer f.Close()
-	return m.Load(f)
-}
-
-// Load restores summaries previously written by Save into this
+// LoadFile restores summaries previously written by SaveFile into this
 // metasearcher, replacing any registered databases, and rebuilds the
 // category summaries and shrunk summaries. The metasearcher must have
 // been created with the same hierarchy the state was saved under
 // (category names are matched by name). A database already registered
 // under a name the save file mentions keeps its live handle, so a
-// deployment can dial remote nodes first, Load offline-built
+// deployment can dial remote nodes first, load offline-built
 // summaries second, and Search immediately; one the file names but
 // this process holds no handle for is ranked and never queried here
 // (out of scope). The file's content checksum is verified; a file
@@ -211,7 +202,17 @@ func (m *Metasearcher) LoadFile(path string) error {
 // before anything is published, and the publish bumps the cache
 // generation: queries answer from the previous summaries until then,
 // and a rejected file changes nothing.
-func (m *Metasearcher) Load(r io.Reader) error {
+func (m *Metasearcher) LoadFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("repro: load: %w", err)
+	}
+	defer f.Close()
+	return m.load(f)
+}
+
+// load is LoadFile's body over a reader.
+func (m *Metasearcher) load(r io.Reader) error {
 	if m.scorerErr != nil {
 		return m.scorerErr
 	}

@@ -22,14 +22,14 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 31})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh metasearcher with no live databases can answer queries
 	// from the loaded summaries alone.
 	m2 := New(Options{})
-	if err := m2.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := m2.load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	want, err := m.Select("blood pressure hypertension", 2)
@@ -63,11 +63,11 @@ func TestSaveLoadBuildTelemetry(t *testing.T) {
 		t.Fatalf("build telemetry missing before save: %+v", orig)
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := New(Options{})
-	if err := m2.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := m2.load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m2.Info("cardio")
@@ -92,7 +92,7 @@ func TestSaveLoadBuildTelemetry(t *testing.T) {
 		"size_estimate": 10, "sample_size": 5,
 		"summary": {"version":1,"num_docs":10,"words":[{"w":"blood","p":0.5}]}}]}`
 	m3 := New(Options{})
-	if err := m3.Load(bytes.NewReader(sealed(t, []byte(legacy)))); err != nil {
+	if err := m3.load(bytes.NewReader(sealed(t, []byte(legacy)))); err != nil {
 		t.Fatal(err)
 	}
 	info, err := m3.Info("x")
@@ -110,17 +110,17 @@ func TestSaveLoadBuildTelemetry(t *testing.T) {
 func TestSaveLoadSaveIsIdentity(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 39})
 	var first, second bytes.Buffer
-	if err := m.Save(&first); err != nil {
+	if err := m.save(&first); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(first.String(), `"training_docs":60,`) {
 		t.Fatal("the built store counts no training documents; the round trip would not show losing them")
 	}
 	m2 := New(Options{})
-	if err := m2.Load(bytes.NewReader(first.Bytes())); err != nil {
+	if err := m2.load(bytes.NewReader(first.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if err := m2.Save(&second); err != nil {
+	if err := m2.save(&second); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -146,7 +146,7 @@ func TestSaveBytesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	loaded := New(Options{})
-	if err := loaded.Load(bytes.NewReader(golden)); err != nil {
+	if err := loaded.load(bytes.NewReader(golden)); err != nil {
 		t.Fatalf("a save file written before this change no longer loads: %v", err)
 	}
 	for from, m := range map[string]*Metasearcher{
@@ -154,7 +154,7 @@ func TestSaveBytesGolden(t *testing.T) {
 		"the same seeded build": buildTestMetasearcher(t, Options{Seed: 38}),
 	} {
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := m.save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), golden) {
@@ -167,7 +167,7 @@ func TestSaveBytesGolden(t *testing.T) {
 func TestSaveRequiresBuild(t *testing.T) {
 	m := New(Options{})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err == nil {
+	if err := m.save(&buf); err == nil {
 		t.Error("Save before BuildSummaries accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		"garbage":       "not json at all",
 		"wrong version": `{"version": 9, "databases": [{"name": "x"}]}`,
 	} {
-		if err := m.Load(strings.NewReader(in)); err == nil {
+		if err := m.load(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -231,7 +231,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		"bad summary":      `{"version": 1, "databases": [{"name": "x", "category": "Heart", "summary": {"version":7}}]}`,
 	}
 	for name, in := range cases {
-		err := m.Load(bytes.NewReader(sealed(t, []byte(in))))
+		err := m.load(bytes.NewReader(sealed(t, []byte(in))))
 		if err == nil || errors.Is(err, ErrNoChecksum) || strings.Contains(err.Error(), "checksum") {
 			t.Errorf("%s: err = %v, want a content rejection", name, err)
 		}
@@ -253,7 +253,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		{`"sample_queries":22,`, `"sample_queries":-1,`, "sample_queries"},
 	} {
 		in := sealed(t, bytes.Replace(golden, []byte(c.from), []byte(c.to), 1))
-		if err := m.Load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), `"cardio"`) || !strings.Contains(err.Error(), c.field) {
+		if err := m.load(bytes.NewReader(in)); err == nil || !strings.Contains(err.Error(), `"cardio"`) || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("%s: err = %v, want a rejection naming cardio's %s", c.to, err, c.field)
 		}
 	}
@@ -267,7 +267,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		{"name": "c", "category": "Heart", "summary": {"version":7}},
 		{"name": "a", "category": "Nowhere", "summary": {"version":8}}]}`))
 	for i := 0; i < 20; i++ {
-		if err := m.Load(bytes.NewReader(several)); err == nil || !strings.Contains(err.Error(), `"b" references unknown category "Bogus"`) {
+		if err := m.load(bytes.NewReader(several)); err == nil || !strings.Contains(err.Error(), `"b" references unknown category "Bogus"`) {
 			t.Fatalf("several bad databases: err = %v, want the first one's (b, unknown category)", err)
 		}
 	}
@@ -306,7 +306,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 func TestLoadRejectsCorruptedFile(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 36})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the content without breaking the JSON: the kind of damage
@@ -316,7 +316,7 @@ func TestLoadRejectsCorruptedFile(t *testing.T) {
 		t.Fatal("corruption did not change the save bytes")
 	}
 	m2 := New(Options{})
-	err := m2.Load(bytes.NewReader(corrupt))
+	err := m2.load(bytes.NewReader(corrupt))
 	if err == nil {
 		t.Fatal("corrupted save file loaded without error")
 	}
@@ -331,7 +331,7 @@ func TestLoadRejectsCorruptedFile(t *testing.T) {
 func TestLoadRejectsChecksumlessFile(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 37})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var env map[string]json.RawMessage
@@ -347,7 +347,7 @@ func TestLoadRejectsChecksumlessFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := New(Options{})
-	if err := m2.Load(bytes.NewReader(stripped)); !errors.Is(err, ErrNoChecksum) {
+	if err := m2.load(bytes.NewReader(stripped)); !errors.Is(err, ErrNoChecksum) {
 		t.Fatalf("checksum-less save: err = %v, want ErrNoChecksum", err)
 	}
 	if _, err := m2.Select("blood pressure hypertension", 2); err == nil {
@@ -433,11 +433,11 @@ func TestLoadKeepsLiveHandles(t *testing.T) {
 func TestLoadReplacesState(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 32})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := buildTestMetasearcher(t, Options{Seed: 33})
-	if err := m2.Load(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := m2.load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	// The loaded state must mirror the saved metasearcher, not the old one.
@@ -480,18 +480,18 @@ func FuzzLoad(f *testing.F) {
 	save := func(t *testing.T, m *Metasearcher) []byte {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+		if err := m.save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	m := New(Options{})
-	if err := m.Load(bytes.NewReader(golden)); err != nil {
+	if err := m.load(bytes.NewReader(golden)); err != nil {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, dbs []byte) {
 		served := save(t, m)
-		if err := m.Load(bytes.NewReader(sealedDatabases(dbs))); err != nil {
+		if err := m.load(bytes.NewReader(sealedDatabases(dbs))); err != nil {
 			if !bytes.Equal(save(t, m), served) {
 				t.Fatalf("a rejected file (%v) changed the served store", err)
 			}
@@ -505,7 +505,7 @@ func FuzzLoad(f *testing.F) {
 		}
 		first := save(t, m)
 		again := New(Options{})
-		if err := again.Load(bytes.NewReader(first)); err != nil {
+		if err := again.load(bytes.NewReader(first)); err != nil {
 			t.Fatalf("Save of an accepted file does not load: %v", err)
 		}
 		if second := save(t, again); !bytes.Equal(first, second) {

@@ -36,37 +36,26 @@ func (m *Metasearcher) RefreshableDatabases() []string {
 	return out
 }
 
-// StoredSummary returns a database's current unshrunk content summary.
-// Summaries are immutable once built (a rebuild publishes a new one), so
-// the returned pointer is safe to read indefinitely.
-func (m *Metasearcher) StoredSummary(name string) (*summary.Summary, error) {
-	r, _ := m.state.Load().lookup(name)
-	if r == nil {
-		return nil, fmt.Errorf("repro: unknown database %q", name)
-	}
-	if r.src.Sum == nil {
-		return nil, fmt.Errorf("repro: database %q has no built summary", name)
-	}
-	return r.src.Sum, nil
-}
-
-// ResampleSummary draws a fresh sample of about docs documents from the
-// live database and summarizes it, touching no stored state — the cheap
-// probe the drift check compares against StoredSummary. The sampler's
-// seed is derived from the database name, distinct from the build
-// pipeline's seed, so the resample is an independent draw from the
-// node's contents while staying deterministic run to run.
-func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs int) (*summary.Summary, error) {
+// ResampleSummary returns a database's stored unshrunk content summary
+// and a fresh one: a sample of about docs documents drawn from the live
+// database and summarized, touching no stored state — the cheap probe
+// the drift check compares against the stored one. Both are read from
+// one store, and summaries are immutable once built (a rebuild
+// publishes a new one), so they are safe to read indefinitely. The
+// sampler's seed is derived from the database name, distinct from the
+// build pipeline's seed, so the resample is an independent draw from
+// the node's contents while staying deterministic run to run.
+func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs int) (stored, fresh *summary.Summary, err error) {
 	st := m.state.Load()
 	r, _ := st.lookup(name)
 	if r == nil {
-		return nil, fmt.Errorf("repro: unknown database %q", name)
+		return nil, nil, fmt.Errorf("repro: unknown database %q", name)
 	}
 	if r.db == nil {
-		return nil, fmt.Errorf("repro: database %q has no live connection", name)
+		return nil, nil, fmt.Errorf("repro: database %q has no live connection", name)
 	}
 	if st.derived == nil {
-		return nil, errors.New("repro: BuildSummaries has not been run")
+		return nil, nil, errors.New("repro: BuildSummaries has not been run")
 	}
 	if docs <= 0 {
 		docs = 50
@@ -76,9 +65,9 @@ func (m *Metasearcher) ResampleSummary(ctx context.Context, name string, docs in
 	defer span.End()
 	sample, err := m.sampleQBS(m.searcher(ctx, span, r.db), span, st.lexicon, docs, refreshSeed(m.opts.Seed, name))
 	if err != nil {
-		return nil, fmt.Errorf("resampling %s: %w", name, err)
+		return nil, nil, fmt.Errorf("resampling %s: %w", name, err)
 	}
-	return summary.FromSample(sample.Docs), nil
+	return r.src.Sum, summary.FromSample(sample.Docs), nil
 }
 
 // RebuildSummary re-samples one database at full build size and swaps

@@ -152,8 +152,9 @@ type Options struct {
 // database's score moments over its document-frequency posteriors),
 // keyed by the analyzed query terms, the scorer, and k. Selection depends
 // only on those inputs and the current summaries, so entries stay valid
-// until the summaries change — Save, Load, and BuildSummaries bump the
-// cache generation, staling every entry at once.
+// until the summaries change — SaveFile, LoadFile, BuildSummaries and
+// every summary rebuild or topology swap bump the cache generation,
+// staling every entry at once.
 //
 // The result tier additionally caches the merged document ranking,
 // keyed by the selection key plus perDB. Results also depend on the
@@ -333,13 +334,11 @@ func New(opts Options) *Metasearcher {
 	return m
 }
 
-// InvalidateCaches bumps the query-cache generation, instantly staling
-// every cached selection and merged result. Save, Load, and
-// BuildSummaries call it automatically; operators may call it directly
-// (e.g. when remote database contents are known to have changed under
-// an unexpired result entry). O(1) and non-blocking; a no-op when
+// invalidateCaches bumps the query-cache generation, instantly staling
+// every cached selection and merged result. SaveFile and update (every
+// publish of a new store) call it. O(1) and non-blocking; a no-op when
 // caching is disabled.
-func (m *Metasearcher) InvalidateCaches() {
+func (m *Metasearcher) invalidateCaches() {
 	m.selCache.Invalidate()
 	m.resCache.Invalidate()
 }
@@ -479,26 +478,6 @@ func toSpec(c *CategorySpec) hierarchy.Spec {
 		s.Children = append(s.Children, toSpec(ch))
 	}
 	return s
-}
-
-// Hierarchy returns the category names in preorder with their depths,
-// for display.
-func (m *Metasearcher) Hierarchy() []struct {
-	Name  string
-	Depth int
-} {
-	out := make([]struct {
-		Name  string
-		Depth int
-	}, 0, m.tree.Len())
-	for _, id := range m.tree.All() {
-		n := m.tree.Node(id)
-		out = append(out, struct {
-			Name  string
-			Depth int
-		}{n.Name, n.Depth})
-	}
-	return out
 }
 
 // Train adds labeled example documents for a category, used to learn

@@ -179,9 +179,8 @@ func TestMetasearcherCustomHierarchy(t *testing.T) {
 			},
 		},
 	})
-	hier := m.Hierarchy()
-	if len(hier) != 6 {
-		t.Fatalf("hierarchy nodes = %d, want 6", len(hier))
+	if n := m.tree.Len(); n != 6 {
+		t.Fatalf("hierarchy nodes = %d, want 6", n)
 	}
 	for _, topic := range topicOrder {
 		if err := m.Train(topic, topicDocs(rng, topic, 15)); err != nil {
@@ -238,7 +237,7 @@ func TestDefaultLexiconIsStemmed(t *testing.T) {
 // silent fall back to CORI.
 func TestUnknownScorerFailsClosed(t *testing.T) {
 	var saved bytes.Buffer
-	if err := buildTestMetasearcher(t, Options{Seed: 40, Scorer: "BGloss"}).Save(&saved); err != nil {
+	if err := buildTestMetasearcher(t, Options{Seed: 40, Scorer: "BGloss"}).save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"bglos", "okapi"} {
@@ -250,7 +249,7 @@ func TestUnknownScorerFailsClosed(t *testing.T) {
 		_, searchErr := m.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 3})
 		for call, err := range map[string]error{
 			"BuildSummaries": m.BuildSummaries(),
-			"Load":           m.Load(bytes.NewReader(saved.Bytes())),
+			"Load":           m.load(bytes.NewReader(saved.Bytes())),
 			"Select":         selectErr,
 			"Search":         searchErr,
 		} {
@@ -291,8 +290,8 @@ func TestParseHierarchy(t *testing.T) {
 		t.Errorf("nested spec wrong: %+v", spec.Children[0])
 	}
 	m := New(Options{Categories: spec})
-	if len(m.Hierarchy()) != 4 {
-		t.Errorf("hierarchy nodes = %d", len(m.Hierarchy()))
+	if n := m.tree.Len(); n != 4 {
+		t.Errorf("hierarchy nodes = %d", n)
 	}
 	if _, err := ParseHierarchy(strings.NewReader("")); err == nil {
 		t.Error("empty taxonomy accepted")

@@ -16,6 +16,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/replica"
 	"repro/internal/resilience"
+	"repro/internal/shardmap"
 	"repro/internal/wire"
 )
 
@@ -409,7 +410,7 @@ func TestReplicaBreakersRecordLastProbe(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
 	gone.Close()
 	addrs := []string{strings.TrimPrefix(live.URL, "http://"), strings.TrimPrefix(gone.URL, "http://")}
-	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{{Database: s.name, Category: s.category, Replicas: addrs}}, replica.ClientOptions{}); err != nil {
+	if _, err := m.ApplyReplicaAssignments([]shardmap.Assignment{{Database: s.name, Category: s.category, Replicas: addrs}}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Minute)

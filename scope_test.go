@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/replica"
+	"repro/internal/shardmap"
 	"repro/internal/wire"
 )
 
@@ -67,12 +68,12 @@ func TestShardStartIsFirstSwap(t *testing.T) {
 	// The shard's slice: two of the four databases, two dbnode replicas
 	// each.
 	slice := map[string]bool{shards[0].name: true, shards[2].name: true}
-	var assigns []ReplicaAssignment
+	var assigns []shardmap.Assignment
 	for _, s := range shards {
 		if !slice[s.name] {
 			continue
 		}
-		a := ReplicaAssignment{Database: s.name, Category: s.category, Preferred: 1}
+		a := shardmap.Assignment{Database: s.name, Category: s.category, Preferred: 1}
 		for i := 0; i < 2; i++ {
 			srv := httptest.NewServer(wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs), wire.ServerOptions{Category: s.category}))
 			t.Cleanup(srv.Close)
@@ -85,7 +86,7 @@ func TestShardStartIsFirstSwap(t *testing.T) {
 	if err := shard.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := shard.ApplyReplicaAssignments(assigns, replica.ClientOptions{})
+	rep, err := shard.ApplyReplicaAssignments(assigns)
 	if err != nil {
 		t.Fatal(err)
 	}

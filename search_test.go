@@ -58,11 +58,11 @@ func TestSearchNoSelection(t *testing.T) {
 func TestSearchLoadedStateIsOutOfScope(t *testing.T) {
 	m := buildTestMetasearcher(t, Options{Seed: 62})
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m2 := New(Options{})
-	if err := m2.Load(&buf); err != nil {
+	if err := m2.load(&buf); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := m2.Search(context.Background(), SearchRequest{Query: "blood pressure", MaxDBs: 2, PerDB: 5})

@@ -115,7 +115,7 @@ func (m *Metasearcher) update(fn func(cur *store) (*store, error)) error {
 		return err
 	}
 	m.state.Store(next)
-	m.InvalidateCaches()
+	m.invalidateCaches()
 	return nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/hierarchy"
 	"repro/internal/replica"
+	"repro/internal/shardmap"
 )
 
 // Tests of the summary store's contract (store.go): a query sees one
@@ -321,7 +322,7 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 	// A build that fails part-way: the previous store keeps serving.
 	ctx, cancel := context.WithCancel(context.Background())
 	open, result := gatedBuild(ctx)
-	m.InvalidateCaches() // make the next Select compute, not hit
+	m.invalidateCaches() // make the next Select compute, not hit
 	if got := selectNow(); got != before {
 		t.Errorf("Select during the build = %s, want the previous store's %s", got, before)
 	}
@@ -339,7 +340,7 @@ func TestReadersDoNotWaitForWriters(t *testing.T) {
 
 	// A build that succeeds: old answers until it returns, new after.
 	open, result = gatedBuild(context.Background())
-	m.InvalidateCaches()
+	m.invalidateCaches()
 	if got := selectNow(); got != before {
 		t.Errorf("Select during the build = %s, want the previous store's %s", got, before)
 	}
@@ -366,7 +367,7 @@ func TestOneDeriveStore(t *testing.T) {
 	loadedFrom := func(src *Metasearcher, edit func(env map[string]interface{})) *Metasearcher {
 		t.Helper()
 		var buf bytes.Buffer
-		if err := src.Save(&buf); err != nil {
+		if err := src.save(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if edit != nil {
@@ -384,7 +385,7 @@ func TestOneDeriveStore(t *testing.T) {
 
 		}
 		m := New(Options{Seed: 1, KeepStopwords: true, NoStemming: true})
-		if err := m.Load(&buf); err != nil {
+		if err := m.load(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return m
@@ -552,12 +553,12 @@ func TestDeriveStoreParallelEqualsSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := built.Save(&buf); err != nil {
+			if err := built.save(&buf); err != nil {
 				t.Fatal(err)
 			}
 			got := stores{built: storePrint(built), saved: buf.Bytes()}
 			loaded := New(opts)
-			if err := loaded.Load(bytes.NewReader(got.saved)); err != nil {
+			if err := loaded.load(bytes.NewReader(got.saved)); err != nil {
 				t.Fatal(err)
 			}
 			got.loaded = storePrint(loaded)
@@ -603,7 +604,7 @@ func TestDeriveStoreParallelEqualsSerial(t *testing.T) {
 func TestSelectionIndependentOfSeed(t *testing.T) {
 	built, _ := newStoreWorld(t, Options{})
 	var state bytes.Buffer
-	if err := built.Save(&state); err != nil {
+	if err := built.save(&state); err != nil {
 		t.Fatal(err)
 	}
 	vocab := append(append(append([]string{}, storeMedical...), storeSpace...), storeSports...)
@@ -620,7 +621,7 @@ func TestSelectionIndependentOfSeed(t *testing.T) {
 		var loaded [2]*Metasearcher
 		for i, seed := range []int64{1, 987654321} {
 			loaded[i] = New(Options{Seed: seed, Scorer: scorer, KeepStopwords: true, NoStemming: true})
-			if err := loaded[i].Load(bytes.NewReader(state.Bytes())); err != nil {
+			if err := loaded[i].load(bytes.NewReader(state.Bytes())); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -650,10 +651,10 @@ func TestSelectionIndependentOfSeed(t *testing.T) {
 // handles (the scope) and their replica sets are what they were.
 func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 	m, _ := newStoreWorld(t, Options{})
-	if _, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
+	if _, err := m.ApplyReplicaAssignments([]shardmap.Assignment{
 		{Database: "drifty", Replicas: []string{"127.0.0.1:1", "127.0.0.1:2"}},
 		{Database: "ward", Replicas: []string{"127.0.0.1:3"}},
-	}, replica.ClientOptions{}); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	type snapshot struct {
@@ -680,11 +681,11 @@ func TestApplyReplicaAssignmentsAllOrNothing(t *testing.T) {
 		t.Fatalf("scope after the first swap = %v, want %v", before.scope, want)
 	}
 
-	rep, err := m.ApplyReplicaAssignments([]ReplicaAssignment{
+	rep, err := m.ApplyReplicaAssignments([]shardmap.Assignment{
 		{Database: "drifty", Replicas: []string{"127.0.0.1:2", "127.0.0.1:9"}}, // a valid replica swap
 		{Database: "ward"}, // no replicas: invalid
 		{Database: "stable", Replicas: []string{"127.0.0.1:4"}}, // a valid attach
-	}, replica.ClientOptions{})
+	})
 	if err == nil {
 		t.Fatalf("the bad assignment was accepted: %+v", rep)
 	}
@@ -701,7 +702,7 @@ func TestUnbuiltStoreErrors(t *testing.T) {
 		t.Helper()
 		_, errSelect := m.Select("heart cancer", 2)
 		_, errInfo := m.Info("drifty")
-		errSave := m.Save(&bytes.Buffer{})
+		errSave := m.save(&bytes.Buffer{})
 		for _, c := range []struct {
 			call string
 			err  error

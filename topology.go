@@ -5,24 +5,12 @@ import (
 	"sort"
 
 	"repro/internal/replica"
+	"repro/internal/shardmap"
 )
 
 // A remote database's handle is a replica set (internal/replica); the
 // store holds it like any other live database.
 var _ ContextSearchableDatabase = (*replica.Database)(nil)
-
-// ReplicaAssignment is one database this process must serve after a
-// topology change: the database's name, its advertised category, the
-// replica addresses serving it, and which replica this process prefers
-// (the topology's owner-rank rotation). cmd/metasearch derives these
-// from shardmap.ShardAssignments; the type lives here so the library
-// does not depend on the topology-file format.
-type ReplicaAssignment struct {
-	Database  string
-	Category  string
-	Replicas  []string
-	Preferred int
-}
 
 // TopologySwapReport is what one ApplyReplicaAssignments call changed
 // that only this process knows: which databases it holds live handles
@@ -47,7 +35,8 @@ type TopologySwapReport struct {
 // handles — its search scope: a database is queried here exactly when
 // the process holds its handle — with a topology. It is how a cluster
 // shard gets its slice, at start-up (the first snapshot, after Load) as
-// on every later swap. For each assigned database:
+// on every later swap. assigns is the shard's slice of the topology
+// (shardmap.Topology.ShardAssignments). For each assigned database:
 //
 //   - already holding a replicated handle: the replica set is swapped
 //     in place (replica.Database.UpdateReplicas) — surviving replicas
@@ -70,14 +59,9 @@ type TopologySwapReport struct {
 // that copy is published once (staling the query caches — a cached
 // merged result describes the old scope). A rejected assignment list
 // leaves the handles as they were. Health probes need no retargeting:
-// each Probe sweep reads the published store.
-//
-// client configures the wire clients of replicas created by this swap;
-// its Budget defaults to the process's retry budget.
-func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, client replica.ClientOptions) (*TopologySwapReport, error) {
-	if client.Budget == nil {
-		client.Budget = m.budget
-	}
+// each Probe sweep reads the published store. The wire clients of the
+// replicas a swap creates draw their retries from the process's budget.
+func (m *Metasearcher) ApplyReplicaAssignments(assigns []shardmap.Assignment) (*TopologySwapReport, error) {
 	for _, a := range assigns {
 		if len(a.Replicas) == 0 {
 			return nil, fmt.Errorf("repro: topology assigns database %q an empty replica set (remove the database instead)", a.Database)
@@ -110,7 +94,7 @@ func (m *Metasearcher) ApplyReplicaAssignments(assigns []ReplicaAssignment, clie
 				Preferred: a.Preferred,
 				Breakers:  m.breakers,
 				Metrics:   m.reg,
-				Client:    client,
+				Client:    replica.ClientOptions{Budget: m.budget},
 			})
 			if err != nil {
 				return nil, err
