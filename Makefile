@@ -49,7 +49,9 @@ results-small:
 # outside benchmark/ (benchcompat.go shims not counted; their lines are
 # printed on their own), the root package's share of them (the paper's
 # pipeline), the observability packages' share and the number of metric
-# kinds, metasearch flags per mode, the time.Sleep
+# kinds, the telemetry.Observer implementations and the files writing
+# Prometheus "# TYPE" lines (one each: RingCapture and
+# telemetry.WriteFamily), metasearch flags per mode, the time.Sleep
 # calls left in tests, the files outside internal/resilience that still
 # make attempt-policy calls of their own (resilience.Do should be the
 # only caller of the budget and breaker methods on the query path), the
@@ -76,6 +78,10 @@ count:
 	@find internal/telemetry internal/audit internal/obscollector -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 	@printf 'metric kinds (name-to-metric maps in telemetry.Registry): '
 	@grep -c '^	[a-z]* *map\[string\]\*' internal/telemetry/registry.go
+	@printf 'telemetry.Observer implementations in non-test Go outside benchmark/: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -exec grep -hE '^func \([^)]*\) Observe\([a-z]* *(telemetry\.)?Event\)' {} + | wc -l
+	@printf 'non-test Go files outside benchmark/ writing "# TYPE" lines: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs grep -l '# TYPE' | wc -l
 	@sed -n 's/^## \(metasearch .*\)/\1/p; s/^\([0-9]* distinct flags\)/metasearch: \1/p' docs/flags.md
 	@printf 'time.Sleep calls in _test.go files outside benchmark/: '
 	@find . -name '*_test.go' ! -path './benchmark/*' | xargs grep -c 'time\.Sleep(' | awk -F: '{n += $$2} END {print n}'

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/obscollector"
@@ -13,6 +14,10 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
+
+// profileEvery is the pause between continuous-profiling captures: each
+// tick profiles one member, rotating through the fleet.
+const profileEvery = 30 * time.Second
 
 // runCollect runs the process as the cluster's observability collector:
 // it owns no testbed, no summaries, and answers no queries — it scrapes
@@ -39,18 +44,12 @@ func runCollect(f *flags, _ []string) error {
 	if err != nil {
 		return err
 	}
-	profiles := obscollector.ProfileOptions{
-		Enable:     f.profileDir != "",
-		Dir:        f.profileDir,
-		CPUSeconds: f.profileCPU,
-		Keep:       f.profileKeep,
-	}
 	c, err := obscollector.New(
 		obscollector.TargetsFromTopology(watcher.Snapshot().Topology, f.collectRouter),
 		obscollector.Options{
-			Metrics:  reg,
-			Logger:   logger,
-			Profiles: profiles,
+			Metrics:    reg,
+			Logger:     logger,
+			ProfileDir: f.profileDir,
 		})
 	if err != nil {
 		return err
@@ -74,10 +73,9 @@ func runCollect(f *flags, _ []string) error {
 		}
 	}
 	defer clock.Every(nil, f.scrapeEvery, c.ScrapeOnce)()
-	if profiles.Enable {
-		log.Printf("continuous profiling into %s (every %v, keep %d per kind)",
-			profiles.Dir, f.profileEvery, profiles.Keep)
-		defer clock.Every(nil, f.profileEvery, c.ProfileOnce)()
+	if f.profileDir != "" {
+		log.Printf("continuous profiling into %s (one member every %v)", f.profileDir, profileEvery)
+		defer clock.Every(nil, profileEvery, c.ProfileOnce)()
 	}
 
 	mux := http.NewServeMux()

@@ -100,9 +100,6 @@ var modes = []mode{
 			f.fs.StringVar(&f.collectRouter, "collect-router", "", "the router's address, added to the scrape set with role \"router\"")
 			f.fs.DurationVar(&f.scrapeEvery, "scrape-interval", 5*time.Second, "how often every fleet member is scraped")
 			f.fs.StringVar(&f.profileDir, "profile-dir", "", "enable continuous profiling, storing pprof captures in this directory")
-			f.fs.DurationVar(&f.profileEvery, "profile-interval", 30*time.Second, "pause between profile captures (each tick profiles one member, rotating through the fleet)")
-			f.fs.IntVar(&f.profileCPU, "profile-cpu-seconds", 5, "length of each CPU profile capture")
-			f.fs.IntVar(&f.profileKeep, "profile-keep", 32, "retained profiles per kind (cpu, heap); oldest deleted first")
 		},
 		run: runCollect,
 	},
@@ -120,13 +117,13 @@ type flags struct {
 	serveAddr, debugAddr, topologyFile, shardID                  string
 	collectRouter, profileDir                                    string
 
-	k, perDB, cacheSize, maxInfl, refreshDocs, profileCPU, profileKeep int
-	seed                                                               int64
-	driftThresh                                                        float64
-	verbose, explain                                                   bool
+	k, perDB, cacheSize, maxInfl, refreshDocs int
+	seed                                      int64
+	driftThresh                               float64
+	verbose, explain                          bool
 
 	deadline, hedgeAfter, probeEvery, cacheTTL, drainFor time.Duration
-	refreshEvery, topoPoll, scrapeEvery, profileEvery    time.Duration
+	refreshEvery, topoPoll, scrapeEvery                  time.Duration
 }
 
 type requiredFlag struct{ name, why string }

@@ -357,8 +357,8 @@ func TestCollectorClusterE2E(t *testing.T) {
 				label, traceID, len(tr.Processes), tr.Processes)
 		}
 		roles := map[string]bool{}
-		var walk func(spans []*obscollector.TraceSpan)
-		walk = func(spans []*obscollector.TraceSpan) {
+		var walk func(spans []*telemetry.SpanNode)
+		walk = func(spans []*telemetry.SpanNode) {
 			for _, s := range spans {
 				roles[s.Identity.Role] = true
 				walk(s.Children)
@@ -379,8 +379,8 @@ func TestCollectorClusterE2E(t *testing.T) {
 	// The tree shows the retry itself: some wire call's attempt 0
 	// followed by its attempt 1 (request IDs r<seq>.0 then r<seq>.1).
 	attempts := map[string]bool{}
-	var collect func(spans []*obscollector.TraceSpan)
-	collect = func(spans []*obscollector.TraceSpan) {
+	var collect func(spans []*telemetry.SpanNode)
+	collect = func(spans []*telemetry.SpanNode) {
 		for _, s := range spans {
 			for _, e := range s.Events {
 				if id, ok := e.Attrs["request_id"].(string); ok && e.Name == "wire.attempt" {

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
+
+	"repro/internal/telemetry"
 )
 
 // Handler serves the cluster debug surface:
@@ -95,7 +98,7 @@ func (c *Collector) serveProfiles(w http.ResponseWriter, r *http.Request) {
 	out := profiles{Files: []ProfileInfo{}}
 	if c.profiler != nil {
 		out.Enabled = true
-		out.Dir = c.profiler.opts.Dir
+		out.Dir = c.profiler.dir
 		if idx := c.profiler.index(); idx != nil {
 			out.Files = idx
 		}
@@ -117,74 +120,36 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 // histograms are JSON-only (the labeled bucket fan-out would dwarf
 // everything else).
 func writeClusterPrometheus(w io.Writer, agg ClusterMetrics) {
-	names := make([]string, 0, len(agg.Cluster.Counters))
-	for n := range agg.Cluster.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		writeHelpType(w, agg, n, "counter")
-		fmt.Fprintf(w, "%s %d\n", n, agg.Cluster.Counters[n])
-		forEachInstance(agg, func(st *InstanceState, labels string) {
-			if v, ok := st.Metrics.Counters[n]; ok {
-				fmt.Fprintf(w, "%s{%s} %d\n", n, labels, v)
-			}
-		})
-	}
-	names = names[:0]
-	for n := range agg.Cluster.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		writeHelpType(w, agg, n, "gauge")
-		g := agg.Cluster.Gauges[n]
-		fmt.Fprintf(w, "%s{aggregate=\"min\"} %s\n", n, formatFloat(g.Min))
-		fmt.Fprintf(w, "%s{aggregate=\"max\"} %s\n", n, formatFloat(g.Max))
-		fmt.Fprintf(w, "%s{aggregate=\"sum\"} %s\n", n, formatFloat(g.Sum))
-		forEachInstance(agg, func(st *InstanceState, labels string) {
-			if v, ok := st.Metrics.Gauges[n]; ok {
-				fmt.Fprintf(w, "%s{%s} %s\n", n, labels, formatFloat(v))
-			}
-		})
-	}
-	names = names[:0]
-	for n := range agg.Cluster.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		writeHelpType(w, agg, n, "histogram")
-		h := agg.Cluster.Histograms[n]
-		var cum int64
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", n, formatFloat(b), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-			n, h.Count, n, formatFloat(h.Sum), n, h.Count)
-	}
-}
-
-func writeHelpType(w io.Writer, agg ClusterMetrics, name, typ string) {
-	if help := agg.Cluster.Help[name]; help != "" {
-		help = strings.ReplaceAll(help, `\`, `\\`)
-		help = strings.ReplaceAll(help, "\n", `\n`)
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	}
-	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-}
-
-func forEachInstance(agg ClusterMetrics, f func(st *InstanceState, labels string)) {
-	for _, st := range agg.Instances {
-		labels := fmt.Sprintf("instance=%q,role=%q", st.Identity.Instance, st.Identity.Role)
+	instance := func(st *InstanceState, value string) telemetry.Sample {
+		labels := []telemetry.Label{{Name: "instance", Value: st.Identity.Instance}, {Name: "role", Value: st.Identity.Role}}
 		if st.Identity.Shard != "" {
-			labels += fmt.Sprintf(",shard=%q", st.Identity.Shard)
+			labels = append(labels, telemetry.Label{Name: "shard", Value: st.Identity.Shard})
 		}
-		f(st, labels)
+		return telemetry.Sample{Labels: labels, Value: value}
 	}
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	aggregate := func(name string, v float64) telemetry.Sample {
+		return telemetry.Sample{Labels: []telemetry.Label{{Name: "aggregate", Value: name}}, Value: telemetry.FormatFloat(v)}
+	}
+	for _, n := range slices.Sorted(maps.Keys(agg.Cluster.Counters)) {
+		samples := []telemetry.Sample{{Value: strconv.FormatInt(agg.Cluster.Counters[n], 10)}}
+		for _, st := range agg.Instances {
+			if v, ok := st.Metrics.Counters[n]; ok {
+				samples = append(samples, instance(st, strconv.FormatInt(v, 10)))
+			}
+		}
+		telemetry.WriteFamily(w, n, "counter", agg.Cluster.Help[n], samples...)
+	}
+	for _, n := range slices.Sorted(maps.Keys(agg.Cluster.Gauges)) {
+		g := agg.Cluster.Gauges[n]
+		samples := []telemetry.Sample{aggregate("min", g.Min), aggregate("max", g.Max), aggregate("sum", g.Sum)}
+		for _, st := range agg.Instances {
+			if v, ok := st.Metrics.Gauges[n]; ok {
+				samples = append(samples, instance(st, telemetry.FormatFloat(v)))
+			}
+		}
+		telemetry.WriteFamily(w, n, "gauge", agg.Cluster.Help[n], samples...)
+	}
+	for _, n := range slices.Sorted(maps.Keys(agg.Cluster.Histograms)) {
+		telemetry.WriteFamily(w, n, "histogram", agg.Cluster.Help[n], telemetry.HistogramSamples(agg.Cluster.Histograms[n])...)
+	}
 }

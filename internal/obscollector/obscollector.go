@@ -16,7 +16,8 @@
 //     (telemetry.RingCapture via /debug/export/spans) and audit
 //     records (/debug/export/queries); the collector stitches events
 //     from all processes by trace ID into one cross-process span tree
-//     at /debug/cluster/trace/{id}. Histogram exemplars in the
+//     at /debug/cluster/trace/{id}, built by telemetry.BuildSpanTree,
+//     the builder in-process readers use too. Histogram exemplars in the
 //     aggregated snapshot carry the trace IDs of the slowest recent
 //     requests, so a tail-latency spike links directly to a full
 //     fan-out trace.
@@ -95,20 +96,20 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
+// scrapeTimeout bounds one member's whole scrape.
+const scrapeTimeout = 3 * time.Second
+
 // Options configures a Collector.
 type Options struct {
-	// Client issues the scrape calls (default http.DefaultClient with
-	// Timeout as the per-scrape bound).
-	Client *http.Client
-	// Timeout bounds one member's whole scrape (default 3s).
-	Timeout time.Duration
 	// Metrics receives the collector's own collector_* series (may be
 	// nil).
 	Metrics *telemetry.Registry
 	// Logger, when non-nil, logs scrape failures.
 	Logger *slog.Logger
-	// Profiles enables and tunes the continuous-profiling sampler.
-	Profiles ProfileOptions
+	// ProfileDir, when set, turns the continuous-profiling sampler on
+	// and is where its captures land (off by default: profiling costs
+	// the profiled process CPU).
+	ProfileDir string
 }
 
 // InstanceState is the latest scrape of one fleet member.
@@ -132,8 +133,7 @@ type InstanceState struct {
 // Collector owns the scrape set and the assembled state. Its two steps,
 // ScrapeOnce and ProfileOnce, are scheduled by the owner (clock.Every).
 type Collector struct {
-	opts   Options
-	client *http.Client
+	opts Options
 
 	mu         sync.RWMutex
 	targets    []Target
@@ -149,24 +149,16 @@ type Collector struct {
 
 // New builds a Collector over the targets.
 func New(targets []Target, opts Options) (*Collector, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 3 * time.Second
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	c := &Collector{
 		targets:    targets,
 		opts:       opts,
-		client:     client,
 		state:      make(map[string]*InstanceState, len(targets)),
 		scrapes:    opts.Metrics.DeclareCounter("collector_scrapes_total", "Member scrapes attempted by the cluster collector."),
 		scrapeErrs: opts.Metrics.DeclareCounter("collector_scrape_errors_total", "Member scrapes that failed (member kept its stale state)."),
 		sweepLat:   opts.Metrics.DeclareHistogram("collector_scrape_latency", "Wall time of one full fleet sweep, seconds.", nil),
 	}
-	if opts.Profiles.Enable {
-		p, err := newProfiler(client, opts)
+	if opts.ProfileDir != "" {
+		p, err := newProfiler(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +211,7 @@ func (c *Collector) SetTargets(targets []Target, generation int64) {
 
 // ProfileOnce is one continuous-profiling step: it captures a CPU and a
 // heap profile of the next member in rotation, then prunes retention.
-// A no-op unless Options.Profiles enabled the sampler.
+// A no-op unless Options.ProfileDir turned the sampler on.
 func (c *Collector) ProfileOnce(ctx context.Context) {
 	if c.profiler != nil {
 		c.profiler.captureNext(ctx, c.Targets())
@@ -275,7 +267,7 @@ func (c *Collector) ScrapeOnce(ctx context.Context) {
 // scrape.
 func (c *Collector) scrapeTarget(ctx context.Context, t Target) *InstanceState {
 	c.scrapes.Inc()
-	ctx, cancel := context.WithTimeout(ctx, c.opts.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
 	st := &InstanceState{Identity: t.Identity, ScrapedAt: time.Now()}
 
@@ -315,7 +307,7 @@ func (c *Collector) getJSON(ctx context.Context, url string, dst interface{}) er
 	if err != nil {
 		return err
 	}
-	resp, err := c.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}

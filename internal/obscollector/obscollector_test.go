@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,7 +411,7 @@ func TestScrapeRejectsVersionMismatch(t *testing.T) {
 
 func TestProfileIndexAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	p := &profiler{opts: ProfileOptions{Dir: dir, Keep: 2}}
+	p := &profiler{dir: dir, keep: 2}
 	// Instance names keep their dashes after sanitize; the index must
 	// still split stamp/instance/kind correctly.
 	files := []string{
@@ -453,5 +454,224 @@ func TestProfileIndexAndPrune(t *testing.T) {
 		if pi.File == "20260808T120000-127.0.0.1_8091-cpu.pprof" {
 			t.Error("prune kept the oldest cpu profile")
 		}
+	}
+}
+
+// rollupStates is a router and a shard whose labels need no escaping,
+// with help text that does.
+func rollupStates() map[string]*InstanceState {
+	bounds := []float64{0.005, 0.1, 1, 25}
+	return map[string]*InstanceState{
+		"127.0.0.1:8090": {
+			Identity: telemetry.Identity{Instance: "127.0.0.1:8090", Role: "router"},
+			Metrics: telemetry.Snapshot{
+				Counters:   map[string]int64{"requests_total": 3, "big_total": 1234567890123},
+				Gauges:     map[string]float64{"inflight": 2, "ratio": 0.125},
+				Histograms: map[string]telemetry.HistogramSnapshot{"latency": histSnap(bounds, []int64{1, 2, 0, 4, 1}, 30.25, 8)},
+				Help:       map[string]string{"requests_total": `Requests \ served.` + "\nSecond line.", "latency": "Latency, seconds."},
+			},
+		},
+		"127.0.0.1:8091": {
+			Identity: telemetry.Identity{Instance: "127.0.0.1:8091", Role: "shard", Shard: "shard-00"},
+			Metrics: telemetry.Snapshot{
+				Counters:   map[string]int64{"requests_total": 5, "only_shard_total": 7},
+				Gauges:     map[string]float64{"inflight": 7.5e-9, "ratio": 1e21},
+				Histograms: map[string]telemetry.HistogramSnapshot{"latency": histSnap(bounds, []int64{0, 1, 1, 0, 0}, 0.6, 2)},
+				Help:       map[string]string{"inflight": "In flight."},
+			},
+		},
+	}
+}
+
+// TestClusterPrometheusGolden pins /debug/cluster/metrics byte for byte
+// for labels that need no escaping.
+func TestClusterPrometheusGolden(t *testing.T) {
+	var b strings.Builder
+	writeClusterPrometheus(&b, Aggregate(rollupStates()))
+	want := `# TYPE big_total counter
+big_total 1234567890123
+big_total{instance="127.0.0.1:8090",role="router"} 1234567890123
+# TYPE only_shard_total counter
+only_shard_total 7
+only_shard_total{instance="127.0.0.1:8091",role="shard",shard="shard-00"} 7
+# HELP requests_total Requests \\ served.\nSecond line.
+# TYPE requests_total counter
+requests_total 8
+requests_total{instance="127.0.0.1:8090",role="router"} 3
+requests_total{instance="127.0.0.1:8091",role="shard",shard="shard-00"} 5
+# HELP inflight In flight.
+# TYPE inflight gauge
+inflight{aggregate="min"} 7.5e-09
+inflight{aggregate="max"} 2
+inflight{aggregate="sum"} 2.0000000075
+inflight{instance="127.0.0.1:8090",role="router"} 2
+inflight{instance="127.0.0.1:8091",role="shard",shard="shard-00"} 7.5e-09
+# TYPE ratio gauge
+ratio{aggregate="min"} 0.125
+ratio{aggregate="max"} 1e+21
+ratio{aggregate="sum"} 1e+21
+ratio{instance="127.0.0.1:8090",role="router"} 0.125
+ratio{instance="127.0.0.1:8091",role="shard",shard="shard-00"} 1e+21
+# HELP latency Latency, seconds.
+# TYPE latency histogram
+latency_bucket{le="0.005"} 1
+latency_bucket{le="0.1"} 4
+latency_bucket{le="1"} 5
+latency_bucket{le="25"} 9
+latency_bucket{le="+Inf"} 10
+latency_sum 30.85
+latency_count 10
+`
+	if got := b.String(); got != want {
+		t.Errorf("cluster exposition:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestClusterPrometheusEscapesLabels: member labels are escaped the way
+// the text format defines — backslash, double quote and newline, and
+// nothing else. A Go-quoted label would render the tab and the control
+// byte as the letters \t and \x01, which name a different shard.
+func TestClusterPrometheusEscapesLabels(t *testing.T) {
+	states := rollupStates()
+	states["127.0.0.1:8090"].Identity.Instance = `a"b\c`
+	states["127.0.0.1:8091"].Identity.Shard = "s\t1\x01"
+	states["127.0.0.1:8091"].Identity.Role = "sh\nard"
+	var b strings.Builder
+	writeClusterPrometheus(&b, Aggregate(states))
+	out := b.String()
+	for _, want := range []string{
+		`requests_total{instance="a\"b\\c",role="router"} 3`,
+		"requests_total{instance=\"127.0.0.1:8091\",role=\"sh\\nard\",shard=\"s\t1\x01\"} 5",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestAssembleTraceJSONGolden pins the /debug/cluster/trace/{id}
+// document for a trace with no cycle: its fields, their order and the
+// attributes carried (start attributes, point attributes).
+func TestAssembleTraceJSONGolden(t *testing.T) {
+	states := traceStates("t1")
+	states["shard"].Spans[0].Attrs = map[string]interface{}{"db": "x", "k": 2.0}
+	states["shard"].Spans[1].Attrs = map[string]interface{}{"hedge": true}
+	states["shard"].Spans[2].Attrs = map[string]interface{}{"selected": 3.0}
+	raw, err := json.Marshal(AssembleTrace("t1", states))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"trace_id":"t1","spans":4,"orphans":1,"roots":[` +
+		`{"name":"router.search","identity":{"instance":"router","role":"router"},"span":1,"start":"2026-08-08T12:00:00Z","duration_seconds":0.04,"ended":true,"children":[` +
+		`{"name":"search","identity":{"instance":"shard","role":"shard","shard":"shard-00"},"span":100,"parent":1,"start":"2026-08-08T12:00:00.005Z","duration_seconds":0.025,"ended":true,"attrs":{"db":"x","k":2},"events":[{"name":"hedge","time":"2026-08-08T12:00:00.012Z","attrs":{"hedge":true}}],"children":[` +
+		`{"name":"wire.serve","identity":{"instance":"dbnode","role":"dbnode"},"span":300,"parent":100,"start":"2026-08-08T12:00:00.008Z","duration_seconds":0.012,"ended":true}]}]},` +
+		`{"name":"stray","identity":{"instance":"shard","role":"shard","shard":"shard-00"},"span":200,"parent":999,"start":"2026-08-08T12:00:00.006Z","ended":false,"orphan":true}],` +
+		`"processes":["dbnode","router","shard"],` +
+		`"queries":[{"id":0,"trace_id":"t1","time":"0001-01-01T00:00:00Z","query":"q","max_dbs":0,"per_db":0,"merged":0,"elapsed_seconds":0}]}`
+	if string(raw) != want {
+		t.Errorf("assembled trace:\n%s\nwant:\n%s", raw, want)
+	}
+}
+
+// TestAssembleTraceParentCycle: spans whose parents form a cycle (2→3,
+// 3→2) or point at themselves are reachable from no true root. Each
+// must still appear exactly once, under an orphan root, so that Spans
+// and Orphans describe what Roots shows.
+func TestAssembleTraceParentCycle(t *testing.T) {
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	start := func(span, parent uint64, ms int) telemetry.ExportedEvent {
+		return telemetry.ExportedEvent{Kind: "start", Name: fmt.Sprint("s", span), Trace: "tc",
+			Span: span, Parent: parent, Time: t0.Add(time.Duration(ms) * time.Millisecond)}
+	}
+	states := map[string]*InstanceState{"p": {
+		Identity: telemetry.Identity{Instance: "p", Role: "shard"},
+		Spans:    []telemetry.ExportedEvent{start(1, 0, 0), start(2, 3, 1), start(3, 2, 2), start(4, 4, 3)},
+	}}
+	tr := AssembleTrace("tc", states)
+	seen := map[uint64]int{}
+	var walk func(ns []*telemetry.SpanNode)
+	walk = func(ns []*telemetry.SpanNode) {
+		for _, n := range ns {
+			if seen[n.Span]++; seen[n.Span] > 1 {
+				t.Fatalf("span %d reached twice", n.Span)
+			}
+			walk(n.Children)
+		}
+	}
+	walk(tr.Roots)
+	if len(seen) != 4 || tr.Spans != 4 {
+		t.Errorf("roots reach spans %v of %d, want all 4", seen, tr.Spans)
+	}
+	orphans := 0
+	for _, r := range tr.Roots {
+		if r.Parent != 0 {
+			orphans++
+			if !r.Orphan {
+				t.Errorf("root %d has parent %d but is not marked orphan", r.Span, r.Parent)
+			}
+		}
+	}
+	if orphans == 0 || tr.Orphans != orphans {
+		t.Errorf("Orphans = %d, roots with a parent = %d; want equal and non-zero", tr.Orphans, orphans)
+	}
+}
+
+// TestProfileOnceCapturesAndIndexes turns the sampler on against one
+// member: a capture step writes one CPU and one heap profile, and
+// /debug/cluster/profiles lists both.
+func TestProfileOnceCapturesAndIndexes(t *testing.T) {
+	var cpuQuery string
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/profile", func(w http.ResponseWriter, r *http.Request) {
+		cpuQuery = r.URL.RawQuery
+		w.Write([]byte("cpu profile"))
+	})
+	mux.HandleFunc("/debug/pprof/heap", func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("heap profile"))
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	dir := filepath.Join(t.TempDir(), "profiles")
+	reg := telemetry.NewRegistry()
+	c, err := New([]Target{{Identity: telemetry.Identity{Instance: "127.0.0.1:9001", Role: "dbnode"}, BaseURL: srv.URL}},
+		Options{Metrics: reg, ProfileDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ProfileOnce(context.Background())
+	if cpuQuery != fmt.Sprintf("seconds=%d", cpuSeconds) {
+		t.Errorf("CPU profile requested with %q, want seconds=%d", cpuQuery, cpuSeconds)
+	}
+	if got := reg.Snapshot().Counters["collector_profiles_total"]; got != 2 {
+		t.Errorf("collector_profiles_total = %d, want 2", got)
+	}
+
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/cluster/profiles", nil))
+	var idx struct {
+		Enabled bool          `json:"enabled"`
+		Dir     string        `json:"dir"`
+		Files   []ProfileInfo `json:"files"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &idx); err != nil {
+		t.Fatal(err)
+	}
+	if !idx.Enabled || idx.Dir != dir || len(idx.Files) != 2 {
+		t.Fatalf("profiles index = %+v, want enabled over %s with 2 files", idx, dir)
+	}
+	kinds := map[string]string{}
+	for _, f := range idx.Files {
+		if f.Instance != "127.0.0.1_9001" {
+			t.Errorf("profile %s names instance %q", f.File, f.Instance)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, f.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[f.Kind] = string(raw)
+	}
+	if kinds["cpu"] != "cpu profile" || kinds["heap"] != "heap profile" {
+		t.Errorf("captured profiles = %q, want one cpu and one heap file with the member's bytes", kinds)
 	}
 }

@@ -16,19 +16,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ProfileOptions tunes the opt-in continuous-profiling sampler.
-type ProfileOptions struct {
-	// Enable turns the sampler on (off by default: profiling costs the
-	// profiled process CPU).
-	Enable bool
-	// Dir is where captured profiles land (required when enabled).
-	Dir string
-	// CPUSeconds is the length of each CPU profile (default 5).
-	CPUSeconds int
-	// Keep bounds on-disk retention: at most Keep profiles per kind
-	// (cpu, heap) are kept, oldest deleted first (default 32).
-	Keep int
-}
+// The sampler's fixed settings: each CPU profile lasts cpuSeconds, and
+// at most keepProfiles profiles per kind (cpu, heap) stay on disk,
+// oldest deleted first.
+const (
+	cpuSeconds   = 5
+	keepProfiles = 32
+)
 
 // ProfileInfo is one retained profile in the /debug/cluster/profiles
 // index.
@@ -44,8 +38,8 @@ type ProfileInfo struct {
 // member per Collector.ProfileOnce step, so the whole fleet is covered
 // every len(targets) steps.
 type profiler struct {
-	client *http.Client
-	opts   ProfileOptions
+	dir    string
+	keep   int
 	logger *slog.Logger
 
 	captured *telemetry.Counter
@@ -55,23 +49,13 @@ type profiler struct {
 	next int
 }
 
-func newProfiler(client *http.Client, opts Options) (*profiler, error) {
-	po := opts.Profiles
-	if po.Dir == "" {
-		return nil, fmt.Errorf("obscollector: profiling enabled without a directory")
-	}
-	if err := os.MkdirAll(po.Dir, 0o755); err != nil {
+func newProfiler(opts Options) (*profiler, error) {
+	if err := os.MkdirAll(opts.ProfileDir, 0o755); err != nil {
 		return nil, fmt.Errorf("obscollector: profile dir: %w", err)
 	}
-	if po.CPUSeconds <= 0 {
-		po.CPUSeconds = 5
-	}
-	if po.Keep <= 0 {
-		po.Keep = 32
-	}
 	return &profiler{
-		client:   client,
-		opts:     po,
+		dir:      opts.ProfileDir,
+		keep:     keepProfiles,
 		logger:   opts.Logger,
 		captured: opts.Metrics.DeclareCounter("collector_profiles_total", "pprof profiles captured by the continuous-profiling sampler."),
 		failures: opts.Metrics.DeclareCounter("collector_profile_errors_total", "pprof profile captures that failed."),
@@ -89,12 +73,11 @@ func (p *profiler) captureNext(ctx context.Context, targets []Target) {
 	p.next++
 	p.mu.Unlock()
 
-	ctx, cancel := context.WithTimeout(ctx,
-		time.Duration(p.opts.CPUSeconds)*time.Second+10*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, (cpuSeconds+10)*time.Second)
 	defer cancel()
 	now := time.Now().UTC()
 	for kind, url := range map[string]string{
-		"cpu":  fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", t.BaseURL, p.opts.CPUSeconds),
+		"cpu":  fmt.Sprintf("%s/debug/pprof/profile?seconds=%d", t.BaseURL, cpuSeconds),
 		"heap": t.BaseURL + "/debug/pprof/heap",
 	} {
 		if err := p.captureOne(ctx, kind, url, t, now); err != nil {
@@ -114,7 +97,7 @@ func (p *profiler) captureOne(ctx context.Context, kind, url string, t Target, n
 	if err != nil {
 		return err
 	}
-	resp, err := p.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -124,7 +107,7 @@ func (p *profiler) captureOne(ctx context.Context, kind, url string, t Target, n
 		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
 	name := fmt.Sprintf("%s-%s-%s.pprof", now.Format("20060102T150405"), sanitize(t.Identity.Instance), kind)
-	f, err := os.CreateTemp(p.opts.Dir, name+".tmp")
+	f, err := os.CreateTemp(p.dir, name+".tmp")
 	if err != nil {
 		return err
 	}
@@ -137,7 +120,7 @@ func (p *profiler) captureOne(ctx context.Context, kind, url string, t Target, n
 		os.Remove(f.Name())
 		return err
 	}
-	return os.Rename(f.Name(), filepath.Join(p.opts.Dir, name))
+	return os.Rename(f.Name(), filepath.Join(p.dir, name))
 }
 
 // sanitize maps an instance name to a safe filename fragment.
@@ -152,7 +135,7 @@ func sanitize(s string) string {
 	}, s)
 }
 
-// prune enforces Keep per kind, deleting oldest first (filenames sort
+// prune enforces keep per kind, deleting oldest first (filenames sort
 // chronologically by construction).
 func (p *profiler) prune() {
 	byKind := map[string][]string{}
@@ -161,8 +144,8 @@ func (p *profiler) prune() {
 	}
 	for _, files := range byKind {
 		sort.Strings(files)
-		for len(files) > p.opts.Keep {
-			os.Remove(filepath.Join(p.opts.Dir, files[0]))
+		for len(files) > p.keep {
+			os.Remove(filepath.Join(p.dir, files[0]))
 			files = files[1:]
 		}
 	}
@@ -170,7 +153,7 @@ func (p *profiler) prune() {
 
 // index lists the retained profiles.
 func (p *profiler) index() []ProfileInfo {
-	entries, err := os.ReadDir(p.opts.Dir)
+	entries, err := os.ReadDir(p.dir)
 	if err != nil {
 		return nil
 	}

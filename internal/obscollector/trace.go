@@ -1,6 +1,7 @@
 package obscollector
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -8,44 +9,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TracePoint is one instantaneous event inside an assembled span.
-type TracePoint struct {
-	Name  string                 `json:"name"`
-	Time  time.Time              `json:"time"`
-	Attrs map[string]interface{} `json:"attrs,omitempty"`
-}
-
-// TraceSpan is one span of an assembled cross-process trace, annotated
-// with the process it ran in.
-type TraceSpan struct {
-	Name     string             `json:"name"`
-	Identity telemetry.Identity `json:"identity"`
-	Span     uint64             `json:"span"`
-	Parent   uint64             `json:"parent,omitempty"`
-	Start    time.Time          `json:"start"`
-	// DurationSeconds is zero when the span's end event was not
-	// exported (still open, or overwritten in the member's ring) —
-	// Ended distinguishes the two readings.
-	DurationSeconds float64 `json:"duration_seconds,omitempty"`
-	Ended           bool    `json:"ended"`
-	// Orphan marks a span whose parent id was not found in any
-	// process's export: it is shown as a root, but the tree above it is
-	// incomplete (usually the parent aged out of a ring).
-	Orphan   bool                   `json:"orphan,omitempty"`
-	Attrs    map[string]interface{} `json:"attrs,omitempty"`
-	Events   []TracePoint           `json:"events,omitempty"`
-	Children []*TraceSpan           `json:"children,omitempty"`
-}
-
 // AssembledTrace is one distributed trace stitched from every process's
 // span export, plus the audit records that carry the same trace ID.
 type AssembledTrace struct {
 	TraceID string `json:"trace_id"`
-	// Spans counts all spans; Orphans those whose parent was missing.
-	// A fully assembled trace has len(Roots)==1 and Orphans==0.
-	Spans   int          `json:"spans"`
-	Orphans int          `json:"orphans"`
-	Roots   []*TraceSpan `json:"roots"`
+	telemetry.SpanTree
 	// Processes are the distinct instances that contributed spans,
 	// sorted.
 	Processes []string `json:"processes"`
@@ -55,24 +23,21 @@ type AssembledTrace struct {
 }
 
 // AssembleTrace stitches the given trace from the members' latest
-// exports. Span IDs are unique across processes (each tracer offsets
-// them by a random 64-bit base), so events key directly by span ID.
-// Returns nil when no process exported any event for the trace.
+// exports with telemetry.BuildSpanTree. Returns nil when no process
+// exported any event for the trace.
 func AssembleTrace(traceID string, states map[string]*InstanceState) *AssembledTrace {
-	type spanEvents struct {
-		id    telemetry.Identity
-		event telemetry.ExportedEvent
-	}
-	var all []spanEvents
-	procSet := map[string]bool{}
 	out := &AssembledTrace{TraceID: traceID}
+	var exports []telemetry.SpanExport
 	for _, st := range states {
+		exp := telemetry.SpanExport{Identity: st.Identity}
 		for _, e := range st.Spans {
-			if e.Trace != traceID {
-				continue
+			if e.Trace == traceID {
+				exp.Events = append(exp.Events, e)
 			}
-			all = append(all, spanEvents{st.Identity, e})
-			procSet[st.Identity.Instance] = true
+		}
+		if len(exp.Events) > 0 {
+			exports = append(exports, exp)
+			out.Processes = append(out.Processes, st.Identity.Instance)
 		}
 		for _, q := range st.Queries {
 			if q.TraceID == traceID {
@@ -80,73 +45,12 @@ func AssembleTrace(traceID string, states map[string]*InstanceState) *AssembledT
 			}
 		}
 	}
-	if len(all) == 0 {
+	if len(exports) == 0 {
 		return nil
 	}
-	// Scrape order is arbitrary; sort by event time so siblings come
-	// out in start order and point events in occurrence order.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].event.Time.Before(all[j].event.Time) })
-
-	nodes := map[uint64]*TraceSpan{}
-	for _, se := range all {
-		e := se.event
-		switch e.Kind {
-		case "start":
-			n := nodes[e.Span]
-			if n == nil {
-				n = &TraceSpan{Span: e.Span}
-				nodes[e.Span] = n
-			}
-			n.Name = e.Name
-			n.Identity = se.id
-			n.Parent = e.Parent
-			n.Start = e.Time
-			n.Attrs = e.Attrs
-		case "end":
-			n := nodes[e.Span]
-			if n == nil {
-				// End without start (start overwritten in the ring):
-				// synthesize the span from what the end carries.
-				n = &TraceSpan{Span: e.Span, Name: e.Name, Identity: se.id, Parent: e.Parent,
-					Start: e.Time.Add(-time.Duration(e.Duration * float64(time.Second)))}
-				nodes[e.Span] = n
-			}
-			n.DurationSeconds = e.Duration
-			n.Ended = true
-		case "point":
-			n := nodes[e.Span]
-			if n == nil {
-				continue // the owning span is gone; nowhere to hang it
-			}
-			n.Events = append(n.Events, TracePoint{Name: e.Name, Time: e.Time, Attrs: e.Attrs})
-		}
-	}
-	// Link children under parents; spans with a parent id that no
-	// process exported become orphan roots.
-	ids := make([]uint64, 0, len(nodes))
-	for id := range nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return nodes[ids[i]].Start.Before(nodes[ids[j]].Start) })
-	for _, id := range ids {
-		n := nodes[id]
-		if n.Parent == 0 {
-			out.Roots = append(out.Roots, n)
-			continue
-		}
-		if p := nodes[n.Parent]; p != nil {
-			p.Children = append(p.Children, n)
-			continue
-		}
-		n.Orphan = true
-		out.Orphans++
-		out.Roots = append(out.Roots, n)
-	}
-	out.Spans = len(nodes)
-	for inst := range procSet {
-		out.Processes = append(out.Processes, inst)
-	}
+	out.SpanTree = telemetry.BuildSpanTree(exports...)
 	sort.Strings(out.Processes)
+	out.Processes = slices.Compact(out.Processes)
 	sort.SliceStable(out.Queries, func(i, j int) bool { return out.Queries[i].Time.Before(out.Queries[j].Time) })
 	return out
 }

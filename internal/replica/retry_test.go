@@ -279,8 +279,8 @@ func TestSoloReplicaRetryAttemptsShareSeqWithDistinctRequestIDs(t *testing.T) {
 	srv := httptest.NewServer(fail)
 	defer srv.Close()
 
-	cap := &telemetry.Capture{}
-	tracer := telemetry.NewTracer(cap)
+	ring := telemetry.NewRingCapture(64)
+	tracer := telemetry.NewTracer(ring)
 	span := tracer.Span("caller")
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
@@ -291,20 +291,12 @@ func TestSoloReplicaRetryAttemptsShareSeqWithDistinctRequestIDs(t *testing.T) {
 	}
 	span.End()
 
-	node := cap.Find("caller")
-	if node == nil || len(node.Events) != 2 {
-		t.Fatalf("want 2 wire.attempt events, got %+v", node)
+	roots := telemetry.BuildSpanTree(ring.Export(telemetry.Identity{}, span.Context().TraceID)).Roots
+	if len(roots) != 1 || roots[0].Name != "caller" || len(roots[0].Events) != 2 {
+		t.Fatalf("want 2 wire.attempt events on the caller span, got %+v", roots)
 	}
-	requestID := func(e telemetry.Event) string {
-		for _, a := range e.Attrs {
-			if a.Key == "request_id" {
-				s, _ := a.Value.(string)
-				return s
-			}
-		}
-		return ""
-	}
-	id0, id1 := requestID(node.Events[0]), requestID(node.Events[1])
+	id0, _ := roots[0].Events[0].Attrs["request_id"].(string)
+	id1, _ := roots[0].Events[1].Attrs["request_id"].(string)
 	base0 := strings.TrimSuffix(id0, ".0")
 	base1 := strings.TrimSuffix(id1, ".1")
 	if base0 == id0 || base1 == id1 || base0 != base1 {

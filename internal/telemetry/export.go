@@ -69,28 +69,32 @@ type SpanExport struct {
 	Events  []ExportedEvent `json:"events"`
 }
 
+// Export returns the ring's retained events stamped with id, filtered
+// to one trace unless trace is "". BuildSpanTree rebuilds it as a tree.
+func (r *RingCapture) Export(id Identity, trace string) SpanExport {
+	events := r.Events()
+	exp := SpanExport{
+		Version:  SpanExportVersion,
+		Identity: id,
+		Dropped:  r.Total() - int64(len(events)),
+		Events:   make([]ExportedEvent, 0, len(events)),
+	}
+	for _, e := range events {
+		if trace == "" || e.Trace == trace {
+			exp.Events = append(exp.Events, ExportEvent(e))
+		}
+	}
+	return exp
+}
+
 // ExportSpansHandler serves the process's recent spans from ring as a
 // versioned SpanExport. ?trace=<id> filters to one trace (the
 // collector's on-demand trace fetch).
 func ExportSpansHandler(id Identity, ring *RingCapture) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		events := ring.Events()
-		exp := SpanExport{
-			Version:  SpanExportVersion,
-			Identity: id,
-			Dropped:  ring.Total() - int64(len(events)),
-			Events:   make([]ExportedEvent, 0, len(events)),
-		}
-		trace := req.URL.Query().Get("trace")
-		for _, e := range events {
-			if trace != "" && e.Trace != trace {
-				continue
-			}
-			exp.Events = append(exp.Events, ExportEvent(e))
-		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(exp)
+		enc.Encode(ring.Export(id, req.URL.Query().Get("trace")))
 	})
 }

@@ -11,84 +11,90 @@ import (
 )
 
 // WritePrometheus renders the snapshot in the Prometheus text
-// exposition format (version 0.0.4): counters and gauges as single
-// series, histograms as cumulative _bucket{le="..."} series plus _sum
-// and _count. Series with described help text get a # HELP line.
+// exposition format: counters and gauges as single series, histograms
+// as cumulative _bucket{le="..."} series plus _sum and _count. Series
+// with described help text get a # HELP line.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
+	var err error
+	write := func(name, typ string, samples ...Sample) {
+		if err == nil {
+			err = WriteFamily(w, name, typ, s.Help[name], samples...)
+		}
+	}
 	for _, name := range sortedKeys(s.Counters) {
-		if err := s.writeHelp(w, name); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, s.Counters[name]); err != nil {
-			return err
-		}
+		write(name, "counter", Sample{Value: strconv.FormatInt(s.Counters[name], 10)})
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		if err := s.writeHelp(w, name); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, formatFloat(s.Gauges[name])); err != nil {
-			return err
-		}
+		write(name, "gauge", Sample{Value: FormatFloat(s.Gauges[name])})
 	}
 	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		if err := s.writeHelp(w, name); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-		var cum int64
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, escapeLabel(formatFloat(b)), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
-			name, h.Count, name, formatFloat(h.Sum), name, h.Count); err != nil {
-			return err
-		}
+		write(name, "histogram", HistogramSamples(s.Histograms[name])...)
 	}
-	return nil
-}
-
-// writeHelp emits the # HELP line for name when help text was
-// described; help text escapes backslash and newline per the exposition
-// format.
-func (s Snapshot) writeHelp(w io.Writer, name string) error {
-	help, ok := s.Help[name]
-	if !ok || help == "" {
-		return nil
-	}
-	help = strings.ReplaceAll(help, `\`, `\\`)
-	help = strings.ReplaceAll(help, "\n", `\n`)
-	_, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	return err
 }
 
-// escapeLabel escapes a Prometheus label value: backslash, double
-// quote, and newline must be backslash-escaped inside the quotes.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
+// Label is one name="value" pair of a sample.
+type Label struct{ Name, Value string }
+
+// Sample is one line of a metric family: the family's name plus Suffix
+// ("_bucket", "_sum" or "_count" for a histogram's parts), its labels
+// in order, and its rendered value.
+type Sample struct {
+	Suffix string
+	Labels []Label
+	Value  string
 }
+
+// WriteFamily writes one metric family in the Prometheus text
+// exposition format (version 0.0.4): a # HELP line unless help is
+// empty, the # TYPE line, then one line per sample. It is the one place
+// help text and label values are escaped.
+func WriteFamily(w io.Writer, name, typ, help string, samples ...Sample) error {
+	var b strings.Builder
+	if help != "" {
+		fmt.Fprintf(&b, "# HELP %s %s\n", name, helpEscaper.Replace(help))
+	}
+	fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
+	for _, s := range samples {
+		b.WriteString(name + s.Suffix)
+		sep := "{"
+		for _, l := range s.Labels {
+			b.WriteString(sep + l.Name + `="` + escapeLabel(l.Value) + `"`)
+			sep = ","
+		}
+		if len(s.Labels) > 0 {
+			b.WriteString("}")
+		}
+		b.WriteString(" " + s.Value + "\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// HistogramSamples expands a histogram into its cumulative
+// _bucket{le="..."} samples, the +Inf bucket, _sum and _count.
+func HistogramSamples(h HistogramSnapshot) []Sample {
+	out := make([]Sample, 0, len(h.Bounds)+3)
+	var cum int64
+	for i, b := range h.Bounds {
+		cum += h.Counts[i]
+		out = append(out, Sample{"_bucket", []Label{{"le", FormatFloat(b)}}, strconv.FormatInt(cum, 10)})
+	}
+	count := strconv.FormatInt(h.Count, 10)
+	return append(out,
+		Sample{"_bucket", []Label{{"le", "+Inf"}}, count},
+		Sample{"_sum", nil, FormatFloat(h.Sum)},
+		Sample{"_count", nil, count})
+}
+
+// The text format's only escapes: backslash and newline in help text,
+// and also the double quote in label values.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+)
+
+func escapeLabel(v string) string { return labelEscaper.Replace(v) }
 
 // WriteJSON renders the snapshot as JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
@@ -124,7 +130,7 @@ func (s Snapshot) Summary() string {
 		fmt.Fprintf(&b, "  %-*s  %d\n", width, name, s.Counters[name])
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&b, "  %-*s  %s\n", width, name, formatFloat(s.Gauges[name]))
+		fmt.Fprintf(&b, "  %-*s  %s\n", width, name, FormatFloat(s.Gauges[name]))
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
@@ -133,7 +139,7 @@ func (s Snapshot) Summary() string {
 			mean = h.Sum / float64(h.Count)
 		}
 		fmt.Fprintf(&b, "  %-*s  count=%d sum=%s mean=%s\n",
-			width, name, h.Count, formatFloat(h.Sum), formatFloat(mean))
+			width, name, h.Count, FormatFloat(h.Sum), FormatFloat(mean))
 	}
 	return b.String()
 }
@@ -162,8 +168,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// formatFloat renders floats compactly ("0.005", "42", "1e+06"-free
-// for the usual ranges) so the Prometheus text output stays readable.
-func formatFloat(v float64) string {
+// FormatFloat renders a sample value compactly ("0.005", "42",
+// "1e+21"), so the exposition text stays readable.
+func FormatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -7,11 +7,10 @@ import "sync"
 // without unbounded growth.
 const DefRingCaptureSize = 8192
 
-// RingCapture is a bounded Observer for long-running servers: it keeps
-// the most recent events in a fixed ring, overwriting the oldest, so a
-// process can run under tracing forever and still export its recent
-// spans to the cluster collector. Capture (unbounded) remains the tool
-// for tests; RingCapture is the tool for production processes.
+// RingCapture is the Observer: it keeps the most recent events in a
+// fixed ring, overwriting the oldest, so a process can run under
+// tracing forever and still export its recent spans to the cluster
+// collector. Tests record into a ring sized for their run.
 type RingCapture struct {
 	mu    sync.Mutex
 	buf   []Event

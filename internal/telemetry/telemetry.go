@@ -11,10 +11,10 @@
 //   - A Tracer emitting span and point events to a pluggable Observer,
 //     so the pipeline's phases (sampling, classification probing, EM
 //     shrinkage, adaptive selection, search fan-out) are visible as a
-//     span tree. Tests capture events with Capture; deployments keep
-//     the recent ones in a RingCapture or drop them (nil Observer
-//     costs nothing: a nil *Tracer and nil *Span no-op on every
-//     method).
+//     span tree. A RingCapture keeps the recent events (or a nil
+//     Observer drops them at no cost: a nil *Tracer and nil *Span
+//     no-op on every method), and BuildSpanTree rebuilds the tree from
+//     one or more processes' exports.
 //
 // The probe queries a metasearcher sends are its operating cost — a
 // federated search system budgets them per backend — so sampling and
@@ -75,8 +75,8 @@ func (k Kind) String() string {
 }
 
 // Event is one trace record delivered to an Observer. Span identifiers
-// are unique per Tracer; Parent is zero for root spans. Observers
-// rebuild the span tree from (Span, Parent) pairs — Capture does.
+// are unique per Tracer; Parent is zero for root spans. BuildSpanTree
+// rebuilds the span tree from (Span, Parent) pairs.
 type Event struct {
 	Kind     Kind
 	Name     string

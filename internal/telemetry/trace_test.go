@@ -7,8 +7,8 @@ import (
 )
 
 func TestSpanTreeReconstruction(t *testing.T) {
-	var cap Capture
-	tr := NewTracer(&cap)
+	ring := NewRingCapture(64)
+	tr := NewTracer(ring)
 
 	root := tr.Span("build", Int("databases", 2))
 	child := root.Child("sample", String("db", "a"))
@@ -18,7 +18,8 @@ func TestSpanTreeReconstruction(t *testing.T) {
 	sib.End()
 	root.End()
 
-	roots := cap.Tree()
+	tree := BuildSpanTree(ring.Export(Identity{}, root.Context().TraceID))
+	roots := tree.Roots
 	if len(roots) != 1 || roots[0].Name != "build" {
 		t.Fatalf("roots = %+v", roots)
 	}
@@ -30,17 +31,26 @@ func TestSpanTreeReconstruction(t *testing.T) {
 	if len(s.Events) != 1 || s.Events[0].Name != "sampling.round" {
 		t.Errorf("sample events = %+v", s.Events)
 	}
-	if v, ok := s.Events[0].Attr("docs").(int64); !ok || v != 50 {
-		t.Errorf("docs attr = %v", s.Events[0].Attr("docs"))
+	if v, ok := s.Events[0].Attrs["docs"].(int64); !ok || v != 50 {
+		t.Errorf("docs attr = %v", s.Events[0].Attrs["docs"])
 	}
-	if !s.Ended() || !b.Ended() {
+	if v, ok := s.EndAttrs["queries"].(int64); !ok || v != 10 {
+		t.Errorf("queries end attr = %v", s.EndAttrs["queries"])
+	}
+	if !s.Ended || !b.Ended {
 		t.Error("spans not marked ended")
 	}
-	if got := cap.SpanNames(); strings.Join(got, ",") != "build,sample,shrink" {
+	var started []string
+	for _, e := range ring.Events() {
+		if e.Kind == KindSpanStart {
+			started = append(started, e.Name)
+		}
+	}
+	if got := strings.Join(started, ","); got != "build,sample,shrink" {
 		t.Errorf("span order = %v", got)
 	}
-	if cap.Find("shrink") == nil || cap.Find("nope") != nil {
-		t.Error("Find misbehaves")
+	if tree.Spans != 3 || tree.Orphans != 0 {
+		t.Errorf("tree counts %d spans and %d orphans, want 3 and 0", tree.Spans, tree.Orphans)
 	}
 }
 
@@ -62,8 +72,8 @@ func TestNilTracerAndSpanNoop(t *testing.T) {
 }
 
 func TestTracerConcurrentSpans(t *testing.T) {
-	var cap Capture
-	tr := NewTracer(&cap)
+	ring := NewRingCapture(64)
+	tr := NewTracer(ring)
 	root := tr.Span("build")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -77,12 +87,12 @@ func TestTracerConcurrentSpans(t *testing.T) {
 	}
 	wg.Wait()
 	root.End()
-	b := cap.Tree()[0]
+	b := BuildSpanTree(ring.Export(Identity{}, "")).Roots[0]
 	if len(b.Children) != 8 {
 		t.Errorf("children = %d, want 8", len(b.Children))
 	}
 	for _, c := range b.Children {
-		if len(c.Events) != 1 || !c.Ended() {
+		if len(c.Events) != 1 || !c.Ended {
 			t.Errorf("child incomplete: %+v", c)
 		}
 	}

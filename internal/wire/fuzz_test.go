@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,5 +77,64 @@ func FuzzDecodeError(f *testing.F) {
 			t.Fatalf("Retry-After %q decodes to %v, outside [0, %v]", retryAfter, pe.RetryAfter, backoffMax)
 		}
 		_ = pe.Error()
+	})
+}
+
+// everyDoc is a Backend in which every query matches more documents
+// than maxLimit, so only the node's clamp bounds a reply.
+type everyDoc struct{}
+
+func (everyDoc) Name() string          { return "every" }
+func (everyDoc) NumDocs() int          { return 2 * maxLimit }
+func (everyDoc) Fetch(id int) []string { return nil }
+func (everyDoc) Query(terms []string, limit int) (int, []int) {
+	ids := make([]int, min(limit, 2*maxLimit))
+	for i := range ids {
+		ids[i] = i
+	}
+	return 2 * maxLimit, ids
+}
+
+// FuzzNodeQuery drives hostile bodies at a database node's /v1/query,
+// the server half of the wire protocol's hostile input. Whatever
+// arrives, the node answers 200 with at most maxLimit ids, or a 400
+// bad_request envelope: never a panic and never a 5xx.
+func FuzzNodeQuery(f *testing.F) {
+	for _, body := range []string{
+		`{"terms":["heart"],"limit":3}`,
+		`{"terms":["heart"],"limit":1000000}`,
+		`{"terms":["heart"],"limit":-5}`,
+		`{"terms":[],"limit":1}`,
+		`{"terms":null}`,
+		`{"terms":["a"],"limit":99999999999999999999}`,
+		`{"terms":["a"],"limit":1.5}`,
+		`{"terms":"heart"}`,
+		`{"terms":["a"]} trailing`,
+		`[]`,
+		``,
+	} {
+		f.Add(body)
+	}
+	node := NewServer(everyDoc{}, ServerOptions{})
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		node.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathQuery, strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var resp QueryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("body %q: 200 with an undecodable reply: %v", body, err)
+			}
+			if len(resp.IDs) > maxLimit {
+				t.Fatalf("body %q: %d ids, more than maxLimit %d", body, len(resp.IDs), maxLimit)
+			}
+		case http.StatusBadRequest:
+			var env ErrorEnvelope
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != CodeBadRequest {
+				t.Fatalf("body %q: 400 without a bad_request envelope: %s", body, rec.Body)
+			}
+		default:
+			t.Fatalf("body %q: HTTP %d %s, want 200 or a 400 bad_request envelope", body, rec.Code, rec.Body)
+		}
 	})
 }

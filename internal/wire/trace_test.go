@@ -11,16 +11,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// attrValue extracts one attribute from a trace event (nil if absent).
-func attrValue(e telemetry.Event, key string) interface{} {
-	for _, a := range e.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return nil
-}
-
 func TestClientSendsIdentityAndTraceHeaders(t *testing.T) {
 	var mu sync.Mutex
 	var got []http.Header
@@ -33,8 +23,8 @@ func TestClientSendsIdentityAndTraceHeaders(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cap := &telemetry.Capture{}
-	tracer := telemetry.NewTracer(cap)
+	ring := telemetry.NewRingCapture(64)
+	tracer := telemetry.NewTracer(ring)
 	span := tracer.Span("caller")
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
@@ -64,11 +54,11 @@ func TestClientSendsIdentityAndTraceHeaders(t *testing.T) {
 		t.Errorf("X-Request-Id = %q, want r<seq>.0", reqID)
 	}
 	// The caller's span carries a matching wire.attempt event.
-	node := cap.Find("caller")
-	if node == nil || len(node.Events) != 1 {
-		t.Fatalf("caller span events = %+v", node)
+	roots := telemetry.BuildSpanTree(ring.Export(telemetry.Identity{}, span.Context().TraceID)).Roots
+	if len(roots) != 1 || roots[0].Name != "caller" || len(roots[0].Events) != 1 {
+		t.Fatalf("caller span = %+v", roots)
 	}
-	if got := attrValue(node.Events[0], "request_id"); got != reqID {
+	if got := roots[0].Events[0].Attrs["request_id"]; got != reqID {
 		t.Errorf("wire.attempt request_id = %v, header said %q", got, reqID)
 	}
 }
@@ -137,14 +127,14 @@ func TestPerEndpointCountersAndInflight(t *testing.T) {
 }
 
 func TestServerSpanJoinsPropagatedTrace(t *testing.T) {
-	serverCap := &telemetry.Capture{}
+	serverRing := telemetry.NewRingCapture(64)
 	srv := httptest.NewServer(NewServer(testDB(), ServerOptions{
-		Tracer: telemetry.NewTracer(serverCap),
+		Tracer: telemetry.NewTracer(serverRing),
 	}))
 	defer srv.Close()
 
-	clientCap := &telemetry.Capture{}
-	tracer := telemetry.NewTracer(clientCap)
+	clientRing := telemetry.NewRingCapture(64)
+	tracer := telemetry.NewTracer(clientRing)
 	span := tracer.Span("caller")
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
@@ -154,32 +144,39 @@ func TestServerSpanJoinsPropagatedTrace(t *testing.T) {
 	}
 	span.End()
 
-	serve := serverCap.Find("wire.serve")
-	if serve == nil {
-		t.Fatal("server recorded no wire.serve span")
+	// The two processes' exports of the caller's trace join into one
+	// tree: the server's span hangs under the caller's.
+	trace := span.Context().TraceID
+	tree := telemetry.BuildSpanTree(
+		clientRing.Export(telemetry.Identity{Role: "client"}, trace),
+		serverRing.Export(telemetry.Identity{Role: "dbnode"}, trace))
+	if len(tree.Roots) != 1 || len(tree.Roots[0].Children) != 1 || tree.Roots[0].Children[0].Name != "wire.serve" {
+		t.Fatalf("server recorded no wire.serve span in the client's trace: %+v", tree.Roots)
 	}
-	if serve.Start.Trace != span.Context().TraceID {
-		t.Errorf("server trace = %q, client trace = %q", serve.Start.Trace, span.Context().TraceID)
+	serve := tree.Roots[0].Children[0]
+	if serve.Identity.Role != "dbnode" {
+		t.Errorf("wire.serve span came from %+v", serve.Identity)
 	}
-	if serve.Start.Parent != span.Context().SpanID {
-		t.Errorf("server span parent = %d, client span = %d", serve.Start.Parent, span.Context().SpanID)
+	if serve.Parent != span.Context().SpanID {
+		t.Errorf("server span parent = %d, client span = %d", serve.Parent, span.Context().SpanID)
 	}
-	if got, _ := attrValue(serve.Start, "path").(string); got != PathQuery {
+	if got, _ := serve.Attrs["path"].(string); got != PathQuery {
 		t.Errorf("serve span path = %q", got)
 	}
-	if got, _ := attrValue(serve.End, "status").(int64); got != http.StatusOK {
-		t.Errorf("serve span status = %v", attrValue(serve.End, "status"))
+	if got, _ := serve.EndAttrs["status"].(int64); got != http.StatusOK {
+		t.Errorf("serve span status = %v", serve.EndAttrs["status"])
 	}
 	// Without propagated context the server starts its own root trace.
-	serverCap.Reset()
 	if _, err := c.Info(context.Background(), newCall()); err != nil {
 		t.Fatal(err)
 	}
-	serve = serverCap.Find("wire.serve")
-	if serve == nil || serve.Start.Parent != 0 || serve.Start.Trace == "" {
-		t.Errorf("untraced request should yield a fresh root span, got %+v", serve)
+	events := serverRing.Events()
+	fresh := events[len(events)-1].Trace
+	roots := telemetry.BuildSpanTree(serverRing.Export(telemetry.Identity{}, fresh)).Roots
+	if len(roots) != 1 || roots[0].Name != "wire.serve" || roots[0].Parent != 0 || fresh == "" {
+		t.Errorf("untraced request should yield a fresh root span, got %+v", roots)
 	}
-	if serve.Start.Trace == span.Context().TraceID {
+	if fresh == trace {
 		t.Error("fresh root span reused the old trace id")
 	}
 }

@@ -111,8 +111,8 @@ type Options struct {
 	Seed int64
 	// Observer receives structured trace events from the whole pipeline
 	// (sampling rounds, classification probing, EM convergence, adaptive
-	// decisions, search fan-out). Nil disables tracing at zero cost; see
-	// telemetry.Capture (tests) and telemetry.RingCapture (serving).
+	// decisions, search fan-out). Nil disables tracing at zero cost; a
+	// telemetry.RingCapture keeps them for telemetry.BuildSpanTree.
 	Observer telemetry.Observer
 	// Logger, when non-nil, receives pipeline progress and warnings
 	// (databases sampled, dead backends skipped during Search).

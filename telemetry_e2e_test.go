@@ -9,18 +9,41 @@ import (
 	"repro/internal/telemetry"
 )
 
+// testRingSize holds every span event of one test metasearcher's build
+// and searches; spanRoot fails the test if a ring overflows.
+const testRingSize = 1 << 14
+
+// spanRoot rebuilds the spans ring holds for trace and returns its one
+// root, which must be named name.
+func spanRoot(t *testing.T, ring *telemetry.RingCapture, trace, name string) *telemetry.SpanNode {
+	t.Helper()
+	exp := ring.Export(telemetry.Identity{}, trace)
+	if exp.Dropped > 0 {
+		t.Fatalf("span ring dropped %d events; raise testRingSize", exp.Dropped)
+	}
+	tree := telemetry.BuildSpanTree(exp)
+	if trace == "" || len(tree.Roots) != 1 || tree.Roots[0].Name != name {
+		t.Fatalf("trace %q: roots %+v, want one %s span", trace, tree.Roots, name)
+	}
+	return tree.Roots[0]
+}
+
 // TestPipelineTraceEndToEnd asserts the span sequence one build+search
 // emits: sample → classify → shrink under the build span, then
 // select → search.db fan-out under the search span. The default
 // sequential Parallelism makes the order deterministic.
 func TestPipelineTraceEndToEnd(t *testing.T) {
-	cap := &telemetry.Capture{}
-	m := buildTestMetasearcher(t, Options{Seed: 70, Observer: cap})
+	ring := telemetry.NewRingCapture(testRingSize)
+	m := buildTestMetasearcher(t, Options{Seed: 70, Observer: ring})
 
-	build := cap.Find("build")
-	if build == nil {
-		t.Fatal("no build span recorded")
+	var buildTrace string
+	for _, e := range ring.Events() {
+		if e.Kind == telemetry.KindSpanStart && e.Name == "build" {
+			buildTrace = e.Trace
+			break
+		}
 	}
+	build := spanRoot(t, ring, buildTrace, "build")
 	var order []string
 	counts := map[string]int{}
 	for _, ch := range build.Children {
@@ -37,7 +60,7 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	}
 	sawOncoSample := false
 	for _, ch := range build.Children {
-		db := ch.Start.Attr("db")
+		db := ch.Attrs["db"]
 		if ch.Name == "sample" && db == "onco" {
 			sawOncoSample = true
 		}
@@ -64,7 +87,12 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	if firstShrink < lastSample {
 		t.Errorf("shrink span before the last sample span: %v", order)
 	}
-	shrink := cap.Find("shrink")
+	var shrink *telemetry.SpanNode
+	for _, ch := range build.Children {
+		if ch.Name == "shrink" && shrink == nil {
+			shrink = ch
+		}
+	}
 	if shrink == nil || len(shrink.Events) == 0 {
 		t.Fatal("shrink span has no shrink.em event")
 	}
@@ -72,15 +100,12 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 		t.Errorf("shrink event = %q, want shrink.em", shrink.Events[0].Name)
 	}
 
-	cap.Reset()
-	if _, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 3}); err != nil {
+	res, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	search := cap.Find("search")
-	if search == nil {
-		t.Fatal("no search span recorded")
-	}
-	if !search.Ended() {
+	search := spanRoot(t, ring, res.TraceID, "search")
+	if !search.Ended {
 		t.Error("search span never ended")
 	}
 	var names []string
@@ -96,8 +121,8 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 		}
 	}
 	sel := search.Children[0]
-	if got, ok := sel.End.Attr("selected").(int64); !ok || got < 1 {
-		t.Errorf("select span end attr selected = %v", sel.End.Attr("selected"))
+	if got, ok := sel.EndAttrs["selected"].(int64); !ok || got < 1 {
+		t.Errorf("select span end attr selected = %v", sel.EndAttrs["selected"])
 	}
 
 	// The registry saw the same story.
@@ -142,9 +167,9 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 // (and counted) instead of failing the whole search, and the surviving
 // databases still answer.
 func TestSearchSkipsDeadDatabase(t *testing.T) {
-	cap := &telemetry.Capture{}
+	ring := telemetry.NewRingCapture(testRingSize)
 	rng := rand.New(rand.NewSource(2))
-	m := New(Options{Seed: 71, Observer: cap, SampleSize: 30})
+	m := New(Options{Seed: 71, Observer: ring, SampleSize: 30})
 	// Training extends the QBS seed lexicon with on-topic words (the
 	// categories are fixed, so no probe classifier is needed).
 	for _, topic := range topicOrder {
@@ -180,7 +205,6 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 		}
 		return cur.withHandles(dbs), nil
 	})
-	cap.Reset()
 	results, err := m.Search(context.Background(), SearchRequest{Query: "blood pressure hypertension", MaxDBs: 2, PerDB: 5})
 	if err != nil {
 		t.Fatalf("Search with one dead database failed: %v", err)
@@ -196,14 +220,11 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 	if got := m.Metrics().Snapshot().Counters["search_db_unavailable_total"]; got != 1 {
 		t.Errorf("search_db_unavailable_total = %d, want 1", got)
 	}
-	search := cap.Find("search")
-	if search == nil {
-		t.Fatal("no search span recorded")
-	}
+	search := spanRoot(t, ring, results.TraceID, "search")
 	found := false
 	for _, e := range search.Events {
 		if e.Name == "search.db_unavailable" {
-			if db := e.Attr("db"); db != "cardio" {
+			if db := e.Attrs["db"]; db != "cardio" {
 				t.Errorf("search.db_unavailable for %v, want cardio", db)
 			}
 			found = true

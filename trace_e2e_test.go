@@ -24,7 +24,7 @@ func findDBSpan(t *testing.T, root *telemetry.SpanNode, db string) *telemetry.Sp
 		if c.Name != "search.db" {
 			continue
 		}
-		if got, _ := c.Start.Attr("db").(string); got == db {
+		if got, _ := c.Attrs["db"].(string); got == db {
 			return c
 		}
 	}
@@ -37,7 +37,7 @@ func requestIDs(n *telemetry.SpanNode) []string {
 	var ids []string
 	for _, e := range n.Events {
 		if e.Name == "wire.attempt" {
-			if id, _ := e.Attr("request_id").(string); id != "" {
+			if id, _ := e.Attrs["request_id"].(string); id != "" {
 				ids = append(ids, id)
 			}
 		}
@@ -66,20 +66,20 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	shards, lexicon := testbedShards(t, 2)
 	query := strings.Join([]string{shards[0].docs[0][0], shards[0].docs[0][1]}, " ")
 
-	clientCap := &telemetry.Capture{}
+	clientRing := telemetry.NewRingCapture(testRingSize)
 	opts := testbedOptions(lexicon)
-	opts.Observer = clientCap
+	opts.Observer = clientRing
 	m := New(opts)
 
-	nodeCaps := make([]*telemetry.Capture, len(shards))
+	nodeRings := make([]*telemetry.RingCapture, len(shards))
 	var fail *wire.FailOnceHandler
 	for i, s := range shards {
-		nodeCaps[i] = &telemetry.Capture{}
+		nodeRings[i] = telemetry.NewRingCapture(testRingSize)
 		var h http.Handler = wire.NewServer(
 			NewLocalDatabaseFromTerms(s.name, s.docs),
 			wire.ServerOptions{
 				Category: s.category,
-				Tracer:   telemetry.NewTracer(nodeCaps[i]),
+				Tracer:   telemetry.NewTracer(nodeRings[i]),
 			})
 		if i == 0 {
 			fail = wire.FailOnce(h)
@@ -102,12 +102,8 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Build traffic is not under test: start the search from clean
-	// captures, with exactly one 503 armed at the first node.
-	clientCap.Reset()
-	for _, c := range nodeCaps {
-		c.Reset()
-	}
+	// Build traffic is not under test: the search's trace leaves it
+	// out. Exactly one 503 is armed at the first node.
 	fail.Arm()
 
 	res, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
@@ -122,14 +118,8 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	}
 
 	// One trace ID covers the whole search on the metasearcher side.
-	search := clientCap.Find("search")
-	if search == nil {
-		t.Fatal("no search span recorded")
-	}
-	trace := search.Start.Trace
-	if trace == "" {
-		t.Fatal("search span has no trace id")
-	}
+	trace := res.TraceID
+	search := spanRoot(t, clientRing, trace, "search")
 
 	// The failed node's search.db span records both attempts: r<seq>.0
 	// (the injected 503) and r<seq>.1 (the retry), sharing one sequence.
@@ -160,21 +150,16 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 		{db0, ids0[1]},
 		{db1, ids1[0]},
 	} {
-		serve := nodeCaps[i].Find("wire.serve")
-		if serve == nil {
-			t.Fatalf("node %d recorded no wire.serve span", i)
+		tree := telemetry.BuildSpanTree(nodeRings[i].Export(telemetry.Identity{}, trace))
+		if tree.Spans != 1 || tree.Roots[0].Name != "wire.serve" {
+			t.Fatalf("node %d spans in the search's trace = %+v, want exactly one wire.serve", i, tree.Roots)
 		}
-		if len(nodeCaps[i].SpanNames()) != 1 {
-			t.Errorf("node %d spans = %v, want exactly one wire.serve", i, nodeCaps[i].SpanNames())
-		}
-		if serve.Start.Trace != trace {
-			t.Errorf("node %d trace = %q, search trace = %q", i, serve.Start.Trace, trace)
-		}
-		if serve.Start.Parent != want.parent.Start.Span {
+		serve := tree.Roots[0]
+		if serve.Parent != want.parent.Span {
 			t.Errorf("node %d serve parent = %d, want search.db span %d",
-				i, serve.Start.Parent, want.parent.Start.Span)
+				i, serve.Parent, want.parent.Span)
 		}
-		if got, _ := serve.Start.Attr("request_id").(string); got != want.reqID {
+		if got, _ := serve.Attrs["request_id"].(string); got != want.reqID {
 			t.Errorf("node %d served request_id = %q, want %q", i, got, want.reqID)
 		}
 	}
