@@ -357,10 +357,19 @@ func TestCollectorClusterE2E(t *testing.T) {
 				label, traceID, len(tr.Processes), tr.Processes)
 		}
 		roles := map[string]bool{}
+		shardSearches := 0
 		var walk func(spans []*telemetry.SpanNode)
 		walk = func(spans []*telemetry.SpanNode) {
 			for _, s := range spans {
 				roles[s.Identity.Role] = true
+				if s.Identity.Role == "shard" && s.Name == "search" {
+					shardSearches++
+					// The end event's outcome counts survive assembly.
+					if _, ok := s.EndAttrs["selected"].(float64); !ok {
+						t.Errorf("%s: trace %s: shard search span has no selected end attribute (end attrs %v)",
+							label, traceID, s.EndAttrs)
+					}
+				}
 				walk(s.Children)
 			}
 		}
@@ -369,6 +378,9 @@ func TestCollectorClusterE2E(t *testing.T) {
 			if !roles[want] {
 				t.Errorf("%s: trace %s has no span from a %s process", label, traceID, want)
 			}
+		}
+		if shardSearches == 0 {
+			t.Errorf("%s: trace %s has no shard search span", label, traceID)
 		}
 		return &tr
 	}

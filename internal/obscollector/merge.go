@@ -1,6 +1,7 @@
 package obscollector
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -27,8 +28,10 @@ type Rollup struct {
 	Gauges     map[string]GaugeRollup                 `json:"gauges"`
 	Histograms map[string]telemetry.HistogramSnapshot `json:"histograms"`
 	// SkewedHistograms names histograms excluded from the rollup
-	// because members disagreed on bucket bounds (merging those would
-	// fabricate counts). Should be empty in a homogeneous fleet.
+	// because members disagreed on bucket bounds, or one member served
+	// a malformed one (merging those would fabricate counts, rendering
+	// them would index past their counts). Should be empty in a
+	// homogeneous fleet.
 	SkewedHistograms []string          `json:"skewed_histograms,omitempty"`
 	Help             map[string]string `json:"help,omitempty"`
 }
@@ -87,6 +90,11 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 			if skewed[n] {
 				continue
 			}
+			if !wellFormed(h) {
+				skewed[n] = true
+				delete(out.Cluster.Histograms, n)
+				continue
+			}
 			cur, ok := out.Cluster.Histograms[n]
 			if !ok {
 				out.Cluster.Histograms[n] = copyHistogram(h)
@@ -111,6 +119,33 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 	}
 	sort.Strings(out.Cluster.SkewedHistograms)
 	return out
+}
+
+// wellFormed reports whether h is a histogram a registry could have
+// written: one count per bound plus the +Inf bucket, strictly increasing
+// bounds, no negative count, an (unoverflowed) bucket sum, and a Count
+// no greater than that sum. A member serves its snapshot over the
+// network, so none of this is given. Count may trail the buckets: a
+// registry snapshot is not atomic, and reads Count before the buckets
+// that Observe fills first, so a member scraped while it observes
+// serves a bucket sum above its Count.
+func wellFormed(h telemetry.HistogramSnapshot) bool {
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return false
+	}
+	for i := 1; i < len(h.Bounds); i++ {
+		if !(h.Bounds[i] > h.Bounds[i-1]) {
+			return false
+		}
+	}
+	var total int64
+	for _, c := range h.Counts {
+		if c < 0 || total > math.MaxInt64-c {
+			return false
+		}
+		total += c
+	}
+	return 0 <= h.Count && h.Count <= total
 }
 
 func copyHistogram(h telemetry.HistogramSnapshot) telemetry.HistogramSnapshot {

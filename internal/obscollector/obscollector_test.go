@@ -137,6 +137,91 @@ func TestAggregateSkewedHistograms(t *testing.T) {
 	}
 }
 
+// TestAggregateRejectsMalformedHistograms: a member's snapshot arrives
+// over the network, so a histogram no registry could have written —
+// too few counts for its bounds, bounds out of order, a negative count,
+// a Count above the counts' sum — is kept out of the rollup like a
+// layout mismatch, and the exposition renders without it.
+func TestAggregateRejectsMalformedHistograms(t *testing.T) {
+	good := `{"bounds":[1,2],"counts":[1,0,0],"sum":0.5,"count":1}`
+	for _, bad := range []string{
+		`{"bounds":[1,2],"counts":[1]}`,
+		`{"bounds":[2,1],"counts":[1,0,0],"sum":0.5,"count":1}`,
+		`{"bounds":[1,1],"counts":[1,0,0],"sum":0.5,"count":1}`,
+		`{"bounds":[1,2],"counts":[2,-1,0],"sum":0.5,"count":1}`,
+		`{"bounds":[1,2],"counts":[1,0,0],"sum":0.5,"count":2}`,
+		`{"bounds":[1,2],"counts":[1,0,0],"sum":0.5,"count":-1}`,
+	} {
+		member := func(h string) *InstanceState {
+			var snap telemetry.Snapshot
+			doc := `{"counters":{"requests_total":1},"histograms":{"latency":` + h + `,"other":` + good + `}}`
+			if err := json.Unmarshal([]byte(doc), &snap); err != nil {
+				t.Fatal(err)
+			}
+			return &InstanceState{Identity: telemetry.Identity{Instance: "m", Role: "shard"}, Metrics: snap}
+		}
+		// The malformed member alone, and after a well-formed one.
+		for _, states := range []map[string]*InstanceState{
+			{"a": member(bad)},
+			{"a": member(good), "b": member(bad)},
+		} {
+			agg := Aggregate(states)
+			if _, ok := agg.Cluster.Histograms["latency"]; ok {
+				t.Errorf("%s: malformed histogram rolled up", bad)
+			}
+			if !reflect.DeepEqual(agg.Cluster.SkewedHistograms, []string{"latency"}) {
+				t.Errorf("%s: SkewedHistograms = %v, want [latency]", bad, agg.Cluster.SkewedHistograms)
+			}
+			var b strings.Builder
+			writeClusterPrometheus(&b, agg)
+			if !strings.Contains(b.String(), "other_count ") || strings.Contains(b.String(), "latency") {
+				t.Errorf("%s: exposition:\n%s", bad, b.String())
+			}
+		}
+	}
+}
+
+// TestAggregateKeepsLiveSnapshots: a registry snapshot taken while the
+// histogram observes may read a Count that trails its buckets. That is
+// how a healthy member looks under load, so every such snapshot — and
+// a hand-written one whose Count trails by one — still rolls up.
+func TestAggregateKeepsLiveSnapshots(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	h := reg.Histogram("latency", []float64{0.001, 0.01, 0.1})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	defer func() { close(stop); <-done }()
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				h.Observe(float64(i%4) * 0.005)
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		snap := reg.Snapshot()
+		agg := Aggregate(map[string]*InstanceState{
+			"a": {Identity: telemetry.Identity{Instance: "a", Role: "shard"}, Metrics: snap},
+		})
+		if _, ok := agg.Cluster.Histograms["latency"]; !ok || len(agg.Cluster.SkewedHistograms) != 0 {
+			t.Fatalf("live snapshot %+v not rolled up", snap.Histograms["latency"])
+		}
+	}
+
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal([]byte(`{"histograms":{"latency":{"bounds":[1,2],"counts":[1,1,0],"sum":1.5,"count":1}}}`), &snap); err != nil {
+		t.Fatal(err)
+	}
+	agg := Aggregate(map[string]*InstanceState{"a": {Metrics: snap}})
+	if _, ok := agg.Cluster.Histograms["latency"]; !ok || len(agg.Cluster.SkewedHistograms) != 0 {
+		t.Errorf("trailing Count rejected: skewed %v", agg.Cluster.SkewedHistograms)
+	}
+}
+
 func TestExemplarMergeCap(t *testing.T) {
 	var a, b []telemetry.Exemplar
 	for i := 0; i < telemetry.ExemplarCap; i++ {
@@ -551,7 +636,7 @@ func TestClusterPrometheusEscapesLabels(t *testing.T) {
 
 // TestAssembleTraceJSONGolden pins the /debug/cluster/trace/{id}
 // document for a trace with no cycle: its fields, their order and the
-// attributes carried (start attributes, point attributes).
+// attributes carried (start, end and point attributes).
 func TestAssembleTraceJSONGolden(t *testing.T) {
 	states := traceStates("t1")
 	states["shard"].Spans[0].Attrs = map[string]interface{}{"db": "x", "k": 2.0}
@@ -563,7 +648,7 @@ func TestAssembleTraceJSONGolden(t *testing.T) {
 	}
 	want := `{"trace_id":"t1","spans":4,"orphans":1,"roots":[` +
 		`{"name":"router.search","identity":{"instance":"router","role":"router"},"span":1,"start":"2026-08-08T12:00:00Z","duration_seconds":0.04,"ended":true,"children":[` +
-		`{"name":"search","identity":{"instance":"shard","role":"shard","shard":"shard-00"},"span":100,"parent":1,"start":"2026-08-08T12:00:00.005Z","duration_seconds":0.025,"ended":true,"attrs":{"db":"x","k":2},"events":[{"name":"hedge","time":"2026-08-08T12:00:00.012Z","attrs":{"hedge":true}}],"children":[` +
+		`{"name":"search","identity":{"instance":"shard","role":"shard","shard":"shard-00"},"span":100,"parent":1,"start":"2026-08-08T12:00:00.005Z","duration_seconds":0.025,"ended":true,"attrs":{"db":"x","k":2},"end_attrs":{"selected":3},"events":[{"name":"hedge","time":"2026-08-08T12:00:00.012Z","attrs":{"hedge":true}}],"children":[` +
 		`{"name":"wire.serve","identity":{"instance":"dbnode","role":"dbnode"},"span":300,"parent":100,"start":"2026-08-08T12:00:00.008Z","duration_seconds":0.012,"ended":true}]}]},` +
 		`{"name":"stray","identity":{"instance":"shard","role":"shard","shard":"shard-00"},"span":200,"parent":999,"start":"2026-08-08T12:00:00.006Z","ended":false,"orphan":true}],` +
 		`"processes":["dbnode","router","shard"],` +

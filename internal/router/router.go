@@ -426,7 +426,7 @@ func (r *Router) callShard(ctx context.Context, span *telemetry.Span, idx int, s
 		return sm.consume(idx, s.ID, resp.Body)
 	}
 	var reply repro.SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBodyBytes)).Decode(&reply); err != nil {
 		return nil, fmt.Errorf("decoding shard %s reply: %w", s.ID, err)
 	}
 	return &reply, nil

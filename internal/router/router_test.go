@@ -187,6 +187,74 @@ func TestPartialShardFailureKeepsServing(t *testing.T) {
 	}
 }
 
+// oversizedShard answers every call to addr with a well-formed 200
+// blocking reply, carrying a result, whose body is three times
+// wire.MaxBodyBytes; read records the most bytes taken from one body.
+type oversizedShard struct {
+	addr string
+	read atomic.Int64
+}
+
+func (o *oversizedShard) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host != o.addr {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body := `{"query":"` + strings.Repeat("a", 3*wire.MaxBodyBytes) +
+		`","results":[{"database":"db-b.example","doc_id":2,"score":0.5}]}`
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": {"application/json"}},
+		Body:       &countingBody{Reader: strings.NewReader(body), max: &o.read},
+		Request:    req,
+	}, nil
+}
+
+type countingBody struct {
+	*strings.Reader
+	n   int64
+	max *atomic.Int64
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.Reader.Read(p)
+	c.n += int64(n)
+	if c.n > c.max.Load() {
+		c.max.Store(c.n)
+	}
+	return n, err
+}
+
+func (c *countingBody) Close() error { return nil }
+
+// TestOversizedShardReplyFailsTheCall: a shard's blocking reply is read
+// under the wire protocol's body cap, so a reply past it is a failed
+// shard call — the query answers from the other shard — and no more
+// than the cap is read from it.
+func TestOversizedShardReplyFailsTheCall(t *testing.T) {
+	a := newFakeShard(t, reply(gateway.Result{Database: "db-a.example", DocID: 1, Score: 0.7}))
+	b := newFakeShard(t, reply())
+	big := &oversizedShard{addr: b.addr()}
+	reg := telemetry.NewRegistry()
+	rt, err := New(testTopology(a, b), Options{Metrics: reg, Client: &http.Client{Transport: big}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.clock = clock.NewInstant()
+	resp, err := rt.Search(context.Background(), repro.SearchRequest{Query: "q", MaxDBs: 3, PerDB: 10})
+	if err != nil {
+		t.Fatalf("one oversized shard reply must not fail the query: %v", err)
+	}
+	if len(resp.Results) != 1 || resp.Results[0].Database != "db-a.example" {
+		t.Errorf("results = %+v, want only shard a's", resp.Results)
+	}
+	if got := reg.Counter("router_shard_errors_total").Value(); got != 1 {
+		t.Errorf("shard_errors = %d, want 1", got)
+	}
+	if got := big.read.Load(); got == 0 || got > wire.MaxBodyBytes {
+		t.Errorf("read %d bytes of the oversized reply, want 1..%d", got, wire.MaxBodyBytes)
+	}
+}
+
 func TestAllShardsFailingErrors(t *testing.T) {
 	a := newFakeShard(t, reply())
 	b := newFakeShard(t, reply())

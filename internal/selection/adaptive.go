@@ -2,6 +2,7 @@ package selection
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/summary"
 	"repro/internal/telemetry"
@@ -27,6 +28,10 @@ type DB struct {
 	// even when the scoring summary keeps raw sample frequencies; zero
 	// falls back to Unshrunk's document count.
 	Size int
+	// table is the offline half of Appendix B's posterior for this
+	// database, built by Derive; nil (a DB built by hand) makes every
+	// query build it into its own scratch.
+	table *dfTable
 }
 
 // size returns the |D| the uncertainty model should use.
@@ -35,6 +40,15 @@ func (db *DB) size() int {
 		return db.Size
 	}
 	return int(db.Unshrunk.NumDocs)
+}
+
+// gamma returns the power-law exponent γ the uncertainty model should
+// use.
+func (db *DB) gamma() float64 {
+	if db.Gamma == 0 {
+		return -2
+	}
+	return db.Gamma
 }
 
 const (
@@ -94,7 +108,7 @@ func (a *Adaptive) Choose(q []string, dbs []*DB, ctx *Context) ([]summary.View, 
 	decisions := make([]Decision, len(dbs))
 	anyShrunk := false
 	words := UniqueWords(q)
-	// One set of distribution buffers serves every word of every
+	// One set of distribution buffers serves every seen word of every
 	// database in turn.
 	var dist dfDist
 	for i, db := range dbs {
@@ -155,16 +169,24 @@ func (a *Adaptive) Rank(q []string, dbs []*DB, global summary.View) ([]Ranked, [
 // document frequencies are independent under the posterior and every
 // scorer separates into per-word terms (Scorer.Term), so the score's
 // moments follow exactly from each term's mean and variance over its
-// word's distribution. words are q's unique words; dist is scratch,
-// rebuilt here for each word.
+// word's distribution. words are q's unique words. A word the sample
+// never saw reads the database's tabulated posterior as it stands; dist
+// is scratch for the posterior of each word the sample saw, formed from
+// the tabulated grid.
 func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, dist *dfDist) Decision {
 	n := db.size()
 	if n < 1 || len(words) == 0 || db.Shrunk == nil {
 		return Decision{}
 	}
-	gamma := db.Gamma
-	if gamma == 0 {
-		gamma = -2
+	table := db.table
+	if table == nil {
+		// A DB built by hand, not by Derive: build this query's table
+		// into scratch.
+		if dist.scratch == nil {
+			dist.scratch = &dfTable{}
+		}
+		table = dist.scratch
+		table.build(n, db.Unshrunk.SampleSize, db.gamma())
 	}
 	additive := isAdditive(a.Base)
 	// sum adds the terms' means and variances (an additive scorer);
@@ -173,8 +195,8 @@ func (a *Adaptive) decide(q, words []string, db *DB, ctx *Context, dist *dfDist)
 	var sumMean, sumVar, logRel float64
 	prod := 1.0
 	for _, w := range words {
-		dist.fill(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior)
-		m, v := dist.moments(n, a.Base.Term(w, db.Unshrunk, ctx))
+		post := table.posterior(db.Unshrunk.SampleDF(w), dist)
+		m, v := post.moments(a.Base.Term(w, db.Unshrunk, ctx))
 		sumMean += m
 		sumVar += v
 		prod *= m
@@ -237,30 +259,42 @@ func isAdditive(s Scorer) bool {
 	return ok && ab.AdditiveBaseline()
 }
 
-// dfDist is the posterior distribution of a query word's true document
-// frequency d in a database of n documents, given that the word
-// appeared in sk of the |S| sample documents (Equation 3): the binomial
-// sampling likelihood times the power-law prior p(d) ∝ d^γ, evaluated
-// on a (possibly geometric) support grid with interval weights.
-type dfDist struct {
-	// ds is the support and pr the probability of each of its points;
-	// pr sums to 1.
-	ds []int
-	pr []float64
-	// The buffers ds and pr are views of; slot 0 is the d = 0 point, in
-	// view only for words the sample never saw. Kept so fill can reuse
-	// them: Choose builds |q| distributions per database, one at a time.
-	dsBuf []int
-	prBuf []float64
+// dfTable is the part of Appendix B's posterior that depends only on
+// the database's (|D̂|, |S|, γ), not on the query word: the support grid,
+// the logarithms the binomial likelihood and the power-law prior take at
+// each of its points, and the whole posterior of a word the sample never
+// saw (s_k = 0). Derive builds one per database; a query then forms a
+// seen word's posterior from it with one exp per point (dfDist.fill).
+// Read-only once built, so any number of queries share it.
+type dfTable struct {
+	// n and sampleSize are the statistics the table was built for,
+	// sampleSize as given (fill caps it at n).
+	n, sampleSize int
+	// ds is the support grid over d = 0..n; slot 0 is the d = 0 point,
+	// in a posterior's view only for words the sample never saw. frac,
+	// logFrac, log1m and prior hold d/n, log(d/n), log(1−d/n) and the
+	// prior's γ·log d + log Δd at each point (the interval a point
+	// stands for is the gap to its predecessor); slot 0 of logFrac,
+	// log1m and prior is unused.
+	ds                          []int
+	frac, logFrac, log1m, prior []float64
+	// unseen is the posterior of every word with s_k = 0.
+	unseen dfDist
 }
 
-// fill rebuilds d for one (word, database) pair in its own buffers.
-func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) {
-	if sampleSize > n {
-		sampleSize = n
-	}
+// newDFTable tabulates the posterior of a database of n documents
+// sampled by sampleSize under exponent gamma.
+func newDFTable(n, sampleSize int, gamma float64) *dfTable {
+	t := &dfTable{}
+	t.build(n, sampleSize, gamma)
+	return t
+}
+
+// build (re)tabulates t in its own buffers.
+func (t *dfTable) build(n, sampleSize int, gamma float64) {
+	t.n, t.sampleSize = n, sampleSize
 	// Support grid over d = 1..n, after the d = 0 slot.
-	ds := append(d.dsBuf[:0], 0)
+	ds := append(slices.Grow(t.ds[:0], min(n, gridMax+1)+1), 0)
 	if n <= gridMax {
 		for v := 1; v <= n; v++ {
 			ds = append(ds, v)
@@ -286,49 +320,108 @@ func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentP
 			x *= ratio
 		}
 	}
-	// Log-density at each grid point (the interval a point stands for is
-	// the gap to its predecessor), held in pr until normalized below.
-	lps := append(d.prBuf[:0], math.Inf(-1))
-	maxLP := math.Inf(-1)
+	t.ds = ds
+	t.frac = sized(t.frac, len(ds))
+	t.logFrac = sized(t.logFrac, len(ds))
+	t.log1m = sized(t.log1m, len(ds))
+	t.prior = sized(t.prior, len(ds))
+	t.frac[0] = 0
 	fn := float64(n)
-	fs := float64(sampleSize)
-	fsk := float64(sk)
 	for i := 1; i < len(ds); i++ {
 		fd := float64(ds[i])
 		frac := fd / fn
+		t.frac[i] = frac
+		t.logFrac[i] = math.Log(frac)
+		t.log1m[i] = math.Log(1 - frac)
+		t.prior[i] = gamma*math.Log(fd) + math.Log(float64(ds[i]-ds[i-1]))
+	}
+	t.unseen.fill(t, 0)
+}
+
+// posterior returns the posterior of a word the sample saw in sk
+// documents: the tabulated one as it stands for sk = 0, otherwise one
+// formed in scratch.
+func (t *dfTable) posterior(sk int, scratch *dfDist) *dfDist {
+	if sk == 0 {
+		return &t.unseen
+	}
+	scratch.fill(t, sk)
+	return scratch
+}
+
+// sized returns buf resized to n elements, reusing its storage when it
+// is large enough.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// dfDist is the posterior distribution of a query word's true document
+// frequency d in a database of n documents, given that the word
+// appeared in sk of the |S| sample documents (Equation 3): the binomial
+// sampling likelihood times the power-law prior p(d) ∝ d^γ, evaluated
+// on a dfTable's support grid with interval weights.
+type dfDist struct {
+	// ds is the support, frac each point's d/n and pr its probability;
+	// pr sums to 1. ds and frac are views of the table's grid.
+	ds   []int
+	frac []float64
+	pr   []float64
+	// prBuf is the buffer pr is a view of, kept so fill can reuse it:
+	// Choose forms a posterior for each seen word of each database, one
+	// at a time.
+	prBuf []float64
+	// scratch is the table decide builds for a database without one.
+	scratch *dfTable
+}
+
+// fill forms d from t for a word the sample saw in sk documents, in d's
+// own buffer: the likelihood's logarithms and the prior are read from
+// the table, so each point costs one exp. Every float operation runs in
+// the order the untabulated computation took, so the result is the same
+// bit for bit.
+func (d *dfDist) fill(t *dfTable, sk int) {
+	// Log-density at each grid point, held in pr until normalized below.
+	lps := append(slices.Grow(d.prBuf[:0], len(t.ds)), math.Inf(-1))
+	maxLP := math.Inf(-1)
+	fs := float64(min(t.sampleSize, t.n))
+	fsk := float64(sk)
+	for i := 1; i < len(t.ds); i++ {
 		var lp float64
 		if sk > 0 {
-			lp += fsk * math.Log(frac)
+			lp += fsk * t.logFrac[i]
 		}
 		if fs-fsk > 0 {
-			if frac >= 1 {
+			if t.frac[i] >= 1 {
 				// d = n with sk < |S| is impossible.
 				lp = math.Inf(-1)
 			} else {
-				lp += (fs - fsk) * math.Log(1-frac)
+				lp += (fs - fsk) * t.log1m[i]
 			}
 		}
 		if !math.IsInf(lp, -1) {
-			lp += gamma*math.Log(fd) + math.Log(float64(ds[i]-ds[i-1]))
+			lp += t.prior[i]
 		}
 		lps = append(lps, lp)
 		if lp > maxLP {
 			maxLP = lp
 		}
 	}
-	d.dsBuf, d.prBuf = ds, lps
+	d.prBuf = lps
 	// A word never seen in the sample may be absent from the database
 	// altogether: give d = 0 prior mass proportional to d = 1's density
 	// (its binomial miss-likelihood is exactly 1).
 	lo := 1
-	if sk == 0 && absentPrior > 0 && len(ds) > 1 && !math.IsInf(lps[1], -1) {
+	if sk == 0 && absentPrior > 0 && len(t.ds) > 1 && !math.IsInf(lps[1], -1) {
 		lo = 0
 		lps[0] = lps[1] + math.Log(absentPrior)
 		if lps[0] > maxLP {
 			maxLP = lps[0]
 		}
 	}
-	d.ds, d.pr = ds[lo:], lps[lo:]
+	d.ds, d.frac, d.pr = t.ds[lo:], t.frac[lo:], lps[lo:]
 	var sum float64
 	for i, lp := range d.pr {
 		var p float64
@@ -354,13 +447,13 @@ func (d *dfDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentP
 // moments returns the mean and variance of term(d/n) over the
 // distribution. The weighted running update keeps the variance of a
 // constant term exactly zero — the collapsed case of the adaptive rule.
-func (d *dfDist) moments(n int, term func(p float64) float64) (mean, variance float64) {
+func (d *dfDist) moments(term func(p float64) float64) (mean, variance float64) {
 	var sum, m2 float64
 	for i, pr := range d.pr {
 		if pr == 0 {
 			continue
 		}
-		t := term(float64(d.ds[i]) / float64(n))
+		t := term(d.frac[i])
 		sum += pr
 		delta := t - mean
 		mean += delta * (pr / sum)

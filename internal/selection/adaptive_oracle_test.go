@@ -13,32 +13,171 @@ import (
 	"repro/internal/summary"
 )
 
-// This file holds the reference implementation the exact score moments
-// are checked against: the paper's own numerical method (Section 4),
-// which draws random d1..dn combinations from the document-frequency
-// posteriors and scores the database under each hypothesised
-// assignment. It knows nothing about Scorer.Term: a draw goes through
-// an overrideView and the scorer's ordinary Score.
+// This file holds the reference implementations the exact score moments
+// are checked against. refDist is the document-frequency posterior
+// computed from scratch for each (word, database) pair, grid and
+// logarithms included; the tabulated dfTable/dfDist must reproduce it bit
+// for bit. The sampler is the paper's own numerical method (Section 4),
+// which draws random d1..dn combinations from those posteriors and
+// scores the database under each hypothesised assignment. It knows
+// nothing about Scorer.Term: a draw goes through an overrideView and the
+// scorer's ordinary Score.
 
-// dfSampler draws document frequencies from a dfDist.
+// refDist is the posterior distribution of a query word's true document
+// frequency d in a database of n documents, given that the word
+// appeared in sk of the |S| sample documents (Equation 3): the binomial
+// sampling likelihood times the power-law prior p(d) ∝ d^γ, evaluated
+// on a (possibly geometric) support grid with interval weights.
+type refDist struct {
+	// ds is the support and pr the probability of each of its points;
+	// pr sums to 1.
+	ds []int
+	pr []float64
+	// The buffers ds and pr are views of; slot 0 is the d = 0 point, in
+	// view only for words the sample never saw. Kept so fill can reuse
+	// them: Choose builds |q| distributions per database, one at a time.
+	dsBuf []int
+	prBuf []float64
+}
+
+// fill rebuilds d for one (word, database) pair in its own buffers.
+func (d *refDist) fill(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) {
+	if sampleSize > n {
+		sampleSize = n
+	}
+	// Support grid over d = 1..n, after the d = 0 slot.
+	ds := append(d.dsBuf[:0], 0)
+	if n <= gridMax {
+		for v := 1; v <= n; v++ {
+			ds = append(ds, v)
+		}
+	} else {
+		// Geometric grid: exact low values, then multiplicative steps.
+		ratio := math.Pow(float64(n), 1/float64(gridMax-1))
+		if ratio < 1.0001 {
+			ratio = 1.0001
+		}
+		prev := 0
+		x := 1.0
+		for prev < n {
+			v := int(x)
+			if v <= prev {
+				v = prev + 1
+			}
+			if v > n {
+				v = n
+			}
+			ds = append(ds, v)
+			prev = v
+			x *= ratio
+		}
+	}
+	// Log-density at each grid point (the interval a point stands for is
+	// the gap to its predecessor), held in pr until normalized below.
+	lps := append(d.prBuf[:0], math.Inf(-1))
+	maxLP := math.Inf(-1)
+	fn := float64(n)
+	fs := float64(sampleSize)
+	fsk := float64(sk)
+	for i := 1; i < len(ds); i++ {
+		fd := float64(ds[i])
+		frac := fd / fn
+		var lp float64
+		if sk > 0 {
+			lp += fsk * math.Log(frac)
+		}
+		if fs-fsk > 0 {
+			if frac >= 1 {
+				// d = n with sk < |S| is impossible.
+				lp = math.Inf(-1)
+			} else {
+				lp += (fs - fsk) * math.Log(1-frac)
+			}
+		}
+		if !math.IsInf(lp, -1) {
+			lp += gamma*math.Log(fd) + math.Log(float64(ds[i]-ds[i-1]))
+		}
+		lps = append(lps, lp)
+		if lp > maxLP {
+			maxLP = lp
+		}
+	}
+	d.dsBuf, d.prBuf = ds, lps
+	// A word never seen in the sample may be absent from the database
+	// altogether: give d = 0 prior mass proportional to d = 1's density
+	// (its binomial miss-likelihood is exactly 1).
+	lo := 1
+	if sk == 0 && absentPrior > 0 && len(ds) > 1 && !math.IsInf(lps[1], -1) {
+		lo = 0
+		lps[0] = lps[1] + math.Log(absentPrior)
+		if lps[0] > maxLP {
+			maxLP = lps[0]
+		}
+	}
+	d.ds, d.pr = ds[lo:], lps[lo:]
+	var sum float64
+	for i, lp := range d.pr {
+		var p float64
+		if !math.IsInf(lp, -1) {
+			p = math.Exp(lp - maxLP)
+		}
+		sum += p
+		d.pr[i] = p
+	}
+	if sum <= 0 {
+		// Degenerate; fall back to uniform.
+		for i := range d.pr {
+			d.pr[i] = 1 / float64(len(d.pr))
+		}
+		return
+	}
+	inv := 1 / sum
+	for i := range d.pr {
+		d.pr[i] *= inv
+	}
+}
+
+// moments returns the mean and variance of term(d/n) over the
+// distribution. The weighted running update keeps the variance of a
+// constant term exactly zero — the collapsed case of the adaptive rule.
+func (d *refDist) moments(n int, term func(p float64) float64) (mean, variance float64) {
+	var sum, m2 float64
+	for i, pr := range d.pr {
+		if pr == 0 {
+			continue
+		}
+		t := term(float64(d.ds[i]) / float64(n))
+		sum += pr
+		delta := t - mean
+		mean += delta * (pr / sum)
+		m2 += pr * delta * (t - mean)
+	}
+	return mean, m2 / sum
+}
+
+// dfSampler draws document frequencies from a posterior.
 type dfSampler struct {
 	ds  []int
 	cdf []float64
 }
 
-func (d *dfDist) sampler() dfSampler {
-	cdf := make([]float64, len(d.pr))
+func (d *refDist) sampler() dfSampler { return newSampler(d.ds, d.pr) }
+
+// newSampler draws from the distribution putting probability pr[i] on
+// ds[i].
+func newSampler(ds []int, pr []float64) dfSampler {
+	cdf := make([]float64, len(pr))
 	var sum float64
-	for i, p := range d.pr {
+	for i, p := range pr {
 		sum += p
 		cdf[i] = sum
 	}
 	cdf[len(cdf)-1] = 1
-	return dfSampler{ds: d.ds, cdf: cdf}
+	return dfSampler{ds: ds, cdf: cdf}
 }
 
-func newDFDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) *dfDist {
-	d := &dfDist{}
+func newRefDist(n, sampleSize, sk int, gamma float64, gridMax int, absentPrior float64) *refDist {
+	d := &refDist{}
 	d.fill(n, sampleSize, sk, gamma, gridMax, absentPrior)
 	return d
 }
@@ -53,7 +192,7 @@ func (s dfSampler) sample(rng *rand.Rand) int {
 }
 
 // mean returns the distribution's expected document frequency.
-func (d *dfDist) mean() float64 {
+func (d *refDist) mean() float64 {
 	m, _ := d.moments(1, func(d float64) float64 { return d })
 	return m
 }
@@ -112,7 +251,7 @@ func sampleMoments(s Scorer, q []string, db *DB, ctx *Context, draws int, seed i
 	}
 	samplers := make([]dfSampler, len(words))
 	for i, w := range words {
-		samplers[i] = newDFDist(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior).sampler()
+		samplers[i] = newRefDist(n, db.Unshrunk.SampleSize, db.Unshrunk.SampleDF(w), gamma, gridMax, absentPrior).sampler()
 	}
 	unit := 1.0
 	if !isAdditive(s) {
@@ -227,7 +366,7 @@ func TestExactMomentsMatchSampling(t *testing.T) {
 				want := sampleMoments(s, c.q, c.db, c.ctx, draws, int64(ci))
 				n := c.db.size()
 				for k, w := range UniqueWords(c.q) {
-					dist := newDFDist(n, c.db.Unshrunk.SampleSize, c.db.Unshrunk.SampleDF(w), c.db.Gamma, gridMax, absentPrior)
+					dist := newRefDist(n, c.db.Unshrunk.SampleSize, c.db.Unshrunk.SampleDF(w), c.db.Gamma, gridMax, absentPrior)
 					term := s.Term(w, c.db.Unshrunk, c.ctx)
 					m, v := dist.moments(n, term)
 					if !within(m, v, want.t[k]) {

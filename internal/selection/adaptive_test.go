@@ -24,10 +24,28 @@ func sampleSummary(numDocs float64, sampleSize int, sampleDF map[string]int) *su
 	return s
 }
 
+// tabulatedPosterior is the posterior decide reads for a word seen in
+// sk of the sampleSize sample documents of an n-document database: the
+// one formed from the table Derive builds.
+func tabulatedPosterior(n, sampleSize, sk int, gamma float64) *dfDist {
+	return newDFTable(n, sampleSize, gamma).posterior(sk, &dfDist{})
+}
+
+// mean returns the distribution's expected document frequency.
+func (d *dfDist) mean() float64 {
+	var m float64
+	for i, pr := range d.pr {
+		m += pr * float64(d.ds[i])
+	}
+	return m
+}
+
+func (d *dfDist) sampler() dfSampler { return newSampler(d.ds, d.pr) }
+
 func TestDFDistConcentratesOnObservedFraction(t *testing.T) {
 	// A word in half the sample docs of a fully known database: the
 	// posterior over d should center near n/2.
-	d := newDFDist(1000, 200, 100, -2, 256, 3)
+	d := tabulatedPosterior(1000, 200, 100, -2)
 	m := d.mean()
 	if m < 350 || m > 600 {
 		t.Errorf("posterior mean = %v, want near 500", m)
@@ -38,7 +56,7 @@ func TestDFDistZeroSampleCount(t *testing.T) {
 	// A word absent from the sample: the posterior should concentrate
 	// on small d (power-law prior + binomial miss likelihood), with
 	// real mass on d = 0 (the word absent from the database).
-	d := newDFDist(10000, 300, 0, -2, 256, 3)
+	d := tabulatedPosterior(10000, 300, 0, -2)
 	m := d.mean()
 	if m > 100 {
 		t.Errorf("posterior mean for unseen word = %v, want small", m)
@@ -54,7 +72,7 @@ func TestDFDistZeroSampleCount(t *testing.T) {
 		t.Error("d = 0 never sampled for an unseen word")
 	}
 	// ... but with a tiny sample, large d stays plausible.
-	d2 := newDFDist(10000, 5, 0, -2, 256, 3)
+	d2 := tabulatedPosterior(10000, 5, 0, -2)
 	if d2.mean() <= m {
 		t.Errorf("smaller sample should admit larger d: %v vs %v", d2.mean(), m)
 	}
@@ -62,7 +80,7 @@ func TestDFDistZeroSampleCount(t *testing.T) {
 
 func TestDFDistFullSampleSaturates(t *testing.T) {
 	// Word in every document of a fully sampled database: d must be n.
-	d := newDFDist(300, 300, 300, -2, 512, 3)
+	d := newRefDist(300, 300, 300, -2, 512, 3)
 	rng := rand.New(rand.NewSource(1))
 	for i, s := 0, d.sampler(); i < 50; i++ {
 		if got := s.sample(rng); got < 295 {
@@ -72,7 +90,7 @@ func TestDFDistFullSampleSaturates(t *testing.T) {
 }
 
 func TestDFDistNoAbsentMassForSeenWords(t *testing.T) {
-	d := newDFDist(1000, 100, 3, -2, 256, 3)
+	d := tabulatedPosterior(1000, 100, 3, -2)
 	rng := rand.New(rand.NewSource(2))
 	for i, s := 0, d.sampler(); i < 500; i++ {
 		if s.sample(rng) == 0 {
@@ -82,7 +100,7 @@ func TestDFDistNoAbsentMassForSeenWords(t *testing.T) {
 }
 
 func TestDFDistSamplesWithinSupport(t *testing.T) {
-	d := newDFDist(100000, 300, 7, -1.8, 128, 3)
+	d := newRefDist(100000, 300, 7, -1.8, 128, 3)
 	rng := rand.New(rand.NewSource(2))
 	for i, s := 0, d.sampler(); i < 1000; i++ {
 		got := s.sample(rng)
@@ -239,15 +257,29 @@ func TestAdaptiveRankEndToEnd(t *testing.T) {
 	}
 }
 
+// BenchmarkAdaptiveDecide measures one database's Figure 3 decision for
+// a three-word query (one word the sample never saw), with the posterior
+// table Derive builds and, untabulated, for a DB built by hand, whose
+// grid each query builds into scratch.
 func BenchmarkAdaptiveDecide(b *testing.B) {
 	unshrunk := sampleSummary(50000, 300, map[string]int{"a": 3, "b": 0, "c": 120})
 	shrunk := mkView(50000, 5e6, map[string]float64{"a": 0.01, "b": 0.005, "c": 0.4})
-	db := &DB{Name: "d", Unshrunk: unshrunk, Shrunk: shrunk}
 	a := &Adaptive{Base: CORI{}}
 	q := []string{"a", "b", "c"}
 	ctx := NewContext(q, []Entry{{View: unshrunk}}, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Choose(q, []*DB{db}, ctx)
+	tabulated := &DB{Name: "d", Unshrunk: unshrunk, Shrunk: shrunk}
+	tabulated.table = newDFTable(tabulated.size(), unshrunk.SampleSize, tabulated.gamma())
+	for _, bc := range []struct {
+		name string
+		db   *DB
+	}{
+		{"tabulated", tabulated},
+		{"untabulated", &DB{Name: "d", Unshrunk: unshrunk, Shrunk: shrunk}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a.Choose(q, []*DB{bc.db}, ctx)
+			}
+		})
 	}
 }

@@ -24,13 +24,14 @@ type Derived struct {
 	Cats   *core.CategorySummaries // Definition 3's category summaries
 	Root   *summary.Summary        // Cats' root, materialised once: the LM scorer's global model
 	Shrunk []*core.ShrunkSummary   // R̂(D) per source, in source order
-	DBs    []*DB                   // Figure 3's inputs per source, in source order
+	DBs    []*DB                   // Figure 3's inputs per source, posterior tables included, in source order
 }
 
 // Derive is the one offline derivation, shared by the metasearcher's
 // store and the evaluation harness: it aggregates the sources into
 // category summaries under weighting, then fits every database's λ by
-// Figure 2's EM and shrinks it, one database per task into its own
+// Figure 2's EM, shrinks it and tabulates the query-independent part of
+// its Appendix B posterior (dfTable), one database per task into its own
 // slot. Both passes run on GOMAXPROCS workers and keep the order of
 // every float sum (see core.BuildCategorySummaries), so the result is
 // bit-identical at any worker count. Each fit runs under a "shrink"
@@ -53,7 +54,9 @@ func Derive(tree *hierarchy.Tree, sources []Source, weighting core.Weighting, sp
 		sh := core.Shrink(d.Cats, s.Classified, core.ShrinkOptions{Span: shrinkSpan, Metrics: reg})
 		shrinkSpan.End(telemetry.Int("em_iterations", sh.EMIterations()))
 		d.Shrunk[i] = sh
-		d.DBs[i] = &DB{Name: s.Name, Unshrunk: s.Sum, Shrunk: sh, Gamma: s.Gamma, Size: int(s.Size)}
+		db := &DB{Name: s.Name, Unshrunk: s.Sum, Shrunk: sh, Gamma: s.Gamma, Size: int(s.Size)}
+		db.table = newDFTable(db.size(), s.Sum.SampleSize, db.gamma())
+		d.DBs[i] = db
 		return nil
 	})
 	return d

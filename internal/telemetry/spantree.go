@@ -24,9 +24,9 @@ type SpanNode struct {
 	// sits on a parent cycle, which no real trace has.
 	Orphan bool `json:"orphan,omitempty"`
 	// Attrs annotate the start event, EndAttrs the end event (outcome
-	// counts, sizes). The assembled-trace document carries only Attrs.
+	// counts, sizes).
 	Attrs    map[string]interface{} `json:"attrs,omitempty"`
-	EndAttrs map[string]interface{} `json:"-"`
+	EndAttrs map[string]interface{} `json:"end_attrs,omitempty"`
 	Events   []SpanPoint            `json:"events,omitempty"`
 	Children []*SpanNode            `json:"children,omitempty"`
 }

@@ -307,7 +307,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	// Drain and close so the keep-alive connection returns to the pool.
 	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
+		io.Copy(io.Discard, io.LimitReader(resp.Body, MaxBodyBytes))
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
@@ -316,7 +316,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if out == nil {
 		return nil
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(out); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxBodyBytes)).Decode(out); err != nil {
 		return fmt.Errorf("wire: decoding %s response: %w", path, err)
 	}
 	return nil

@@ -42,10 +42,11 @@ const (
 	PathHealth    = "/v1/health"
 )
 
-// maxBodyBytes bounds how much of any request or response body either
+// MaxBodyBytes bounds how much of any request or response body either
 // side will read (a document's terms fit comfortably; a misbehaving
-// peer cannot force unbounded allocation).
-const maxBodyBytes = 8 << 20
+// peer cannot force unbounded allocation). The router reads a shard's
+// blocking reply under the same bound.
+const MaxBodyBytes = 8 << 20
 
 // InfoResponse describes a database node (GET /v1/info).
 type InfoResponse struct {
@@ -221,7 +222,7 @@ func DecodeError(resp *http.Response) *ProtocolError {
 		}
 	}
 	var env ErrorEnvelope
-	if json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&env) == nil {
+	if json.NewDecoder(io.LimitReader(resp.Body, MaxBodyBytes)).Decode(&env) == nil {
 		pe.Code, pe.Message = env.Error.Code, env.Error.Message
 	}
 	return pe

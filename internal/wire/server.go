@@ -146,7 +146,7 @@ func (n *Node) info(w http.ResponseWriter, r *http.Request) {
 
 func (n *Node) query(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
 		n.fail(w, http.StatusBadRequest, CodeBadRequest, "malformed query request: "+err.Error())
 		return
