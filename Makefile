@@ -33,13 +33,13 @@ docs:
 	cd internal/telemetry && $(GO) test -run TestMetricCatalogueCurrent -update .
 	cd cmd/experiments && $(GO) test -run TestExperimentsDocCurrent -update .
 
-# Regenerate the paper's tables and figures at full scale (about ten
-# minutes; kept out of `make test` and CI). EXPERIMENTS.md quotes this
-# file; run `make docs` after it.
+# Regenerate the paper's tables and figures at full scale (about 16
+# minutes on 2 vCPUs; kept out of `make test` and CI). EXPERIMENTS.md
+# quotes this file; run `make docs` after it.
 results:
 	$(GO) run ./cmd/experiments -all > docs/results-default.txt
 
-# The same tables and figures over the miniature testbeds (about twenty
+# The same tables and figures over the miniature testbeds (about ten
 # seconds; the output is deterministic). CI diffs a fresh run against
 # docs/results-small.txt, so a change to any paper number shows in review.
 results-small:
@@ -61,7 +61,7 @@ results-small:
 # the search methods on *Metasearcher and *Router (one each: Search),
 # the root package's exported funcs, methods and types and its exported
 # Metasearcher methods (shims excluded from all three; ROADMAP item 6's
-# targets), the fields of the store's per-database record (ROADMAP item
+# targets), the main packages under cmd/ (item 6's binaries), the fields of the store's per-database record (ROADMAP item
 # 5's columnar store replaces it), and the exported fields of the
 # option structs — the eight that held the fan-out's
 # timing knobs, totalled, then router.Options.
@@ -99,6 +99,8 @@ count:
 	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l
 	@printf 'exported Metasearcher methods outside benchcompat.go: '
 	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func \([a-z]+ \*Metasearcher\) [A-Z]' | wc -l
+	@printf 'main packages under cmd/: '
+	@grep -l '^package main$$' cmd/*/*.go | xargs -n1 dirname | sort -u | wc -l
 	@printf "fields of the store's per-database record (registeredDB): "
 	@awk '/^type registeredDB struct/ {on=1; next} on && /^}/ {print n+0; exit} \
 		on && /^\t[a-z]/ {sub(/^\t/, ""); sub(/ .*/, ""); n += split($$0, _, ",")}' store.go

@@ -157,7 +157,7 @@ func BenchmarkEndToEndSelect(b *testing.B) {
 		}
 	}
 	for i, topic := range []string{"Heart", "Cancer", "Soccer"} {
-		db := m.NewLocalDatabase(topic+"-db", topicDocs(rng, topic, 60))
+		db := NewLocalDatabaseFromTerms(topic+"-db", analyzed(m, topicDocs(rng, topic, 60)))
 		if err := m.AddDatabase(db, ""); err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkSearchCached(b *testing.B) {
 			}
 		}
 		for _, topic := range topicOrder {
-			db := m.NewLocalDatabase(topic+"-db", topicDocs(rng, topic, 60))
+			db := NewLocalDatabaseFromTerms(topic+"-db", analyzed(m, topicDocs(rng, topic, 60)))
 			if err := m.AddDatabase(db, topic); err != nil {
 				b.Fatal(err)
 			}

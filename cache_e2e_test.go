@@ -63,7 +63,7 @@ func buildCountingMetasearcher(t *testing.T, opts Options) (*Metasearcher, []*co
 	var dbs []*countingDB
 	add := func(name, topic, cat string, n int) {
 		t.Helper()
-		d := &countingDB{SearchableDatabase: m.NewLocalDatabase(name, topicDocs(rng, topic, n))}
+		d := &countingDB{SearchableDatabase: NewLocalDatabaseFromTerms(name, analyzed(m, topicDocs(rng, topic, n)))}
 		if err := m.AddDatabase(d, cat); err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -12,28 +14,41 @@ import (
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks from docs/results-default.txt")
 
 // generated matches one BEGIN/END GENERATED region of EXPERIMENTS.md;
-// the BEGIN marker names the block of docs/results-default.txt it holds.
+// the BEGIN marker says which lines of docs/results-default.txt it
+// holds (see quote).
 var generated = regexp.MustCompile(`(?s)(<!-- BEGIN GENERATED (.+?) -->\n).*?(<!-- END GENERATED -->)`)
 
 // heading starts a block of docs/results-default.txt.
 var heading = regexp.MustCompile(`^(Table|Figure|Extra)\b`)
 
-// resultBlock is the block of results that starts at the line beginning
-// with title: every line up to the next table, figure or extra heading,
-// trailing blank lines dropped.
-func resultBlock(results, title string) (string, bool) {
+// quote returns what a marker holds. Its spec is a heading, optionally
+// followed by " | " and a regular expression: every block whose heading
+// line starts with the heading (the lines up to the next heading,
+// trailing blank lines dropped), joined by a blank line, keeping only
+// the lines the expression matches.
+func quote(results, spec string) (string, error) {
+	title, keep, _ := strings.Cut(spec, " | ")
+	re, err := regexp.Compile(keep)
+	if err != nil {
+		return "", err
+	}
 	lines := strings.Split(results, "\n")
+	var blocks []string
 	for i, l := range lines {
-		if !strings.HasPrefix(l, title+":") {
+		if !heading.MatchString(l) || !strings.HasPrefix(l, title) {
 			continue
 		}
 		end := i + 1
 		for end < len(lines) && !heading.MatchString(lines[end]) {
 			end++
 		}
-		return strings.TrimRight(strings.Join(lines[i:end], "\n"), "\n"), true
+		block := slices.DeleteFunc(slices.Clone(lines[i:end]), func(l string) bool { return !re.MatchString(l) })
+		blocks = append(blocks, strings.TrimRight(strings.Join(block, "\n"), "\n"))
 	}
-	return "", false
+	if len(blocks) == 0 {
+		return "", fmt.Errorf("docs/results-default.txt has no block %q", title)
+	}
+	return strings.Join(blocks, "\n\n"), nil
 }
 
 // TestExperimentsDocCurrent fails when a generated block of
@@ -57,9 +72,9 @@ func TestExperimentsDocCurrent(t *testing.T) {
 	}
 	want := generated.ReplaceAllStringFunc(string(doc), func(region string) string {
 		m := generated.FindStringSubmatch(region)
-		block, ok := resultBlock(string(results), m[2])
-		if !ok {
-			t.Errorf("docs/results-default.txt has no block %q", m[2])
+		block, err := quote(string(results), m[2])
+		if err != nil {
+			t.Error(err)
 			return region
 		}
 		return m[1] + "```\n" + block + "\n```\n" + m[3]

@@ -12,6 +12,7 @@ import (
 	"repro/internal/hierarchy"
 	"repro/internal/index"
 	"repro/internal/synth"
+	"repro/internal/textproc"
 )
 
 // docs builds n documents, each minPhrases to minPhrases+3 phrases
@@ -25,6 +26,17 @@ func docs(rng *rand.Rand, phrases []string, n, minPhrases int) []string {
 			sb.WriteString(". ")
 		}
 		out[i] = sb.String()
+	}
+	return out
+}
+
+// analyzed runs a default Metasearcher's text analysis (stopwords
+// dropped, Porter stems, terms of two letters or more) over raw
+// documents, the terms NewLocalDatabaseFromTerms indexes.
+func analyzed(raw []string) [][]string {
+	out := make([][]string, len(raw))
+	for i, d := range raw {
+		out[i] = textproc.Analyze(d, textproc.Options{RemoveStopwords: true, Stem: true, MinLength: 2})
 	}
 	return out
 }
@@ -84,7 +96,7 @@ func Example() {
 		{"oncology.example", "Cancer", "", 150},
 		{"futbol.example", "Soccer", "", 100},
 	} {
-		local := m.NewLocalDatabase(db.name, docs(rng, topics[db.topic], db.size, 4))
+		local := repro.NewLocalDatabaseFromTerms(db.name, analyzed(docs(rng, topics[db.topic], db.size, 4)))
 		if err := m.AddDatabase(local, db.category); err != nil {
 			log.Fatal(err)
 		}
@@ -173,15 +185,15 @@ func Example_rareWord() {
 		return out
 	}
 	m := repro.New(repro.Options{SampleSize: 100, Scorer: "bgloss", Seed: 11})
-	pubmed := m.NewLocalDatabase("pubmed.example", healthDocs(4000, 0.005))
+	pubmed := repro.NewLocalDatabaseFromTerms("pubmed.example", analyzed(healthDocs(4000, 0.005)))
 	for _, db := range []struct {
 		db       *repro.LocalDatabase
 		category string
 	}{
 		{pubmed, "Health"},
-		{m.NewLocalDatabase("hematology.example", healthDocs(500, 0.3)), "Health"},
-		{m.NewLocalDatabase("bloodcenter.example", healthDocs(400, 0.2)), "Health"},
-		{m.NewLocalDatabase("espn.example", docs(rng, sports, 800, 5)), "Sports"},
+		{repro.NewLocalDatabaseFromTerms("hematology.example", analyzed(healthDocs(500, 0.3))), "Health"},
+		{repro.NewLocalDatabaseFromTerms("bloodcenter.example", analyzed(healthDocs(400, 0.2))), "Health"},
+		{repro.NewLocalDatabaseFromTerms("espn.example", analyzed(docs(rng, sports, 800, 5))), "Sports"},
 	} {
 		if err := m.AddDatabase(db.db, db.category); err != nil {
 			log.Fatal(err)

@@ -87,14 +87,14 @@ func TestWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	slow := &gatedDB{LocalDatabase: m.NewLocalDatabase("cardio-b.example", topicDocs(rng, heart, 60))}
+	slow := &gatedDB{LocalDatabase: repro.NewLocalDatabaseFromTerms("cardio-b.example", analyzed(topicDocs(rng, heart, 60)))}
 	for _, db := range []struct {
 		db  repro.SearchableDatabase
 		cat string
 	}{
-		{m.NewLocalDatabase("cardio-a.example", topicDocs(rng, heart, 80)), "Heart"},
+		{repro.NewLocalDatabaseFromTerms("cardio-a.example", analyzed(topicDocs(rng, heart, 80))), "Heart"},
 		{slow, "Heart"},
-		{m.NewLocalDatabase("futbol.example", topicDocs(rng, soccer, 80)), "Soccer"},
+		{repro.NewLocalDatabaseFromTerms("futbol.example", analyzed(topicDocs(rng, soccer, 80))), "Soccer"},
 	} {
 		if err := m.AddDatabase(db.db, db.cat); err != nil {
 			t.Fatal(err)

@@ -15,8 +15,9 @@ import (
 // |D̂|) versus the footnote-5 alternative (equal weights). The paper
 // reports the two produced "virtually identical" results; this ablation
 // quantifies that claim on the reproduction testbed by re-shrinking all
-// databases under each rule and comparing summary quality.
-func CategoryWeightingAblation(out io.Writer, w *World, sums *DBSummaries) {
+// databases under each rule and comparing summary quality. It returns
+// the differences it prints, equal weights minus Equation 1.
+func CategoryWeightingAblation(out io.Writer, w *World, sums *DBSummaries) (dwr, dur float64) {
 	measure := func(shrunk []*core.ShrunkSummary) (wr, ur float64) {
 		var wrs, urs []float64
 		for i, ss := range shrunk {
@@ -39,4 +40,5 @@ func CategoryWeightingAblation(out io.Writer, w *World, sums *DBSummaries) {
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equation 1 (by size)", wrSize, urSize)
 	fmt.Fprintf(out, "%-24s %8.3f %8.3f\n", "Equal weights (fn. 5)", wrEq, urEq)
 	fmt.Fprintf(out, "difference: wr %+0.4f, ur %+0.4f\n", wrEq-wrSize, urEq-urSize)
+	return wrEq - wrSize, urEq - urSize
 }

@@ -159,17 +159,6 @@ func CompareRk(a, b AccuracyResult) (stats.TTestResult, error) {
 	return stats.PairedTTest(a.PerQueryMeanRk, b.PerQueryMeanRk)
 }
 
-// AccuracySweep runs the three strategies a figure panel compares, in
-// the order it prints them (Shrinkage, Hierarchical, Plain), for one
-// scorer over one summary set.
-func (w *World) AccuracySweep(sums *DBSummaries, scorer selection.Scorer, maxK int) []AccuracyResult {
-	out := make([]AccuracyResult, 0, 3)
-	for _, st := range []Strategy{Shrinkage, Hierarchical, Plain} {
-		out = append(out, w.SelectionAccuracy(sums, scorer, st, maxK))
-	}
-	return out
-}
-
 // ReDDEAccuracy evaluates the ReDDE selection algorithm of Si & Callan
 // over the world's query workload — the algorithm the paper's
 // footnote 9 names as future work to combine with shrinkage. The

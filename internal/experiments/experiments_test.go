@@ -1,12 +1,13 @@
 package experiments
 
 import (
-	"fmt"
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/selection"
-	"repro/internal/stats"
 )
 
 // Worlds are expensive to build; share them across tests.
@@ -153,148 +154,59 @@ func TestBuildSummariesFPSClassifiesReasonably(t *testing.T) {
 	}
 }
 
-func TestQualityShapes(t *testing.T) {
-	// The headline content-summary result (Tables 4-7): shrinkage
-	// raises recall and costs a little precision; unshrunk summaries
-	// have perfect precision.
-	w := getWebWorld(t)
-	row, err := w.Quality(QBS, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.WR.Shrunk <= row.WR.Unshrunk {
-		t.Errorf("weighted recall: shrunk %v <= unshrunk %v", row.WR.Shrunk, row.WR.Unshrunk)
-	}
-	if row.UR.Shrunk <= row.UR.Unshrunk {
-		t.Errorf("unweighted recall: shrunk %v <= unshrunk %v", row.UR.Shrunk, row.UR.Unshrunk)
-	}
-	if row.WP.Unshrunk != 1 || row.UP.Unshrunk != 1 {
-		t.Errorf("unshrunk precision should be 1, got wp=%v up=%v", row.WP.Unshrunk, row.UP.Unshrunk)
-	}
-	if row.WP.Shrunk >= 1 || row.WP.Shrunk < 0.5 {
-		t.Errorf("shrunk weighted precision = %v, want in [0.5, 1)", row.WP.Shrunk)
-	}
-	if row.WR.Unshrunk < 0.5 {
-		t.Errorf("unshrunk weighted recall = %v, sampling looks broken", row.WR.Unshrunk)
-	}
-	if row.UR.Unshrunk > 0.95 {
-		t.Errorf("unshrunk unweighted recall = %v; testbed too easy for the sparse-data problem", row.UR.Unshrunk)
-	}
-}
+// smallRunner is the -scale small Runner every shape test shares, so
+// each world, summary set and curve is built once for the package.
+var smallRunner = &Runner{Scale: SmallScale(), MaxK: MaxK}
 
-// shapeWorlds are the TestScale TREC testbeds the shape gate reads,
-// built once.
-var shapeWorlds = map[BedKind]*World{}
-
-func getShapeWorld(t testing.TB, kind BedKind) *World {
+// checkShapes runs the shape check of each named section on smallRunner.
+func checkShapes(t *testing.T, names ...string) {
 	t.Helper()
-	if shapeWorlds[kind] == nil {
-		w, err := BuildWorld(kind, TestScale())
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range names {
+		s, ok := Find(name)
+		if !ok {
+			t.Fatalf("no section %q", name)
 		}
-		shapeWorlds[kind] = w
-	}
-	return shapeWorlds[kind]
-}
-
-// TestSelectionAccuracyStrategies is the shape gate for Table 10 and
-// Figures 4–5 (DESIGN §4's expected shape), asserted as orderings on
-// the TestScale TREC4 and TREC6 testbeds under both samplers:
-//
-//   - Table 10: shrinkage fires at least as often for bGlOSS as for LM,
-//     and more often for LM than for CORI, on every (testbed, sampler);
-//     at least as often for bGlOSS on long-query TREC4 as on TREC6; and
-//     CORI fires on no TREC4 query-database pair (Figure 4).
-//   - Figure 5a (bGlOSS, TREC4, QBS): Shrinkage's mean Rk is above
-//     Plain's, and Plain's R20 stays below 1.
-//
-// Ties occur at this scale (bGlOSS fires on every TREC4 pair), hence
-// ≥ where the paper's columns can meet.
-func TestSelectionAccuracyStrategies(t *testing.T) {
-	scorers := []selection.Scorer{selection.BGloss{}, selection.LM{}, selection.CORI{}}
-	rate := map[string]float64{} // "bed/sampler/algo" → Table 10 rate
-	key := func(bed BedKind, s SamplerKind, algo string) string { return fmt.Sprintf("%v/%v/%s", bed, s, algo) }
-	var fig5a []AccuracyResult // Shrinkage, Hierarchical, Plain
-	for _, bed := range []BedKind{TREC4, TREC6} {
-		w := getShapeWorld(t, bed)
-		for _, sampler := range []SamplerKind{QBS, FPS} {
-			sums, err := w.BuildSummaries(Config{Sampler: sampler, FreqEst: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, scorer := range scorers {
-				res := w.SelectionAccuracy(sums, scorer, Shrinkage, MaxK)
-				rate[key(bed, sampler, scorer.Name())] = res.ShrinkRate
-			}
-			if bed == TREC4 && sampler == QBS {
-				fig5a = w.AccuracySweep(sums, selection.BGloss{}, MaxK)
-			}
+		if err := smallRunner.Shape(s); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
-	}
-	t.Logf("Table 10 rates: %v", rate)
-	t.Logf("Figure 5a mean Rk: Shrinkage %.3f, Plain %.3f (Plain R20 %.3f)",
-		stats.Mean(fig5a[0].Rk), stats.Mean(fig5a[2].Rk), fig5a[2].Rk[MaxK-1])
-
-	for _, bed := range []BedKind{TREC4, TREC6} {
-		for _, sampler := range []SamplerKind{QBS, FPS} {
-			bg, lm, cori := rate[key(bed, sampler, "bGlOSS")], rate[key(bed, sampler, "LM")], rate[key(bed, sampler, "CORI")]
-			if !(bg >= lm && lm > cori) {
-				t.Errorf("Table 10 %v/%v: rates bGlOSS %.3f, LM %.3f, CORI %.3f; want bGlOSS ≥ LM > CORI", bed, sampler, bg, lm, cori)
-			}
-		}
-	}
-	for _, sampler := range []SamplerKind{QBS, FPS} {
-		if t4, t6 := rate[key(TREC4, sampler, "bGlOSS")], rate[key(TREC6, sampler, "bGlOSS")]; t4 < t6 {
-			t.Errorf("Table 10 bGlOSS/%v: TREC4 rate %.3f below TREC6's %.3f", sampler, t4, t6)
-		}
-		if r := rate[key(TREC4, sampler, "CORI")]; r != 0 {
-			t.Errorf("Figure 4: CORI shrank %.3f of the TREC4/%v pairs, want none", r, sampler)
-		}
-	}
-
-	shrink, plain := fig5a[0], fig5a[2]
-	for _, res := range fig5a {
-		if len(res.Rk) != MaxK {
-			t.Fatalf("%v Rk curve length = %d", res.Strategy, len(res.Rk))
-		}
-		for k, v := range res.Rk {
-			if v < 0 || v > 1 {
-				t.Errorf("%v R%d = %v out of range", res.Strategy, k+1, v)
-			}
-		}
-	}
-	if plain.ShrinkRate != 0 {
-		t.Errorf("plain strategy reported shrinkage rate %v", plain.ShrinkRate)
-	}
-	if ms, mp := stats.Mean(shrink.Rk), stats.Mean(plain.Rk); ms <= mp {
-		t.Errorf("Figure 5a: Shrinkage mean Rk %.3f not above Plain's %.3f", ms, mp)
-	}
-	if r20 := plain.Rk[MaxK-1]; r20 >= 1 {
-		t.Errorf("Figure 5a: Plain R20 = %.3f, want its plateau below 1", r20)
 	}
 }
 
-func TestAccuracySweepReturnsThreeStrategies(t *testing.T) {
-	w := getTRECWorld(t)
-	sums, err := w.BuildSummaries(Config{Sampler: QBS, FreqEst: true})
+// TestSectionShapes runs every section of cmd/experiments once at
+// -scale small, checks that together they print docs/results-small.txt
+// byte for byte, and then checks each section's shape: the direction of
+// the paper's claim, or of a known deviation, that its numbers show.
+func TestSectionShapes(t *testing.T) {
+	var out bytes.Buffer
+	for _, s := range Sections {
+		if err := smallRunner.Run(s, &out); err != nil {
+			t.Fatalf("%s: %v", s.Names[0], err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "docs", "results-small.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := w.AccuracySweep(sums, selection.BGloss{}, MaxK)
-	if len(res) != 3 {
-		t.Fatalf("sweep results = %d", len(res))
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("the sections no longer print docs/results-small.txt: run `make results-small` and review the diff")
 	}
-	seen := map[Strategy]bool{}
-	for _, r := range res {
-		seen[r.Strategy] = true
-		if r.Algo != "bGlOSS" {
-			t.Errorf("algo = %s", r.Algo)
-		}
+	for _, s := range Sections {
+		checkShapes(t, s.Names[0])
 	}
-	if !seen[Plain] || !seen[Shrinkage] || !seen[Hierarchical] {
-		t.Errorf("strategies missing: %v", seen)
-	}
+}
+
+// TestQualityShapes checks the headline content-summary result (Tables
+// 4-7) on the Web/QBS row: shrinkage raises recall and costs a little
+// precision; unshrunk summaries have perfect precision.
+func TestQualityShapes(t *testing.T) {
+	checkShapes(t, "table 4", "table 5", "table 6", "table 7")
+}
+
+// TestSelectionAccuracyStrategies checks the selection-accuracy claims:
+// Table 10's shrinkage rates order bGlOSS ≥ LM > CORI, CORI never
+// shrinks on TREC4 (Figure 4), and Shrinkage beats Plain (Figure 5a).
+func TestSelectionAccuracyStrategies(t *testing.T) {
+	checkShapes(t, "table 10", "figure 4", "figure 5")
 }
 
 func TestKindAndConfigStrings(t *testing.T) {

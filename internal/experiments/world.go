@@ -108,6 +108,15 @@ func TestScale() Scale {
 	}
 }
 
+// SmallScale is cmd/experiments' -scale small: TestScale's testbeds
+// with ten queries. docs/results-small.txt is its output, and the
+// sections' shape checks run at it.
+func SmallScale() Scale {
+	sc := TestScale()
+	sc.Queries = 10
+	return sc
+}
+
 // World is one fully built testbed with everything the experiments
 // need: the databases, the query workload with relevance judgments, the
 // trained probe classifier, the QBS seed lexicon, and the perfect

@@ -1,6 +1,7 @@
 package obscollector
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -106,11 +107,18 @@ func (c *Collector) serveProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// writeJSON encodes v into a buffer before answering, so a value that
+// cannot be encoded is a 500 with the error, not a 200 with a cut body.
 func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		http.Error(w, "encoding reply: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(buf.Bytes())
 }
 
 // writeClusterPrometheus renders the aggregate in the exposition

@@ -28,10 +28,10 @@ type Rollup struct {
 	Gauges     map[string]GaugeRollup                 `json:"gauges"`
 	Histograms map[string]telemetry.HistogramSnapshot `json:"histograms"`
 	// SkewedHistograms names histograms excluded from the rollup
-	// because members disagreed on bucket bounds, or one member served
+	// because members disagreed on bucket bounds, one member served
 	// a malformed one (merging those would fabricate counts, rendering
-	// them would index past their counts). Should be empty in a
-	// homogeneous fleet.
+	// them would index past their counts), or their totals overflowed.
+	// Should be empty in a homogeneous fleet.
 	SkewedHistograms []string          `json:"skewed_histograms,omitempty"`
 	Help             map[string]string `json:"help,omitempty"`
 }
@@ -161,7 +161,8 @@ func copyHistogram(h telemetry.HistogramSnapshot) telemetry.HistogramSnapshot {
 
 // mergeHistograms adds b into a bucket-wise. Reports false when the two
 // disagree on bounds — counts from different layouts cannot be merged
-// without fabricating data.
+// without fabricating data — or when a total overflowed: a count wraps
+// negative, and a +Inf sum has no JSON encoding.
 func mergeHistograms(a, b telemetry.HistogramSnapshot) (telemetry.HistogramSnapshot, bool) {
 	if len(a.Bounds) != len(b.Bounds) || len(a.Counts) != len(b.Counts) {
 		return a, false
@@ -177,7 +178,8 @@ func mergeHistograms(a, b telemetry.HistogramSnapshot) (telemetry.HistogramSnaps
 	a.Sum += b.Sum
 	a.Count += b.Count
 	a.Exemplars = mergeExemplars(a.Exemplars, b.Exemplars)
-	return a, true
+	// Both were well formed, so an overflowed count is negative here.
+	return a, wellFormed(a) && !math.IsInf(a.Sum, 0)
 }
 
 // mergeExemplars pools two exemplar sets and keeps the ExemplarCap

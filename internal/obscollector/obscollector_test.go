@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -178,6 +179,47 @@ func TestAggregateRejectsMalformedHistograms(t *testing.T) {
 				t.Errorf("%s: exposition:\n%s", bad, b.String())
 			}
 		}
+	}
+}
+
+// TestAggregateRejectsOverflowingTotals: two well-formed members whose
+// sums add past the largest float64 would roll up to a +Inf sum, which
+// has no JSON encoding, and counts that add past the largest int64 wrap
+// negative. Each such histogram is named skewed instead, and the JSON
+// endpoint still answers with the whole document; a value that cannot
+// be encoded is a 500, not a 200 with an empty body.
+func TestAggregateRejectsOverflowingTotals(t *testing.T) {
+	member := func() *InstanceState {
+		return &InstanceState{Metrics: telemetry.Snapshot{Histograms: map[string]telemetry.HistogramSnapshot{
+			"latency": histSnap([]float64{1, 2}, []int64{0, 0, 1}, 1.5e308, 1),
+			"queue":   histSnap([]float64{1, 2}, []int64{0, 1 << 62, 0}, 1.5, 1<<62),
+			"other":   histSnap([]float64{1, 2}, []int64{1, 0, 0}, 0.5, 1),
+		}}}
+	}
+	agg := Aggregate(map[string]*InstanceState{"a": member(), "b": member()})
+	for _, name := range []string{"latency", "queue"} {
+		if h, ok := agg.Cluster.Histograms[name]; ok {
+			t.Errorf("overflowing histogram %s rolled up: %+v", name, h)
+		}
+	}
+	if !reflect.DeepEqual(agg.Cluster.SkewedHistograms, []string{"latency", "queue"}) {
+		t.Errorf("SkewedHistograms = %v, want [latency queue]", agg.Cluster.SkewedHistograms)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, agg)
+	var got ClusterMetrics
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("code %d, decode error %v, body %q", rec.Code, err, rec.Body.String())
+	}
+	if got.Cluster.Histograms["other"].Sum != 1 {
+		t.Errorf("other histogram = %+v", got.Cluster.Histograms["other"])
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"sum": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") == "application/json" {
+		t.Errorf("unencodable value: code %d, content type %q, body %q",
+			rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
 	}
 }
 

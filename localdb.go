@@ -14,17 +14,10 @@ type LocalDatabase struct {
 	ix   *index.Index
 }
 
-// NewLocalDatabase indexes raw text documents under the metasearcher's
-// text pipeline (so queries and summaries share one term space).
-func (m *Metasearcher) NewLocalDatabase(name string, docs []string) *LocalDatabase {
-	b := index.NewBuilder(len(docs))
-	for _, d := range docs {
-		b.Add(m.analyze(d))
-	}
-	return &LocalDatabase{name: name, ix: b.Build()}
-}
-
 // NewLocalDatabaseFromTerms indexes pre-analyzed term slices directly.
+// Queries reach the database through the Metasearcher's text analysis
+// (by default: stopwords dropped, Porter stems, terms of two letters or
+// more), so raw text should be analyzed the same way before indexing.
 func NewLocalDatabaseFromTerms(name string, docs [][]string) *LocalDatabase {
 	b := index.NewBuilder(len(docs))
 	for _, d := range docs {

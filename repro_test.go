@@ -30,6 +30,16 @@ var testTopics = map[string][]string{
 	},
 }
 
+// analyzed runs m's text analysis over raw documents, the terms
+// NewLocalDatabaseFromTerms indexes.
+func analyzed(m *Metasearcher, raw []string) [][]string {
+	out := make([][]string, len(raw))
+	for i, d := range raw {
+		out[i] = m.analyze(d)
+	}
+	return out
+}
+
 func topicDocs(rng *rand.Rand, topic string, n int) []string {
 	phrases := testTopics[topic]
 	docs := make([]string, n)
@@ -59,7 +69,7 @@ func buildTestMetasearcher(t *testing.T, opts Options) *Metasearcher {
 	}
 	add := func(name, topic, cat string, n int) {
 		t.Helper()
-		if err := m.AddDatabase(m.NewLocalDatabase(name, topicDocs(rng, topic, n)), cat); err != nil {
+		if err := m.AddDatabase(NewLocalDatabaseFromTerms(name, analyzed(m, topicDocs(rng, topic, n))), cat); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,10 +197,10 @@ func TestMetasearcherCustomHierarchy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := m.AddDatabase(m.NewLocalDatabase("c1", topicDocs(rng, "Heart", 60)), "Heart"); err != nil {
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("c1", analyzed(m, topicDocs(rng, "Heart", 60))), "Heart"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddDatabase(m.NewLocalDatabase("c2", topicDocs(rng, "Cancer", 60)), "Cancer"); err != nil {
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("c2", analyzed(m, topicDocs(rng, "Cancer", 60))), "Cancer"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.BuildSummaries(); err != nil {
@@ -242,7 +252,7 @@ func TestUnknownScorerFailsClosed(t *testing.T) {
 	}
 	for _, name := range []string{"bglos", "okapi"} {
 		m := New(Options{Seed: 40, SampleSize: 30, Scorer: name})
-		if err := m.AddDatabase(m.NewLocalDatabase("cardio", topicDocs(rand.New(rand.NewSource(1)), "Heart", 20)), "Heart"); err != nil {
+		if err := m.AddDatabase(NewLocalDatabaseFromTerms("cardio", analyzed(m, topicDocs(rand.New(rand.NewSource(1)), "Heart", 20))), "Heart"); err != nil {
 			t.Fatal(err)
 		}
 		_, selectErr := m.Select("blood pressure", 2)
@@ -308,7 +318,7 @@ func TestMetasearcherAnalyzerToggles(t *testing.T) {
 	}
 	// With stemming off, "goals" must NOT match documents containing
 	// "goal": the raw surface forms differ.
-	if err := m.AddDatabase(m.NewLocalDatabase("futbol", topicDocs(rng, "Soccer", 60)), "Soccer"); err != nil {
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("futbol", analyzed(m, topicDocs(rng, "Soccer", 60))), "Soccer"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.BuildSummaries(); err != nil {

@@ -52,10 +52,10 @@ func buildServingStack(t *testing.T) (*repro.Metasearcher, *httptest.Server) {
 	if err := m.Train("Soccer", topicDocs(rng, soccer, 20)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddDatabase(m.NewLocalDatabase("cardio.example", topicDocs(rng, heart, 80)), "Heart"); err != nil {
+	if err := m.AddDatabase(repro.NewLocalDatabaseFromTerms("cardio.example", analyzed(topicDocs(rng, heart, 80))), "Heart"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AddDatabase(m.NewLocalDatabase("futbol.example", topicDocs(rng, soccer, 80)), ""); err != nil {
+	if err := m.AddDatabase(repro.NewLocalDatabaseFromTerms("futbol.example", analyzed(topicDocs(rng, soccer, 80))), ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.BuildSummaries(); err != nil {

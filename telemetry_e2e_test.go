@@ -183,11 +183,11 @@ func TestSearchSkipsDeadDatabase(t *testing.T) {
 		name string
 		n    int
 	}{{"cardio", 80}, {"cardio2", 60}} {
-		if err := m.AddDatabase(m.NewLocalDatabase(db.name, topicDocs(rng, "Heart", db.n)), "Heart"); err != nil {
+		if err := m.AddDatabase(NewLocalDatabaseFromTerms(db.name, analyzed(m, topicDocs(rng, "Heart", db.n))), "Heart"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.AddDatabase(m.NewLocalDatabase("futbol", topicDocs(rng, "Soccer", 70)), "Soccer"); err != nil {
+	if err := m.AddDatabase(NewLocalDatabaseFromTerms("futbol", analyzed(m, topicDocs(rng, "Soccer", 70))), "Soccer"); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.BuildSummaries(); err != nil {
