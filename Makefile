@@ -61,10 +61,13 @@ results-small:
 # the search methods on *Metasearcher and *Router (one each: Search),
 # the root package's exported funcs, methods and types and its exported
 # Metasearcher methods (shims excluded from all three; ROADMAP item 6's
-# targets), the main packages under cmd/ (item 6's binaries), the fields of the store's per-database record (ROADMAP item
-# 5's columnar store replaces it), and the exported fields of the
-# option structs — the eight that held the fan-out's
-# timing knobs, totalled, then router.Options.
+# targets), the main packages under cmd/ (item 6's binaries), the
+# non-test files outside internal/chaos that define a fault-injecting
+# handler (a ServeHTTP method in a file that speaks of injecting; the
+# chaos.Wrap injector should be the only one), the fields of the store's
+# per-database record (ROADMAP item 5's columnar store replaces it), and
+# the exported fields of the option structs — the eight that held the
+# fan-out's timing knobs, totalled, then router.Options.
 OPTION_STRUCTS = repro.go:Options repro.go:ResilienceOptions \
 	internal/resilience/breaker.go:BreakerOptions internal/resilience/budget.go:BudgetOptions \
 	internal/wire/client.go:ClientOptions internal/gateway/gateway.go:Options \
@@ -101,6 +104,9 @@ count:
 	@ls *.go | grep -v -e '_test\.go$$' -e '^benchcompat\.go$$' | xargs grep -hE '^func \([a-z]+ \*Metasearcher\) [A-Z]' | wc -l
 	@printf 'main packages under cmd/: '
 	@grep -l '^package main$$' cmd/*/*.go | xargs -n1 dirname | sort -u | wc -l
+	@printf 'fault-injecting handlers in non-test Go outside internal/chaos: '
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './internal/chaos/*' | \
+		xargs grep -l '^func (.*) ServeHTTP(' | xargs grep -il 'inject' | wc -l
 	@printf "fields of the store's per-database record (registeredDB): "
 	@awk '/^type registeredDB struct/ {on=1; next} on && /^}/ {print n+0; exit} \
 		on && /^\t[a-z]/ {sub(/^\t/, ""); sub(/ .*/, ""); n += split($$0, _, ",")}' store.go

@@ -1,212 +1,173 @@
-// Package chaos is the cluster's fault-injection harness: an HTTP
-// reverse proxy that sits in front of any member (dbnode replica, shard
-// gateway, router) and injects configurable faults — added latency,
-// error responses, connection resets, blackholes, slow response bodies
-// — between the caller and the real backend.
+// Package chaos is the cluster's fault injector: an http.Handler that
+// wraps any member's handler (dbnode replica, shard gateway, router) and
+// injects configurable faults — added latency, error responses,
+// connection resets, hangs, one-shot failures, slow response bodies —
+// before the request reaches it.
 //
-// It exists so that cluster-level failure testing exercises the real
-// network paths (replica-set retries, breakers, hedges, failover,
-// budgets) instead of per-test fakes: the e2e reconfiguration test and
-// scripts/ boot the same proxy an operator would, and reconfigure it at
-// runtime through the /chaos admin endpoint. Faults are sampled with a
-// seeded PRNG so a test run is reproducible.
+// It exists so that failure tests exercise the real network paths
+// (replica-set retries, breakers, hedges, failover, budgets) over real
+// sockets instead of per-test fakes: a test serves the wrapped handler
+// on an httptest server and changes the faults at runtime with
+// SetFaults. Faults are drawn from a seeded PRNG, and the counters in
+// Stats are the ground truth a test reconciles client telemetry
+// against.
 package chaos
 
 import (
-	"encoding/json"
 	"fmt"
-	"log/slog"
+	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Faults is the active fault configuration. The zero value injects
-// nothing (the proxy is transparent). All fields are runtime-settable
-// through POST /chaos; durations are integer milliseconds and rates are
-// [0,1] fractions so the struct round-trips trivially through curl.
+// nothing (the injector is transparent).
 type Faults struct {
-	// LatencyMs is added to every proxied request, plus a uniform random
-	// 0..JitterMs on top.
-	LatencyMs int `json:"latency_ms,omitempty"`
-	JitterMs  int `json:"jitter_ms,omitempty"`
+	// Latency is added to every request, plus a uniform random
+	// 0..Jitter on top.
+	Latency time.Duration
+	Jitter  time.Duration
 	// ErrorRate is the fraction of requests answered with ErrorCode
-	// (default 502) without touching the backend.
-	ErrorRate float64 `json:"error_rate,omitempty"`
-	ErrorCode int     `json:"error_code,omitempty"`
+	// (default 503) without reaching the wrapped handler.
+	ErrorRate float64
+	ErrorCode int
 	// ResetRate is the fraction of requests whose connection is closed
 	// abruptly (TCP reset as seen by the client) without a response.
-	ResetRate float64 `json:"reset_rate,omitempty"`
-	// Blackhole swallows every request: the proxy holds the connection
-	// open, never answers, and aborts when the client gives up — a
-	// network partition as seen from the caller.
-	Blackhole bool `json:"blackhole,omitempty"`
+	ResetRate float64
+	// HangEvery makes every n-th request (counted over the injector's
+	// life) hang: no response until the caller gives up or HangFor
+	// (default 30s) passes, then the connection is aborted — a
+	// partition as seen from the caller. 0 never hangs.
+	HangEvery int
+	HangFor   time.Duration
 	// SlowBodyBytesPerSec throttles response bodies to roughly this
 	// rate, modelling a saturated or degraded link.
-	SlowBodyBytesPerSec int `json:"slow_body_bytes_per_sec,omitempty"`
+	SlowBodyBytesPerSec int
 }
 
-// Stats counts what the proxy has done since boot.
-type Stats struct {
-	Proxied     int64 `json:"proxied"`
-	Delayed     int64 `json:"delayed"`
-	Errors      int64 `json:"errors_injected"`
-	Resets      int64 `json:"resets_injected"`
-	Blackholed  int64 `json:"blackholed"`
-	Throttled   int64 `json:"throttled_bodies"`
-	AdminWrites int64 `json:"admin_writes"`
-}
-
-// Options tunes a Proxy.
+// Options configures an Injector.
 type Options struct {
-	// Initial is the fault set active at boot (zero: transparent).
-	Initial Faults
-	// Seed seeds the fault-sampling PRNG (0: a fixed default, so runs
-	// are reproducible unless a seed is chosen).
+	// Faults is the fault set active from the start (zero: transparent).
+	Faults Faults
+	// Seed seeds the PRNG the error and reset rates and the jitter draw
+	// from. With no jitter or reset set, each request that is not hung
+	// draws one Float64 for the error rate, so a seed fixes which
+	// requests fail.
 	Seed int64
-	// Logger, when non-nil, logs admin reconfigurations.
-	Logger *slog.Logger
 }
 
-// Proxy is the fault-injecting reverse proxy. It serves two surfaces on
-// one listener: /chaos (admin: GET returns faults+stats, POST replaces
-// the fault set) and everything else (proxied to the target with the
-// active faults applied).
-type Proxy struct {
-	target *url.URL
-	rp     *httputil.ReverseProxy
-	logger *slog.Logger
+// Stats counts what the injector has done since it was built.
+type Stats struct {
+	Requests  int64 // every request that arrived
+	Served    int64 // passed to the wrapped handler
+	Delayed   int64
+	Errors    int64 // injected error responses, FailNext's included
+	Resets    int64
+	Hangs     int64
+	Throttled int64
+}
+
+// Injector wraps a handler with fault injection.
+type Injector struct {
+	next http.Handler
 
 	mu     sync.Mutex
 	faults Faults
 	rng    *rand.Rand
 
-	proxied     atomic.Int64
-	delayed     atomic.Int64
-	errors      atomic.Int64
-	resets      atomic.Int64
-	blackholed  atomic.Int64
-	throttled   atomic.Int64
-	adminWrites atomic.Int64
+	failNext                                                    atomic.Bool
+	requests, served, delayed, errors, resets, hangs, throttled atomic.Int64
 }
 
-// New builds a proxy fronting target (a base URL like
-// "http://127.0.0.1:9201").
-func New(target string, opts Options) (*Proxy, error) {
-	u, err := url.Parse(target)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: target %q: %w", target, err)
-	}
-	if u.Scheme == "" || u.Host == "" {
-		return nil, fmt.Errorf("chaos: target %q: need scheme://host", target)
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	p := &Proxy{
-		target: u,
-		logger: opts.Logger,
-		faults: opts.Initial,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-	p.rp = httputil.NewSingleHostReverseProxy(u)
-	// A dead backend must look like an ordinary upstream error, not a
-	// stack trace in the proxy's log.
-	p.rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintf(w, "chaos: upstream %s: %v\n", u.Host, err)
-	}
-	return p, nil
+// Wrap builds an injector in front of next.
+func Wrap(next http.Handler, opts Options) *Injector {
+	return &Injector{next: next, faults: opts.Faults, rng: rand.New(rand.NewSource(opts.Seed))}
 }
 
-// Faults returns the active fault set.
-func (p *Proxy) Faults() Faults {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.faults
+// SetFaults replaces the active fault set.
+func (i *Injector) SetFaults(f Faults) {
+	i.mu.Lock()
+	i.faults = f
+	i.mu.Unlock()
 }
 
-// SetFaults replaces the active fault set (also reachable via POST
-// /chaos).
-func (p *Proxy) SetFaults(f Faults) {
-	p.mu.Lock()
-	p.faults = f
-	p.mu.Unlock()
-	p.adminWrites.Add(1)
-	if p.logger != nil {
-		p.logger.Info("chaos faults set", "target", p.target.String(),
-			"latency_ms", f.LatencyMs, "error_rate", f.ErrorRate,
-			"reset_rate", f.ResetRate, "blackhole", f.Blackhole,
-			"slow_body_Bps", f.SlowBodyBytesPerSec)
-	}
-}
+// FailNext makes the next request fail with an injected error, whatever
+// the fault set: one fault placed at a chosen moment, for asserting
+// exactly-one-retry behaviour.
+func (i *Injector) FailNext() { i.failNext.Store(true) }
 
-// Stats returns the proxy's lifetime counters.
-func (p *Proxy) Stats() Stats {
+// Stats returns the injector's lifetime counters.
+func (i *Injector) Stats() Stats {
 	return Stats{
-		Proxied:     p.proxied.Load(),
-		Delayed:     p.delayed.Load(),
-		Errors:      p.errors.Load(),
-		Resets:      p.resets.Load(),
-		Blackholed:  p.blackholed.Load(),
-		Throttled:   p.throttled.Load(),
-		AdminWrites: p.adminWrites.Load(),
+		Requests:  i.requests.Load(),
+		Served:    i.served.Load(),
+		Delayed:   i.delayed.Load(),
+		Errors:    i.errors.Load(),
+		Resets:    i.resets.Load(),
+		Hangs:     i.hangs.Load(),
+		Throttled: i.throttled.Load(),
 	}
 }
 
 // roll samples the seeded PRNG against a [0,1] rate.
-func (p *Proxy) roll(rate float64) bool {
+func (i *Injector) roll(rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
 	if rate >= 1 {
 		return true
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rng.Float64() < rate
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.rng.Float64() < rate
 }
 
-// jitter samples 0..ms milliseconds.
-func (p *Proxy) jitter(ms int) time.Duration {
-	if ms <= 0 {
+// jitter samples 0..max.
+func (i *Injector) jitter(max time.Duration) time.Duration {
+	if max <= 0 {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return time.Duration(p.rng.Intn(ms+1)) * time.Millisecond
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return time.Duration(i.rng.Int63n(int64(max) + 1))
 }
 
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path == "/chaos" || strings.HasPrefix(r.URL.Path, "/chaos/") {
-		p.serveAdmin(w, r)
-		return
-	}
-	f := p.Faults()
-
-	if f.Blackhole {
-		// Hold the request open until the caller gives up, then abort
-		// the connection without a response — a partition, not an error.
-		p.blackholed.Add(1)
-		<-r.Context().Done()
+// wait holds the request for d, aborting the connection without a
+// response if the caller gives up first.
+func wait(r *http.Request, d time.Duration) {
+	select {
+	case <-time.After(d):
+	case <-r.Context().Done():
 		panic(http.ErrAbortHandler)
 	}
-	if d := time.Duration(f.LatencyMs)*time.Millisecond + p.jitter(f.JitterMs); d > 0 {
-		p.delayed.Add(1)
-		select {
-		case <-time.After(d):
-		case <-r.Context().Done():
-			panic(http.ErrAbortHandler)
+}
+
+func (i *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	n := i.requests.Add(1)
+	i.mu.Lock()
+	f := i.faults
+	i.mu.Unlock()
+
+	if f.HangEvery > 0 && n%int64(f.HangEvery) == 0 {
+		i.hangs.Add(1)
+		if f.HangFor <= 0 {
+			f.HangFor = 30 * time.Second
 		}
+		// net/http notices a caller hanging up only once the request
+		// body is read.
+		io.Copy(io.Discard, r.Body)
+		wait(r, f.HangFor)
+		panic(http.ErrAbortHandler)
 	}
-	if p.roll(f.ResetRate) {
-		p.resets.Add(1)
+	if d := f.Latency + i.jitter(f.Jitter); d > 0 {
+		i.delayed.Add(1)
+		wait(r, d)
+	}
+	if i.roll(f.ResetRate) {
+		i.resets.Add(1)
 		if hj, ok := w.(http.Hijacker); ok {
 			if conn, _, err := hj.Hijack(); err == nil {
 				conn.Close()
@@ -216,51 +177,21 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// No hijack support (HTTP/2 etc.): abort instead.
 		panic(http.ErrAbortHandler)
 	}
-	if p.roll(f.ErrorRate) {
-		p.errors.Add(1)
+	if i.failNext.CompareAndSwap(true, false) || i.roll(f.ErrorRate) {
+		i.errors.Add(1)
 		code := f.ErrorCode
 		if code == 0 {
-			code = http.StatusBadGateway
+			code = http.StatusServiceUnavailable
 		}
 		http.Error(w, "chaos: injected error", code)
 		return
 	}
 	if f.SlowBodyBytesPerSec > 0 {
-		p.throttled.Add(1)
+		i.throttled.Add(1)
 		w = &throttledWriter{ResponseWriter: w, bytesPerSec: f.SlowBodyBytesPerSec, ctx: r.Context()}
 	}
-	p.proxied.Add(1)
-	p.rp.ServeHTTP(w, r)
-}
-
-// serveAdmin handles GET /chaos (inspect) and POST /chaos (replace
-// fault set).
-func (p *Proxy) serveAdmin(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost, http.MethodPut:
-		var f Faults
-		if err := json.NewDecoder(r.Body).Decode(&f); err != nil {
-			http.Error(w, fmt.Sprintf("chaos: bad faults body: %v", err), http.StatusBadRequest)
-			return
-		}
-		if f.ErrorRate < 0 || f.ErrorRate > 1 || f.ResetRate < 0 || f.ResetRate > 1 {
-			http.Error(w, "chaos: rates must be in [0,1]", http.StatusBadRequest)
-			return
-		}
-		p.SetFaults(f)
-	default:
-		http.Error(w, "chaos: GET or POST", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(struct {
-		Target string `json:"target"`
-		Faults Faults `json:"faults"`
-		Stats  Stats  `json:"stats"`
-	}{p.target.String(), p.Faults(), p.Stats()})
+	i.served.Add(1)
+	i.next.ServeHTTP(w, r)
 }
 
 // throttledWriter paces body writes to roughly bytesPerSec by writing
@@ -268,7 +199,7 @@ func (p *Proxy) serveAdmin(w http.ResponseWriter, r *http.Request) {
 // budget spans Write calls: a streamed (flushed) response whose frames
 // arrive as many small writes is paced exactly like one buffered body —
 // each frame ships when the byte schedule reaches it, which is what
-// lets the chaos proxy exercise SSE backpressure.
+// lets a slow body exercise SSE backpressure.
 type throttledWriter struct {
 	http.ResponseWriter
 	bytesPerSec int
@@ -312,9 +243,9 @@ func (t *throttledWriter) Write(b []byte) (int, error) {
 	return written, nil
 }
 
-// Flush forwards to the inner writer, so the reverse proxy sees an
-// http.Flusher on the wrapper and keeps passing streamed responses
-// through frame by frame instead of falling back to buffering.
+// Flush forwards to the inner writer, so a streaming handler sees an
+// http.Flusher on the wrapper and its frames pass through one by one
+// instead of being buffered.
 func (t *throttledWriter) Flush() {
 	if f, ok := t.ResponseWriter.(http.Flusher); ok {
 		f.Flush()

@@ -22,7 +22,8 @@ type GaugeRollup struct {
 // Rollup is the cluster-wide aggregate of every member's snapshot:
 // counters summed, equal-bounds histograms merged bucket-wise (their
 // exemplars pooled and re-capped, so the cluster tail keeps its trace
-// links), gauges as min/max/sum.
+// links), gauges as min/max/sum. A series whose totals would overflow is
+// left out and named.
 type Rollup struct {
 	Counters   map[string]int64                       `json:"counters"`
 	Gauges     map[string]GaugeRollup                 `json:"gauges"`
@@ -32,8 +33,13 @@ type Rollup struct {
 	// a malformed one (merging those would fabricate counts, rendering
 	// them would index past their counts), or their totals overflowed.
 	// Should be empty in a homogeneous fleet.
-	SkewedHistograms []string          `json:"skewed_histograms,omitempty"`
-	Help             map[string]string `json:"help,omitempty"`
+	SkewedHistograms []string `json:"skewed_histograms,omitempty"`
+	// Overflowed names counters and gauges excluded from the rollup
+	// because their sum across members overflowed: an int64 counter sum
+	// would wrap, and a gauge sum that is not finite has no JSON
+	// encoding.
+	Overflowed []string          `json:"overflowed,omitempty"`
+	Help       map[string]string `json:"help,omitempty"`
 }
 
 // ClusterMetrics is the /debug/cluster/metrics payload: the rollup plus
@@ -58,7 +64,7 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 			Help:       map[string]string{},
 		},
 	}
-	skewed := map[string]bool{}
+	skewed, overflowed := map[string]bool{}, map[string]bool{}
 	names := make([]string, 0, len(states))
 	for name := range states {
 		names = append(names, name)
@@ -69,9 +75,21 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 		out.Instances = append(out.Instances, st)
 		snap := st.Metrics
 		for n, v := range snap.Counters {
-			out.Cluster.Counters[n] += v
+			if overflowed[n] {
+				continue
+			}
+			sum := out.Cluster.Counters[n]
+			if v > 0 && sum > math.MaxInt64-v || v < 0 && sum < math.MinInt64-v {
+				overflowed[n] = true
+				delete(out.Cluster.Counters, n)
+				continue
+			}
+			out.Cluster.Counters[n] = sum + v
 		}
 		for n, v := range snap.Gauges {
+			if overflowed[n] {
+				continue
+			}
 			g, ok := out.Cluster.Gauges[n]
 			if !ok {
 				g = GaugeRollup{Min: v, Max: v}
@@ -84,6 +102,11 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 			}
 			g.Sum += v
 			g.Instances++
+			if math.IsInf(g.Sum, 0) || math.IsNaN(g.Sum) {
+				overflowed[n] = true
+				delete(out.Cluster.Gauges, n)
+				continue
+			}
 			out.Cluster.Gauges[n] = g
 		}
 		for n, h := range snap.Histograms {
@@ -118,6 +141,10 @@ func Aggregate(states map[string]*InstanceState) ClusterMetrics {
 		out.Cluster.SkewedHistograms = append(out.Cluster.SkewedHistograms, n)
 	}
 	sort.Strings(out.Cluster.SkewedHistograms)
+	for n := range overflowed {
+		out.Cluster.Overflowed = append(out.Cluster.Overflowed, n)
+	}
+	sort.Strings(out.Cluster.Overflowed)
 	return out
 }
 

@@ -223,6 +223,47 @@ func TestAggregateRejectsOverflowingTotals(t *testing.T) {
 	}
 }
 
+// TestAggregateLeavesOverflowingSeriesOut: two members each serving a
+// gauge of 1.5e308 would roll up to a +Inf sum, which has no JSON
+// encoding and turned the whole /debug/cluster/metrics?format=json into
+// a 500, and counters that add past the largest int64 (or below the
+// smallest) would wrap. Each such series is left out and named in
+// "overflowed"; the rest of the rollup is served.
+func TestAggregateLeavesOverflowingSeriesOut(t *testing.T) {
+	member := func() *InstanceState {
+		return &InstanceState{Metrics: telemetry.Snapshot{
+			Counters: map[string]int64{"big": 1 << 62, "low": -1 << 62, "ok": 2},
+			Gauges:   map[string]float64{"huge": 1.5e308, "fine": 1.5},
+		}}
+	}
+	agg := Aggregate(map[string]*InstanceState{"a": member(), "b": member(), "c": member()})
+	rec := httptest.NewRecorder()
+	writeJSON(rec, agg)
+	var got struct {
+		Cluster struct {
+			Counters   map[string]int64          `json:"counters"`
+			Gauges     map[string]map[string]any `json:"gauges"`
+			Overflowed []string                  `json:"overflowed"`
+		} `json:"cluster"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("code %d, decode error %v, body %q", rec.Code, err, rec.Body.String())
+	}
+	c := got.Cluster
+	if _, ok := c.Gauges["huge"]; ok || c.Gauges["fine"]["sum"] != 4.5 {
+		t.Errorf("gauges = %v, want huge left out and fine summed to 4.5", c.Gauges)
+	}
+	if _, big := c.Counters["big"]; big || c.Counters["ok"] != 6 {
+		t.Errorf("counters = %v, want big left out and ok summed to 6", c.Counters)
+	}
+	if _, low := c.Counters["low"]; low {
+		t.Errorf("counters = %v, want low left out", c.Counters)
+	}
+	if want := []string{"big", "huge", "low"}; !reflect.DeepEqual(c.Overflowed, want) {
+		t.Errorf("overflowed = %v, want %v", c.Overflowed, want)
+	}
+}
+
 // TestAggregateKeepsLiveSnapshots: a registry snapshot taken while the
 // histogram observes may read a Count that trails its buckets. That is
 // how a healthy member looks under load, so every such snapshot — and

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
@@ -215,10 +217,7 @@ func TestSoloReplicaFlakyReconciliation(t *testing.T) {
 	// a retry or a terminal request error: injected == retries + errors.
 	reg := telemetry.NewRegistry()
 	node := wire.NewServer(unitDB(), wire.ServerOptions{})
-	flaky := wire.NewFlaky(node, wire.FlakyOptions{
-		FailureRate: 0.4,
-		Seed:        7,
-	})
+	flaky := chaos.Wrap(node, chaos.Options{Faults: chaos.Faults{ErrorRate: 0.4}, Seed: 7})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == wire.PathInfo {
 			node.ServeHTTP(w, r) // the dial is not what is measured
@@ -236,22 +235,23 @@ func TestSoloReplicaFlakyReconciliation(t *testing.T) {
 	}
 	retries := reg.Counter("wire_client_retries_total").Value()
 	errs := reg.Counter("wire_request_errors_total").Value()
-	if flaky.Injected() == 0 {
+	injected := flaky.Stats().Errors
+	if injected == 0 {
 		t.Fatal("flaky injected nothing")
 	}
-	if retries+errs != flaky.Injected() {
-		t.Errorf("retries(%d) + errors(%d) != injected(%d)", retries, errs, flaky.Injected())
+	if retries+errs != injected {
+		t.Errorf("retries(%d) + errors(%d) != injected(%d)", retries, errs, injected)
 	}
 }
 
 func TestSoloReplicaCallStatsAttributeRetriesPerCall(t *testing.T) {
-	fail := wire.FailOnce(wire.NewServer(unitDB(), wire.ServerOptions{}))
+	fail := chaos.Wrap(wire.NewServer(unitDB(), wire.ServerOptions{}), chaos.Options{})
 	srv := httptest.NewServer(fail)
 	defer srv.Close()
 	d := mustDialSolo(t, srv.URL, nil, nil)
 
 	ctx, stats := wire.WithCallStats(context.Background())
-	fail.Arm()
+	fail.FailNext()
 	if _, _, err := d.QueryContext(ctx, []string{"heart"}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSoloReplicaCallStatsAttributeRetriesPerCall(t *testing.T) {
 }
 
 func TestSoloReplicaRetryAttemptsShareSeqWithDistinctRequestIDs(t *testing.T) {
-	fail := wire.FailOnce(wire.NewServer(unitDB(), wire.ServerOptions{}))
+	fail := chaos.Wrap(wire.NewServer(unitDB(), wire.ServerOptions{}), chaos.Options{})
 	srv := httptest.NewServer(fail)
 	defer srv.Close()
 
@@ -285,7 +285,7 @@ func TestSoloReplicaRetryAttemptsShareSeqWithDistinctRequestIDs(t *testing.T) {
 	ctx := telemetry.ContextWithSpan(context.Background(), span)
 
 	d := mustDialSolo(t, srv.URL, nil, nil)
-	fail.Arm()
+	fail.FailNext()
 	if _, _, err := d.QueryContext(ctx, []string{"heart"}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -386,11 +386,10 @@ func TestSoloReplicaHonorsRetryAfterOnShedRetries(t *testing.T) {
 // failure, so the call still answers.
 func TestSoloReplicaRetriesHungAttempt(t *testing.T) {
 	node := wire.NewServer(unitDB(), wire.ServerOptions{})
-	flaky := wire.NewFlaky(node, wire.FlakyOptions{
+	flaky := chaos.Wrap(node, chaos.Options{Faults: chaos.Faults{
 		HangEvery: 2,                      // every second query hangs
 		HangFor:   300 * time.Millisecond, // outlives the attempt timeout, not the test
-		Seed:      1,
-	})
+	}, Seed: 1})
 	srv := httptest.NewServer(onQuery(func(w http.ResponseWriter, r *http.Request, _ http.Handler) {
 		flaky.ServeHTTP(w, r)
 	}))
@@ -410,8 +409,8 @@ func TestSoloReplicaRetriesHungAttempt(t *testing.T) {
 			t.Fatalf("call %d: matches %d, err %v", i, matches, err)
 		}
 	}
-	if flaky.Hangs() != 1 {
-		t.Errorf("hangs = %d, want 1", flaky.Hangs())
+	if got := flaky.Stats().Hangs; got != 1 {
+		t.Errorf("hangs = %d, want 1", got)
 	}
 	if got := reg.Counter("wire_client_retries_total").Value(); got < 1 {
 		t.Errorf("retries = %d, want at least 1 (the hung attempt's)", got)
@@ -455,6 +454,45 @@ func TestSoloReplicaIdentityMismatchIsNotRetried(t *testing.T) {
 	}
 	if got := budget.Tokens(); got != tokens {
 		t.Errorf("budget holds %v tokens, want %v (a mismatch is not retried)", got, tokens)
+	}
+}
+
+// TestReplicaRefusesAnOverlongQueryReply: a replica whose /v1/query
+// reply carries limit+1 ids fails its attempt — once, not retried — and
+// its breaker records the failure; the set fails over to the honest
+// replica, whose answer the call returns.
+func TestReplicaRefusesAnOverlongQueryReply(t *testing.T) {
+	var lies atomic.Int64
+	liar := httptest.NewServer(onQuery(func(w http.ResponseWriter, r *http.Request, _ http.Handler) {
+		lies.Add(1)
+		json.NewEncoder(w).Encode(wire.QueryResponse{Matches: 2, IDs: []int{0, 1}})
+	}))
+	defer liar.Close()
+	honest := httptest.NewServer(wire.NewServer(unitDB(), wire.ServerOptions{}))
+	defer honest.Close()
+	reg := telemetry.NewRegistry()
+	breakers := resilience.NewSet(resilience.BreakerOptions{}, reg)
+	d, err := Dial(context.Background(), []string{liar.URL, honest.URL}, Options{
+		Breakers: breakers,
+		Metrics:  reg,
+		Clock:    clock.NewInstant(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	matches, ids, err := d.QueryContext(context.Background(), []string{"heart"}, 1)
+	if err != nil || matches != 2 || len(ids) != 1 {
+		t.Fatalf("got %d matches, ids %v, err %v; want the honest replica's 2 matches and 1 id", matches, ids, err)
+	}
+	if lies.Load() != 1 {
+		t.Errorf("the lying replica was asked %d times, want once", lies.Load())
+	}
+	failures := map[string]int{}
+	for _, b := range breakers.Snapshot() {
+		failures[b.Database] = b.Failures
+	}
+	if got := failures["unit@"+liar.URL]; got != 1 {
+		t.Errorf("breaker failures = %v, want 1 for unit@%s", failures, liar.URL)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // The zero-downtime reconfiguration end-to-end test: steady query load
 // runs through the router while one database's preferred replica is
 // killed and the topology file is rewritten to drop it and add a
-// replacement that sits behind a fault-injecting chaos proxy. The swap
+// replacement that sits behind a fault injector. The swap
 // must lose zero queries, keep rankings bit-identical to the
 // single-process baseline, put the replacement into live service, keep
 // retry volume inside the cluster retry budget, and carry surviving
@@ -88,23 +88,17 @@ func TestClusterReconfiguration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The replacement replica for dbs[0]: a fresh dbnode behind a chaos
-	// proxy injecting latency and a 25% error rate — below any breaker
+	// The replacement replica for dbs[0]: a fresh dbnode behind a fault
+	// injector adding latency and a 10% error rate — below any breaker
 	// threshold, but enough that the swap path must tolerate a flaky
 	// newcomer without failing a single query (failover covers).
-	replacement := httptest.NewServer(wire.NewServer(
+	injector := chaos.Wrap(wire.NewServer(
 		repro.NewLocalDatabaseFromTerms(dbs[0].name, dbs[0].docs),
-		wire.ServerOptions{Category: dbs[0].category}))
+		wire.ServerOptions{Category: dbs[0].category}),
+		chaos.Options{Faults: chaos.Faults{Latency: 2 * time.Millisecond, ErrorRate: 0.1}, Seed: 1})
+	replacement := httptest.NewServer(injector)
 	t.Cleanup(replacement.Close)
-	proxy, err := chaos.New(replacement.URL, chaos.Options{
-		Initial: chaos.Faults{LatencyMs: 2, ErrorRate: 0.1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxySrv := httptest.NewServer(proxy)
-	t.Cleanup(proxySrv.Close)
-	chaosAddr := strings.TrimPrefix(proxySrv.URL, "http://")
+	chaosAddr := strings.TrimPrefix(replacement.URL, "http://")
 
 	// Topology v1 on disk, under a watcher — the same reconfiguration
 	// path cmd/metasearch drives.
@@ -260,7 +254,7 @@ func TestClusterReconfiguration(t *testing.T) {
 	phase("after the kill", 20)
 
 	// ...then rewrite the topology: the dead replica is gone and the
-	// chaos-proxied replacement is first in the list (so the owning
+	// fault-injected replacement is first in the list (so the owning
 	// shard prefers it — the newcomer must take real traffic).
 	next := *topo
 	next.Databases = make([]shardmap.Database, len(topo.Databases))
@@ -327,11 +321,11 @@ func TestClusterReconfiguration(t *testing.T) {
 	// The replacement must enter live service: its half-open breaker
 	// closes on the prober's first successful trial, after which the
 	// owning shard prefers it (it is first in the new replica list).
-	// Drive queries until the chaos proxy sees traffic.
+	// Drive queries until the replacement serves traffic.
 	serveDeadline := time.Now().Add(10 * time.Second)
-	for proxy.Stats().Proxied == 0 {
+	for injector.Stats().Served == 0 {
 		if time.Now().After(serveDeadline) {
-			t.Fatalf("chaos-proxied replacement replica never served traffic: %+v", proxy.Stats())
+			t.Fatalf("fault-injected replacement replica never served traffic: %+v", injector.Stats())
 		}
 		for _, q := range queries {
 			if _, err := rt.Search(context.Background(), repro.SearchRequest{Query: q, MaxDBs: 3, PerDB: 5}); err != nil {

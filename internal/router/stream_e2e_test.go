@@ -24,8 +24,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The streaming end-to-end test: with one shard's dbnodes behind a
-// chaos latency proxy, a stream through the router must deliver the
+// The streaming end-to-end test: with one shard's dbnodes slowed by a
+// fault injector's latency, a stream through the router must deliver the
 // selection frame first, the fast shard's node results well before the
 // delayed final frame, and a final frame identical to the blocking
 // endpoint's answer; and a client that disconnects mid-stream must
@@ -132,14 +132,17 @@ func TestClusterStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One dbnode per database.
-	directAddr := make(map[string]string, len(dbs))
+	// One dbnode per database, each behind a (transparent) fault
+	// injector.
+	injectors := make(map[string]*chaos.Injector, len(dbs))
+	addr := make(map[string]string, len(dbs))
 	for _, d := range dbs {
-		srv := httptest.NewServer(wire.NewServer(
+		injectors[d.name] = chaos.Wrap(wire.NewServer(
 			repro.NewLocalDatabaseFromTerms(d.name, d.docs),
-			wire.ServerOptions{Category: d.category}))
+			wire.ServerOptions{Category: d.category}), chaos.Options{})
+		srv := httptest.NewServer(injectors[d.name])
 		t.Cleanup(srv.Close)
-		directAddr[d.name] = strings.TrimPrefix(srv.URL, "http://")
+		addr[d.name] = strings.TrimPrefix(srv.URL, "http://")
 	}
 
 	topo := &shardmap.Topology{
@@ -151,32 +154,20 @@ func TestClusterStreaming(t *testing.T) {
 	}
 	for _, d := range dbs {
 		topo.Databases = append(topo.Databases, shardmap.Database{
-			Name: d.name, Category: d.category, Replicas: []string{directAddr[d.name]},
+			Name: d.name, Category: d.category, Replicas: []string{addr[d.name]},
 		})
 	}
 
-	// Every dbnode on shard-01's slice goes behind a chaos latency
-	// proxy: that shard's fan-out stalls, so its node results — and the
-	// final merge — arrive long after the fast shard's frames.
+	// Every dbnode on shard-01's slice gets injected latency: that
+	// shard's fan-out stalls, so its node results — and the final merge —
+	// arrive long after the fast shard's frames.
 	const chaosDelay = 250 * time.Millisecond
 	delayed, err := topo.ShardAssignments("shard-01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, a := range delayed {
-		p, err := chaos.New("http://"+directAddr[a.Database], chaos.Options{
-			Initial: chaos.Faults{LatencyMs: int(chaosDelay.Milliseconds())},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		proxy := httptest.NewServer(p)
-		t.Cleanup(proxy.Close)
-		for i := range topo.Databases {
-			if topo.Databases[i].Name == a.Database {
-				topo.Databases[i].Replicas = []string{strings.TrimPrefix(proxy.URL, "http://")}
-			}
-		}
+		injectors[a.Database].SetFaults(chaos.Faults{Latency: chaosDelay})
 	}
 
 	shardMs := make([]*repro.Metasearcher, len(topo.Shards))

@@ -177,10 +177,15 @@ func (c *Client) Info(ctx context.Context, at Attempt) (InfoResponse, error) {
 	return out, err
 }
 
-// Query evaluates a conjunctive query at the node (POST /v1/query).
+// Query evaluates a conjunctive query at the node (POST /v1/query). A
+// reply no honest node sends (more ids than the limit or the match
+// count, a negative match count) is a *ReplyError.
 func (c *Client) Query(ctx context.Context, at Attempt, terms []string, limit int) (int, []int, error) {
 	var out QueryResponse
 	err := c.do(ctx, at, http.MethodPost, PathQuery, QueryRequest{Terms: terms, Limit: limit}, &out)
+	if err == nil {
+		err = out.check(limit)
+	}
 	if err != nil {
 		return 0, nil, err
 	}

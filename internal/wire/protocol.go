@@ -81,6 +81,21 @@ type QueryResponse struct {
 	IDs []int `json:"ids"`
 }
 
+// check reports how r breaks what an honest node's index answers a
+// query with this limit: at most max(limit, 0) ids, no more ids than
+// matches, and no negative match count.
+func (r QueryResponse) check(limit int) error {
+	switch {
+	case r.Matches < 0:
+		return &ReplyError{PathQuery, fmt.Sprintf("negative match count %d", r.Matches)}
+	case len(r.IDs) > max(limit, 0):
+		return &ReplyError{PathQuery, fmt.Sprintf("%d ids for limit %d", len(r.IDs), limit)}
+	case len(r.IDs) > r.Matches:
+		return &ReplyError{PathQuery, fmt.Sprintf("%d ids for %d matches", len(r.IDs), r.Matches)}
+	}
+	return nil
+}
+
 // DocResponse is one document's content (GET /v1/doc/{id}).
 type DocResponse struct {
 	ID int `json:"id"`
@@ -208,6 +223,17 @@ func (e *ProtocolError) Shed() bool {
 func (e *ProtocolError) RetryDelay() time.Duration {
 	return e.RetryAfter
 }
+
+// ReplyError is a 200 reply whose body breaks the protocol. Asking the
+// node again will not change its answer, so the attempt fails without a
+// retry: the replica set fails over, and the node's breaker counts it.
+type ReplyError struct {
+	Path   string
+	Reason string
+}
+
+func (e *ReplyError) Error() string   { return fmt.Sprintf("wire: %s reply: %s", e.Path, e.Reason) }
+func (e *ReplyError) Transient() bool { return false }
 
 // DecodeError turns a non-200 response into a ProtocolError, reading
 // the error envelope and Retry-After header when present. Callers own

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/telemetry"
 )
 
@@ -208,11 +210,10 @@ func TestDisabledDocCacheKeepsSchema(t *testing.T) {
 // client's per-attempt timeout as a deadline failure (which the attempt
 // loop above retries), and the node's next request is served.
 func TestFlakyHangTimesOutAndRecovers(t *testing.T) {
-	flaky := NewFlaky(NewServer(testDB(), ServerOptions{}), FlakyOptions{
+	flaky := chaos.Wrap(NewServer(testDB(), ServerOptions{}), chaos.Options{Faults: chaos.Faults{
 		HangEvery: 2,                      // every second request hangs
 		HangFor:   300 * time.Millisecond, // outlives the client timeout, not the test
-		Seed:      1,
-	})
+	}, Seed: 1})
 	srv := httptest.NewServer(flaky)
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
@@ -230,8 +231,8 @@ func TestFlakyHangTimesOutAndRecovers(t *testing.T) {
 			t.Fatalf("hung query: err = %v, want the attempt's deadline", err)
 		}
 	}
-	if flaky.Hangs() != 1 {
-		t.Errorf("hangs = %d, want 1", flaky.Hangs())
+	if got := flaky.Stats().Hangs; got != 1 {
+		t.Errorf("hangs = %d, want 1", got)
 	}
 	if got := reg.Counter("wire_request_errors_total").Value(); got != 0 {
 		t.Errorf("request errors = %d before CallFailed, want 0 (the attempt loop counts them)", got)
@@ -239,6 +240,46 @@ func TestFlakyHangTimesOutAndRecovers(t *testing.T) {
 	c.CallFailed()
 	if got := reg.Counter("wire_request_errors_total").Value(); got != 1 {
 		t.Errorf("request errors = %d, want 1 (the timed-out call)", got)
+	}
+}
+
+// TestQueryReplyChecked: a /v1/query reply no honest node sends — more
+// ids than the limit or than the match count, or a negative match
+// count — fails the exchange with an error the attempt loop does not
+// retry; a reply at the bounds is accepted.
+func TestQueryReplyChecked(t *testing.T) {
+	const limit = 2
+	for _, tc := range []struct {
+		name  string
+		reply QueryResponse
+		ok    bool
+	}{
+		{"at the bounds", QueryResponse{Matches: 2, IDs: []int{0, 1}}, true},
+		{"limit+1 ids", QueryResponse{Matches: 5, IDs: []int{0, 1, 2}}, false},
+		{"more ids than matches", QueryResponse{Matches: 1, IDs: []int{0, 1}}, false},
+		{"negative matches", QueryResponse{Matches: -1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				json.NewEncoder(w).Encode(tc.reply)
+			}))
+			defer srv.Close()
+			c := NewClient(srv.URL, fastOpts(telemetry.NewRegistry()))
+			matches, ids, err := c.Query(context.Background(), newCall(), []string{"heart"}, limit)
+			if tc.ok {
+				if err != nil || matches != tc.reply.Matches || len(ids) != len(tc.reply.IDs) {
+					t.Fatalf("got %d matches, ids %v, err %v; want the reply", matches, ids, err)
+				}
+				return
+			}
+			var tr interface{ Transient() bool }
+			if !errors.As(err, &tr) || tr.Transient() {
+				t.Fatalf("got %d matches, ids %v, err %v; want a failure that is not retried", matches, ids, err)
+			}
+			if matches != 0 || ids != nil {
+				t.Errorf("a refused reply leaked %d matches, ids %v", matches, ids)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/replica"
 	"repro/internal/resilience"
@@ -30,13 +31,13 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 	opts.Cache.Disable = true
 	m := New(opts)
 	reg := m.Metrics()
-	var flakies []*wire.Flaky
+	var flakies []*chaos.Injector
 	var servers []*httptest.Server
 	for i, s := range shards {
-		flaky := wire.NewFlaky(
+		flaky := chaos.Wrap(
 			wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs),
 				wire.ServerOptions{Category: s.category, Metrics: reg}),
-			wire.FlakyOptions{FailureRate: 0.25, Seed: int64(1000 + i)})
+			chaos.Options{Faults: chaos.Faults{ErrorRate: 0.25}, Seed: int64(1000 + i)})
 		srv := httptest.NewServer(flaky)
 		t.Cleanup(srv.Close)
 		flakies = append(flakies, flaky)
@@ -67,7 +68,7 @@ func TestPipelineSurvivesFlakyNodes(t *testing.T) {
 	// Reconcile client telemetry against the injected ground truth.
 	var injected int64
 	for _, f := range flakies {
-		injected += f.Injected()
+		injected += f.Stats().Errors
 	}
 	retries := reg.Counter("wire_client_retries_total").Value()
 	errors := reg.Counter("wire_request_errors_total").Value()

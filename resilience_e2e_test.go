@@ -7,12 +7,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/replica"
 	"repro/internal/resilience"
@@ -20,44 +19,26 @@ import (
 	"repro/internal/wire"
 )
 
-// switchable is an http.Handler whose behavior can be swapped at
-// runtime, so a test can build summaries against healthy nodes and then
-// flip individual nodes into failure modes without restarting servers
-// (a restart would change the address and reset the connection).
-type switchable struct {
-	h atomic.Pointer[http.Handler]
-}
-
-func newSwitchable(h http.Handler) *switchable {
-	s := &switchable{}
-	s.Set(h)
-	return s
-}
-
-func (s *switchable) Set(h http.Handler) { s.h.Store(&h) }
-
-func (s *switchable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	(*s.h.Load()).ServeHTTP(w, r)
-}
-
-// chaosNode is one remote database under test control.
+// chaosNode is one remote database under test control: its wire server
+// behind a fault injector, so a test can build summaries against healthy
+// nodes and then flip individual nodes into failure modes without
+// restarting servers (a restart would change the address and reset the
+// connection).
 type chaosNode struct {
-	shard   testShard
-	healthy http.Handler
-	sw      *switchable
-	srv     *httptest.Server
+	shard testShard
+	inj   *chaos.Injector
+	srv   *httptest.Server
 }
 
-// dialChaosNodes starts n switchable (initially healthy) wire servers
-// over the first n testbed shards and registers them with m.
+// dialChaosNodes starts one wire server behind a (transparent) fault
+// injector per testbed shard and registers them with m.
 func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts replica.Options) []*chaosNode {
 	t.Helper()
 	nodes := make([]*chaosNode, len(shards))
 	for i, s := range shards {
-		healthy := wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs),
-			wire.ServerOptions{Category: s.category, Metrics: m.Metrics()})
-		sw := newSwitchable(healthy)
-		srv := httptest.NewServer(sw)
+		inj := chaos.Wrap(wire.NewServer(NewLocalDatabaseFromTerms(s.name, s.docs),
+			wire.ServerOptions{Category: s.category, Metrics: m.Metrics()}), chaos.Options{})
+		srv := httptest.NewServer(inj)
 		t.Cleanup(srv.Close)
 		rdb, err := replica.Dial(context.Background(), []string{srv.URL}, opts)
 		if err != nil {
@@ -66,7 +47,7 @@ func dialChaosNodes(t *testing.T, m *Metasearcher, shards []testShard, opts repl
 		if err := m.AddDatabase(rdb, rdb.Category()); err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = &chaosNode{shard: s, healthy: healthy, sw: sw, srv: srv}
+		nodes[i] = &chaosNode{shard: s, inj: inj, srv: srv}
 	}
 	return nodes
 }
@@ -120,8 +101,8 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	// Chaos: node 1 hangs every request (slower than any client
 	// timeout), node 2 rejects every request with a transient 503.
 	hung, erroring := nodes[1], nodes[2]
-	hung.sw.Set(wire.NewFlaky(hung.healthy, wire.FlakyOptions{HangEvery: 1, HangFor: 2 * time.Second}))
-	erroring.sw.Set(wire.NewFlaky(erroring.healthy, wire.FlakyOptions{FailureRate: 1, Seed: 7}))
+	hung.inj.SetFaults(chaos.Faults{HangEvery: 1, HangFor: 2 * time.Second})
+	erroring.inj.SetFaults(chaos.Faults{ErrorRate: 1})
 
 	// Query with a word every shard's documents contain (the testbed's
 	// general vocabulary), so selection fans out over all four nodes
@@ -158,9 +139,9 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	if !errCall.Unavailable || errCall.Error == "" {
 		t.Errorf("erroring node's call not audited as a failure: %+v", errCall)
 	}
-	if errCall.Attempts != erroring.flakyInjected() {
+	if injected := erroring.inj.Stats().Errors; errCall.Attempts != injected {
 		t.Errorf("erroring node: %d audited attempts, %d injected faults",
-			errCall.Attempts, erroring.flakyInjected())
+			errCall.Attempts, injected)
 	}
 	if got := reg.Counter("search_hedges_total").Value(); got == 0 {
 		t.Error("search_hedges_total is zero despite a hung node")
@@ -180,7 +161,7 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	}
 	// The next search must short-circuit them without touching the
 	// network.
-	hungRequests := hung.flakyRequests()
+	hungRequests := hung.inj.Stats().Requests
 	shortCircuitsBefore := reg.Counter("search_breaker_open_total").Value()
 	start = time.Now()
 	results, err = m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 4, PerDB: 5})
@@ -194,7 +175,7 @@ func TestSearchSurvivesChaos(t *testing.T) {
 	if elapsed >= budget {
 		t.Errorf("short-circuited search took %v, budget is %v", elapsed, budget)
 	}
-	if got := hung.flakyRequests(); got != hungRequests {
+	if got := hung.inj.Stats().Requests; got != hungRequests {
 		t.Errorf("open breaker still sent %d requests to the hung node", got-hungRequests)
 	}
 	if got := reg.Counter("search_breaker_open_total").Value(); got < shortCircuitsBefore+2 {
@@ -235,24 +216,6 @@ func TestSearchSurvivesChaos(t *testing.T) {
 				i, n.shard.name, states[n.shard.name], want)
 		}
 	}
-}
-
-// flakyInjected returns the node's injected-503 count (zero while the
-// healthy handler is installed).
-func (n *chaosNode) flakyInjected() int64 {
-	if f, ok := (*n.sw.h.Load()).(*wire.Flaky); ok {
-		return f.Injected()
-	}
-	return 0
-}
-
-// flakyRequests returns how many requests reached the node's fault
-// injector.
-func (n *chaosNode) flakyRequests() int64 {
-	if f, ok := (*n.sw.h.Load()).(*wire.Flaky); ok {
-		return f.Requests()
-	}
-	return 0
 }
 
 // sharedWord returns a word from the first shard's first document that
@@ -344,7 +307,7 @@ func TestAutoHedgeFollowsNodeCallLatency(t *testing.T) {
 	if got := m.hedgeThreshold(); got != hedgeFloor {
 		t.Errorf("threshold after a build but no search = %v, want the floor: sampling traffic must not tune query hedging", got)
 	}
-	nodes[0].sw.Set(wire.NewFlaky(nodes[0].healthy, wire.FlakyOptions{Latency: slow}))
+	nodes[0].inj.SetFaults(chaos.Faults{Latency: slow})
 	if _, err := m.Search(context.Background(), SearchRequest{Query: sharedWord(t, shards), MaxDBs: 1, PerDB: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -482,8 +445,7 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 			victim = n
 		}
 	}
-	flaky := wire.NewFlaky(victim.healthy, wire.FlakyOptions{FailureRate: 1, Seed: 11})
-	victim.sw.Set(flaky)
+	victim.inj.SetFaults(chaos.Faults{ErrorRate: 1})
 
 	degraded, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 3, PerDB: 5})
 	if err != nil {
@@ -506,8 +468,8 @@ func TestPartialFailureMergeDeterminism(t *testing.T) {
 	if !call.Unavailable || call.Error == "" {
 		t.Errorf("victim's call not audited as a failure: %+v", call)
 	}
-	if call.Attempts != flaky.Injected() {
-		t.Errorf("victim: %d audited attempts, %d injected faults", call.Attempts, flaky.Injected())
+	if injected := victim.inj.Stats().Errors; call.Attempts != injected {
+		t.Errorf("victim: %d audited attempts, %d injected faults", call.Attempts, injected)
 	}
 	if call.Retries != call.Attempts-1 {
 		t.Errorf("victim: %d retries for %d attempts", call.Retries, call.Attempts)
@@ -534,18 +496,8 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := nodes[1]
-	entered := make(chan struct{})
-	release := make(chan struct{}) // the slow node answers only once this closes
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(release) }) }
-	defer unblock() // a failed test must not leave handlers holding the server open
-	slow.sw.Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == wire.PathQuery {
-			entered <- struct{}{}
-			<-release
-		}
-		slow.healthy.ServeHTTP(w, r)
-	}))
+	// Every request to the slow node hangs until its caller gives up.
+	slow.inj.SetFaults(chaos.Faults{HangEvery: 1})
 	query := sharedWord(t, shards)
 
 	for i := 0; i < 5; i++ {
@@ -555,12 +507,15 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 			_, err := m.Search(ctx, SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 			errc <- err
 		}()
-		select {
-		case <-entered: // the slow node holds this search's query
-		case err := <-errc:
-			cancel()
-			t.Fatalf("search %d finished (err %v) without calling the healthy node; its breaker is %s after %d hang-ups",
-				i, err, m.Breakers().Get(slow.shard.name).State(), i)
+		// Cancel once the slow node holds this search's query.
+		for slow.inj.Stats().Hangs == int64(i) {
+			select {
+			case err := <-errc:
+				cancel()
+				t.Fatalf("search %d finished (err %v) without calling the healthy node; its breaker is %s after %d hang-ups",
+					i, err, m.Breakers().Get(slow.shard.name).State(), i)
+			case <-time.After(time.Millisecond):
+			}
 		}
 		cancel()
 		if err := <-errc; err != context.Canceled {
@@ -573,8 +528,7 @@ func TestClientHangupsDoNotTripBreaker(t *testing.T) {
 			snap.State, snap.Failures)
 	}
 
-	unblock()
-	slow.sw.Set(slow.healthy)
+	slow.inj.SetFaults(chaos.Faults{})
 	if _, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -607,14 +561,7 @@ func TestRequestDeadlineTripsHungNodeBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	hung := nodes[1]
-	release := make(chan struct{})
-	defer close(release) // handlers must not hold the server open past the test
-	hung.sw.Set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-release:
-		}
-	}))
+	hung.inj.SetFaults(chaos.Faults{HangEvery: 1}) // every request hangs until its caller gives up
 	query := sharedWord(t, shards)
 	search := func() (*SearchResponse, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/audit"
+	"repro/internal/chaos"
 	"repro/internal/clock"
 	"repro/internal/replica"
 	"repro/internal/telemetry"
@@ -72,7 +73,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	m := New(opts)
 
 	nodeRings := make([]*telemetry.RingCapture, len(shards))
-	var fail *wire.FailOnceHandler
+	var fail *chaos.Injector
 	for i, s := range shards {
 		nodeRings[i] = telemetry.NewRingCapture(testRingSize)
 		var h http.Handler = wire.NewServer(
@@ -82,7 +83,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 				Tracer:   telemetry.NewTracer(nodeRings[i]),
 			})
 		if i == 0 {
-			fail = wire.FailOnce(h)
+			fail = chaos.Wrap(h, chaos.Options{})
 			h = fail
 		}
 		srv := httptest.NewServer(h)
@@ -104,7 +105,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 
 	// Build traffic is not under test: the search's trace leaves it
 	// out. Exactly one 503 is armed at the first node.
-	fail.Arm()
+	fail.FailNext()
 
 	res, err := m.Search(context.Background(), SearchRequest{Query: query, MaxDBs: 2, PerDB: 5})
 	if err != nil {
@@ -113,7 +114,7 @@ func TestEndToEndTraceAcrossProcesses(t *testing.T) {
 	if len(res.Results) == 0 {
 		t.Fatal("search returned no results; query is not exercising the pipeline")
 	}
-	if got := fail.Injected(); got != 1 {
+	if got := fail.Stats().Errors; got != 1 {
 		t.Fatalf("injected failures = %d, want exactly 1", got)
 	}
 
